@@ -1,18 +1,19 @@
 """Command-line front end.
 
     gmfg solve-lq       --config FILE --out DIR
-    gmfg solve-gmfg     --config FILE --out DIR [--threads N]
-    gmfg simulate-enash --config FILE --out DIR [--dump-paths]
+    gmfg solve-gmfg     --config FILE --out DIR
+    gmfg simulate-enash --config FILE --out DIR [--ladder 2:25,4:50] [--dump-paths]
+                        [--perturbations]
     gmfg graphon-diag   --config FILE --out DIR
 
-Outputs are machine-readable: CSV (RFC 4180 body after '#' metadata lines)
-and JSON with stable key order. Reruns with the same config and seed are
-byte-identical; wall-clock timings are only emitted when GMFG_TIMING=1.
+Outputs are machine-readable: CSV in the shared format of
+:mod:`gmfg.artifacts` and JSON with stable key order. Reruns with the same
+config and seed are byte-identical; wall-clock timings are only emitted
+when GMFG_TIMING=1.
 Exit codes: 0 success, 1 input error, 2 convergence failure (trace written).
 """
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .artifacts import atomic_write, index_columns, write_csv
 from .errors import ConfigError, ConvergenceError
 from .graphon import (cell_average_step, cut_norm_grid_bound, h11_deviation,
                       sample_step_graphon, step_difference)
@@ -29,37 +31,8 @@ from .population import run_ladder, run_system_a, build_population
 from .scenario import parse_scenario
 from .solver import picard_solve
 
-_FMT = "%.17g"
-
-
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _FMT % float(value)
-
-
-def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _meta_lines(scenario):
-    return [f"# scenario_hash={scenario.hash}",
-            f"# artifact_version={__version__}"]
-
-
-def write_csv(path, scenario, header, rows):
-    buf = io.StringIO()
-    for line in _meta_lines(scenario):
-        buf.write(line + "\r\n")
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\r\n")
-    _atomic_write(path, buf.getvalue())
+def _meta(scenario):
+    return {"scenario_hash": scenario.hash, "artifact_version": __version__}
 
 
 def _jsonable(obj):
@@ -78,10 +51,9 @@ def _jsonable(obj):
 
 
 def write_json(path, scenario, payload):
-    doc = {"meta": {"scenario_hash": scenario.hash,
-                    "artifact_version": __version__}}
+    doc = {"meta": _meta(scenario)}
     doc.update(_jsonable(payload))
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _maybe_time(started):
@@ -96,21 +68,13 @@ def cmd_solve_lq(scenario, out_dir, args):
     started = time.time()
     p = scenario.build_lq()
     sol = solve_lq_fixed_point(p, tol=scenario.lq_tol)
-    n = p.n
-    rows = []
-    for k, t in enumerate(p.times):
-        for i in range(n):
-            for j in range(n):
-                rows.append([k, t, i, j, sol.riccati.Pi[k, i, j]])
-    write_csv(os.path.join(out_dir, "riccati.csv"), scenario,
-              ["t_index", "time", "row", "col", "pi"], rows)
-    rows = []
-    for v in range(p.M):
-        for k in range(p.K + 1):
-            for c in range(n):
-                rows.append([v, k, c, sol.xbar[v, k, c], sol.s[v, k, c]])
-    write_csv(os.path.join(out_dir, "meanfield.csv"), scenario,
-              ["vertex_index", "time_index", "component", "xbar", "s"], rows)
+    k, i, j, pi = index_columns(sol.riccati.Pi)
+    write_csv(os.path.join(out_dir, "riccati.csv"),
+              ["t_index", "time", "row", "col", "pi"],
+              [k, p.times[k], i, j, pi], _meta(scenario))
+    write_csv(os.path.join(out_dir, "meanfield.csv"),
+              ["vertex_index", "time_index", "component", "xbar", "s"],
+              index_columns(sol.xbar, sol.s), _meta(scenario))
     write_json(os.path.join(out_dir, "gains.json"), scenario, {
         "feedback_gain": sol.feedback_gain,
         "feedback_offset": sol.feedback_offset,
@@ -126,14 +90,11 @@ def cmd_solve_lq(scenario, out_dir, args):
 def cmd_solve_gmfg(scenario, out_dir, args):
     started = time.time()
     problem = scenario.build_problem()
-    threads = args.threads or 0
-    if threads == 0:
-        threads = min(4, os.cpu_count() or 1)
     try:
         sol = picard_solve(problem, tol=scenario.picard_tol,
                            max_outer=scenario.max_outer, mode=scenario.mode,
                            min_outer=scenario.min_outer,
-                           inner_tol=scenario.inner_tol, threads=threads)
+                           inner_tol=scenario.inner_tol)
     except ConvergenceError as exc:
         payload = {"converged": False, "trace": exc.trace,
                    "error": str(exc)}
@@ -142,19 +103,14 @@ def cmd_solve_gmfg(scenario, out_dir, args):
         print(f"solve-gmfg: {exc}", file=sys.stderr)
         return 2
     comp = sol.ensemble.compress(scenario.output_atoms)
-    rows = []
-    for v in range(comp.n_vertices):
-        for k in range(comp.n_times):
-            for a, w in zip(comp.atoms[v, k], comp.weights[v, k]):
-                rows.append([v, k, a, w])
-    write_csv(os.path.join(out_dir, "ensemble.csv"), scenario,
-              ["vertex_index", "time_index", "atom", "weight"], rows)
+    v, k, _, atom, weight = index_columns(comp.atoms, comp.weights)
+    write_csv(os.path.join(out_dir, "ensemble.csv"),
+              ["vertex_index", "time_index", "atom", "weight"],
+              [v, k, atom, weight], _meta(scenario))
     for v, pol in enumerate(sol.policies):
-        rows = [[k, j, pol.values[k, j]]
-                for k in range(pol.values.shape[0])
-                for j in range(pol.values.shape[1])]
-        write_csv(os.path.join(out_dir, f"policy_{v:03d}.csv"), scenario,
-                  ["t_index", "x_index", "value"], rows)
+        write_csv(os.path.join(out_dir, f"policy_{v:03d}.csv"),
+                  ["t_index", "x_index", "value"], index_columns(pol.values),
+                  _meta(scenario))
     payload = {"converged": True, "trace": sol.trace, "tolerance": sol.tol,
                "noise_floor": sol.noise_floor}
     payload.update(_maybe_time(started))
@@ -162,18 +118,24 @@ def cmd_solve_gmfg(scenario, out_dir, args):
     return 0
 
 
+def _parse_ladder(text):
+    """Rungs (M_k, cluster_size) of ``2:25,4:50``, each two positive ints."""
+    try:
+        rungs = [tuple(int(v) for v in rung.split(":"))
+                 for rung in text.split(",")]
+    except ValueError:
+        rungs = []
+    if not rungs or any(len(r) != 2 or min(r) < 1 for r in rungs):
+        raise ConfigError("--ladder must look like 2:25,4:50,8:100")
+    return rungs
+
+
 def cmd_simulate_enash(scenario, out_dir, args):
     started = time.time()
     if scenario.kind != "nonlinear":
         raise ConfigError("simulate-enash needs a nonlinear scenario")
-    ladder = [(mk, sz) for mk, sz in scenario.rungs]
-    if args.ladder:
-        try:
-            ladder = [tuple(int(v) for v in rung.split(":"))
-                      for rung in args.ladder.split(",")]
-            assert all(len(r) == 2 for r in ladder)
-        except (ValueError, AssertionError):
-            raise ConfigError("--ladder must look like 2:25,4:50,8:100")
+    ladder = (_parse_ladder(args.ladder) if args.ladder
+              else [(mk, sz) for mk, sz in scenario.rungs])
     results = run_ladder(scenario.build_problem, ladder,
                          n_reps=scenario.replications, tol=scenario.picard_tol,
                          iota=scenario.deviator,
@@ -186,19 +148,17 @@ def cmd_simulate_enash(scenario, out_dir, args):
     payload.update(_maybe_time(started))
     write_json(os.path.join(out_dir, "report.json"), scenario, payload)
     if args.dump_paths:
-        for rung in ladder:
-            mk, sz = rung
+        for mk, sz in ladder:
             problem = scenario.build_problem(M=mk)
-            from .solver import picard_solve as _ps
-            sol = _ps(problem, tol=scenario.picard_tol,
-                      max_outer=scenario.max_outer, min_outer=scenario.min_outer)
+            sol = picard_solve(problem, tol=scenario.picard_tol,
+                               max_outer=scenario.max_outer,
+                               min_outer=scenario.min_outer)
             pop = build_population(problem.graphon, mk, [sz] * mk,
                                    problem.initial_law, seed=problem.seed + 7919)
             ts = run_system_a(pop, sol)
-            rows = [[i, k, ts.paths[i, k]]
-                    for i in range(pop.N) for k in range(problem.K + 1)]
-            write_csv(os.path.join(out_dir, f"trajectories_M{mk}.csv"), scenario,
-                      ["agent", "time_index", "value"], rows)
+            write_csv(os.path.join(out_dir, f"trajectories_M{mk}.csv"),
+                      ["agent", "time_index", "value"], index_columns(ts.paths),
+                      _meta(scenario))
     return 0
 
 
@@ -215,12 +175,12 @@ def cmd_graphon_diag(scenario, out_dir, args):
         cut = cut_norm_grid_bound(step_difference(sampled, averaged),
                                   seed=scenario.seed)
         rows.append([int(M), dev, cut])
-        mat_rows = [[i, j, sampled.matrix[i, j]]
-                    for i in range(int(M)) for j in range(int(M))]
-        write_csv(os.path.join(out_dir, f"step_M{int(M)}.csv"), scenario,
-                  ["row", "col", "weight"], mat_rows)
-    write_csv(os.path.join(out_dir, "h11.csv"), scenario,
-              ["M", "h11_deviation", "cut_norm_bound"], rows)
+        write_csv(os.path.join(out_dir, f"step_M{int(M)}.csv"),
+                  ["row", "col", "weight"], index_columns(sampled.matrix),
+                  _meta(scenario))
+    write_csv(os.path.join(out_dir, "h11.csv"),
+              ["M", "h11_deviation", "cut_norm_bound"], list(zip(*rows)),
+              _meta(scenario))
     return 0
 
 
@@ -251,8 +211,6 @@ def build_parser():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="scenario JSON file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--threads", type=int, default=0,
-                         help="worker cap for per-vertex solves (0 = auto)")
         if name == "simulate-enash":
             cmd.add_argument("--dump-paths", action="store_true",
                              help="also write System A trajectories per rung")

@@ -5,12 +5,16 @@ fields, this module tabulates the measure-coupled drift and running-cost
 fields, minimizes the Hamiltonian (closed clamp form for control-affine
 problems with quadratic control cost, grid search plus ternary refinement
 otherwise), and runs the backward semi-implicit value sweep that produces
-the feedback policy.
+the feedback policy. It also holds the Euler-Maruyama stepper that every
+particle and agent simulation shares.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .artifacts import index_columns, write_csv
 from .errors import ConfigError, InvariantError, NumericalError
 from .graphon import VertexGrid
 
@@ -317,14 +321,12 @@ class ValueGrid:
     def v_x(self):
         return np.gradient(self.values, self.x_grid, axis=1)
 
-    def v_xx(self):
-        return np.gradient(self.v_x(), self.x_grid, axis=1)
-
     def at(self, k, x):
         return np.interp(x, self.x_grid, self.values[k])
 
     def to_csv(self, path):
-        _table_to_csv(path, self.values)
+        write_csv(path, ["t_index", "x_index", "value"],
+                  index_columns(self.values))
 
 
 class Policy:
@@ -351,18 +353,8 @@ class Policy:
         return policy_lipschitz(self)
 
     def to_csv(self, path):
-        _table_to_csv(path, self.values)
-
-
-def _table_to_csv(path, table):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_index", "x_index", "value"])
-        for k, row in enumerate(np.asarray(table)):
-            for j, v in enumerate(row):
-                writer.writerow([k, j, f"{v:.17g}"])
+        write_csv(path, ["t_index", "x_index", "value"],
+                  index_columns(self.values))
 
 
 def policy_lipschitz(policy):
@@ -445,7 +437,26 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, n_u=101, fields=None,
     return vg, pol
 
 
-def rollout_cost(problem, fields, policy, x0, n_paths, seed, antithetic=False):
+def euler_maruyama(x0, noise, dt, sigma, drift):
+    """Euler-Maruyama paths of dX = drift dt + sigma dW from the states x0.
+
+    ``noise`` holds the (N, K) standard normal increments and ``drift(k, x)``
+    returns the drift of the states ``x`` at time node k; it is called for
+    k = 0..K-1 in order, so it may also record per-step quantities.
+    Returns the (N, K+1) paths.
+    """
+    x = np.asarray(x0, dtype=float)
+    n, K = noise.shape
+    paths = np.empty((n, K + 1))
+    paths[:, 0] = x
+    root_dt = math.sqrt(dt)
+    for k in range(K):
+        x = x + drift(k, x) * dt + sigma * root_dt * noise[:, k]
+        paths[:, k + 1] = x
+    return paths
+
+
+def rollout_cost(problem, fields, policy, x0, n_paths, seed):
     """Monte-Carlo cost of running a feedback policy from a point start.
 
     Euler-Maruyama under the frozen fields; returns (mean, standard error)
@@ -454,15 +465,14 @@ def rollout_cost(problem, fields, policy, x0, n_paths, seed, antithetic=False):
     from . import rng
 
     times = fields.times
-    K = times.size - 1
     dt = float(times[1] - times[0])
-    gen = rng.stream(seed, rng.PROPAGATE, 0)
-    xs = np.full(n_paths, float(x0))
+    noise = rng.stream(seed, rng.PROPAGATE, 0).standard_normal((n_paths, times.size - 1))
     cost = np.zeros(n_paths)
-    noise = gen.standard_normal((n_paths, K))
-    root_dt = np.sqrt(dt)
-    for k in range(K):
-        u = policy.eval_index(k, xs)
-        cost += fields.cost(k, xs, u) * dt
-        xs = xs + fields.drift(k, xs, u) * dt + problem.sigma * root_dt * noise[:, k]
+
+    def drift(k, x):
+        u = policy.eval_index(k, x)
+        cost[:] += fields.cost(k, x, u) * dt
+        return fields.drift(k, x, u)
+
+    euler_maruyama(np.full(n_paths, float(x0)), noise, dt, problem.sigma, drift)
     return float(cost.mean()), float(cost.std(ddof=1) / np.sqrt(n_paths))

@@ -300,10 +300,6 @@ class LambdaOperator:
         return float(totals.max())
 
 
-def lambda_apply(p, ric, fm, surface):
-    return LambdaOperator(p, ric, fm).apply(surface)
-
-
 def lambda_norm_bound(p, ric=None, fm=None):
     return LambdaOperator(p, ric, fm).norm_bound()
 

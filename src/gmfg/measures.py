@@ -7,10 +7,9 @@ the solver needs. Ensembles index measures by (vertex cell, time node) and
 path bundles hold the per-vertex particle trajectories behind them.
 """
 
-import csv
-
 import numpy as np
 
+from .artifacts import index_columns, write_csv
 from .errors import DomainError, GridError, InvariantError
 
 _WEIGHT_TOL = 1e-12
@@ -193,13 +192,9 @@ class MeasureEnsemble:
 
     def to_csv(self, path):
         """Rows of (vertex_index, time_index, atom, weight)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex_index", "time_index", "atom", "weight"])
-            for v in range(self.n_vertices):
-                for k in range(self.n_times):
-                    for a, w in zip(self.atoms[v, k], self.weights[v, k]):
-                        writer.writerow([v, k, f"{a:.17g}", f"{w:.17g}"])
+        v, k, _, atom, weight = index_columns(self.atoms, self.weights)
+        write_csv(path, ["vertex_index", "time_index", "atom", "weight"],
+                  [v, k, atom, weight])
 
 
 def ensemble_w1_sup(e1, e2):
@@ -249,12 +244,8 @@ class PathBundle:
 
     def to_csv(self, path, vertex):
         """Rows of (replica, time_index, value) for one vertex slice."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replica", "time_index", "value"])
-            for r, row in enumerate(self.paths[vertex]):
-                for k, x in enumerate(row):
-                    writer.writerow([r, k, f"{x:.17g}"])
+        write_csv(path, ["replica", "time_index", "value"],
+                  index_columns(self.paths[vertex]))
 
 
 def path_distance_DT(b1, b2):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .control import Policy, frozen_fields, solve_hjb
+from .control import Policy, euler_maruyama, frozen_fields, solve_hjb
 from .errors import GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import Measure1D, MeasureEnsemble
@@ -145,17 +145,12 @@ def _simulate_coupled(pop, solution, psi=None, iota=None, cost_agents=(),
                       label="A"):
     problem = solution.problem
     p = problem.functions
-    K = problem.K
-    dt = p.T / K
-    root_dt = math.sqrt(dt)
-    noise = pop.brownian_increments(K)
+    dt = p.T / problem.K
     policies = _cluster_policies(pop, solution)
-    x = pop.initial_states.astype(float).copy()
-    paths = np.empty((pop.N, K + 1))
-    paths[:, 0] = x
     costs = {i: 0.0 for i in cost_agents}
-    dev_controls = np.empty(K) if iota is not None else None
-    for k in range(K):
+    dev_controls = np.empty(problem.K) if iota is not None else None
+
+    def drift(k, x):
         u = np.empty(pop.N)
         for l, idx in enumerate(pop.cluster_indices):
             u[idx] = policies[l].eval_index(k, x[idx])
@@ -165,9 +160,10 @@ def _simulate_coupled(pop, solution, psi=None, iota=None, cost_agents=(),
             dev_controls[k] = u[iota]
         for i in costs:
             costs[i] += _row_running_cost(p, pop, x, u[i], i) * dt
-        drift = _pairwise_drift(p, pop, x, u)
-        x = x + drift * dt + p.sigma * root_dt * noise[:, k]
-        paths[:, k + 1] = x
+        return _pairwise_drift(p, pop, x, u)
+
+    paths = euler_maruyama(pop.initial_states, pop.brownian_increments(problem.K),
+                           dt, p.sigma, drift)
     return TrajectorySet(paths, problem.times, label, iota, dev_controls, costs)
 
 
@@ -202,20 +198,16 @@ def _field_propagation(pop, solution, fields, label, laws=None):
     """Propagate all agents against per-cluster frozen drift fields."""
     problem = solution.problem
     p = problem.functions
-    K = problem.K
-    dt = p.T / K
-    root_dt = math.sqrt(dt)
-    noise = pop.brownian_increments(K)
     policies = _cluster_policies(pop, solution)
-    x = pop.initial_states.astype(float).copy()
-    paths = np.empty((pop.N, K + 1))
-    paths[:, 0] = x
-    for k in range(K):
+
+    def drift(k, x):
+        out = np.empty(pop.N)
         for l, idx in enumerate(pop.cluster_indices):
-            u = policies[l].eval_index(k, x[idx])
-            drift = fields[l].drift(k, x[idx], u)
-            x[idx] = x[idx] + drift * dt + p.sigma * root_dt * noise[idx, k]
-        paths[:, k + 1] = x
+            out[idx] = fields[l].drift(k, x[idx], policies[l].eval_index(k, x[idx]))
+        return out
+
+    paths = euler_maruyama(pop.initial_states, pop.brownian_increments(problem.K),
+                           p.T / problem.K, p.sigma, drift)
     return TrajectorySet(paths, problem.times, label, cluster_laws=laws)
 
 

@@ -9,13 +9,12 @@ governs that rate.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .control import frozen_fields, solve_hjb
+from .control import euler_maruyama, frozen_fields, solve_hjb
 from .errors import ConfigError, ConvergenceError, InvariantError, NumericalError
 from .graphon import VertexGrid
 from .measures import (MeasureEnsemble, PathBundle, ensemble_distance,
@@ -126,21 +125,17 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None):
     (seed, vertex, replica), so repeated calls couple exactly.
     """
     p = problem.functions
-    dt = p.T / problem.K
-    root_dt = math.sqrt(dt)
     paths = np.empty((problem.M, problem.R, problem.K + 1))
     for v in range(problem.M):
         fl = fields[v] if fields is not None else frozen_fields(
             p, problem.graphon, problem.vertex_grid.midpoints[v], e_drift,
             problem.x_grid, problem.compress_q, drift_only=True)
-        noise = _vertex_noise(problem, v)
-        x = _vertex_initials(problem, v).astype(float)
-        paths[v, :, 0] = x
-        for k in range(problem.K):
-            u = policies[v].eval_index(k, x)
-            x = x + fl.drift(k, x, u) * dt + p.sigma * root_dt * noise[:, k]
-            paths[v, :, k + 1] = x
-        if not np.all(np.isfinite(x)):
+        pol = policies[v]
+        paths[v] = euler_maruyama(
+            _vertex_initials(problem, v), _vertex_noise(problem, v),
+            p.T / problem.K, p.sigma,
+            lambda k, x: fl.drift(k, x, pol.eval_index(k, x)))
+        if not np.all(np.isfinite(paths[v, :, -1])):
             raise NumericalError(f"propagation diverged at vertex {v}")
     return PathBundle(paths, problem.times, {"seed": problem.seed, "kind": "closed_loop"})
 
@@ -171,29 +166,21 @@ def inner_mv_consistency(problem, policies, e_start, tol_inner=None,
         trace=trace)
 
 
-def _solve_all_vertices(problem, ensemble, threads=1):
-    grid = problem.vertex_grid
-
-    def solve_one(v):
-        fl = frozen_fields(problem.functions, problem.graphon, grid.midpoints[v],
+def _solve_all_vertices(problem, ensemble):
+    vgs, pols, fls = [], [], []
+    for alpha in problem.vertex_grid.midpoints:
+        fl = frozen_fields(problem.functions, problem.graphon, alpha,
                            ensemble, problem.x_grid, problem.compress_q)
-        vg, pol = solve_hjb(problem.functions, problem.graphon, grid.midpoints[v],
+        vg, pol = solve_hjb(problem.functions, problem.graphon, alpha,
                             ensemble, problem.x_grid, problem.n_u, fields=fl)
-        return vg, pol, fl
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, range(problem.M)))
-    else:
-        results = [solve_one(v) for v in range(problem.M)]
-    vgs = [r[0] for r in results]
-    pols = [r[1] for r in results]
-    fls = [r[2] for r in results]
+        vgs.append(vg)
+        pols.append(pol)
+        fls.append(fl)
     return vgs, pols, fls
 
 
 def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
-                 min_outer=2, inner_tol=None, threads=1):
+                 min_outer=2, inner_tol=None):
     """Fixed-point iteration of the full game map.
 
     Starting from the zero-drift propagation marginals, each pass solves the
@@ -214,7 +201,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     prev_policy = None
     bundle = None
     for i in range(max_outer):
-        vgs, pols, fls = _solve_all_vertices(problem, ens, threads)
+        vgs, pols, fls = _solve_all_vertices(problem, ens)
         if mode == "single_loop":
             bundle = propagate_closed_loop(problem, pols, ens, fields=fls)
         else:
@@ -239,9 +226,9 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         f"no contraction below {tol_eff:.3g} within {max_outer} passes", trace=trace)
 
 
-def extra_iteration_distance(problem, solution, threads=1):
+def extra_iteration_distance(problem, solution):
     """Ensemble change produced by one more full pass from a solution."""
-    _, pols, fls = _solve_all_vertices(problem, solution.ensemble, threads)
+    _, pols, fls = _solve_all_vertices(problem, solution.ensemble)
     bundle = propagate_closed_loop(problem, pols, solution.ensemble, fields=fls)
     return ensemble_w1_sup(marginals(bundle), solution.ensemble)
 
@@ -265,7 +252,7 @@ class SensitivityReport:
         return math.isfinite(self.c1) and math.isfinite(self.c2)
 
 
-def sensitivity_probe(problem, solution, delta=0.05, threads=1, tol_inner=None):
+def sensitivity_probe(problem, solution, delta=0.05, tol_inner=None):
     """Finite-difference probe of the fixed-point contraction constants.
 
     Shifts every ensemble atom by ``delta`` (a location shift moves the
@@ -280,7 +267,7 @@ def sensitivity_probe(problem, solution, delta=0.05, threads=1, tol_inner=None):
     A zero denominator leaves the corresponding estimate undefined (NaN).
     """
     shifted = solution.ensemble.shift(delta)
-    _, pols_shifted, _ = _solve_all_vertices(problem, shifted, threads)
+    _, pols_shifted, _ = _solve_all_vertices(problem, shifted)
     base_table = solution.policy_table()
     new_table = np.stack([p.values for p in pols_shifted])
     dphi = float(np.abs(new_table - base_table).max())

@@ -350,8 +350,7 @@ def test_criterion_10_determinism(tmp_path):
         outs = []
         for run in (1, 2):
             out = tmp_path / f"{name}-{run}"
-            code = main([name, "--config", str(cfg), "--out", str(out),
-                         "--threads", "1"])
+            code = main([name, "--config", str(cfg), "--out", str(out)])
             assert code == 0, f"{name} failed"
             outs.append(out)
         import os
@@ -359,4 +358,4 @@ def test_criterion_10_determinism(tmp_path):
             if (outs[0] / fname).read_bytes() != (outs[1] / fname).read_bytes():
                 identical = False
     _criterion(10, identical, "all four subcommands byte-identical on rerun "
-                              "with fixed config and seed (single-threaded)")
+                              "with fixed config and seed")

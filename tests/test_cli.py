@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -207,6 +209,27 @@ class TestSimulateEnashCommand:
         assert (out / "trajectories_M2.csv").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["rungs"][0]["M_k"] == 2
+
+    @pytest.mark.parametrize("ladder", ["2:3:7", "0:5", "2:-1", "2:x", "2:3,"])
+    def test_bad_ladder_is_input_error(self, tmp_path, capsys, ladder):
+        cfg = write_config(tmp_path / "s.json", nonlinear_scenario())
+        code = main(["simulate-enash", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--ladder", ladder])
+        assert code == 1
+        assert "--ladder must look like" in capsys.readouterr().err
+
+    def test_bad_ladder_rejected_under_optimize(self, tmp_path):
+        cfg = write_config(tmp_path / "s.json", nonlinear_scenario())
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gmfg.cli", "simulate-enash",
+             "--config", cfg, "--out", str(tmp_path / "out"),
+             "--ladder", "2:25:7"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "--ladder must look like" in proc.stderr
 
 
 class TestGraphonDiagCommand:

@@ -183,13 +183,6 @@ class TestPicardSolve:
         assert [e["distance"] for e in s1.trace] == [e["distance"] for e in s2.trace]
         assert np.array_equal(s1.bundle.paths, s2.bundle.paths)
 
-    def test_threaded_matches_serial(self):
-        s1 = picard_solve(small_problem(M=3, K=16, R=500), tol=0.25, threads=1)
-        s2 = picard_solve(small_problem(M=3, K=16, R=500), tol=0.25, threads=3)
-        d1 = [e["distance"] for e in s1.trace]
-        d2 = [e["distance"] for e in s2.trace]
-        np.testing.assert_allclose(d1, d2, rtol=0, atol=1e-12)
-
     def test_nonconvergence_raises_with_trace(self):
         prob = small_problem(M=2, K=16, R=500)
         with pytest.raises(ConvergenceError) as err:
