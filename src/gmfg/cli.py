@@ -27,7 +27,7 @@ from .errors import ConfigError, ConvergenceError
 from .graphon import (cell_average_step, cut_norm_grid_bound, h11_deviation,
                       sample_step_graphon, step_difference)
 from .lq import solve_lq_fixed_point
-from .population import run_ladder, run_system_a, build_population
+from .population import run_ladder
 from .scenario import parse_scenario
 from .solver import picard_solve
 
@@ -140,24 +140,20 @@ def cmd_simulate_enash(scenario, out_dir, args):
                          n_reps=scenario.replications, tol=scenario.picard_tol,
                          iota=scenario.deviator,
                          solver_kwargs={"max_outer": scenario.max_outer,
-                                        "min_outer": scenario.min_outer},
+                                        "min_outer": scenario.min_outer,
+                                        "mode": scenario.mode,
+                                        "inner_tol": scenario.inner_tol},
                          R_law=scenario.R_law,
                          with_perturbations=args.perturbations)
+    paths = [rung.pop("system_a_paths") for rung in results]
     payload = {"rungs": results, "deviator": scenario.deviator,
                "replications": scenario.replications}
     payload.update(_maybe_time(started))
     write_json(os.path.join(out_dir, "report.json"), scenario, payload)
     if args.dump_paths:
-        for mk, sz in ladder:
-            problem = scenario.build_problem(M=mk)
-            sol = picard_solve(problem, tol=scenario.picard_tol,
-                               max_outer=scenario.max_outer,
-                               min_outer=scenario.min_outer)
-            pop = build_population(problem.graphon, mk, [sz] * mk,
-                                   problem.initial_law, seed=problem.seed + 7919)
-            ts = run_system_a(pop, sol)
+        for (mk, _), rung_paths in zip(ladder, paths):
             write_csv(os.path.join(out_dir, f"trajectories_M{mk}.csv"),
-                      ["agent", "time_index", "value"], index_columns(ts.paths),
+                      ["agent", "time_index", "value"], index_columns(rung_paths),
                       _meta(scenario))
     return 0
 

@@ -2,11 +2,10 @@
 
 Given problem data, a graphon section, and a frozen ensemble of local mean
 fields, this module tabulates the measure-coupled drift and running-cost
-fields, minimizes the Hamiltonian (closed clamp form for control-affine
-problems with quadratic control cost, grid search plus ternary refinement
-otherwise), and runs the backward semi-implicit value sweep that produces
-the feedback policy. It also holds the Euler-Maruyama stepper that every
-particle and agent simulation shares.
+fields, minimizes the Hamiltonian (a closed-form clamp, since the dynamics
+are control-affine with quadratic control cost), and runs the backward
+semi-implicit value sweep that produces the feedback policy. It also holds
+the Euler-Maruyama stepper that every particle and agent simulation shares.
 """
 
 import math
@@ -24,20 +23,16 @@ _SAMPLE_PTS = np.linspace(-5.0, 5.0, 41)
 class ProblemFunctions:
     """Dynamics and cost data for the nonlinear game.
 
-    Two construction routes:
-
-    * ``structured``: control-affine drift components f0(x, y) u and
-      f(x, y) u with running costs l1(x, y) + l2(x, y) u^2 (intra) and
-      l3(x, y) + l4(x, y) u^2 (graphon-coupled). The Hamiltonian minimizer
-      is then a clamp of an explicit ratio.
-    * ``generic``: arbitrary bounded f0(x, u, y), f(x, u, y), l0(x, u, y),
-      l(x, u, y), minimized numerically.
+    The dynamics are control-affine with quadratic control cost: drift
+    components f0(x, y) u and f(x, y) u, running costs l1(x, y) + l2(x, y) u^2
+    (intra) and l3(x, y) + l4(x, y) u^2 (graphon-coupled). The Hamiltonian
+    minimizer is then a clamp of an explicit ratio.
 
     All callables must broadcast over numpy arrays. The control set is a
     compact interval [a, b] and the diffusion sigma is constant and positive.
     """
 
-    def __init__(self, *, control_set, sigma, T, structured=None, generic=None):
+    def __init__(self, *, control_set, sigma, T, structured):
         a, b = float(control_set[0]), float(control_set[1])
         if not a < b:
             raise InvariantError("control set needs a < b")
@@ -49,23 +44,12 @@ class ProblemFunctions:
         self.sigma = float(sigma)
         self.T = float(T)
         self.structured_parts = structured
-        self.generic_parts = generic
-        if structured is not None:
-            self._check_structured()
-
-    @property
-    def is_structured(self):
-        return self.structured_parts is not None
+        self._check_structured()
 
     @classmethod
     def structured(cls, f0, f, l1, l2, l3, l4, control_set, sigma, T):
         parts = {"f0": f0, "f": f, "l1": l1, "l2": l2, "l3": l3, "l4": l4}
         return cls(control_set=control_set, sigma=sigma, T=T, structured=parts)
-
-    @classmethod
-    def generic(cls, f0, f, l0, l, control_set, sigma, T):
-        parts = {"f0": f0, "f": f, "l0": l0, "l": l}
-        return cls(control_set=control_set, sigma=sigma, T=T, generic=parts)
 
     def _check_structured(self):
         # Quadratic control-cost coefficients must be nonnegative with a
@@ -80,30 +64,6 @@ class ProblemFunctions:
         if floor <= 0:
             raise InvariantError("sampled l2 + l4 must have a positive floor")
         self.c0 = floor
-
-    # Generic-signature views of a structured problem, used by the
-    # finite-population simulator where pairwise sums need f0(x, u, y).
-    def f0_full(self, x, u, y):
-        if self.is_structured:
-            return self.structured_parts["f0"](x, y) * u
-        return self.generic_parts["f0"](x, u, y)
-
-    def f_full(self, x, u, y):
-        if self.is_structured:
-            return self.structured_parts["f"](x, y) * u
-        return self.generic_parts["f"](x, u, y)
-
-    def l0_full(self, x, u, y):
-        if self.is_structured:
-            p = self.structured_parts
-            return p["l1"](x, y) + p["l2"](x, y) * u**2
-        return self.generic_parts["l0"](x, u, y)
-
-    def l_full(self, x, u, y):
-        if self.is_structured:
-            p = self.structured_parts
-            return p["l3"](x, y) + p["l4"](x, y) * u**2
-        return self.generic_parts["l"](x, u, y)
 
 
 def theta_clamp(s, a, b):
@@ -121,10 +81,9 @@ def _bracket_table(component, x_grid, atoms, weights):
 class FrozenFields:
     """Measure-coupled drift and cost fields at one vertex, time-frozen.
 
-    For structured problems the fields reduce to per-time tables on the
-    space grid: drift coefficient (of u), constant cost, and quadratic cost
-    coefficient; evaluation interpolates linearly in x. Generic problems
-    keep compressed atom sets per time node and evaluate sums on demand.
+    The fields reduce to per-time tables on the space grid: drift
+    coefficient (of u), constant cost, and quadratic cost coefficient;
+    evaluation interpolates linearly in x.
     """
 
     def __init__(self, problem, alpha, x_grid, times):
@@ -132,66 +91,24 @@ class FrozenFields:
         self.alpha = float(alpha)
         self.x_grid = np.asarray(x_grid, dtype=float)
         self.times = np.asarray(times, dtype=float)
-        self.drift_coef = None   # structured: (K+1, N_x)
+        self.drift_coef = None   # (K+1, N_x)
         self.cost_const = None
         self.cost_quad = None
-        self._own = None         # generic: per-time (atoms, weights)
-        self._mix = None
-        self._mix_mass = None
-
-    @property
-    def n_times(self):
-        return self.times.size
 
     def drift(self, k, x, u):
         """Drift field value at time node k."""
-        if self.problem.is_structured:
-            coef = np.interp(x, self.x_grid, self.drift_coef[k])
-            return coef * u
-        own_a, own_w = self._own[k]
-        mix_a, mix_w = self._mix[k]
-        p = self.problem.generic_parts
-        x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-        out = p["f0"](x[..., None], u[..., None], own_a) @ own_w
-        if mix_a.size:
-            out = out + p["f"](x[..., None], u[..., None], mix_a) @ mix_w
-        return out
+        return np.interp(x, self.x_grid, self.drift_coef[k]) * u
 
     def cost(self, k, x, u):
         """Running-cost field value at time node k."""
-        if self.problem.is_structured:
-            const = np.interp(x, self.x_grid, self.cost_const[k])
-            quad = np.interp(x, self.x_grid, self.cost_quad[k])
-            return const + quad * np.asarray(u) ** 2
-        own_a, own_w = self._own[k]
-        mix_a, mix_w = self._mix[k]
-        p = self.problem.generic_parts
-        x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-        out = p["l0"](x[..., None], u[..., None], own_a) @ own_w
-        if mix_a.size:
-            out = out + p["l"](x[..., None], u[..., None], mix_a) @ mix_w
-        return out
+        const = np.interp(x, self.x_grid, self.cost_const[k])
+        quad = np.interp(x, self.x_grid, self.cost_quad[k])
+        return const + quad * np.asarray(u) ** 2
 
-    def drift_bound(self, n_probe=9):
+    def drift_bound(self):
         """Upper estimate of sup |drift| over the grid and the control set."""
         umax = max(abs(self.problem.u_min), abs(self.problem.u_max))
-        if self.problem.is_structured:
-            return float(np.abs(self.drift_coef).max() * umax)
-        us = np.linspace(self.problem.u_min, self.problem.u_max, n_probe)
-        best = 0.0
-        for k in range(self.n_times):
-            for u in us:
-                best = max(best, float(np.abs(self.drift(k, self.x_grid, u)).max()))
-        return best
-
-    def cost_bound(self):
-        """Upper estimate of sup |cost| over the grid and the control set."""
-        us = np.linspace(self.problem.u_min, self.problem.u_max, 5)
-        best = 0.0
-        for k in range(self.n_times):
-            for u in us:
-                best = max(best, float(np.abs(self.cost(k, self.x_grid, u)).max()))
-        return best
+        return float(np.abs(self.drift_coef).max() * umax)
 
 
 def frozen_fields(problem, g, alpha, ensemble, x_grid, compress_q=128,
@@ -211,35 +128,30 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, compress_q=128,
     v_own = int(np.argmin(np.abs(grid.midpoints - alpha)))
     gw = g.evaluate(float(alpha), grid.midpoints) / grid.M  # (M,) mixture weights
     K1 = ensemble.n_times
-    if problem.is_structured:
-        p = problem.structured_parts
-        nx = x_grid.size
-        fields.drift_coef = np.empty((K1, nx))
-        if not drift_only:
-            fields.cost_const = np.empty((K1, nx))
-            fields.cost_quad = np.empty((K1, nx))
-        for k in range(K1):
-            own_a = comp.atoms[v_own, k]
-            own_w = comp.weights[v_own, k]
-            mix_a, mix_w = _mixture(comp, k, gw, compress_q)
-            f0b = _bracket_table(p["f0"], x_grid, own_a, own_w)
-            fb = _bracket_table(p["f"], x_grid, mix_a, mix_w) if mix_a.size else 0.0
-            fields.drift_coef[k] = f0b + fb
-            if drift_only:
-                continue
-            l1b = _bracket_table(p["l1"], x_grid, own_a, own_w)
-            l2b = _bracket_table(p["l2"], x_grid, own_a, own_w)
-            if mix_a.size:
-                l3b = _bracket_table(p["l3"], x_grid, mix_a, mix_w)
-                l4b = _bracket_table(p["l4"], x_grid, mix_a, mix_w)
-            else:
-                l3b = l4b = 0.0
-            fields.cost_const[k] = l1b + l3b
-            fields.cost_quad[k] = l2b + l4b
-    else:
-        fields._own = [(comp.atoms[v_own, k], comp.weights[v_own, k]) for k in range(K1)]
-        mixes = [_mixture(comp, k, gw, compress_q) for k in range(K1)]
-        fields._mix = mixes
+    p = problem.structured_parts
+    nx = x_grid.size
+    fields.drift_coef = np.empty((K1, nx))
+    if not drift_only:
+        fields.cost_const = np.empty((K1, nx))
+        fields.cost_quad = np.empty((K1, nx))
+    for k in range(K1):
+        own_a = comp.atoms[v_own, k]
+        own_w = comp.weights[v_own, k]
+        mix_a, mix_w = _mixture(comp, k, gw, compress_q)
+        f0b = _bracket_table(p["f0"], x_grid, own_a, own_w)
+        fb = _bracket_table(p["f"], x_grid, mix_a, mix_w) if mix_a.size else 0.0
+        fields.drift_coef[k] = f0b + fb
+        if drift_only:
+            continue
+        l1b = _bracket_table(p["l1"], x_grid, own_a, own_w)
+        l2b = _bracket_table(p["l2"], x_grid, own_a, own_w)
+        if mix_a.size:
+            l3b = _bracket_table(p["l3"], x_grid, mix_a, mix_w)
+            l4b = _bracket_table(p["l4"], x_grid, mix_a, mix_w)
+        else:
+            l3b = l4b = 0.0
+        fields.cost_const[k] = l1b + l3b
+        fields.cost_quad[k] = l2b + l4b
     return fields
 
 
@@ -262,43 +174,19 @@ def _mixture(comp, k, gw, n_out):
     return atoms[idx], np.full(n_out, mass / n_out)
 
 
-def minimize_hamiltonian(fields, k, x, q, n_u=101, refine_iters=16, tie_tol=1e-9):
+def minimize_hamiltonian(fields, k, x, q):
     """Pointwise minimizer of q * drift + cost over the control interval.
 
-    Structured problems use the closed clamp form. Generic problems search
-    an ``n_u``-point control grid (first minimum wins, so ties break toward
-    the smaller control) followed by ternary refinement of the bracketing
-    interval. Returns (u, n_ties) where n_ties counts near-degenerate grid
-    minima, a diagnostic for argmin uniqueness.
+    With drift coefficient c and quadratic cost coefficient d at x, the
+    minimizer is the clamp of -q c / (2 d) to the control set.
     """
     p = fields.problem
-    a, b = p.u_min, p.u_max
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.is_structured:
-        coef = np.interp(x, fields.x_grid, fields.drift_coef[k])
-        quad = np.interp(x, fields.x_grid, fields.cost_quad[k])
-        if np.any(quad <= 0.0):
-            raise InvariantError("quadratic control-cost bracket is not positive")
-        h = -coef / (2.0 * quad)
-        return theta_clamp(q * h, a, b), 0
-    us = np.linspace(a, b, n_u)
-    H = q[..., None] * fields.drift(k, x[..., None], us) + fields.cost(k, x[..., None], us)
-    best = np.argmin(H, axis=-1)
-    sortH = np.sort(H, axis=-1)
-    n_ties = int(np.sum(sortH[..., 1] - sortH[..., 0] < tie_tol)) if n_u > 1 else 0
-    du = (b - a) / (n_u - 1)
-    lo = np.clip(us[best] - du, a, b)
-    hi = np.clip(us[best] + du, a, b)
-    for _ in range(refine_iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        H1 = q * fields.drift(k, x, m1) + fields.cost(k, x, m1)
-        H2 = q * fields.drift(k, x, m2) + fields.cost(k, x, m2)
-        take_lo = H1 <= H2  # ties keep the smaller-u side
-        hi = np.where(take_lo, m2, hi)
-        lo = np.where(take_lo, lo, m1)
-    return 0.5 * (lo + hi), n_ties
+    coef = np.interp(x, fields.x_grid, fields.drift_coef[k])
+    quad = np.interp(x, fields.x_grid, fields.cost_quad[k])
+    if np.any(quad <= 0.0):
+        raise InvariantError("quadratic control-cost bracket is not positive")
+    h = -coef / (2.0 * quad)
+    return theta_clamp(np.asarray(q, dtype=float) * h, p.u_min, p.u_max)
 
 
 class ValueGrid:
@@ -332,12 +220,11 @@ class ValueGrid:
 class Policy:
     """Tabulated feedback control, linear in x and left-constant in t."""
 
-    def __init__(self, values, x_grid, times, bounds, tie_count=0):
+    def __init__(self, values, x_grid, times, bounds):
         self.values = np.asarray(values, dtype=float)
         self.x_grid = np.asarray(x_grid, dtype=float)
         self.times = np.asarray(times, dtype=float)
         self.bounds = (float(bounds[0]), float(bounds[1]))
-        self.tie_count = int(tie_count)
         if np.any(self.values < self.bounds[0] - 1e-12) or np.any(self.values > self.bounds[1] + 1e-12):
             raise InvariantError("policy values leave the control set")
 
@@ -365,8 +252,7 @@ def policy_lipschitz(policy):
     return float(np.abs(np.diff(policy.values, axis=1)).max() / dx)
 
 
-def solve_hjb(problem, g, alpha, ensemble, x_grid, n_u=101, fields=None,
-              compress_q=128):
+def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None, compress_q=128):
     """Backward semi-implicit solve of the vertex value equation.
 
     Sweeps from the zero terminal condition: at each step the Hamiltonian is
@@ -398,15 +284,14 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, n_u=101, fields=None,
 
     V = np.zeros((K1, nx))
     policy = np.zeros((K1, nx))
-    ties = 0
     for k in range(K1 - 2, -1, -1):
         Vn = V[k + 1]
         Dp = np.zeros(nx)
         Dm = np.zeros(nx)
         Dp[:-1] = (Vn[1:] - Vn[:-1]) / dx
         Dm[1:] = (Vn[1:] - Vn[:-1]) / dx
-        u_p, t1 = minimize_hamiltonian(fields, k, x, Dp, n_u)
-        u_m, t2 = minimize_hamiltonian(fields, k, x, Dm, n_u)
+        u_p = minimize_hamiltonian(fields, k, x, Dp)
+        u_m = minimize_hamiltonian(fields, k, x, Dm)
         f_p = fields.drift(k, x, u_p)
         f_m = fields.drift(k, x, u_m)
         H_p = f_p * Dp + fields.cost(k, x, u_p)
@@ -417,7 +302,7 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, n_u=101, fields=None,
         # Neither candidate self-consistent: fall back to the central slope.
         neither = ~ok_p & ~ok_m
         if np.any(neither):
-            u_c, _ = minimize_hamiltonian(fields, k, x, 0.5 * (Dp + Dm), n_u)
+            u_c = minimize_hamiltonian(fields, k, x, 0.5 * (Dp + Dm))
             f_c = fields.drift(k, x, u_c)
             H_c = f_c * np.where(f_c > 0, Dp, Dm) + fields.cost(k, x, u_c)
             u_m = np.where(neither, u_c, u_m)
@@ -429,11 +314,9 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, n_u=101, fields=None,
         if not np.all(np.isfinite(V[k])):
             raise NumericalError(f"value sweep produced non-finite values at step {k}")
         policy[k] = u_k
-        ties += t1 + t2
-    u_T, _ = minimize_hamiltonian(fields, K1 - 1, x, np.zeros(nx), n_u)
-    policy[K1 - 1] = u_T
+    policy[K1 - 1] = minimize_hamiltonian(fields, K1 - 1, x, np.zeros(nx))
     vg = ValueGrid(V, x, times)
-    pol = Policy(policy, x, times, (problem.u_min, problem.u_max), tie_count=ties)
+    pol = Policy(policy, x, times, (problem.u_min, problem.u_max))
     return vg, pol
 
 

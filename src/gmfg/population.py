@@ -110,35 +110,24 @@ def _deviation_control(psi, t, x_i, x_all):
 def _pairwise_drift(p, pop, x, u):
     """Empirical intra + graphon-weighted inter drift for all agents."""
     W = pop.graph.matrix[pop.cluster_of] / pop.M_k   # (N, M_k)
-    rows = np.arange(pop.N)
-    if p.is_structured:
-        s = p.structured_parts
-        cm0 = s["f0"](x[:, None], x[None, :]) @ pop._avg
-        cmf = s["f"](x[:, None], x[None, :]) @ pop._avg
-        coef = cm0[rows, pop.cluster_of] + (W * cmf).sum(axis=1)
-        return coef * u
-    g = p.generic_parts
-    cm0 = g["f0"](x[:, None], u[:, None], x[None, :]) @ pop._avg
-    cmf = g["f"](x[:, None], u[:, None], x[None, :]) @ pop._avg
-    return cm0[rows, pop.cluster_of] + (W * cmf).sum(axis=1)
+    s = p.structured_parts
+    cm0 = s["f0"](x[:, None], x[None, :]) @ pop._avg
+    cmf = s["f"](x[:, None], x[None, :]) @ pop._avg
+    coef = cm0[np.arange(pop.N), pop.cluster_of] + (W * cmf).sum(axis=1)
+    return coef * u
 
 
 def _row_running_cost(p, pop, x, u_i, i):
     """Marked agent's running cost against the realized population state."""
     W = pop.graph.matrix[pop.cluster_of[i]] / pop.M_k
-    if p.is_structured:
-        s = p.structured_parts
-        m1 = s["l1"](x[i], x) @ pop._avg
-        m2 = s["l2"](x[i], x) @ pop._avg
-        m3 = s["l3"](x[i], x) @ pop._avg
-        m4 = s["l4"](x[i], x) @ pop._avg
-        own = pop.cluster_of[i]
-        return (m1[own] + m2[own] * u_i**2
-                + W @ m3 + (W @ m4) * u_i**2)
-    g = p.generic_parts
-    m0 = g["l0"](x[i], u_i, x) @ pop._avg
-    mg = g["l"](x[i], u_i, x) @ pop._avg
-    return m0[pop.cluster_of[i]] + W @ mg
+    s = p.structured_parts
+    m1 = s["l1"](x[i], x) @ pop._avg
+    m2 = s["l2"](x[i], x) @ pop._avg
+    m3 = s["l3"](x[i], x) @ pop._avg
+    m4 = s["l4"](x[i], x) @ pop._avg
+    own = pop.cluster_of[i]
+    return (m1[own] + m2[own] * u_i**2
+            + W @ m3 + (W @ m4) * u_i**2)
 
 
 def _simulate_coupled(pop, solution, psi=None, iota=None, cost_agents=(),
@@ -189,7 +178,7 @@ def _law_problem(pop, solution, R_law):
     seed = int(rng.stream(pop.seed, rng.CLUSTER_LAW).integers(2**31))
     return GMFGProblem(problem.functions, pop.graph, pop.initial_law,
                        M=pop.M_k, K=problem.K, N_x=problem.N_x,
-                       n_u=problem.n_u, R=R_law, seed=seed,
+                       R=R_law, seed=seed,
                        domain=(problem.x_grid[0], problem.x_grid[-1]),
                        compress_q=problem.compress_q)
 
@@ -350,7 +339,7 @@ def random_lipschitz_policy(problem, seed, index):
                   (lo, hi))
 
 
-def empirical_field_best_response(pop, solution, ts_a, iota, n_u=None):
+def empirical_field_best_response(pop, solution, ts_a, iota):
     """Best response against the realized finite-population ensemble.
 
     Builds the cluster-level empirical measure ensemble from a System A run
@@ -363,8 +352,7 @@ def empirical_field_best_response(pop, solution, ts_a, iota, n_u=None):
         rows.append([Measure1D(ts_a.paths[idx, k]) for k in range(problem.K + 1)])
     ens = MeasureEnsemble.from_measures(rows, problem.times)
     _, pol = solve_hjb(problem.functions, pop.graph, pop.midpoint(iota), ens,
-                       problem.x_grid, n_u or problem.n_u,
-                       compress_q=problem.compress_q)
+                       problem.x_grid, compress_q=problem.compress_q)
     return pol
 
 
@@ -448,24 +436,22 @@ def epsilon_nash_gap(populations, solution, iota, family_builder=None):
     return _assemble_gap_report(eq_costs, dev_costs, iota)
 
 
-def _component_brackets(p, ensemble, graph_or_graphon, alpha, compress_q=256):
+def _component_brackets(ensemble, graph_or_graphon, alpha, compress_q=256):
     """Per-time intra/inter bracket evaluators against a frozen ensemble."""
     comp = ensemble.compress(compress_q)
     grid = VertexGrid(ensemble.n_vertices)
     v_own = int(np.argmin(np.abs(grid.midpoints - alpha)))
     gw = graph_or_graphon.evaluate(float(alpha), grid.midpoints) / grid.M
 
-    def own(component, k, x, u=None):
+    def own(component, k, x):
         a, w = comp.atoms[v_own, k], comp.weights[v_own, k]
-        vals = component(x, a) if u is None else component(x, u, a)
-        return float(np.broadcast_to(vals, a.shape) @ w)
+        return float(np.broadcast_to(component(x, a), a.shape) @ w)
 
-    def mixed(component, k, x, u=None):
+    def mixed(component, k, x):
         total = 0.0
         for j in range(grid.M):
             a, w = comp.atoms[j, k], comp.weights[j, k]
-            vals = component(x, a) if u is None else component(x, u, a)
-            total += gw[j] * float(np.broadcast_to(vals, a.shape) @ w)
+            total += gw[j] * float(np.broadcast_to(component(x, a), a.shape) @ w)
         return total
 
     return own, mixed
@@ -480,10 +466,10 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     section-weighted ensemble. Returns the four E|.| sups and their sum.
     """
     problem = solution.problem
-    p = problem.functions
+    s = problem.functions.structured_parts
     iota = ts_b_reps[0].deviator if iota is None else iota
     K = problem.K
-    own, mixed = _component_brackets(p, solution.ensemble, problem.graphon,
+    own, mixed = _component_brackets(solution.ensemble, problem.graphon,
                                      pop.midpoint(iota))
     sums = {name: np.zeros(K) for name in ("f0", "f", "l0", "l")}
     W = pop.graph.matrix[pop.cluster_of[iota]] / pop.M_k
@@ -492,26 +478,14 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
             x = ts.paths[:, k]
             u = float(ts.deviator_controls[k]) if ts.deviator_controls is not None else 0.0
             xi = x[iota]
-            if p.is_structured:
-                s = p.structured_parts
-                emp_f0 = (s["f0"](xi, x) @ pop._avg)[pop.cluster_of[iota]] * u
-                emp_f = W @ (s["f"](xi, x) @ pop._avg) * u
-                emp_l0 = ((s["l1"](xi, x) + s["l2"](xi, x) * u**2) @ pop._avg)[pop.cluster_of[iota]]
-                emp_l = W @ ((s["l3"](xi, x) + s["l4"](xi, x) * u**2) @ pop._avg)
-                lim_f0 = own(s["f0"], k, xi) * u
-                lim_f = mixed(s["f"], k, xi) * u
-                lim_l0 = own(s["l1"], k, xi) + own(s["l2"], k, xi) * u**2
-                lim_l = mixed(s["l3"], k, xi) + mixed(s["l4"], k, xi) * u**2
-            else:
-                g = p.generic_parts
-                emp_f0 = (g["f0"](xi, u, x) @ pop._avg)[pop.cluster_of[iota]]
-                emp_f = W @ (g["f"](xi, u, x) @ pop._avg)
-                emp_l0 = (g["l0"](xi, u, x) @ pop._avg)[pop.cluster_of[iota]]
-                emp_l = W @ (g["l"](xi, u, x) @ pop._avg)
-                lim_f0 = own(g["f0"], k, xi, u)
-                lim_f = mixed(g["f"], k, xi, u)
-                lim_l0 = own(g["l0"], k, xi, u)
-                lim_l = mixed(g["l"], k, xi, u)
+            emp_f0 = (s["f0"](xi, x) @ pop._avg)[pop.cluster_of[iota]] * u
+            emp_f = W @ (s["f"](xi, x) @ pop._avg) * u
+            emp_l0 = ((s["l1"](xi, x) + s["l2"](xi, x) * u**2) @ pop._avg)[pop.cluster_of[iota]]
+            emp_l = W @ ((s["l3"](xi, x) + s["l4"](xi, x) * u**2) @ pop._avg)
+            lim_f0 = own(s["f0"], k, xi) * u
+            lim_f = mixed(s["f"], k, xi) * u
+            lim_l0 = own(s["l1"], k, xi) + own(s["l2"], k, xi) * u**2
+            lim_l = mixed(s["l3"], k, xi) + mixed(s["l4"], k, xi) * u**2
             sums["f0"][k] += abs(emp_f0 - lim_f0)
             sums["f"][k] += abs(emp_f - lim_f)
             sums["l0"][k] += abs(emp_l0 - lim_l0)
@@ -531,7 +505,8 @@ def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
     matching vertex grid, then ``n_reps`` independent populations run
     Systems A/B/C/D with shared per-replication noise; the B runs double as
     both the eps3 family sup and the unilateral cost comparisons. Returns
-    one report dict per rung.
+    one report dict per rung; ``system_a_paths`` holds the (N, K+1) System A
+    paths of the first replication.
     """
     from .solver import picard_solve
 
@@ -580,6 +555,7 @@ def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
             "family": gap.family,
             "n_reps": n_reps,
             "solution_iterations": len(solution.trace),
+            "system_a_paths": ts_a[0].paths,
         }
         if with_perturbations and some_b is not None:
             rung["perturbations"] = perturbation_terms(

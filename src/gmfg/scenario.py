@@ -169,7 +169,6 @@ class Scenario:
         self.M = check.integer(grids.get("M"), "grids.M", default=8)
         self.K = check.integer(grids.get("K"), "grids.K", default=64)
         self.N_x = check.integer(grids.get("N_x"), "grids.N_x", minimum=3, default=201)
-        self.N_u = check.integer(grids.get("N_u"), "grids.N_u", minimum=2, default=101)
         self.R = check.integer(grids.get("R"), "grids.R", minimum=100, default=5000)
         self.compress_q = check.integer(grids.get("compress_q"), "grids.compress_q",
                                         minimum=8, default=128)
@@ -269,7 +268,7 @@ class Scenario:
             raise ConfigError("scenario is not a nonlinear problem")
         return GMFGProblem(self.build_functions(), self.graphon, self.initial,
                            M=M if M is not None else self.M, K=self.K,
-                           N_x=self.N_x, n_u=self.N_u, R=self.R, seed=self.seed,
+                           N_x=self.N_x, R=self.R, seed=self.seed,
                            domain_padding=self.domain_padding,
                            compress_q=self.compress_q)
 

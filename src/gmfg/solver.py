@@ -25,7 +25,7 @@ class GMFGProblem:
     """A full game instance: data, graphon, initial law, grids, seeds."""
 
     def __init__(self, functions, graphon, initial_law, M, K, N_x=201,
-                 n_u=101, R=5000, seed=0, domain=None, domain_padding=0.0,
+                 R=5000, seed=0, domain=None, domain_padding=0.0,
                  compress_q=128):
         if R < 100:
             raise InvariantError("particle count R must be at least 100")
@@ -35,7 +35,6 @@ class GMFGProblem:
         self.M = int(M)
         self.K = int(K)
         self.N_x = int(N_x)
-        self.n_u = int(n_u)
         self.R = int(R)
         self.seed = int(seed)
         self.compress_q = int(compress_q)
@@ -56,21 +55,13 @@ class GMFGProblem:
 
     def _drift_range(self):
         p = self.functions
+        s = p.structured_parts
         umax = max(abs(p.u_min), abs(p.u_max))
         span = np.linspace(-2.0, 2.0, 17)
         xg, yg = np.meshgrid(span, span)
-        if p.is_structured:
-            s = p.structured_parts
-            coef = np.abs(np.broadcast_to(s["f0"](xg, yg), xg.shape)) \
-                + np.abs(np.broadcast_to(s["f"](xg, yg), xg.shape))
-            return float(coef.max() * umax)
-        best = 0.0
-        for u in (p.u_min, 0.5 * (p.u_min + p.u_max), p.u_max):
-            g = p.generic_parts
-            val = np.abs(np.broadcast_to(g["f0"](xg, u, yg), xg.shape)) \
-                + np.abs(np.broadcast_to(g["f"](xg, u, yg), xg.shape))
-            best = max(best, float(val.max()))
-        return best
+        coef = np.abs(np.broadcast_to(s["f0"](xg, yg), xg.shape)) \
+            + np.abs(np.broadcast_to(s["f"](xg, yg), xg.shape))
+        return float(coef.max() * umax)
 
     @property
     def noise_floor(self):
@@ -172,7 +163,7 @@ def _solve_all_vertices(problem, ensemble):
         fl = frozen_fields(problem.functions, problem.graphon, alpha,
                            ensemble, problem.x_grid, problem.compress_q)
         vg, pol = solve_hjb(problem.functions, problem.graphon, alpha,
-                            ensemble, problem.x_grid, problem.n_u, fields=fl)
+                            ensemble, problem.x_grid, fields=fl)
         vgs.append(vg)
         pols.append(pol)
         fls.append(fl)

@@ -323,7 +323,7 @@ def test_criterion_10_determinism(tmp_path):
             "initial": {"kind": "dirac", "x": 0.0},
         },
         "graphon": {"kind": "uniform_attachment"},
-        "grids": {"M": 2, "K": 8, "N_x": 61, "N_u": 21, "R": 120,
+        "grids": {"M": 2, "K": 8, "N_x": 61, "R": 120,
                   "compress_q": 16, "output_atoms": 8},
         "seeds": {"master": 5},
         "tolerances": {"picard_tol": 0.3, "max_outer": 10},

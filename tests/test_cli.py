@@ -43,7 +43,7 @@ def nonlinear_scenario(**over):
             "initial": {"kind": "dirac", "x": 0.0},
         },
         "graphon": {"kind": "constant", "c": 0.0},
-        "grids": {"M": 2, "K": 8, "N_x": 61, "N_u": 21, "R": 120,
+        "grids": {"M": 2, "K": 8, "N_x": 61, "R": 120,
                   "compress_q": 16, "output_atoms": 8},
         "seeds": {"master": 7},
         "tolerances": {"picard_tol": 0.3, "max_outer": 12},
@@ -105,9 +105,9 @@ class TestParseScenario:
         doc["problem"]["f0"] = {"kind": "poly2", "y": 1.0, "x": -1.0,
                                 "clip": [-2.0, 2.0]}
         sc = parse_scenario(write_config(tmp_path / "s.json", doc))
-        fns = sc.build_functions()
-        assert fns.f0_full(0.0, 1.0, 5.0) == pytest.approx(2.0)  # clipped
-        assert fns.f0_full(0.5, 1.0, 1.0) == pytest.approx(0.5)
+        f0 = sc.build_functions().structured_parts["f0"]
+        assert f0(0.0, 5.0) == pytest.approx(2.0)  # clipped
+        assert f0(0.5, 1.0) == pytest.approx(0.5)
 
 
 class TestSolveLQCommand:
@@ -209,6 +209,66 @@ class TestSimulateEnashCommand:
         assert (out / "trajectories_M2.csv").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["rungs"][0]["M_k"] == 2
+
+    def test_dump_paths_solves_each_rung_once(self, tmp_path, monkeypatch):
+        from gmfg import build_population, run_system_a
+        from gmfg import cli, solver
+        from gmfg.artifacts import index_columns, write_csv
+
+        doc = nonlinear_scenario()
+        doc["graphon"] = {"kind": "uniform_attachment"}
+        doc["ladder"] = {"rungs": [[1, 3], [2, 4]], "replications": 1,
+                         "R_law": 120}
+        cfg = write_config(tmp_path / "s.json", doc)
+        real = solver.picard_solve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].M)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "picard_solve", counting)
+        monkeypatch.setattr(cli, "picard_solve", counting)
+        out = tmp_path / "out"
+        assert main(["simulate-enash", "--config", cfg, "--out", str(out),
+                     "--dump-paths"]) == 0
+        assert calls == [1, 2]
+        # the dump is System A of the first replication's population
+        sc = parse_scenario(cfg)
+        problem = sc.build_problem(M=2)
+        sol = real(problem, tol=sc.picard_tol, max_outer=sc.max_outer,
+                   min_outer=sc.min_outer)
+        pop = build_population(problem.graphon, 2, [4, 4], problem.initial_law,
+                               seed=problem.seed + 7919)
+        write_csv(tmp_path / "ref.csv", ["agent", "time_index", "value"],
+                  index_columns(run_system_a(pop, sol).paths))
+        dumped = [line for line in
+                  (out / "trajectories_M2.csv").read_bytes().splitlines()
+                  if not line.startswith(b"#")]
+        assert dumped == (tmp_path / "ref.csv").read_bytes().splitlines()
+
+    def test_mode_and_inner_tol_reach_the_ladder_solves(self, tmp_path,
+                                                         monkeypatch):
+        from gmfg import solver
+
+        doc = nonlinear_scenario()
+        doc["tolerances"] = {"picard_tol": 0.3, "max_outer": 12,
+                             "mode": "double_loop", "inner_tol": 0.01}
+        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120}
+        cfg = write_config(tmp_path / "s.json", doc)
+        real = solver.inner_mv_consistency
+        seen = []
+
+        def spy(problem, policies, e_start, tol_inner=None, max_inner=60):
+            seen.append(tol_inner)
+            return real(problem, policies, e_start, tol_inner, max_inner)
+
+        # picard_solve's double loop reaches this module-level name; the
+        # cluster-law solve of System C holds its own import
+        monkeypatch.setattr(solver, "inner_mv_consistency", spy)
+        assert main(["simulate-enash", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+        assert seen and all(tol == 0.01 for tol in seen)
 
     @pytest.mark.parametrize("ladder", ["2:3:7", "0:5", "2:-1", "2:x", "2:3,"])
     def test_bad_ladder_is_input_error(self, tmp_path, capsys, ladder):

@@ -102,12 +102,14 @@ class TestSystemA:
         ts = run_system_a(pop, sol)
         assert np.all(np.isfinite(ts.paths))
 
-    def test_all_ones_graph_constant_generic_drift(self):
-        zero3 = lambda x, u, y: np.zeros(bshape(x, u, y))
-        p = ProblemFunctions.generic(zero3,
-                                     lambda x, u, y: np.ones(bshape(x, u, y)),
-                                     zero3, zero3, (-1, 1), 0.2, 1.0)
-        sol = solve_instance(p, Graphon.constant(1.0), M=2, K=20, R=400)
+    def test_all_ones_graph_constant_drift(self):
+        # f = 1 under g = 1 gives drift u; with cost u^2 on [1, 2] and no
+        # state cost the optimal control is u = 1 everywhere
+        p = ProblemFunctions.structured(const2(0.0), const2(1.0), const2(0.0),
+                                        const2(1.0), const2(0.0), const2(0.0),
+                                        (1, 2), 0.2, 1.0)
+        sol = solve_instance(p, Graphon.constant(1.0), M=2, K=40, R=400)
+        assert np.all(sol.policy_table() == 1.0)
         pop = build_population(Graphon.constant(1.0), 2, [100, 100],
                                dirac(0.0), seed=6)
         ts = run_system_a(pop, sol)

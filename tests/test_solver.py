@@ -23,8 +23,11 @@ def tracking(x, y):
     return (x - y) ** 2
 
 
-def zero3(x, u, y):
-    return np.zeros(bshape(x, u, y))
+def weak_mean_coupling():
+    """Drift 0.1 * mean(y) * u under graphon weight 1; played at u = 1."""
+    return ProblemFunctions.structured(const2(0.0), lambda x, y: 0.1 * y + 0.0 * x,
+                                       const2(0.0), const2(1.0), const2(0.0),
+                                       const2(0.0), (-1, 1), 0.4, 1.0)
 
 
 def tracking_problem(sigma=0.3, T=0.5, f0c=None, l2c=0.0):
@@ -112,28 +115,20 @@ class TestInnerConsistency:
         assert np.array_equal(bundle.paths, direct.paths)
 
     def test_weak_coupling_geometric_decay(self):
-        p = ProblemFunctions.generic(
-            lambda x, u, y: u + 0.0 * x + 0.0 * y,
-            lambda x, u, y: 0.1 * y + 0.0 * x + 0.0 * u,
-            zero3, zero3, (-1, 1), 0.4, 1.0)
-        prob = GMFGProblem(p, Graphon.constant(1.0), dirac(0.5),
+        prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=3, K=32, N_x=81, R=1000, seed=9)
         start = marginals(zero_drift_bundle(prob))
-        pols = [constant_policy(prob, 0.0)] * 3
+        pols = [constant_policy(prob, 1.0)] * 3
         _, _, trace = inner_mv_consistency(prob, pols, start, tol_inner=1e-6,
                                            max_inner=40)
         ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e-9]
         assert ratios and max(ratios) < 0.5
 
     def test_exhausted_iterations_raise_with_trace(self):
-        p = ProblemFunctions.generic(
-            lambda x, u, y: u + 0.0 * x + 0.0 * y,
-            lambda x, u, y: 0.1 * y + 0.0 * x + 0.0 * u,
-            zero3, zero3, (-1, 1), 0.4, 1.0)
-        prob = GMFGProblem(p, Graphon.constant(1.0), dirac(0.5),
+        prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=2, K=16, N_x=61, R=400, seed=10)
         start = marginals(zero_drift_bundle(prob))
-        pols = [constant_policy(prob, 0.0)] * 2
+        pols = [constant_policy(prob, 1.0)] * 2
         with pytest.raises(ConvergenceError) as err:
             inner_mv_consistency(prob, pols, start, tol_inner=1e-12, max_inner=2)
         assert len(err.value.trace) == 2
