@@ -10,15 +10,15 @@ value function has the exact form tanh(T - t) x^2 + sigma^2 log cosh(T - t).
 
 import numpy as np
 
-from gmfg import Graphon, ProblemFunctions, frozen_fields, rollout_cost, solve_hjb
+from gmfg import (Constant, Graphon, Poly2, ProblemFunctions, frozen_fields,
+                  rollout_cost, solve_hjb)
 from gmfg.measures import MeasureEnsemble
 
 sigma, T, K = 0.3, 1.0, 1500
-one = lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
-zero = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+one, zero = Constant(1.0), Constant(0.0)
 
 problem = ProblemFunctions.structured(
-    one, zero, lambda x, y: x**2 + 0.0 * y, one, zero, zero,
+    one, zero, Poly2(xx=1.0), one, zero, zero,
     control_set=(-10.0, 10.0), sigma=sigma, T=T)
 
 times = np.linspace(0.0, T, K + 1)

@@ -9,16 +9,14 @@ two sensitivity constants whose product bounds that rate.
 
 import numpy as np
 
-from gmfg import (GMFGProblem, Graphon, ProblemFunctions, holder_modulus,
-                  normal_quantile_measure, picard_solve, sensitivity_probe)
-
-shape = lambda *a: np.broadcast_shapes(*(np.shape(v) for v in a))
-const = lambda c: (lambda x, y: np.full(shape(x, y), float(c)))
+from gmfg import (Constant, GMFGProblem, Graphon, Poly2, ProblemFunctions,
+                  holder_modulus, normal_quantile_measure, picard_solve,
+                  sensitivity_probe)
 
 functions = ProblemFunctions.structured(
-    const(0.0), const(1.0),                    # drift: c_g(alpha) * u
-    lambda x, y: (x - y) ** 2,                 # track the own-vertex field
-    const(0.0), const(0.0), const(1.0),        # control cost c_g(alpha) u^2
+    Constant(0.0), Constant(1.0),              # drift: c_g(alpha) * u
+    Poly2(xx=1.0, xy=-2.0, yy=1.0),            # track the own-vertex field
+    Constant(0.0), Constant(0.0), Constant(1.0),   # control cost c_g(alpha) u^2
     control_set=(-1.0, 1.0), sigma=0.3, T=0.5)
 
 problem = GMFGProblem(functions, Graphon.uniform_attachment(),

@@ -12,19 +12,16 @@ acceptance suite runs the same ladder at full statistical strength.
 
 import numpy as np
 
-from gmfg import (GMFGProblem, Graphon, ProblemFunctions,
+from gmfg import (Constant, GMFGProblem, Graphon, Poly2, ProblemFunctions,
                   normal_quantile_measure, run_ladder)
-
-shape = lambda *a: np.broadcast_shapes(*(np.shape(v) for v in a))
-const = lambda c: (lambda x, y: np.full(shape(x, y), float(c)))
 
 
 def make_problem(M):
     functions = ProblemFunctions.structured(
-        lambda x, y: np.clip(y - x, -2.0, 2.0),   # intra mean reversion
-        const(1.0),                                # graphon-scaled control
-        lambda x, y: (x - y) ** 2,                 # track the local field
-        const(0.5), const(0.0), const(1.0),
+        Poly2(x=-1.0, y=1.0, clip=(-2.0, 2.0)),   # intra mean reversion
+        Constant(1.0),                             # graphon-scaled control
+        Poly2(xx=1.0, xy=-2.0, yy=1.0),            # track the local field
+        Constant(0.5), Constant(0.0), Constant(1.0),
         control_set=(-1.0, 1.0), sigma=0.3, T=0.5)
     # mild connectivity slope: every vertex type exists at every rung
     kernel = Graphon.from_table([[0.6, 0.45], [0.45, 0.3]])

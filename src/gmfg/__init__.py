@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .graphon import (Graphon, VertexGrid, cell_average_step, cut_norm_grid_bound,
                       h11_deviation, sample_step_graphon, section_integral,
                       step_difference)
+from .coefficients import Constant, Poly2, SortedClusters
 from .measures import (Measure1D, MeasureEnsemble, PathBundle, dirac, empirical,
                        ensemble_distance, ensemble_w1_sup, holder_modulus,
                        marginals, normal_quantile_measure, path_distance_DT, w1,

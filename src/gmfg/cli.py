@@ -136,6 +136,11 @@ def cmd_simulate_enash(scenario, out_dir, args):
         raise ConfigError("simulate-enash needs a nonlinear scenario")
     ladder = (_parse_ladder(args.ladder) if args.ladder
               else [(mk, sz) for mk, sz in scenario.rungs])
+    # a repeated rung reruns identical work and would share a dump file
+    repeated = sorted({r for r in ladder if ladder.count(r) > 1})
+    if repeated:
+        raise ConfigError("ladder repeats rung(s) "
+                          + ", ".join(f"{mk}:{sz}" for mk, sz in repeated))
     results = run_ladder(scenario.build_problem, ladder,
                          n_reps=scenario.replications, tol=scenario.picard_tol,
                          iota=scenario.deviator,
@@ -151,8 +156,8 @@ def cmd_simulate_enash(scenario, out_dir, args):
     payload.update(_maybe_time(started))
     write_json(os.path.join(out_dir, "report.json"), scenario, payload)
     if args.dump_paths:
-        for (mk, _), rung_paths in zip(ladder, paths):
-            write_csv(os.path.join(out_dir, f"trajectories_M{mk}.csv"),
+        for (mk, size), rung_paths in zip(ladder, paths):
+            write_csv(os.path.join(out_dir, f"trajectories_M{mk}_n{size}.csv"),
                       ["agent", "time_index", "value"], index_columns(rung_paths),
                       _meta(scenario))
     return 0

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .artifacts import index_columns, write_csv
+from .coefficients import Constant, Poly2
 from .errors import ConfigError, InvariantError, NumericalError
 from .graphon import VertexGrid
 
@@ -28,8 +29,11 @@ class ProblemFunctions:
     (intra) and l3(x, y) + l4(x, y) u^2 (graphon-coupled). The Hamiltonian
     minimizer is then a clamp of an explicit ratio.
 
-    All callables must broadcast over numpy arrays. The control set is a
-    compact interval [a, b] and the diffusion sigma is constant and positive.
+    Every coefficient is a :class:`~gmfg.coefficients.Constant` or a
+    :class:`~gmfg.coefficients.Poly2`: both evaluate pointwise on
+    broadcastable arrays and integrate exactly against cluster samples. The
+    control set is a compact interval [a, b] and the diffusion sigma is
+    constant and positive.
     """
 
     def __init__(self, *, control_set, sigma, T, structured):
@@ -49,6 +53,11 @@ class ProblemFunctions:
     @classmethod
     def structured(cls, f0, f, l1, l2, l3, l4, control_set, sigma, T):
         parts = {"f0": f0, "f": f, "l1": l1, "l2": l2, "l3": l3, "l4": l4}
+        for name, part in parts.items():
+            if not isinstance(part, (Constant, Poly2)):
+                raise InvariantError(
+                    f"coefficient {name} must be a Constant or a Poly2, "
+                    f"not {type(part).__name__}")
         return cls(control_set=control_set, sigma=sigma, T=T, structured=parts)
 
     def _check_structured(self):

@@ -10,6 +10,13 @@ graphon. Four coupled simulations share one Brownian cache per seed:
 * System D: agents propagated against the frozen infinite-population
   ensemble.
 
+The coupled averages in Systems A and B and the empirical side of the
+perturbation terms are exact cluster brackets: each Euler step sorts every
+cluster's states once (:class:`~gmfg.coefficients.SortedClusters`), and
+each coefficient integrates itself against those sorted samples through
+prefix sums of 1, y and y^2. A step costs O(N M_k log n) for N agents in
+M_k clusters of n, not one coefficient evaluation per pair of agents.
+
 Path gaps between the systems estimate the deviation metrics eps1..eps3,
 and unilateral cost comparisons over a declared deviation family give a
 lower bound on the Nash gap of the mean-field strategy profile.
@@ -21,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .coefficients import SortedClusters
 from .control import Policy, euler_maruyama, frozen_fields, solve_hjb
 from .errors import GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
@@ -51,10 +59,6 @@ class FinitePopulation:
         self.initial_law = initial_law
         draws = rng.stream(seed, rng.POP_INITIAL).random(self.N)
         self.initial_states = initial_law.quantile(draws)
-        # column l averages over cluster l
-        self._avg = np.zeros((self.N, self.M_k))
-        for l, idx in enumerate(self.cluster_indices):
-            self._avg[idx, l] = 1.0 / sizes[l]
 
     def midpoint(self, agent):
         """Vertex coordinate I*(i) of the agent's cluster."""
@@ -107,24 +111,22 @@ def _deviation_control(psi, t, x_i, x_all):
     return float(psi(t, x_i, x_all))
 
 
-def _pairwise_drift(p, pop, x, u):
+def _empirical_drift(p, pop, clusters, x, u):
     """Empirical intra + graphon-weighted inter drift for all agents."""
     W = pop.graph.matrix[pop.cluster_of] / pop.M_k   # (N, M_k)
     s = p.structured_parts
-    cm0 = s["f0"](x[:, None], x[None, :]) @ pop._avg
-    cmf = s["f"](x[:, None], x[None, :]) @ pop._avg
-    coef = cm0[np.arange(pop.N), pop.cluster_of] + (W * cmf).sum(axis=1)
+    cm0 = s["f0"].cluster_means(x, clusters.own(pop.cluster_of))[:, 0]
+    cmf = s["f"].cluster_means(x, clusters)
+    coef = cm0 + (W * cmf).sum(axis=1)
     return coef * u
 
 
-def _row_running_cost(p, pop, x, u_i, i):
+def _row_running_cost(p, pop, clusters, x, u_i, i):
     """Marked agent's running cost against the realized population state."""
     W = pop.graph.matrix[pop.cluster_of[i]] / pop.M_k
     s = p.structured_parts
-    m1 = s["l1"](x[i], x) @ pop._avg
-    m2 = s["l2"](x[i], x) @ pop._avg
-    m3 = s["l3"](x[i], x) @ pop._avg
-    m4 = s["l4"](x[i], x) @ pop._avg
+    m1, m2, m3, m4 = (s[name].cluster_means(x[i], clusters)[0]
+                      for name in ("l1", "l2", "l3", "l4"))
     own = pop.cluster_of[i]
     return (m1[own] + m2[own] * u_i**2
             + W @ m3 + (W @ m4) * u_i**2)
@@ -147,9 +149,10 @@ def _simulate_coupled(pop, solution, psi=None, iota=None, cost_agents=(),
             u[iota] = np.clip(_deviation_control(psi, problem.times[k], x[iota], x),
                               p.u_min, p.u_max)
             dev_controls[k] = u[iota]
+        clusters = SortedClusters(x, pop.cluster_sizes)
         for i in costs:
-            costs[i] += _row_running_cost(p, pop, x, u[i], i) * dt
-        return _pairwise_drift(p, pop, x, u)
+            costs[i] += _row_running_cost(p, pop, clusters, x, u[i], i) * dt
+        return _empirical_drift(p, pop, clusters, x, u)
 
     paths = euler_maruyama(pop.initial_states, pop.brownian_increments(problem.K),
                            dt, p.sigma, drift)
@@ -436,7 +439,7 @@ def epsilon_nash_gap(populations, solution, iota, family_builder=None):
     return _assemble_gap_report(eq_costs, dev_costs, iota)
 
 
-def _component_brackets(ensemble, graph_or_graphon, alpha, compress_q=256):
+def _component_brackets(ensemble, graph_or_graphon, alpha, compress_q):
     """Per-time intra/inter bracket evaluators against a frozen ensemble."""
     comp = ensemble.compress(compress_q)
     grid = VertexGrid(ensemble.n_vertices)
@@ -470,18 +473,21 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     iota = ts_b_reps[0].deviator if iota is None else iota
     K = problem.K
     own, mixed = _component_brackets(solution.ensemble, problem.graphon,
-                                     pop.midpoint(iota))
+                                     pop.midpoint(iota), problem.compress_q)
     sums = {name: np.zeros(K) for name in ("f0", "f", "l0", "l")}
-    W = pop.graph.matrix[pop.cluster_of[iota]] / pop.M_k
+    own_cluster = pop.cluster_of[iota]
+    W = pop.graph.matrix[own_cluster] / pop.M_k
     for ts in ts_b_reps:
         for k in range(K):
             x = ts.paths[:, k]
             u = float(ts.deviator_controls[k]) if ts.deviator_controls is not None else 0.0
             xi = x[iota]
-            emp_f0 = (s["f0"](xi, x) @ pop._avg)[pop.cluster_of[iota]] * u
-            emp_f = W @ (s["f"](xi, x) @ pop._avg) * u
-            emp_l0 = ((s["l1"](xi, x) + s["l2"](xi, x) * u**2) @ pop._avg)[pop.cluster_of[iota]]
-            emp_l = W @ ((s["l3"](xi, x) + s["l4"](xi, x) * u**2) @ pop._avg)
+            clusters = SortedClusters(x, pop.cluster_sizes)
+            m = {name: s[name].cluster_means(xi, clusters)[0] for name in s}
+            emp_f0 = m["f0"][own_cluster] * u
+            emp_f = W @ m["f"] * u
+            emp_l0 = m["l1"][own_cluster] + m["l2"][own_cluster] * u**2
+            emp_l = W @ (m["l3"] + m["l4"] * u**2)
             lim_f0 = own(s["f0"], k, xi) * u
             lim_f = mixed(s["f"], k, xi) * u
             lim_l0 = own(s["l1"], k, xi) + own(s["l2"], k, xi) * u**2

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from . import graphon as graphon_mod
+from .coefficients import Constant, Poly2
 from .control import ProblemFunctions
 from .errors import ConfigError
 from .lq import LQParams
@@ -67,7 +68,7 @@ class _Checker:
                               + "\n  ".join(self.problems), self.problems)
 
 
-def _poly2_callable(spec, path, check):
+def _poly2(spec, path, check):
     coeffs = {k: check.number(spec.get(k), f"{path}.{k}", default=0.0)
               for k in _EXPR_KEYS}
     clip = spec.get("clip")
@@ -77,36 +78,23 @@ def _poly2_callable(spec, path, check):
                 or not float(clip[0]) < float(clip[1])):
             check.fail(f"{path}.clip", "must be [lo, hi] with lo < hi")
             clip = None
-        else:
-            clip = (float(clip[0]), float(clip[1]))
-
-    def fn(x, y, c=coeffs, clip=clip):
-        out = (c["const"] + c["x"] * x + c["y"] * y + c["xx"] * x**2
-               + c["xy"] * x * y + c["yy"] * y**2)
-        out = np.broadcast_to(out, np.broadcast_shapes(np.shape(x), np.shape(y)))
-        if clip is not None:
-            out = np.clip(out, clip[0], clip[1])
-        return out
-
-    return fn
+    return Poly2(clip=clip, **coeffs)
 
 
 def parse_expression(spec, path, check):
-    """Coefficient function of (x, y) from a config expression block."""
+    """Coefficient surface of (x, y) from a config expression block."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        c = check.number(spec, path)
-        return lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), c)
+        return Constant(check.number(spec, path))
     if not isinstance(spec, dict):
         check.fail(path, "must be a number or an expression object")
-        return lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return Constant(0.0)
     kind = spec.get("kind", "poly2")
     if kind == "constant":
-        c = check.number(spec.get("c"), f"{path}.c", default=0.0)
-        return lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), c)
+        return Constant(check.number(spec.get("c"), f"{path}.c", default=0.0))
     if kind == "poly2":
-        return _poly2_callable(spec, path, check)
+        return _poly2(spec, path, check)
     check.fail(path, f"unknown expression kind {kind!r}")
-    return lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    return Constant(0.0)
 
 
 def parse_initial(spec, path, check):

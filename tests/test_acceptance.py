@@ -15,11 +15,12 @@ from scipy.linalg import expm
 from scipy.integrate import simpson
 from scipy.optimize import linprog
 
-from gmfg import (GMFGProblem, Graphon, Measure1D, ProblemFunctions,
-                  cell_average_step, cut_norm_grid_bound, frozen_fields,
-                  h11_deviation, holder_modulus, normal_quantile_measure,
-                  picard_solve, rollout_cost, run_ladder,
-                  sample_step_graphon, solve_hjb, step_difference, w1)
+from gmfg import (Constant, GMFGProblem, Graphon, Measure1D, Poly2,
+                  ProblemFunctions, cell_average_step, cut_norm_grid_bound,
+                  frozen_fields, h11_deviation, holder_modulus,
+                  normal_quantile_measure, picard_solve, rollout_cost,
+                  run_ladder, sample_step_graphon, solve_hjb, step_difference,
+                  w1)
 from gmfg.control import Policy
 from gmfg.lq import LQParams, lq_consistency_vs_simulation, solve_lq_fixed_point, solve_riccati
 from gmfg.measures import MeasureEnsemble
@@ -36,16 +37,7 @@ def _criterion(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def bshape(*args):
-    return np.broadcast_shapes(*(np.shape(a) for a in args))
-
-
-def const2(c):
-    return lambda x, y: np.full(bshape(x, y), float(c))
-
-
-def tracking(x, y):
-    return (x - y) ** 2
+tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +46,8 @@ def tracking(x, y):
 
 def acceptance_functions():
     # f0 = 0, f = 1, l1 = (x-y)^2, l2 = 0, l3 = 0, l4 = 1, U = [-1,1]
-    return ProblemFunctions.structured(const2(0.0), const2(1.0), tracking,
-                                       const2(0.0), const2(0.0), const2(1.0),
+    return ProblemFunctions.structured(Constant(0.0), Constant(1.0), tracking,
+                                       Constant(0.0), Constant(0.0), Constant(1.0),
                                        (-1.0, 1.0), 0.3, 0.5)
 
 
@@ -71,9 +63,9 @@ def acceptance_solution():
 
 def ladder_functions():
     # bounded intra mean reversion keeps the agent-to-agent CLT term alive
-    revert = lambda x, y: np.clip(y - x, -2.0, 2.0)
-    return ProblemFunctions.structured(revert, const2(1.0), tracking,
-                                       const2(0.5), const2(0.0), const2(1.0),
+    revert = Poly2(x=-1.0, y=1.0, clip=(-2.0, 2.0))
+    return ProblemFunctions.structured(revert, Constant(1.0), tracking,
+                                       Constant(0.5), Constant(0.0), Constant(1.0),
                                        (-1.0, 1.0), 0.3, 0.5)
 
 
@@ -189,8 +181,8 @@ def test_criterion_03_lq_fixed_point():
 
 def test_criterion_04_classical_mfg_reduction():
     start = time.time()
-    functions = ProblemFunctions.structured(const2(1.0), const2(0.0), tracking,
-                                            const2(1.0), const2(0.0), const2(0.0),
+    functions = ProblemFunctions.structured(Constant(1.0), Constant(0.0), tracking,
+                                            Constant(1.0), Constant(0.0), Constant(0.0),
                                             (-1.0, 1.0), 0.3, 0.5)
     problem = GMFGProblem(functions, Graphon.constant(0.0),
                           normal_quantile_measure(0.0, 0.3, 129),
@@ -224,8 +216,8 @@ def test_criterion_05_picard_contraction(acceptance_solution):
 
 def test_criterion_06_hjb_rollout_consistency():
     start = time.time()
-    functions = ProblemFunctions.structured(const2(1.0), const2(0.0), tracking,
-                                            const2(1.0), const2(0.0), const2(0.0),
+    functions = ProblemFunctions.structured(Constant(1.0), Constant(0.0), tracking,
+                                            Constant(1.0), Constant(0.0), Constant(0.0),
                                             (-1.0, 1.0), 0.3, 1.0)
     K = 160
     times = np.linspace(0.0, 1.0, K + 1)

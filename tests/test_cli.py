@@ -206,7 +206,7 @@ class TestSimulateEnashCommand:
         code = main(["simulate-enash", "--config", cfg, "--out", str(out),
                      "--ladder", "2:3", "--dump-paths"])
         assert code == 0
-        assert (out / "trajectories_M2.csv").exists()
+        assert (out / "trajectories_M2_n3.csv").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["rungs"][0]["M_k"] == 2
 
@@ -243,9 +243,41 @@ class TestSimulateEnashCommand:
         write_csv(tmp_path / "ref.csv", ["agent", "time_index", "value"],
                   index_columns(run_system_a(pop, sol).paths))
         dumped = [line for line in
-                  (out / "trajectories_M2.csv").read_bytes().splitlines()
+                  (out / "trajectories_M2_n4.csv").read_bytes().splitlines()
                   if not line.startswith(b"#")]
         assert dumped == (tmp_path / "ref.csv").read_bytes().splitlines()
+
+    def test_dump_per_rung_when_node_counts_repeat(self, tmp_path):
+        doc = nonlinear_scenario()
+        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120}
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["simulate-enash", "--config", cfg, "--out", str(out),
+                     "--ladder", "2:3,2:5", "--dump-paths"]) == 0
+        for name, agents in (("trajectories_M2_n3.csv", 6),
+                             ("trajectories_M2_n5.csv", 10)):
+            rows = [line for line in (out / name).read_text().splitlines()
+                    if not line.startswith("#")][1:]
+            assert {int(row.split(",")[0]) for row in rows} == set(range(agents))
+
+    @pytest.mark.parametrize("ladder", [None, "2:3,1:4,2:3"])
+    def test_repeated_rung_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                          ladder):
+        from gmfg import cli
+
+        doc = nonlinear_scenario()
+        doc["ladder"] = {"rungs": [[2, 3], [2, 3]], "replications": 1,
+                         "R_law": 120}
+        cfg = write_config(tmp_path / "s.json", doc)
+        solves = []
+        monkeypatch.setattr(cli, "run_ladder",
+                            lambda *a, **k: solves.append(a) or [])
+        argv = ["simulate-enash", "--config", cfg, "--out", str(tmp_path / "out")]
+        if ladder:
+            argv += ["--ladder", ladder]
+        assert main(argv) == 1
+        assert "ladder repeats rung(s) 2:3" in capsys.readouterr().err
+        assert solves == []
 
     def test_mode_and_inner_tol_reach_the_ladder_solves(self, tmp_path,
                                                          monkeypatch):

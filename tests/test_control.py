@@ -3,22 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmfg import (ConfigError, Graphon, InvariantError, MeasureEnsemble,
-                  Policy, ProblemFunctions, frozen_fields,
+from gmfg import (ConfigError, Constant, Graphon, InvariantError,
+                  MeasureEnsemble, Policy, Poly2, ProblemFunctions, frozen_fields,
                   minimize_hamiltonian, policy_lipschitz, rollout_cost,
                   solve_hjb, theta_clamp)
 
 
-def bshape(x, y):
-    return np.broadcast_shapes(np.shape(x), np.shape(y))
-
-
-def const2(c):
-    return lambda x, y: np.full(bshape(x, y), float(c))
-
-
-def tracking(x, y):
-    return (x - y) ** 2
+tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
 
 
 def dirac_ensemble(c, M, K, T):
@@ -30,8 +21,8 @@ def dirac_ensemble(c, M, K, T):
 def structured_lq_like(u_box=(-10, 10), sigma=0.3, T=1.0):
     # drift u, cost x^2 + u^2
     return ProblemFunctions.structured(
-        const2(1.0), const2(0.0), lambda x, y: x**2 + 0.0 * y,
-        const2(1.0), const2(0.0), const2(0.0), u_box, sigma, T)
+        Constant(1.0), Constant(0.0), Poly2(xx=1.0),
+        Constant(1.0), Constant(0.0), Constant(0.0), u_box, sigma, T)
 
 
 class TestProblemFunctions:
@@ -39,17 +30,17 @@ class TestProblemFunctions:
         with pytest.raises(InvariantError):
             structured_lq_like(u_box=(1, 1))
         with pytest.raises(InvariantError):
-            ProblemFunctions.structured(const2(0), const2(0), const2(0),
-                                        const2(0), const2(0), const2(0),
+            ProblemFunctions.structured(Constant(0), Constant(0), Constant(0),
+                                        Constant(0), Constant(0), Constant(0),
                                         (-1, 1), 0.3, 1.0)  # l2+l4 floor
         with pytest.raises(InvariantError):
-            ProblemFunctions.structured(const2(0), const2(0), const2(0),
-                                        const2(1), const2(0), const2(0),
+            ProblemFunctions.structured(Constant(0), Constant(0), Constant(0),
+                                        Constant(1), Constant(0), Constant(0),
                                         (-1, 1), 0.0, 1.0)  # sigma
 
     def test_structured_floor_records_c0(self):
-        p = ProblemFunctions.structured(const2(0), const2(1), tracking,
-                                        const2(0.0), const2(0), const2(1),
+        p = ProblemFunctions.structured(Constant(0), Constant(1), tracking,
+                                        Constant(0.0), Constant(0), Constant(1),
                                         (-1, 1), 0.3, 0.5)
         assert p.c0 == pytest.approx(1.0)
 
@@ -73,8 +64,8 @@ class TestThetaClamp:
 
 class TestFrozenFields:
     def test_zero_graphon_kills_coupling_term(self):
-        p = ProblemFunctions.structured(const2(1.0), const2(1.0), tracking,
-                                        const2(1.0), const2(0.0), const2(1.0),
+        p = ProblemFunctions.structured(Constant(1.0), Constant(1.0), tracking,
+                                        Constant(1.0), Constant(0.0), Constant(1.0),
                                         (-1, 1), 0.3, 0.5)
         ens = dirac_ensemble(0.7, 4, 8, 0.5)
         x_grid = np.linspace(-2, 2, 41)
@@ -86,9 +77,9 @@ class TestFrozenFields:
 
     def test_generic_mixture_of_diracs(self):
         # f(x,y) = y against delta_c at every vertex with g = 1 gives c u
-        p = ProblemFunctions.structured(const2(0.0), lambda x, y: y + 0.0 * x,
-                                        const2(0.0), const2(0.0), const2(0.0),
-                                        const2(1.0), (-1, 1), 0.3, 0.5)
+        p = ProblemFunctions.structured(Constant(0.0), Poly2(y=1.0),
+                                        Constant(0.0), Constant(0.0), Constant(0.0),
+                                        Constant(1.0), (-1, 1), 0.3, 0.5)
         c = -0.35
         ens = dirac_ensemble(c, 6, 4, 0.5)
         fl = frozen_fields(p, Graphon.constant(1.0), 0.25, ens, np.linspace(-1, 1, 11))
@@ -97,8 +88,8 @@ class TestFrozenFields:
 
     def test_uniform_attachment_section_weight(self):
         # f0 = 0, f = 1: the drift coefficient equals the section integral
-        p = ProblemFunctions.structured(const2(0.0), const2(1.0), tracking,
-                                        const2(0.0), const2(0.0), const2(1.0),
+        p = ProblemFunctions.structured(Constant(0.0), Constant(1.0), tracking,
+                                        Constant(0.0), Constant(0.0), Constant(1.0),
                                         (-1, 1), 0.3, 0.5)
         ens = dirac_ensemble(0.0, 16, 4, 0.5)
         fl = frozen_fields(p, Graphon.uniform_attachment(), 0.5, ens,
@@ -113,8 +104,8 @@ class TestMinimizeHamiltonian:
         return frozen_fields(p, g, 0.375, ens, np.linspace(-3, 3, 61))
 
     def test_clamp_regimes(self):
-        p = ProblemFunctions.structured(const2(1.0), const2(0.0), tracking,
-                                        const2(0.5), const2(0.0), const2(0.0),
+        p = ProblemFunctions.structured(Constant(1.0), Constant(0.0), tracking,
+                                        Constant(0.5), Constant(0.0), Constant(0.0),
                                         (-1, 1), 0.3, 1.0)
         fl = self._fields(p)
         # h = -1/(2*0.5) = -1, so u = clamp(-q)
@@ -124,8 +115,8 @@ class TestMinimizeHamiltonian:
 
     def test_invariant_error_when_quadratic_bracket_vanishes(self):
         # l2 = 0 and l4 only reachable through g = 0: the bracket collapses
-        p = ProblemFunctions.structured(const2(1.0), const2(0.0), tracking,
-                                        const2(0.0), const2(0.0), const2(1.0),
+        p = ProblemFunctions.structured(Constant(1.0), Constant(0.0), tracking,
+                                        Constant(0.0), Constant(0.0), Constant(1.0),
                                         (-1, 1), 0.3, 1.0)
         fl = self._fields(p, g=Graphon.constant(0.0))
         with pytest.raises(InvariantError):
@@ -133,8 +124,8 @@ class TestMinimizeHamiltonian:
 
     def test_structured_agrees_with_grid_search(self):
         p = ProblemFunctions.structured(
-            lambda x, y: 1.0 + 0.2 * np.sin(x) + 0.0 * y, const2(0.3), tracking,
-            const2(0.6), const2(0.1), const2(0.4), (-1, 1), 0.3, 1.0)
+            Poly2(const=1.0, x=0.2), Constant(0.3), tracking,
+            Constant(0.6), Constant(0.1), Constant(0.4), (-1, 1), 0.3, 1.0)
         fl = self._fields(p, g=Graphon.constant(0.8))
         gen = np.random.default_rng(0)
         x = gen.uniform(-2, 2, 200)
@@ -155,8 +146,8 @@ class TestMinimizeHamiltonian:
 class TestSolveHJB:
     def test_pure_control_cost_gives_zero_value_and_zero_policy(self):
         # drift u, cost u^2: minimizer 0 at q=0, value stays 0
-        p = ProblemFunctions.structured(const2(1.0), const2(0.0), const2(0.0),
-                                        const2(1.0), const2(0.0), const2(0.0),
+        p = ProblemFunctions.structured(Constant(1.0), Constant(0.0), Constant(0.0),
+                                        Constant(1.0), Constant(0.0), Constant(0.0),
                                         (-1, 1), 0.2, 0.5)
         ens = dirac_ensemble(0.0, 2, 16, 0.5)
         vg, pol = solve_hjb(p, Graphon.constant(0.0), 0.25, ens, np.linspace(-2, 2, 81))
@@ -191,8 +182,8 @@ class TestSolveHJB:
         assert saturated < 1e-3
 
     def test_value_bound(self):
-        p = ProblemFunctions.structured(const2(1.0), const2(0.0), tracking,
-                                        const2(1.0), const2(0.0), const2(0.0),
+        p = ProblemFunctions.structured(Constant(1.0), Constant(0.0), tracking,
+                                        Constant(1.0), Constant(0.0), Constant(0.0),
                                         (-1, 1), 0.3, 0.75)
         ens = dirac_ensemble(0.2, 2, 24, 0.75)
         x_grid = np.linspace(-2.5, 2.5, 101)
@@ -304,8 +295,8 @@ class TestEulerMaruyama:
 @pytest.fixture(scope="module")
 def solved():
     # drift u, cost (x - z)^2 + u^2 against a frozen dirac ensemble
-    p = ProblemFunctions.structured(const2(1.0), const2(0.0), tracking,
-                                    const2(1.0), const2(0.0), const2(0.0),
+    p = ProblemFunctions.structured(Constant(1.0), Constant(0.0), tracking,
+                                    Constant(1.0), Constant(0.0), Constant(0.0),
                                     (-1, 1), 0.3, 1.0)
     K = 160
     ens = dirac_ensemble(0.0, 2, K, 1.0)

@@ -3,43 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from gmfg import (GMFGProblem, Graphon, GridError, InvariantError,
-                  ProblemFunctions, build_population, default_deviation_family,
+from gmfg import (Constant, GMFGProblem, Graphon, GridError, InvariantError,
+                  Poly2, ProblemFunctions, build_population, default_deviation_family,
                   deviation_metrics, dirac, empirical, epsilon_nash_gap,
                   normal_quantile_measure, perturbation_terms, picard_solve,
                   run_system_a, run_system_b, run_system_c, run_system_d, w1)
 
 
-def bshape(*args):
-    return np.broadcast_shapes(*(np.shape(a) for a in args))
+tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
 
 
-def const2(c):
-    return lambda x, y: np.full(bshape(x, y), float(c))
-
-
-def tracking(x, y):
-    return (x - y) ** 2
-
-
-def mean_revert(x, y):
-    # bounded, Lipschitz intra coupling
-    return np.clip(y - x, -2.0, 2.0)
+# bounded, Lipschitz intra coupling
+mean_revert = Poly2(x=-1.0, y=1.0, clip=(-2.0, 2.0))
 
 
 def coupled_problem(sigma=0.3, T=0.5):
     """Ladder-style instance with intra mean reversion and graphon-scaled
     control: drift u * (clip(zbar_own - x) + c_g), cost tracks the own field."""
-    return ProblemFunctions.structured(mean_revert, const2(1.0), tracking,
-                                       const2(0.5), const2(0.0), const2(1.0),
+    return ProblemFunctions.structured(mean_revert, Constant(1.0), tracking,
+                                       Constant(0.5), Constant(0.0), Constant(1.0),
                                        (-1.0, 1.0), sigma, T)
 
 
 def uncoupled_problem(sigma=0.3, T=0.5):
     """No y-dependence anywhere and constant drift coefficient."""
-    return ProblemFunctions.structured(const2(1.0), const2(0.0),
-                                       lambda x, y: x**2 + 0.0 * y, const2(1.0),
-                                       const2(0.0), const2(0.0),
+    return ProblemFunctions.structured(Constant(1.0), Constant(0.0),
+                                       Poly2(xx=1.0), Constant(1.0),
+                                       Constant(0.0), Constant(0.0),
                                        (-1.0, 1.0), sigma, T)
 
 
@@ -85,8 +75,8 @@ class TestBuildPopulation:
 
 class TestSystemA:
     def test_driftless_brownian_population(self):
-        p = ProblemFunctions.structured(const2(0.0), const2(0.0), tracking,
-                                        const2(1.0), const2(0.0), const2(0.0),
+        p = ProblemFunctions.structured(Constant(0.0), Constant(0.0), tracking,
+                                        Constant(1.0), Constant(0.0), Constant(0.0),
                                         (-1, 1), 0.5, 1.0)
         sol = solve_instance(p, Graphon.constant(0.0), M=2, K=16, R=400)
         pop = build_population(Graphon.constant(0.0), 2, [200, 200],
@@ -105,8 +95,8 @@ class TestSystemA:
     def test_all_ones_graph_constant_drift(self):
         # f = 1 under g = 1 gives drift u; with cost u^2 on [1, 2] and no
         # state cost the optimal control is u = 1 everywhere
-        p = ProblemFunctions.structured(const2(0.0), const2(1.0), const2(0.0),
-                                        const2(1.0), const2(0.0), const2(0.0),
+        p = ProblemFunctions.structured(Constant(0.0), Constant(1.0), Constant(0.0),
+                                        Constant(1.0), Constant(0.0), Constant(0.0),
                                         (1, 2), 0.2, 1.0)
         sol = solve_instance(p, Graphon.constant(1.0), M=2, K=40, R=400)
         assert np.all(sol.policy_table() == 1.0)
@@ -164,6 +154,62 @@ class TestSystemB:
         psi = lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1)
         ts = run_system_b(pop, coupled_solution, 2, psi)
         assert np.all(np.isfinite(ts.paths))
+
+
+def _dense_cluster_average(pop):
+    avg = np.zeros((pop.N, pop.M_k))
+    for l, idx in enumerate(pop.cluster_indices):
+        avg[idx, l] = 1.0 / idx.size
+    return avg
+
+
+def _pairwise_drift_reference(p, pop, clusters, x, u):
+    # every coefficient evaluated on all N^2 agent pairs
+    avg = _dense_cluster_average(pop)
+    W = pop.graph.matrix[pop.cluster_of] / pop.M_k
+    s = p.structured_parts
+    cm0 = s["f0"](x[:, None], x[None, :]) @ avg
+    cmf = s["f"](x[:, None], x[None, :]) @ avg
+    coef = cm0[np.arange(pop.N), pop.cluster_of] + (W * cmf).sum(axis=1)
+    return coef * u
+
+
+def _row_running_cost_reference(p, pop, clusters, x, u_i, i):
+    avg = _dense_cluster_average(pop)
+    W = pop.graph.matrix[pop.cluster_of[i]] / pop.M_k
+    s = p.structured_parts
+    m1, m2, m3, m4 = (s[name](x[i], x) @ avg for name in ("l1", "l2", "l3", "l4"))
+    own = pop.cluster_of[i]
+    return m1[own] + m2[own] * u_i**2 + W @ m3 + (W @ m4) * u_i**2
+
+
+class TestClusterBrackets:
+    def test_systems_a_and_b_match_pairwise_reference(self, coupled_solution,
+                                                      monkeypatch):
+        from gmfg import population
+
+        pop = build_population(Graphon.uniform_attachment(), 4, [3, 5, 2, 4],
+                               normal_quantile_measure(0.0, 0.3, 65), seed=17)
+        psi = lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1)
+
+        def runs():
+            return (run_system_a(pop, coupled_solution, cost_agents=(0, 5)),
+                    run_system_b(pop, coupled_solution, 4, psi,
+                                 cost_agents=(0, 4, 13)))
+
+        exact = runs()
+        monkeypatch.setattr(population, "_empirical_drift",
+                            _pairwise_drift_reference)
+        monkeypatch.setattr(population, "_row_running_cost",
+                            _row_running_cost_reference)
+        dense = runs()
+        for a, b in zip(exact, dense):
+            np.testing.assert_allclose(a.paths, b.paths, rtol=0, atol=1e-12)
+            assert a.costs.keys() == b.costs.keys()
+            for i in a.costs:
+                assert a.costs[i] == pytest.approx(b.costs[i], rel=0, abs=1e-12)
+        np.testing.assert_allclose(exact[1].deviator_controls,
+                                   dense[1].deviator_controls, rtol=0, atol=1e-12)
 
 
 class TestSystemCD:
@@ -290,6 +336,25 @@ class TestPerturbationTerms:
         assert out["delta_f0"] < 1e-9
         assert out["delta_f"] < 1e-9
         assert out["eps_fl"] < 0.05
+
+    def test_limit_brackets_use_the_problem_compression(self, coupled_solution,
+                                                        monkeypatch):
+        from gmfg import MeasureEnsemble
+
+        pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
+                               normal_quantile_measure(0.0, 0.3, 65), seed=33)
+        ts = run_system_b(pop, coupled_solution, 0, lambda t, xi, xs: 0.5)
+        real = MeasureEnsemble.compress
+        seen = []
+
+        def spy(self, n):
+            seen.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(MeasureEnsemble, "compress", spy)
+        perturbation_terms([ts], pop, coupled_solution)
+        assert coupled_solution.problem.compress_q == 128
+        assert seen == [128]
 
     @pytest.mark.slow
     def test_intra_term_clt_slope(self):

@@ -3,39 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from gmfg import (ConvergenceError, GMFGProblem, Graphon, InvariantError,
-                  Measure1D, Policy, ProblemFunctions, dirac,
+from gmfg import (Constant, ConvergenceError, GMFGProblem, Graphon,
+                  InvariantError, Measure1D, Policy, Poly2, ProblemFunctions, dirac,
                   ensemble_distance, ensemble_w1_sup, extra_iteration_distance,
                   inner_mv_consistency, marginals, normal_quantile_measure,
                   picard_solve, propagate_closed_loop, sensitivity_probe, w1,
                   w1_joint_continuity_scan, zero_drift_bundle)
 
 
-def bshape(*args):
-    return np.broadcast_shapes(*(np.shape(a) for a in args))
-
-
-def const2(c):
-    return lambda x, y: np.full(bshape(x, y), float(c))
-
-
-def tracking(x, y):
-    return (x - y) ** 2
+tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
 
 
 def weak_mean_coupling():
     """Drift 0.1 * mean(y) * u under graphon weight 1; played at u = 1."""
-    return ProblemFunctions.structured(const2(0.0), lambda x, y: 0.1 * y + 0.0 * x,
-                                       const2(0.0), const2(1.0), const2(0.0),
-                                       const2(0.0), (-1, 1), 0.4, 1.0)
+    return ProblemFunctions.structured(Constant(0.0), Poly2(y=0.1),
+                                       Constant(0.0), Constant(1.0), Constant(0.0),
+                                       Constant(0.0), (-1, 1), 0.4, 1.0)
 
 
 def tracking_problem(sigma=0.3, T=0.5, f0c=None, l2c=0.0):
     """Control-affine tracking instance: drift c_g(alpha) u, cost
     (x - z)^2 against the own-vertex field plus connectivity-weighted u^2."""
-    f0 = f0c if f0c is not None else const2(0.0)
-    return ProblemFunctions.structured(f0, const2(1.0), tracking,
-                                       const2(l2c), const2(0.0), const2(1.0),
+    f0 = f0c if f0c is not None else Constant(0.0)
+    return ProblemFunctions.structured(f0, Constant(1.0), tracking,
+                                       Constant(l2c), Constant(0.0), Constant(1.0),
                                        (-1.0, 1.0), sigma, T)
 
 
@@ -60,8 +51,8 @@ def constant_policy(problem, value):
 
 class TestPropagation:
     def test_driftless_marginal_is_gaussian(self):
-        p = ProblemFunctions.structured(const2(0.0), const2(0.0), tracking,
-                                        const2(1.0), const2(0.0), const2(0.0),
+        p = ProblemFunctions.structured(Constant(0.0), Constant(0.0), tracking,
+                                        Constant(1.0), Constant(0.0), Constant(0.0),
                                         (-1, 1), 1.0, 1.0)
         problem = GMFGProblem(p, Graphon.constant(0.0), dirac(0.0),
                               M=2, K=64, N_x=101, R=10_000, seed=3)
@@ -103,9 +94,9 @@ class TestPropagation:
 class TestInnerConsistency:
     def test_measure_independent_drift_converges_immediately(self):
         prob = GMFGProblem(
-            ProblemFunctions.structured(const2(1.0), const2(0.0),
-                                        lambda x, y: x**2 + 0.0 * y, const2(1.0),
-                                        const2(0.0), const2(0.0), (-1, 1), 0.3, 0.5),
+            ProblemFunctions.structured(Constant(1.0), Constant(0.0),
+                                        Poly2(xx=1.0), Constant(1.0),
+                                        Constant(0.0), Constant(0.0), (-1, 1), 0.3, 0.5),
             Graphon.constant(0.0), dirac(0.0), M=2, K=16, N_x=81, R=500, seed=7)
         ens = marginals(zero_drift_bundle(prob))
         pols = [constant_policy(prob, 0.3)] * 2
@@ -137,9 +128,9 @@ class TestInnerConsistency:
 class TestPicardSolve:
     def test_uncoupled_instance_converges_in_two_passes(self):
         # no y-dependence anywhere: the fixed-point map is constant
-        p = ProblemFunctions.structured(const2(1.0), const2(0.0),
-                                        lambda x, y: x**2 + 0.0 * y, const2(1.0),
-                                        const2(0.0), const2(0.0), (-1, 1), 0.3, 0.5)
+        p = ProblemFunctions.structured(Constant(1.0), Constant(0.0),
+                                        Poly2(xx=1.0), Constant(1.0),
+                                        Constant(0.0), Constant(0.0), (-1, 1), 0.3, 0.5)
         prob = GMFGProblem(p, Graphon.constant(0.0), dirac(0.0),
                            M=2, K=16, N_x=81, R=400, seed=13)
         sol = picard_solve(prob, tol=0.25)
@@ -149,7 +140,7 @@ class TestPicardSolve:
 
     def test_zero_graphon_recovers_vertex_symmetric_mfg(self):
         prob = small_problem(M=3, R=2000, graphon=Graphon.constant(0.0),
-                             f0c=const2(1.0), l2c=1.0)
+                             f0c=Constant(1.0), l2c=1.0)
         sol = picard_solve(prob, tol=0.08, max_outer=25)
         floor = 3.0 / math.sqrt(prob.R)
         for v in range(1, prob.M):
@@ -218,9 +209,9 @@ class TestPicardSolve:
 
 class TestSensitivityProbe:
     def test_decoupled_problem_has_zero_c1(self):
-        p = ProblemFunctions.structured(const2(1.0), const2(0.0),
-                                        lambda x, y: x**2 + 0.0 * y, const2(1.0),
-                                        const2(0.0), const2(0.0), (-1, 1), 0.3, 0.5)
+        p = ProblemFunctions.structured(Constant(1.0), Constant(0.0),
+                                        Poly2(xx=1.0), Constant(1.0),
+                                        Constant(0.0), Constant(0.0), (-1, 1), 0.3, 0.5)
         prob = GMFGProblem(p, Graphon.constant(0.0), dirac(0.0),
                            M=2, K=16, N_x=81, R=400, seed=17)
         sol = picard_solve(prob, tol=0.25)
