@@ -24,10 +24,11 @@ problem = GMFGProblem(functions, Graphon.uniform_attachment(),
                       M=8, K=64, N_x=201, R=4000, seed=7)
 
 solution = picard_solve(problem, tol=0.05, min_outer=5)
-print("iteration  distance      ratio")
+print("iteration  distance   cfl margin  escaped  ratio")
 for entry in solution.trace:
     ratio = "" if np.isnan(entry["ratio"]) else f"{entry['ratio']:.4f}"
-    print(f"{entry['iteration']:>9d}  {entry['distance']:.3e}  {ratio}")
+    print(f"{entry['iteration']:>9d}  {entry['distance']:.3e}  "
+          f"{entry['cfl_margin']:>10.3f}  {entry['escaped_mass']:>7.1e}  {ratio}")
 print("converged:", solution.converged, " tolerance:", solution.tol,
       " sampling floor:", round(solution.noise_floor, 4))
 

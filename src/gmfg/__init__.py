@@ -14,8 +14,8 @@ from .control import (FrozenFields, Policy, ProblemFunctions, ValueGrid,
                       frozen_fields, minimize_hamiltonian, policy_lipschitz,
                       rollout_cost, solve_hjb, theta_clamp)
 from .solver import (GMFGProblem, GMFGSolution, SensitivityReport,
-                     extra_iteration_distance, inner_mv_consistency, picard_solve,
-                     propagate_closed_loop, sensitivity_probe, zero_drift_bundle)
+                     inner_mv_consistency, picard_solve, propagate_closed_loop,
+                     sensitivity_probe, zero_drift_bundle)
 from .population import (DeviationReport, FinitePopulation, NashGapReport,
                          TrajectorySet, build_population,
                          default_deviation_family, deviation_metrics,

@@ -1,11 +1,13 @@
-"""Per-vertex stochastic optimal control against a frozen measure ensemble.
+"""Vertex stochastic optimal control against a frozen measure ensemble.
 
-Given problem data, a graphon section, and a frozen ensemble of local mean
+Given problem data, graphon sections, and a frozen ensemble of local mean
 fields, this module tabulates the measure-coupled drift and running-cost
 fields, minimizes the Hamiltonian (a closed-form clamp, since the dynamics
 are control-affine with quadratic control cost), and runs the backward
-semi-implicit value sweep that produces the feedback policy. It also holds
-the Euler-Maruyama stepper that every particle and agent simulation shares.
+semi-implicit value sweep that produces the feedback policies. Fields and
+sweep work on a whole batch of vertices at once. It also holds the
+uniform-grid table lookup and the Euler-Maruyama stepper that every
+particle and agent simulation shares.
 """
 
 import math
@@ -15,7 +17,7 @@ from scipy.linalg import solve_banded
 
 from .artifacts import index_columns, write_csv
 from .coefficients import Constant, Poly2
-from .errors import ConfigError, InvariantError, NumericalError
+from .errors import ConfigError, GridError, InvariantError, NumericalError
 from .graphon import VertexGrid
 
 _SAMPLE_PTS = np.linspace(-5.0, 5.0, 41)
@@ -81,106 +83,190 @@ def theta_clamp(s, a, b):
 
 
 def _bracket_table(component, x_grid, atoms, weights):
-    # integral of component(x, z) against an atomic measure, tabulated on x.
-    vals = component(x_grid[:, None], atoms[None, :])
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), (x_grid.size, atoms.size))
-    return vals @ weights
+    # integral of component(x, z) against one atomic measure per row of
+    # (atoms, weights), tabulated on x: an (n_rows, N_x) table.
+    n, q = atoms.shape
+    vals = component(x_grid[None, :, None], atoms[:, None, :])
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), (n, x_grid.size, q))
+    return np.matmul(vals, weights[:, :, None])[:, :, 0]
+
+
+def _uniform_grid(x_grid):
+    # GridLookup finds cells arithmetically, so a space grid must be uniform
+    x = np.asarray(x_grid, dtype=float)
+    if (x.ndim != 1 or x.size < 2 or not x[-1] > x[0]
+            or not np.allclose(np.diff(x), (x[-1] - x[0]) / (x.size - 1),
+                               rtol=1e-9, atol=0.0)):
+        raise GridError("space grid must be uniform and increasing, "
+                        "with two nodes or more")
+    return x
+
+
+class GridLookup:
+    """Cells of points on a uniform grid, shared by every table read there.
+
+    The cell j of each point is found once (a floor, then a correction
+    against the grid nodes); reading a table then gives exactly what
+    ``np.interp`` gives: (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) times
+    x - xp[j], plus fp[j], and the end values outside the grid. Tables are
+    (n_rows, N_x); ``rows`` (broadcast against the points) picks the row
+    each point reads, 0 for a batch of one. ``escaped`` counts the points
+    outside the grid. The grid must be uniform, as every space grid of the
+    package is.
+    """
+
+    def __init__(self, x_grid, x, rows=0):
+        xp = np.asarray(x_grid, dtype=float)
+        x = np.asarray(x, dtype=float)
+        n = xp.size
+        t = np.floor((x - xp[0]) * ((n - 1) / (xp[-1] - xp[0])))
+        j = np.fmax(np.fmin(t, n - 2), 0).astype(np.intp)   # NaN lands in range
+        j = np.clip(j + (x >= xp[j + 1]) - (x < xp[j]), 0, n - 2)
+        self.n = n
+        self.rows = rows
+        self.flat = np.asarray(rows) * n + j
+        self.offset = x - xp[j]
+        self.widths = np.diff(xp)
+        self.below = x < xp[0]
+        self.above = x >= xp[-1]
+        self.ends = bool(self.below.any() or self.above.any())
+        self.escaped = (int(np.count_nonzero(self.below))
+                        + int(np.count_nonzero(x[self.above] > xp[-1]))
+                        if self.ends else 0)
+
+    def __call__(self, table):
+        table = np.asarray(table, dtype=float).reshape(-1, self.n)
+        slope = np.zeros_like(table)
+        np.divide(np.diff(table, axis=1), self.widths, out=slope[:, :-1])
+        out = slope.take(self.flat) * self.offset + table.take(self.flat)
+        if self.ends:
+            out = np.where(self.below, table[self.rows, 0],
+                           np.where(self.above, table[self.rows, -1], out))
+        return out
 
 
 class FrozenFields:
-    """Measure-coupled drift and cost fields at one vertex, time-frozen.
+    """Measure-coupled drift and cost fields at a batch of vertices.
 
-    The fields reduce to per-time tables on the space grid: drift
-    coefficient (of u), constant cost, and quadratic cost coefficient;
-    evaluation interpolates linearly in x.
+    The fields reduce to per-vertex, per-time tables on the space grid, each
+    of shape (n_vertices, K+1, N_x): drift coefficient (of u), constant
+    cost, and quadratic cost coefficient. ``alpha`` holds the vertex
+    coordinates; a scalar vertex is a batch of one. Evaluation off the grid
+    (``drift``, ``cost``, :func:`minimize_hamiltonian`) interpolates
+    linearly in x and serves a batch of one; batched callers read their
+    rows through one :class:`GridLookup`.
     """
 
     def __init__(self, problem, alpha, x_grid, times):
         self.problem = problem
-        self.alpha = float(alpha)
-        self.x_grid = np.asarray(x_grid, dtype=float)
+        self.alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+        self.x_grid = _uniform_grid(x_grid)
         self.times = np.asarray(times, dtype=float)
-        self.drift_coef = None   # (K+1, N_x)
+        self.drift_coef = None   # (n_vertices, K+1, N_x)
         self.cost_const = None
         self.cost_quad = None
 
     def drift(self, k, x, u):
-        """Drift field value at time node k."""
-        return np.interp(x, self.x_grid, self.drift_coef[k]) * u
+        """Drift field value at time node k (first vertex of the batch)."""
+        return GridLookup(self.x_grid, x)(self.drift_coef[:, k]) * u
 
     def cost(self, k, x, u):
-        """Running-cost field value at time node k."""
-        const = np.interp(x, self.x_grid, self.cost_const[k])
-        quad = np.interp(x, self.x_grid, self.cost_quad[k])
-        return const + quad * np.asarray(u) ** 2
+        """Running-cost field value at time node k (first vertex of the batch)."""
+        look = GridLookup(self.x_grid, x)
+        return (look(self.cost_const[:, k])
+                + look(self.cost_quad[:, k]) * np.asarray(u) ** 2)
 
     def drift_bound(self):
-        """Upper estimate of sup |drift| over the grid and the control set."""
+        """Per-vertex upper estimate of sup |drift| over the grid and the
+        control set."""
         umax = max(abs(self.problem.u_min), abs(self.problem.u_max))
-        return float(np.abs(self.drift_coef).max() * umax)
+        return np.abs(self.drift_coef).max(axis=(1, 2)) * umax
+
+    def cfl_margin(self):
+        """Per-vertex room 1 - sup|drift| dt / dx under the stability bound
+        of the value sweep; negative where the sweep would be unstable."""
+        dt = self.times[1] - self.times[0]
+        dx = self.x_grid[1] - self.x_grid[0]
+        return 1.0 - self.drift_bound() * dt / dx
 
 
 def frozen_fields(problem, g, alpha, ensemble, x_grid, compress_q=128,
                   drift_only=False):
-    """Freeze the drift and cost fields at vertex ``alpha``.
+    """Freeze the drift and cost fields at the vertices ``alpha``.
 
-    The intra bracket integrates against the local measure at the ensemble
-    vertex nearest alpha (exact when alpha is a grid midpoint); the graphon
-    bracket integrates against the section-weighted mixture of all vertex
-    measures, with midpoint-rule vertex quadrature. Measures are quantile
-    compressed to ``compress_q`` atoms before tabulation. ``drift_only``
-    skips the cost tables for propagation-only callers.
+    ``alpha`` is one vertex coordinate or an array of them; every vertex is
+    tabulated in one batch. The intra bracket integrates against the local
+    measure at the ensemble vertex nearest alpha (exact when alpha is a grid
+    midpoint); the graphon bracket integrates against the section-weighted
+    mixture of all vertex measures, with midpoint-rule vertex quadrature.
+    Measures are quantile compressed to ``compress_q`` atoms, once per call,
+    before tabulation. ``drift_only`` skips the cost tables for
+    propagation-only callers.
     """
-    grid = VertexGrid(ensemble.n_vertices)
     fields = FrozenFields(problem, alpha, x_grid, ensemble.times)
+    x_grid = fields.x_grid
+    grid = VertexGrid(ensemble.n_vertices)
+    alphas = fields.alpha
     comp = ensemble.compress(compress_q)
-    v_own = int(np.argmin(np.abs(grid.midpoints - alpha)))
-    gw = g.evaluate(float(alpha), grid.midpoints) / grid.M  # (M,) mixture weights
+    v_own = np.argmin(np.abs(grid.midpoints[None, :] - alphas[:, None]), axis=1)
+    gw = g.evaluate(alphas[:, None], grid.midpoints[None, :]) / grid.M  # mixture weights
+    mass = gw.sum(axis=1)
+    coupled = mass > 0.0
     K1 = ensemble.n_times
     p = problem.structured_parts
-    nx = x_grid.size
-    fields.drift_coef = np.empty((K1, nx))
+    shape = (alphas.size, K1, x_grid.size)
+    fields.drift_coef = np.empty(shape)
     if not drift_only:
-        fields.cost_const = np.empty((K1, nx))
-        fields.cost_quad = np.empty((K1, nx))
+        fields.cost_const = np.empty(shape)
+        fields.cost_quad = np.empty(shape)
+
+    def mixed(name, mix):
+        # graphon bracket; vertices with a zero section get zero
+        out = np.zeros((alphas.size, x_grid.size))
+        if mix is not None:
+            out[coupled] = _bracket_table(p[name], x_grid, *mix)
+        return out
+
     for k in range(K1):
-        own_a = comp.atoms[v_own, k]
-        own_w = comp.weights[v_own, k]
-        mix_a, mix_w = _mixture(comp, k, gw, compress_q)
-        f0b = _bracket_table(p["f0"], x_grid, own_a, own_w)
-        fb = _bracket_table(p["f"], x_grid, mix_a, mix_w) if mix_a.size else 0.0
-        fields.drift_coef[k] = f0b + fb
+        own = comp.atoms[v_own, k], comp.weights[v_own, k]
+        mix = (_mixture(comp, k, gw[coupled], mass[coupled], compress_q)
+               if coupled.any() else None)
+        fields.drift_coef[:, k] = (_bracket_table(p["f0"], x_grid, *own)
+                                   + mixed("f", mix))
         if drift_only:
             continue
-        l1b = _bracket_table(p["l1"], x_grid, own_a, own_w)
-        l2b = _bracket_table(p["l2"], x_grid, own_a, own_w)
-        if mix_a.size:
-            l3b = _bracket_table(p["l3"], x_grid, mix_a, mix_w)
-            l4b = _bracket_table(p["l4"], x_grid, mix_a, mix_w)
-        else:
-            l3b = l4b = 0.0
-        fields.cost_const[k] = l1b + l3b
-        fields.cost_quad[k] = l2b + l4b
+        fields.cost_const[:, k] = (_bracket_table(p["l1"], x_grid, *own)
+                                   + mixed("l3", mix))
+        fields.cost_quad[:, k] = (_bracket_table(p["l2"], x_grid, *own)
+                                  + mixed("l4", mix))
     return fields
 
 
-def _mixture(comp, k, gw, n_out):
-    """Section-weighted mixture of the vertex measures at time node k.
+def _mixture(comp, k, gw, mass, n_out):
+    """Section-weighted mixtures of the vertex measures at time node k.
 
-    Returns (atoms, weights) with total mass sum_j g(alpha, m_j) / M;
-    recompressed to ``n_out`` equally weighted atoms scaled by the mass.
+    One mixture per row of ``gw`` (the weights g(alpha, m_j) / M of one
+    vertex alpha, with positive total ``mass``). Returns (atoms, weights)
+    of shape (rows, n_out): each mixture recompressed to ``n_out`` equally
+    weighted atoms scaled by its mass. The pooled atoms are sorted once for
+    all rows.
     """
-    mass = float(gw.sum())
-    if mass <= 0.0:
-        return np.empty(0), np.empty(0)
     atoms = comp.atoms[:, k, :].reshape(-1)
-    weights = (gw[:, None] * comp.weights[:, k, :]).reshape(-1) / mass
     order = np.argsort(atoms, kind="stable")
-    atoms, weights = atoms[order], weights[order]
-    cum = np.cumsum(weights)
+    atoms = atoms[order]
+    weights = (gw[:, :, None] * comp.weights[None, :, k, :]).reshape(len(gw), -1)
+    cum = np.cumsum(weights[:, order] / mass[:, None], axis=1)
     levels = (np.arange(n_out) + 0.5) / n_out
-    idx = np.minimum(np.searchsorted(cum, levels, side="left"), atoms.size - 1)
-    return atoms[idx], np.full(n_out, mass / n_out)
+    idx = np.array([np.searchsorted(c, levels, side="left") for c in cum])
+    return (atoms[np.minimum(idx, atoms.size - 1)],
+            np.repeat((mass / n_out)[:, None], n_out, axis=1))
+
+
+def _control_ratio(coef, quad):
+    # unclamped minimizer per unit adjoint: -c / (2 d)
+    if np.any(quad <= 0.0):
+        raise InvariantError("quadratic control-cost bracket is not positive")
+    return -coef / (2.0 * quad)
 
 
 def minimize_hamiltonian(fields, k, x, q):
@@ -190,11 +276,8 @@ def minimize_hamiltonian(fields, k, x, q):
     minimizer is the clamp of -q c / (2 d) to the control set.
     """
     p = fields.problem
-    coef = np.interp(x, fields.x_grid, fields.drift_coef[k])
-    quad = np.interp(x, fields.x_grid, fields.cost_quad[k])
-    if np.any(quad <= 0.0):
-        raise InvariantError("quadratic control-cost bracket is not positive")
-    h = -coef / (2.0 * quad)
+    look = GridLookup(fields.x_grid, x)
+    h = _control_ratio(look(fields.drift_coef[:, k]), look(fields.cost_quad[:, k]))
     return theta_clamp(np.asarray(q, dtype=float) * h, p.u_min, p.u_max)
 
 
@@ -208,7 +291,7 @@ class ValueGrid:
         if np.any(v[-1] != 0.0):
             raise InvariantError("terminal value must be exactly zero")
         self.values = v
-        self.x_grid = np.asarray(x_grid, dtype=float)
+        self.x_grid = _uniform_grid(x_grid)
         self.times = np.asarray(times, dtype=float)
 
     @property
@@ -219,7 +302,7 @@ class ValueGrid:
         return np.gradient(self.values, self.x_grid, axis=1)
 
     def at(self, k, x):
-        return np.interp(x, self.x_grid, self.values[k])
+        return GridLookup(self.x_grid, x)(self.values[k])
 
     def to_csv(self, path):
         write_csv(path, ["t_index", "x_index", "value"],
@@ -231,14 +314,14 @@ class Policy:
 
     def __init__(self, values, x_grid, times, bounds):
         self.values = np.asarray(values, dtype=float)
-        self.x_grid = np.asarray(x_grid, dtype=float)
+        self.x_grid = _uniform_grid(x_grid)
         self.times = np.asarray(times, dtype=float)
         self.bounds = (float(bounds[0]), float(bounds[1]))
         if np.any(self.values < self.bounds[0] - 1e-12) or np.any(self.values > self.bounds[1] + 1e-12):
             raise InvariantError("policy values leave the control set")
 
     def eval_index(self, k, x):
-        return np.interp(x, self.x_grid, self.values[k])
+        return GridLookup(self.x_grid, x)(self.values[k])
 
     def __call__(self, t, x):
         k = int(np.searchsorted(self.times, t, side="right") - 1)
@@ -262,23 +345,26 @@ def policy_lipschitz(policy):
 
 
 def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None, compress_q=128):
-    """Backward semi-implicit solve of the vertex value equation.
+    """Backward semi-implicit solve of the vertex value equations.
 
-    Sweeps from the zero terminal condition: at each step the Hamiltonian is
-    minimized with an upwind one-sided difference chosen by drift direction
-    (candidate minimizers from the forward and backward differences, kept
-    when self-consistent), the drift and cost terms enter explicitly, and
-    the diffusion is implicit through a tridiagonal solve with zero-slope
-    boundaries. Returns the value grid and the extracted feedback policy.
+    ``alpha`` is one vertex coordinate or an array of them, and every vertex
+    is swept in one batch. Sweeps from the zero terminal condition: at each
+    step the Hamiltonian is minimized with an upwind one-sided difference
+    chosen by drift direction (candidate minimizers from the forward and
+    backward differences, kept when self-consistent), the drift and cost
+    terms enter explicitly, and the diffusion is implicit through one
+    tridiagonal solve, with zero-slope boundaries, for all vertices. Returns
+    the value grid and the extracted feedback policy, or lists of them, one
+    per vertex, when ``alpha`` is an array.
     """
     if fields is None:
         fields = frozen_fields(problem, g, alpha, ensemble, x_grid, compress_q)
     x = np.asarray(x_grid, dtype=float)
     times = fields.times
-    nx, K1 = x.size, times.size
+    n, nx, K1 = fields.alpha.size, x.size, times.size
     dt = float(times[1] - times[0])
     dx = float(x[1] - x[0])
-    bound = fields.drift_bound()
+    bound = float(fields.drift_bound().max())
     if bound * dt > dx + 1e-12:
         raise ConfigError(
             f"stability requires |drift| dt <= dx: {bound:.3g} * {dt:.3g} > {dx:.3g}")
@@ -291,60 +377,82 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None, compress_q=128):
     ab[0, 1] = -2.0 * nu   # zero-slope (reflected) boundaries
     ab[2, -2] = -2.0 * nu
 
-    V = np.zeros((K1, nx))
-    policy = np.zeros((K1, nx))
+    def clamp(q, h):
+        return theta_clamp(q * h, problem.u_min, problem.u_max)
+
+    # the field tables live on x_grid, so they are read without interpolation
+    V = np.zeros((n, K1, nx))
+    policy = np.zeros((n, K1, nx))
     for k in range(K1 - 2, -1, -1):
-        Vn = V[k + 1]
-        Dp = np.zeros(nx)
-        Dm = np.zeros(nx)
-        Dp[:-1] = (Vn[1:] - Vn[:-1]) / dx
-        Dm[1:] = (Vn[1:] - Vn[:-1]) / dx
-        u_p = minimize_hamiltonian(fields, k, x, Dp)
-        u_m = minimize_hamiltonian(fields, k, x, Dm)
-        f_p = fields.drift(k, x, u_p)
-        f_m = fields.drift(k, x, u_m)
-        H_p = f_p * Dp + fields.cost(k, x, u_p)
-        H_m = f_m * Dm + fields.cost(k, x, u_m)
+        coef = fields.drift_coef[:, k]
+        const = fields.cost_const[:, k]
+        quad = fields.cost_quad[:, k]
+        h = _control_ratio(coef, quad)
+        Vn = V[:, k + 1]
+        Dp = np.zeros((n, nx))
+        Dm = np.zeros((n, nx))
+        Dp[:, :-1] = (Vn[:, 1:] - Vn[:, :-1]) / dx
+        Dm[:, 1:] = (Vn[:, 1:] - Vn[:, :-1]) / dx
+        u_p = clamp(Dp, h)
+        u_m = clamp(Dm, h)
+        f_p = coef * u_p
+        f_m = coef * u_m
+        H_p = f_p * Dp + (const + quad * u_p ** 2)
+        H_m = f_m * Dm + (const + quad * u_m ** 2)
         ok_p = f_p >= 0.0
         ok_m = f_m <= 0.0
         use_p = ok_p & (~ok_m | (H_p <= H_m))
         # Neither candidate self-consistent: fall back to the central slope.
         neither = ~ok_p & ~ok_m
         if np.any(neither):
-            u_c = minimize_hamiltonian(fields, k, x, 0.5 * (Dp + Dm))
-            f_c = fields.drift(k, x, u_c)
-            H_c = f_c * np.where(f_c > 0, Dp, Dm) + fields.cost(k, x, u_c)
+            u_c = clamp(0.5 * (Dp + Dm), h)
+            f_c = coef * u_c
+            H_c = f_c * np.where(f_c > 0, Dp, Dm) + (const + quad * u_c ** 2)
             u_m = np.where(neither, u_c, u_m)
             H_m = np.where(neither, H_c, H_m)
         u_k = np.where(use_p, u_p, u_m)
         H_k = np.where(use_p, H_p, H_m)
         rhs = Vn + dt * H_k
-        V[k] = solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(V[k])):
+        V[:, k] = solve_banded((1, 1), ab, rhs.T).T
+        if not np.all(np.isfinite(V[:, k])):
             raise NumericalError(f"value sweep produced non-finite values at step {k}")
-        policy[k] = u_k
-    policy[K1 - 1] = minimize_hamiltonian(fields, K1 - 1, x, np.zeros(nx))
-    vg = ValueGrid(V, x, times)
-    pol = Policy(policy, x, times, (problem.u_min, problem.u_max))
-    return vg, pol
+        policy[:, k] = u_k
+    h = _control_ratio(fields.drift_coef[:, -1], fields.cost_quad[:, -1])
+    policy[:, -1] = clamp(np.zeros((n, nx)), h)
+    vgs = [ValueGrid(V[v], x, times) for v in range(n)]
+    pols = [Policy(policy[v], x, times, (problem.u_min, problem.u_max))
+            for v in range(n)]
+    if np.ndim(alpha) == 0:
+        return vgs[0], pols[0]
+    return vgs, pols
 
 
 def euler_maruyama(x0, noise, dt, sigma, drift):
     """Euler-Maruyama paths of dX = drift dt + sigma dW from the states x0.
 
-    ``noise`` holds the (N, K) standard normal increments and ``drift(k, x)``
-    returns the drift of the states ``x`` at time node k; it is called for
-    k = 0..K-1 in order, so it may also record per-step quantities.
-    Returns the (N, K+1) paths.
+    ``noise`` holds the (..., K) standard normal increments and
+    ``drift(k, x)`` returns the drift of the states ``x`` at time node k.
+    Returns the (..., K+1) paths; see :func:`euler_maruyama_steps`.
     """
-    x = np.asarray(x0, dtype=float)
-    n, K = noise.shape
-    paths = np.empty((n, K + 1))
-    paths[:, 0] = x
-    root_dt = math.sqrt(dt)
-    for k in range(K):
-        x = x + drift(k, x) * dt + sigma * root_dt * noise[:, k]
-        paths[:, k + 1] = x
+    paths = np.empty(np.shape(noise)[:-1] + (np.shape(noise)[-1] + 1,))
+    paths[..., 0] = x0
+    np.multiply(sigma * math.sqrt(dt), noise, out=paths[..., 1:])
+    return euler_maruyama_steps(paths, dt, drift)
+
+
+def euler_maruyama_steps(paths, dt, drift):
+    """The Euler-Maruyama time loop, in place on a (..., K+1) buffer.
+
+    On entry ``paths[..., 0]`` holds the initial states and
+    ``paths[..., k+1]`` the scaled Brownian increment sigma sqrt(dt) Z_k;
+    on return each slot holds the state at its time node. ``drift(k, x)``
+    is called for k = 0..K-1 in order, so it may also record per-step
+    quantities. Returns ``paths``.
+    """
+    x = paths[..., 0].copy()
+    for k in range(paths.shape[-1] - 1):
+        x = x + drift(k, x) * dt + paths[..., k + 1]
+        paths[..., k + 1] = x
     return paths
 
 

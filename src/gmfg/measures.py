@@ -217,9 +217,11 @@ class PathBundle:
 
     ``paths`` has shape (M, R, K+1); the replica count R is identical across
     vertices by construction. ``seed_record`` documents the streams used.
+    ``escaped_mass`` is the share of particle-steps a grid propagation found
+    outside its space grid (None when no grid was used).
     """
 
-    def __init__(self, paths, times, seed_record=None):
+    def __init__(self, paths, times, seed_record=None, escaped_mass=None):
         p = np.asarray(paths, dtype=float)
         if p.ndim != 3:
             raise GridError("paths must have shape (M, R, K+1)")
@@ -230,6 +232,7 @@ class PathBundle:
         if self.times.shape != (p.shape[2],):
             raise GridError("times must match the path time axis")
         self.seed_record = dict(seed_record or {})
+        self.escaped_mass = escaped_mass
 
     @property
     def n_vertices(self):

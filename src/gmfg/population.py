@@ -29,8 +29,9 @@ import numpy as np
 
 from . import rng
 from .coefficients import SortedClusters
-from .control import Policy, euler_maruyama, frozen_fields, solve_hjb
-from .errors import GridError, InvariantError
+from .control import (GridLookup, Policy, euler_maruyama, frozen_fields,
+                      solve_hjb)
+from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import Measure1D, MeasureEnsemble
 from .solver import GMFGProblem, inner_mv_consistency, marginals, zero_drift_bundle
@@ -105,6 +106,11 @@ def _cluster_policies(pop, solution):
     return out
 
 
+def _cluster_policy_table(pop, solution):
+    """(M_k, K+1, N_x) policy table, one row per cluster."""
+    return np.stack([pol.values for pol in _cluster_policies(pop, solution)])
+
+
 def _deviation_control(psi, t, x_i, x_all):
     if isinstance(psi, Policy):
         return float(psi(t, x_i))
@@ -137,14 +143,12 @@ def _simulate_coupled(pop, solution, psi=None, iota=None, cost_agents=(),
     problem = solution.problem
     p = problem.functions
     dt = p.T / problem.K
-    policies = _cluster_policies(pop, solution)
+    table = _cluster_policy_table(pop, solution)
     costs = {i: 0.0 for i in cost_agents}
     dev_controls = np.empty(problem.K) if iota is not None else None
 
     def drift(k, x):
-        u = np.empty(pop.N)
-        for l, idx in enumerate(pop.cluster_indices):
-            u[idx] = policies[l].eval_index(k, x[idx])
+        u = GridLookup(problem.x_grid, x, pop.cluster_of)(table[:, k])
         if iota is not None:
             u[iota] = np.clip(_deviation_control(psi, problem.times[k], x[iota], x),
                               p.u_min, p.u_max)
@@ -187,16 +191,19 @@ def _law_problem(pop, solution, R_law):
 
 
 def _field_propagation(pop, solution, fields, label, laws=None):
-    """Propagate all agents against per-cluster frozen drift fields."""
+    """Propagate all agents against per-cluster frozen drift fields.
+
+    ``fields`` is the batch of frozen fields at the cluster nodes; one grid
+    lookup per step reads every agent's cluster row of the drift and policy
+    tables.
+    """
     problem = solution.problem
     p = problem.functions
-    policies = _cluster_policies(pop, solution)
+    table = _cluster_policy_table(pop, solution)
 
     def drift(k, x):
-        out = np.empty(pop.N)
-        for l, idx in enumerate(pop.cluster_indices):
-            out[idx] = fields[l].drift(k, x[idx], policies[l].eval_index(k, x[idx]))
-        return out
+        look = GridLookup(fields.x_grid, x, pop.cluster_of)
+        return look(fields.drift_coef[:, k]) * look(table[:, k])
 
     paths = euler_maruyama(pop.initial_states, pop.brownian_increments(problem.K),
                            p.T / problem.K, p.sigma, drift)
@@ -216,20 +223,17 @@ def run_system_c(pop, solution, tol_inner=None, R_law=2000):
     policies = _cluster_policies(pop, solution)
     start = marginals(zero_drift_bundle(clone))
     _, laws, _ = inner_mv_consistency(clone, policies, start, tol_inner)
-    fields = [frozen_fields(clone.functions, pop.graph,
-                            pop.vertex_grid.midpoints[l], laws, clone.x_grid,
-                            clone.compress_q, drift_only=True)
-              for l in range(pop.M_k)]
+    fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
+                           laws, clone.x_grid, clone.compress_q, drift_only=True)
     return _field_propagation(pop, solution, fields, "C", laws=laws)
 
 
 def system_d_fields(pop, solution):
-    """Frozen infinite-population drift fields per cluster node."""
+    """Frozen infinite-population drift fields at the cluster nodes."""
     problem = solution.problem
-    return [frozen_fields(problem.functions, problem.graphon,
-                          pop.vertex_grid.midpoints[l], solution.ensemble,
-                          problem.x_grid, problem.compress_q, drift_only=True)
-            for l in range(pop.M_k)]
+    return frozen_fields(problem.functions, problem.graphon,
+                         pop.vertex_grid.midpoints, solution.ensemble,
+                         problem.x_grid, problem.compress_q, drift_only=True)
 
 
 def run_system_d(pop, solution, fields=None):
@@ -516,6 +520,10 @@ def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
     """
     from .solver import picard_solve
 
+    small = [(M_k, size) for M_k, size in ladder if not 0 <= iota < M_k * size]
+    if small:
+        raise ConfigError(f"deviator {iota} is not an agent of rung(s) "
+                          + ", ".join(f"{mk}:{sz} (N={mk * sz})" for mk, sz in small))
     results = []
     for M_k, size in ladder:
         problem = make_problem(M_k)

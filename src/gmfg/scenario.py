@@ -177,8 +177,13 @@ class Scenario:
                                        positive=True, default=0.05)
         self.max_outer = check.integer(tols.get("max_outer"), "tolerances.max_outer",
                                        default=30)
-        self.min_outer = check.integer(tols.get("min_outer"), "tolerances.min_outer",
-                                       default=2)
+        # absent: the solver's default floor of two passes
+        self.min_outer = tols.get("min_outer")
+        if self.min_outer is not None:
+            self.min_outer = check.integer(self.min_outer, "tolerances.min_outer")
+            if self.min_outer > self.max_outer:
+                check.fail("tolerances.min_outer",
+                           f"must not exceed tolerances.max_outer ({self.max_outer})")
         self.inner_tol = tols.get("inner_tol")
         if self.inner_tol is not None:
             self.inner_tol = check.number(self.inner_tol, "tolerances.inner_tol",

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .control import euler_maruyama, frozen_fields, solve_hjb
+from .control import (GridLookup, euler_maruyama_steps, frozen_fields,
+                      solve_hjb)
 from .errors import ConfigError, ConvergenceError, InvariantError, NumericalError
 from .graphon import VertexGrid
 from .measures import (MeasureEnsemble, PathBundle, ensemble_distance,
@@ -112,23 +113,41 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None):
 
     Per vertex, R particles start from i.i.d. draws of the initial law and
     follow the measure-coupled drift evaluated against ``e_drift`` with the
-    vertex policy in the control slot. Noise and initial draws are keyed by
-    (seed, vertex, replica), so repeated calls couple exactly.
+    vertex policy in the control slot. All (M, R) particles step together:
+    one grid lookup per step serves both the policy and the drift tables.
+    Noise and initial draws are keyed by (seed, vertex, replica), so
+    repeated calls couple exactly. The bundle's ``escaped_mass`` is the
+    share of particle-steps that started outside the space grid, where the
+    tables are clamped to their end values.
     """
     p = problem.functions
+    if fields is None:
+        fields = frozen_fields(p, problem.graphon, problem.vertex_grid.midpoints,
+                               e_drift, problem.x_grid, problem.compress_q,
+                               drift_only=True)
+    table = np.stack([pol.values for pol in policies])
+    rows = np.arange(problem.M)[:, None]
+    dt = p.T / problem.K
+    scale = p.sigma * math.sqrt(dt)
     paths = np.empty((problem.M, problem.R, problem.K + 1))
     for v in range(problem.M):
-        fl = fields[v] if fields is not None else frozen_fields(
-            p, problem.graphon, problem.vertex_grid.midpoints[v], e_drift,
-            problem.x_grid, problem.compress_q, drift_only=True)
-        pol = policies[v]
-        paths[v] = euler_maruyama(
-            _vertex_initials(problem, v), _vertex_noise(problem, v),
-            p.T / problem.K, p.sigma,
-            lambda k, x: fl.drift(k, x, pol.eval_index(k, x)))
-        if not np.all(np.isfinite(paths[v, :, -1])):
-            raise NumericalError(f"propagation diverged at vertex {v}")
-    return PathBundle(paths, problem.times, {"seed": problem.seed, "kind": "closed_loop"})
+        paths[v, :, 0] = _vertex_initials(problem, v)
+        np.multiply(scale, _vertex_noise(problem, v), out=paths[v, :, 1:])
+    escaped = 0
+
+    def drift(k, x):
+        nonlocal escaped
+        look = GridLookup(problem.x_grid, x, rows)
+        escaped += look.escaped
+        return look(fields.drift_coef[:, k]) * look(table[:, k])
+
+    euler_maruyama_steps(paths, dt, drift)
+    bad = ~np.isfinite(paths[:, :, -1]).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"propagation diverged at vertex {int(np.argmax(bad))}")
+    return PathBundle(paths, problem.times,
+                      {"seed": problem.seed, "kind": "closed_loop"},
+                      escaped_mass=escaped / paths[..., 1:].size)
 
 
 def inner_mv_consistency(problem, policies, e_start, tol_inner=None,
@@ -158,33 +177,38 @@ def inner_mv_consistency(problem, policies, e_start, tol_inner=None,
 
 
 def _solve_all_vertices(problem, ensemble):
-    vgs, pols, fls = [], [], []
-    for alpha in problem.vertex_grid.midpoints:
-        fl = frozen_fields(problem.functions, problem.graphon, alpha,
+    alphas = problem.vertex_grid.midpoints
+    fields = frozen_fields(problem.functions, problem.graphon, alphas,
                            ensemble, problem.x_grid, problem.compress_q)
-        vg, pol = solve_hjb(problem.functions, problem.graphon, alpha,
-                            ensemble, problem.x_grid, fields=fl)
-        vgs.append(vg)
-        pols.append(pol)
-        fls.append(fl)
-    return vgs, pols, fls
+    vgs, pols = solve_hjb(problem.functions, problem.graphon, alphas,
+                          ensemble, problem.x_grid, fields=fields)
+    return vgs, pols, fields
 
 
 def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
-                 min_outer=2, inner_tol=None):
+                 min_outer=None, inner_tol=None):
     """Fixed-point iteration of the full game map.
 
     Starting from the zero-drift propagation marginals, each pass solves the
     vertex value equations against the current ensemble, propagates the
     closed loop (directly in ``single_loop`` mode, through the inner
     measure-consistency sub-iteration in ``double_loop`` mode), and measures
-    the sup-over-(vertex, time) W1 change. Particle noise cannot resolve
-    ensembles below the sampling floor, so the tolerance is clamped to
-    5 / sqrt(R). Non-convergence raises with the trace attached, so callers
+    the sup-over-(vertex, time) W1 change. Each trace entry also records
+    the pass's CFL margin (the smallest 1 - sup|drift| dt / dx over the
+    vertices) and its escaped mass (the share of particle-steps outside the
+    space grid). Particle noise cannot resolve ensembles below the sampling
+    floor, so the tolerance is clamped to 5 / sqrt(R). Convergence may be
+    declared from pass ``min_outer`` on (default 2); an explicit
+    ``min_outer`` above ``max_outer`` could never be met and is a
+    ConfigError. Non-convergence raises with the trace attached, so callers
     can inspect an empirical ratio at or above one.
     """
     if mode not in ("single_loop", "double_loop"):
         raise ConfigError(f"unknown mode {mode!r}")
+    if min_outer is None:
+        min_outer = 2
+    elif min_outer > max_outer:
+        raise ConfigError(f"min_outer {min_outer} exceeds max_outer {max_outer}")
     floor = problem.noise_floor
     tol_eff = max(tol if tol is not None else 0.0, 5.0 / math.sqrt(problem.R))
     ens = marginals(zero_drift_bundle(problem))
@@ -206,6 +230,8 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "distance": d,
             "ratio": d / trace[-1]["distance"] if trace and trace[-1]["distance"] > 0 else math.nan,
             "policy_delta": pol_delta,
+            "cfl_margin": float(fls.cfl_margin().min()),
+            "escaped_mass": bundle.escaped_mass,
         }
         trace.append(entry)
         prev_policy = pol_table
@@ -215,13 +241,6 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
                                 floor, problem)
     raise ConvergenceError(
         f"no contraction below {tol_eff:.3g} within {max_outer} passes", trace=trace)
-
-
-def extra_iteration_distance(problem, solution):
-    """Ensemble change produced by one more full pass from a solution."""
-    _, pols, fls = _solve_all_vertices(problem, solution.ensemble)
-    bundle = propagate_closed_loop(problem, pols, solution.ensemble, fields=fls)
-    return ensemble_w1_sup(marginals(bundle), solution.ensemble)
 
 
 @dataclass

@@ -159,6 +159,15 @@ class TestSolveGMFGCommand:
         assert trace["converged"] is False
         assert len(trace["trace"]) == 1
 
+    def test_min_outer_above_max_outer_is_input_error(self, tmp_path, capsys):
+        doc = nonlinear_scenario()
+        doc["tolerances"] = {"picard_tol": 0.3, "min_outer": 5, "max_outer": 4}
+        cfg = write_config(tmp_path / "s.json", doc)
+        assert main(["solve-gmfg", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 1
+        assert "tolerances.min_outer" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trace.json").exists()
+
     def test_input_error_exit_1(self, tmp_path):
         assert main(["solve-gmfg", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -277,6 +286,22 @@ class TestSimulateEnashCommand:
             argv += ["--ladder", ladder]
         assert main(argv) == 1
         assert "ladder repeats rung(s) 2:3" in capsys.readouterr().err
+        assert solves == []
+
+    def test_deviator_outside_a_rung_is_input_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from gmfg import solver
+
+        doc = nonlinear_scenario()
+        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120,
+                         "deviator": 6}
+        cfg = write_config(tmp_path / "s.json", doc)
+        solves = []
+        monkeypatch.setattr(solver, "picard_solve",
+                            lambda *a, **k: solves.append(a))
+        assert main(["simulate-enash", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--ladder", "2:3,2:5"]) == 1
+        assert "deviator 6 is not an agent of rung(s) 2:3 (N=6)" in capsys.readouterr().err
         assert solves == []
 
     def test_mode_and_inner_tol_reach_the_ladder_solves(self, tmp_path,

@@ -7,6 +7,7 @@ from gmfg import (ConfigError, Constant, Graphon, InvariantError,
                   MeasureEnsemble, Policy, Poly2, ProblemFunctions, frozen_fields,
                   minimize_hamiltonian, policy_lipschitz, rollout_cost,
                   solve_hjb, theta_clamp)
+from gmfg.control import GridLookup
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -330,3 +331,43 @@ class TestRolloutConsistency:
             alt = Policy(table, pol.x_grid, pol.times, pol.bounds)
             mean_alt, se_alt = rollout_cost(p, fl, alt, x0, 10_000, seed=7)
             assert mean_opt <= mean_alt + 3 * (se_opt + se_alt)
+
+
+class TestGridLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 40), lo=st.floats(-50, 50), width=st.floats(1e-3, 100),
+           n_rows=st.integers(1, 4), data=st.data())
+    def test_matches_np_interp_bit_for_bit(self, n, lo, width, n_rows, data):
+        from hypothesis.extra.numpy import arrays
+
+        xp = np.linspace(lo, lo + width, n)
+        fp = data.draw(arrays(float, (n_rows, n),
+                              elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+        inside = np.asarray(data.draw(st.lists(st.floats(0, 1), max_size=20)), float)
+        outside = np.asarray(data.draw(st.lists(st.floats(1e-9, 1e3), max_size=5)), float)
+        x = np.concatenate([
+            lo + width * inside,                       # inside the grid
+            xp,                                        # on every node
+            [xp[0], xp[-1], np.nextafter(xp[0], np.inf),
+             np.nextafter(xp[-1], -np.inf)],           # exactly at and next to the ends
+            xp[0] - outside, xp[-1] + outside,         # outside both ends
+            [np.nextafter(xp[0], -np.inf), np.nextafter(xp[-1], np.inf)],
+        ])
+        rows = data.draw(arrays(np.intp, x.shape, elements=st.integers(0, n_rows - 1)))
+        look = GridLookup(xp, x, rows)
+        expected = np.array([np.interp(xi, xp, fp[r]) for xi, r in zip(x, rows)])
+        assert np.array_equal(look(fp), expected)
+        assert look.escaped == np.count_nonzero((x < xp[0]) | (x > xp[-1]))
+
+    def test_scalar_point_and_one_row_table(self):
+        xp = np.linspace(-1.0, 1.0, 5)
+        fp = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
+        assert GridLookup(xp, 0.25)(fp) == np.interp(0.25, xp, fp)
+        assert GridLookup(xp, 3.0)(fp) == 16.0
+
+    def test_non_uniform_grid_rejected(self):
+        from gmfg import GridError
+
+        x = np.array([0.0, 0.1, 1.0])
+        with pytest.raises(GridError):
+            Policy(np.zeros((2, 3)), x, np.linspace(0, 1, 2), (-1, 1))

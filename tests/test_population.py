@@ -356,6 +356,33 @@ class TestPerturbationTerms:
         assert coupled_solution.problem.compress_q == 128
         assert seen == [128]
 
+    def test_cluster_fields_compress_each_ensemble_once(self, coupled_solution,
+                                                        monkeypatch):
+        from gmfg import MeasureEnsemble
+        from gmfg.population import system_d_fields
+
+        pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
+                               normal_quantile_measure(0.0, 0.3, 65), seed=33)
+        real = MeasureEnsemble.compress
+        seen = []   # holds the ensembles, so no id is reused while counting
+
+        def spy(self, n):
+            seen.append((self, n))
+            return real(self, n)
+
+        def calls_per_ensemble():
+            counts = {}
+            for ens, n in seen:
+                counts[id(ens), n] = counts.get((id(ens), n), 0) + 1
+            return sorted(counts.values())
+
+        monkeypatch.setattr(MeasureEnsemble, "compress", spy)
+        system_d_fields(pop, coupled_solution)
+        assert calls_per_ensemble() == [1]
+        seen.clear()
+        run_system_c(pop, coupled_solution, R_law=200)
+        assert seen and calls_per_ensemble()[-1] == 1
+
     @pytest.mark.slow
     def test_intra_term_clt_slope(self):
         sol = solve_instance(coupled_problem(), Graphon.constant(0.5), M=1,

@@ -5,8 +5,7 @@ import pytest
 
 from gmfg import (Constant, ConvergenceError, GMFGProblem, Graphon,
                   InvariantError, Measure1D, Policy, Poly2, ProblemFunctions, dirac,
-                  ensemble_distance, ensemble_w1_sup, extra_iteration_distance,
-                  inner_mv_consistency, marginals, normal_quantile_measure,
+                  ensemble_distance, ensemble_w1_sup, inner_mv_consistency, marginals, normal_quantile_measure,
                   picard_solve, propagate_closed_loop, sensitivity_probe, w1,
                   w1_joint_continuity_scan, zero_drift_bundle)
 
@@ -157,8 +156,13 @@ class TestPicardSolve:
         assert sol.converged
 
     def test_fixed_point_residual(self, small_solution):
+        # pass n+1 of a longer solve starts from the n-pass solution's
+        # ensemble, so its distance is the change one more pass makes
         problem, sol = small_solution
-        extra = extra_iteration_distance(problem, sol)
+        n = len(sol.trace)
+        longer = picard_solve(problem, tol=0.05, min_outer=n + 1, max_outer=25)
+        assert longer.trace[:n] == sol.trace
+        extra = longer.trace[n]["distance"]
         assert extra < 2 * sol.tol + problem.noise_floor
 
     def test_determinism_bit_identical(self):
@@ -190,6 +194,31 @@ class TestPicardSolve:
                           mode="double_loop")
         gap = ensemble_w1_sup(s1.ensemble, s2.ensemble)
         assert gap < 2 * s1.tol
+
+    def test_min_outer_above_max_outer_rejected(self):
+        from gmfg import ConfigError
+        with pytest.raises(ConfigError, match="min_outer 3 exceeds max_outer 2"):
+            picard_solve(small_problem(M=2, K=16, R=500), tol=0.25, min_outer=3,
+                         max_outer=2)
+
+    def test_trace_reports_cfl_margin_and_no_escape(self, small_solution):
+        problem, sol = small_solution
+        dt = problem.times[1] - problem.times[0]
+        dx = problem.x_grid[1] - problem.x_grid[0]
+        for entry in sol.trace:
+            assert entry["escaped_mass"] == 0.0
+            # drift u against the section mass c_g(alpha) <= 1, |u| <= 1
+            assert 1.0 - dt / dx <= entry["cfl_margin"] < 1.0
+
+    def test_narrow_domain_reports_escaped_mass(self):
+        problem = GMFGProblem(tracking_problem(), Graphon.uniform_attachment(),
+                              dirac(0.0), M=2, K=16, N_x=11, R=500, seed=11,
+                              domain=(-0.3, 0.3))
+        sol = picard_solve(problem, tol=10.0, min_outer=1, max_outer=1)
+        steps = sol.bundle.paths[:, :, :-1]
+        outside = np.mean((steps < -0.3) | (steps > 0.3))
+        assert sol.trace[0]["escaped_mass"] == pytest.approx(outside, abs=1e-15)
+        assert sol.trace[0]["escaped_mass"] > 0.05
 
     def test_min_particle_count_enforced(self):
         with pytest.raises(InvariantError):
@@ -261,3 +290,94 @@ class TestJointContinuityRefinement:
             for pol in sol.policies:
                 slope = np.abs(np.diff(pol.values[:, interior], axis=1)).max() / dx
                 assert slope < 3.0
+
+
+class TestBatchedPass:
+    def test_batched_pass_matches_per_vertex_reference(self):
+        """Fields, value sweep and propagation of M = 3 vertices in one batch
+        equal a per-vertex reference (the vertex tables all differ)."""
+        from scipy.linalg import solve_banded
+
+        from gmfg import frozen_fields, solve_hjb
+        from gmfg.solver import _vertex_initials, _vertex_noise
+
+        revert = Poly2(x=-1.0, y=1.0, clip=(-2.0, 2.0))
+        p = ProblemFunctions.structured(revert, Constant(1.0), tracking,
+                                        Constant(0.5), Poly2(const=0.2, yy=0.1),
+                                        Constant(1.0), (-1.0, 1.0), 0.3, 0.5)
+        problem = GMFGProblem(p, Graphon.uniform_attachment(),
+                              normal_quantile_measure(0.2, 0.3, 65), M=3, K=12,
+                              N_x=41, R=300, seed=23, compress_q=32)
+        ens = marginals(zero_drift_bundle(problem))
+        x, q, times = problem.x_grid, problem.compress_q, problem.times
+        alphas = problem.vertex_grid.midpoints
+        fields = frozen_fields(p, problem.graphon, alphas, ens, x, q)
+        vgs, pols = solve_hjb(p, problem.graphon, alphas, ens, x, fields=fields)
+        bundle = propagate_closed_loop(problem, pols, ens, fields=fields)
+
+        comp = ens.compress(q)
+        s = p.structured_parts
+        levels = (np.arange(q) + 0.5) / q
+
+        def bracket(name, atoms, weights):
+            vals = np.broadcast_to(s[name](x[:, None], atoms[None, :]),
+                                   (x.size, atoms.size))
+            return vals @ weights
+
+        dt, dx = times[1] - times[0], x[1] - x[0]
+        nu = p.sigma**2 * dt / (2.0 * dx * dx)
+        ab = np.zeros((3, x.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = -nu, 1.0 + 2.0 * nu, -nu
+        ab[0, 1] = ab[2, -2] = -2.0 * nu
+        assert not np.array_equal(fields.drift_coef[0], fields.drift_coef[1])
+        for v, alpha in enumerate(alphas):
+            drift = np.empty((times.size, x.size))
+            const = np.empty_like(drift)
+            quad = np.empty_like(drift)
+            gw = problem.graphon.evaluate(alpha, alphas) / problem.M
+            for k in range(times.size):
+                own = comp.atoms[v, k], comp.weights[v, k]
+                atoms = comp.atoms[:, k].reshape(-1)
+                weights = (gw[:, None] * comp.weights[:, k]).reshape(-1) / gw.sum()
+                order = np.argsort(atoms, kind="stable")
+                idx = np.searchsorted(np.cumsum(weights[order]), levels)
+                mix = (atoms[order][np.minimum(idx, atoms.size - 1)],
+                       np.full(q, gw.sum() / q))
+                drift[k] = bracket("f0", *own) + bracket("f", *mix)
+                const[k] = bracket("l1", *own) + bracket("l3", *mix)
+                quad[k] = bracket("l2", *own) + bracket("l4", *mix)
+            assert np.array_equal(fields.drift_coef[v], drift)
+            assert np.array_equal(fields.cost_const[v], const)
+            assert np.array_equal(fields.cost_quad[v], quad)
+
+            V = np.zeros_like(drift)
+            policy = np.zeros_like(drift)
+            for k in range(times.size - 2, -1, -1):
+                h = -drift[k] / (2.0 * quad[k])
+                Dp, Dm = np.zeros(x.size), np.zeros(x.size)
+                Dp[:-1] = Dm[1:] = (V[k + 1, 1:] - V[k + 1, :-1]) / dx
+                cand = []
+                for D in (Dp, Dm, 0.5 * (Dp + Dm)):
+                    u = np.clip(D * h, p.u_min, p.u_max)
+                    cand.append((u, drift[k] * u, const[k] + quad[k] * u**2))
+                (u_p, f_p, c_p), (u_m, f_m, c_m), (u_c, f_c, c_c) = cand
+                H_p, H_m = f_p * Dp + c_p, f_m * Dm + c_m
+                use_p = (f_p >= 0.0) & ((f_m > 0.0) | (H_p <= H_m))
+                neither = (f_p < 0.0) & (f_m > 0.0)
+                H_c = f_c * np.where(f_c > 0, Dp, Dm) + c_c
+                u_m, H_m = np.where(neither, u_c, u_m), np.where(neither, H_c, H_m)
+                V[k] = solve_banded((1, 1), ab, V[k + 1] + dt * np.where(use_p, H_p, H_m))
+                policy[k] = np.where(use_p, u_p, u_m)
+            policy[-1] = np.clip(0.0 * (-drift[-1] / (2.0 * quad[-1])), p.u_min, p.u_max)
+            assert np.array_equal(vgs[v].values, V)
+            assert np.array_equal(pols[v].values, policy)
+
+            xs = _vertex_initials(problem, v)
+            noise = _vertex_noise(problem, v)
+            path = [xs]
+            for k in range(problem.K):
+                u = np.interp(xs, x, policy[k])
+                xs = (xs + np.interp(xs, x, drift[k]) * u * dt
+                      + p.sigma * np.sqrt(dt) * noise[:, k])
+                path.append(xs)
+            assert np.array_equal(bundle.paths[v], np.stack(path, axis=1))
