@@ -14,15 +14,12 @@ Exit codes: 0 success, 1 input error, 2 convergence failure (trace written).
 """
 
 import argparse
-import json
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .artifacts import atomic_write, index_columns, write_csv
+from .artifacts import atomic_write, index_columns, json_text, write_csv
 from .errors import ConfigError, ConvergenceError
 from .graphon import (cell_average_step, cut_norm_grid_bound, h11_deviation,
                       sample_step_graphon, step_difference)
@@ -35,25 +32,10 @@ def _meta(scenario):
     return {"scenario_hash": scenario.hash, "artifact_version": __version__}
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def write_json(path, scenario, payload):
     doc = {"meta": _meta(scenario)}
-    doc.update(_jsonable(payload))
-    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    doc.update(payload)
+    atomic_write(path, json_text(doc) + "\n")
 
 
 def _maybe_time(started):

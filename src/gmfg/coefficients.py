@@ -173,7 +173,7 @@ class Poly2:
         """(n, 2) real roots in y of c y^2 + b y + a = level, +inf if absent."""
         k = a - level
         c = self.yy
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if c == 0.0:
                 roots = np.concatenate([-k / b, np.full_like(k, np.inf)], axis=1)
             else:

@@ -71,10 +71,8 @@ class ProblemFunctions:
         l4v = np.broadcast_to(np.asarray(p["l4"](xg, yg), dtype=float), xg.shape)
         if np.any(l2v < 0) or np.any(l4v < 0):
             raise InvariantError("sampled l2/l4 must be nonnegative")
-        floor = float(np.min(l2v + l4v))
-        if floor <= 0:
+        if float(np.min(l2v + l4v)) <= 0:
             raise InvariantError("sampled l2 + l4 must have a positive floor")
-        self.c0 = floor
 
 
 def theta_clamp(s, a, b):
@@ -297,9 +295,6 @@ class ValueGrid:
     @property
     def dx(self):
         return float(self.x_grid[1] - self.x_grid[0])
-
-    def v_x(self):
-        return np.gradient(self.values, self.x_grid, axis=1)
 
     def at(self, k, x):
         return GridLookup(self.x_grid, x)(self.values[k])

@@ -221,6 +221,15 @@ class LambdaOperator:
     time variables, midpoint rule in the vertex variable; the norm bound is
     evaluated with exactly the same quadrature so the contraction check is
     self-consistent.
+
+    Both time integrals are prebuilt as trapezoid-weighted kernels of shape
+    (K+1)n x (K+1)n: ``w_up * Psi`` for the backward integral over
+    tau >= r and ``w_low * Phi`` for the forward one over r <= t, so
+    ``apply`` and ``forcing`` are a few matmuls over all vertices and times.
+    The norm bound needs the Frobenius norms of Phi(t,r) BRB Psi(r,tau);
+    it takes them in Gram form, |A B|_F^2 = <A'A, B B'>, as one matmul of
+    (K+1-r) flattened Gram matrices against (K+1-r) others per r, over only
+    the rows t >= r that the outer quadrature reads.
     """
 
     def __init__(self, p, ric=None, fm=None):
@@ -233,75 +242,80 @@ class LambdaOperator:
         # kernel coefficient matrices per time node
         self.A1 = p.gamma0 * p.Q[None] - np.einsum("kij,jl->kil", self.ric.Pi, p.D0)
         self.A2 = p.gamma * p.Q[None] - np.einsum("kij,jl->kil", self.ric.Pi, p.D)
+        self.kernel_up = _weighted_kernel(self.w_up, self.fm.Psi)
+        self.kernel_low = _weighted_kernel(self.w_low, self.fm.Phi)
 
     def vertex_average(self, surface):
         return np.einsum("ij,jkn->ikn", self.Gw, surface)
 
+    def _backward(self, y, term):
+        """Integral of Psi(r, tau) y over tau >= r plus Psi(r, T) term, for a
+        y of shape (m, K+1, n) and a terminal term of shape (m, n)."""
+        m = y.shape[0]
+        inner = (y.reshape(m, -1) @ self.kernel_up.T
+                 + term @ self.fm.Psi[:, -1].reshape(-1, self.p.n).T)
+        return inner.reshape(y.shape)
+
+    def _forward(self, J):
+        """Integral of Phi(t, r) J over r <= t, for J of shape (m, K+1, n)."""
+        return (J.reshape(J.shape[0], -1) @ self.kernel_low.T).reshape(J.shape)
+
     def apply(self, surface):
         """Evaluate the operator on a surface of shape (M, K+1, n)."""
-        p, fm = self.p, self.fm
-        K1 = p.K + 1
+        p = self.p
         x = np.asarray(surface, dtype=float)
         z = self.vertex_average(x)
         y = (np.einsum("kij,mkj->mki", self.A1, x)
              + np.einsum("kij,mkj->mki", self.A2, z))
-        term = np.einsum("ij,mj->mi", p.Q_T,
-                         p.gamma0 * x[:, -1] + p.gamma * z[:, -1])
-        inner = np.empty((x.shape[0], K1, p.n))
-        for r in range(K1):
-            inner[:, r] = np.einsum("u,uij,muj->mi",
-                                    self.w_up[r, r:], fm.Psi[r, r:], y[:, r:])
-            inner[:, r] += np.einsum("ij,mj->mi", fm.Psi[r, -1], term)
-        J = np.einsum("ij,mrj->mri", p.BRB, inner) \
-            + np.einsum("ij,mrj->mri", p.D, z)
-        out = np.empty_like(x)
-        for t in range(K1):
-            out[:, t] = np.einsum("r,rij,mrj->mi",
-                                  self.w_low[t, : t + 1], fm.Phi[t, : t + 1],
-                                  J[:, : t + 1])
-        return out
+        term = (p.gamma0 * x[:, -1] + p.gamma * z[:, -1]) @ p.Q_T.T
+        return self._forward(self._backward(y, term) @ p.BRB.T + z @ p.D.T)
 
     def forcing(self):
         """Affine part of the fixed-point equation, identical at all vertices."""
-        p, fm = self.p, self.fm
-        K1 = p.K + 1
-        Qeta = p.Q @ p.eta
-        QTeta = p.Q_T @ p.eta
-        inner = np.empty((K1, p.n))
-        for r in range(K1):
-            inner[r] = np.einsum("u,uij,j->i", self.w_up[r, r:], fm.Psi[r, r:], Qeta)
-            inner[r] += fm.Psi[r, -1] @ QTeta
-        J = inner @ p.BRB.T
-        out = np.empty((K1, p.n))
-        for t in range(K1):
-            out[t] = fm.Phi[t, 0] @ p.x0 + np.einsum(
-                "r,rij,rj->i", self.w_low[t, : t + 1], fm.Phi[t, : t + 1], J[: t + 1])
-        return out
+        p = self.p
+        y = np.broadcast_to(p.Q @ p.eta, (1, p.K + 1, p.n))
+        J = self._backward(y, (p.Q_T @ p.eta)[None]) @ p.BRB.T
+        return self.fm.Phi[:, 0] @ p.x0 + self._forward(J)[0]
 
     def norm_bound(self):
         """Quadrature evaluation of the operator-norm bound c_Lambda."""
         p, fm = self.p, self.fm
-        K1 = p.K + 1
+        K1, n = p.K + 1, p.n
         c_g = float(self.Gw.sum(axis=1).max())
         a1 = (np.linalg.norm(self.A1, axis=(1, 2))
               + c_g * np.linalg.norm(self.A2, axis=(1, 2)))  # (K+1,)
         gamma_mix = abs(p.gamma0) + c_g * abs(p.gamma)
-        inner = np.zeros((K1, K1))   # [t, r]
-        single = np.zeros((K1, K1))
+        # Gram matrices A'A of Phi(t,r) BRB and B B' of Psi(r,tau), each row
+        # padded with a zero: the zeros add nothing to the inner products but
+        # keep the matmul off its ~3x slower path for an inner dimension of
+        # one. One output buffer serves every r.
+        gram_a = np.zeros((K1, n, n + 1))
+        gram_b = np.zeros((K1, n, n + 1))
+        buf = np.empty(K1 * K1)
+        inner = np.zeros((K1, K1))   # [t, r], rows t >= r
         for r in range(K1):
-            PB = fm.Phi[:, r] @ p.BRB                       # (K+1, n, n)
-            prod = np.einsum("tij,ujk->tuik", PB, fm.Psi[r, r:])
-            nb = np.linalg.norm(prod, axis=(2, 3))           # (t, tau)
-            inner[:, r] = nb @ (self.w_up[r, r:] * a1[r:])
+            m = K1 - r
+            PB = fm.Phi[r:, r] @ p.BRB
+            np.einsum("tji,tjk->tik", PB, PB, out=gram_a[:m, :, :n])
+            np.einsum("uij,ukj->uik", fm.Psi[r, r:], fm.Psi[r, r:],
+                      out=gram_b[:m, :, :n])
+            nb = np.matmul(gram_a[:m].reshape(m, -1), gram_b[:m].reshape(m, -1).T,
+                           out=buf[:m * m].reshape(m, m))  # (t, tau)
+            np.maximum(nb, 0.0, out=nb)
+            np.sqrt(nb, out=nb)
             end = np.linalg.norm(PB @ (fm.Psi[r, -1] @ p.Q_T), axis=(1, 2))
-            single[:, r] = end * gamma_mix + c_g * np.linalg.norm(
-                fm.Phi[:, r] @ p.D, axis=(1, 2))
-        totals = np.einsum("tr,tr->t", self.w_low, inner + single)
+            inner[r:, r] = (nb @ (self.w_up[r, r:] * a1[r:]) + end * gamma_mix
+                            + c_g * np.linalg.norm(fm.Phi[r:, r] @ p.D, axis=(1, 2)))
+        totals = np.einsum("tr,tr->t", self.w_low, inner)
         return float(totals.max())
 
 
-def lambda_norm_bound(p, ric=None, fm=None):
-    return LambdaOperator(p, ric, fm).norm_bound()
+def _weighted_kernel(weights, table):
+    """The (K+1)n x (K+1)n matrix of weights[a, b] * table[a, b] with block
+    row a and block column b."""
+    K1, n = table.shape[0], table.shape[2]
+    kernel = weights[:, :, None, None] * table
+    return kernel.transpose(0, 2, 1, 3).reshape(K1 * n, K1 * n)
 
 
 @dataclass

@@ -238,10 +238,6 @@ class PathBundle:
     def n_vertices(self):
         return self.paths.shape[0]
 
-    @property
-    def n_replicas(self):
-        return self.paths.shape[1]
-
     def vertex_slice(self, v):
         return self.paths[v]
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +78,18 @@ class TestClusterMeans:
         assert got_own.shape == (x.size, 1)
         np.testing.assert_allclose(got_own[:, 0], want[np.arange(x.size), own],
                                    rtol=0, atol=tol)
+
+    def test_tiny_quadratic_term_does_not_overflow(self):
+        # q / yy overflows to an infinite root, which counts as absent
+        coef = Poly2(y=1e10, yy=1e-300, clip=(-1.0, 1.0))
+        sizes = [2, 3]
+        values = np.array([-1e-10, -2e-11, 0.0, 3e-11, 2e-10])
+        x = np.array([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coef.cluster_means(x, SortedClusters(values, sizes))
+        want = brute_force_means(coef, sizes, values, x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_scalar_query_gives_one_row(self):
         clusters = SortedClusters(np.array([0.5, -1.0, 2.0]), [2, 1])

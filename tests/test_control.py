@@ -43,7 +43,6 @@ class TestProblemFunctions:
         p = ProblemFunctions.structured(Constant(0), Constant(1), tracking,
                                         Constant(0.0), Constant(0), Constant(1),
                                         (-1, 1), 0.3, 0.5)
-        assert p.c0 == pytest.approx(1.0)
 
 
 class TestThetaClamp:

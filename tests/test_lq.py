@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from gmfg import Graphon, InvariantError, VertexGrid, section_integral
 from gmfg.lq import (LambdaOperator, LQParams, fundamental_matrices,
-                     lambda_norm_bound, lq_consistency_vs_simulation,
-                     solve_lq_fixed_point, solve_riccati)
+                     lq_consistency_vs_simulation, solve_lq_fixed_point,
+                     solve_riccati)
 
 
 def scalar_params(A=0.0, B=1.0, D0=0.0, D=0.0, Sigma=0.5, Q=1.0, R=1.0,
@@ -163,7 +163,7 @@ class TestLambdaOperator:
     def test_norm_bound_zero_when_b_and_d_vanish(self):
         p = scalar_params(B=0.0, D=0.0, Q=1.0, Q_T=1.0, gamma0=0.5, gamma=0.5,
                           K=40)
-        assert lambda_norm_bound(p) == pytest.approx(0.0, abs=1e-15)
+        assert LambdaOperator(p).norm_bound() == pytest.approx(0.0, abs=1e-15)
 
     def test_norm_bound_dominates_random_probes(self):
         op = self._op()
@@ -173,6 +173,101 @@ class TestLambdaOperator:
             x = gen.normal(size=(6, 61, 1))
             ratio = np.abs(op.apply(x)).max() / np.abs(x).max()
             assert ratio <= bound + 1e-12
+
+
+def matrix_params(M=3, K=30):
+    # n = 2 with pairwise non-commuting A, B, D0, D, Q and R
+    return LQParams([[-0.3, 0.8], [-0.2, 0.1]], [[1.0, 0.4], [-0.3, 0.7]],
+                    [[0.1, -0.2], [0.05, 0.15]], [[0.2, 0.3], [-0.1, 0.25]],
+                    0.3 * np.eye(2), [[1.0, 0.3], [0.3, 0.6]],
+                    [[1.5, -0.4], [-0.4, 0.8]], [[0.5, 0.2], [0.2, 0.3]],
+                    0.4, 0.6, [1.0, -0.5], [0.8, -0.3], 1.0,
+                    Graphon.uniform_attachment(), M, K)
+
+
+def reference_norm_bound(op):
+    # per-r product tensor and np.linalg.norm over every row t
+    p, fm = op.p, op.fm
+    K1 = p.K + 1
+    c_g = float(op.Gw.sum(axis=1).max())
+    a1 = (np.linalg.norm(op.A1, axis=(1, 2))
+          + c_g * np.linalg.norm(op.A2, axis=(1, 2)))
+    gamma_mix = abs(p.gamma0) + c_g * abs(p.gamma)
+    inner = np.zeros((K1, K1))
+    single = np.zeros((K1, K1))
+    for r in range(K1):
+        PB = fm.Phi[:, r] @ p.BRB
+        prod = np.einsum("tij,ujk->tuik", PB, fm.Psi[r, r:])
+        nb = np.linalg.norm(prod, axis=(2, 3))
+        inner[:, r] = nb @ (op.w_up[r, r:] * a1[r:])
+        end = np.linalg.norm(PB @ (fm.Psi[r, -1] @ p.Q_T), axis=(1, 2))
+        single[:, r] = end * gamma_mix + c_g * np.linalg.norm(
+            fm.Phi[:, r] @ p.D, axis=(1, 2))
+    return float(np.einsum("tr,tr->t", op.w_low, inner + single).max())
+
+
+def reference_apply(op, x):
+    # per-r backward and per-t forward quadrature loops
+    p, fm = op.p, op.fm
+    K1 = p.K + 1
+    z = op.vertex_average(x)
+    y = (np.einsum("kij,mkj->mki", op.A1, x)
+         + np.einsum("kij,mkj->mki", op.A2, z))
+    term = np.einsum("ij,mj->mi", p.Q_T, p.gamma0 * x[:, -1] + p.gamma * z[:, -1])
+    inner = np.empty((x.shape[0], K1, p.n))
+    for r in range(K1):
+        inner[:, r] = np.einsum("u,uij,muj->mi", op.w_up[r, r:], fm.Psi[r, r:],
+                                y[:, r:])
+        inner[:, r] += np.einsum("ij,mj->mi", fm.Psi[r, -1], term)
+    J = (np.einsum("ij,mrj->mri", p.BRB, inner)
+         + np.einsum("ij,mrj->mri", p.D, z))
+    out = np.empty_like(x)
+    for t in range(K1):
+        out[:, t] = np.einsum("r,rij,mrj->mi", op.w_low[t, : t + 1],
+                              fm.Phi[t, : t + 1], J[:, : t + 1])
+    return out
+
+
+def reference_forcing(op):
+    p, fm = op.p, op.fm
+    K1 = p.K + 1
+    inner = np.empty((K1, p.n))
+    for r in range(K1):
+        inner[r] = np.einsum("u,uij,j->i", op.w_up[r, r:], fm.Psi[r, r:],
+                             p.Q @ p.eta)
+        inner[r] += fm.Psi[r, -1] @ (p.Q_T @ p.eta)
+    J = inner @ p.BRB.T
+    out = np.empty((K1, p.n))
+    for t in range(K1):
+        out[t] = fm.Phi[t, 0] @ p.x0 + np.einsum(
+            "r,rij,rj->i", op.w_low[t, : t + 1], fm.Phi[t, : t + 1], J[: t + 1])
+    return out
+
+
+class TestMatrixKernels:
+    """The whole-array kernels against the per-node loops, for n = 2."""
+
+    def test_data_do_not_commute(self):
+        p = matrix_params()
+        mats = [p.A, p.B, p.D0, p.D, p.Q, p.R]
+        for i, a in enumerate(mats):
+            for b in mats[i + 1:]:
+                assert np.abs(a @ b - b @ a).max() > 1e-3
+
+    def test_norm_bound_matches_reference(self):
+        op = LambdaOperator(matrix_params())
+        want = reference_norm_bound(op)
+        assert want > 0.0
+        assert op.norm_bound() == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_apply_and_forcing_match_reference(self):
+        op = LambdaOperator(matrix_params())
+        x = np.random.default_rng(5).normal(size=(3, 31, 2))
+        want = reference_apply(op, x)
+        assert np.abs(want).max() > 1e-2
+        np.testing.assert_allclose(op.apply(x), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(op.forcing(), reference_forcing(op),
+                                   rtol=0, atol=1e-13)
 
 
 class TestSolveLQFixedPoint:
