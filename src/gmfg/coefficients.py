@@ -1,15 +1,16 @@
-"""Coefficient surfaces of (x, y) and their exact cluster means.
+"""Coefficient surfaces of (x, y) and their exact means over clusters.
 
 Every coefficient a scenario can express is a constant or a quadratic in
 (x, y) with an optional clip. Both are small value objects: calling one on
 broadcastable arrays evaluates the surface pointwise, and ``cluster_means``
-integrates it exactly against the empirical measure of each cluster of a
-finite population.
+integrates it exactly against the weighted samples of each cluster, be the
+clusters the agent groups of a finite population or the vertex measures of
+an ensemble at one time node.
 
 For a fixed x a quadratic is c y^2 + b y + a, so its mean over a cluster
-needs only the cluster's sums of 1, y and y^2. A clip to [lo, hi] splits
-the y-line at the roots of the quadratic at lo and at hi; between two
-consecutive roots the clip regime is fixed, so each segment's sum comes
+needs only the cluster's weighted sums of 1, y and y^2. A clip to [lo, hi]
+splits the y-line at the roots of the quadratic at lo and at hi; between
+two consecutive roots the clip regime is fixed, so each segment's sum comes
 from prefix sums of the cluster's sorted samples. The cost per query point
 is O(M log n) for M clusters of n samples, instead of one evaluation per
 sample.
@@ -26,31 +27,48 @@ def _shape(x, y):
 
 
 class SortedClusters:
-    """Sorted samples of each cluster with prefix sums of y and y^2.
+    """Weighted samples of M clusters: their moments and sorted prefix sums.
 
-    ``values`` lists the samples cluster by cluster: the first
-    ``sizes[0]`` belong to cluster 0, the next ``sizes[1]`` to cluster 1,
-    and so on. Rows are padded to the largest cluster with +inf samples
-    that add nothing to the sums.
+    ``values`` is (M, n), one row of samples per cluster, and ``weights``
+    (broadcastable to it) the weight of each sample; None weighs every
+    sample 1. Means are divided by each cluster's total weight. A
+    zero-weight sample adds nothing, so rows of unequal length are padded
+    with them. The sums of w, w y and w y^2 per cluster are taken at once;
+    the sort and the prefix sums behind :meth:`segment_sums` only on first
+    use, so coefficients without a clip never sort.
 
     ``columns`` names the clusters each query point is integrated against:
     every cluster (shape (1, M)) by default, or one cluster per point
     (shape (n, 1)) in the view that :meth:`own` returns.
     """
 
-    def __init__(self, values, sizes):
+    def __init__(self, values, weights=None):
+        y = self.values = np.asarray(values, dtype=float)
+        if weights is None:
+            self.weights = None
+            self.totals = np.full(y.shape[0], float(y.shape[1]))
+            self.s1, self.s2 = y.sum(axis=1), np.einsum("ij,ij->i", y, y)
+        else:
+            w = self.weights = np.broadcast_to(np.asarray(weights, dtype=float),
+                                               y.shape)
+            self.totals = w.sum(axis=1)
+            self.s1 = np.einsum("ij,ij->i", w, y)
+            self.s2 = np.einsum("ij,ij,ij->i", w, y, y)
+        self.columns = np.arange(y.shape[0])[None, :]
+        self._prefix = {}   # shared with the views of own()
+
+    @classmethod
+    def from_concatenated(cls, values, sizes):
+        """Clusters from samples listed cluster by cluster: the first
+        ``sizes[0]`` belong to cluster 0, the next ``sizes[1]`` to cluster 1,
+        and so on."""
         sizes = np.asarray(sizes, dtype=int)
+        if sizes.min() == sizes.max():
+            return cls(np.reshape(values, (sizes.size, -1)))
         valid = np.arange(sizes.max())[None, :] < sizes[:, None]
-        ys = np.full(valid.shape, np.inf)
-        ys[valid] = values
-        ys.sort(axis=1)
-        y0 = np.where(valid, ys, 0.0)
-        zero = np.zeros((sizes.size, 1))
-        self.sizes = sizes
-        self.sorted = ys
-        self.p1 = np.concatenate([zero, np.cumsum(y0, axis=1)], axis=1)
-        self.p2 = np.concatenate([zero, np.cumsum(y0 * y0, axis=1)], axis=1)
-        self.columns = np.arange(sizes.size)[None, :]
+        rows = np.zeros(valid.shape)
+        rows[valid] = values
+        return cls(rows, valid)
 
     def own(self, which):
         """View in which query point i sees only cluster ``which[i]``."""
@@ -63,32 +81,53 @@ class SortedClusters:
         """Number of result columns per query point."""
         return int(self.columns.shape[1])
 
-    def counts(self):
-        """Sample count of each column's cluster, broadcastable to (n, width)."""
-        return self.sizes[self.columns]
+    def mass(self):
+        """Total weight of each column's cluster, broadcastable to (n, width)."""
+        return self.totals[self.columns]
 
     def means(self):
         """Means of y and of y^2 per column, broadcastable to (n, width)."""
-        n = self.counts()
-        return self.p1[self.columns, -1] / n, self.p2[self.columns, -1] / n
+        m = self.mass()
+        return self.s1[self.columns] / m, self.s2[self.columns] / m
+
+    def _sorted(self):
+        # sorted samples and prefix sums of w, w y and w y^2, built once
+        pre = self._prefix
+        if not pre:
+            y, w = self.values, self.weights
+            if w is None:
+                y = np.sort(y, axis=1)
+            else:
+                order = np.argsort(y, axis=1)
+                y, w = (np.take_along_axis(a, order, axis=1) for a in (y, w))
+            M, n = y.shape
+            zero = np.zeros((M, 1))
+            wy = y if w is None else w * y
+            pre["p0"] = (np.broadcast_to(np.arange(n + 1.0), (M, n + 1)) if w is None
+                         else np.concatenate([zero, np.cumsum(w, axis=1)], axis=1))
+            pre["p1"] = np.concatenate([zero, np.cumsum(wy, axis=1)], axis=1)
+            pre["p2"] = np.concatenate([zero, np.cumsum(wy * y, axis=1)], axis=1)
+            pre["sorted"] = y
+        return pre
 
     def segment_sums(self, edges):
-        """Sums of 1, y and y^2 over each column's samples between edges.
+        """Weighted sums of 1, y and y^2 over each column's samples between
+        edges.
 
         ``edges`` is (n, E), sorted along each row; the result is three
         (n, width, E-1) arrays, segment j holding the samples y with
         edges[:, j] <= y < edges[:, j+1].
         """
+        pre = self._sorted()
         n, E = edges.shape
         rows = np.broadcast_to(self.columns, (n, self.width))
         pos = np.empty(rows.shape + (E,), dtype=np.intp)
-        for l in range(self.sizes.size):
+        for l in range(self.totals.size):
             hit = rows == l
-            pos[hit] = np.searchsorted(self.sorted[l], edges[hit.nonzero()[0]],
+            pos[hit] = np.searchsorted(pre["sorted"][l], edges[hit.nonzero()[0]],
                                        side="left")
         rows = rows[:, :, None]
-        return (np.diff(pos, axis=2), np.diff(self.p1[rows, pos], axis=2),
-                np.diff(self.p2[rows, pos], axis=2))
+        return tuple(np.diff(pre[p][rows, pos], axis=2) for p in ("p0", "p1", "p2"))
 
 
 @dataclass
@@ -135,7 +174,7 @@ class Poly2:
         return out
 
     def cluster_means(self, x, clusters):
-        """(len(x), width) exact means over each column's cluster samples.
+        """(len(x), width) exact weighted means over each column's cluster.
 
         ``width`` is M, one column per cluster, or 1 for the view of
         :meth:`SortedClusters.own`.
@@ -167,7 +206,7 @@ class Poly2:
         inside = a[:, :, None] * n0 + b[:, :, None] * s1 + c * s2
         level = np.where(g < lo, lo, hi)[:, None, :] * n0
         mid = ((g >= lo) & (g <= hi))[:, None, :]
-        return np.where(mid, inside, level).sum(axis=2) / clusters.counts()
+        return np.where(mid, inside, level).sum(axis=2) / clusters.mass()
 
     def _roots(self, a, b, level):
         """(n, 2) real roots in y of c y^2 + b y + a = level, +inf if absent."""

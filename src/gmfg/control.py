@@ -2,12 +2,13 @@
 
 Given problem data, graphon sections, and a frozen ensemble of local mean
 fields, this module tabulates the measure-coupled drift and running-cost
-fields, minimizes the Hamiltonian (a closed-form clamp, since the dynamics
-are control-affine with quadratic control cost), and runs the backward
-semi-implicit value sweep that produces the feedback policies. Fields and
-sweep work on a whole batch of vertices at once. It also holds the
-uniform-grid table lookup and the Euler-Maruyama stepper that every
-particle and agent simulation shares.
+fields (every coefficient integrated exactly against the vertex measures
+through :mod:`gmfg.coefficients`), minimizes the Hamiltonian (a
+closed-form clamp, since the dynamics are control-affine with quadratic
+control cost), and runs the backward semi-implicit value sweep that
+produces the feedback policies. Fields and sweep work on a whole batch of
+vertices at once. It also holds the uniform-grid table lookup and the
+Euler-Maruyama stepper that every particle and agent simulation shares.
 """
 
 import math
@@ -78,15 +79,6 @@ class ProblemFunctions:
 def theta_clamp(s, a, b):
     """Minimizer of u^2 - 2 s u over [a, b]: s clamped to the interval."""
     return np.clip(s, a, b)
-
-
-def _bracket_table(component, x_grid, atoms, weights):
-    # integral of component(x, z) against one atomic measure per row of
-    # (atoms, weights), tabulated on x: an (n_rows, N_x) table.
-    n, q = atoms.shape
-    vals = component(x_grid[None, :, None], atoms[:, None, :])
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), (n, x_grid.size, q))
-    return np.matmul(vals, weights[:, :, None])[:, :, 0]
 
 
 def _uniform_grid(x_grid):
@@ -188,76 +180,54 @@ class FrozenFields:
         return 1.0 - self.drift_bound() * dt / dx
 
 
-def frozen_fields(problem, g, alpha, ensemble, x_grid, compress_q=128,
-                  drift_only=False):
+def brackets(parts, names, x, clusters, own, weights):
+    """Exact brackets of the named coefficients at the states ``x``.
+
+    Each coefficient of ``parts`` is averaged over every cluster of
+    ``clusters`` (:meth:`~gmfg.coefficients.Poly2.cluster_means`); an intra
+    coefficient (f0, l1, l2) reads the column(s) ``own``, a graphon one
+    (f, l3, l4) weights the columns by ``weights``. Returns one array per
+    name, (len(x),) for a scalar ``own`` and a weight vector.
+    """
+    out = []
+    for name in names:
+        m = parts[name].cluster_means(np.atleast_1d(x), clusters)
+        out.append(m[:, own] if name in ("f0", "l1", "l2") else m @ weights)
+    return out
+
+
+def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
     """Freeze the drift and cost fields at the vertices ``alpha``.
 
     ``alpha`` is one vertex coordinate or an array of them; every vertex is
-    tabulated in one batch. The intra bracket integrates against the local
-    measure at the ensemble vertex nearest alpha (exact when alpha is a grid
-    midpoint); the graphon bracket integrates against the section-weighted
-    mixture of all vertex measures, with midpoint-rule vertex quadrature.
-    Measures are quantile compressed to ``compress_q`` atoms, once per call,
-    before tabulation. ``drift_only`` skips the cost tables for
-    propagation-only callers.
+    tabulated in one batch. At each time node every coefficient is averaged
+    exactly over every vertex measure (:func:`brackets` over
+    :meth:`~gmfg.measures.MeasureEnsemble.clusters`): the intra bracket reads
+    the ensemble vertex nearest alpha (exact when alpha is a grid midpoint),
+    and the graphon bracket weights the vertices by the section g(alpha, .)
+    with midpoint-rule quadrature, so a zero section gives exactly 0.
+    ``drift_only`` skips the cost tables for propagation-only callers.
     """
     fields = FrozenFields(problem, alpha, x_grid, ensemble.times)
     x_grid = fields.x_grid
     grid = VertexGrid(ensemble.n_vertices)
     alphas = fields.alpha
-    comp = ensemble.compress(compress_q)
     v_own = np.argmin(np.abs(grid.midpoints[None, :] - alphas[:, None]), axis=1)
-    gw = g.evaluate(alphas[:, None], grid.midpoints[None, :]) / grid.M  # mixture weights
-    mass = gw.sum(axis=1)
-    coupled = mass > 0.0
-    K1 = ensemble.n_times
+    gw = g.evaluate(alphas[:, None], grid.midpoints[None, :]) / grid.M
     p = problem.structured_parts
-    shape = (alphas.size, K1, x_grid.size)
-    fields.drift_coef = np.empty(shape)
+    # (table, intra coefficient, graphon coefficient)
+    tables = [("drift_coef", "f0", "f")]
     if not drift_only:
-        fields.cost_const = np.empty(shape)
-        fields.cost_quad = np.empty(shape)
-
-    def mixed(name, mix):
-        # graphon bracket; vertices with a zero section get zero
-        out = np.zeros((alphas.size, x_grid.size))
-        if mix is not None:
-            out[coupled] = _bracket_table(p[name], x_grid, *mix)
-        return out
-
-    for k in range(K1):
-        own = comp.atoms[v_own, k], comp.weights[v_own, k]
-        mix = (_mixture(comp, k, gw[coupled], mass[coupled], compress_q)
-               if coupled.any() else None)
-        fields.drift_coef[:, k] = (_bracket_table(p["f0"], x_grid, *own)
-                                   + mixed("f", mix))
-        if drift_only:
-            continue
-        fields.cost_const[:, k] = (_bracket_table(p["l1"], x_grid, *own)
-                                   + mixed("l3", mix))
-        fields.cost_quad[:, k] = (_bracket_table(p["l2"], x_grid, *own)
-                                  + mixed("l4", mix))
+        tables += [("cost_const", "l1", "l3"), ("cost_quad", "l2", "l4")]
+    for name, _, _ in tables:
+        setattr(fields, name, np.empty((alphas.size, ensemble.n_times, x_grid.size)))
+    for k in range(ensemble.n_times):
+        clusters = ensemble.clusters(k)
+        for name, intra, coupled in tables:
+            own, mixed = brackets(p, (intra, coupled), x_grid, clusters, v_own,
+                                  gw.T)
+            getattr(fields, name)[:, k] = (own + mixed).T
     return fields
-
-
-def _mixture(comp, k, gw, mass, n_out):
-    """Section-weighted mixtures of the vertex measures at time node k.
-
-    One mixture per row of ``gw`` (the weights g(alpha, m_j) / M of one
-    vertex alpha, with positive total ``mass``). Returns (atoms, weights)
-    of shape (rows, n_out): each mixture recompressed to ``n_out`` equally
-    weighted atoms scaled by its mass. The pooled atoms are sorted once for
-    all rows.
-    """
-    atoms = comp.atoms[:, k, :].reshape(-1)
-    order = np.argsort(atoms, kind="stable")
-    atoms = atoms[order]
-    weights = (gw[:, :, None] * comp.weights[None, :, k, :]).reshape(len(gw), -1)
-    cum = np.cumsum(weights[:, order] / mass[:, None], axis=1)
-    levels = (np.arange(n_out) + 0.5) / n_out
-    idx = np.array([np.searchsorted(c, levels, side="left") for c in cum])
-    return (atoms[np.minimum(idx, atoms.size - 1)],
-            np.repeat((mass / n_out)[:, None], n_out, axis=1))
 
 
 def _control_ratio(coef, quad):
@@ -339,7 +309,7 @@ def policy_lipschitz(policy):
     return float(np.abs(np.diff(policy.values, axis=1)).max() / dx)
 
 
-def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None, compress_q=128):
+def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     """Backward semi-implicit solve of the vertex value equations.
 
     ``alpha`` is one vertex coordinate or an array of them, and every vertex
@@ -353,7 +323,7 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None, compress_q=128):
     per vertex, when ``alpha`` is an array.
     """
     if fields is None:
-        fields = frozen_fields(problem, g, alpha, ensemble, x_grid, compress_q)
+        fields = frozen_fields(problem, g, alpha, ensemble, x_grid)
     x = np.asarray(x_grid, dtype=float)
     times = fields.times
     n, nx, K1 = fields.alpha.size, x.size, times.size

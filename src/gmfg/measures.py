@@ -3,13 +3,16 @@
 Measures are particle-based (atoms plus weights); the Fokker-Planck side of
 the mean field game is realized through particle propagation, so exact 1-D
 Wasserstein distances between atomic measures are all the metric machinery
-the solver needs. Ensembles index measures by (vertex cell, time node) and
-path bundles hold the per-vertex particle trajectories behind them.
+the solver needs. Ensembles index measures by (vertex cell, time node),
+hand the vertex measures of one time node to the exact coefficient means as
+weighted clusters, and path bundles hold the per-vertex particle
+trajectories behind them.
 """
 
 import numpy as np
 
 from .artifacts import index_columns, write_csv
+from .coefficients import SortedClusters
 from .errors import DomainError, GridError, InvariantError
 
 _WEIGHT_TOL = 1e-12
@@ -49,13 +52,6 @@ class Measure1D:
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(cum, np.clip(q, 0.0, 1.0), side="left")
         return self.atoms[np.minimum(idx, self.atoms.size - 1)]
-
-    def compress(self, n):
-        """Equal-weight quantile compression to n atoms."""
-        if self.atoms.size <= n:
-            return self
-        levels = (np.arange(n) + 0.5) / n
-        return Measure1D(self.quantile(levels))
 
     def shift(self, delta):
         return Measure1D(self.atoms + float(delta), self.weights)
@@ -135,6 +131,7 @@ class MeasureEnsemble:
         if self.times.shape != (a.shape[1],):
             raise GridError("times must match the ensemble time axis")
         self._sorted = None
+        self._uniform = None
 
     @classmethod
     def from_measures(cls, rows, times):
@@ -170,7 +167,15 @@ class MeasureEnsemble:
         return self._sorted
 
     def is_uniform(self):
-        return bool(np.all(self.weights == self.weights[..., :1]))
+        if self._uniform is None:
+            self._uniform = bool(np.all(self.weights == self.weights[..., :1]))
+        return self._uniform
+
+    def clusters(self, k):
+        """The vertex measures at time node k as clusters, one per vertex,
+        for exact coefficient means."""
+        return SortedClusters(self.atoms[:, k],
+                              None if self.is_uniform() else self.weights[:, k])
 
     def shift(self, delta):
         return MeasureEnsemble(self.atoms + float(delta), self.weights, self.times)

@@ -10,12 +10,14 @@ graphon. Four coupled simulations share one Brownian cache per seed:
 * System D: agents propagated against the frozen infinite-population
   ensemble.
 
-The coupled averages in Systems A and B and the empirical side of the
-perturbation terms are exact cluster brackets: each Euler step sorts every
-cluster's states once (:class:`~gmfg.coefficients.SortedClusters`), and
-each coefficient integrates itself against those sorted samples through
-prefix sums of 1, y and y^2. A step costs O(N M_k log n) for N agents in
-M_k clusters of n, not one coefficient evaluation per pair of agents.
+The coupled averages in Systems A and B and both sides of the perturbation
+terms are exact cluster brackets: each Euler step gathers every cluster's
+states once (:class:`~gmfg.coefficients.SortedClusters`), and each
+coefficient integrates itself against them through the sums of 1, y and
+y^2 (sorted prefix sums for a clipped one). A step costs O(N M_k log n)
+for N agents in M_k clusters of n, not one coefficient evaluation per pair
+of agents. The limit side of the perturbation terms is the same engine
+over the vertex measures of the solved ensemble.
 
 Path gaps between the systems estimate the deviation metrics eps1..eps3,
 and unilateral cost comparisons over a declared deviation family give a
@@ -29,8 +31,8 @@ import numpy as np
 
 from . import rng
 from .coefficients import SortedClusters
-from .control import (GridLookup, Policy, euler_maruyama, frozen_fields,
-                      solve_hjb)
+from .control import (GridLookup, Policy, brackets, euler_maruyama,
+                      frozen_fields, solve_hjb)
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import Measure1D, MeasureEnsemble
@@ -130,12 +132,9 @@ def _empirical_drift(p, pop, clusters, x, u):
 def _row_running_cost(p, pop, clusters, x, u_i, i):
     """Marked agent's running cost against the realized population state."""
     W = pop.graph.matrix[pop.cluster_of[i]] / pop.M_k
-    s = p.structured_parts
-    m1, m2, m3, m4 = (s[name].cluster_means(x[i], clusters)[0]
-                      for name in ("l1", "l2", "l3", "l4"))
-    own = pop.cluster_of[i]
-    return (m1[own] + m2[own] * u_i**2
-            + W @ m3 + (W @ m4) * u_i**2)
+    l1, l2, l3, l4 = brackets(p.structured_parts, ("l1", "l2", "l3", "l4"),
+                              x[i], clusters, pop.cluster_of[i], W)
+    return float((l1 + l2 * u_i**2 + l3 + l4 * u_i**2)[0])
 
 
 def _simulate_coupled(pop, solution, psi=None, iota=None, cost_agents=(),
@@ -153,7 +152,7 @@ def _simulate_coupled(pop, solution, psi=None, iota=None, cost_agents=(),
             u[iota] = np.clip(_deviation_control(psi, problem.times[k], x[iota], x),
                               p.u_min, p.u_max)
             dev_controls[k] = u[iota]
-        clusters = SortedClusters(x, pop.cluster_sizes)
+        clusters = SortedClusters.from_concatenated(x, pop.cluster_sizes)
         for i in costs:
             costs[i] += _row_running_cost(p, pop, clusters, x, u[i], i) * dt
         return _empirical_drift(p, pop, clusters, x, u)
@@ -186,8 +185,7 @@ def _law_problem(pop, solution, R_law):
     return GMFGProblem(problem.functions, pop.graph, pop.initial_law,
                        M=pop.M_k, K=problem.K, N_x=problem.N_x,
                        R=R_law, seed=seed,
-                       domain=(problem.x_grid[0], problem.x_grid[-1]),
-                       compress_q=problem.compress_q)
+                       domain=(problem.x_grid[0], problem.x_grid[-1]))
 
 
 def _field_propagation(pop, solution, fields, label, laws=None):
@@ -224,7 +222,7 @@ def run_system_c(pop, solution, tol_inner=None, R_law=2000):
     start = marginals(zero_drift_bundle(clone))
     _, laws, _ = inner_mv_consistency(clone, policies, start, tol_inner)
     fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
-                           laws, clone.x_grid, clone.compress_q, drift_only=True)
+                           laws, clone.x_grid, drift_only=True)
     return _field_propagation(pop, solution, fields, "C", laws=laws)
 
 
@@ -233,7 +231,7 @@ def system_d_fields(pop, solution):
     problem = solution.problem
     return frozen_fields(problem.functions, problem.graphon,
                          pop.vertex_grid.midpoints, solution.ensemble,
-                         problem.x_grid, problem.compress_q, drift_only=True)
+                         problem.x_grid, drift_only=True)
 
 
 def run_system_d(pop, solution, fields=None):
@@ -359,7 +357,7 @@ def empirical_field_best_response(pop, solution, ts_a, iota):
         rows.append([Measure1D(ts_a.paths[idx, k]) for k in range(problem.K + 1)])
     ens = MeasureEnsemble.from_measures(rows, problem.times)
     _, pol = solve_hjb(problem.functions, pop.graph, pop.midpoint(iota), ens,
-                       problem.x_grid, compress_q=problem.compress_q)
+                       problem.x_grid)
     return pol
 
 
@@ -443,65 +441,44 @@ def epsilon_nash_gap(populations, solution, iota, family_builder=None):
     return _assemble_gap_report(eq_costs, dev_costs, iota)
 
 
-def _component_brackets(ensemble, graph_or_graphon, alpha, compress_q):
-    """Per-time intra/inter bracket evaluators against a frozen ensemble."""
-    comp = ensemble.compress(compress_q)
-    grid = VertexGrid(ensemble.n_vertices)
-    v_own = int(np.argmin(np.abs(grid.midpoints - alpha)))
-    gw = graph_or_graphon.evaluate(float(alpha), grid.midpoints) / grid.M
-
-    def own(component, k, x):
-        a, w = comp.atoms[v_own, k], comp.weights[v_own, k]
-        return float(np.broadcast_to(component(x, a), a.shape) @ w)
-
-    def mixed(component, k, x):
-        total = 0.0
-        for j in range(grid.M):
-            a, w = comp.atoms[j, k], comp.weights[j, k]
-            total += gw[j] * float(np.broadcast_to(component(x, a), a.shape) @ w)
-        return total
-
-    return own, mixed
-
-
 def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     """Time-sup estimates of the drift and cost perturbations at the deviator.
 
     Along each realized deviating path, compares the finite-population
     averages with the frozen-ensemble brackets at the deviator's vertex:
     intra terms against the local measure, graphon terms against the
-    section-weighted ensemble. Returns the four E|.| sups and their sum.
+    section-weighted ensemble. Both sides are exact coefficient means, over
+    the population's clusters and over the ensemble's vertex measures at
+    each time node. Returns the four E|.| sups and their sum.
     """
     problem = solution.problem
     s = problem.functions.structured_parts
     iota = ts_b_reps[0].deviator if iota is None else iota
-    K = problem.K
-    own, mixed = _component_brackets(solution.ensemble, problem.graphon,
-                                     pop.midpoint(iota), problem.compress_q)
-    sums = {name: np.zeros(K) for name in ("f0", "f", "l0", "l")}
+    ensemble = solution.ensemble
+    grid = VertexGrid(ensemble.n_vertices)
+    alpha = pop.midpoint(iota)
+    v_own = int(np.argmin(np.abs(grid.midpoints - alpha)))
+    gw = problem.graphon.evaluate(alpha, grid.midpoints) / grid.M
     own_cluster = pop.cluster_of[iota]
     W = pop.graph.matrix[own_cluster] / pop.M_k
-    for ts in ts_b_reps:
-        for k in range(K):
-            x = ts.paths[:, k]
-            u = float(ts.deviator_controls[k]) if ts.deviator_controls is not None else 0.0
-            xi = x[iota]
-            clusters = SortedClusters(x, pop.cluster_sizes)
-            m = {name: s[name].cluster_means(xi, clusters)[0] for name in s}
-            emp_f0 = m["f0"][own_cluster] * u
-            emp_f = W @ m["f"] * u
-            emp_l0 = m["l1"][own_cluster] + m["l2"][own_cluster] * u**2
-            emp_l = W @ (m["l3"] + m["l4"] * u**2)
-            lim_f0 = own(s["f0"], k, xi) * u
-            lim_f = mixed(s["f"], k, xi) * u
-            lim_l0 = own(s["l1"], k, xi) + own(s["l2"], k, xi) * u**2
-            lim_l = mixed(s["l3"], k, xi) + mixed(s["l4"], k, xi) * u**2
-            sums["f0"][k] += abs(emp_f0 - lim_f0)
-            sums["f"][k] += abs(emp_f - lim_f)
-            sums["l0"][k] += abs(emp_l0 - lim_l0)
-            sums["l"][k] += abs(emp_l - lim_l)
-    n = len(ts_b_reps)
-    means = {name: vals / n for name, vals in sums.items()}
+
+    def terms(x, clusters, own, weights, u):
+        f0, f, l1, l2, l3, l4 = brackets(s, ("f0", "f", "l1", "l2", "l3", "l4"),
+                                         x, clusters, own, weights)
+        return np.stack([f0 * u, f * u, l1 + l2 * u**2, l3 + l4 * u**2])
+
+    sums = np.zeros((4, problem.K))
+    for k in range(problem.K):
+        xi = np.array([ts.paths[iota, k] for ts in ts_b_reps])
+        u = np.array([ts.deviator_controls[k] if ts.deviator_controls is not None
+                      else 0.0 for ts in ts_b_reps])
+        limit = terms(xi, ensemble.clusters(k), v_own, gw, u)
+        for r, ts in enumerate(ts_b_reps):
+            clusters = SortedClusters.from_concatenated(ts.paths[:, k],
+                                                        pop.cluster_sizes)
+            emp = terms(xi[r], clusters, own_cluster, W, u[r])
+            sums[:, k] += np.abs(emp[:, 0] - limit[:, r])
+    means = dict(zip(("f0", "f", "l0", "l"), sums / len(ts_b_reps)))
     out = {f"delta_{name}": float(vals.max()) for name, vals in means.items()}
     out["eps_fl"] = float(sum(means.values()).max())
     return out

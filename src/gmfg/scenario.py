@@ -20,6 +20,7 @@ from .measures import Measure1D, dirac, normal_quantile_measure
 from .solver import GMFGProblem
 
 _EXPR_KEYS = ("const", "x", "y", "xx", "xy", "yy")
+_GRID_KEYS = ("M", "K", "N_x", "R", "output_atoms", "domain_padding")
 
 
 def _finite(value):
@@ -154,12 +155,13 @@ class Scenario:
         if not isinstance(grids, dict):
             check.fail("grids", "must be an object")
             grids = {}
+        for key in sorted(set(grids) - set(_GRID_KEYS)):
+            check.fail(f"grids.{key}", "unknown field (known: "
+                       + ", ".join(_GRID_KEYS) + ")")
         self.M = check.integer(grids.get("M"), "grids.M", default=8)
         self.K = check.integer(grids.get("K"), "grids.K", default=64)
         self.N_x = check.integer(grids.get("N_x"), "grids.N_x", minimum=3, default=201)
         self.R = check.integer(grids.get("R"), "grids.R", minimum=100, default=5000)
-        self.compress_q = check.integer(grids.get("compress_q"), "grids.compress_q",
-                                        minimum=8, default=128)
         self.output_atoms = check.integer(grids.get("output_atoms"),
                                           "grids.output_atoms", minimum=1, default=128)
         self.domain_padding = check.number(grids.get("domain_padding"),
@@ -262,8 +264,7 @@ class Scenario:
         return GMFGProblem(self.build_functions(), self.graphon, self.initial,
                            M=M if M is not None else self.M, K=self.K,
                            N_x=self.N_x, R=self.R, seed=self.seed,
-                           domain_padding=self.domain_padding,
-                           compress_q=self.compress_q)
+                           domain_padding=self.domain_padding)
 
     # -- lq -----------------------------------------------------------------
 

@@ -26,8 +26,7 @@ class GMFGProblem:
     """A full game instance: data, graphon, initial law, grids, seeds."""
 
     def __init__(self, functions, graphon, initial_law, M, K, N_x=201,
-                 R=5000, seed=0, domain=None, domain_padding=0.0,
-                 compress_q=128):
+                 R=5000, seed=0, domain=None, domain_padding=0.0):
         if R < 100:
             raise InvariantError("particle count R must be at least 100")
         self.functions = functions
@@ -38,7 +37,6 @@ class GMFGProblem:
         self.N_x = int(N_x)
         self.R = int(R)
         self.seed = int(seed)
-        self.compress_q = int(compress_q)
         self.vertex_grid = VertexGrid(M)
         self.times = np.linspace(0.0, functions.T, self.K + 1)
         if domain is None:
@@ -87,24 +85,31 @@ class GMFGSolution:
         return np.stack([p.values for p in self.policies])
 
 
-def _vertex_noise(problem, v):
-    return rng.stream(problem.seed, rng.PROPAGATE, v).standard_normal((problem.R, problem.K))
+def _start_paths(problem):
+    """The (M, R, K+1) path buffer before the time loop.
 
-
-def _vertex_initials(problem, v):
-    u = rng.stream(problem.seed, rng.INITIAL, v).random(problem.R)
-    return problem.initial_law.quantile(u)
+    Slot 0 holds each vertex's initial draws of the initial law and slot
+    k+1 its scaled Brownian increment sigma sqrt(dt) Z_k. Both streams are
+    keyed by (seed, vertex), so every propagation of a problem starts from
+    the same buffer.
+    """
+    scale = problem.functions.sigma * math.sqrt(problem.functions.T / problem.K)
+    paths = np.empty((problem.M, problem.R, problem.K + 1))
+    for v in range(problem.M):
+        paths[v, :, 0] = problem.initial_law.quantile(
+            rng.stream(problem.seed, rng.INITIAL, v).random(problem.R))
+        # standard_normal(out=) needs a contiguous target, so draw and
+        # scale; an unnamed draw is freed before the next one is made
+        np.multiply(scale, rng.stream(problem.seed, rng.PROPAGATE, v)
+                    .standard_normal((problem.R, problem.K)), out=paths[v, :, 1:])
+    return paths
 
 
 def zero_drift_bundle(problem):
     """Pure-diffusion propagation of the initial law (the starting iterate)."""
-    paths = np.empty((problem.M, problem.R, problem.K + 1))
-    dt = problem.functions.T / problem.K
-    root_dt = math.sqrt(dt)
-    for v in range(problem.M):
-        steps = problem.functions.sigma * root_dt * _vertex_noise(problem, v)
-        paths[v, :, 0] = _vertex_initials(problem, v)
-        paths[v, :, 1:] = paths[v, :, 0:1] + np.cumsum(steps, axis=1)
+    paths = _start_paths(problem)
+    np.cumsum(paths[..., 1:], axis=2, out=paths[..., 1:])
+    paths[..., 1:] += paths[..., :1]
     return PathBundle(paths, problem.times, {"seed": problem.seed, "kind": "zero_drift"})
 
 
@@ -123,16 +128,11 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None):
     p = problem.functions
     if fields is None:
         fields = frozen_fields(p, problem.graphon, problem.vertex_grid.midpoints,
-                               e_drift, problem.x_grid, problem.compress_q,
-                               drift_only=True)
+                               e_drift, problem.x_grid, drift_only=True)
     table = np.stack([pol.values for pol in policies])
     rows = np.arange(problem.M)[:, None]
     dt = p.T / problem.K
-    scale = p.sigma * math.sqrt(dt)
-    paths = np.empty((problem.M, problem.R, problem.K + 1))
-    for v in range(problem.M):
-        paths[v, :, 0] = _vertex_initials(problem, v)
-        np.multiply(scale, _vertex_noise(problem, v), out=paths[v, :, 1:])
+    paths = _start_paths(problem)
     escaped = 0
 
     def drift(k, x):
@@ -179,7 +179,7 @@ def inner_mv_consistency(problem, policies, e_start, tol_inner=None,
 def _solve_all_vertices(problem, ensemble):
     alphas = problem.vertex_grid.midpoints
     fields = frozen_fields(problem.functions, problem.graphon, alphas,
-                           ensemble, problem.x_grid, problem.compress_q)
+                           ensemble, problem.x_grid)
     vgs, pols = solve_hjb(problem.functions, problem.graphon, alphas,
                           ensemble, problem.x_grid, fields=fields)
     return vgs, pols, fields
@@ -195,8 +195,10 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     measure-consistency sub-iteration in ``double_loop`` mode), and measures
     the sup-over-(vertex, time) W1 change. Each trace entry also records
     the pass's CFL margin (the smallest 1 - sup|drift| dt / dx over the
-    vertices) and its escaped mass (the share of particle-steps outside the
-    space grid). Particle noise cannot resolve ensembles below the sampling
+    vertices), its escaped mass (the share of particle-steps outside the
+    space grid) and its number of propagations (``inner_passes``: 1 in
+    ``single_loop`` mode, the inner sub-iteration's pass count in
+    ``double_loop`` mode). Particle noise cannot resolve ensembles below the sampling
     floor, so the tolerance is clamped to 5 / sqrt(R). Convergence may be
     declared from pass ``min_outer`` on (default 2); an explicit
     ``min_outer`` above ``max_outer`` could never be met and is a
@@ -219,8 +221,10 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         vgs, pols, fls = _solve_all_vertices(problem, ens)
         if mode == "single_loop":
             bundle = propagate_closed_loop(problem, pols, ens, fields=fls)
+            passes = 1
         else:
-            bundle, _, _ = inner_mv_consistency(problem, pols, ens, inner_tol)
+            bundle, _, inner = inner_mv_consistency(problem, pols, ens, inner_tol)
+            passes = len(inner)
         new = marginals(bundle)
         d = ensemble_w1_sup(new, ens)
         pol_table = np.stack([p.values for p in pols])
@@ -232,6 +236,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "policy_delta": pol_delta,
             "cfl_margin": float(fls.cfl_margin().min()),
             "escaped_mass": bundle.escaped_mass,
+            "inner_passes": passes,
         }
         trace.append(entry)
         prev_policy = pol_table

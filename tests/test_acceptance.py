@@ -316,7 +316,7 @@ def test_criterion_10_determinism(tmp_path):
         },
         "graphon": {"kind": "uniform_attachment"},
         "grids": {"M": 2, "K": 8, "N_x": 61, "R": 120,
-                  "compress_q": 16, "output_atoms": 8},
+                  "output_atoms": 8},
         "seeds": {"master": 5},
         "tolerances": {"picard_tol": 0.3, "max_outer": 10},
         "ladder": {"rungs": [[2, 3]], "replications": 2, "R_law": 120},

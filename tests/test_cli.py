@@ -44,7 +44,7 @@ def nonlinear_scenario(**over):
         },
         "graphon": {"kind": "constant", "c": 0.0},
         "grids": {"M": 2, "K": 8, "N_x": 61, "R": 120,
-                  "compress_q": 16, "output_atoms": 8},
+                  "output_atoms": 8},
         "seeds": {"master": 7},
         "tolerances": {"picard_tol": 0.3, "max_outer": 12},
     }
@@ -167,6 +167,16 @@ class TestSolveGMFGCommand:
                      str(tmp_path / "out")]) == 1
         assert "tolerances.min_outer" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trace.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("compress_q", 16), ("N_u", 41)])
+    def test_unknown_grid_key_is_input_error(self, tmp_path, capsys, key, value):
+        doc = nonlinear_scenario()
+        doc["grids"][key] = value
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["solve-gmfg", "--config", cfg, "--out", str(out)]) == 1
+        assert f"grids.{key}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_input_error_exit_1(self, tmp_path):
         assert main(["solve-gmfg", "--config", str(tmp_path / "nope.json"),

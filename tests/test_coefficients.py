@@ -68,7 +68,7 @@ class TestClusterMeans:
               np.array([1])))
     def test_exact_against_brute_force(self, coef, samples):
         sizes, values, x, own = samples
-        clusters = SortedClusters(values, sizes)
+        clusters = SortedClusters.from_concatenated(values, sizes)
         got = coef.cluster_means(x, clusters)
         want = brute_force_means(coef, sizes, values, x)
         tol = 1e-12 * scale(coef, values, x)
@@ -87,12 +87,12 @@ class TestClusterMeans:
         x = np.array([0.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = coef.cluster_means(x, SortedClusters(values, sizes))
+            got = coef.cluster_means(x, SortedClusters.from_concatenated(values, sizes))
         want = brute_force_means(coef, sizes, values, x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_scalar_query_gives_one_row(self):
-        clusters = SortedClusters(np.array([0.5, -1.0, 2.0]), [2, 1])
+        clusters = SortedClusters.from_concatenated(np.array([0.5, -1.0, 2.0]), [2, 1])
         got = Poly2(y=1.0, clip=(-0.5, 1.0)).cluster_means(0.3, clusters)
         np.testing.assert_allclose(got, [[0.0, 1.0]], rtol=0, atol=1e-15)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmfg import (ConfigError, Constant, Graphon, InvariantError,
+from gmfg import (ConfigError, Constant, Graphon, InvariantError, Measure1D,
                   MeasureEnsemble, Policy, Poly2, ProblemFunctions, frozen_fields,
                   minimize_hamiltonian, policy_lipschitz, rollout_cost,
                   solve_hjb, theta_clamp)
@@ -95,6 +95,106 @@ class TestFrozenFields:
         fl = frozen_fields(p, Graphon.uniform_attachment(), 0.5, ens,
                            np.linspace(-1, 1, 11))
         np.testing.assert_allclose(fl.drift(0, np.zeros(3), 1.0), 0.375, atol=1e-12)
+
+
+# Small dyadic numbers keep the arithmetic exact often enough that atoms
+# tie and land exactly on a clip threshold; plain floats cover the rest.
+numbers = st.one_of(st.integers(-6, 6).map(lambda v: v / 2.0),
+                    st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def coefficients(draw, nonnegative=False):
+    """A Constant, an unclipped Poly2 or a clipped Poly2; with
+    ``nonnegative`` only those that are >= 0 everywhere."""
+    kind = draw(st.sampled_from(["constant", "poly2", "clipped"]))
+    if kind == "constant":
+        c = draw(numbers)
+        return Constant(abs(c) + 0.25 if nonnegative else c)
+    terms = {k: draw(numbers) for k in ("const", "x", "y", "xx", "xy")}
+    terms["yy"] = draw(st.one_of(st.just(0.0), numbers))
+    if kind == "poly2" and not nonnegative:
+        return Poly2(**terms)
+    lo = abs(draw(numbers)) + 0.25 if nonnegative else draw(numbers)
+    return Poly2(clip=(lo, lo + draw(st.integers(1, 4)) / 2.0), **terms)
+
+
+@st.composite
+def weighted_ensembles(draw):
+    """(ensemble, atoms, weights): uniform, padded from_measures, or with
+    explicit non-uniform weights (some of them zero)."""
+    M, K, n = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    times = np.linspace(0.0, 0.5, K + 1)
+    atoms = np.array(draw(st.lists(numbers, min_size=M * (K + 1) * n,
+                                   max_size=M * (K + 1) * n))).reshape(M, K + 1, n)
+    kind = draw(st.sampled_from(["uniform", "padded", "weighted"]))
+    if kind == "uniform":
+        ens = MeasureEnsemble(atoms, np.full((1, 1, n), 1.0 / n), times)
+    elif kind == "padded":
+        sizes = draw(st.lists(st.integers(1, n), min_size=M * (K + 1),
+                              max_size=M * (K + 1)))
+        rows = [[Measure1D(atoms[v, k, :sizes[v * (K + 1) + k]])
+                 for k in range(K + 1)] for v in range(M)]
+        ens = MeasureEnsemble.from_measures(rows, times)
+    else:
+        raw = np.array(draw(st.lists(st.integers(0, 4), min_size=atoms.size,
+                                     max_size=atoms.size)), float).reshape(atoms.shape)
+        raw[..., 0] += 1.0   # every entry keeps some mass
+        ens = MeasureEnsemble(atoms, raw / raw.sum(axis=2, keepdims=True), times)
+    return ens
+
+
+def brute_force_bracket(coef, x, ens, k, v):
+    """Weighted mean of coef(x, atom) over every atom of entry (v, k)."""
+    w = ens.weights[v, k]
+    return (coef(x[:, None], ens.atoms[v, k][None, :]) @ w) / w.sum()
+
+
+def bracket_scale(coef, x, ens):
+    """Bound on |coef| over the grid and the atoms, for a tolerance."""
+    return 1.0 + float(np.abs(coef(x[:, None], ens.atoms.reshape(-1)[None, :])).max())
+
+
+class TestExactBrackets:
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.tuples(coefficients(), coefficients(), coefficients(),
+                           coefficients(nonnegative=True), coefficients(),
+                           coefficients(nonnegative=True)),
+           ens=weighted_ensembles(),
+           g=st.sampled_from([Graphon.constant(1.0),
+                              Graphon.step([[0.0, 0.0], [0.0, 0.7]]),
+                              Graphon.from_table([[0.6, 0.45], [0.45, 0.3]])]),
+           n_x=st.integers(2, 7))
+    def test_tables_equal_brute_force(self, parts, ens, g, n_x):
+        """Every frozen-field table is the exact intra bracket plus the
+        graphon-weighted exact brackets; a zero section gives exactly 0."""
+        p = ProblemFunctions.structured(*parts, (-1, 1), 0.3, 0.5)
+        x = np.linspace(-3.0, 3.0, n_x)
+        M = ens.n_vertices
+        mids = (np.arange(M) + 0.5) / M
+        alphas = np.array([0.1, 0.3, 0.6, 0.9])
+        fl = frozen_fields(p, g, alphas, ens, x)
+        uncoupled = ProblemFunctions.structured(
+            parts[0], Constant(0.0), parts[2], parts[3], Constant(0.0),
+            Constant(0.0), (-1, 1), 0.3, 0.5)
+        fl_intra = frozen_fields(uncoupled, g, alphas, ens, x)
+        s = p.structured_parts
+        for a, alpha in enumerate(alphas):
+            v_own = int(np.argmin(np.abs(mids - alpha)))
+            gw = g.evaluate(alpha, mids) / M
+            for name, intra, coupled in (("drift_coef", "f0", "f"),
+                                         ("cost_const", "l1", "l3"),
+                                         ("cost_quad", "l2", "l4")):
+                got = getattr(fl, name)[a]
+                tol = 1e-12 * (bracket_scale(s[intra], x, ens)
+                               + bracket_scale(s[coupled], x, ens))
+                for k in range(ens.n_times):
+                    own = brute_force_bracket(s[intra], x, ens, k, v_own)
+                    mixed = sum(gw[v] * brute_force_bracket(s[coupled], x, ens, k, v)
+                                for v in range(M))
+                    np.testing.assert_allclose(got[k], own + mixed, rtol=0, atol=tol)
+                if not gw.any():
+                    assert np.array_equal(got, getattr(fl_intra, name)[a])
 
 
 class TestMinimizeHamiltonian:

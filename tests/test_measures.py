@@ -60,13 +60,6 @@ class TestMeasure1D:
         assert m.quantile(0.5) == 0.0
         assert m.quantile(0.9) == 2.0
 
-    def test_compress_preserves_w1_scale(self):
-        gen = np.random.default_rng(0)
-        m = empirical(gen.normal(size=5000))
-        c = m.compress(64)
-        assert len(c) == 64
-        assert w1(m, c) < 0.05
-
 
 class TestEmpirical:
     def test_all_equal_is_dirac(self):

@@ -337,9 +337,10 @@ class TestPerturbationTerms:
         assert out["delta_f"] < 1e-9
         assert out["eps_fl"] < 0.05
 
-    def test_limit_brackets_use_the_problem_compression(self, coupled_solution,
-                                                        monkeypatch):
-        from gmfg import MeasureEnsemble
+    def test_brackets_never_compress_an_ensemble(self, coupled_solution,
+                                                 monkeypatch):
+        from gmfg import MeasureEnsemble, frozen_fields
+        from gmfg.population import system_d_fields
 
         pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
                                normal_quantile_measure(0.0, 0.3, 65), seed=33)
@@ -352,36 +353,14 @@ class TestPerturbationTerms:
             return real(self, n)
 
         monkeypatch.setattr(MeasureEnsemble, "compress", spy)
-        perturbation_terms([ts], pop, coupled_solution)
-        assert coupled_solution.problem.compress_q == 128
-        assert seen == [128]
-
-    def test_cluster_fields_compress_each_ensemble_once(self, coupled_solution,
-                                                        monkeypatch):
-        from gmfg import MeasureEnsemble
-        from gmfg.population import system_d_fields
-
-        pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
-                               normal_quantile_measure(0.0, 0.3, 65), seed=33)
-        real = MeasureEnsemble.compress
-        seen = []   # holds the ensembles, so no id is reused while counting
-
-        def spy(self, n):
-            seen.append((self, n))
-            return real(self, n)
-
-        def calls_per_ensemble():
-            counts = {}
-            for ens, n in seen:
-                counts[id(ens), n] = counts.get((id(ens), n), 0) + 1
-            return sorted(counts.values())
-
-        monkeypatch.setattr(MeasureEnsemble, "compress", spy)
+        problem = coupled_solution.problem
+        frozen_fields(problem.functions, problem.graphon,
+                      problem.vertex_grid.midpoints, coupled_solution.ensemble,
+                      problem.x_grid)
         system_d_fields(pop, coupled_solution)
-        assert calls_per_ensemble() == [1]
-        seen.clear()
         run_system_c(pop, coupled_solution, R_law=200)
-        assert seen and calls_per_ensemble()[-1] == 1
+        perturbation_terms([ts], pop, coupled_solution)
+        assert seen == []
 
     @pytest.mark.slow
     def test_intra_term_clt_slope(self):

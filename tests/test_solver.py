@@ -220,6 +220,32 @@ class TestPicardSolve:
         assert sol.trace[0]["escaped_mass"] == pytest.approx(outside, abs=1e-15)
         assert sol.trace[0]["escaped_mass"] > 0.05
 
+    def test_trace_counts_inner_passes(self, monkeypatch):
+        """Each trace entry holds the propagations of its pass: the inner
+        sub-iteration's length in double-loop mode, 1 in single-loop mode."""
+        import gmfg.solver as solver_mod
+
+        # the drift reads the own measure, so the inner loop has work to do
+        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
+                              Graphon.constant(1.0), dirac(0.5), M=2, K=16,
+                              N_x=61, R=400, seed=10)
+        real = solver_mod.inner_mv_consistency
+        lengths = []
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            lengths.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(solver_mod, "inner_mv_consistency", recording)
+        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10,
+                           mode="double_loop", inner_tol=1e-6)
+        assert len(lengths) == len(sol.trace) >= 3
+        assert [e["inner_passes"] for e in sol.trace] == lengths
+        assert max(lengths) > 2
+        single = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
+        assert [e["inner_passes"] for e in single.trace] == [1] * len(single.trace)
+
     def test_min_particle_count_enforced(self):
         with pytest.raises(InvariantError):
             small_problem(R=50)
@@ -298,8 +324,7 @@ class TestBatchedPass:
         equal a per-vertex reference (the vertex tables all differ)."""
         from scipy.linalg import solve_banded
 
-        from gmfg import frozen_fields, solve_hjb
-        from gmfg.solver import _vertex_initials, _vertex_noise
+        from gmfg import frozen_fields, rng, solve_hjb
 
         revert = Poly2(x=-1.0, y=1.0, clip=(-2.0, 2.0))
         p = ProblemFunctions.structured(revert, Constant(1.0), tracking,
@@ -307,22 +332,30 @@ class TestBatchedPass:
                                         Constant(1.0), (-1.0, 1.0), 0.3, 0.5)
         problem = GMFGProblem(p, Graphon.uniform_attachment(),
                               normal_quantile_measure(0.2, 0.3, 65), M=3, K=12,
-                              N_x=41, R=300, seed=23, compress_q=32)
+                              N_x=41, R=300, seed=23)
         ens = marginals(zero_drift_bundle(problem))
-        x, q, times = problem.x_grid, problem.compress_q, problem.times
+        x, times = problem.x_grid, problem.times
         alphas = problem.vertex_grid.midpoints
-        fields = frozen_fields(p, problem.graphon, alphas, ens, x, q)
+        fields = frozen_fields(p, problem.graphon, alphas, ens, x)
         vgs, pols = solve_hjb(p, problem.graphon, alphas, ens, x, fields=fields)
         bundle = propagate_closed_loop(problem, pols, ens, fields=fields)
-
-        comp = ens.compress(q)
         s = p.structured_parts
-        levels = (np.arange(q) + 0.5) / q
 
-        def bracket(name, atoms, weights):
-            vals = np.broadcast_to(s[name](x[:, None], atoms[None, :]),
-                                   (x.size, atoms.size))
-            return vals @ weights
+        def bracket(name, v, k):
+            # mean of the coefficient over every particle of vertex v
+            return s[name](x[:, None], ens.atoms[v, k][None, :]).mean(axis=1)
+
+        for v, alpha in enumerate(alphas):
+            gw = problem.graphon.evaluate(alpha, alphas) / problem.M
+            for k in range(times.size):
+                for name, intra, coupled in (("drift_coef", "f0", "f"),
+                                             ("cost_const", "l1", "l3"),
+                                             ("cost_quad", "l2", "l4")):
+                    want = bracket(intra, v, k) + sum(
+                        gw[j] * bracket(coupled, j, k) for j in range(problem.M))
+                    np.testing.assert_allclose(
+                        getattr(fields, name)[v, k], want, rtol=0,
+                        atol=1e-12 * (1.0 + np.abs(want).max()))
 
         dt, dx = times[1] - times[0], x[1] - x[0]
         nu = p.sigma**2 * dt / (2.0 * dx * dx)
@@ -330,26 +363,9 @@ class TestBatchedPass:
         ab[0, 1:], ab[1], ab[2, :-1] = -nu, 1.0 + 2.0 * nu, -nu
         ab[0, 1] = ab[2, -2] = -2.0 * nu
         assert not np.array_equal(fields.drift_coef[0], fields.drift_coef[1])
-        for v, alpha in enumerate(alphas):
-            drift = np.empty((times.size, x.size))
-            const = np.empty_like(drift)
-            quad = np.empty_like(drift)
-            gw = problem.graphon.evaluate(alpha, alphas) / problem.M
-            for k in range(times.size):
-                own = comp.atoms[v, k], comp.weights[v, k]
-                atoms = comp.atoms[:, k].reshape(-1)
-                weights = (gw[:, None] * comp.weights[:, k]).reshape(-1) / gw.sum()
-                order = np.argsort(atoms, kind="stable")
-                idx = np.searchsorted(np.cumsum(weights[order]), levels)
-                mix = (atoms[order][np.minimum(idx, atoms.size - 1)],
-                       np.full(q, gw.sum() / q))
-                drift[k] = bracket("f0", *own) + bracket("f", *mix)
-                const[k] = bracket("l1", *own) + bracket("l3", *mix)
-                quad[k] = bracket("l2", *own) + bracket("l4", *mix)
-            assert np.array_equal(fields.drift_coef[v], drift)
-            assert np.array_equal(fields.cost_const[v], const)
-            assert np.array_equal(fields.cost_quad[v], quad)
-
+        for v in range(problem.M):
+            drift, const, quad = (fields.drift_coef[v], fields.cost_const[v],
+                                  fields.cost_quad[v])
             V = np.zeros_like(drift)
             policy = np.zeros_like(drift)
             for k in range(times.size - 2, -1, -1):
@@ -372,8 +388,10 @@ class TestBatchedPass:
             assert np.array_equal(vgs[v].values, V)
             assert np.array_equal(pols[v].values, policy)
 
-            xs = _vertex_initials(problem, v)
-            noise = _vertex_noise(problem, v)
+            xs = problem.initial_law.quantile(
+                rng.stream(problem.seed, rng.INITIAL, v).random(problem.R))
+            noise = rng.stream(problem.seed, rng.PROPAGATE, v).standard_normal(
+                (problem.R, problem.K))
             path = [xs]
             for k in range(problem.K):
                 u = np.interp(xs, x, policy[k])
