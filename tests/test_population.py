@@ -337,10 +337,12 @@ class TestPerturbationTerms:
         assert out["delta_f"] < 1e-9
         assert out["eps_fl"] < 0.05
 
-    def test_brackets_never_compress_an_ensemble(self, coupled_solution,
-                                                 monkeypatch):
+    def test_limit_brackets_use_the_problem_compression(self, coupled_solution,
+                                                        monkeypatch):
+        """The problem carries no compression: the limit brackets of
+        frozen_fields and perturbation_terms integrate the full vertex
+        measures and never compress an ensemble."""
         from gmfg import MeasureEnsemble, frozen_fields
-        from gmfg.population import system_d_fields
 
         pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
                                normal_quantile_measure(0.0, 0.3, 65), seed=33)
@@ -354,12 +356,33 @@ class TestPerturbationTerms:
 
         monkeypatch.setattr(MeasureEnsemble, "compress", spy)
         problem = coupled_solution.problem
+        assert not hasattr(problem, "compress_q")
         frozen_fields(problem.functions, problem.graphon,
                       problem.vertex_grid.midpoints, coupled_solution.ensemble,
                       problem.x_grid)
-        system_d_fields(pop, coupled_solution)
-        run_system_c(pop, coupled_solution, R_law=200)
         perturbation_terms([ts], pop, coupled_solution)
+        assert seen == []
+
+    def test_cluster_fields_compress_each_ensemble_once(self, coupled_solution,
+                                                        monkeypatch):
+        """At most once, and now never: system_d_fields and run_system_c
+        build their fields from the exact cluster measures."""
+        from gmfg import MeasureEnsemble
+        from gmfg.population import system_d_fields
+
+        pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
+                               normal_quantile_measure(0.0, 0.3, 65), seed=33)
+        real = MeasureEnsemble.compress
+        seen = []
+
+        def spy(self, n):
+            seen.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(MeasureEnsemble, "compress", spy)
+        system_d_fields(pop, coupled_solution)
+        assert seen == []
+        run_system_c(pop, coupled_solution, R_law=200)
         assert seen == []
 
     @pytest.mark.slow
