@@ -8,8 +8,9 @@
 
 Outputs are machine-readable: CSV in the shared format of
 :mod:`gmfg.artifacts` and JSON with stable key order. Reruns with the same
-config and seed are byte-identical; wall-clock timings are only emitted
-when GMFG_TIMING=1.
+config and seed are byte-identical; wall-clock timings (a command's
+``wall_time``, and each ladder rung's per-phase ``seconds``) are only
+emitted when GMFG_TIMING=1.
 Exit codes: 0 success, 1 input error, 2 convergence failure (trace written).
 """
 
@@ -38,10 +39,12 @@ def write_json(path, scenario, payload):
     atomic_write(path, json_text(doc) + "\n")
 
 
+def _timing():
+    return os.environ.get("GMFG_TIMING") == "1"
+
+
 def _maybe_time(started):
-    if os.environ.get("GMFG_TIMING") == "1":
-        return {"wall_time": time.time() - started}
-    return {}
+    return {"wall_time": time.time() - started} if _timing() else {}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -133,6 +136,9 @@ def cmd_simulate_enash(scenario, out_dir, args):
                          R_law=scenario.R_law,
                          with_perturbations=args.perturbations)
     paths = [rung.pop("system_a_paths") for rung in results]
+    if not _timing():
+        for rung in results:
+            del rung["seconds"]
     payload = {"rungs": results, "deviator": scenario.deviator,
                "replications": scenario.replications}
     payload.update(_maybe_time(started))

@@ -37,9 +37,11 @@ class SortedClusters:
     the sort and the prefix sums behind :meth:`segment_sums` only on first
     use, so coefficients without a clip never sort.
 
-    ``columns`` names the clusters each query point is integrated against:
-    every cluster (shape (1, M)) by default, or one cluster per point
-    (shape (n, 1)) in the view that :meth:`own` returns.
+    ``columns`` names the clusters each query point is integrated against,
+    broadcastable to (n points, width): every cluster (shape (1, M)) by
+    default, or any per-point choice in a :meth:`view`, such as the own
+    cluster of each point (shape (n, 1)) or the clusters of its row of a
+    stack (shape (n, M_row)).
     """
 
     def __init__(self, values, weights=None):
@@ -55,25 +57,29 @@ class SortedClusters:
             self.s1 = np.einsum("ij,ij->i", w, y)
             self.s2 = np.einsum("ij,ij,ij->i", w, y, y)
         self.columns = np.arange(y.shape[0])[None, :]
-        self._prefix = {}   # shared with the views of own()
+        self._prefix = {}   # shared with the views
 
     @classmethod
     def from_concatenated(cls, values, sizes):
         """Clusters from samples listed cluster by cluster: the first
         ``sizes[0]`` belong to cluster 0, the next ``sizes[1]`` to cluster 1,
-        and so on."""
+        and so on, in the row-major order of ``values``."""
         sizes = np.asarray(sizes, dtype=int)
         if sizes.min() == sizes.max():
             return cls(np.reshape(values, (sizes.size, -1)))
         valid = np.arange(sizes.max())[None, :] < sizes[:, None]
         rows = np.zeros(valid.shape)
-        rows[valid] = values
+        rows[valid] = np.ravel(values)
         return cls(rows, valid)
 
-    def own(self, which):
-        """View in which query point i sees only cluster ``which[i]``."""
+    def view(self, columns):
+        """View in which query point i sees the clusters ``columns[i]``.
+
+        ``columns`` is broadcastable to (n points, width); the view shares
+        the moments and the sorted prefix sums of this object.
+        """
         view = copy.copy(self)
-        view.columns = np.asarray(which, dtype=int)[:, None]
+        view.columns = np.asarray(columns, dtype=int)
         return view
 
     @property
@@ -116,16 +122,23 @@ class SortedClusters:
 
         ``edges`` is (n, E), sorted along each row; the result is three
         (n, width, E-1) arrays, segment j holding the samples y with
-        edges[:, j] <= y < edges[:, j+1].
+        edges[:, j] <= y < edges[:, j+1]. The (point, column) pairs are
+        grouped by cluster once, so each cluster's samples are searched
+        with one call for all the points that read it.
         """
         pre = self._sorted()
         n, E = edges.shape
-        rows = np.broadcast_to(self.columns, (n, self.width))
-        pos = np.empty(rows.shape + (E,), dtype=np.intp)
-        for l in range(self.totals.size):
-            hit = rows == l
-            pos[hit] = np.searchsorted(pre["sorted"][l], edges[hit.nonzero()[0]],
-                                       side="left")
+        width = self.width
+        rows = np.broadcast_to(self.columns, (n, width))
+        flat = rows.ravel()
+        order = np.argsort(flat, kind="stable")
+        bounds = np.searchsorted(flat[order], np.arange(self.totals.size + 1))
+        pos = np.empty((n * width, E), dtype=np.intp)
+        for l in np.flatnonzero(np.diff(bounds)):
+            pairs = order[bounds[l]:bounds[l + 1]]
+            pos[pairs] = np.searchsorted(pre["sorted"][l], edges[pairs // width],
+                                         side="left")
+        pos = pos.reshape(n, width, E)
         rows = rows[:, :, None]
         return tuple(np.diff(pre[p][rows, pos], axis=2) for p in ("p0", "p1", "p2"))
 
@@ -176,8 +189,8 @@ class Poly2:
     def cluster_means(self, x, clusters):
         """(len(x), width) exact weighted means over each column's cluster.
 
-        ``width`` is M, one column per cluster, or 1 for the view of
-        :meth:`SortedClusters.own`.
+        ``width`` is M, one column per cluster, or the width of a
+        :meth:`SortedClusters.view`.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a = (self.const + self.x * x + self.xx * x**2)[:, None]   # coef of 1

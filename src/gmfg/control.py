@@ -180,19 +180,26 @@ class FrozenFields:
         return 1.0 - self.drift_bound() * dt / dx
 
 
-def brackets(parts, names, x, clusters, own, weights):
+def brackets(parts, names, x, own, coupled, weights):
     """Exact brackets of the named coefficients at the states ``x``.
 
-    Each coefficient of ``parts`` is averaged over every cluster of
-    ``clusters`` (:meth:`~gmfg.coefficients.Poly2.cluster_means`); an intra
-    coefficient (f0, l1, l2) reads the column(s) ``own``, a graphon one
-    (f, l3, l4) weights the columns by ``weights``. Returns one array per
-    name, (len(x),) for a scalar ``own`` and a weight vector.
+    ``own`` and ``coupled`` are views of one
+    :class:`~gmfg.coefficients.SortedClusters`. An intra coefficient (f0,
+    l1, l2) is averaged over the clusters that ``own`` gives each point
+    (:meth:`~gmfg.coefficients.Poly2.cluster_means`); a graphon one (f, l3,
+    l4) over those of ``coupled``, and its columns are then weighted by
+    ``weights``: a (width, k) matrix shared by every point, or a
+    (len(x), 1, width) stack, one weight row per point, applied as one dot
+    product per point. Returns one (len(x), k) array per name.
     """
     out = []
     for name in names:
-        m = parts[name].cluster_means(np.atleast_1d(x), clusters)
-        out.append(m[:, own] if name in ("f0", "l1", "l2") else m @ weights)
+        if name in ("f0", "l1", "l2"):
+            out.append(parts[name].cluster_means(np.atleast_1d(x), own))
+            continue
+        m = parts[name].cluster_means(np.atleast_1d(x), coupled)
+        out.append(m @ weights if weights.ndim < 3
+                   else (weights @ m[:, :, None])[:, :, 0])
     return out
 
 
@@ -223,8 +230,9 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
         setattr(fields, name, np.empty((alphas.size, ensemble.n_times, x_grid.size)))
     for k in range(ensemble.n_times):
         clusters = ensemble.clusters(k)
+        own_view = clusters.view(v_own[None, :])
         for name, intra, coupled in tables:
-            own, mixed = brackets(p, (intra, coupled), x_grid, clusters, v_own,
+            own, mixed = brackets(p, (intra, coupled), x_grid, own_view, clusters,
                                   gw.T)
             getattr(fields, name)[:, k] = (own + mixed).T
     return fields

@@ -390,15 +390,14 @@ def _recover_offsets(p, ric, xbar, zbar):
     xb_h = 0.5 * (xbar[:, 1:] + xbar[:, :-1])
     zb_h = 0.5 * (zbar[:, 1:] + zbar[:, :-1])
 
-    def drive(j, xb, zb):
-        Pi = fine_Pi[j]
-        return (xb @ (p.gamma0 * p.Q - Pi @ p.D0).T
-                + zb @ (p.gamma * p.Q - Pi @ p.D).T + p.Q @ p.eta)
+    # the per-node coefficient matrices on the fine grid, built once
+    drive_x = np.swapaxes(p.gamma0 * p.Q - fine_Pi @ p.D0, 1, 2)
+    drive_z = np.swapaxes(p.gamma * p.Q - fine_Pi @ p.D, 1, 2)
+    closed = p.A - p.BRB @ fine_Pi
+    forcing = p.Q @ p.eta
 
     def rhs(j, s, xb, zb):
-        Pi = fine_Pi[j]
-        M2 = p.A - p.BRB @ Pi
-        return -(s @ M2) + drive(j, xb, zb)
+        return -(s @ closed[j]) + (xb @ drive_x[j] + zb @ drive_z[j] + forcing)
 
     s = np.empty((M, K + 1, n))
     s[:, K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T

@@ -10,21 +10,34 @@ graphon. Four coupled simulations share one Brownian cache per seed:
 * System D: agents propagated against the frozen infinite-population
   ensemble.
 
+Systems A and B run as one stack (:func:`simulate_coupled`): rows
+s = (replication, member) step together as one (S, N) state, each row with
+its own initial states and Brownian increments, and a row's member is what
+the deviator plays there (None: the mean-field feedback of System A). The
+ladder makes two stacked runs per rung, System A of every replication and
+then every replication x deviation-family member, and each row is bit-equal
+to its run alone.
+
 The coupled averages in Systems A and B and both sides of the perturbation
-terms are exact cluster brackets: each Euler step gathers every cluster's
-states once (:class:`~gmfg.coefficients.SortedClusters`), and each
-coefficient integrates itself against them through the sums of 1, y and
-y^2 (sorted prefix sums for a clipped one). A step costs O(N M_k log n)
-for N agents in M_k clusters of n, not one coefficient evaluation per pair
-of agents. The limit side of the perturbation terms is the same engine
-over the vertex measures of the solved ensemble.
+terms are exact cluster brackets: each Euler step gathers the states of
+all S M_k (row, cluster) pairs once into one
+:class:`~gmfg.coefficients.SortedClusters`, each agent reads its own
+cluster and its row's clusters through views of it, and each coefficient
+integrates itself against them through the sums of 1, y and y^2 (sorted
+prefix sums for a clipped one). A step costs O(S N M_k log n) for N agents
+per row in M_k clusters of n, not one coefficient evaluation per pair of
+agents. The limit side of the perturbation terms is the same engine over
+the vertex measures of the solved ensemble.
 
 Path gaps between the systems estimate the deviation metrics eps1..eps3,
 and unilateral cost comparisons over a declared deviation family give a
 lower bound on the Nash gap of the mean-field strategy profile.
 """
 
+import functools
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +45,7 @@ import numpy as np
 from . import rng
 from .coefficients import SortedClusters
 from .control import (GridLookup, Policy, brackets, euler_maruyama,
-                      frozen_fields, solve_hjb)
+                      euler_maruyama_steps, frozen_fields, solve_hjb)
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import Measure1D, MeasureEnsemble
@@ -119,52 +132,128 @@ def _deviation_control(psi, t, x_i, x_all):
     return float(psi(t, x_i, x_all))
 
 
+def _on_problem_grid(psi, problem):
+    """Whether ``psi`` is a Policy tabulated on the problem's own grids, so
+    that its row k is its control at time node k."""
+    return (isinstance(psi, Policy) and psi.values.shape == (problem.K + 1, problem.N_x)
+            and np.array_equal(psi.x_grid, problem.x_grid)
+            and np.array_equal(psi.times, problem.times))
+
+
+def _row_columns(S, M_k, columns):
+    """Cluster columns in a stack of S rows: row s holds the clusters
+    s M_k .. s M_k + M_k - 1, and ``columns`` (n, width) names the clusters
+    each of a row's n points reads within its row. Returns (S n, width)."""
+    return (np.arange(S)[:, None, None] * M_k + columns).reshape(-1, columns.shape[1])
+
+
 def _empirical_drift(p, pop, clusters, x, u):
-    """Empirical intra + graphon-weighted inter drift for all agents."""
-    W = pop.graph.matrix[pop.cluster_of] / pop.M_k   # (N, M_k)
+    """Empirical intra + graphon-weighted inter drift of the (S, N) stack."""
+    S, N = x.shape
+    M_k = pop.M_k
     s = p.structured_parts
-    cm0 = s["f0"].cluster_means(x, clusters.own(pop.cluster_of))[:, 0]
-    cmf = s["f"].cluster_means(x, clusters)
-    coef = cm0 + (W * cmf).sum(axis=1)
-    return coef * u
+    own = clusters.view(_row_columns(S, M_k, pop.cluster_of[:, None]))
+    row = clusters.view(_row_columns(S, M_k, np.tile(np.arange(M_k), (N, 1))))
+    cm0 = s["f0"].cluster_means(x.ravel(), own).reshape(S, N)
+    cmf = s["f"].cluster_means(x.ravel(), row).reshape(S, N, M_k)
+    W = pop.graph.matrix[pop.cluster_of] / M_k   # (N, M_k)
+    return (cm0 + (W * cmf).sum(axis=2)) * u
 
 
-def _row_running_cost(p, pop, clusters, x, u_i, i):
-    """Marked agent's running cost against the realized population state."""
-    W = pop.graph.matrix[pop.cluster_of[i]] / pop.M_k
-    l1, l2, l3, l4 = brackets(p.structured_parts, ("l1", "l2", "l3", "l4"),
-                              x[i], clusters, pop.cluster_of[i], W)
-    return float((l1 + l2 * u_i**2 + l3 + l4 * u_i**2)[0])
+def _running_costs(p, pop, clusters, x, u, agents):
+    """(S, len(agents)) running costs of the marked agents of every row
+    against the realized state of their row."""
+    S = x.shape[0]
+    M_k = pop.M_k
+    own = pop.cluster_of[agents][:, None]
+    W = pop.graph.matrix[own[:, 0]] / M_k
+    l1, l2, l3, l4 = brackets(
+        p.structured_parts, ("l1", "l2", "l3", "l4"), x[:, agents].ravel(),
+        clusters.view(_row_columns(S, M_k, own)),
+        clusters.view(_row_columns(S, M_k, np.tile(np.arange(M_k), (len(agents), 1)))),
+        np.tile(W, (S, 1))[:, None, :])
+    u2 = u[:, agents].reshape(-1, 1) ** 2
+    return (l1 + l2 * u2 + l3 + l4 * u2).reshape(S, len(agents))
 
 
-def _simulate_coupled(pop, solution, psi=None, iota=None, cost_agents=(),
-                      label="A"):
+def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
+    """Coupled finite-population runs, every row of a stack in one Euler loop.
+
+    Row s is the population ``pops[s]`` with its own initial states and
+    Brownian increments, and ``members[s]`` says what agent ``iota`` plays
+    there: None for the mean-field feedback (System A), else a deviation (a
+    Policy, or a callable psi(t, x_i, x_all) called once per row and step;
+    System B). Every agent of every row reads the solved cluster policy
+    through one grid lookup per step, and the deviators of the Policy rows
+    one lookup into their stacked tables. The rows step as one (S, N)
+    state whose S M_k (row, cluster) pairs are the clusters of one
+    :class:`~gmfg.coefficients.SortedClusters`; the running costs of the
+    ``cost_agents`` add up per row. The populations must share their graph
+    and cluster sizes. Returns one TrajectorySet per row, each bit-equal to
+    the run of its row alone.
+    """
+    pop = pops[0]
+    if len(members) != len(pops) or any(
+            not np.array_equal(q.cluster_sizes, pop.cluster_sizes)
+            or not np.array_equal(q.graph.matrix, pop.graph.matrix) for q in pops):
+        raise GridError("stacked rows need one member each and populations "
+                        "with one graph and cluster sizes")
+    if iota is None and any(psi is not None for psi in members):
+        raise GridError("a deviating row needs the deviator iota")
     problem = solution.problem
     p = problem.functions
-    dt = p.T / problem.K
+    K, S = problem.K, len(pops)
+    dt = p.T / K
     table = _cluster_policy_table(pop, solution)
-    costs = {i: 0.0 for i in cost_agents}
-    dev_controls = np.empty(problem.K) if iota is not None else None
+    dev = [s for s, psi in enumerate(members) if psi is not None]
+    tabled = [s for s in dev if _on_problem_grid(members[s], problem)]
+    called = [s for s in dev if s not in tabled]
+    dev_table = np.stack([members[s].values for s in tabled]) if tabled else None
+    dev_controls = np.empty((S, K))
+    agents = list(dict.fromkeys(cost_agents))
+    costs = np.zeros((S, len(agents)))
+    sizes = np.tile(pop.cluster_sizes, S)
 
     def drift(k, x):
         u = GridLookup(problem.x_grid, x, pop.cluster_of)(table[:, k])
-        if iota is not None:
-            u[iota] = np.clip(_deviation_control(psi, problem.times[k], x[iota], x),
-                              p.u_min, p.u_max)
-            dev_controls[k] = u[iota]
-        clusters = SortedClusters.from_concatenated(x, pop.cluster_sizes)
-        for i in costs:
-            costs[i] += _row_running_cost(p, pop, clusters, x, u[i], i) * dt
+        if dev:
+            if tabled:
+                u[tabled, iota] = GridLookup(problem.x_grid, x[tabled, iota],
+                                             np.arange(len(tabled)))(dev_table[:, k])
+            for s in called:
+                u[s, iota] = _deviation_control(members[s], problem.times[k],
+                                                x[s, iota], x[s])
+            u[dev, iota] = np.clip(u[dev, iota], p.u_min, p.u_max)
+            dev_controls[dev, k] = u[dev, iota]
+        clusters = SortedClusters.from_concatenated(x, sizes)
+        if agents:
+            costs[:] += _running_costs(p, pop, clusters, x, u, agents) * dt
         return _empirical_drift(p, pop, clusters, x, u)
 
-    paths = euler_maruyama(pop.initial_states, pop.brownian_increments(problem.K),
-                           dt, p.sigma, drift)
-    return TrajectorySet(paths, problem.times, label, iota, dev_controls, costs)
+    # each population's noise is drawn once, straight into its first row
+    paths = np.empty((S, pop.N, K + 1))
+    for s, q in enumerate(pops):
+        paths[s, :, 0] = q.initial_states
+        if s and q is pops[s - 1]:
+            paths[s, :, 1:] = paths[s - 1, :, 1:]
+        else:
+            np.multiply(p.sigma * math.sqrt(dt), q.brownian_increments(K),
+                        out=paths[s, :, 1:])
+    euler_maruyama_steps(paths, dt, drift)
+    out = []
+    for s, psi in enumerate(members):
+        row_costs = {i: float(c) for i, c in zip(agents, costs[s])}
+        if psi is None:
+            out.append(TrajectorySet(paths[s], problem.times, "A", costs=row_costs))
+        else:
+            out.append(TrajectorySet(paths[s], problem.times, "B", iota,
+                                     dev_controls[s], row_costs))
+    return out
 
 
 def run_system_a(pop, solution, cost_agents=()):
     """Closed-loop finite population under the mean-field feedback."""
-    return _simulate_coupled(pop, solution, cost_agents=cost_agents, label="A")
+    return simulate_coupled([pop], solution, [None], cost_agents=cost_agents)[0]
 
 
 def run_system_b(pop, solution, iota, psi, cost_agents=()):
@@ -174,9 +263,8 @@ def run_system_b(pop, solution, iota, psi, cost_agents=()):
     psi(t, x_i, x_all); all other agents keep the mean-field feedback but
     feel the deviation through the coupled averages.
     """
-    agents = set(cost_agents) | {iota}
-    return _simulate_coupled(pop, solution, psi=psi, iota=iota,
-                             cost_agents=sorted(agents), label="B")
+    agents = sorted(set(cost_agents) | {iota})
+    return simulate_coupled([pop], solution, [psi], iota, agents)[0]
 
 
 def _law_problem(pop, solution, R_law):
@@ -391,13 +479,13 @@ class NashGapReport:
     n_reps: int
 
 
-def _assemble_gap_report(eq_costs, dev_costs, iota):
-    n = len(eq_costs)
-    eq = np.asarray(eq_costs)
+def _assemble_gap_report(ts_a, b_fam, iota):
+    n = len(ts_a)
+    eq = np.array([a.costs[iota] for a in ts_a])
     report_costs = {}
     best_diff, best_se = -math.inf, math.nan
-    for name, vals in dev_costs.items():
-        vals = np.asarray(vals)
+    for name, runs in b_fam.items():
+        vals = np.array([b.costs[iota] for b in runs])
         diff = eq - vals                      # paired improvement
         mean_diff = float(diff.mean())
         se = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
@@ -411,10 +499,44 @@ def _assemble_gap_report(eq_costs, dev_costs, iota):
         equilibrium_cost=float(eq.mean()),
         equilibrium_cost_se=float(eq.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan,
         deviation_costs=report_costs,
-        family=tuple(sorted(dev_costs)),
+        family=tuple(sorted(b_fam)),
         deviator=iota,
         n_reps=n,
     )
+
+
+@contextmanager
+def _timed(seconds, phase):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
+
+
+def _equilibrium_and_deviations(populations, solution, iota, family_builder,
+                                seconds):
+    """System A of every replication, then every replication x family member.
+
+    Each is one :func:`simulate_coupled` stack with the deviator's cost
+    marked; the families are built in between, since the empirical best
+    response reads the System A paths. Returns the System A runs and the B
+    runs by family member, in replication order.
+    """
+    with _timed(seconds, "system_a"):
+        ts_a = simulate_coupled(populations, solution, [None] * len(populations),
+                                cost_agents=(iota,))
+    with _timed(seconds, "family"):
+        rows = [(pop, name, psi) for pop, a in zip(populations, ts_a)
+                for name, psi in family_builder(pop, solution, a, iota).items()]
+    with _timed(seconds, "system_b"):
+        ts_b = simulate_coupled([pop for pop, _, _ in rows], solution,
+                                [psi for _, _, psi in rows], iota,
+                                (iota,)) if rows else []
+    b_fam = {}
+    for (_, name, _), b in zip(rows, ts_b):
+        b_fam.setdefault(name, []).append(b)
+    return ts_a, b_fam
 
 
 def epsilon_nash_gap(populations, solution, iota, family_builder=None):
@@ -428,17 +550,9 @@ def epsilon_nash_gap(populations, solution, iota, family_builder=None):
     true adversarial sup, and the report keeps every member's cost so the
     family is documented.
     """
-    eq_costs = []
-    dev_costs = {}
-    for pop in populations:
-        ts_a = run_system_a(pop, solution, cost_agents=(iota,))
-        eq_costs.append(ts_a.costs[iota])
-        family = (family_builder(pop, solution, ts_a, iota) if family_builder
-                  else default_deviation_family(pop, solution, ts_a, iota))
-        for name, psi in family.items():
-            ts_b = run_system_b(pop, solution, iota, psi, cost_agents=(iota,))
-            dev_costs.setdefault(name, []).append(ts_b.costs[iota])
-    return _assemble_gap_report(eq_costs, dev_costs, iota)
+    ts_a, b_fam = _equilibrium_and_deviations(
+        populations, solution, iota, family_builder or default_deviation_family, {})
+    return _assemble_gap_report(ts_a, b_fam, iota)
 
 
 def perturbation_terms(ts_b_reps, pop, solution, iota=None):
@@ -449,7 +563,8 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     intra terms against the local measure, graphon terms against the
     section-weighted ensemble. Both sides are exact coefficient means, over
     the population's clusters and over the ensemble's vertex measures at
-    each time node. Returns the four E|.| sups and their sum.
+    each time node; at each node one SortedClusters holds the clusters of
+    every replication. Returns the four E|.| sups and their sum.
     """
     problem = solution.problem
     s = problem.functions.structured_parts
@@ -458,30 +573,86 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     grid = VertexGrid(ensemble.n_vertices)
     alpha = pop.midpoint(iota)
     v_own = int(np.argmin(np.abs(grid.midpoints - alpha)))
-    gw = problem.graphon.evaluate(alpha, grid.midpoints) / grid.M
+    gw = problem.graphon.evaluate(alpha, grid.midpoints)[:, None] / grid.M
+    n, M_k = len(ts_b_reps), pop.M_k
     own_cluster = pop.cluster_of[iota]
-    W = pop.graph.matrix[own_cluster] / pop.M_k
+    own_cols = _row_columns(n, M_k, np.array([[own_cluster]]))
+    row_cols = _row_columns(n, M_k, np.arange(M_k)[None, :])
+    W = np.broadcast_to(pop.graph.matrix[own_cluster] / M_k, (n, 1, M_k))
+    sizes = np.tile(pop.cluster_sizes, n)
+    # node k of this copy is a strided (n, N) view, as a path column
+    # ts.paths[:, k] is; the cluster moments round by stride, so each
+    # replication's brackets equal those of its paths alone
+    states = np.stack([ts.paths for ts in ts_b_reps])   # (n, N, K+1)
+    u = np.stack([ts.deviator_controls if ts.deviator_controls is not None
+                  else np.zeros(problem.K) for ts in ts_b_reps])   # (n, K)
 
-    def terms(x, clusters, own, weights, u):
+    def terms(x, own, coupled, weights, u):
         f0, f, l1, l2, l3, l4 = brackets(s, ("f0", "f", "l1", "l2", "l3", "l4"),
-                                         x, clusters, own, weights)
-        return np.stack([f0 * u, f * u, l1 + l2 * u**2, l3 + l4 * u**2])
+                                         x, own, coupled, weights)
+        u = u[:, None]
+        return np.stack([f0 * u, f * u, l1 + l2 * u**2, l3 + l4 * u**2])[:, :, 0]
 
     sums = np.zeros((4, problem.K))
     for k in range(problem.K):
-        xi = np.array([ts.paths[iota, k] for ts in ts_b_reps])
-        u = np.array([ts.deviator_controls[k] if ts.deviator_controls is not None
-                      else 0.0 for ts in ts_b_reps])
-        limit = terms(xi, ensemble.clusters(k), v_own, gw, u)
-        for r, ts in enumerate(ts_b_reps):
-            clusters = SortedClusters.from_concatenated(ts.paths[:, k],
-                                                        pop.cluster_sizes)
-            emp = terms(xi[r], clusters, own_cluster, W, u[r])
-            sums[:, k] += np.abs(emp[:, 0] - limit[:, r])
-    means = dict(zip(("f0", "f", "l0", "l"), sums / len(ts_b_reps)))
+        xi = states[:, iota, k]
+        limit = ensemble.clusters(k)
+        clusters = SortedClusters.from_concatenated(states[:, :, k], sizes)
+        gap = np.abs(terms(xi, clusters.view(own_cols), clusters.view(row_cols), W,
+                           u[:, k])
+                     - terms(xi, limit.view([[v_own]]), limit, gw, u[:, k]))
+        for r in range(n):   # one replication at a time: a fixed summation order
+            sums[:, k] += gap[:, r]
+    means = dict(zip(("f0", "f", "l0", "l"), sums / n))
     out = {f"delta_{name}": float(vals.max()) for name, vals in means.items()}
     out["eps_fl"] = float(sum(means.values()).max())
     return out
+
+
+def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations):
+    """One rung of :func:`run_ladder`: the report dict of ``problem.M``
+    clusters of ``size`` agents. The rung's solution and runs are freed on
+    return, before the next rung's solve, whose particles set the peak
+    memory of a ladder."""
+    M_k = problem.M
+    seconds = {}
+    with _timed(seconds, "solve"):
+        solution = solve(problem)
+    pops = [build_population(problem.graphon, M_k, [size] * M_k,
+                             problem.initial_law, seed=problem.seed + 7919 * (r + 1))
+            for r in range(n_reps)]
+    # C first: its law solves then run before the stacked paths exist
+    with _timed(seconds, "system_c"):
+        ts_c = [run_system_c(pop, solution, R_law=R_law) for pop in pops]
+    with _timed(seconds, "system_d"):
+        d_fields = system_d_fields(pops[0], solution)
+        ts_d = [run_system_d(pop, solution, fields=d_fields) for pop in pops]
+    ts_a, b_fam = _equilibrium_and_deviations(
+        pops, solution, iota, default_deviation_family, seconds)
+    dev = deviation_metrics(ts_a, ts_c, ts_d, b_fam, cluster_of=pops[0].cluster_of)
+    gap = _assemble_gap_report(ts_a, b_fam, iota)
+    rung = {
+        "M_k": int(M_k),
+        "cluster_size": int(size),
+        "N": int(M_k * size),
+        "eps1": dev.eps1, "eps1_se": dev.eps1_se,
+        "eps2": dev.eps2, "eps2_se": dev.eps2_se,
+        "eps3": dev.eps3, "eps3_se": dev.eps3_se,
+        "gap": gap.gap, "gap_se": gap.gap_se,
+        "equilibrium_cost": gap.equilibrium_cost,
+        "deviation_costs": gap.deviation_costs,
+        "family": gap.family,
+        "n_reps": n_reps,
+        "solution_iterations": len(solution.trace),
+        "system_a_paths": ts_a[0].paths,
+    }
+    if with_perturbations and b_fam:
+        rung["perturbations"] = perturbation_terms(
+            b_fam["empirical_br"], pops[0], solution, iota)
+    rung["seconds"] = {phase: seconds.get(phase, 0.0) for phase in
+                       ("solve", "system_a", "family", "system_b", "system_c",
+                        "system_d")}
+    return rung
 
 
 def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
@@ -491,9 +662,12 @@ def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
     For each rung (M_k, cluster_size) the game is solved once on the
     matching vertex grid, then ``n_reps`` independent populations run
     Systems A/B/C/D with shared per-replication noise; the B runs double as
-    both the eps3 family sup and the unilateral cost comparisons. Returns
-    one report dict per rung; ``system_a_paths`` holds the (N, K+1) System A
-    paths of the first replication.
+    both the eps3 family sup and the unilateral cost comparisons. System A
+    of every replication runs as one stack, and so does every replication x
+    family member of System B. Returns one report dict per rung;
+    ``system_a_paths`` holds the (N, K+1) System A paths of the first
+    replication and ``seconds`` the wall time of each phase (solve,
+    system_a, family, system_b, system_c, system_d).
     """
     from .solver import picard_solve
 
@@ -501,55 +675,12 @@ def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
     if small:
         raise ConfigError(f"deviator {iota} is not an agent of rung(s) "
                           + ", ".join(f"{mk}:{sz} (N={mk * sz})" for mk, sz in small))
+    solve = functools.partial(picard_solve, tol=tol, **(solver_kwargs or {}))
     results = []
     for M_k, size in ladder:
         problem = make_problem(M_k)
         if problem.M != M_k:
             raise GridError("ladder rung must align the solver grid with M_k")
-        solution = picard_solve(problem, tol=tol, **(solver_kwargs or {}))
-        d_fields = None
-        ts_a, ts_c, ts_d, b_fam = [], [], [], {}
-        eq_costs, dev_costs = [], {}
-        some_b = None
-        some_pop = None
-        for r in range(n_reps):
-            pop = build_population(problem.graphon, M_k, [size] * M_k,
-                                   problem.initial_law,
-                                   seed=problem.seed + 7919 * (r + 1))
-            if d_fields is None:
-                d_fields = system_d_fields(pop, solution)
-                some_pop = pop
-            a = run_system_a(pop, solution, cost_agents=(iota,))
-            ts_a.append(a)
-            eq_costs.append(a.costs[iota])
-            ts_c.append(run_system_c(pop, solution, R_law=R_law))
-            ts_d.append(run_system_d(pop, solution, fields=d_fields))
-            family = default_deviation_family(pop, solution, a, iota)
-            for name, psi in family.items():
-                b = run_system_b(pop, solution, iota, psi, cost_agents=(iota,))
-                b_fam.setdefault(name, []).append(b)
-                dev_costs.setdefault(name, []).append(b.costs[iota])
-                some_b = b
-        dev = deviation_metrics(ts_a, ts_c, ts_d, b_fam,
-                                cluster_of=some_pop.cluster_of)
-        gap = _assemble_gap_report(eq_costs, dev_costs, iota)
-        rung = {
-            "M_k": int(M_k),
-            "cluster_size": int(size),
-            "N": int(M_k * size),
-            "eps1": dev.eps1, "eps1_se": dev.eps1_se,
-            "eps2": dev.eps2, "eps2_se": dev.eps2_se,
-            "eps3": dev.eps3, "eps3_se": dev.eps3_se,
-            "gap": gap.gap, "gap_se": gap.gap_se,
-            "equilibrium_cost": gap.equilibrium_cost,
-            "deviation_costs": gap.deviation_costs,
-            "family": gap.family,
-            "n_reps": n_reps,
-            "solution_iterations": len(solution.trace),
-            "system_a_paths": ts_a[0].paths,
-        }
-        if with_perturbations and some_b is not None:
-            rung["perturbations"] = perturbation_terms(
-                b_fam["empirical_br"], some_pop, solution, iota)
-        results.append(rung)
+        results.append(_ladder_rung(problem, size, n_reps, iota, solve, R_law,
+                                    with_perturbations))
     return results

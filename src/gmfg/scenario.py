@@ -21,6 +21,9 @@ from .solver import GMFGProblem
 
 _EXPR_KEYS = ("const", "x", "y", "xx", "xy", "yy")
 _GRID_KEYS = ("M", "K", "N_x", "R", "output_atoms", "domain_padding")
+_TOLERANCE_KEYS = ("picard_tol", "max_outer", "min_outer", "inner_tol", "mode",
+                   "lq_tol")
+_LADDER_KEYS = ("rungs", "replications", "deviator", "R_law")
 
 
 def _finite(value):
@@ -62,6 +65,12 @@ class _Checker:
             self.fail(path, f"must be at least {minimum}")
             return minimum
         return obj
+
+    def known_keys(self, obj, path, known):
+        """An object of the document may hold only the ``known`` fields."""
+        for key in sorted(set(obj) - set(known)):
+            self.fail(f"{path}.{key}", "unknown field (known: "
+                      + ", ".join(known) + ")")
 
     def raise_if_failed(self):
         if self.problems:
@@ -155,9 +164,7 @@ class Scenario:
         if not isinstance(grids, dict):
             check.fail("grids", "must be an object")
             grids = {}
-        for key in sorted(set(grids) - set(_GRID_KEYS)):
-            check.fail(f"grids.{key}", "unknown field (known: "
-                       + ", ".join(_GRID_KEYS) + ")")
+        check.known_keys(grids, "grids", _GRID_KEYS)
         self.M = check.integer(grids.get("M"), "grids.M", default=8)
         self.K = check.integer(grids.get("K"), "grids.K", default=64)
         self.N_x = check.integer(grids.get("N_x"), "grids.N_x", minimum=3, default=201)
@@ -175,6 +182,7 @@ class Scenario:
         if not isinstance(tols, dict):
             check.fail("tolerances", "must be an object")
             tols = {}
+        check.known_keys(tols, "tolerances", _TOLERANCE_KEYS)
         self.picard_tol = check.number(tols.get("picard_tol"), "tolerances.picard_tol",
                                        positive=True, default=0.05)
         self.max_outer = check.integer(tols.get("max_outer"), "tolerances.max_outer",
@@ -200,6 +208,7 @@ class Scenario:
         if not isinstance(ladder, dict):
             check.fail("ladder", "must be an object")
             ladder = {}
+        check.known_keys(ladder, "ladder", _LADDER_KEYS)
         rungs = ladder.get("rungs", [[2, 25], [4, 50], [8, 100]])
         self.rungs = []
         if not isinstance(rungs, list) or not rungs:

@@ -196,10 +196,12 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     the sup-over-(vertex, time) W1 change. Each trace entry also records
     the pass's CFL margin (the smallest 1 - sup|drift| dt / dx over the
     vertices), its escaped mass (the share of particle-steps outside the
-    space grid) and its number of propagations (``inner_passes``: 1 in
+    space grid), its number of propagations (``inner_passes``: 1 in
     ``single_loop`` mode, the inner sub-iteration's pass count in
-    ``double_loop`` mode). Particle noise cannot resolve ensembles below the sampling
-    floor, so the tolerance is clamped to 5 / sqrt(R). Convergence may be
+    ``double_loop`` mode) and ``policy_lipschitz``, the largest x-difference
+    quotient of any vertex policy (:func:`~gmfg.control.policy_lipschitz`).
+    Particle noise cannot resolve ensembles below the sampling floor, so
+    the tolerance is clamped to 5 / sqrt(R). Convergence may be
     declared from pass ``min_outer`` on (default 2); an explicit
     ``min_outer`` above ``max_outer`` could never be met and is a
     ConfigError. Non-convergence raises with the trace attached, so callers
@@ -237,6 +239,8 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "cfl_margin": float(fls.cfl_margin().min()),
             "escaped_mass": bundle.escaped_mass,
             "inner_passes": passes,
+            "policy_lipschitz": float(np.abs(np.diff(pol_table, axis=2)).max()
+                                      / (problem.x_grid[1] - problem.x_grid[0])),
         }
         trace.append(entry)
         prev_policy = pol_table

@@ -337,6 +337,52 @@ class TestSimulateEnashCommand:
                      str(tmp_path / "out")]) == 0
         assert seen and all(tol == 0.01 for tol in seen)
 
+    @pytest.mark.parametrize("block, key", [("ladder", "replicaions"),
+                                            ("tolerances", "picard_toll")])
+    def test_unknown_ladder_or_tolerance_key_is_input_error(self, tmp_path, capsys,
+                                                           block, key):
+        doc = nonlinear_scenario()
+        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120}
+        doc[block][key] = 2
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["simulate-enash", "--config", cfg, "--out", str(out)]) == 1
+        assert f"{block}.{key}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rerun_byte_identical_with_clipped_coupling(self, tmp_path,
+                                                        monkeypatch):
+        """A clipped f0 takes the sorted-prefix brackets in every stacked
+        step and in the perturbation terms; reruns still agree byte for
+        byte, and only GMFG_TIMING=1 adds the per-phase seconds."""
+        doc = nonlinear_scenario()
+        doc["problem"]["f0"] = {"kind": "poly2", "x": -1.0, "y": 1.0,
+                                "clip": [-0.5, 0.5]}
+        doc["problem"]["initial"] = {"kind": "normal", "mean": 0.0, "std": 0.3,
+                                     "atoms": 33}
+        doc["graphon"] = {"kind": "uniform_attachment"}
+        doc["ladder"] = {"rungs": [[2, 3], [1, 4]], "replications": 2,
+                         "R_law": 120}
+        cfg = write_config(tmp_path / "s.json", doc)
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main(["simulate-enash", "--config", cfg, "--out", str(out),
+                         "--perturbations", "--dump-paths"]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == ["report.json", "trajectories_M1_n4.csv",
+                         "trajectories_M2_n3.csv"]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        rungs = json.loads((outs[0] / "report.json").read_text())["rungs"]
+        assert all("perturbations" in r and "seconds" not in r for r in rungs)
+        monkeypatch.setenv("GMFG_TIMING", "1")
+        assert main(["simulate-enash", "--config", cfg, "--out",
+                     str(tmp_path / "timed"), "--ladder", "1:4"]) == 0
+        rung = json.loads((tmp_path / "timed" / "report.json").read_text())["rungs"][0]
+        assert sorted(rung["seconds"]) == sorted(
+            ["solve", "system_a", "family", "system_b", "system_c", "system_d"])
+        assert all(v >= 0.0 for v in rung["seconds"].values())
+
     @pytest.mark.parametrize("ladder", ["2:3:7", "0:5", "2:-1", "2:x", "2:3,"])
     def test_bad_ladder_is_input_error(self, tmp_path, capsys, ladder):
         cfg = write_config(tmp_path / "s.json", nonlinear_scenario())

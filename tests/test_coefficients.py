@@ -74,7 +74,7 @@ class TestClusterMeans:
         tol = 1e-12 * scale(coef, values, x)
         assert got.shape == (x.size, len(sizes))
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-        got_own = coef.cluster_means(x, clusters.own(own))
+        got_own = coef.cluster_means(x, clusters.view(own[:, None]))
         assert got_own.shape == (x.size, 1)
         np.testing.assert_allclose(got_own[:, 0], want[np.arange(x.size), own],
                                    rtol=0, atol=tol)
@@ -95,6 +95,35 @@ class TestClusterMeans:
         clusters = SortedClusters.from_concatenated(np.array([0.5, -1.0, 2.0]), [2, 1])
         got = Poly2(y=1.0, clip=(-0.5, 1.0)).cluster_means(0.3, clusters)
         np.testing.assert_allclose(got, [[0.0, 1.0]], rtol=0, atol=1e-15)
+
+
+class TestSegmentSums:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_grouped_search_equals_per_cluster_searchsorted(self, data):
+        """Any (n, width) columns: each (point, column) pair reads its
+        cluster's prefix sums at that cluster's own search positions."""
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+        values = np.array(data.draw(st.lists(numbers, min_size=sum(sizes),
+                                             max_size=sum(sizes))))
+        n = data.draw(st.integers(1, 6))
+        width = data.draw(st.integers(1, 4))
+        columns = np.array(data.draw(st.lists(
+            st.integers(0, len(sizes) - 1), min_size=n * width,
+            max_size=n * width))).reshape(n, width)
+        E = data.draw(st.integers(2, 5))
+        edges = np.sort(np.array(data.draw(st.lists(
+            st.one_of(numbers, st.just(-np.inf), st.just(np.inf)),
+            min_size=n * E, max_size=n * E))).reshape(n, E), axis=1)
+        clusters = SortedClusters.from_concatenated(values, sizes).view(columns)
+        got = clusters.segment_sums(edges)
+        pre = clusters._sorted()
+        for i in range(n):
+            for c in range(width):
+                l = columns[i, c]
+                pos = np.searchsorted(pre["sorted"][l], edges[i], side="left")
+                for g, p in zip(got, ("p0", "p1", "p2")):
+                    np.testing.assert_array_equal(g[i, c], np.diff(pre[p][l, pos]))
 
 
 class TestPointwise:

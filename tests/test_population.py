@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gmfg import (Constant, GMFGProblem, Graphon, GridError, InvariantError,
-                  Poly2, ProblemFunctions, build_population, default_deviation_family,
-                  deviation_metrics, dirac, empirical, epsilon_nash_gap,
-                  normal_quantile_measure, perturbation_terms, picard_solve,
-                  run_system_a, run_system_b, run_system_c, run_system_d, w1)
+                  Policy, Poly2, ProblemFunctions, build_population,
+                  default_deviation_family, deviation_metrics, dirac, empirical,
+                  epsilon_nash_gap, normal_quantile_measure, perturbation_terms,
+                  picard_solve, run_ladder, run_system_a, run_system_b,
+                  run_system_c, run_system_d, w1)
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -42,6 +43,17 @@ def solve_instance(functions, graphon, M, K=24, R=1500, seed=29, N_x=101):
 @pytest.fixture(scope="module")
 def coupled_solution():
     return solve_instance(coupled_problem(), Graphon.uniform_attachment(), M=4)
+
+
+@pytest.fixture(scope="module")
+def graphon_coupled_solution():
+    """Every coefficient but l2 reads y, the graphon-weighted ones too, so
+    each agent's brackets depend on every cluster of its own row."""
+    functions = ProblemFunctions.structured(
+        mean_revert, Poly2(x=-0.25, y=0.5, clip=(-1.0, 1.0)), tracking,
+        Constant(0.5), Poly2(yy=0.5), Poly2(const=1.0, yy=0.1),
+        (-1.0, 1.0), 0.3, 0.5)
+    return solve_instance(functions, Graphon.uniform_attachment(), M=4, R=400)
 
 
 @pytest.fixture(scope="module")
@@ -164,23 +176,32 @@ def _dense_cluster_average(pop):
 
 
 def _pairwise_drift_reference(p, pop, clusters, x, u):
-    # every coefficient evaluated on all N^2 agent pairs
+    # every coefficient evaluated on all N^2 agent pairs of each stacked row
     avg = _dense_cluster_average(pop)
     W = pop.graph.matrix[pop.cluster_of] / pop.M_k
     s = p.structured_parts
-    cm0 = s["f0"](x[:, None], x[None, :]) @ avg
-    cmf = s["f"](x[:, None], x[None, :]) @ avg
-    coef = cm0[np.arange(pop.N), pop.cluster_of] + (W * cmf).sum(axis=1)
-    return coef * u
+    out = np.empty_like(x)
+    for r, xr in enumerate(x):
+        cm0 = s["f0"](xr[:, None], xr[None, :]) @ avg
+        cmf = s["f"](xr[:, None], xr[None, :]) @ avg
+        coef = cm0[np.arange(pop.N), pop.cluster_of] + (W * cmf).sum(axis=1)
+        out[r] = coef * u[r]
+    return out
 
 
-def _row_running_cost_reference(p, pop, clusters, x, u_i, i):
+def _running_costs_reference(p, pop, clusters, x, u, agents):
     avg = _dense_cluster_average(pop)
-    W = pop.graph.matrix[pop.cluster_of[i]] / pop.M_k
     s = p.structured_parts
-    m1, m2, m3, m4 = (s[name](x[i], x) @ avg for name in ("l1", "l2", "l3", "l4"))
-    own = pop.cluster_of[i]
-    return m1[own] + m2[own] * u_i**2 + W @ m3 + (W @ m4) * u_i**2
+    out = np.empty((x.shape[0], len(agents)))
+    for r, xr in enumerate(x):
+        for j, i in enumerate(agents):
+            W = pop.graph.matrix[pop.cluster_of[i]] / pop.M_k
+            m1, m2, m3, m4 = (s[name](xr[i], xr) @ avg
+                              for name in ("l1", "l2", "l3", "l4"))
+            own = pop.cluster_of[i]
+            out[r, j] = (m1[own] + m2[own] * u[r, i]**2 + W @ m3
+                         + (W @ m4) * u[r, i]**2)
+    return out
 
 
 class TestClusterBrackets:
@@ -200,8 +221,8 @@ class TestClusterBrackets:
         exact = runs()
         monkeypatch.setattr(population, "_empirical_drift",
                             _pairwise_drift_reference)
-        monkeypatch.setattr(population, "_row_running_cost",
-                            _row_running_cost_reference)
+        monkeypatch.setattr(population, "_running_costs",
+                            _running_costs_reference)
         dense = runs()
         for a, b in zip(exact, dense):
             np.testing.assert_allclose(a.paths, b.paths, rtol=0, atol=1e-12)
@@ -210,6 +231,64 @@ class TestClusterBrackets:
                 assert a.costs[i] == pytest.approx(b.costs[i], rel=0, abs=1e-12)
         np.testing.assert_allclose(exact[1].deviator_controls,
                                    dense[1].deviator_controls, rtol=0, atol=1e-12)
+
+
+class TestStackedRuns:
+    def test_stack_equals_one_row_runs_bit_for_bit(self, graphon_coupled_solution):
+        from gmfg.population import random_lipschitz_policy, simulate_coupled
+
+        coupled_solution = graphon_coupled_solution
+        problem = coupled_solution.problem
+        law = normal_quantile_measure(0.0, 0.3, 65)
+        pops = [build_population(Graphon.uniform_attachment(), 4, [3, 5, 2, 4],
+                                 law, seed=17 + r) for r in range(3)]
+        on_grid = coupled_solution.policies[1]
+        off_grid = Policy(np.linspace(-0.5, 0.5, 55).reshape(5, 11),
+                          np.linspace(-2.0, 2.0, 11),
+                          np.linspace(0.0, problem.functions.T, 5), (-1.0, 1.0))
+        members = [None,
+                   lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1),
+                   on_grid,
+                   random_lipschitz_policy(problem, 5, 0),
+                   off_grid,
+                   # the tabled Policy again, through the per-row call
+                   lambda t, xi, xs: on_grid(t, xi)]
+        rows = [(pop, m) for pop in pops for m in members]
+        iota, agents = 4, (0, 4, 13)
+        stacked = simulate_coupled([pop for pop, _ in rows], coupled_solution,
+                                   [m for _, m in rows], iota, agents)
+        assert len(stacked) == len(rows)
+        for (pop, m), ts in zip(rows, stacked):
+            alone = simulate_coupled([pop], coupled_solution, [m], iota, agents)[0]
+            assert np.array_equal(ts.paths, alone.paths)
+            assert ts.costs == alone.costs and list(ts.costs) == list(agents)
+            if m is None:
+                assert ts.label == "A" and ts.deviator is None
+                assert ts.deviator_controls is None
+            else:
+                assert ts.label == "B" and ts.deviator == iota
+                assert np.array_equal(ts.deviator_controls, alone.deviator_controls)
+        for r in range(len(pops)):
+            tabled, called = stacked[r * len(members) + 2], stacked[r * len(members) + 5]
+            assert np.array_equal(tabled.paths, called.paths)
+            assert np.array_equal(tabled.deviator_controls, called.deviator_controls)
+            assert tabled.costs == called.costs
+            a = run_system_a(pops[r], coupled_solution, cost_agents=agents)
+            assert np.array_equal(a.paths, stacked[r * len(members)].paths)
+            assert a.costs == stacked[r * len(members)].costs
+
+    def test_rows_need_one_structure_and_a_deviator(self, coupled_solution):
+        from gmfg.population import simulate_coupled
+
+        law = normal_quantile_measure(0.0, 0.3, 65)
+        pops = [build_population(Graphon.uniform_attachment(), 4, sizes, law,
+                                 seed=3) for sizes in ([3, 5, 2, 4], [4, 4, 3, 3])]
+        with pytest.raises(GridError):
+            simulate_coupled(pops, coupled_solution, [None, None])
+        with pytest.raises(GridError):
+            simulate_coupled(pops[:1], coupled_solution, [None, None])
+        with pytest.raises(GridError, match="deviator iota"):
+            simulate_coupled(pops[:1], coupled_solution, [lambda t, xi, xs: 0.0])
 
 
 class TestSystemCD:
@@ -313,6 +392,27 @@ class TestNashGap:
         br = fam["empirical_br"]
         assert br.lipschitz() < 50.0
 
+    def test_gap_equals_the_ladder_gap_on_the_same_populations(self):
+        law = normal_quantile_measure(0.0, 0.3, 65)
+        g = Graphon.uniform_attachment()
+
+        def make_problem(M_k):
+            return GMFGProblem(coupled_problem(), g, law, M=M_k, K=16, N_x=61,
+                               R=400, seed=29)
+
+        rung = run_ladder(make_problem, [(2, 4)], n_reps=2, tol=0.1, iota=1,
+                          solver_kwargs={"max_outer": 20}, R_law=200)[0]
+        solution = picard_solve(make_problem(2), tol=0.1, max_outer=20)
+        pops = [build_population(g, 2, [4, 4], law, seed=29 + 7919 * (r + 1))
+                for r in range(2)]
+        rep = epsilon_nash_gap(pops, solution, 1)
+        assert rep.n_reps == rung["n_reps"] == 2
+        assert rep.family == rung["family"]
+        assert rep.gap == rung["gap"] and rep.gap_se == rung["gap_se"]
+        assert rep.equilibrium_cost == rung["equilibrium_cost"]
+        assert rep.deviation_costs == rung["deviation_costs"]
+        assert list(rep.deviation_costs) == list(rung["deviation_costs"])
+
     def test_gap_vanishes_without_coupling(self, uncoupled_solution):
         # every agent already plays its single-agent optimum, so no family
         # member can improve beyond noise and discretization
@@ -336,6 +436,51 @@ class TestPerturbationTerms:
         assert out["delta_f0"] < 1e-9
         assert out["delta_f"] < 1e-9
         assert out["eps_fl"] < 0.05
+
+    def test_stacked_terms_match_brute_force_means(self, graphon_coupled_solution):
+        """Replications with unequal clusters share one SortedClusters per
+        node; every term still equals its mean over the raw samples, the
+        graphon ones included (here every coefficient but l2 reads y)."""
+        from gmfg import VertexGrid
+
+        solution = graphon_coupled_solution
+        pops = [build_population(Graphon.uniform_attachment(), 4, [3, 5, 2, 4],
+                                 normal_quantile_measure(0.0, 0.3, 65), seed=41 + r)
+                for r in range(3)]
+        psi = lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1)
+        iota = 4
+        runs = [run_system_b(pop, solution, iota, psi) for pop in pops]
+        got = perturbation_terms(runs, pops[0], solution)
+
+        pop, problem, ens = pops[0], solution.problem, solution.ensemble
+        s = problem.functions.structured_parts
+        mid = VertexGrid(ens.n_vertices).midpoints
+        v_own = int(np.argmin(np.abs(mid - pop.midpoint(iota))))
+        gw = problem.graphon.evaluate(pop.midpoint(iota), mid) / mid.size
+        own = pop.cluster_of[iota]
+        W = pop.graph.matrix[own] / pop.M_k
+        sums = np.zeros((4, problem.K))
+        for k in range(problem.K):
+            for ts in runs:
+                x, u = ts.paths[:, k], ts.deviator_controls[k]
+                xi = x[iota]
+                emp = {n: np.array([np.mean(s[n](xi, x[idx]))
+                                    for idx in pop.cluster_indices]) for n in s}
+                lim = {n: np.array([np.sum(ens.weights[v, k] * s[n](xi, ens.atoms[v, k]))
+                                    for v in range(ens.n_vertices)]) for n in s}
+                e = [emp["f0"][own] * u, W @ emp["f"] * u,
+                     emp["l1"][own] + emp["l2"][own] * u**2,
+                     W @ emp["l3"] + W @ emp["l4"] * u**2]
+                lm = [lim["f0"][v_own] * u, gw @ lim["f"] * u,
+                      lim["l1"][v_own] + lim["l2"][v_own] * u**2,
+                      gw @ lim["l3"] + gw @ lim["l4"] * u**2]
+                sums[:, k] += np.abs(np.array(e) - np.array(lm))
+        means = sums / len(runs)
+        want = {f"delta_{n}": m.max() for n, m in zip(("f0", "f", "l0", "l"), means)}
+        want["eps_fl"] = means.sum(axis=0).max()
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)
 
     def test_limit_brackets_use_the_problem_compression(self, coupled_solution,
                                                         monkeypatch):

@@ -210,6 +210,16 @@ class TestPicardSolve:
             # drift u against the section mass c_g(alpha) <= 1, |u| <= 1
             assert 1.0 - dt / dx <= entry["cfl_margin"] < 1.0
 
+    def test_trace_reports_policy_lipschitz(self, small_solution):
+        """The last pass's entry holds the largest Lipschitz constant of the
+        policies that the solution returns."""
+        from gmfg import policy_lipschitz
+
+        _, sol = small_solution
+        assert all(e["policy_lipschitz"] >= 0.0 for e in sol.trace)
+        assert sol.trace[-1]["policy_lipschitz"] == max(
+            policy_lipschitz(pol) for pol in sol.policies)
+
     def test_narrow_domain_reports_escaped_mass(self):
         problem = GMFGProblem(tracking_problem(), Graphon.uniform_attachment(),
                               dirac(0.0), M=2, K=16, N_x=11, R=500, seed=11,
