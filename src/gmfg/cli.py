@@ -134,11 +134,9 @@ def cmd_simulate_enash(scenario, out_dir, args):
                                         "mode": scenario.mode,
                                         "inner_tol": scenario.inner_tol},
                          R_law=scenario.R_law,
-                         with_perturbations=args.perturbations)
+                         with_perturbations=args.perturbations,
+                         timing=_timing())
     paths = [rung.pop("system_a_paths") for rung in results]
-    if not _timing():
-        for rung in results:
-            del rung["seconds"]
     payload = {"rungs": results, "deviator": scenario.deviator,
                "replications": scenario.replications}
     payload.update(_maybe_time(started))

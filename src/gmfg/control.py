@@ -187,19 +187,15 @@ def brackets(parts, names, x, own, coupled, weights):
     :class:`~gmfg.coefficients.SortedClusters`. An intra coefficient (f0,
     l1, l2) is averaged over the clusters that ``own`` gives each point
     (:meth:`~gmfg.coefficients.Poly2.cluster_means`); a graphon one (f, l3,
-    l4) over those of ``coupled``, and its columns are then weighted by
-    ``weights``: a (width, k) matrix shared by every point, or a
-    (len(x), 1, width) stack, one weight row per point, applied as one dot
-    product per point. Returns one (len(x), k) array per name.
+    l4) over those of ``coupled``, and its columns are then weighted by the
+    (width, k) matrix ``weights``. Returns one (len(x), k) array per name.
     """
     out = []
     for name in names:
         if name in ("f0", "l1", "l2"):
             out.append(parts[name].cluster_means(np.atleast_1d(x), own))
-            continue
-        m = parts[name].cluster_means(np.atleast_1d(x), coupled)
-        out.append(m @ weights if weights.ndim < 3
-                   else (weights @ m[:, :, None])[:, :, 0])
+        else:
+            out.append(parts[name].cluster_means(np.atleast_1d(x), coupled) @ weights)
     return out
 
 
@@ -294,7 +290,7 @@ class Policy:
             raise InvariantError("policy values leave the control set")
 
     def eval_index(self, k, x):
-        return GridLookup(self.x_grid, x)(self.values[k])
+        return np.interp(x, self.x_grid, self.values[k])
 
     def __call__(self, t, x):
         k = int(np.searchsorted(self.times, t, side="right") - 1)

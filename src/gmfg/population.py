@@ -132,14 +132,6 @@ def _deviation_control(psi, t, x_i, x_all):
     return float(psi(t, x_i, x_all))
 
 
-def _on_problem_grid(psi, problem):
-    """Whether ``psi`` is a Policy tabulated on the problem's own grids, so
-    that its row k is its control at time node k."""
-    return (isinstance(psi, Policy) and psi.values.shape == (problem.K + 1, problem.N_x)
-            and np.array_equal(psi.x_grid, problem.x_grid)
-            and np.array_equal(psi.times, problem.times))
-
-
 def _row_columns(S, M_k, columns):
     """Cluster columns in a stack of S rows: row s holds the clusters
     s M_k .. s M_k + M_k - 1, and ``columns`` (n, width) names the clusters
@@ -147,33 +139,51 @@ def _row_columns(S, M_k, columns):
     return (np.arange(S)[:, None, None] * M_k + columns).reshape(-1, columns.shape[1])
 
 
+def _graphon_means(part, x, row, W):
+    """Graphon bracket of the coefficient ``part`` at the (S, n) states
+    ``x`` of a stack: its means over the clusters of each point's row (the
+    view ``row``), weighted by the point's graph row ``W`` (n, M_k)."""
+    m = part.cluster_means(x.ravel(), row).reshape(*x.shape, -1)
+    return (W * m).sum(axis=2)
+
+
+def _own_means(part, x, own):
+    """Intra bracket of ``part`` at the (S, n) states ``x``, each point over
+    its own cluster (the view ``own``)."""
+    return part.cluster_means(x.ravel(), own).reshape(x.shape)
+
+
+def _stack_views(clusters, S, M_k, own):
+    """The own-cluster and the row views of a stack of S rows for points in
+    the clusters ``own`` (n,) of their row."""
+    return (clusters.view(_row_columns(S, M_k, own[:, None])),
+            clusters.view(_row_columns(S, M_k, np.tile(np.arange(M_k), (own.size, 1)))))
+
+
 def _empirical_drift(p, pop, clusters, x, u):
     """Empirical intra + graphon-weighted inter drift of the (S, N) stack."""
-    S, N = x.shape
-    M_k = pop.M_k
     s = p.structured_parts
-    own = clusters.view(_row_columns(S, M_k, pop.cluster_of[:, None]))
-    row = clusters.view(_row_columns(S, M_k, np.tile(np.arange(M_k), (N, 1))))
-    cm0 = s["f0"].cluster_means(x.ravel(), own).reshape(S, N)
-    cmf = s["f"].cluster_means(x.ravel(), row).reshape(S, N, M_k)
-    W = pop.graph.matrix[pop.cluster_of] / M_k   # (N, M_k)
-    return (cm0 + (W * cmf).sum(axis=2)) * u
+    own, row = _stack_views(clusters, x.shape[0], pop.M_k, pop.cluster_of)
+    W = pop.graph.matrix[pop.cluster_of] / pop.M_k   # (N, M_k)
+    return (_own_means(s["f0"], x, own) + _graphon_means(s["f"], x, row, W)) * u
 
 
 def _running_costs(p, pop, clusters, x, u, agents):
     """(S, len(agents)) running costs of the marked agents of every row
     against the realized state of their row."""
-    S = x.shape[0]
-    M_k = pop.M_k
-    own = pop.cluster_of[agents][:, None]
-    W = pop.graph.matrix[own[:, 0]] / M_k
-    l1, l2, l3, l4 = brackets(
-        p.structured_parts, ("l1", "l2", "l3", "l4"), x[:, agents].ravel(),
-        clusters.view(_row_columns(S, M_k, own)),
-        clusters.view(_row_columns(S, M_k, np.tile(np.arange(M_k), (len(agents), 1)))),
-        np.tile(W, (S, 1))[:, None, :])
-    u2 = u[:, agents].reshape(-1, 1) ** 2
-    return (l1 + l2 * u2 + l3 + l4 * u2).reshape(S, len(agents))
+    s = p.structured_parts
+    clus = pop.cluster_of[agents]
+    own, row = _stack_views(clusters, x.shape[0], pop.M_k, clus)
+    W = pop.graph.matrix[clus] / pop.M_k
+    xa, u2 = x[:, agents], u[:, agents] ** 2
+    return (_own_means(s["l1"], xa, own) + _own_means(s["l2"], xa, own) * u2
+            + _graphon_means(s["l3"], xa, row, W)
+            + _graphon_means(s["l4"], xa, row, W) * u2)
+
+
+# (row, agent, cluster) cells of one stacked Euler step: bounds the
+# per-step temporaries; a longer stack runs in consecutive chunks of rows
+_STACK_CELLS = 2**17
 
 
 def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
@@ -181,16 +191,17 @@ def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
 
     Row s is the population ``pops[s]`` with its own initial states and
     Brownian increments, and ``members[s]`` says what agent ``iota`` plays
-    there: None for the mean-field feedback (System A), else a deviation (a
-    Policy, or a callable psi(t, x_i, x_all) called once per row and step;
-    System B). Every agent of every row reads the solved cluster policy
-    through one grid lookup per step, and the deviators of the Policy rows
-    one lookup into their stacked tables. The rows step as one (S, N)
-    state whose S M_k (row, cluster) pairs are the clusters of one
-    :class:`~gmfg.coefficients.SortedClusters`; the running costs of the
-    ``cost_agents`` add up per row. The populations must share their graph
-    and cluster sizes. Returns one TrajectorySet per row, each bit-equal to
-    the run of its row alone.
+    there: None for the mean-field feedback (System A), else a deviation
+    (System B): a Policy psi(t, x_i) or a callable psi(t, x_i, x_all),
+    either called once per row and step. Every agent of every row reads the
+    solved cluster policy through one grid lookup per step. The rows step
+    as one (S, N) state whose S M_k (row, cluster) pairs are the clusters
+    of one :class:`~gmfg.coefficients.SortedClusters`, read through an
+    own-cluster and a row view of it; the running costs of the
+    ``cost_agents`` add up per row. A stack of more than ``_STACK_CELLS``
+    (row, agent, cluster) cells runs as consecutive stacks of fewer rows.
+    The populations must share their graph and cluster sizes. Returns one
+    TrajectorySet per row, each bit-equal to the run of its row alone.
     """
     pop = pops[0]
     if len(members) != len(pops) or any(
@@ -200,15 +211,17 @@ def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
                         "with one graph and cluster sizes")
     if iota is None and any(psi is not None for psi in members):
         raise GridError("a deviating row needs the deviator iota")
+    rows = max(1, _STACK_CELLS // (pop.N * pop.M_k))
+    if len(pops) > rows:
+        return [ts for lo in range(0, len(pops), rows)
+                for ts in simulate_coupled(pops[lo:lo + rows], solution,
+                                           members[lo:lo + rows], iota, cost_agents)]
     problem = solution.problem
     p = problem.functions
     K, S = problem.K, len(pops)
     dt = p.T / K
     table = _cluster_policy_table(pop, solution)
     dev = [s for s, psi in enumerate(members) if psi is not None]
-    tabled = [s for s in dev if _on_problem_grid(members[s], problem)]
-    called = [s for s in dev if s not in tabled]
-    dev_table = np.stack([members[s].values for s in tabled]) if tabled else None
     dev_controls = np.empty((S, K))
     agents = list(dict.fromkeys(cost_agents))
     costs = np.zeros((S, len(agents)))
@@ -216,13 +229,10 @@ def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
 
     def drift(k, x):
         u = GridLookup(problem.x_grid, x, pop.cluster_of)(table[:, k])
+        for s in dev:
+            u[s, iota] = _deviation_control(members[s], problem.times[k],
+                                            x[s, iota], x[s])
         if dev:
-            if tabled:
-                u[tabled, iota] = GridLookup(problem.x_grid, x[tabled, iota],
-                                             np.arange(len(tabled)))(dev_table[:, k])
-            for s in called:
-                u[s, iota] = _deviation_control(members[s], problem.times[k],
-                                                x[s, iota], x[s])
             u[dev, iota] = np.clip(u[dev, iota], p.u_min, p.u_max)
             dev_controls[dev, k] = u[dev, iota]
         clusters = SortedClusters.from_concatenated(x, sizes)
@@ -507,15 +517,18 @@ def _assemble_gap_report(ts_a, b_fam, iota):
 
 @contextmanager
 def _timed(seconds, phase):
+    """Add the block's wall time to ``seconds[phase]`` unless ``seconds`` is
+    None."""
     start = time.perf_counter()
     try:
         yield
     finally:
-        seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
+        if seconds is not None:
+            seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
 
 
 def _equilibrium_and_deviations(populations, solution, iota, family_builder,
-                                seconds):
+                                seconds=None):
     """System A of every replication, then every replication x family member.
 
     Each is one :func:`simulate_coupled` stack with the deviator's cost
@@ -551,7 +564,7 @@ def epsilon_nash_gap(populations, solution, iota, family_builder=None):
     family is documented.
     """
     ts_a, b_fam = _equilibrium_and_deviations(
-        populations, solution, iota, family_builder or default_deviation_family, {})
+        populations, solution, iota, family_builder or default_deviation_family)
     return _assemble_gap_report(ts_a, b_fam, iota)
 
 
@@ -575,10 +588,8 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     v_own = int(np.argmin(np.abs(grid.midpoints - alpha)))
     gw = problem.graphon.evaluate(alpha, grid.midpoints)[:, None] / grid.M
     n, M_k = len(ts_b_reps), pop.M_k
-    own_cluster = pop.cluster_of[iota]
-    own_cols = _row_columns(n, M_k, np.array([[own_cluster]]))
-    row_cols = _row_columns(n, M_k, np.arange(M_k)[None, :])
-    W = np.broadcast_to(pop.graph.matrix[own_cluster] / M_k, (n, 1, M_k))
+    own_cluster = pop.cluster_of[iota:iota + 1]
+    W = pop.graph.matrix[own_cluster] / M_k   # (1, M_k)
     sizes = np.tile(pop.cluster_sizes, n)
     # node k of this copy is a strided (n, N) view, as a path column
     # ts.paths[:, k] is; the cluster moments round by stride, so each
@@ -587,20 +598,22 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     u = np.stack([ts.deviator_controls if ts.deviator_controls is not None
                   else np.zeros(problem.K) for ts in ts_b_reps])   # (n, K)
 
-    def terms(x, own, coupled, weights, u):
-        f0, f, l1, l2, l3, l4 = brackets(s, ("f0", "f", "l1", "l2", "l3", "l4"),
-                                         x, own, coupled, weights)
-        u = u[:, None]
-        return np.stack([f0 * u, f * u, l1 + l2 * u**2, l3 + l4 * u**2])[:, :, 0]
+    def terms(f0, l1, l2, f, l3, l4, u):
+        return np.stack([f0 * u, f * u, l1 + l2 * u**2, l3 + l4 * u**2])
 
     sums = np.zeros((4, problem.K))
     for k in range(problem.K):
-        xi = states[:, iota, k]
+        xi, uk = states[:, iota, k], u[:, k, None]
+        x = xi[:, None]   # the deviator of each replication, (n, 1)
+        own, row = _stack_views(SortedClusters.from_concatenated(states[:, :, k], sizes),
+                                n, M_k, own_cluster)
+        finite = terms(*(_own_means(s[c], x, own) for c in ("f0", "l1", "l2")),
+                       *(_graphon_means(s[c], x, row, W) for c in ("f", "l3", "l4")),
+                       uk)
         limit = ensemble.clusters(k)
-        clusters = SortedClusters.from_concatenated(states[:, :, k], sizes)
-        gap = np.abs(terms(xi, clusters.view(own_cols), clusters.view(row_cols), W,
-                           u[:, k])
-                     - terms(xi, limit.view([[v_own]]), limit, gw, u[:, k]))
+        mean_field = terms(*brackets(s, ("f0", "l1", "l2", "f", "l3", "l4"), xi,
+                                     limit.view([[v_own]]), limit, gw), uk)
+        gap = np.abs(finite - mean_field)[:, :, 0]
         for r in range(n):   # one replication at a time: a fixed summation order
             sums[:, k] += gap[:, r]
     means = dict(zip(("f0", "f", "l0", "l"), sums / n))
@@ -609,13 +622,14 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     return out
 
 
-def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations):
+def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
+                 timing):
     """One rung of :func:`run_ladder`: the report dict of ``problem.M``
     clusters of ``size`` agents. The rung's solution and runs are freed on
     return, before the next rung's solve, whose particles set the peak
     memory of a ladder."""
     M_k = problem.M
-    seconds = {}
+    seconds = {} if timing else None
     with _timed(seconds, "solve"):
         solution = solve(problem)
     pops = [build_population(problem.graphon, M_k, [size] * M_k,
@@ -649,14 +663,16 @@ def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations):
     if with_perturbations and b_fam:
         rung["perturbations"] = perturbation_terms(
             b_fam["empirical_br"], pops[0], solution, iota)
-    rung["seconds"] = {phase: seconds.get(phase, 0.0) for phase in
-                       ("solve", "system_a", "family", "system_b", "system_c",
-                        "system_d")}
+    if timing:
+        rung["seconds"] = {phase: seconds.get(phase, 0.0) for phase in
+                           ("solve", "system_a", "family", "system_b", "system_c",
+                            "system_d")}
     return rung
 
 
 def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
-               solver_kwargs=None, R_law=2000, with_perturbations=False):
+               solver_kwargs=None, R_law=2000, with_perturbations=False,
+               timing=False):
     """Full approximate-Nash experiment over a population ladder.
 
     For each rung (M_k, cluster_size) the game is solved once on the
@@ -666,8 +682,8 @@ def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
     of every replication runs as one stack, and so does every replication x
     family member of System B. Returns one report dict per rung;
     ``system_a_paths`` holds the (N, K+1) System A paths of the first
-    replication and ``seconds`` the wall time of each phase (solve,
-    system_a, family, system_b, system_c, system_d).
+    replication and, with ``timing``, ``seconds`` the wall time of each
+    phase (solve, system_a, family, system_b, system_c, system_d).
     """
     from .solver import picard_solve
 
@@ -682,5 +698,5 @@ def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
         if problem.M != M_k:
             raise GridError("ladder rung must align the solver grid with M_k")
         results.append(_ladder_rung(problem, size, n_reps, iota, solve, R_law,
-                                    with_perturbations))
+                                    with_perturbations, timing))
     return results

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .control import (GridLookup, euler_maruyama_steps, frozen_fields,
-                      solve_hjb)
+                      policy_lipschitz, solve_hjb)
 from .errors import ConfigError, ConvergenceError, InvariantError, NumericalError
 from .graphon import VertexGrid
 from .measures import (MeasureEnsemble, PathBundle, ensemble_distance,
@@ -239,8 +239,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "cfl_margin": float(fls.cfl_margin().min()),
             "escaped_mass": bundle.escaped_mass,
             "inner_passes": passes,
-            "policy_lipschitz": float(np.abs(np.diff(pol_table, axis=2)).max()
-                                      / (problem.x_grid[1] - problem.x_grid[0])),
+            "policy_lipschitz": max(policy_lipschitz(pol) for pol in pols),
         }
         trace.append(entry)
         prev_policy = pol_table

@@ -250,9 +250,7 @@ class TestStackedRuns:
                    lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1),
                    on_grid,
                    random_lipschitz_policy(problem, 5, 0),
-                   off_grid,
-                   # the tabled Policy again, through the per-row call
-                   lambda t, xi, xs: on_grid(t, xi)]
+                   off_grid]
         rows = [(pop, m) for pop in pops for m in members]
         iota, agents = 4, (0, 4, 13)
         stacked = simulate_coupled([pop for pop, _ in rows], coupled_solution,
@@ -269,13 +267,39 @@ class TestStackedRuns:
                 assert ts.label == "B" and ts.deviator == iota
                 assert np.array_equal(ts.deviator_controls, alone.deviator_controls)
         for r in range(len(pops)):
-            tabled, called = stacked[r * len(members) + 2], stacked[r * len(members) + 5]
-            assert np.array_equal(tabled.paths, called.paths)
-            assert np.array_equal(tabled.deviator_controls, called.deviator_controls)
-            assert tabled.costs == called.costs
             a = run_system_a(pops[r], coupled_solution, cost_agents=agents)
             assert np.array_equal(a.paths, stacked[r * len(members)].paths)
             assert a.costs == stacked[r * len(members)].costs
+
+    def test_long_stack_runs_in_chunks_of_rows(self, graphon_coupled_solution,
+                                              monkeypatch):
+        from gmfg import population
+
+        law = normal_quantile_measure(0.0, 0.3, 65)
+        pops = [build_population(Graphon.uniform_attachment(), 4, [3, 5, 2, 4],
+                                 law, seed=40 + r) for r in range(5)]
+        members = [None, lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1),
+                   None, graphon_coupled_solution.policies[2], None]
+        whole = population.simulate_coupled(pops, graphon_coupled_solution,
+                                            members, 4, (0, 4))
+        calls = []
+        run = population.simulate_coupled
+
+        def spy(pops, *args):
+            calls.append(len(pops))
+            return run(pops, *args)
+
+        # two rows of 14 agents in 4 clusters per chunk
+        monkeypatch.setattr(population, "_STACK_CELLS", 2 * 14 * 4 + 13)
+        monkeypatch.setattr(population, "simulate_coupled", spy)
+        chunked = population.simulate_coupled(pops, graphon_coupled_solution,
+                                              members, 4, (0, 4))
+        assert calls == [5, 2, 2, 1]
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a.paths, b.paths) and a.costs == b.costs
+            assert a.label == b.label
+            if a.deviator_controls is not None:
+                assert np.array_equal(a.deviator_controls, b.deviator_controls)
 
     def test_rows_need_one_structure_and_a_deviator(self, coupled_solution):
         from gmfg.population import simulate_coupled
@@ -402,6 +426,7 @@ class TestNashGap:
 
         rung = run_ladder(make_problem, [(2, 4)], n_reps=2, tol=0.1, iota=1,
                           solver_kwargs={"max_outer": 20}, R_law=200)[0]
+        assert "seconds" not in rung   # only a timed ladder reports them
         solution = picard_solve(make_problem(2), tol=0.1, max_outer=20)
         pops = [build_population(g, 2, [4, 4], law, seed=29 + 7919 * (r + 1))
                 for r in range(2)]
