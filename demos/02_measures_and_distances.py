@@ -32,7 +32,7 @@ b1 = PathBundle(paths, times)
 for shift in (0.25, 5.0):
     b2 = PathBundle(paths + shift, times)
     print(f"shift {shift}: per-vertex path distance =",
-          path_distance_DT(b1.vertex_slice(0), b2.vertex_slice(0)),
+          path_distance_DT(b1.paths[0], b2.paths[0]),
           " ensemble distance =", ensemble_distance(b1, b2))
 
 # Brownian marginals move like sqrt(dt); the Holder fit should find an

@@ -150,19 +150,16 @@ def cmd_simulate_enash(scenario, out_dir, args):
 
 
 def cmd_graphon_diag(scenario, out_dir, args):
-    diag = scenario.raw.get("diagnostics") or {}
-    m_values = diag.get("m_values", [4, 8, 16, 32])
-    refinement = int(diag.get("refinement", 8))
     g = scenario.graphon
     rows = []
-    for M in m_values:
-        sampled = sample_step_graphon(g, int(M))
-        averaged = cell_average_step(g, int(M), refinement)
-        dev = h11_deviation(sampled, g, refinement)
+    for M in scenario.m_values:
+        sampled = sample_step_graphon(g, M)
+        averaged = cell_average_step(g, M, scenario.refinement)
+        dev = h11_deviation(sampled, g, scenario.refinement)
         cut = cut_norm_grid_bound(step_difference(sampled, averaged),
                                   seed=scenario.seed)
-        rows.append([int(M), dev, cut])
-        write_csv(os.path.join(out_dir, f"step_M{int(M)}.csv"),
+        rows.append([M, dev, cut])
+        write_csv(os.path.join(out_dir, f"step_M{M}.csv"),
                   ["row", "col", "weight"], index_columns(sampled.matrix),
                   _meta(scenario))
     write_csv(os.path.join(out_dir, "h11.csv"),

@@ -16,7 +16,6 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .artifacts import index_columns, write_csv
 from .coefficients import Constant, Poly2
 from .errors import ConfigError, GridError, InvariantError, NumericalError
 from .graphon import VertexGrid
@@ -273,10 +272,6 @@ class ValueGrid:
     def at(self, k, x):
         return GridLookup(self.x_grid, x)(self.values[k])
 
-    def to_csv(self, path):
-        write_csv(path, ["t_index", "x_index", "value"],
-                  index_columns(self.values))
-
 
 class Policy:
     """Tabulated feedback control, linear in x and left-constant in t."""
@@ -296,13 +291,6 @@ class Policy:
         k = int(np.searchsorted(self.times, t, side="right") - 1)
         k = min(max(k, 0), self.values.shape[0] - 1)
         return self.eval_index(k, x)
-
-    def lipschitz(self):
-        return policy_lipschitz(self)
-
-    def to_csv(self, path):
-        write_csv(path, ["t_index", "x_index", "value"],
-                  index_columns(self.values))
 
 
 def policy_lipschitz(policy):

@@ -23,9 +23,7 @@ class VertexGrid:
             raise DomainError("vertex grid needs at least one cell")
         self.M = M
         self.midpoints = (np.arange(M) + 0.5) / M
-        self.weights = np.full(M, 1.0 / M)
         self.midpoints.setflags(write=False)
-        self.weights.setflags(write=False)
 
     def cell_index(self, alpha):
         """Cell containing alpha; boundary ties go to the lower-index cell."""
@@ -252,21 +250,26 @@ def _best_subset_value(cols):
     return np.maximum(pos, neg)
 
 
-def cut_norm_grid_bound(W, restarts=32, seed=0, exact_limit=16, max_cells=512):
+_CUT_EXACT_LIMIT = 16
+_CUT_RESTARTS = 32
+_CUT_MAX_CELLS = 512
+
+
+def cut_norm_grid_bound(W, seed=0):
     """Grid-restricted lower bound on the cut norm of a step kernel.
 
     ``W`` is an M x M cell matrix (for example the difference of two step
     graphons). Returns the maximum over pairs (S, T) of unions of grid cells
     of |integral over S x T of W|. Exhaustive over all 2^M row subsets for
-    M <= exact_limit; above that, alternating row/column maximization with
-    ``restarts`` random starts, deterministic under a fixed seed. Either way
-    the result is a lower bound on the true cut norm of the kernel.
+    M <= _CUT_EXACT_LIMIT, else alternating row/column maximization from
+    _CUT_RESTARTS random starts, deterministic under a fixed seed. Either
+    way the result is a lower bound on the true cut norm of the kernel.
     """
     A = _step_cell_integrals(W)
     M = A.shape[0]
-    if M > max_cells:
-        raise SizeError(f"kernel has {M} cells, limit is {max_cells}")
-    if M <= exact_limit:
+    if M > _CUT_MAX_CELLS:
+        raise SizeError(f"kernel has {M} cells, limit is {_CUT_MAX_CELLS}")
+    if M <= _CUT_EXACT_LIMIT:
         total = 1 << M
         masks = np.arange(total, dtype=np.uint64)
         bits = ((masks[:, None] >> np.arange(M, dtype=np.uint64)[None, :]) & 1).astype(float)
@@ -277,7 +280,7 @@ def cut_norm_grid_bound(W, restarts=32, seed=0, exact_limit=16, max_cells=512):
     best = 0.0
     # Deterministic starts first: full set and the positive/negative parts.
     starts = [np.ones(M), (A.sum(axis=1) > 0).astype(float)]
-    starts += [(gen.random(M) < 0.5).astype(float) for _ in range(restarts)]
+    starts += [(gen.random(M) < 0.5).astype(float) for _ in range(_CUT_RESTARTS)]
     for s in starts:
         for sign in (1.0, -1.0):
             rows = s.copy()
@@ -300,21 +303,3 @@ def step_difference(ga, gb):
     if ga.kind != "step" or gb.kind != "step" or ga.cells != gb.cells:
         raise GridError(f"step graphons have incompatible cells: {ga.cells} vs {gb.cells}")
     return ga.matrix - gb.matrix
-
-
-def from_config(spec):
-    """Build a Graphon from a scenario config block."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InvariantError("graphon block must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "constant":
-        return Graphon.constant(spec.get("c", 0.0))
-    if kind == "uniform_attachment":
-        return Graphon.uniform_attachment()
-    if kind == "product":
-        return Graphon.product(spec.get("values", []))
-    if kind == "table":
-        return Graphon.from_table(spec.get("grid", []))
-    if kind == "step":
-        return Graphon.step(spec.get("matrix", []))
-    raise InvariantError(f"unknown graphon kind {kind!r}")

@@ -20,6 +20,9 @@ from .errors import ConvergenceError, InvariantError, NumericalError
 from .graphon import VertexGrid
 
 _BLOWUP = 1e8
+_LQ_MAX_ITER = 200
+# slack of the Monte-Carlo band for the ODE discretization
+_LQ_ODE_TOL = 1e-3
 
 
 def _sym(m):
@@ -232,10 +235,10 @@ class LambdaOperator:
     the rows t >= r that the outer quadrature reads.
     """
 
-    def __init__(self, p, ric=None, fm=None):
+    def __init__(self, p):
         self.p = p
-        self.ric = ric if ric is not None else solve_riccati(p)
-        self.fm = fm if fm is not None else fundamental_matrices(p, self.ric)
+        self.ric = solve_riccati(p)
+        self.fm = fundamental_matrices(p, self.ric)
         dt = p.T / p.K
         self.w_low, self.w_up = _trap_weight_rows(p.K + 1, dt)
         self.Gw = p.graphon_weights()
@@ -335,11 +338,8 @@ class LQSolution:
     residual: float
     changes: list = field(default_factory=list)
 
-    def control(self, v, k, x):
-        return -(self.feedback_gain[k] @ np.atleast_1d(x)) - self.feedback_offset[v, k]
 
-
-def solve_lq_fixed_point(p, tol=1e-9, max_iter=200, x_init=None, operator=None):
+def solve_lq_fixed_point(p, tol=1e-9, x_init=None):
     """Picard iteration for the vertex-mean surface plus offset recovery.
 
     Starts from the forcing surface (or a caller-supplied initialization),
@@ -348,7 +348,7 @@ def solve_lq_fixed_point(p, tol=1e-9, max_iter=200, x_init=None, operator=None):
     assembles the affine best-response feedback. A norm bound at or above
     one only warns; the iteration then runs with a divergence guard.
     """
-    op = operator if operator is not None else LambdaOperator(p)
+    op = LambdaOperator(p)
     c_lam = op.norm_bound()
     if c_lam >= 1.0:
         warnings.warn(f"operator norm bound {c_lam:.3g} >= 1; iterating with guard",
@@ -357,7 +357,7 @@ def solve_lq_fixed_point(p, tol=1e-9, max_iter=200, x_init=None, operator=None):
     base = np.broadcast_to(forcing, (p.M,) + forcing.shape).copy()
     x = base.copy() if x_init is None else np.asarray(x_init, dtype=float).copy()
     changes = []
-    for it in range(1, max_iter + 1):
+    for _ in range(_LQ_MAX_ITER):
         x_new = op.apply(x) + base
         change = float(np.abs(x_new - x).max())
         changes.append(change)
@@ -367,7 +367,7 @@ def solve_lq_fixed_point(p, tol=1e-9, max_iter=200, x_init=None, operator=None):
         if len(changes) >= 10 and changes[-1] > 2.0 * changes[-10] and changes[-1] > tol:
             raise ConvergenceError("fixed-point iteration diverging", trace=changes)
     else:
-        raise ConvergenceError(f"no fixed point below {tol:.3g} in {max_iter} passes",
+        raise ConvergenceError(f"no fixed point below {tol:.3g} in {_LQ_MAX_ITER} passes",
                                trace=changes)
     residual = float(np.abs(x - op.apply(x) - base).max())
 
@@ -411,7 +411,7 @@ def _recover_offsets(p, ric, xbar, zbar):
     return s
 
 
-def lq_consistency_vs_simulation(p, sol, R_mc=10_000, seed=0, ode_tol=1e-3):
+def lq_consistency_vs_simulation(p, sol, R_mc=10_000, seed=0):
     """Monte-Carlo check that the controlled population reproduces the means.
 
     Simulates the per-vertex linear SDE under the computed affine feedback
@@ -423,7 +423,7 @@ def lq_consistency_vs_simulation(p, sol, R_mc=10_000, seed=0, ode_tol=1e-3):
     dt = p.T / K
     root_dt = math.sqrt(dt)
     trace_noise = float(np.sum(p.Sigma**2))
-    band = 4.0 * np.sqrt(trace_noise * p.times) / math.sqrt(R_mc) + ode_tol
+    band = 4.0 * np.sqrt(trace_noise * p.times) / math.sqrt(R_mc) + _LQ_ODE_TOL
     dev = np.zeros((p.M, K + 1))
 
     def coeff(k, v):

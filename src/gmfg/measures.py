@@ -11,7 +11,6 @@ trajectories behind them.
 
 import numpy as np
 
-from .artifacts import index_columns, write_csv
 from .coefficients import SortedClusters
 from .errors import DomainError, GridError, InvariantError
 
@@ -52,9 +51,6 @@ class Measure1D:
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(cum, np.clip(q, 0.0, 1.0), side="left")
         return self.atoms[np.minimum(idx, self.atoms.size - 1)]
-
-    def shift(self, delta):
-        return Measure1D(self.atoms + float(delta), self.weights)
 
     def __len__(self):
         return self.atoms.size
@@ -195,12 +191,6 @@ class MeasureEnsemble:
                 out[v, k] = self.get(v, k).quantile(levels)
         return MeasureEnsemble(out, np.full((1, 1, n), 1.0 / n), self.times)
 
-    def to_csv(self, path):
-        """Rows of (vertex_index, time_index, atom, weight)."""
-        v, k, _, atom, weight = index_columns(self.atoms, self.weights)
-        write_csv(path, ["vertex_index", "time_index", "atom", "weight"],
-                  [v, k, atom, weight])
-
 
 def ensemble_w1_sup(e1, e2):
     """Sup over (vertex, time) of W1 between matching ensemble entries."""
@@ -221,12 +211,12 @@ class PathBundle:
     """Per-vertex particle trajectories on a shared time grid.
 
     ``paths`` has shape (M, R, K+1); the replica count R is identical across
-    vertices by construction. ``seed_record`` documents the streams used.
-    ``escaped_mass`` is the share of particle-steps a grid propagation found
-    outside its space grid (None when no grid was used).
+    vertices by construction. ``escaped_mass`` is the share of particle-steps
+    a grid propagation found outside its space grid (None when no grid was
+    used).
     """
 
-    def __init__(self, paths, times, seed_record=None, escaped_mass=None):
+    def __init__(self, paths, times, escaped_mass=None):
         p = np.asarray(paths, dtype=float)
         if p.ndim != 3:
             raise GridError("paths must have shape (M, R, K+1)")
@@ -236,20 +226,7 @@ class PathBundle:
         self.times = np.asarray(times, dtype=float)
         if self.times.shape != (p.shape[2],):
             raise GridError("times must match the path time axis")
-        self.seed_record = dict(seed_record or {})
         self.escaped_mass = escaped_mass
-
-    @property
-    def n_vertices(self):
-        return self.paths.shape[0]
-
-    def vertex_slice(self, v):
-        return self.paths[v]
-
-    def to_csv(self, path, vertex):
-        """Rows of (replica, time_index, value) for one vertex slice."""
-        write_csv(path, ["replica", "time_index", "value"],
-                  index_columns(self.paths[vertex]))
 
 
 def path_distance_DT(b1, b2):
@@ -283,30 +260,28 @@ def marginals(bundle):
     return MeasureEnsemble(atoms, np.full((1, 1, n), 1.0 / n), bundle.times)
 
 
-def _default_test_functions(clamp=10.0):
-    fns = [lambda x: np.clip(x, -clamp, clamp)]
-    for k in (1.0, 2.0, 4.0):
-        fns.append(lambda x, k=k: np.sin(k * x))
-    return fns
+# Test functions of the Holder fit: a clamp and three frequencies of sin.
+_HOLDER_TEST_FNS = (lambda x: np.clip(x, -10.0, 10.0),
+                    *(lambda x, k=k: np.sin(k * x) for k in (1.0, 2.0, 4.0)))
+_HOLDER_LAGS = (1, 2)
 
 
-def holder_modulus(ensemble, test_fns=None, lags=(1, 2)):
+def holder_modulus(ensemble):
     """Fit a time-Holder modulus (C_h, eta) of an ensemble, diagnostically.
 
     For each test function, lag, and time index, takes the sup over vertices
     of the mean-integral increment between the two time nodes, then fits
     log-increment against log time-gap by least squares. Adjacent pairs and
-    skip pairs (lags 1 and 2 by default) supply the regression points. A
+    skip pairs (lags 1 and 2) supply the regression points. A
     degenerate fit (all increments zero) returns (0, 1) by convention.
     """
     if ensemble.n_times < 3:
         raise GridError("holder fit needs at least 3 time points")
-    fns = test_fns if test_fns is not None else _default_test_functions()
     dt = float(ensemble.times[1] - ensemble.times[0])
     xs, ys = [], []
-    for fn in fns:
+    for fn in _HOLDER_TEST_FNS:
         vals = np.sum(fn(ensemble.atoms) * ensemble.weights, axis=2)  # (M, K+1)
-        for lag in lags:
+        for lag in _HOLDER_LAGS:
             inc = np.abs(vals[:, lag:] - vals[:, :-lag]).max(axis=0)
             keep = inc > 0.0
             xs.extend([np.log(lag * dt)] * int(keep.sum()))

@@ -306,7 +306,7 @@ def _field_propagation(pop, solution, fields, label, laws=None):
     return TrajectorySet(paths, problem.times, label, cluster_laws=laws)
 
 
-def run_system_c(pop, solution, tol_inner=None, R_law=2000):
+def run_system_c(pop, solution, R_law=2000):
     """Law-decoupled auxiliary population on the finite graph.
 
     Within a cluster the auxiliary processes are i.i.d., so the drift only
@@ -318,7 +318,7 @@ def run_system_c(pop, solution, tol_inner=None, R_law=2000):
     clone = _law_problem(pop, solution, R_law)
     policies = _cluster_policies(pop, solution)
     start = marginals(zero_drift_bundle(clone))
-    _, laws, _ = inner_mv_consistency(clone, policies, start, tol_inner)
+    _, laws, _ = inner_mv_consistency(clone, policies, start)
     fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
                            laws, clone.x_grid, drift_only=True)
     return _field_propagation(pop, solution, fields, "C", laws=laws)
@@ -350,7 +350,6 @@ class DeviationReport:
     eps3: float
     eps3_se: float
     n_reps: int
-    per_agent_costs: dict = field(default_factory=dict)
 
 
 def _sup_mean_gap(rep_rows):

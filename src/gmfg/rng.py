@@ -6,8 +6,6 @@ Streams derived this way are independent of evaluation order, which is what
 makes common-random-number coupling across solvers and simulators exact.
 """
 
-import zlib
-
 import numpy as np
 
 # Stream kind tags. Fixed integers, never Python hash(), so that identical
@@ -19,11 +17,6 @@ POP_INITIAL = 22
 CLUSTER_LAW = 23
 CUT_NORM = 31
 DEVIATION = 41
-
-
-def tag(name):
-    """Stable integer tag for a string label."""
-    return zlib.crc32(name.encode("utf-8"))
 
 
 def stream(seed, *tags):

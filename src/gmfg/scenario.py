@@ -11,19 +11,36 @@ import json
 
 import numpy as np
 
-from . import graphon as graphon_mod
 from .coefficients import Constant, Poly2
 from .control import ProblemFunctions
 from .errors import ConfigError
+from .graphon import Graphon
 from .lq import LQParams
 from .measures import Measure1D, dirac, normal_quantile_measure
 from .solver import GMFGProblem
 
+_TOP_KEYS = ("kind", "problem", "graphon", "grids", "seeds", "tolerances",
+             "ladder", "diagnostics")
+_PROBLEM_KEYS = {
+    "nonlinear": ("form", "f0", "f", "l1", "l2", "l3", "l4", "control_set",
+                  "sigma", "T", "initial"),
+    "lq": ("A", "B", "D0", "D", "Sigma", "Q", "R", "Q_T", "gamma0", "gamma",
+           "eta", "x0", "T"),
+}
 _EXPR_KEYS = ("const", "x", "y", "xx", "xy", "yy")
+_INITIAL_KEYS = {"dirac": ("kind", "x"), "normal": ("kind", "mean", "std", "atoms"),
+                 "atoms": ("kind", "atoms", "weights")}
+# graphon kind -> (its one data field, constructor of that field's value)
+_GRAPHON_KINDS = {"constant": ("c", Graphon.constant),
+                  "uniform_attachment": (None, lambda _: Graphon.uniform_attachment()),
+                  "product": ("values", Graphon.product),
+                  "table": ("grid", Graphon.from_table),
+                  "step": ("matrix", Graphon.step)}
 _GRID_KEYS = ("M", "K", "N_x", "R", "output_atoms", "domain_padding")
 _TOLERANCE_KEYS = ("picard_tol", "max_outer", "min_outer", "inner_tol", "mode",
                    "lq_tol")
 _LADDER_KEYS = ("rungs", "replications", "deviator", "R_law")
+_DIAGNOSTICS_KEYS = ("m_values", "refinement")
 
 
 def _finite(value):
@@ -69,8 +86,20 @@ class _Checker:
     def known_keys(self, obj, path, known):
         """An object of the document may hold only the ``known`` fields."""
         for key in sorted(set(obj) - set(known)):
-            self.fail(f"{path}.{key}", "unknown field (known: "
+            self.fail(f"{path}.{key}" if path else key, "unknown field (known: "
                       + ", ".join(known) + ")")
+
+    def block(self, doc, name, known):
+        """The optional object ``doc[name]`` ({} when absent or null), which
+        may hold only the ``known`` fields."""
+        obj = doc.get(name)
+        if obj is None:
+            return {}
+        if not isinstance(obj, dict):
+            self.fail(name, "must be an object")
+            return {}
+        self.known_keys(obj, name, known)
+        return obj
 
     def raise_if_failed(self):
         if self.problems:
@@ -79,6 +108,7 @@ class _Checker:
 
 
 def _poly2(spec, path, check):
+    check.known_keys(spec, path, ("kind", *_EXPR_KEYS, "clip"))
     coeffs = {k: check.number(spec.get(k), f"{path}.{k}", default=0.0)
               for k in _EXPR_KEYS}
     clip = spec.get("clip")
@@ -100,6 +130,7 @@ def parse_expression(spec, path, check):
         return Constant(0.0)
     kind = spec.get("kind", "poly2")
     if kind == "constant":
+        check.known_keys(spec, path, ("kind", "c"))
         return Constant(check.number(spec.get("c"), f"{path}.c", default=0.0))
     if kind == "poly2":
         return _poly2(spec, path, check)
@@ -112,6 +143,8 @@ def parse_initial(spec, path, check):
         check.fail(path, "must be an object with a 'kind'")
         return dirac(0.0)
     kind = spec["kind"]
+    if kind in _INITIAL_KEYS:
+        check.known_keys(spec, path, _INITIAL_KEYS[kind])
     if kind == "dirac":
         return dirac(check.number(spec.get("x"), f"{path}.x", default=0.0))
     if kind == "normal":
@@ -139,14 +172,17 @@ def parse_initial(spec, path, check):
 
 
 def parse_graphon(spec, path, check):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        check.fail(path, "must be an object with a 'kind'")
-        return graphon_mod.Graphon.constant(0.0)
+    if not isinstance(spec, dict) or spec.get("kind") not in _GRAPHON_KINDS:
+        check.fail(path, "must be an object with a 'kind' in "
+                   + ", ".join(_GRAPHON_KINDS))
+        return Graphon.constant(0.0)
+    name, build = _GRAPHON_KINDS[spec["kind"]]
+    check.known_keys(spec, path, ("kind",) if name is None else ("kind", name))
     try:
-        return graphon_mod.from_config(spec)
-    except Exception as exc:
+        return build(spec.get(name, 0.0))
+    except (TypeError, ValueError) as exc:
         check.fail(path, str(exc))
-        return graphon_mod.Graphon.constant(0.0)
+        return Graphon.constant(0.0)
 
 
 class Scenario:
@@ -155,16 +191,13 @@ class Scenario:
     def __init__(self, raw):
         check = _Checker()
         self.raw = raw
+        check.known_keys(raw, "", _TOP_KEYS)
         self.kind = raw.get("kind")
         if self.kind not in ("nonlinear", "lq"):
             check.fail("kind", "must be 'nonlinear' or 'lq'")
         self.graphon = parse_graphon(raw.get("graphon"), "graphon", check)
 
-        grids = raw.get("grids") or {}
-        if not isinstance(grids, dict):
-            check.fail("grids", "must be an object")
-            grids = {}
-        check.known_keys(grids, "grids", _GRID_KEYS)
+        grids = check.block(raw, "grids", _GRID_KEYS)
         self.M = check.integer(grids.get("M"), "grids.M", default=8)
         self.K = check.integer(grids.get("K"), "grids.K", default=64)
         self.N_x = check.integer(grids.get("N_x"), "grids.N_x", minimum=3, default=201)
@@ -174,15 +207,11 @@ class Scenario:
         self.domain_padding = check.number(grids.get("domain_padding"),
                                            "grids.domain_padding", default=0.0)
 
-        seeds = raw.get("seeds") or {}
-        self.seed = check.integer(seeds.get("master") if isinstance(seeds, dict) else None,
-                                  "seeds.master", minimum=0, default=0)
+        seeds = check.block(raw, "seeds", ("master",))
+        self.seed = check.integer(seeds.get("master"), "seeds.master", minimum=0,
+                                  default=0)
 
-        tols = raw.get("tolerances") or {}
-        if not isinstance(tols, dict):
-            check.fail("tolerances", "must be an object")
-            tols = {}
-        check.known_keys(tols, "tolerances", _TOLERANCE_KEYS)
+        tols = check.block(raw, "tolerances", _TOLERANCE_KEYS)
         self.picard_tol = check.number(tols.get("picard_tol"), "tolerances.picard_tol",
                                        positive=True, default=0.05)
         self.max_outer = check.integer(tols.get("max_outer"), "tolerances.max_outer",
@@ -204,11 +233,7 @@ class Scenario:
         self.lq_tol = check.number(tols.get("lq_tol"), "tolerances.lq_tol",
                                    positive=True, default=1e-9)
 
-        ladder = raw.get("ladder") or {}
-        if not isinstance(ladder, dict):
-            check.fail("ladder", "must be an object")
-            ladder = {}
-        check.known_keys(ladder, "ladder", _LADDER_KEYS)
+        ladder = check.block(raw, "ladder", _LADDER_KEYS)
         rungs = ladder.get("rungs", [[2, 25], [4, 50], [8, 100]])
         self.rungs = []
         if not isinstance(rungs, list) or not rungs:
@@ -228,11 +253,22 @@ class Scenario:
         self.R_law = check.integer(ladder.get("R_law"), "ladder.R_law",
                                    minimum=100, default=2000)
 
+        diag = check.block(raw, "diagnostics", _DIAGNOSTICS_KEYS)
+        m_values = diag.get("m_values", [4, 8, 16, 32])
+        if not isinstance(m_values, list) or not m_values:
+            check.fail("diagnostics.m_values", "must be a nonempty list of integers")
+            m_values = []
+        self.m_values = [check.integer(m, f"diagnostics.m_values[{i}]")
+                         for i, m in enumerate(m_values)]
+        self.refinement = check.integer(diag.get("refinement"),
+                                        "diagnostics.refinement", default=8)
+
         problem = raw.get("problem")
         if not isinstance(problem, dict):
             check.fail("problem", "must be an object")
             problem = {}
-        self._problem_spec = problem
+        if self.kind in _PROBLEM_KEYS:
+            check.known_keys(problem, "problem", _PROBLEM_KEYS[self.kind])
         if self.kind == "nonlinear":
             self._parse_nonlinear(problem, check)
         elif self.kind == "lq":
@@ -299,8 +335,6 @@ class Scenario:
         self._eta = [eta] if isinstance(eta, (int, float)) else eta
         self._x0 = [x0] if isinstance(x0, (int, float)) else x0
         self.T = check.number(spec.get("T"), "problem.T", positive=True, default=1.0)
-        self.R_mc = check.integer(spec.get("R_mc"), "problem.R_mc", minimum=100,
-                                  default=10_000)
 
     def build_lq(self):
         if self.kind != "lq":

@@ -110,7 +110,7 @@ def zero_drift_bundle(problem):
     paths = _start_paths(problem)
     np.cumsum(paths[..., 1:], axis=2, out=paths[..., 1:])
     paths[..., 1:] += paths[..., :1]
-    return PathBundle(paths, problem.times, {"seed": problem.seed, "kind": "zero_drift"})
+    return PathBundle(paths, problem.times)
 
 
 def propagate_closed_loop(problem, policies, e_drift, fields=None):
@@ -146,7 +146,6 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None):
     if bad.any():
         raise NumericalError(f"propagation diverged at vertex {int(np.argmax(bad))}")
     return PathBundle(paths, problem.times,
-                      {"seed": problem.seed, "kind": "closed_loop"},
                       escaped_mass=escaped / paths[..., 1:].size)
 
 
@@ -270,7 +269,7 @@ class SensitivityReport:
         return math.isfinite(self.c1) and math.isfinite(self.c2)
 
 
-def sensitivity_probe(problem, solution, delta=0.05, tol_inner=None):
+def sensitivity_probe(problem, solution, delta=0.05):
     """Finite-difference probe of the fixed-point contraction constants.
 
     Shifts every ensemble atom by ``delta`` (a location shift moves the
@@ -294,7 +293,7 @@ def sensitivity_probe(problem, solution, delta=0.05, tol_inner=None):
 
     if dphi <= 0.0:
         return SensitivityReport(c1, math.nan, dphi, shift_dist)
-    b1, _, t1 = inner_mv_consistency(problem, solution.policies, solution.ensemble, tol_inner)
-    b2, _, t2 = inner_mv_consistency(problem, pols_shifted, solution.ensemble, tol_inner)
+    b1, _, t1 = inner_mv_consistency(problem, solution.policies, solution.ensemble)
+    b2, _, t2 = inner_mv_consistency(problem, pols_shifted, solution.ensemble)
     c2 = ensemble_distance(b1, b2) / dphi
     return SensitivityReport(c1, c2, dphi, shift_dist, (t1, t2))

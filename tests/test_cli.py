@@ -52,6 +52,27 @@ def nonlinear_scenario(**over):
     return doc
 
 
+_UNKNOWN_FIELDS = [
+    # a misspelt coefficient would otherwise parse as l1 = 0
+    ("solve-gmfg", lambda d: d["problem"].update(l_1=1.0), "problem.l_1"),
+    # a misspelt c would otherwise give the empty graph
+    ("solve-gmfg", lambda d: d.update(graphon={"kind": "constant", "cc": 0.5}),
+     "graphon.cc"),
+    ("solve-gmfg", lambda d: d.update(tolerance={"picard_tol": 0.1}), "tolerance"),
+    ("solve-gmfg", lambda d: d["seeds"].update(mastr=3), "seeds.mastr"),
+    ("solve-gmfg", lambda d: d["problem"]["l2"].update(C=2.0), "problem.l2.C"),
+    ("solve-gmfg", lambda d: d["problem"]["l1"].update(x2=1.0), "problem.l1.x2"),
+    ("solve-gmfg", lambda d: d["problem"]["initial"].update(mean=0.5),
+     "problem.initial.mean"),
+    ("solve-lq", lambda d: d["problem"].update(R_mc=10_000), "problem.R_mc"),
+    ("solve-lq", lambda d: d["problem"].update(sigma=0.3), "problem.sigma"),
+    ("solve-lq", lambda d: d.update(graphon={"kind": "uniform_attachment",
+                                             "c": 0.5}), "graphon.c"),
+    ("graphon-diag", lambda d: d.update(diagnostics={"refinment": 4}),
+     "diagnostics.refinment"),
+]
+
+
 class TestParseScenario:
     def test_minimal_lq_parses(self, tmp_path):
         sc = parse_scenario(write_config(tmp_path / "s.json", lq_scenario()))
@@ -108,6 +129,51 @@ class TestParseScenario:
         f0 = sc.build_functions().structured_parts["f0"]
         assert f0(0.0, 5.0) == pytest.approx(2.0)  # clipped
         assert f0(0.5, 1.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("block", ["grids", "seeds", "tolerances", "ladder",
+                                       "diagnostics"])
+    def test_empty_non_object_block_is_input_error(self, tmp_path, block):
+        doc = nonlinear_scenario()
+        doc[block] = []
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(write_config(tmp_path / "s.json", doc))
+        assert f"{block}: must be an object" in err.value.problems
+
+    def test_every_shipped_scenario_parses(self):
+        folder = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios")
+        names = sorted(n for n in os.listdir(folder) if n.endswith(".json"))
+        assert names
+        for name in names:
+            parse_scenario(os.path.join(folder, name))
+
+    @pytest.mark.parametrize("command, edit, field", _UNKNOWN_FIELDS,
+                             ids=[case[2] for case in _UNKNOWN_FIELDS])
+    def test_unknown_field_is_input_error(self, tmp_path, capsys, command, edit,
+                                          field):
+        doc = lq_scenario() if command == "solve-lq" else nonlinear_scenario()
+        edit(doc)
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"gmfg: {field}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("diagnostics, field", [
+        ({"m_values": ["x"]}, "diagnostics.m_values[0]"),
+        ({"m_values": [4, 0]}, "diagnostics.m_values[1]"),
+        ({"m_values": []}, "diagnostics.m_values"),
+        ({"m_values": 8}, "diagnostics.m_values"),
+        ({"refinement": 0}, "diagnostics.refinement"),
+        ({"refinement": 2.5}, "diagnostics.refinement"),
+    ])
+    def test_bad_diagnostics_is_input_error(self, tmp_path, capsys, diagnostics,
+                                            field):
+        doc = nonlinear_scenario(diagnostics=diagnostics)
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["graphon-diag", "--config", cfg, "--out", str(out)]) == 1
+        assert f"gmfg: {field}: must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolveLQCommand:

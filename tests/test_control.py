@@ -334,38 +334,29 @@ class TestPolicy:
         assert pol(2.0, 0.0) == pytest.approx(0.3)
 
     def test_csv_exports(self, tmp_path):
-        from gmfg import ValueGrid
         from gmfg.artifacts import index_columns
         from gmfg.cli import write_csv
 
-        times = np.linspace(0, 1, 3)
-        x = np.linspace(-1, 1, 4)
         table = np.array([[0.0, 0.1, -1.0 / 3.0, 1.0],
                           [1e-300, -0.0, 0.5, 2.0 / 3.0],
                           [-1.0, 0.25, 1e-7, 0.0]])
-        pol = Policy(table, x, times, (-1, 1))
-        pol.to_csv(tmp_path / "pol.csv")
-        vg = ValueGrid(np.vstack([table[:2], np.zeros(4)]), x, times)
-        vg.to_csv(tmp_path / "val.csv")
-        for name in ("pol.csv", "val.csv"):
-            lines = (tmp_path / name).read_text().splitlines()
-            assert lines[0] == "t_index,x_index,value"
-            assert len(lines) == 1 + 3 * 4
-        rows = (tmp_path / "pol.csv").read_bytes().splitlines(keepends=True)[1:]
+        write_csv(tmp_path / "pol.csv", ["t_index", "x_index", "value"],
+                  index_columns(table), {"scenario_hash": "abc"})
+        lines = (tmp_path / "pol.csv").read_bytes().splitlines(keepends=True)
+        assert lines[0] == b"# scenario_hash=abc\r\n"
+        assert lines[1] == b"t_index,x_index,value\r\n"
+        rows = lines[2:]
         # per-value loop reference for the vectorized row format
         assert rows == [f"{k},{j},{v:.17g}\r\n".encode()
                         for k, row in enumerate(table) for j, v in enumerate(row)]
-        # the same table through the ensemble export (table rows as vertices,
-        # columns as one-atom time nodes) and through the CLI writer
+        # the same table in the ensemble layout (table rows as vertices,
+        # columns as one-atom time nodes, broadcast weights)
         ens = MeasureEnsemble(table[:, :, None], np.ones(1), np.linspace(0, 1, 4))
-        ens.to_csv(tmp_path / "ens.csv")
+        v, k, _, atom, weight = index_columns(ens.atoms, ens.weights)
+        write_csv(tmp_path / "ens.csv", ["vertex_index", "time_index", "atom", "weight"],
+                  [v, k, atom, weight])
         ens_rows = (tmp_path / "ens.csv").read_bytes().splitlines(keepends=True)[1:]
         assert [r.rsplit(b",", 1)[0] + b"\r\n" for r in ens_rows] == rows
-        write_csv(tmp_path / "cli.csv", ["t_index", "x_index", "value"],
-                  index_columns(table), {"scenario_hash": "abc"})
-        cli_lines = (tmp_path / "cli.csv").read_bytes().splitlines(keepends=True)
-        assert cli_lines[0] == b"# scenario_hash=abc\r\n"
-        assert cli_lines[2:] == rows
 
 
 class TestEulerMaruyama:

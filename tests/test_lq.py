@@ -275,7 +275,10 @@ class TestSolveLQFixedPoint:
         p = scalar_params(A=-0.3, B=1.0, Q=1.0, R=2.0, gamma0=0.0, gamma=0.0,
                           eta=0.0, D0=0.0, D=0.0, x0=0.7, M=3, K=100)
         sol = solve_lq_fixed_point(p)
-        op = LambdaOperator(p, sol.riccati, sol.fundamentals)
+        op = LambdaOperator(p)
+        # a fresh build reproduces the solution's own Riccati path and kernels
+        np.testing.assert_array_equal(op.ric.Pi, sol.riccati.Pi)
+        np.testing.assert_array_equal(op.fm.Phi, sol.fundamentals.Phi)
         forcing = op.forcing()
         for v in range(3):
             np.testing.assert_allclose(sol.xbar[v], forcing, atol=1e-12)

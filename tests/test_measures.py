@@ -118,18 +118,18 @@ class TestPathDistance:
     def test_identical_bundles(self):
         p = np.random.default_rng(0).normal(size=(3, 10, 5))
         b = self._bundle(p)
-        assert path_distance_DT(b.vertex_slice(0), b.vertex_slice(0)) == 0.0
+        assert path_distance_DT(b.paths[0], b.paths[0]) == 0.0
         assert ensemble_distance(b, self._bundle(p.copy())) == 0.0
 
     def test_constant_shift(self):
         p = np.zeros((1, 8, 4))
         b1, b2 = self._bundle(p), self._bundle(p + 0.3)
-        assert path_distance_DT(b1.vertex_slice(0), b2.vertex_slice(0)) == pytest.approx(0.3)
+        assert path_distance_DT(b1.paths[0], b2.paths[0]) == pytest.approx(0.3)
 
     def test_truncation_at_one(self):
         p = np.zeros((1, 8, 4))
         b1, b2 = self._bundle(p), self._bundle(p + 5.0)
-        assert path_distance_DT(b1.vertex_slice(0), b2.vertex_slice(0)) == 1.0
+        assert path_distance_DT(b1.paths[0], b2.paths[0]) == 1.0
 
     def test_ensemble_distance_max_over_vertices(self):
         p = np.zeros((3, 6, 4))
@@ -239,11 +239,18 @@ class TestEnsembleContainer:
             MeasureEnsemble(np.zeros((1, 2, 3)), np.full(3, 0.5), [0.0, 1.0])
 
     def test_csv_roundtrip_columns(self, tmp_path):
+        from gmfg.artifacts import index_columns, write_csv
+
         e = MeasureEnsemble(np.arange(6.0).reshape(1, 2, 3), np.full(3, 1 / 3), [0.0, 1.0])
+        v, k, _, atom, weight = index_columns(e.atoms, e.weights)
         path = tmp_path / "ens.csv"
-        e.to_csv(path)
+        write_csv(path, ["vertex_index", "time_index", "atom", "weight"],
+                  [v, k, atom, weight])
         header = path.read_text().splitlines()[0]
         assert header == "vertex_index,time_index,atom,weight"
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 2].reshape(e.atoms.shape), e.atoms)
+        np.testing.assert_array_equal(rows[:, 3].reshape(e.atoms.shape), e.weights)
 
     def test_normal_quantile_measure(self):
         m = normal_quantile_measure(1.0, 2.0, 801)

@@ -7,8 +7,8 @@ from gmfg import (Constant, GMFGProblem, Graphon, GridError, InvariantError,
                   Policy, Poly2, ProblemFunctions, build_population,
                   default_deviation_family, deviation_metrics, dirac, empirical,
                   epsilon_nash_gap, normal_quantile_measure, perturbation_terms,
-                  picard_solve, run_ladder, run_system_a, run_system_b,
-                  run_system_c, run_system_d, w1)
+                  picard_solve, policy_lipschitz, run_ladder, run_system_a,
+                  run_system_b, run_system_c, run_system_d, w1)
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -414,7 +414,7 @@ class TestNashGap:
         fam = default_deviation_family(pop, coupled_solution, ts_a, 0)
         assert fam["const_lo"](0.0, 0.0, None) == -1.0
         br = fam["empirical_br"]
-        assert br.lipschitz() < 50.0
+        assert policy_lipschitz(br) < 50.0
 
     def test_gap_equals_the_ladder_gap_on_the_same_populations(self):
         law = normal_quantile_measure(0.0, 0.3, 65)
