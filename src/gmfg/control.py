@@ -14,7 +14,6 @@ Euler-Maruyama stepper that every particle and agent simulation shares.
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .coefficients import Constant, Poly2
 from .errors import ConfigError, GridError, InvariantError, NumericalError
@@ -309,10 +308,10 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     step the Hamiltonian is minimized with an upwind one-sided difference
     chosen by drift direction (candidate minimizers from the forward and
     backward differences, kept when self-consistent), the drift and cost
-    terms enter explicitly, and the diffusion is implicit through one
-    tridiagonal solve, with zero-slope boundaries, for all vertices. Returns
-    the value grid and the extracted feedback policy, or lists of them, one
-    per vertex, when ``alpha`` is an array.
+    terms enter explicitly, and the diffusion is implicit through the
+    inverse of one tridiagonal matrix, with zero-slope boundaries, for all
+    vertices and steps. Returns the value grid and the extracted feedback
+    policy, or lists of them, one per vertex, when ``alpha`` is an array.
     """
     if fields is None:
         fields = frozen_fields(problem, g, alpha, ensemble, x_grid)
@@ -327,12 +326,13 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
             f"stability requires |drift| dt <= dx: {bound:.3g} * {dt:.3g} > {dx:.3g}")
 
     nu = problem.sigma**2 * dt / (2.0 * dx * dx)
-    ab = np.zeros((3, nx))
-    ab[0, 1:] = -nu
-    ab[1, :] = 1.0 + 2.0 * nu
-    ab[2, :-1] = -nu
-    ab[0, 1] = -2.0 * nu   # zero-slope (reflected) boundaries
-    ab[2, -2] = -2.0 * nu
+    off = np.full(nx - 1, -nu)
+    A = np.diag(np.full(nx, 1.0 + 2.0 * nu)) + np.diag(off, 1) + np.diag(off, -1)
+    A[0, 1] = A[-1, -2] = -2.0 * nu   # zero-slope (reflected) boundaries
+    # One inverse serves every step and vertex. Each vertex's row goes
+    # through its own vector-matrix product, so a vertex swept alone gets the
+    # same bits as in a batch (a single (n, nx) gemm would not).
+    A_inv_T = np.linalg.inv(A).T
 
     def clamp(q, h):
         return theta_clamp(q * h, problem.u_min, problem.u_max)
@@ -370,7 +370,7 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
         u_k = np.where(use_p, u_p, u_m)
         H_k = np.where(use_p, H_p, H_m)
         rhs = Vn + dt * H_k
-        V[:, k] = solve_banded((1, 1), ab, rhs.T).T
+        V[:, k] = np.matmul(rhs[:, None, :], A_inv_T)[:, 0]
         if not np.all(np.isfinite(V[:, k])):
             raise NumericalError(f"value sweep produced non-finite values at step {k}")
         policy[:, k] = u_k

@@ -9,6 +9,8 @@ weighted clusters, and path bundles hold the per-vertex particle
 trajectories behind them.
 """
 
+from statistics import NormalDist
+
 import numpy as np
 
 from .coefficients import SortedClusters
@@ -73,14 +75,14 @@ def empirical(samples):
 
 def normal_quantile_measure(mean, std, n_atoms=129):
     """Quantile-midpoint discretization of a normal law."""
-    from scipy.special import ndtri
-
     if std < 0:
         raise DomainError("std must be nonnegative")
     if std == 0:
         return dirac(mean)
     levels = (np.arange(n_atoms) + 0.5) / n_atoms
-    return Measure1D(mean + std * ndtri(levels))
+    inv_cdf = NormalDist().inv_cdf   # Wichura's AS241
+    z = np.array([inv_cdf(p) for p in levels.tolist()])
+    return Measure1D(mean + std * z)
 
 
 def w1(mu, nu):

@@ -125,13 +125,16 @@ def parse_expression(spec, path, check):
     """Coefficient surface of (x, y) from a config expression block."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return Constant(check.number(spec, path))
+    if spec is None:
+        check.fail(path, "missing coefficient")
+        return Constant(0.0)
     if not isinstance(spec, dict):
         check.fail(path, "must be a number or an expression object")
         return Constant(0.0)
     kind = spec.get("kind", "poly2")
     if kind == "constant":
         check.known_keys(spec, path, ("kind", "c"))
-        return Constant(check.number(spec.get("c"), f"{path}.c", default=0.0))
+        return Constant(check.number(spec.get("c"), f"{path}.c"))
     if kind == "poly2":
         return _poly2(spec, path, check)
     check.fail(path, f"unknown expression kind {kind!r}")
@@ -178,8 +181,11 @@ def parse_graphon(spec, path, check):
         return Graphon.constant(0.0)
     name, build = _GRAPHON_KINDS[spec["kind"]]
     check.known_keys(spec, path, ("kind",) if name is None else ("kind", name))
+    if name is not None and name not in spec:
+        check.fail(f"{path}.{name}", "missing field")
+        return Graphon.constant(0.0)
     try:
-        return build(spec.get(name, 0.0))
+        return build(spec.get(name))
     except (TypeError, ValueError) as exc:
         check.fail(path, str(exc))
         return Graphon.constant(0.0)
@@ -291,8 +297,8 @@ class Scenario:
             check.fail("problem.control_set", "must be [a, b] with a < b")
             cs = (-1.0, 1.0)
         self.control_set = (float(cs[0]), float(cs[1]))
-        self._exprs = {name: parse_expression(spec.get(name, 0.0),
-                                              f"problem.{name}", check)
+        self._exprs = {name: parse_expression(spec.get(name), f"problem.{name}",
+                                              check)
                        for name in ("f0", "f", "l1", "l2", "l3", "l4")}
         self.initial = parse_initial(spec.get("initial", {"kind": "dirac", "x": 0.0}),
                                      "problem.initial", check)

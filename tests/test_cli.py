@@ -14,6 +14,16 @@ def write_config(path, doc):
     return str(path)
 
 
+def run_python(args):
+    """Run the interpreter on ``args`` with this checkout's ``src`` first on
+    the import path."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def lq_scenario():
     return {
         "kind": "lq",
@@ -70,6 +80,16 @@ _UNKNOWN_FIELDS = [
                                              "c": 0.5}), "graphon.c"),
     ("graphon-diag", lambda d: d.update(diagnostics={"refinment": 4}),
      "diagnostics.refinment"),
+]
+
+
+# an absent field must not take a silent default
+_ABSENT_FIELDS = [
+    *[(lambda d, name=name: d["problem"].pop(name), f"problem.{name}")
+      for name in ("f0", "f", "l1", "l2", "l3", "l4")],
+    (lambda d: d["problem"].update(l2={"kind": "constant"}), "problem.l2.c"),
+    # c = 0 would be the empty graph
+    (lambda d: d.update(graphon={"kind": "constant"}), "graphon.c"),
 ]
 
 
@@ -156,6 +176,17 @@ class TestParseScenario:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert f"gmfg: {field}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, field", _ABSENT_FIELDS,
+                             ids=[case[1] for case in _ABSENT_FIELDS])
+    def test_absent_field_is_input_error(self, tmp_path, capsys, edit, field):
+        doc = nonlinear_scenario()
+        edit(doc)
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["solve-gmfg", "--config", cfg, "--out", str(out)]) == 1
+        assert f"gmfg: {field}: missing" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("diagnostics, field", [
@@ -459,14 +490,9 @@ class TestSimulateEnashCommand:
 
     def test_bad_ladder_rejected_under_optimize(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", nonlinear_scenario())
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "gmfg.cli", "simulate-enash",
-             "--config", cfg, "--out", str(tmp_path / "out"),
-             "--ladder", "2:25:7"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_python(["-O", "-m", "gmfg.cli", "simulate-enash",
+                           "--config", cfg, "--out", str(tmp_path / "out"),
+                           "--ladder", "2:25:7"])
         assert proc.returncode == 1, proc.stderr
         assert "--ladder must look like" in proc.stderr
 
@@ -489,3 +515,33 @@ class TestGraphonDiagCommand:
         assert devs[0] > devs[1] > devs[2]
         assert cuts[0] > cuts[1] > cuts[2]
         assert (out / "step_M8.csv").exists()
+
+
+# each subcommand on a small scenario
+_SMALL_RUNS = {
+    "solve-gmfg": nonlinear_scenario(),
+    "solve-lq": lq_scenario(),
+    "graphon-diag": nonlinear_scenario(diagnostics={"m_values": [2, 4],
+                                                    "refinement": 2}),
+    "simulate-enash": nonlinear_scenario(ladder={"rungs": [[1, 3]],
+                                                 "replications": 1,
+                                                 "R_law": 120}),
+}
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_import_loads_no_scipy(self):
+        proc = run_python(["-c", "import sys, gmfg.cli; print(sorted(m for m in "
+                           "sys.modules if m.split('.')[0] == 'scipy'))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+    def test_subcommand_runs_with_scipy_blocked(self, tmp_path, command):
+        cfg = write_config(tmp_path / "s.json", _SMALL_RUNS[command])
+        # a None entry makes every import of scipy raise ImportError
+        proc = run_python(["-c", "import sys; sys.modules['scipy'] = None; "
+                           "from gmfg.cli import main; sys.exit(main(sys.argv[1:]))",
+                           command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+        assert any((tmp_path / "out").iterdir())

@@ -297,6 +297,33 @@ class TestSolveHJB:
                                 np.abs(fl.cost_const + fl.cost_quad * umax**2)).max()
         assert np.abs(vg.values).max() <= p.T * cost_bound + 1e-9
 
+    @pytest.mark.parametrize("sigma, K, n_x", [(0.3, 16, 81),    # nu ~ 1.1
+                                               (3.0, 10, 201)])  # nu ~ 1100
+    def test_diffusion_solve_matches_banded_oracle(self, sigma, K, n_x):
+        # no drift, so every step is one linear solve of the implicit
+        # diffusion against the explicit x-dependent running cost
+        from scipy.linalg import solve_banded
+
+        T = 1.0
+        p = ProblemFunctions.structured(Constant(0.0), Constant(0.0),
+                                        Poly2(x=1.0, xx=1.0, xy=-0.5),
+                                        Constant(1.0), Poly2(const=0.3, yy=1.0),
+                                        Constant(0.0), (-1, 1), sigma, T)
+        g = Graphon.uniform_attachment()
+        ens = dirac_ensemble(0.4, 2, K, T)
+        x_grid = np.linspace(-2.0, 2.0, n_x)
+        fl = frozen_fields(p, g, 0.25, ens, x_grid)
+        vg, _ = solve_hjb(p, g, 0.25, ens, x_grid, fields=fl)
+        dt, dx = T / K, x_grid[1] - x_grid[0]
+        nu = sigma**2 * dt / (2.0 * dx * dx)
+        ab = np.zeros((3, n_x))
+        ab[0, 1:], ab[1], ab[2, :-1] = -nu, 1.0 + 2.0 * nu, -nu
+        ab[0, 1] = ab[2, -2] = -2.0 * nu
+        want = np.zeros((K + 1, n_x))
+        for k in range(K - 1, -1, -1):
+            want[k] = solve_banded((1, 1), ab, want[k + 1] + dt * fl.cost_const[0, k])
+        assert np.abs(vg.values - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_grid_refinement_first_order(self):
         sigma, T = 0.3, 1.0
         p = structured_lq_like(u_box=(-2, 2), sigma=sigma, T=T)

@@ -256,3 +256,11 @@ class TestEnsembleContainer:
         m = normal_quantile_measure(1.0, 2.0, 801)
         assert m.mean() == pytest.approx(1.0, abs=1e-6)
         assert w1(m, Measure1D(1.0 + 2.0 * normal_table().atoms)) < 0.01
+
+    @pytest.mark.parametrize("n", [129, 7])
+    def test_normal_quantile_levels_match_ndtri(self, n):
+        atoms = normal_quantile_measure(0.0, 1.0, n).atoms
+        np.testing.assert_allclose(atoms, ndtri((np.arange(n) + 0.5) / n),
+                                   rtol=0, atol=1e-15)
+        if n % 2:
+            assert normal_quantile_measure(0.3, 2.0, n).atoms[n // 2] == 0.3
