@@ -326,8 +326,11 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
             f"stability requires |drift| dt <= dx: {bound:.3g} * {dt:.3g} > {dx:.3g}")
 
     nu = problem.sigma**2 * dt / (2.0 * dx * dx)
-    off = np.full(nx - 1, -nu)
-    A = np.diag(np.full(nx, 1.0 + 2.0 * nu)) + np.diag(off, 1) + np.diag(off, -1)
+    # A and its inverse are the only dense (nx, nx) arrays of the solve
+    A = np.zeros((nx, nx))
+    i = np.arange(nx)
+    A[i, i] = 1.0 + 2.0 * nu
+    A[i[:-1], i[1:]] = A[i[1:], i[:-1]] = -nu
     A[0, 1] = A[-1, -2] = -2.0 * nu   # zero-slope (reflected) boundaries
     # One inverse serves every step and vertex. Each vertex's row goes
     # through its own vector-matrix product, so a vertex swept alone gets the
