@@ -107,8 +107,11 @@ def _w1_sorted_equal(a, b):
 class MeasureEnsemble:
     """Measures indexed by (vertex cell, time node).
 
-    Stored as dense atom/weight arrays of shape (M, K+1, n_atoms); uniform
-    ensembles coming out of a particle propagation share one weight value.
+    Stored as dense atom/weight arrays of shape (M, K+1, n_atoms). Each
+    entry's atoms are sorted when the ensemble is built, and a non-uniform
+    entry's weights are permuted with them, so the ensemble owns its atoms
+    and never aliases the array it was built from. Uniform ensembles coming
+    out of a particle propagation share one weight value.
     A time-Holder modulus for the ensemble is a diagnostic, not a
     construction-time invariant; see :func:`holder_modulus`.
     """
@@ -119,17 +122,23 @@ class MeasureEnsemble:
             raise GridError("ensemble atoms must have shape (M, K+1, n)")
         if not np.all(np.isfinite(a)):
             raise InvariantError("ensemble atoms must be finite")
-        w = np.broadcast_to(np.asarray(weights, dtype=float), a.shape)
+        raw = np.atleast_1d(np.asarray(weights, dtype=float))
+        w = np.broadcast_to(raw, a.shape)
         sums = w.sum(axis=2)
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise InvariantError("every ensemble entry must be normalized")
-        self.atoms = a
-        self.weights = w
         self.times = np.asarray(times, dtype=float)
         if self.times.shape != (a.shape[1],):
             raise GridError("times must match the ensemble time axis")
-        self._sorted = None
-        self._uniform = None
+        # broadcasting only repeats entries, so the unbroadcast weights decide
+        self.uniform = bool(np.all(raw == raw[..., :1]))
+        if self.uniform:
+            self.atoms = np.sort(a, axis=-1)
+        else:
+            order = np.argsort(a, axis=-1, kind="stable")
+            self.atoms = np.take_along_axis(a, order, axis=-1)
+            w = np.take_along_axis(w, order, axis=-1)
+        self.weights = w
 
     @classmethod
     def from_measures(cls, rows, times):
@@ -158,35 +167,24 @@ class MeasureEnsemble:
     def get(self, v, k):
         return Measure1D(self.atoms[v, k], self.weights[v, k])
 
-    def sorted_atoms(self):
-        """Atoms sorted along the particle axis (uniform ensembles only)."""
-        if self._sorted is None:
-            self._sorted = np.sort(self.atoms, axis=-1)
-        return self._sorted
-
-    def is_uniform(self):
-        if self._uniform is None:
-            self._uniform = bool(np.all(self.weights == self.weights[..., :1]))
-        return self._uniform
-
     def clusters(self, k):
         """The vertex measures at time node k as clusters, one per vertex,
         for exact coefficient means."""
         return SortedClusters(self.atoms[:, k],
-                              None if self.is_uniform() else self.weights[:, k])
+                              None if self.uniform else self.weights[:, k])
 
     def shift(self, delta):
         return MeasureEnsemble(self.atoms + float(delta), self.weights, self.times)
 
     def compress(self, n):
         """Quantile-compress every entry to n atoms."""
-        if self.atoms.shape[2] <= n and self.is_uniform():
+        if self.atoms.shape[2] <= n and self.uniform:
             return self
         levels = (np.arange(n) + 0.5) / n
-        if self.is_uniform():
-            s = self.sorted_atoms()
+        if self.uniform:
             idx = np.minimum((levels * self.atoms.shape[2]).astype(int), self.atoms.shape[2] - 1)
-            return MeasureEnsemble(s[:, :, idx], np.full((1, 1, n), 1.0 / n), self.times)
+            return MeasureEnsemble(self.atoms[:, :, idx], np.full((1, 1, n), 1.0 / n),
+                                   self.times)
         out = np.empty(self.atoms.shape[:2] + (n,))
         for v in range(self.n_vertices):
             for k in range(self.n_times):
@@ -198,10 +196,8 @@ def ensemble_w1_sup(e1, e2):
     """Sup over (vertex, time) of W1 between matching ensemble entries."""
     if e1.atoms.shape[:2] != e2.atoms.shape[:2]:
         raise GridError("ensembles live on different grids")
-    if (e1.is_uniform() and e2.is_uniform()
-            and e1.atoms.shape[2] == e2.atoms.shape[2]):
-        d = _w1_sorted_equal(e1.sorted_atoms(), e2.sorted_atoms())
-        return float(d.max())
+    if e1.uniform and e2.uniform and e1.atoms.shape[2] == e2.atoms.shape[2]:
+        return float(_w1_sorted_equal(e1.atoms, e2.atoms).max())
     best = 0.0
     for v in range(e1.n_vertices):
         for k in range(e1.n_times):
@@ -213,9 +209,11 @@ class PathBundle:
     """Per-vertex particle trajectories on a shared time grid.
 
     ``paths`` has shape (M, R, K+1); the replica count R is identical across
-    vertices by construction. ``escaped_mass`` is the share of particle-steps
-    a grid propagation found outside its space grid (None when no grid was
-    used).
+    vertices by construction. A solver bundle keeps its memory time-major,
+    (M, K+1, R), behind that view (see ``solver._start_paths``), so one time
+    node of a vertex's particles is one contiguous row. ``escaped_mass`` is
+    the share of particle-steps a grid propagation found outside its space
+    grid (None when no grid was used).
     """
 
     def __init__(self, paths, times, escaped_mass=None):
@@ -256,7 +254,11 @@ def ensemble_distance(m1, m2):
 
 
 def marginals(bundle):
-    """Empirical measure of the particles at every (vertex, time)."""
+    """Empirical measure of the particles at every (vertex, time).
+
+    The ensemble sorts a copy of the particles, so ``bundle.paths`` keeps
+    the particle order that coupled path distances read.
+    """
     atoms = np.swapaxes(bundle.paths, 1, 2)  # (M, K+1, R)
     n = atoms.shape[2]
     return MeasureEnsemble(atoms, np.full((1, 1, n), 1.0 / n), bundle.times)
@@ -301,8 +303,8 @@ def w1_joint_continuity_scan(ensemble):
     system; a large value flags a discontinuity in vertex or time.
     """
     best = 0.0
-    if ensemble.is_uniform():
-        s = ensemble.sorted_atoms()
+    if ensemble.uniform:
+        s = ensemble.atoms
         if ensemble.n_times > 1:
             best = max(best, float(_w1_sorted_equal(s[:, 1:], s[:, :-1]).max()))
         if ensemble.n_vertices > 1:

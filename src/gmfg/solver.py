@@ -86,15 +86,18 @@ class GMFGSolution:
 
 
 def _start_paths(problem):
-    """The (M, R, K+1) path buffer before the time loop.
+    """The read-only (M, R, K+1) start buffer of a solve.
 
     Slot 0 holds each vertex's initial draws of the initial law and slot
     k+1 its scaled Brownian increment sigma sqrt(dt) Z_k. Both streams are
-    keyed by (seed, vertex), so every propagation of a problem starts from
-    the same buffer.
+    keyed by (seed, vertex), so a solve draws them once and every
+    propagation of it starts from a copy (:func:`_fresh_paths`). The
+    memory is time-major, (M, K+1, R), behind the (M, R, K+1) view: an
+    Euler step then writes one contiguous block, and the marginals read the
+    buffer in memory order.
     """
     scale = problem.functions.sigma * math.sqrt(problem.functions.T / problem.K)
-    paths = np.empty((problem.M, problem.R, problem.K + 1))
+    paths = np.empty((problem.M, problem.K + 1, problem.R)).swapaxes(1, 2)
     for v in range(problem.M):
         paths[v, :, 0] = problem.initial_law.quantile(
             rng.stream(problem.seed, rng.INITIAL, v).random(problem.R))
@@ -102,18 +105,29 @@ def _start_paths(problem):
         # scale; an unnamed draw is freed before the next one is made
         np.multiply(scale, rng.stream(problem.seed, rng.PROPAGATE, v)
                     .standard_normal((problem.R, problem.K)), out=paths[v, :, 1:])
+    paths.flags.writeable = False
     return paths
 
 
-def zero_drift_bundle(problem):
-    """Pure-diffusion propagation of the initial law (the starting iterate)."""
-    paths = _start_paths(problem)
+def _fresh_paths(problem, start):
+    # a writable copy of the solve's start buffer, in its time-major layout;
+    # a call made outside a solve (start None) draws its own
+    return (_start_paths(problem) if start is None else start).copy(order="K")
+
+
+def zero_drift_bundle(problem, start=None):
+    """Pure-diffusion propagation of the initial law (the starting iterate).
+
+    ``start`` is the solve's start buffer (:func:`_start_paths`); without
+    one, the draws are made here.
+    """
+    paths = _fresh_paths(problem, start)
     np.cumsum(paths[..., 1:], axis=2, out=paths[..., 1:])
     paths[..., 1:] += paths[..., :1]
     return PathBundle(paths, problem.times)
 
 
-def propagate_closed_loop(problem, policies, e_drift, fields=None):
+def propagate_closed_loop(problem, policies, e_drift, fields=None, start=None):
     """Closed-loop Euler-Maruyama propagation of every vertex population.
 
     Per vertex, R particles start from i.i.d. draws of the initial law and
@@ -121,9 +135,11 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None):
     vertex policy in the control slot. All (M, R) particles step together:
     one grid lookup per step serves both the policy and the drift tables.
     Noise and initial draws are keyed by (seed, vertex, replica), so
-    repeated calls couple exactly. The bundle's ``escaped_mass`` is the
-    share of particle-steps that started outside the space grid, where the
-    tables are clamped to their end values.
+    repeated calls couple exactly; a solve passes the ``start`` buffer it
+    drew once (:func:`_start_paths`), and a call without one draws it. The
+    bundle's ``escaped_mass`` is the share of particle-steps that started
+    outside the space grid, where the tables are clamped to their end
+    values.
     """
     p = problem.functions
     if fields is None:
@@ -132,7 +148,7 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None):
     table = np.stack([pol.values for pol in policies])
     rows = np.arange(problem.M)[:, None]
     dt = p.T / problem.K
-    paths = _start_paths(problem)
+    paths = _fresh_paths(problem, start)
     escaped = 0
 
     def drift(k, x):
@@ -150,20 +166,24 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None):
 
 
 def inner_mv_consistency(problem, policies, e_start, tol_inner=None,
-                         max_inner=60):
+                         max_inner=60, start=None):
     """Self-consistent propagation under fixed policies.
 
     Iterates drift-ensemble updates nu <- marginals(propagate(policies, nu))
     until the sup W1 change drops below ``tol_inner``. With policies fixed
     this map contracts on any horizon window, so geometric decay of the
-    change is the expected trace shape. Returns (bundle, ensemble, trace).
+    change is the expected trace shape. Every pass propagates from one
+    start buffer: the caller's ``start``, or one drawn here. Returns
+    (bundle, ensemble, trace).
     """
     if tol_inner is None:
         tol_inner = max(1e-4, 0.2 * problem.noise_floor)
+    if start is None:
+        start = _start_paths(problem)
     ens = e_start
     trace = []
     for j in range(max_inner):
-        bundle = propagate_closed_loop(problem, policies, ens)
+        bundle = propagate_closed_loop(problem, policies, ens, start=start)
         new = marginals(bundle)
         d = ensemble_w1_sup(new, ens)
         trace.append(d)
@@ -199,6 +219,8 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     ``single_loop`` mode, the inner sub-iteration's pass count in
     ``double_loop`` mode) and ``policy_lipschitz``, the largest x-difference
     quotient of any vertex policy (:func:`~gmfg.control.policy_lipschitz`).
+    The initial states and the noise are drawn once per solve and shared
+    by every propagation of it (common random numbers across passes).
     Particle noise cannot resolve ensembles below the sampling floor, so
     the tolerance is clamped to 5 / sqrt(R). Convergence may be
     declared from pass ``min_outer`` on (default 2); an explicit
@@ -214,17 +236,18 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         raise ConfigError(f"min_outer {min_outer} exceeds max_outer {max_outer}")
     floor = problem.noise_floor
     tol_eff = max(tol if tol is not None else 0.0, 5.0 / math.sqrt(problem.R))
-    ens = marginals(zero_drift_bundle(problem))
+    start = _start_paths(problem)
+    ens = marginals(zero_drift_bundle(problem, start))
     trace = []
     prev_policy = None
-    bundle = None
     for i in range(max_outer):
         vgs, pols, fls = _solve_all_vertices(problem, ens)
         if mode == "single_loop":
-            bundle = propagate_closed_loop(problem, pols, ens, fields=fls)
+            bundle = propagate_closed_loop(problem, pols, ens, fields=fls, start=start)
             passes = 1
         else:
-            bundle, _, inner = inner_mv_consistency(problem, pols, ens, inner_tol)
+            bundle, _, inner = inner_mv_consistency(problem, pols, ens, inner_tol,
+                                                    start=start)
             passes = len(inner)
         new = marginals(bundle)
         d = ensemble_w1_sup(new, ens)
@@ -264,10 +287,6 @@ class SensitivityReport:
     def product(self):
         return self.c1 * self.c2
 
-    @property
-    def defined(self):
-        return math.isfinite(self.c1) and math.isfinite(self.c2)
-
 
 def sensitivity_probe(problem, solution, delta=0.05):
     """Finite-difference probe of the fixed-point contraction constants.
@@ -293,7 +312,10 @@ def sensitivity_probe(problem, solution, delta=0.05):
 
     if dphi <= 0.0:
         return SensitivityReport(c1, math.nan, dphi, shift_dist)
-    b1, _, t1 = inner_mv_consistency(problem, solution.policies, solution.ensemble)
-    b2, _, t2 = inner_mv_consistency(problem, pols_shifted, solution.ensemble)
+    start = _start_paths(problem)
+    b1, _, t1 = inner_mv_consistency(problem, solution.policies, solution.ensemble,
+                                     start=start)
+    b2, _, t2 = inner_mv_consistency(problem, pols_shifted, solution.ensemble,
+                                     start=start)
     c2 = ensemble_distance(b1, b2) / dphi
     return SensitivityReport(c1, c2, dphi, shift_dist, (t1, t2))

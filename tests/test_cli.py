@@ -423,9 +423,9 @@ class TestSimulateEnashCommand:
         real = solver.inner_mv_consistency
         seen = []
 
-        def spy(problem, policies, e_start, tol_inner=None, max_inner=60):
+        def spy(problem, policies, e_start, tol_inner=None, max_inner=60, **kw):
             seen.append(tol_inner)
-            return real(problem, policies, e_start, tol_inner, max_inner)
+            return real(problem, policies, e_start, tol_inner, max_inner, **kw)
 
         # picard_solve's double loop reaches this module-level name; the
         # cluster-law solve of System C holds its own import

@@ -230,6 +230,30 @@ class TestEnsembleContainer:
         assert e.get(0, 1).mean() == pytest.approx(0.5)
         assert ensemble_w1_sup(e, e) == 0.0
 
+    def test_atoms_sorted_at_birth(self):
+        """Each entry's atoms are sorted when the ensemble is built, the
+        weights travel with their atoms, and the input stays as it was."""
+        gen = np.random.default_rng(4)
+        atoms = gen.normal(size=(2, 3, 7))
+        raw = gen.uniform(0.1, 1.0, atoms.shape)
+        weights = raw / raw.sum(axis=2, keepdims=True)
+        given = atoms.copy()
+        e = MeasureEnsemble(atoms, weights, [0.0, 0.5, 1.0])
+        assert np.array_equal(atoms, given)
+        assert np.all(np.diff(e.atoms, axis=2) >= 0.0)
+        for v in range(2):
+            for k in range(3):
+                assert w1(e.get(v, k), Measure1D(atoms[v, k], weights[v, k])) == 0.0
+
+    def test_marginals_leave_paths_unsorted(self):
+        gen = np.random.default_rng(8)
+        paths = gen.normal(size=(2, 50, 4))
+        bundle = PathBundle(paths.copy(), np.linspace(0.0, 1.0, 4))
+        e = marginals(bundle)
+        assert np.array_equal(bundle.paths, paths)
+        assert np.any(np.diff(bundle.paths, axis=1) < 0.0)
+        assert np.array_equal(e.atoms, np.sort(np.swapaxes(paths, 1, 2), axis=2))
+
     def test_shift(self):
         e = MeasureEnsemble(np.zeros((1, 2, 3)), np.full(3, 1 / 3), [0.0, 1.0])
         assert ensemble_w1_sup(e.shift(0.4), e) == pytest.approx(0.4)

@@ -89,6 +89,16 @@ class TestPropagation:
         b2 = propagate_closed_loop(problem, pols, ens)
         assert np.array_equal(b1.paths, b2.paths)
 
+    def test_paths_are_time_major(self):
+        """Behind the (M, R, K+1) view, one time node of a vertex is one
+        contiguous row."""
+        problem = small_problem(M=2, K=8, R=300)
+        start = zero_drift_bundle(problem)
+        pols = [constant_policy(problem, 0.1)] * problem.M
+        for bundle in (start, propagate_closed_loop(problem, pols, marginals(start))):
+            assert bundle.paths.shape == (problem.M, problem.R, problem.K + 1)
+            assert np.swapaxes(bundle.paths, 1, 2).flags.c_contiguous
+
 
 class TestInnerConsistency:
     def test_measure_independent_drift_converges_immediately(self):
@@ -256,6 +266,29 @@ class TestPicardSolve:
         single = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
         assert [e["inner_passes"] for e in single.trace] == [1] * len(single.trace)
 
+    @pytest.mark.parametrize("mode", ["single_loop", "double_loop"])
+    def test_one_draw_per_solve(self, monkeypatch, mode):
+        """A solve draws each vertex's noise and initial states once and
+        starts every propagation, inner ones included, from those draws."""
+        from gmfg import rng
+
+        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
+                              Graphon.constant(1.0), dirac(0.5), M=2, K=16,
+                              N_x=61, R=400, seed=10)
+        real = rng.stream
+        draws = []
+
+        def counting(seed, *tags):
+            draws.append(tags[0])
+            return real(seed, *tags)
+
+        monkeypatch.setattr(rng, "stream", counting)
+        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10, mode=mode,
+                           inner_tol=1e-6)
+        assert sum(e["inner_passes"] for e in sol.trace) >= 3
+        assert draws.count(rng.PROPAGATE) == problem.M
+        assert draws.count(rng.INITIAL) == problem.M
+
     def test_min_particle_count_enforced(self):
         with pytest.raises(InvariantError):
             small_problem(R=50)
@@ -282,7 +315,7 @@ class TestSensitivityProbe:
         sol = picard_solve(prob, tol=0.25)
         rep = sensitivity_probe(prob, sol, delta=0.05)
         assert rep.c1 == 0.0
-        assert math.isnan(rep.c2) and not rep.defined
+        assert math.isfinite(rep.c1) and math.isnan(rep.c2)
 
     def test_probe_sign_symmetry(self, small_solution):
         problem, sol = small_solution
@@ -294,7 +327,7 @@ class TestSensitivityProbe:
     def test_contraction_product_below_one(self, small_solution):
         problem, sol = small_solution
         rep = sensitivity_probe(problem, sol, delta=0.05)
-        assert rep.defined
+        assert math.isfinite(rep.c1) and math.isfinite(rep.c2)
         assert rep.product < 1.0
 
     def test_product_tracks_picard_ratio(self, small_solution):
