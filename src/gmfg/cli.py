@@ -205,13 +205,20 @@ def build_parser():
     return parser
 
 
+def _seed_override():
+    value = os.environ.get("GMFG_SEED")
+    if not value:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"GMFG_SEED must be an integer, got {value!r}") from None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    seed_override = os.environ.get("GMFG_SEED")
     try:
-        scenario = parse_scenario(args.config,
-                                  seed_override=int(seed_override)
-                                  if seed_override else None)
+        scenario = parse_scenario(args.config, seed_override=_seed_override())
         return dispatch(args.command, scenario, args.out, args)
     except ConfigError as exc:
         for problem in exc.problems:

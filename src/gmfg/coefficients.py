@@ -9,11 +9,13 @@ an ensemble at one time node.
 
 For a fixed x a quadratic is c y^2 + b y + a, so its mean over a cluster
 needs only the cluster's weighted sums of 1, y and y^2. A clip to [lo, hi]
-splits the y-line at the roots of the quadratic at lo and at hi; between
-two consecutive roots the clip regime is fixed, so each segment's sum comes
-from prefix sums of the cluster's sorted samples. The cost per query point
-is O(M log n) for M clusters of n samples, instead of one evaluation per
-sample.
+cuts the y-line at the real roots of the quadratic at lo and at hi: one
+cut per level when c == 0, two when c != 0. Between consecutive cuts the
+clip regime is fixed, so each segment's sum comes from prefix sums of the
+cluster's sorted samples. The ends of the line are implicit, at positions
+0 and n of every cluster, so only the E cuts are searched: the cost per
+query point is O(E M log n) for M clusters of n samples, with E = 2 for a
+clip linear in y and 4 otherwise, instead of one evaluation per sample.
 """
 
 import copy
@@ -35,7 +37,8 @@ class SortedClusters:
     zero-weight sample adds nothing, so rows of unequal length are padded
     with them. The sums of w, w y and w y^2 per cluster are taken at once;
     the sort and the prefix sums behind :meth:`segment_sums` only on first
-    use, so coefficients without a clip never sort.
+    use, so coefficients without a clip never sort. Rows that are sorted
+    already (:meth:`from_sorted`) are not sorted again.
 
     ``columns`` names the clusters each query point is integrated against,
     broadcastable to (n points, width): every cluster (shape (1, M)) by
@@ -57,7 +60,16 @@ class SortedClusters:
             self.s1 = np.einsum("ij,ij->i", w, y)
             self.s2 = np.einsum("ij,ij,ij->i", w, y, y)
         self.columns = np.arange(y.shape[0])[None, :]
+        self._is_sorted = False
         self._prefix = {}   # shared with the views
+
+    @classmethod
+    def from_sorted(cls, values, weights=None):
+        """Clusters whose rows are sorted ascending already, weights
+        permuted with them: the prefix sums are built on the rows as given."""
+        clusters = cls(values, weights)
+        clusters._is_sorted = True
+        return clusters
 
     @classmethod
     def from_concatenated(cls, values, sizes):
@@ -97,50 +109,59 @@ class SortedClusters:
         return self.s1[self.columns] / m, self.s2[self.columns] / m
 
     def _sorted(self):
-        # sorted samples and prefix sums of w, w y and w y^2, built once
+        # sorted samples and the (3, M, n+1) prefix sums of w, w y and
+        # w y^2, each row starting at 0, built once
         pre = self._prefix
         if not pre:
             y, w = self.values, self.weights
-            if w is None:
-                y = np.sort(y, axis=1)
-            else:
-                order = np.argsort(y, axis=1)
-                y, w = (np.take_along_axis(a, order, axis=1) for a in (y, w))
+            if not self._is_sorted:
+                if w is None:
+                    y = np.sort(y, axis=1)
+                else:
+                    order = np.argsort(y, axis=1)
+                    y, w = (np.take_along_axis(a, order, axis=1) for a in (y, w))
             M, n = y.shape
-            zero = np.zeros((M, 1))
-            wy = y if w is None else w * y
-            pre["p0"] = (np.broadcast_to(np.arange(n + 1.0), (M, n + 1)) if w is None
-                         else np.concatenate([zero, np.cumsum(w, axis=1)], axis=1))
-            pre["p1"] = np.concatenate([zero, np.cumsum(wy, axis=1)], axis=1)
-            pre["p2"] = np.concatenate([zero, np.cumsum(wy * y, axis=1)], axis=1)
-            pre["sorted"] = y
+            sums = np.empty((3, M, n + 1))
+            sums[:, :, 0] = 0.0
+            if w is None:
+                sums[0] = np.arange(n + 1.0)
+                wy = y
+            else:
+                np.cumsum(w, axis=1, out=sums[0, :, 1:])
+                wy = w * y
+            np.cumsum(wy, axis=1, out=sums[1, :, 1:])
+            np.cumsum(wy * y, axis=1, out=sums[2, :, 1:])
+            pre["sorted"], pre["sums"] = y, sums
         return pre
 
-    def segment_sums(self, edges):
+    def segment_sums(self, cuts):
         """Weighted sums of 1, y and y^2 over each column's samples between
-        edges.
+        cuts.
 
-        ``edges`` is (n, E), sorted along each row; the result is three
-        (n, width, E-1) arrays, segment j holding the samples y with
-        edges[:, j] <= y < edges[:, j+1]. The (point, column) pairs are
-        grouped by cluster once, so each cluster's samples are searched
-        with one call for all the points that read it.
+        ``cuts`` is (n, E), sorted along each row; the ends of the y-line
+        are implicit. The result is one (3, n, width, E+1) array holding
+        the sums of 1, y and y^2, segment j holding the samples y with
+        cuts[:, j-1] <= y < cuts[:, j], where cut -1 is -inf and cut E is
+        +inf. The (point, column) pairs are grouped by cluster once, so
+        each cluster's samples are searched with one call for all the
+        points that read it.
         """
         pre = self._sorted()
-        n, E = edges.shape
+        y = pre["sorted"]
+        n, E = cuts.shape
         width = self.width
         rows = np.broadcast_to(self.columns, (n, width))
         flat = rows.ravel()
         order = np.argsort(flat, kind="stable")
         bounds = np.searchsorted(flat[order], np.arange(self.totals.size + 1))
-        pos = np.empty((n * width, E), dtype=np.intp)
+        pos = np.empty((n * width, E + 2), dtype=np.intp)
+        pos[:, 0], pos[:, -1] = 0, y.shape[1]
         for l in np.flatnonzero(np.diff(bounds)):
             pairs = order[bounds[l]:bounds[l + 1]]
-            pos[pairs] = np.searchsorted(pre["sorted"][l], edges[pairs // width],
-                                         side="left")
-        pos = pos.reshape(n, width, E)
-        rows = rows[:, :, None]
-        return tuple(np.diff(pre[p][rows, pos], axis=2) for p in ("p0", "p1", "p2"))
+            pos[pairs, 1:-1] = np.searchsorted(y[l], cuts[pairs // width],
+                                               side="left")
+        pos = pos.reshape(n, width, E + 2)
+        return np.diff(pre["sums"][:, rows[:, :, None], pos], axis=3)
 
 
 @dataclass
@@ -200,13 +221,12 @@ class Poly2:
             m1, m2 = clusters.means()
             return a + b * m1 + c * m2
         lo, hi = self.clip
-        n = x.size
-        edges = np.concatenate([np.full((n, 1), -np.inf), self._roots(a, b, lo),
-                                self._roots(a, b, hi), np.full((n, 1), np.inf)],
-                               axis=1)
-        edges.sort(axis=1)
-        # The clip regime is fixed between consecutive roots; read it at a
-        # point strictly inside each segment, never at a root.
+        cuts = np.concatenate([self._roots(a, b, lo), self._roots(a, b, hi)], axis=1)
+        cuts.sort(axis=1)
+        # The clip regime is fixed between consecutive cuts; read it at a
+        # point strictly inside each segment, never at a cut.
+        ends = np.full((x.size, 1), np.inf)
+        edges = np.concatenate([-ends, cuts, ends], axis=1)
         left, right = edges[:, :-1], edges[:, 1:]
         with np.errstate(invalid="ignore", over="ignore"):
             probe = np.where(np.isfinite(left) & np.isfinite(right),
@@ -215,19 +235,20 @@ class Poly2:
                                       np.where(np.isfinite(left),
                                                left + 1.0 + np.abs(left), 0.0)))
             g = a + probe * (b + c * probe)
-        n0, s1, s2 = clusters.segment_sums(edges)
+        n0, s1, s2 = clusters.segment_sums(cuts)
         inside = a[:, :, None] * n0 + b[:, :, None] * s1 + c * s2
         level = np.where(g < lo, lo, hi)[:, None, :] * n0
         mid = ((g >= lo) & (g <= hi))[:, None, :]
         return np.where(mid, inside, level).sum(axis=2) / clusters.mass()
 
     def _roots(self, a, b, level):
-        """(n, 2) real roots in y of c y^2 + b y + a = level, +inf if absent."""
+        """Real roots in y of c y^2 + b y + a = level, +inf if absent:
+        (n, 1) when c == 0, (n, 2) otherwise."""
         k = a - level
         c = self.yy
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if c == 0.0:
-                roots = np.concatenate([-k / b, np.full_like(k, np.inf)], axis=1)
+                roots = -k / b
             else:
                 disc = b * b - 4.0 * c * k
                 q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))

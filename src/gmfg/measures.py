@@ -169,9 +169,10 @@ class MeasureEnsemble:
 
     def clusters(self, k):
         """The vertex measures at time node k as clusters, one per vertex,
-        for exact coefficient means."""
-        return SortedClusters(self.atoms[:, k],
-                              None if self.uniform else self.weights[:, k])
+        for exact coefficient means. The atoms are sorted already, so the
+        clusters are not sorted again."""
+        return SortedClusters.from_sorted(self.atoms[:, k],
+                                          None if self.uniform else self.weights[:, k])
 
     def shift(self, delta):
         return MeasureEnsemble(self.atoms + float(delta), self.weights, self.times)

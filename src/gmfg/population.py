@@ -49,7 +49,8 @@ from .control import (GridLookup, Policy, brackets, euler_maruyama,
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import Measure1D, MeasureEnsemble
-from .solver import GMFGProblem, inner_mv_consistency, marginals, zero_drift_bundle
+from .solver import (GMFGProblem, _start_paths, inner_mv_consistency, marginals,
+                     zero_drift_bundle)
 
 
 class FinitePopulation:
@@ -313,12 +314,15 @@ def run_system_c(pop, solution, R_law=2000):
     needs the M_k cluster laws. These are found by the measure-consistency
     sub-iteration with ``R_law`` replicas per cluster, then every agent is
     propagated against its cluster's law with the same Brownian increments
-    as System A.
+    as System A. The law solve draws its start buffer once, for the
+    zero-drift start and every pass of the sub-iteration.
     """
     clone = _law_problem(pop, solution, R_law)
     policies = _cluster_policies(pop, solution)
-    start = marginals(zero_drift_bundle(clone))
-    _, laws, _ = inner_mv_consistency(clone, policies, start)
+    start = _start_paths(clone)
+    _, laws, _ = inner_mv_consistency(clone, policies,
+                                      marginals(zero_drift_bundle(clone, start)),
+                                      start=start)
     fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
                            laws, clone.x_grid, drift_only=True)
     return _field_propagation(pop, solution, fields, "C", laws=laws)

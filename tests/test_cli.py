@@ -297,6 +297,15 @@ class TestSolveGMFGCommand:
         t2 = json.loads((out2 / "trace.json").read_text())
         assert t1["meta"]["scenario_hash"] != t2["meta"]["scenario_hash"]
 
+    def test_non_integer_gmfg_seed_is_input_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        cfg = write_config(tmp_path / "s.json", nonlinear_scenario())
+        out = tmp_path / "out"
+        monkeypatch.setenv("GMFG_SEED", "abc")
+        assert main(["graphon-diag", "--config", cfg, "--out", str(out)]) == 1
+        assert "gmfg: GMFG_SEED must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateEnashCommand:
     def test_tiny_ladder_report(self, tmp_path):

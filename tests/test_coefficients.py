@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gmfg import Constant, InvariantError, Poly2, ProblemFunctions, SortedClusters
+from gmfg import (Constant, InvariantError, Measure1D, MeasureEnsemble, Poly2,
+                  ProblemFunctions, SortedClusters)
 
 # Small dyadic numbers keep the arithmetic exact often enough that samples
 # tie and land exactly on a clip threshold; plain floats cover the rest.
@@ -102,7 +103,8 @@ class TestSegmentSums:
     @given(st.data())
     def test_grouped_search_equals_per_cluster_searchsorted(self, data):
         """Any (n, width) columns: each (point, column) pair reads its
-        cluster's prefix sums at that cluster's own search positions."""
+        cluster's prefix sums at that cluster's own search positions, the
+        implicit ends of the y-line at positions 0 and the row length."""
         sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
         values = np.array(data.draw(st.lists(numbers, min_size=sum(sizes),
                                              max_size=sum(sizes))))
@@ -111,19 +113,54 @@ class TestSegmentSums:
         columns = np.array(data.draw(st.lists(
             st.integers(0, len(sizes) - 1), min_size=n * width,
             max_size=n * width))).reshape(n, width)
-        E = data.draw(st.integers(2, 5))
-        edges = np.sort(np.array(data.draw(st.lists(
+        E = data.draw(st.integers(1, 4))
+        cuts = np.sort(np.array(data.draw(st.lists(
             st.one_of(numbers, st.just(-np.inf), st.just(np.inf)),
             min_size=n * E, max_size=n * E))).reshape(n, E), axis=1)
         clusters = SortedClusters.from_concatenated(values, sizes).view(columns)
-        got = clusters.segment_sums(edges)
+        got = clusters.segment_sums(cuts)
+        assert got.shape == (3, n, width, E + 1)
         pre = clusters._sorted()
+        ends = max(sizes)
         for i in range(n):
             for c in range(width):
                 l = columns[i, c]
-                pos = np.searchsorted(pre["sorted"][l], edges[i], side="left")
-                for g, p in zip(got, ("p0", "p1", "p2")):
-                    np.testing.assert_array_equal(g[i, c], np.diff(pre[p][l, pos]))
+                pos = np.concatenate([[0], np.searchsorted(pre["sorted"][l], cuts[i],
+                                                           side="left"), [ends]])
+                np.testing.assert_array_equal(got[:, i, c],
+                                              np.diff(pre["sums"][:, l, pos], axis=1))
+
+
+class TestEnsembleClusters:
+    coef = Poly2(x=-1.0, y=1.0, clip=(-0.5, 0.5))
+
+    def check(self, ens, rows, weights):
+        """The ensemble's clusters at node 0 read its sorted rows in place,
+        and their clipped means equal those of the rows given unsorted."""
+        clusters = ens.clusters(0)
+        assert np.shares_memory(clusters._sorted()["sorted"], ens.atoms)
+        x = np.linspace(-1.5, 1.5, 13)
+        np.testing.assert_array_equal(
+            self.coef.cluster_means(x, clusters),
+            self.coef.cluster_means(x, SortedClusters(rows, weights)))
+
+    def test_uniform_ensemble(self):
+        rows = np.random.default_rng(3).normal(0.0, 0.6, (3, 40))
+        self.check(MeasureEnsemble(rows[:, None], 1.0 / 40, [0.0]), rows, None)
+
+    def test_padded_ensemble(self):
+        # dyadic weights sum exactly in any order, so the clusters' total
+        # weights do not depend on the order the rows are given in
+        gen = np.random.default_rng(4)
+        rows = gen.normal(0.0, 0.6, (2, 8))
+        weights = np.array([[1, 1, 2, 4, 8, 0, 0, 0],
+                            [1, 1, 1, 1, 2, 2, 4, 4]]) / 16.0
+        measures = [[Measure1D(r[w > 0], w[w > 0])] for r, w in zip(rows, weights)]
+        ens = MeasureEnsemble.from_measures(measures, [0.0])
+        assert not ens.uniform and np.any(ens.weights == 0.0)
+        # the same rows, pads included, in a shuffled order
+        order = gen.permutation(8)
+        self.check(ens, ens.atoms[:, 0][:, order], ens.weights[:, 0][:, order])
 
 
 class TestPointwise:

@@ -555,6 +555,24 @@ class TestPerturbationTerms:
         run_system_c(pop, coupled_solution, R_law=200)
         assert seen == []
 
+    def test_system_c_draws_its_law_noise_once(self, coupled_solution, monkeypatch):
+        """The zero-drift start and the law sub-iteration share one start
+        buffer: one propagation stream per cluster per run."""
+        from gmfg import rng
+
+        pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
+                               normal_quantile_measure(0.0, 0.3, 65), seed=33)
+        real = rng.stream
+        kinds = []
+
+        def spy(seed, *tags):
+            kinds.append(tags[0])
+            return real(seed, *tags)
+
+        monkeypatch.setattr(rng, "stream", spy)
+        run_system_c(pop, coupled_solution, R_law=200)
+        assert kinds.count(rng.PROPAGATE) == pop.M_k
+
     @pytest.mark.slow
     def test_intra_term_clt_slope(self):
         sol = solve_instance(coupled_problem(), Graphon.constant(0.5), M=1,
