@@ -22,7 +22,7 @@ problem = ProblemFunctions.structured(
     control_set=(-10.0, 10.0), sigma=sigma, T=T)
 
 times = np.linspace(0.0, T, K + 1)
-frozen = MeasureEnsemble(np.zeros((1, K + 1, 1)), np.ones(1), times)
+frozen = MeasureEnsemble(np.zeros((1, K + 1, 1)), times)
 x_grid = np.linspace(-6.0, 6.0, 1201)
 
 value, policy = solve_hjb(problem, Graphon.constant(0.0), 0.5, frozen, x_grid)

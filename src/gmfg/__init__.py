@@ -19,7 +19,7 @@ from .solver import (GMFGProblem, GMFGSolution, SensitivityReport,
 from .population import (DeviationReport, FinitePopulation, NashGapReport,
                          TrajectorySet, build_population,
                          default_deviation_family, deviation_metrics,
-                         empirical_field_best_response, epsilon_nash_gap,
+                         empirical_field_best_response,
                          perturbation_terms, run_ladder, run_system_a,
                          run_system_b, run_system_c, run_system_d)
 from .scenario import Scenario, parse_scenario

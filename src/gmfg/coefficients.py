@@ -3,12 +3,13 @@
 Every coefficient a scenario can express is a constant or a quadratic in
 (x, y) with an optional clip. Both are small value objects: calling one on
 broadcastable arrays evaluates the surface pointwise, and ``cluster_means``
-integrates it exactly against the weighted samples of each cluster, be the
-clusters the agent groups of a finite population or the vertex measures of
-an ensemble at one time node.
+integrates it exactly against the samples of each cluster, be the clusters
+the equal agent groups of a finite population or the equal-weight vertex
+measures of an ensemble at one time node. Every cluster holds the same
+number n of samples, each of weight 1/n.
 
 For a fixed x a quadratic is c y^2 + b y + a, so its mean over a cluster
-needs only the cluster's weighted sums of 1, y and y^2. A clip to [lo, hi]
+needs only the cluster's sums of y and y^2. A clip to [lo, hi]
 cuts the y-line at the real roots of the quadratic at lo and at hi: one
 cut per level when c == 0, two when c != 0. Between consecutive cuts the
 clip regime is fixed, so each segment's sum comes from prefix sums of the
@@ -29,16 +30,14 @@ def _shape(x, y):
 
 
 class SortedClusters:
-    """Weighted samples of M clusters: their moments and sorted prefix sums.
+    """Equal-weight samples of M clusters: their moments and sorted prefix
+    sums.
 
-    ``values`` is (M, n), one row of samples per cluster, and ``weights``
-    (broadcastable to it) the weight of each sample; None weighs every
-    sample 1. Means are divided by each cluster's total weight. A
-    zero-weight sample adds nothing, so rows of unequal length are padded
-    with them. The sums of w, w y and w y^2 per cluster are taken at once;
-    the sort and the prefix sums behind :meth:`segment_sums` only on first
-    use, so coefficients without a clip never sort. Rows that are sorted
-    already (:meth:`from_sorted`) are not sorted again.
+    ``values`` is (M, n), one row of n samples per cluster, each sample of
+    weight 1/n. The sums of y and y^2 per cluster are taken at once; the
+    sort and the prefix sums behind :meth:`segment_sums` only on first use,
+    so coefficients without a clip never sort. Rows that are sorted already
+    (:meth:`from_sorted`) are not sorted again.
 
     ``columns`` names the clusters each query point is integrated against,
     broadcastable to (n points, width): every cluster (shape (1, M)) by
@@ -47,42 +46,21 @@ class SortedClusters:
     stack (shape (n, M_row)).
     """
 
-    def __init__(self, values, weights=None):
+    def __init__(self, values):
         y = self.values = np.asarray(values, dtype=float)
-        if weights is None:
-            self.weights = None
-            self.totals = np.full(y.shape[0], float(y.shape[1]))
-            self.s1, self.s2 = y.sum(axis=1), np.einsum("ij,ij->i", y, y)
-        else:
-            w = self.weights = np.broadcast_to(np.asarray(weights, dtype=float),
-                                               y.shape)
-            self.totals = w.sum(axis=1)
-            self.s1 = np.einsum("ij,ij->i", w, y)
-            self.s2 = np.einsum("ij,ij,ij->i", w, y, y)
+        self.size = y.shape[1]
+        self.s1, self.s2 = y.sum(axis=1), np.einsum("ij,ij->i", y, y)
         self.columns = np.arange(y.shape[0])[None, :]
         self._is_sorted = False
         self._prefix = {}   # shared with the views
 
     @classmethod
-    def from_sorted(cls, values, weights=None):
-        """Clusters whose rows are sorted ascending already, weights
-        permuted with them: the prefix sums are built on the rows as given."""
-        clusters = cls(values, weights)
+    def from_sorted(cls, values):
+        """Clusters whose rows are sorted ascending already: the prefix sums
+        are built on the rows as given."""
+        clusters = cls(values)
         clusters._is_sorted = True
         return clusters
-
-    @classmethod
-    def from_concatenated(cls, values, sizes):
-        """Clusters from samples listed cluster by cluster: the first
-        ``sizes[0]`` belong to cluster 0, the next ``sizes[1]`` to cluster 1,
-        and so on, in the row-major order of ``values``."""
-        sizes = np.asarray(sizes, dtype=int)
-        if sizes.min() == sizes.max():
-            return cls(np.reshape(values, (sizes.size, -1)))
-        valid = np.arange(sizes.max())[None, :] < sizes[:, None]
-        rows = np.zeros(valid.shape)
-        rows[valid] = np.ravel(values)
-        return cls(rows, valid)
 
     def view(self, columns):
         """View in which query point i sees the clusters ``columns[i]``.
@@ -99,44 +77,27 @@ class SortedClusters:
         """Number of result columns per query point."""
         return int(self.columns.shape[1])
 
-    def mass(self):
-        """Total weight of each column's cluster, broadcastable to (n, width)."""
-        return self.totals[self.columns]
-
     def means(self):
         """Means of y and of y^2 per column, broadcastable to (n, width)."""
-        m = self.mass()
-        return self.s1[self.columns] / m, self.s2[self.columns] / m
+        return self.s1[self.columns] / self.size, self.s2[self.columns] / self.size
 
     def _sorted(self):
-        # sorted samples and the (3, M, n+1) prefix sums of w, w y and
-        # w y^2, each row starting at 0, built once
+        # sorted samples and the (3, M, n+1) prefix sums of 1, y and y^2,
+        # each row starting at 0, built once
         pre = self._prefix
         if not pre:
-            y, w = self.values, self.weights
-            if not self._is_sorted:
-                if w is None:
-                    y = np.sort(y, axis=1)
-                else:
-                    order = np.argsort(y, axis=1)
-                    y, w = (np.take_along_axis(a, order, axis=1) for a in (y, w))
+            y = self.values if self._is_sorted else np.sort(self.values, axis=1)
             M, n = y.shape
             sums = np.empty((3, M, n + 1))
             sums[:, :, 0] = 0.0
-            if w is None:
-                sums[0] = np.arange(n + 1.0)
-                wy = y
-            else:
-                np.cumsum(w, axis=1, out=sums[0, :, 1:])
-                wy = w * y
-            np.cumsum(wy, axis=1, out=sums[1, :, 1:])
-            np.cumsum(wy * y, axis=1, out=sums[2, :, 1:])
+            sums[0] = np.arange(n + 1.0)
+            np.cumsum(y, axis=1, out=sums[1, :, 1:])
+            np.cumsum(y * y, axis=1, out=sums[2, :, 1:])
             pre["sorted"], pre["sums"] = y, sums
         return pre
 
     def segment_sums(self, cuts):
-        """Weighted sums of 1, y and y^2 over each column's samples between
-        cuts.
+        """Sums of 1, y and y^2 over each column's samples between cuts.
 
         ``cuts`` is (n, E), sorted along each row; the ends of the y-line
         are implicit. The result is one (3, n, width, E+1) array holding
@@ -153,7 +114,7 @@ class SortedClusters:
         rows = np.broadcast_to(self.columns, (n, width))
         flat = rows.ravel()
         order = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[order], np.arange(self.totals.size + 1))
+        bounds = np.searchsorted(flat[order], np.arange(self.values.shape[0] + 1))
         pos = np.empty((n * width, E + 2), dtype=np.intp)
         pos[:, 0], pos[:, -1] = 0, y.shape[1]
         for l in np.flatnonzero(np.diff(bounds)):
@@ -208,7 +169,7 @@ class Poly2:
         return out
 
     def cluster_means(self, x, clusters):
-        """(len(x), width) exact weighted means over each column's cluster.
+        """(len(x), width) exact means over each column's cluster.
 
         ``width`` is M, one column per cluster, or the width of a
         :meth:`SortedClusters.view`.
@@ -239,7 +200,7 @@ class Poly2:
         inside = a[:, :, None] * n0 + b[:, :, None] * s1 + c * s2
         level = np.where(g < lo, lo, hi)[:, None, :] * n0
         mid = ((g >= lo) & (g <= hi))[:, None, :]
-        return np.where(mid, inside, level).sum(axis=2) / clusters.mass()
+        return np.where(mid, inside, level).sum(axis=2) / clusters.size
 
     def _roots(self, a, b, level):
         """Real roots in y of c y^2 + b y + a = level, +inf if absent:

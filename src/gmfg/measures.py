@@ -3,10 +3,12 @@
 Measures are particle-based (atoms plus weights); the Fokker-Planck side of
 the mean field game is realized through particle propagation, so exact 1-D
 Wasserstein distances between atomic measures are all the metric machinery
-the solver needs. Ensembles index measures by (vertex cell, time node),
-hand the vertex measures of one time node to the exact coefficient means as
-weighted clusters, and path bundles hold the per-vertex particle
-trajectories behind them.
+the solver needs. A :class:`Measure1D` takes any weights, as the ``atoms``
+initial law of a scenario does. Ensembles index equal-weight particle
+measures by (vertex cell, time node), every entry with the same number of
+atoms, and hand the vertex measures of one time node to the exact
+coefficient means as equal clusters; path bundles hold the per-vertex
+particle trajectories behind them.
 """
 
 from statistics import NormalDist
@@ -105,56 +107,33 @@ def _w1_sorted_equal(a, b):
 
 
 class MeasureEnsemble:
-    """Measures indexed by (vertex cell, time node).
+    """Equal-weight measures indexed by (vertex cell, time node).
 
-    Stored as dense atom/weight arrays of shape (M, K+1, n_atoms). Each
-    entry's atoms are sorted when the ensemble is built, and a non-uniform
-    entry's weights are permuted with them, so the ensemble owns its atoms
-    and never aliases the array it was built from. Uniform ensembles coming
-    out of a particle propagation share one weight value.
+    Stored as one dense (M, K+1, n) atom array, every entry n atoms of
+    weight 1/n. The ensemble copies its atoms into C order and sorts each
+    entry in place, so it owns them, never aliases the array it was built
+    from, and each time node's vertex measures are contiguous rows: the
+    cluster moments then round alike whatever the layout of the input.
     A time-Holder modulus for the ensemble is a diagnostic, not a
     construction-time invariant; see :func:`holder_modulus`.
     """
 
-    def __init__(self, atoms, weights, times):
-        a = np.asarray(atoms, dtype=float)
+    def __init__(self, atoms, times):
+        a = np.array(atoms, dtype=float, order="C")
         if a.ndim != 3:
             raise GridError("ensemble atoms must have shape (M, K+1, n)")
         if not np.all(np.isfinite(a)):
             raise InvariantError("ensemble atoms must be finite")
-        raw = np.atleast_1d(np.asarray(weights, dtype=float))
-        w = np.broadcast_to(raw, a.shape)
-        sums = w.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise InvariantError("every ensemble entry must be normalized")
         self.times = np.asarray(times, dtype=float)
         if self.times.shape != (a.shape[1],):
             raise GridError("times must match the ensemble time axis")
-        # broadcasting only repeats entries, so the unbroadcast weights decide
-        self.uniform = bool(np.all(raw == raw[..., :1]))
-        if self.uniform:
-            self.atoms = np.sort(a, axis=-1)
-        else:
-            order = np.argsort(a, axis=-1, kind="stable")
-            self.atoms = np.take_along_axis(a, order, axis=-1)
-            w = np.take_along_axis(w, order, axis=-1)
-        self.weights = w
+        a.sort(axis=-1)
+        self.atoms = a
 
-    @classmethod
-    def from_measures(cls, rows, times):
-        """Build from a list (vertices) of lists (times) of Measure1D."""
-        n = max(len(m) for row in rows for m in row)
-        M, K1 = len(rows), len(rows[0])
-        atoms = np.zeros((M, K1, n))
-        weights = np.zeros((M, K1, n))
-        for v, row in enumerate(rows):
-            if len(row) != K1:
-                raise GridError("ragged ensemble rows")
-            for k, m in enumerate(row):
-                atoms[v, k, : len(m)] = m.atoms
-                atoms[v, k, len(m):] = m.atoms[-1]
-                weights[v, k, : len(m)] = m.weights
-        return cls(atoms, weights, times)
+    @property
+    def weights(self):
+        """The weight 1/n of every atom, a read-only (M, K+1, n) broadcast."""
+        return np.broadcast_to(1.0 / self.atoms.shape[2], self.atoms.shape)
 
     @property
     def n_vertices(self):
@@ -165,45 +144,32 @@ class MeasureEnsemble:
         return self.atoms.shape[1]
 
     def get(self, v, k):
-        return Measure1D(self.atoms[v, k], self.weights[v, k])
+        return Measure1D(self.atoms[v, k])
 
     def clusters(self, k):
         """The vertex measures at time node k as clusters, one per vertex,
         for exact coefficient means. The atoms are sorted already, so the
         clusters are not sorted again."""
-        return SortedClusters.from_sorted(self.atoms[:, k],
-                                          None if self.uniform else self.weights[:, k])
+        return SortedClusters.from_sorted(self.atoms[:, k])
 
     def shift(self, delta):
-        return MeasureEnsemble(self.atoms + float(delta), self.weights, self.times)
+        return MeasureEnsemble(self.atoms + float(delta), self.times)
 
     def compress(self, n):
         """Quantile-compress every entry to n atoms."""
-        if self.atoms.shape[2] <= n and self.uniform:
+        size = self.atoms.shape[2]
+        if size <= n:
             return self
         levels = (np.arange(n) + 0.5) / n
-        if self.uniform:
-            idx = np.minimum((levels * self.atoms.shape[2]).astype(int), self.atoms.shape[2] - 1)
-            return MeasureEnsemble(self.atoms[:, :, idx], np.full((1, 1, n), 1.0 / n),
-                                   self.times)
-        out = np.empty(self.atoms.shape[:2] + (n,))
-        for v in range(self.n_vertices):
-            for k in range(self.n_times):
-                out[v, k] = self.get(v, k).quantile(levels)
-        return MeasureEnsemble(out, np.full((1, 1, n), 1.0 / n), self.times)
+        idx = np.minimum((levels * size).astype(int), size - 1)
+        return MeasureEnsemble(self.atoms[:, :, idx], self.times)
 
 
 def ensemble_w1_sup(e1, e2):
     """Sup over (vertex, time) of W1 between matching ensemble entries."""
-    if e1.atoms.shape[:2] != e2.atoms.shape[:2]:
-        raise GridError("ensembles live on different grids")
-    if e1.uniform and e2.uniform and e1.atoms.shape[2] == e2.atoms.shape[2]:
-        return float(_w1_sorted_equal(e1.atoms, e2.atoms).max())
-    best = 0.0
-    for v in range(e1.n_vertices):
-        for k in range(e1.n_times):
-            best = max(best, w1(e1.get(v, k), e2.get(v, k)))
-    return best
+    if e1.atoms.shape != e2.atoms.shape:
+        raise GridError("ensembles differ in grid or in atoms per entry")
+    return float(_w1_sorted_equal(e1.atoms, e2.atoms).max())
 
 
 class PathBundle:
@@ -260,9 +226,7 @@ def marginals(bundle):
     The ensemble sorts a copy of the particles, so ``bundle.paths`` keeps
     the particle order that coupled path distances read.
     """
-    atoms = np.swapaxes(bundle.paths, 1, 2)  # (M, K+1, R)
-    n = atoms.shape[2]
-    return MeasureEnsemble(atoms, np.full((1, 1, n), 1.0 / n), bundle.times)
+    return MeasureEnsemble(np.swapaxes(bundle.paths, 1, 2), bundle.times)
 
 
 # Test functions of the Holder fit: a clamp and three frequencies of sin.
@@ -303,18 +267,10 @@ def w1_joint_continuity_scan(ensemble):
     Shrinks under grid refinement for ensembles solving the mean field
     system; a large value flags a discontinuity in vertex or time.
     """
+    s = ensemble.atoms
     best = 0.0
-    if ensemble.uniform:
-        s = ensemble.atoms
-        if ensemble.n_times > 1:
-            best = max(best, float(_w1_sorted_equal(s[:, 1:], s[:, :-1]).max()))
-        if ensemble.n_vertices > 1:
-            best = max(best, float(_w1_sorted_equal(s[1:], s[:-1]).max()))
-        return best
-    for v in range(ensemble.n_vertices):
-        for k in range(ensemble.n_times):
-            if k + 1 < ensemble.n_times:
-                best = max(best, w1(ensemble.get(v, k), ensemble.get(v, k + 1)))
-            if v + 1 < ensemble.n_vertices:
-                best = max(best, w1(ensemble.get(v, k), ensemble.get(v + 1, k)))
+    if ensemble.n_times > 1:
+        best = max(best, float(_w1_sorted_equal(s[:, 1:], s[:, :-1]).max()))
+    if ensemble.n_vertices > 1:
+        best = max(best, float(_w1_sorted_equal(s[1:], s[:-1]).max()))
     return best

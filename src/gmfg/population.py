@@ -1,7 +1,9 @@
 """Finite populations on weighted graphs and the approximate-Nash check.
 
-A finite population puts a cluster of agents on every node of a step
-graphon. Four coupled simulations share one Brownian cache per seed:
+A finite population puts one cluster of agents on every node of a step
+graphon, every cluster of the same size n, as each rung (M_k, n) of the
+population ladder does. Four coupled simulations share one Brownian cache
+per seed:
 
 * System A: every agent plays the solved mean-field feedback, coupled
   through empirical intra- and inter-cluster state averages.
@@ -19,8 +21,8 @@ then every replication x deviation-family member, and each row is bit-equal
 to its run alone.
 
 The coupled averages in Systems A and B and both sides of the perturbation
-terms are exact cluster brackets: each Euler step gathers the states of
-all S M_k (row, cluster) pairs once into one
+terms are exact cluster brackets: each Euler step reshapes the (S, N)
+states into the (S M_k, n) samples of all (row, cluster) pairs, one
 :class:`~gmfg.coefficients.SortedClusters`, each agent reads its own
 cluster and its row's clusters through views of it, and each coefficient
 integrates itself against them through the sums of 1, y and y^2 (sorted
@@ -48,31 +50,27 @@ from .control import (GridLookup, Policy, brackets, euler_maruyama,
                       euler_maruyama_steps, frozen_fields, solve_hjb)
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
-from .measures import Measure1D, MeasureEnsemble
+from .measures import MeasureEnsemble
 from .solver import (GMFGProblem, _start_paths, inner_mv_consistency, marginals,
                      zero_drift_bundle)
 
 
 class FinitePopulation:
-    """Agents grouped into clusters over the nodes of a step graphon."""
+    """M_k clusters of ``size`` agents over the nodes of a step graphon,
+    agents indexed in cluster order."""
 
-    def __init__(self, graph, cluster_sizes, initial_law, seed):
+    def __init__(self, graph, size, initial_law, seed):
         if graph.kind != "step":
             raise InvariantError("population graph must be a step graphon")
-        sizes = np.asarray(cluster_sizes, dtype=int)
-        if sizes.ndim != 1 or sizes.size != graph.cells:
-            raise GridError("cluster_sizes must list one size per graph node")
-        if np.any(sizes < 1):
+        if size < 1:
             raise InvariantError("every cluster needs at least one agent")
         self.graph = graph
-        self.cluster_sizes = sizes
-        self.M_k = int(sizes.size)
-        self.N = int(sizes.sum())
+        self.size = int(size)
+        self.M_k = int(graph.cells)
+        self.N = self.M_k * self.size
         self.seed = int(seed)
         self.vertex_grid = VertexGrid(self.M_k)
-        self.cluster_of = np.repeat(np.arange(self.M_k), sizes)
-        self.cluster_indices = [np.flatnonzero(self.cluster_of == l)
-                                for l in range(self.M_k)]
+        self.cluster_of = np.repeat(np.arange(self.M_k), self.size)
         self.initial_law = initial_law
         draws = rng.stream(seed, rng.POP_INITIAL).random(self.N)
         self.initial_states = initial_law.quantile(draws)
@@ -85,8 +83,8 @@ class FinitePopulation:
         return rng.stream(self.seed, rng.POP_BROWNIAN).standard_normal((self.N, K))
 
 
-def build_population(g, M_k, cluster_sizes, initial_law, seed):
-    """Deterministic population construction, agents indexed in cluster order.
+def build_population(g, M_k, size, initial_law, seed):
+    """Deterministic population of M_k clusters of ``size`` agents.
 
     Analytic graphons are midpoint-sampled to a step graphon on M_k nodes;
     a step graphon is used as the graph directly when the node counts match.
@@ -97,7 +95,7 @@ def build_population(g, M_k, cluster_sizes, initial_law, seed):
         graph = g
     else:
         graph = sample_step_graphon(g, M_k)
-    return FinitePopulation(graph, cluster_sizes, initial_law, seed)
+    return FinitePopulation(graph, size, initial_law, seed)
 
 
 @dataclass
@@ -201,15 +199,15 @@ def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
     own-cluster and a row view of it; the running costs of the
     ``cost_agents`` add up per row. A stack of more than ``_STACK_CELLS``
     (row, agent, cluster) cells runs as consecutive stacks of fewer rows.
-    The populations must share their graph and cluster sizes. Returns one
+    The populations must share their graph and cluster size. Returns one
     TrajectorySet per row, each bit-equal to the run of its row alone.
     """
     pop = pops[0]
     if len(members) != len(pops) or any(
-            not np.array_equal(q.cluster_sizes, pop.cluster_sizes)
+            q.size != pop.size
             or not np.array_equal(q.graph.matrix, pop.graph.matrix) for q in pops):
         raise GridError("stacked rows need one member each and populations "
-                        "with one graph and cluster sizes")
+                        "with one graph and cluster size")
     if iota is None and any(psi is not None for psi in members):
         raise GridError("a deviating row needs the deviator iota")
     rows = max(1, _STACK_CELLS // (pop.N * pop.M_k))
@@ -226,7 +224,6 @@ def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
     dev_controls = np.empty((S, K))
     agents = list(dict.fromkeys(cost_agents))
     costs = np.zeros((S, len(agents)))
-    sizes = np.tile(pop.cluster_sizes, S)
 
     def drift(k, x):
         u = GridLookup(problem.x_grid, x, pop.cluster_of)(table[:, k])
@@ -236,7 +233,7 @@ def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
         if dev:
             u[dev, iota] = np.clip(u[dev, iota], p.u_min, p.u_max)
             dev_controls[dev, k] = u[dev, iota]
-        clusters = SortedClusters.from_concatenated(x, sizes)
+        clusters = SortedClusters(np.reshape(x, (S * pop.M_k, pop.size)))
         if agents:
             costs[:] += _running_costs(p, pop, clusters, x, u, agents) * dt
         return _empirical_drift(p, pop, clusters, x, u)
@@ -448,15 +445,13 @@ def random_lipschitz_policy(problem, seed, index):
 def empirical_field_best_response(pop, solution, ts_a, iota):
     """Best response against the realized finite-population ensemble.
 
-    Builds the cluster-level empirical measure ensemble from a System A run
-    and re-solves the deviator's value equation against it; the strongest
-    member of the default deviation family.
+    Builds the cluster-level empirical measure ensemble from one reshape of
+    a System A run's paths and re-solves the deviator's value equation
+    against it; the strongest member of the default deviation family.
     """
     problem = solution.problem
-    rows = []
-    for l, idx in enumerate(pop.cluster_indices):
-        rows.append([Measure1D(ts_a.paths[idx, k]) for k in range(problem.K + 1)])
-    ens = MeasureEnsemble.from_measures(rows, problem.times)
+    paths = ts_a.paths.reshape(pop.M_k, pop.size, problem.K + 1)
+    ens = MeasureEnsemble(np.swapaxes(paths, 1, 2), problem.times)
     _, pol = solve_hjb(problem.functions, pop.graph, pop.midpoint(iota), ens,
                        problem.x_grid)
     return pol
@@ -493,6 +488,9 @@ class NashGapReport:
 
 
 def _assemble_gap_report(ts_a, b_fam, iota):
+    """Nash gap of the mean-field profile for agent ``iota``: the clipped
+    best paired improvement of a family member's cost (``b_fam``, runs by
+    member) over the System A cost, a lower bound on the adversarial sup."""
     n = len(ts_a)
     eq = np.array([a.costs[iota] for a in ts_a])
     report_costs = {}
@@ -555,22 +553,6 @@ def _equilibrium_and_deviations(populations, solution, iota, family_builder,
     return ts_a, b_fam
 
 
-def epsilon_nash_gap(populations, solution, iota, family_builder=None):
-    """Estimate the Nash gap of the mean-field profile for agent ``iota``.
-
-    ``populations`` is a list of macro-replication populations sharing one
-    structure but independent seeds. For each replication the deviator's
-    cost is evaluated under the equilibrium feedback and under every member
-    of the deviation family with common random numbers; the gap is the
-    clipped best paired improvement. The family sup is a lower bound on the
-    true adversarial sup, and the report keeps every member's cost so the
-    family is documented.
-    """
-    ts_a, b_fam = _equilibrium_and_deviations(
-        populations, solution, iota, family_builder or default_deviation_family)
-    return _assemble_gap_report(ts_a, b_fam, iota)
-
-
 def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     """Time-sup estimates of the drift and cost perturbations at the deviator.
 
@@ -593,7 +575,6 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     n, M_k = len(ts_b_reps), pop.M_k
     own_cluster = pop.cluster_of[iota:iota + 1]
     W = pop.graph.matrix[own_cluster] / M_k   # (1, M_k)
-    sizes = np.tile(pop.cluster_sizes, n)
     # node k of this copy is a strided (n, N) view, as a path column
     # ts.paths[:, k] is; the cluster moments round by stride, so each
     # replication's brackets equal those of its paths alone
@@ -608,8 +589,8 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     for k in range(problem.K):
         xi, uk = states[:, iota, k], u[:, k, None]
         x = xi[:, None]   # the deviator of each replication, (n, 1)
-        own, row = _stack_views(SortedClusters.from_concatenated(states[:, :, k], sizes),
-                                n, M_k, own_cluster)
+        clusters = SortedClusters(np.reshape(states[:, :, k], (n * M_k, pop.size)))
+        own, row = _stack_views(clusters, n, M_k, own_cluster)
         finite = terms(*(_own_means(s[c], x, own) for c in ("f0", "l1", "l2")),
                        *(_graphon_means(s[c], x, row, W) for c in ("f", "l3", "l4")),
                        uk)
@@ -635,8 +616,8 @@ def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
     seconds = {} if timing else None
     with _timed(seconds, "solve"):
         solution = solve(problem)
-    pops = [build_population(problem.graphon, M_k, [size] * M_k,
-                             problem.initial_law, seed=problem.seed + 7919 * (r + 1))
+    pops = [build_population(problem.graphon, M_k, size, problem.initial_law,
+                             seed=problem.seed + 7919 * (r + 1))
             for r in range(n_reps)]
     # C first: its law solves then run before the stacked paths exist
     with _timed(seconds, "system_c"):

@@ -363,7 +363,7 @@ class TestSimulateEnashCommand:
         problem = sc.build_problem(M=2)
         sol = real(problem, tol=sc.picard_tol, max_outer=sc.max_outer,
                    min_outer=sc.min_outer)
-        pop = build_population(problem.graphon, 2, [4, 4], problem.initial_law,
+        pop = build_population(problem.graphon, 2, 4, problem.initial_law,
                                seed=problem.seed + 7919)
         write_csv(tmp_path / "ref.csv", ["agent", "time_index", "value"],
                   index_columns(run_system_a(pop, sol).paths))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gmfg import (Constant, InvariantError, Measure1D, MeasureEnsemble, Poly2,
+from gmfg import (Constant, InvariantError, MeasureEnsemble, Poly2,
                   ProblemFunctions, SortedClusters)
 
 # Small dyadic numbers keep the arithmetic exact often enough that samples
@@ -30,13 +30,18 @@ def coefficients(draw):
 
 @st.composite
 def clustered_samples(draw):
-    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    sizes = [draw(st.integers(1, 7))] * draw(st.integers(1, 4))
     values = np.array(draw(st.lists(numbers, min_size=sum(sizes),
                                     max_size=sum(sizes))))
     x = np.array(draw(st.lists(numbers, min_size=1, max_size=5)))
     own = np.array(draw(st.lists(st.integers(0, len(sizes) - 1),
                                  min_size=x.size, max_size=x.size)))
     return sizes, values, x, own
+
+
+def equal_clusters(values, sizes):
+    """The clusters of samples listed cluster by cluster, all of one size."""
+    return SortedClusters(np.reshape(values, (len(sizes), -1)))
 
 
 def brute_force_means(coef, sizes, values, x):
@@ -59,17 +64,17 @@ class TestClusterMeans:
     @settings(max_examples=400, deadline=None)
     @given(coefficients(), clustered_samples())
     @example(Poly2(x=-1.0, y=1.0, clip=(-2.0, 2.0)),
-             ([3, 2], np.array([-2.0, 2.0, 2.0, 0.0, -2.0]), np.array([0.0, 4.0]),
+             ([3, 3], np.array([-2.0, 2.0, 2.0, 0.0, -2.0, 2.0]), np.array([0.0, 4.0]),
               np.array([1, 0])))
     @example(Poly2(xx=1.0, xy=-2.0, yy=1.0, clip=(0.0, 1.0)),
              ([4], np.array([-1.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.5]),
               np.array([0, 0])))
     @example(Poly2(yy=-1.0, clip=(-1.0, -0.25)),
-             ([1, 4], np.array([0.5, -1.0, 1.0, 0.5, 0.5]), np.array([0.0]),
-              np.array([1])))
+             ([4, 4], np.array([0.5, -1.0, 0.5, 1.0, -1.0, 1.0, 0.5, 0.5]),
+              np.array([0.0]), np.array([1])))
     def test_exact_against_brute_force(self, coef, samples):
         sizes, values, x, own = samples
-        clusters = SortedClusters.from_concatenated(values, sizes)
+        clusters = equal_clusters(values, sizes)
         got = coef.cluster_means(x, clusters)
         want = brute_force_means(coef, sizes, values, x)
         tol = 1e-12 * scale(coef, values, x)
@@ -83,17 +88,17 @@ class TestClusterMeans:
     def test_tiny_quadratic_term_does_not_overflow(self):
         # q / yy overflows to an infinite root, which counts as absent
         coef = Poly2(y=1e10, yy=1e-300, clip=(-1.0, 1.0))
-        sizes = [2, 3]
-        values = np.array([-1e-10, -2e-11, 0.0, 3e-11, 2e-10])
+        sizes = [3, 3]
+        values = np.array([-1e-10, -2e-11, 0.0, 3e-11, 2e-10, -5e-11])
         x = np.array([0.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = coef.cluster_means(x, SortedClusters.from_concatenated(values, sizes))
+            got = coef.cluster_means(x, equal_clusters(values, sizes))
         want = brute_force_means(coef, sizes, values, x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_scalar_query_gives_one_row(self):
-        clusters = SortedClusters.from_concatenated(np.array([0.5, -1.0, 2.0]), [2, 1])
+        clusters = SortedClusters(np.array([[0.5, -1.0], [2.0, 1.5]]))
         got = Poly2(y=1.0, clip=(-0.5, 1.0)).cluster_means(0.3, clusters)
         np.testing.assert_allclose(got, [[0.0, 1.0]], rtol=0, atol=1e-15)
 
@@ -105,7 +110,7 @@ class TestSegmentSums:
         """Any (n, width) columns: each (point, column) pair reads its
         cluster's prefix sums at that cluster's own search positions, the
         implicit ends of the y-line at positions 0 and the row length."""
-        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+        sizes = [data.draw(st.integers(1, 6))] * data.draw(st.integers(1, 5))
         values = np.array(data.draw(st.lists(numbers, min_size=sum(sizes),
                                              max_size=sum(sizes))))
         n = data.draw(st.integers(1, 6))
@@ -117,11 +122,11 @@ class TestSegmentSums:
         cuts = np.sort(np.array(data.draw(st.lists(
             st.one_of(numbers, st.just(-np.inf), st.just(np.inf)),
             min_size=n * E, max_size=n * E))).reshape(n, E), axis=1)
-        clusters = SortedClusters.from_concatenated(values, sizes).view(columns)
+        clusters = equal_clusters(values, sizes).view(columns)
         got = clusters.segment_sums(cuts)
         assert got.shape == (3, n, width, E + 1)
         pre = clusters._sorted()
-        ends = max(sizes)
+        ends = sizes[0]
         for i in range(n):
             for c in range(width):
                 l = columns[i, c]
@@ -134,7 +139,7 @@ class TestSegmentSums:
 class TestEnsembleClusters:
     coef = Poly2(x=-1.0, y=1.0, clip=(-0.5, 0.5))
 
-    def check(self, ens, rows, weights):
+    def check(self, ens, rows):
         """The ensemble's clusters at node 0 read its sorted rows in place,
         and their clipped means equal those of the rows given unsorted."""
         clusters = ens.clusters(0)
@@ -142,25 +147,27 @@ class TestEnsembleClusters:
         x = np.linspace(-1.5, 1.5, 13)
         np.testing.assert_array_equal(
             self.coef.cluster_means(x, clusters),
-            self.coef.cluster_means(x, SortedClusters(rows, weights)))
+            self.coef.cluster_means(x, SortedClusters(rows)))
 
     def test_uniform_ensemble(self):
         rows = np.random.default_rng(3).normal(0.0, 0.6, (3, 40))
-        self.check(MeasureEnsemble(rows[:, None], 1.0 / 40, [0.0]), rows, None)
+        self.check(MeasureEnsemble(rows[:, None], [0.0]), rows)
 
-    def test_padded_ensemble(self):
-        # dyadic weights sum exactly in any order, so the clusters' total
-        # weights do not depend on the order the rows are given in
-        gen = np.random.default_rng(4)
-        rows = gen.normal(0.0, 0.6, (2, 8))
-        weights = np.array([[1, 1, 2, 4, 8, 0, 0, 0],
-                            [1, 1, 1, 1, 2, 2, 4, 4]]) / 16.0
-        measures = [[Measure1D(r[w > 0], w[w > 0])] for r, w in zip(rows, weights)]
-        ens = MeasureEnsemble.from_measures(measures, [0.0])
-        assert not ens.uniform and np.any(ens.weights == 0.0)
-        # the same rows, pads included, in a shuffled order
-        order = gen.permutation(8)
-        self.check(ens, ens.atoms[:, 0][:, order], ens.weights[:, 0][:, order])
+    def test_moments_do_not_depend_on_the_input_layout(self):
+        """An ensemble built from a strided view, as the marginals of
+        (M, n, K+1) paths are, owns C-order atoms: its cluster moments and
+        clipped means equal those built from a C-order copy, bit for bit."""
+        paths = np.random.default_rng(6).normal(0.0, 0.6, (3, 257, 4))
+        view = np.swapaxes(paths, 1, 2)
+        assert not view.flags.c_contiguous
+        strided = MeasureEnsemble(view, np.linspace(0.0, 1.0, 4))
+        contiguous = MeasureEnsemble(np.ascontiguousarray(view), strided.times)
+        x = np.linspace(-1.5, 1.5, 13)
+        for k in range(4):
+            a, b = strided.clusters(k), contiguous.clusters(k)
+            assert np.array_equal(a.s1, b.s1) and np.array_equal(a.s2, b.s2)
+            assert np.array_equal(self.coef.cluster_means(x, a),
+                                  self.coef.cluster_means(x, b))
 
 
 class TestPointwise:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmfg import (ConfigError, Constant, Graphon, InvariantError, Measure1D,
+from gmfg import (ConfigError, Constant, Graphon, InvariantError,
                   MeasureEnsemble, Policy, Poly2, ProblemFunctions, frozen_fields,
                   minimize_hamiltonian, policy_lipschitz, rollout_cost,
                   solve_hjb, theta_clamp)
@@ -16,7 +16,7 @@ tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
 def dirac_ensemble(c, M, K, T):
     times = np.linspace(0.0, T, K + 1)
     atoms = np.full((M, K + 1, 1), float(c))
-    return MeasureEnsemble(atoms, np.ones(1), times)
+    return MeasureEnsemble(atoms, times)
 
 
 def structured_lq_like(u_box=(-10, 10), sigma=0.3, T=1.0):
@@ -120,32 +120,18 @@ def coefficients(draw, nonnegative=False):
 
 
 @st.composite
-def weighted_ensembles(draw):
-    """(ensemble, atoms, weights): uniform, padded from_measures, or with
-    explicit non-uniform weights (some of them zero)."""
+def ensembles(draw):
+    """An equal-weight ensemble of up to 4 vertices and 6 atoms per entry."""
     M, K, n = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 6))
     times = np.linspace(0.0, 0.5, K + 1)
     atoms = np.array(draw(st.lists(numbers, min_size=M * (K + 1) * n,
                                    max_size=M * (K + 1) * n))).reshape(M, K + 1, n)
-    kind = draw(st.sampled_from(["uniform", "padded", "weighted"]))
-    if kind == "uniform":
-        ens = MeasureEnsemble(atoms, np.full((1, 1, n), 1.0 / n), times)
-    elif kind == "padded":
-        sizes = draw(st.lists(st.integers(1, n), min_size=M * (K + 1),
-                              max_size=M * (K + 1)))
-        rows = [[Measure1D(atoms[v, k, :sizes[v * (K + 1) + k]])
-                 for k in range(K + 1)] for v in range(M)]
-        ens = MeasureEnsemble.from_measures(rows, times)
-    else:
-        raw = np.array(draw(st.lists(st.integers(0, 4), min_size=atoms.size,
-                                     max_size=atoms.size)), float).reshape(atoms.shape)
-        raw[..., 0] += 1.0   # every entry keeps some mass
-        ens = MeasureEnsemble(atoms, raw / raw.sum(axis=2, keepdims=True), times)
-    return ens
+    return MeasureEnsemble(atoms, times)
 
 
 def brute_force_bracket(coef, x, ens, k, v):
-    """Weighted mean of coef(x, atom) over every atom of entry (v, k)."""
+    """Mean of coef(x, atom) over every atom of entry (v, k), each of
+    weight ens.weights[v, k]."""
     w = ens.weights[v, k]
     return (coef(x[:, None], ens.atoms[v, k][None, :]) @ w) / w.sum()
 
@@ -160,7 +146,7 @@ class TestExactBrackets:
     @given(parts=st.tuples(coefficients(), coefficients(), coefficients(),
                            coefficients(nonnegative=True), coefficients(),
                            coefficients(nonnegative=True)),
-           ens=weighted_ensembles(),
+           ens=ensembles(),
            g=st.sampled_from([Graphon.constant(1.0),
                               Graphon.step([[0.0, 0.0], [0.0, 0.7]]),
                               Graphon.from_table([[0.6, 0.45], [0.45, 0.3]])]),
@@ -378,7 +364,7 @@ class TestPolicy:
                         for k, row in enumerate(table) for j, v in enumerate(row)]
         # the same table in the ensemble layout (table rows as vertices,
         # columns as one-atom time nodes, broadcast weights)
-        ens = MeasureEnsemble(table[:, :, None], np.ones(1), np.linspace(0, 1, 4))
+        ens = MeasureEnsemble(table[:, :, None], np.linspace(0, 1, 4))
         v, k, _, atom, weight = index_columns(ens.atoms, ens.weights)
         write_csv(tmp_path / "ens.csv", ["vertex_index", "time_index", "atom", "weight"],
                   [v, k, atom, weight])

@@ -183,7 +183,7 @@ class TestMarginals:
 class TestHolderModulus:
     def test_time_constant_degenerate(self):
         atoms = np.zeros((2, 5, 10))
-        e = MeasureEnsemble(atoms, np.full(10, 0.1), np.linspace(0, 1, 5))
+        e = MeasureEnsemble(atoms, np.linspace(0, 1, 5))
         assert holder_modulus(e) == (0.0, 1.0)
 
     def test_brownian_exponent_near_half(self):
@@ -204,46 +204,50 @@ class TestHolderModulus:
         assert eta == pytest.approx(1.0, abs=0.1)
 
     def test_needs_three_time_points(self):
-        e = MeasureEnsemble(np.zeros((1, 2, 3)), np.full(3, 1 / 3), [0.0, 1.0])
+        e = MeasureEnsemble(np.zeros((1, 2, 3)), [0.0, 1.0])
         with pytest.raises(GridError):
             holder_modulus(e)
 
 
 class TestJointContinuityScan:
     def test_constant_ensemble(self):
-        e = MeasureEnsemble(np.zeros((3, 4, 5)), np.full(5, 0.2), np.linspace(0, 1, 4))
+        e = MeasureEnsemble(np.zeros((3, 4, 5)), np.linspace(0, 1, 4))
         assert w1_joint_continuity_scan(e) == 0.0
 
     def test_discontinuous_vertex_column(self):
         atoms = np.zeros((2, 3, 4))
         atoms[1] = 1.0
-        e = MeasureEnsemble(atoms, np.full(4, 0.25), np.linspace(0, 1, 3))
+        e = MeasureEnsemble(atoms, np.linspace(0, 1, 3))
         assert w1_joint_continuity_scan(e) == pytest.approx(1.0)
 
 
 class TestEnsembleContainer:
-    def test_from_measures_and_get(self):
-        rows = [[dirac(0.0), Measure1D([0, 1], [0.5, 0.5])],
-                [dirac(2.0), dirac(3.0)]]
-        e = MeasureEnsemble.from_measures(rows, [0.0, 1.0])
+    def test_get(self):
+        atoms = np.array([[[0.0, 0.0], [1.0, 0.0]], [[2.0, 2.0], [3.0, 3.0]]])
+        e = MeasureEnsemble(atoms, [0.0, 1.0])
         assert e.n_vertices == 2 and e.n_times == 2
         assert e.get(0, 1).mean() == pytest.approx(0.5)
         assert ensemble_w1_sup(e, e) == 0.0
 
     def test_atoms_sorted_at_birth(self):
-        """Each entry's atoms are sorted when the ensemble is built, the
-        weights travel with their atoms, and the input stays as it was."""
+        """Each entry's atoms are sorted when the ensemble is built, every
+        atom weighs 1/n, and the input stays as it was."""
         gen = np.random.default_rng(4)
         atoms = gen.normal(size=(2, 3, 7))
-        raw = gen.uniform(0.1, 1.0, atoms.shape)
-        weights = raw / raw.sum(axis=2, keepdims=True)
         given = atoms.copy()
-        e = MeasureEnsemble(atoms, weights, [0.0, 0.5, 1.0])
+        e = MeasureEnsemble(atoms, [0.0, 0.5, 1.0])
         assert np.array_equal(atoms, given)
         assert np.all(np.diff(e.atoms, axis=2) >= 0.0)
+        assert np.all(e.weights == 1.0 / 7) and not e.weights.flags.writeable
         for v in range(2):
             for k in range(3):
-                assert w1(e.get(v, k), Measure1D(atoms[v, k], weights[v, k])) == 0.0
+                assert w1(e.get(v, k), Measure1D(atoms[v, k])) == 0.0
+
+    def test_w1_sup_needs_equal_atom_counts(self):
+        e3 = MeasureEnsemble(np.zeros((1, 2, 3)), [0.0, 1.0])
+        e4 = MeasureEnsemble(np.zeros((1, 2, 4)), [0.0, 1.0])
+        with pytest.raises(GridError):
+            ensemble_w1_sup(e3, e4)
 
     def test_marginals_leave_paths_unsorted(self):
         gen = np.random.default_rng(8)
@@ -255,17 +259,13 @@ class TestEnsembleContainer:
         assert np.array_equal(e.atoms, np.sort(np.swapaxes(paths, 1, 2), axis=2))
 
     def test_shift(self):
-        e = MeasureEnsemble(np.zeros((1, 2, 3)), np.full(3, 1 / 3), [0.0, 1.0])
+        e = MeasureEnsemble(np.zeros((1, 2, 3)), [0.0, 1.0])
         assert ensemble_w1_sup(e.shift(0.4), e) == pytest.approx(0.4)
-
-    def test_normalization_enforced(self):
-        with pytest.raises(InvariantError):
-            MeasureEnsemble(np.zeros((1, 2, 3)), np.full(3, 0.5), [0.0, 1.0])
 
     def test_csv_roundtrip_columns(self, tmp_path):
         from gmfg.artifacts import index_columns, write_csv
 
-        e = MeasureEnsemble(np.arange(6.0).reshape(1, 2, 3), np.full(3, 1 / 3), [0.0, 1.0])
+        e = MeasureEnsemble(np.arange(6.0).reshape(1, 2, 3), [0.0, 1.0])
         v, k, _, atom, weight = index_columns(e.atoms, e.weights)
         path = tmp_path / "ens.csv"
         write_csv(path, ["vertex_index", "time_index", "atom", "weight"],

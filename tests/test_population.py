@@ -6,9 +6,10 @@ import pytest
 from gmfg import (Constant, GMFGProblem, Graphon, GridError, InvariantError,
                   Policy, Poly2, ProblemFunctions, build_population,
                   default_deviation_family, deviation_metrics, dirac, empirical,
-                  epsilon_nash_gap, normal_quantile_measure, perturbation_terms,
-                  picard_solve, policy_lipschitz, run_ladder, run_system_a,
-                  run_system_b, run_system_c, run_system_d, w1)
+                  normal_quantile_measure, perturbation_terms, picard_solve,
+                  policy_lipschitz, run_system_a, run_system_b, run_system_c,
+                  run_system_d, w1)
+from gmfg.population import _assemble_gap_report, _equilibrium_and_deviations
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -63,26 +64,27 @@ def uncoupled_solution():
 
 class TestBuildPopulation:
     def test_single_cluster(self):
-        pop = build_population(Graphon.constant(0.5), 1, [5], dirac(0.0), seed=1)
+        pop = build_population(Graphon.constant(0.5), 1, 5, dirac(0.0), seed=1)
         assert pop.N == 5
         assert pop.midpoint(3) == pytest.approx(0.5)
 
     def test_cluster_order(self):
-        pop = build_population(Graphon.constant(0.5), 2, [3, 4], dirac(0.0), seed=1)
-        assert pop.N == 7
-        assert list(pop.cluster_of) == [0] * 3 + [1] * 4
+        pop = build_population(Graphon.constant(0.5), 2, 3, dirac(0.0), seed=1)
+        assert pop.N == 6
+        assert list(pop.cluster_of) == [0] * 3 + [1] * 3
 
     def test_seeded_initials_reproduce(self):
         law = normal_quantile_measure(0.0, 1.0, 257)
-        p1 = build_population(Graphon.constant(0.2), 2, [10, 10], law, seed=9)
-        p2 = build_population(Graphon.constant(0.2), 2, [10, 10], law, seed=9)
+        p1 = build_population(Graphon.constant(0.2), 2, 10, law, seed=9)
+        p2 = build_population(Graphon.constant(0.2), 2, 10, law, seed=9)
         assert np.array_equal(p1.initial_states, p2.initial_states)
 
     def test_size_mismatch(self):
         with pytest.raises(GridError):
-            build_population(Graphon.constant(0.2), 3, [4, 4], dirac(0.0), seed=0)
+            build_population(Graphon.step([[0.2, 0.2], [0.2, 0.2]]), 3, 4,
+                             dirac(0.0), seed=0)
         with pytest.raises(InvariantError):
-            build_population(Graphon.constant(0.2), 2, [4, 0], dirac(0.0), seed=0)
+            build_population(Graphon.constant(0.2), 2, 0, dirac(0.0), seed=0)
 
 
 class TestSystemA:
@@ -91,7 +93,7 @@ class TestSystemA:
                                         Constant(1.0), Constant(0.0), Constant(0.0),
                                         (-1, 1), 0.5, 1.0)
         sol = solve_instance(p, Graphon.constant(0.0), M=2, K=16, R=400)
-        pop = build_population(Graphon.constant(0.0), 2, [200, 200],
+        pop = build_population(Graphon.constant(0.0), 2, 200,
                                dirac(0.3), seed=4)
         ts = run_system_a(pop, sol)
         mean_T = ts.paths[:, -1].mean()
@@ -100,7 +102,7 @@ class TestSystemA:
     def test_single_cluster_zero_graph_keeps_intra_only(self, coupled_solution):
         # graph weight zero: inter term gone; intra mean reversion remains
         sol = solve_instance(coupled_problem(), Graphon.constant(0.0), M=1, K=24)
-        pop = build_population(Graphon.constant(0.0), 1, [50], dirac(0.0), seed=3)
+        pop = build_population(Graphon.constant(0.0), 1, 50, dirac(0.0), seed=3)
         ts = run_system_a(pop, sol)
         assert np.all(np.isfinite(ts.paths))
 
@@ -112,17 +114,17 @@ class TestSystemA:
                                         (1, 2), 0.2, 1.0)
         sol = solve_instance(p, Graphon.constant(1.0), M=2, K=40, R=400)
         assert np.all(sol.policy_table() == 1.0)
-        pop = build_population(Graphon.constant(1.0), 2, [100, 100],
+        pop = build_population(Graphon.constant(1.0), 2, 100,
                                dirac(0.0), seed=6)
         ts = run_system_a(pop, sol)
         drift_T = ts.paths[:, -1].mean()
         assert abs(drift_T - 1.0) < 3 * 0.2 / math.sqrt(pop.N)
 
     def test_within_cluster_exchangeability(self, coupled_solution):
-        pop = build_population(Graphon.uniform_attachment(), 4, [40] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 40,
                                normal_quantile_measure(0.0, 0.3, 65), seed=8)
         ts = run_system_a(pop, coupled_solution)
-        idx = pop.cluster_indices[1]
+        idx = np.flatnonzero(pop.cluster_of == 1)
         half = len(idx) // 2
         m1 = ts.paths[idx[:half]].mean(axis=0)
         m2 = ts.paths[idx[half:]].mean(axis=0)
@@ -132,7 +134,7 @@ class TestSystemA:
 
 class TestSystemB:
     def test_equilibrium_deviation_reproduces_a(self, coupled_solution):
-        pop = build_population(Graphon.uniform_attachment(), 4, [25] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 25,
                                normal_quantile_measure(0.0, 0.3, 65), seed=12)
         ts_a = run_system_a(pop, coupled_solution, cost_agents=(0,))
         solver_pol = coupled_solution.policies[0]
@@ -141,7 +143,7 @@ class TestSystemB:
         assert ts_a.costs[0] == pytest.approx(ts_b.costs[0], abs=1e-15)
 
     def test_constant_deviation_costs_at_least_equilibrium(self, coupled_solution):
-        pops = [build_population(Graphon.uniform_attachment(), 4, [25] * 4,
+        pops = [build_population(Graphon.uniform_attachment(), 4, 25,
                                  normal_quantile_measure(0.0, 0.3, 65), seed=100 + r)
                 for r in range(6)]
         eq, lo = [], []
@@ -154,14 +156,14 @@ class TestSystemB:
         assert diff.mean() > -3 * se
 
     def test_single_agent_population(self, uncoupled_solution):
-        pop = build_population(Graphon.constant(0.0), 1, [1], dirac(0.0), seed=2)
+        pop = build_population(Graphon.constant(0.0), 1, 1, dirac(0.0), seed=2)
         ts = run_system_b(pop, uncoupled_solution, 0, lambda t, xi, xs: 0.5,
                           cost_agents=(0,))
         assert ts.paths.shape[0] == 1
         assert ts.deviator_controls == pytest.approx(0.5)
 
     def test_centralized_feedback_signature(self, coupled_solution):
-        pop = build_population(Graphon.uniform_attachment(), 4, [10] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 10,
                                normal_quantile_measure(0.0, 0.3, 65), seed=13)
         psi = lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1)
         ts = run_system_b(pop, coupled_solution, 2, psi)
@@ -170,8 +172,7 @@ class TestSystemB:
 
 def _dense_cluster_average(pop):
     avg = np.zeros((pop.N, pop.M_k))
-    for l, idx in enumerate(pop.cluster_indices):
-        avg[idx, l] = 1.0 / idx.size
+    avg[np.arange(pop.N), pop.cluster_of] = 1.0 / pop.size
     return avg
 
 
@@ -209,7 +210,7 @@ class TestClusterBrackets:
                                                       monkeypatch):
         from gmfg import population
 
-        pop = build_population(Graphon.uniform_attachment(), 4, [3, 5, 2, 4],
+        pop = build_population(Graphon.uniform_attachment(), 4, 4,
                                normal_quantile_measure(0.0, 0.3, 65), seed=17)
         psi = lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1)
 
@@ -240,7 +241,7 @@ class TestStackedRuns:
         coupled_solution = graphon_coupled_solution
         problem = coupled_solution.problem
         law = normal_quantile_measure(0.0, 0.3, 65)
-        pops = [build_population(Graphon.uniform_attachment(), 4, [3, 5, 2, 4],
+        pops = [build_population(Graphon.uniform_attachment(), 4, 4,
                                  law, seed=17 + r) for r in range(3)]
         on_grid = coupled_solution.policies[1]
         off_grid = Policy(np.linspace(-0.5, 0.5, 55).reshape(5, 11),
@@ -276,7 +277,7 @@ class TestStackedRuns:
         from gmfg import population
 
         law = normal_quantile_measure(0.0, 0.3, 65)
-        pops = [build_population(Graphon.uniform_attachment(), 4, [3, 5, 2, 4],
+        pops = [build_population(Graphon.uniform_attachment(), 4, 4,
                                  law, seed=40 + r) for r in range(5)]
         members = [None, lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1),
                    None, graphon_coupled_solution.policies[2], None]
@@ -289,8 +290,8 @@ class TestStackedRuns:
             calls.append(len(pops))
             return run(pops, *args)
 
-        # two rows of 14 agents in 4 clusters per chunk
-        monkeypatch.setattr(population, "_STACK_CELLS", 2 * 14 * 4 + 13)
+        # two rows of 16 agents in 4 clusters per chunk
+        monkeypatch.setattr(population, "_STACK_CELLS", 2 * 16 * 4 + 13)
         monkeypatch.setattr(population, "simulate_coupled", spy)
         chunked = population.simulate_coupled(pops, graphon_coupled_solution,
                                               members, 4, (0, 4))
@@ -305,8 +306,8 @@ class TestStackedRuns:
         from gmfg.population import simulate_coupled
 
         law = normal_quantile_measure(0.0, 0.3, 65)
-        pops = [build_population(Graphon.uniform_attachment(), 4, sizes, law,
-                                 seed=3) for sizes in ([3, 5, 2, 4], [4, 4, 3, 3])]
+        pops = [build_population(Graphon.uniform_attachment(), 4, size, law,
+                                 seed=3) for size in (4, 3)]
         with pytest.raises(GridError):
             simulate_coupled(pops, coupled_solution, [None, None])
         with pytest.raises(GridError):
@@ -317,7 +318,7 @@ class TestStackedRuns:
 
 class TestSystemCD:
     def test_uncoupled_c_equals_a_pathwise(self, uncoupled_solution):
-        pop = build_population(Graphon.constant(0.0), 2, [30, 30], dirac(0.0),
+        pop = build_population(Graphon.constant(0.0), 2, 30, dirac(0.0),
                                seed=21)
         ts_a = run_system_a(pop, uncoupled_solution)
         ts_c = run_system_c(pop, uncoupled_solution, R_law=200)
@@ -327,23 +328,23 @@ class TestSystemCD:
         np.testing.assert_allclose(ts_d.paths, ts_a.paths, atol=1e-12)
 
     def test_cluster_law_exchangeable(self, coupled_solution):
-        pop = build_population(Graphon.uniform_attachment(), 4, [30] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 30,
                                normal_quantile_measure(0.0, 0.3, 65), seed=23)
         ts_c = run_system_c(pop, coupled_solution, R_law=1000)
         assert ts_c.cluster_laws is not None
-        idx = pop.cluster_indices[2]
+        idx = np.flatnonzero(pop.cluster_of == 2)
         terminal = ts_c.paths[idx, -1]
         law = ts_c.cluster_laws.get(2, coupled_solution.problem.K)
         band = 3 * terminal.std() / math.sqrt(len(idx)) + 0.1
         assert w1(empirical(terminal), law) < band
 
     def test_d_marginals_match_solution_ensemble(self, coupled_solution):
-        pop = build_population(Graphon.uniform_attachment(), 4, [100] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 100,
                                normal_quantile_measure(0.0, 0.3, 65), seed=25)
         ts_d = run_system_d(pop, coupled_solution)
         K = coupled_solution.problem.K
         for l in (0, 3):
-            emp = empirical(ts_d.paths[pop.cluster_indices[l], K])
+            emp = empirical(ts_d.paths[pop.cluster_of == l, K])
             ref = coupled_solution.ensemble.get(l, K)
             floor = 3 * 0.3 / math.sqrt(100)
             assert w1(emp, ref) < floor + 0.08
@@ -353,7 +354,7 @@ class TestDeviationMetrics:
     def test_uncoupled_metrics_vanish(self, uncoupled_solution):
         reps_a, reps_c, reps_d = [], [], []
         for r in range(3):
-            pop = build_population(Graphon.constant(0.0), 2, [20, 20],
+            pop = build_population(Graphon.constant(0.0), 2, 20,
                                    dirac(0.0), seed=40 + r)
             reps_a.append(run_system_a(pop, uncoupled_solution))
             reps_c.append(run_system_c(pop, uncoupled_solution, R_law=200))
@@ -365,7 +366,7 @@ class TestDeviationMetrics:
         reps_a, reps_c, reps_d, fam = [], [], [], {}
         pops = []
         for r in range(4):
-            pop = build_population(Graphon.uniform_attachment(), 4, [25] * 4,
+            pop = build_population(Graphon.uniform_attachment(), 4, 25,
                                    normal_quantile_measure(0.0, 0.3, 65),
                                    seed=60 + r)
             pops.append(pop)
@@ -381,7 +382,7 @@ class TestDeviationMetrics:
         assert rep.eps3 >= rep.eps2 - rep.eps1 - noise
 
     def test_alignment_required(self, uncoupled_solution):
-        pop = build_population(Graphon.constant(0.0), 2, [5, 5], dirac(0.0), seed=1)
+        pop = build_population(Graphon.constant(0.0), 2, 5, dirac(0.0), seed=1)
         a = run_system_a(pop, uncoupled_solution)
         with pytest.raises(GridError):
             deviation_metrics([a], [], [])
@@ -389,18 +390,20 @@ class TestDeviationMetrics:
 
 class TestNashGap:
     def test_gap_zero_for_equilibrium_only_family(self, coupled_solution):
-        pops = [build_population(Graphon.uniform_attachment(), 4, [20] * 4,
+        pops = [build_population(Graphon.uniform_attachment(), 4, 20,
                                  normal_quantile_measure(0.0, 0.3, 65), seed=70)]
         builder = lambda pop, sol, ts_a, iota: {"self": sol.policies[0]}
-        rep = epsilon_nash_gap(pops, coupled_solution, 0, family_builder=builder)
+        rep = _assemble_gap_report(
+            *_equilibrium_and_deviations(pops, coupled_solution, 0, builder), 0)
         assert rep.gap == 0.0
         assert rep.family == ("self",)
 
     def test_default_family_reports_costs(self, coupled_solution):
-        pops = [build_population(Graphon.uniform_attachment(), 4, [15] * 4,
+        pops = [build_population(Graphon.uniform_attachment(), 4, 15,
                                  normal_quantile_measure(0.0, 0.3, 65),
                                  seed=80 + r) for r in range(3)]
-        rep = epsilon_nash_gap(pops, coupled_solution, 0)
+        rep = _assemble_gap_report(*_equilibrium_and_deviations(
+            pops, coupled_solution, 0, default_deviation_family), 0)
         assert rep.gap >= 0.0
         assert set(rep.family) == {"const_lo", "const_hi", "const_mid",
                                    "empirical_br", "random_0", "random_1",
@@ -408,7 +411,7 @@ class TestNashGap:
         assert all(len(v) == 2 for v in rep.deviation_costs.values())
 
     def test_default_family_members_behave(self, coupled_solution):
-        pop = build_population(Graphon.uniform_attachment(), 4, [15] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 15,
                                normal_quantile_measure(0.0, 0.3, 65), seed=90)
         ts_a = run_system_a(pop, coupled_solution)
         fam = default_deviation_family(pop, coupled_solution, ts_a, 0)
@@ -416,34 +419,13 @@ class TestNashGap:
         br = fam["empirical_br"]
         assert policy_lipschitz(br) < 50.0
 
-    def test_gap_equals_the_ladder_gap_on_the_same_populations(self):
-        law = normal_quantile_measure(0.0, 0.3, 65)
-        g = Graphon.uniform_attachment()
-
-        def make_problem(M_k):
-            return GMFGProblem(coupled_problem(), g, law, M=M_k, K=16, N_x=61,
-                               R=400, seed=29)
-
-        rung = run_ladder(make_problem, [(2, 4)], n_reps=2, tol=0.1, iota=1,
-                          solver_kwargs={"max_outer": 20}, R_law=200)[0]
-        assert "seconds" not in rung   # only a timed ladder reports them
-        solution = picard_solve(make_problem(2), tol=0.1, max_outer=20)
-        pops = [build_population(g, 2, [4, 4], law, seed=29 + 7919 * (r + 1))
-                for r in range(2)]
-        rep = epsilon_nash_gap(pops, solution, 1)
-        assert rep.n_reps == rung["n_reps"] == 2
-        assert rep.family == rung["family"]
-        assert rep.gap == rung["gap"] and rep.gap_se == rung["gap_se"]
-        assert rep.equilibrium_cost == rung["equilibrium_cost"]
-        assert rep.deviation_costs == rung["deviation_costs"]
-        assert list(rep.deviation_costs) == list(rung["deviation_costs"])
-
     def test_gap_vanishes_without_coupling(self, uncoupled_solution):
         # every agent already plays its single-agent optimum, so no family
         # member can improve beyond noise and discretization
-        pops = [build_population(Graphon.constant(0.0), 2, [20, 20],
+        pops = [build_population(Graphon.constant(0.0), 2, 20,
                                  dirac(0.0), seed=300 + r) for r in range(4)]
-        rep = epsilon_nash_gap(pops, uncoupled_solution, 0)
+        rep = _assemble_gap_report(*_equilibrium_and_deviations(
+            pops, uncoupled_solution, 0, default_deviation_family), 0)
         problem = uncoupled_solution.problem
         band = 5 * max(problem.x_grid[1] - problem.x_grid[0],
                        problem.times[1] - problem.times[0])
@@ -452,7 +434,7 @@ class TestNashGap:
 
 class TestPerturbationTerms:
     def test_uncoupled_terms_vanish(self, uncoupled_solution):
-        pop = build_population(Graphon.constant(0.0), 2, [20, 20], dirac(0.0),
+        pop = build_population(Graphon.constant(0.0), 2, 20, dirac(0.0),
                                seed=31)
         ts = run_system_b(pop, uncoupled_solution, 0,
                           uncoupled_solution.policies[0])
@@ -463,13 +445,12 @@ class TestPerturbationTerms:
         assert out["eps_fl"] < 0.05
 
     def test_stacked_terms_match_brute_force_means(self, graphon_coupled_solution):
-        """Replications with unequal clusters share one SortedClusters per
-        node; every term still equals its mean over the raw samples, the
+        """Replications share one SortedClusters per node; every term still equals its mean over the raw samples, the
         graphon ones included (here every coefficient but l2 reads y)."""
         from gmfg import VertexGrid
 
         solution = graphon_coupled_solution
-        pops = [build_population(Graphon.uniform_attachment(), 4, [3, 5, 2, 4],
+        pops = [build_population(Graphon.uniform_attachment(), 4, 4,
                                  normal_quantile_measure(0.0, 0.3, 65), seed=41 + r)
                 for r in range(3)]
         psi = lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1)
@@ -489,8 +470,8 @@ class TestPerturbationTerms:
             for ts in runs:
                 x, u = ts.paths[:, k], ts.deviator_controls[k]
                 xi = x[iota]
-                emp = {n: np.array([np.mean(s[n](xi, x[idx]))
-                                    for idx in pop.cluster_indices]) for n in s}
+                emp = {n: np.array([np.mean(s[n](xi, x[pop.cluster_of == l]))
+                                    for l in range(pop.M_k)]) for n in s}
                 lim = {n: np.array([np.sum(ens.weights[v, k] * s[n](xi, ens.atoms[v, k]))
                                     for v in range(ens.n_vertices)]) for n in s}
                 e = [emp["f0"][own] * u, W @ emp["f"] * u,
@@ -514,7 +495,7 @@ class TestPerturbationTerms:
         measures and never compress an ensemble."""
         from gmfg import MeasureEnsemble, frozen_fields
 
-        pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 5,
                                normal_quantile_measure(0.0, 0.3, 65), seed=33)
         ts = run_system_b(pop, coupled_solution, 0, lambda t, xi, xs: 0.5)
         real = MeasureEnsemble.compress
@@ -540,7 +521,7 @@ class TestPerturbationTerms:
         from gmfg import MeasureEnsemble
         from gmfg.population import system_d_fields
 
-        pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 5,
                                normal_quantile_measure(0.0, 0.3, 65), seed=33)
         real = MeasureEnsemble.compress
         seen = []
@@ -560,7 +541,7 @@ class TestPerturbationTerms:
         buffer: one propagation stream per cluster per run."""
         from gmfg import rng
 
-        pop = build_population(Graphon.uniform_attachment(), 4, [5] * 4,
+        pop = build_population(Graphon.uniform_attachment(), 4, 5,
                                normal_quantile_measure(0.0, 0.3, 65), seed=33)
         real = rng.stream
         kinds = []
@@ -582,7 +563,7 @@ class TestPerturbationTerms:
         for size in sizes:
             per_rep = []
             for r in range(8):
-                pop = build_population(Graphon.constant(0.5), 1, [size],
+                pop = build_population(Graphon.constant(0.5), 1, size,
                                        normal_quantile_measure(0.0, 0.3, 65),
                                        seed=200 + 17 * r)
                 ts = run_system_b(pop, sol, 0, sol.policies[0])
