@@ -102,8 +102,9 @@ def w1(mu, nu):
 
 
 def _w1_sorted_equal(a, b):
-    # Both (..., R) sorted along the last axis with uniform weights.
-    return np.mean(np.abs(a - b), axis=-1)
+    # Both (..., R) sorted along the last axis, uniform weights; |a - b| in place.
+    d = a - b
+    return np.mean(np.abs(d, out=d), axis=-1)
 
 
 class MeasureEnsemble:

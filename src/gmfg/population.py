@@ -363,12 +363,13 @@ def _sup_mean_gap(rep_rows):
     n = rows.shape[0]
     mean = rows.mean(axis=0)
     flat = int(np.argmax(mean))
-    best = float(mean.reshape(-1)[flat])
-    if n > 1:
-        se = float(rows.reshape(n, -1)[:, flat].std(ddof=1) / math.sqrt(n))
-    else:
-        se = math.nan
-    return best, se
+    return float(mean.reshape(-1)[flat]), _std_error(rows.reshape(n, -1)[:, flat])
+
+
+def _std_error(values):
+    """Standard error of the mean of the replications ``values``, NaN for one."""
+    n = len(values)
+    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
 
 
 def _pooled_gap_rows(pairs, cluster_of, exclude=None):
@@ -499,16 +500,14 @@ def _assemble_gap_report(ts_a, b_fam, iota):
         vals = np.array([b.costs[iota] for b in runs])
         diff = eq - vals                      # paired improvement
         mean_diff = float(diff.mean())
-        se = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-        report_costs[name] = (float(vals.mean()),
-                              float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
+        report_costs[name] = (float(vals.mean()), _std_error(vals))
         if mean_diff > best_diff:
-            best_diff, best_se = mean_diff, se
+            best_diff, best_se = mean_diff, _std_error(diff)
     return NashGapReport(
         gap=max(0.0, best_diff),
         gap_se=best_se,
         equilibrium_cost=float(eq.mean()),
-        equilibrium_cost_se=float(eq.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan,
+        equilibrium_cost_se=_std_error(eq),
         deviation_costs=report_costs,
         family=tuple(sorted(b_fam)),
         deviator=iota,

@@ -283,8 +283,9 @@ class TestSolveHJB:
                                 np.abs(fl.cost_const + fl.cost_quad * umax**2)).max()
         assert np.abs(vg.values).max() <= p.T * cost_bound + 1e-9
 
-    @pytest.mark.parametrize("sigma, K, n_x", [(0.3, 16, 81),    # nu ~ 1.1
-                                               (3.0, 10, 201)])  # nu ~ 1100
+    @pytest.mark.parametrize("sigma, K, n_x", [(0.3, 16, 81),     # nu ~ 1.1
+                                               (3.0, 10, 201),    # nu ~ 1100
+                                               (0.03, 37, 1201)])  # nu ~ 1.1
     def test_diffusion_solve_matches_banded_oracle(self, sigma, K, n_x):
         # no drift, so every step is one linear solve of the implicit
         # diffusion against the explicit x-dependent running cost
@@ -309,6 +310,43 @@ class TestSolveHJB:
         for k in range(K - 1, -1, -1):
             want[k] = solve_banded((1, 1), ab, want[k + 1] + dt * fl.cost_const[0, k])
         assert np.abs(vg.values - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_fine_grid_solve_allocates_no_dense_matrix(self):
+        # one (3201, 3201) float array alone would take 82 MB
+        import tracemalloc
+
+        p = ProblemFunctions.structured(Constant(0.0), Constant(0.0), Poly2(xx=1.0),
+                                        Constant(1.0), Constant(0.0), Constant(0.0),
+                                        (-1, 1), 0.3, 1.0)
+        ens = dirac_ensemble(0.0, 1, 4, 1.0)
+        tracemalloc.start()
+        try:
+            solve_hjb(p, Graphon.constant(0.0), 0.5, ens, np.linspace(-6, 6, 3201))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_fine_grid_batch_equals_each_vertex_alone(self):
+        # a zero graphon, so the fields of one vertex equal its batch rows
+        p = ProblemFunctions.structured(Constant(1.0), Constant(0.0), tracking,
+                                        Constant(1.0), Constant(0.0), Constant(0.0),
+                                        (-1, 1), 0.3, 0.5)
+        K, M = 120, 3
+        times = np.linspace(0.0, 0.5, K + 1)
+        q = np.linspace(-1.5, 1.5, 33)
+        atoms = np.stack([np.tile(c + s * q, (K + 1, 1))
+                          for c, s in ((-0.5, 0.2), (0.1, 0.5), (0.8, 0.3))])
+        ens = MeasureEnsemble(atoms, times)
+        x_grid = np.linspace(-3.0, 3.0, 1201)
+        g = Graphon.constant(0.0)
+        alphas = (np.arange(M) + 0.5) / M
+        vgs, pols = solve_hjb(p, g, alphas, ens, x_grid)
+        assert not np.array_equal(vgs[0].values, vgs[1].values)
+        for v, alpha in enumerate(alphas):
+            vg, pol = solve_hjb(p, g, alpha, ens, x_grid)
+            assert np.array_equal(vgs[v].values, vg.values)
+            assert np.array_equal(pols[v].values, pol.values)
 
     def test_grid_refinement_first_order(self):
         sigma, T = 0.3, 1.0

@@ -400,11 +400,13 @@ class TestBatchedPass:
 
         dt, dx = times[1] - times[0], x[1] - x[0]
         nu = p.sigma**2 * dt / (2.0 * dx * dx)
-        A = (np.diag(np.full(x.size, 1.0 + 2.0 * nu))
-             + np.diag(np.full(x.size - 1, -nu), 1)
-             + np.diag(np.full(x.size - 1, -nu), -1))
-        A[0, 1] = A[-1, -2] = -2.0 * nu
-        A_inv_T = np.linalg.inv(A).T
+        lam = 1.0 + 2.0 * nu * (1.0 - np.cos(np.pi * np.arange(x.size) / (x.size - 1)))
+
+        def diffuse(r):
+            # the implicit reflected diffusion, diagonal in the DCT-I basis
+            even = np.concatenate([r, r[-2:0:-1]])
+            return np.fft.irfft(np.fft.rfft(even) / lam, n=even.size)[:x.size]
+
         assert not np.array_equal(fields.drift_coef[0], fields.drift_coef[1])
         for v in range(problem.M):
             drift, const, quad = (fields.drift_coef[v], fields.cost_const[v],
@@ -425,7 +427,7 @@ class TestBatchedPass:
                 neither = (f_p < 0.0) & (f_m > 0.0)
                 H_c = f_c * np.where(f_c > 0, Dp, Dm) + c_c
                 u_m, H_m = np.where(neither, u_c, u_m), np.where(neither, H_c, H_m)
-                V[k] = (V[k + 1] + dt * np.where(use_p, H_p, H_m)) @ A_inv_T
+                V[k] = diffuse(V[k + 1] + dt * np.where(use_p, H_p, H_m))
                 policy[k] = np.where(use_p, u_p, u_m)
             policy[-1] = np.clip(0.0 * (-drift[-1] / (2.0 * quad[-1])), p.u_min, p.u_max)
             assert np.array_equal(vgs[v].values, V)
