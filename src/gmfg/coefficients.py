@@ -17,6 +17,11 @@ cluster's sorted samples. The ends of the line are implicit, at positions
 0 and n of every cluster, so only the E cuts are searched: the cost per
 query point is O(E M log n) for M clusters of n samples, with E = 2 for a
 clip linear in y and 4 otherwise, instead of one evaluation per sample.
+
+The moments and the prefix sums are built on first use, one power at a
+time: a segment's count is the difference of its search positions, a clip
+linear in y reads the prefix sums of y alone, and only a clipped
+coefficient quadratic in y builds those of y^2.
 """
 
 import copy
@@ -31,13 +36,17 @@ def _shape(x, y):
 
 class SortedClusters:
     """Equal-weight samples of M clusters: their moments and sorted prefix
-    sums.
+    sums, each built on first use.
 
     ``values`` is (M, n), one row of n samples per cluster, each sample of
-    weight 1/n. The sums of y and y^2 per cluster are taken at once; the
-    sort and the prefix sums behind :meth:`segment_sums` only on first use,
-    so coefficients without a clip never sort. Rows that are sorted already
-    (:meth:`from_sorted`) are not sorted again.
+    weight 1/n. Nothing is computed when the clusters are built: the sums
+    of y and y^2 per cluster (:attr:`s1`, :attr:`s2`) are taken when
+    :meth:`means` first reads them, and the sorted rows and each power's
+    prefix sums behind :meth:`segment_sums` when a clipped coefficient
+    first asks for that power. So a coefficient without a clip never
+    sorts, a clipped one never reads the moments, and the y^2 prefix sums
+    are built only for a clipped coefficient quadratic in y. Rows that are
+    sorted already (:meth:`from_sorted`) are not sorted again.
 
     ``columns`` names the clusters each query point is integrated against,
     broadcastable to (n points, width): every cluster (shape (1, M)) by
@@ -49,10 +58,9 @@ class SortedClusters:
     def __init__(self, values):
         y = self.values = np.asarray(values, dtype=float)
         self.size = y.shape[1]
-        self.s1, self.s2 = y.sum(axis=1), np.einsum("ij,ij->i", y, y)
         self.columns = np.arange(y.shape[0])[None, :]
         self._is_sorted = False
-        self._prefix = {}   # shared with the views
+        self._built = {}   # shared with the views
 
     @classmethod
     def from_sorted(cls, values):
@@ -66,63 +74,89 @@ class SortedClusters:
         """View in which query point i sees the clusters ``columns[i]``.
 
         ``columns`` is broadcastable to (n points, width); the view shares
-        the moments and the sorted prefix sums of this object.
+        the moments and the sorted prefix sums of this object, built before
+        or after it.
         """
         view = copy.copy(self)
         view.columns = np.asarray(columns, dtype=int)
         return view
+
+    def _once(self, key, build):
+        built = self._built
+        if key not in built:
+            built[key] = build()
+        return built[key]
 
     @property
     def width(self):
         """Number of result columns per query point."""
         return int(self.columns.shape[1])
 
+    @property
+    def s1(self):
+        """(M,) sums of y per cluster."""
+        return self._once("s1", lambda: self.values.sum(axis=1))
+
+    @property
+    def s2(self):
+        """(M,) sums of y^2 per cluster."""
+        return self._once("s2", lambda: np.einsum("ij,ij->i", self.values, self.values))
+
     def means(self):
         """Means of y and of y^2 per column, broadcastable to (n, width)."""
         return self.s1[self.columns] / self.size, self.s2[self.columns] / self.size
 
-    def _sorted(self):
-        # sorted samples and the (3, M, n+1) prefix sums of 1, y and y^2,
-        # each row starting at 0, built once
-        pre = self._prefix
-        if not pre:
-            y = self.values if self._is_sorted else np.sort(self.values, axis=1)
-            M, n = y.shape
-            sums = np.empty((3, M, n + 1))
-            sums[:, :, 0] = 0.0
-            sums[0] = np.arange(n + 1.0)
-            np.cumsum(y, axis=1, out=sums[1, :, 1:])
-            np.cumsum(y * y, axis=1, out=sums[2, :, 1:])
-            pre["sorted"], pre["sums"] = y, sums
-        return pre
+    def sorted_rows(self):
+        """The (M, n) samples, each row sorted ascending."""
+        return self._once("sorted", lambda: self.values if self._is_sorted
+                          else np.sort(self.values, axis=1))
 
-    def segment_sums(self, cuts):
-        """Sums of 1, y and y^2 over each column's samples between cuts.
+    def _prefix(self, power):
+        # (M, n+1) prefix sums of y**power (1 or 2) along the sorted rows,
+        # each row starting at 0
+        def build():
+            y = self.sorted_rows()
+            sums = np.empty((y.shape[0], y.shape[1] + 1))
+            sums[:, 0] = 0.0
+            np.cumsum(y if power == 1 else y * y, axis=1, out=sums[:, 1:])
+            return sums
+        return self._once(("prefix", power), build)
+
+    def segment_sums(self, cuts, powers):
+        """Sums of y^p, for each p of ``powers`` (0, 1 or 2), over each
+        column's samples between cuts.
 
         ``cuts`` is (n, E), sorted along each row; the ends of the y-line
-        are implicit. The result is one (3, n, width, E+1) array holding
-        the sums of 1, y and y^2, segment j holding the samples y with
-        cuts[:, j-1] <= y < cuts[:, j], where cut -1 is -inf and cut E is
-        +inf. The (point, column) pairs are grouped by cluster once, so
-        each cluster's samples are searched with one call for all the
-        points that read it.
+        are implicit. The result is one (n, width, E+1) array per power,
+        segment j holding the samples y with cuts[:, j-1] <= y < cuts[:, j],
+        where cut -1 is -inf and cut E is +inf. The counts (p = 0) are the
+        differences of the search positions; the other powers read their
+        prefix sums there. When every point reads the same columns (one row
+        of ``columns``), each column's cluster is searched with one call for
+        all the cuts. Otherwise the (point, column) pairs are grouped by
+        cluster once, so each cluster's samples are searched with one call
+        for all the points that read it.
         """
-        pre = self._sorted()
-        y = pre["sorted"]
+        y = self.sorted_rows()
         n, E = cuts.shape
         width = self.width
-        rows = np.broadcast_to(self.columns, (n, width))
-        flat = rows.ravel()
-        order = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[order], np.arange(self.values.shape[0] + 1))
-        pos = np.empty((n * width, E + 2), dtype=np.intp)
-        pos[:, 0], pos[:, -1] = 0, y.shape[1]
-        for l in np.flatnonzero(np.diff(bounds)):
-            pairs = order[bounds[l]:bounds[l + 1]]
-            pos[pairs, 1:-1] = np.searchsorted(y[l], cuts[pairs // width],
-                                               side="left")
-        pos = pos.reshape(n, width, E + 2)
-        return np.diff(pre["sums"][:, rows[:, :, None], pos], axis=3)
+        pos = np.empty((n, width, E + 2), dtype=np.intp)
+        pos[:, :, 0], pos[:, :, -1] = 0, self.size
+        if self.columns.shape[0] == 1:
+            for j, l in enumerate(self.columns[0]):
+                pos[:, j, 1:-1] = np.searchsorted(y[l], cuts, side="left")
+        else:
+            flat = np.broadcast_to(self.columns, (n, width)).ravel()
+            order = np.argsort(flat, kind="stable")
+            bounds = np.searchsorted(flat[order], np.arange(y.shape[0] + 1))
+            pairs_pos = pos.reshape(n * width, E + 2)
+            for l in np.flatnonzero(np.diff(bounds)):
+                pairs = order[bounds[l]:bounds[l + 1]]
+                pairs_pos[pairs, 1:-1] = np.searchsorted(y[l], cuts[pairs // width],
+                                                         side="left")
+        rows = self.columns[:, :, None]
+        return [np.diff(pos, axis=2) if p == 0
+                else np.diff(self._prefix(p)[rows, pos], axis=2) for p in powers]
 
 
 @dataclass
@@ -196,8 +230,11 @@ class Poly2:
                                       np.where(np.isfinite(left),
                                                left + 1.0 + np.abs(left), 0.0)))
             g = a + probe * (b + c * probe)
-        n0, s1, s2 = clusters.segment_sums(cuts)
-        inside = a[:, :, None] * n0 + b[:, :, None] * s1 + c * s2
+        # a clip linear in y never reads the y^2 sums
+        n0, s1, *s2 = clusters.segment_sums(cuts, (0, 1) if c == 0.0 else (0, 1, 2))
+        inside = a[:, :, None] * n0 + b[:, :, None] * s1
+        if s2:
+            inside = inside + c * s2[0]
         level = np.where(g < lo, lo, hi)[:, None, :] * n0
         mid = ((g >= lo) & (g <= hi))[:, None, :]
         return np.where(mid, inside, level).sum(axis=2) / clusters.size

@@ -26,7 +26,9 @@ states into the (S M_k, n) samples of all (row, cluster) pairs, one
 :class:`~gmfg.coefficients.SortedClusters`, each agent reads its own
 cluster and its row's clusters through views of it, and each coefficient
 integrates itself against them through the sums of 1, y and y^2 (sorted
-prefix sums for a clipped one). A step costs O(S N M_k log n) for N agents
+prefix sums for a clipped one), each built on its first use in the step:
+a drift with a clipped f0 linear in y reads the prefix sums of y alone,
+and never the moments. A step costs O(S N M_k log n) for N agents
 per row in M_k clusters of n, not one coefficient evaluation per pair of
 agents. The limit side of the perturbation terms is the same engine over
 the vertex measures of the solved ensemble.

@@ -85,6 +85,32 @@ class TestClusterMeans:
         np.testing.assert_allclose(got_own[:, 0], want[np.arange(x.size), own],
                                    rtol=0, atol=tol)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_linear_clip_whose_slope_changes_sign(self, data):
+        """yy == 0 with an xy term: the slope b = y + xy x in y is negative,
+        exactly zero and positive across the query points, so each point's
+        single cut per level lies on either side of the line or is absent,
+        and the sums of 1 and y alone still fix every segment's regime."""
+        dyadic = st.integers(-6, 6).map(lambda v: v / 2.0)
+        xy = data.draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+        x0 = data.draw(dyadic)
+        steps = data.draw(st.lists(st.integers(1, 4).map(lambda v: v / 2.0),
+                                   min_size=2, max_size=2))
+        x = np.array([x0 - steps[0], x0, x0 + steps[1]])
+        lo = data.draw(numbers)
+        coef = Poly2(const=data.draw(numbers), x=data.draw(numbers),
+                     xx=data.draw(numbers), y=-xy * x0, xy=xy,
+                     clip=(lo, lo + data.draw(st.integers(1, 4)) / 2.0))
+        slope = coef.y + coef.xy * x
+        assert slope.min() < 0.0 and slope[1] == 0.0 and slope.max() > 0.0
+        sizes = [data.draw(st.integers(1, 7))] * data.draw(st.integers(1, 4))
+        values = np.array(data.draw(st.lists(numbers, min_size=sum(sizes),
+                                             max_size=sum(sizes))))
+        got = coef.cluster_means(x, equal_clusters(values, sizes))
+        np.testing.assert_allclose(got, brute_force_means(coef, sizes, values, x),
+                                   rtol=0, atol=1e-12 * scale(coef, values, x))
+
     def test_tiny_quadratic_term_does_not_overflow(self):
         # q / yy overflows to an infinite root, which counts as absent
         coef = Poly2(y=1e10, yy=1e-300, clip=(-1.0, 1.0))
@@ -107,33 +133,40 @@ class TestSegmentSums:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_grouped_search_equals_per_cluster_searchsorted(self, data):
-        """Any (n, width) columns: each (point, column) pair reads its
-        cluster's prefix sums at that cluster's own search positions, the
-        implicit ends of the y-line at positions 0 and the row length."""
+        """Columns shared by every point (1, width) or chosen per point
+        (n, width): each (point, column) pair reads its cluster's sums at
+        that cluster's own search positions, the implicit ends of the
+        y-line at positions 0 and the row length, for any set of powers."""
         sizes = [data.draw(st.integers(1, 6))] * data.draw(st.integers(1, 5))
         values = np.array(data.draw(st.lists(numbers, min_size=sum(sizes),
                                              max_size=sum(sizes))))
         n = data.draw(st.integers(1, 6))
         width = data.draw(st.integers(1, 4))
+        rows = data.draw(st.sampled_from([1, n]))
         columns = np.array(data.draw(st.lists(
-            st.integers(0, len(sizes) - 1), min_size=n * width,
-            max_size=n * width))).reshape(n, width)
+            st.integers(0, len(sizes) - 1), min_size=rows * width,
+            max_size=rows * width))).reshape(rows, width)
         E = data.draw(st.integers(1, 4))
         cuts = np.sort(np.array(data.draw(st.lists(
             st.one_of(numbers, st.just(-np.inf), st.just(np.inf)),
             min_size=n * E, max_size=n * E))).reshape(n, E), axis=1)
+        powers = data.draw(st.sampled_from([(0, 1), (0, 1, 2), (2,), (1, 0)]))
         clusters = equal_clusters(values, sizes).view(columns)
-        got = clusters.segment_sums(cuts)
-        assert got.shape == (3, n, width, E + 1)
-        pre = clusters._sorted()
+        got = clusters.segment_sums(cuts, powers)
+        assert len(got) == len(powers)
+        assert all(g.shape == (n, width, E + 1) for g in got)
+        ordered = clusters.sorted_rows()
+        assert np.array_equal(ordered, np.sort(np.reshape(values, (len(sizes), -1)),
+                                               axis=1))
         ends = sizes[0]
         for i in range(n):
             for c in range(width):
-                l = columns[i, c]
-                pos = np.concatenate([[0], np.searchsorted(pre["sorted"][l], cuts[i],
+                l = columns[i % rows, c]
+                pos = np.concatenate([[0], np.searchsorted(ordered[l], cuts[i],
                                                            side="left"), [ends]])
-                np.testing.assert_array_equal(got[:, i, c],
-                                              np.diff(pre["sums"][:, l, pos], axis=1))
+                for p, g in zip(powers, got):
+                    prefix = np.concatenate([[0.0], np.cumsum(ordered[l] ** p)])
+                    np.testing.assert_array_equal(g[i, c], np.diff(prefix[pos]))
 
 
 class TestEnsembleClusters:
@@ -143,7 +176,7 @@ class TestEnsembleClusters:
         """The ensemble's clusters at node 0 read its sorted rows in place,
         and their clipped means equal those of the rows given unsorted."""
         clusters = ens.clusters(0)
-        assert np.shares_memory(clusters._sorted()["sorted"], ens.atoms)
+        assert np.shares_memory(clusters.sorted_rows(), ens.atoms)
         x = np.linspace(-1.5, 1.5, 13)
         np.testing.assert_array_equal(
             self.coef.cluster_means(x, clusters),
