@@ -186,14 +186,17 @@ def brackets(parts, names, x, own, coupled, weights):
     l1, l2) is averaged over the clusters that ``own`` gives each point
     (:meth:`~gmfg.coefficients.Poly2.cluster_means`); a graphon one (f, l3,
     l4) over those of ``coupled``, and its columns are then weighted by the
-    (width, k) matrix ``weights``. Returns one (len(x), k) array per name.
+    (width, k) matrix ``weights``, one matrix-vector product per weight
+    column: an output column is the product it would be with k = 1, so it
+    rounds the same whatever k is. Returns one (len(x), k) array per name.
     """
     out = []
     for name in names:
         if name in ("f0", "l1", "l2"):
             out.append(parts[name].cluster_means(np.atleast_1d(x), own))
         else:
-            out.append(parts[name].cluster_means(np.atleast_1d(x), coupled) @ weights)
+            m = parts[name].cluster_means(np.atleast_1d(x), coupled)
+            out.append(np.matmul(m, weights.T[:, :, None])[:, :, 0].T)
     return out
 
 
@@ -311,11 +314,9 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     terms enter explicitly, and the diffusion is implicit with zero-slope
     boundaries, solved exactly by one real FFT pair per step: O(N_x log N_x),
     no (N_x, N_x) array. The sweep is row-independent: from the same field
-    rows a vertex gets the same bits alone as in a batch. :func:`frozen_fields`
-    is not, where the graphon section is nonzero (for one vertex it is a
-    matrix-vector product, for a batch a matrix product). Returns the value
-    grid and the feedback policy, or lists of them, one per vertex, when
-    ``alpha`` is an array.
+    rows a vertex gets the same bits alone as in a batch, and so do the
+    rows of :func:`frozen_fields`. Returns the value grid and the feedback
+    policy, or lists of them, one per vertex, when ``alpha`` is an array.
     """
     if fields is None:
         fields = frozen_fields(problem, g, alpha, ensemble, x_grid)

@@ -96,6 +96,23 @@ class TestFrozenFields:
                            np.linspace(-1, 1, 11))
         np.testing.assert_allclose(fl.drift(0, np.zeros(3), 1.0), 0.375, atol=1e-12)
 
+    def test_vertex_alone_equals_its_row_of_a_batch(self):
+        """A nonzero section weights the graphon columns the same way for
+        one vertex as for a batch, so every table row is bit-equal."""
+        p = ProblemFunctions.structured(Constant(0.0), Poly2(y=0.3), tracking,
+                                        Constant(1.0), Poly2(const=0.2, yy=0.1),
+                                        Constant(1.0), (-1, 1), 0.3, 0.5)
+        atoms = np.random.default_rng(11).normal(0.0, 0.7, (3, 5, 50))
+        ens = MeasureEnsemble(atoms, np.linspace(0.0, 0.5, 5))
+        x_grid = np.linspace(-2, 2, 41)
+        alphas = (np.arange(3) + 0.5) / 3
+        g = Graphon.uniform_attachment()
+        batch = frozen_fields(p, g, alphas, ens, x_grid)
+        for v, alpha in enumerate(alphas):
+            alone = frozen_fields(p, g, alpha, ens, x_grid)
+            for name in ("drift_coef", "cost_const", "cost_quad"):
+                assert np.array_equal(getattr(batch, name)[v], getattr(alone, name)[0])
+
 
 # Small dyadic numbers keep the arithmetic exact often enough that atoms
 # tie and land exactly on a clip threshold; plain floats cover the rest.
