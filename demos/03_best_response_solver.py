@@ -10,8 +10,8 @@ value function has the exact form tanh(T - t) x^2 + sigma^2 log cosh(T - t).
 
 import numpy as np
 
-from gmfg import (Constant, Graphon, Poly2, ProblemFunctions, frozen_fields,
-                  rollout_cost, solve_hjb)
+from gmfg import (Constant, Graphon, Policy, Poly2, ProblemFunctions,
+                  frozen_fields, rollout_cost, solve_hjb)
 from gmfg.measures import MeasureEnsemble
 
 sigma, T, K = 0.3, 1.0, 1500
@@ -25,18 +25,21 @@ times = np.linspace(0.0, T, K + 1)
 frozen = MeasureEnsemble(np.zeros((1, K + 1, 1)), times)
 x_grid = np.linspace(-6.0, 6.0, 1201)
 
-value, policy = solve_hjb(problem, Graphon.constant(0.0), 0.5, frozen, x_grid)
+# one vertex: (1, K+1, N_x) value and feedback tables
+(value,), (table,) = solve_hjb(problem, Graphon.constant(0.0), 0.5, frozen, x_grid)
+policy = Policy(table, x_grid, times, (problem.u_min, problem.u_max))
+dx = x_grid[1] - x_grid[0]
 
 exact0 = np.tanh(T) * x_grid**2 + sigma**2 * np.log(np.cosh(T))
 mask = np.abs(x_grid) <= 2.0
 print("max |V(0,x) - analytic| on |x| <= 2:",
-      f"{np.abs(value.values[0] - exact0)[mask].max():.2e}")
+      f"{np.abs(value[0] - exact0)[mask].max():.2e}")
 print("policy at (t=0, x=1):", f"{policy(0.0, 1.0):+.4f}",
       " analytic -tanh(T) x =", f"{-np.tanh(T):+.4f}")
 # the zero-slope boundary creates a thin policy layer at the box edges, so
 # measure the slope away from it
 interior = np.abs(x_grid) <= 4.0
-slopes = np.abs(np.diff(policy.values[:, interior], axis=1)) / value.dx
+slopes = np.abs(np.diff(table[:, interior], axis=1)) / dx
 print("interior policy slope (analytic tanh(T) = 0.76):", f"{slopes.max():.3f}")
 
 # Dynamic-programming consistency: running the extracted policy from x0
@@ -45,4 +48,4 @@ fields = frozen_fields(problem, Graphon.constant(0.0), 0.5, frozen, x_grid)
 x0 = 1.0
 mean, se = rollout_cost(problem, fields, policy, x0, 20_000, seed=42)
 print(f"\nrollout cost from x0={x0}: {mean:.4f} +- {se:.4f}")
-print(f"value function V(0, x0):  {value.at(0, x0):.4f}")
+print(f"value function V(0, x0):  {np.interp(x0, x_grid, value[0]):.4f}")

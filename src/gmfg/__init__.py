@@ -10,9 +10,9 @@ from .measures import (Measure1D, MeasureEnsemble, PathBundle, dirac, empirical,
                        ensemble_distance, ensemble_w1_sup, holder_modulus,
                        marginals, normal_quantile_measure, path_distance_DT, w1,
                        w1_joint_continuity_scan)
-from .control import (FrozenFields, Policy, ProblemFunctions, ValueGrid,
-                      frozen_fields, minimize_hamiltonian, policy_lipschitz,
-                      rollout_cost, solve_hjb, theta_clamp)
+from .control import (FrozenFields, Policy, ProblemFunctions, frozen_fields,
+                      minimize_hamiltonian, policy_lipschitz, rollout_cost,
+                      solve_hjb, theta_clamp)
 from .solver import (GMFGProblem, GMFGSolution, SensitivityReport,
                      inner_mv_consistency, picard_solve, propagate_closed_loop,
                      sensitivity_probe, zero_drift_bundle)

@@ -92,9 +92,9 @@ def cmd_solve_gmfg(scenario, out_dir, args):
     write_csv(os.path.join(out_dir, "ensemble.csv"),
               ["vertex_index", "time_index", "atom", "weight"],
               [v, k, atom, weight], _meta(scenario))
-    for v, pol in enumerate(sol.policies):
+    for v, table in enumerate(sol.policy):
         write_csv(os.path.join(out_dir, f"policy_{v:03d}.csv"),
-                  ["t_index", "x_index", "value"], index_columns(pol.values),
+                  ["t_index", "x_index", "value"], index_columns(table),
                   _meta(scenario))
     payload = {"converged": True, "trace": sol.trace, "tolerance": sol.tol,
                "noise_floor": sol.noise_floor}

@@ -6,9 +6,10 @@ fields (every coefficient integrated exactly against the vertex measures
 through :mod:`gmfg.coefficients`), minimizes the Hamiltonian (a
 closed-form clamp, since the dynamics are control-affine with quadratic
 control cost), and runs the backward semi-implicit value sweep that
-produces the feedback policies. Fields and sweep work on a whole batch of
-vertices at once. It also holds the uniform-grid table lookup and the
-Euler-Maruyama stepper that every particle and agent simulation shares.
+produces one (vertex, time, space) table each of values and feedback.
+Fields and sweep work on a whole batch of vertices at once. It also holds
+the uniform-grid table lookup and the Euler-Maruyama stepper that every
+particle and agent simulation shares.
 """
 
 import math
@@ -139,10 +140,11 @@ class FrozenFields:
     The fields reduce to per-vertex, per-time tables on the space grid, each
     of shape (n_vertices, K+1, N_x): drift coefficient (of u), constant
     cost, and quadratic cost coefficient. ``alpha`` holds the vertex
-    coordinates; a scalar vertex is a batch of one. Evaluation off the grid
-    (``drift``, ``cost``, :func:`minimize_hamiltonian`) interpolates
-    linearly in x and serves a batch of one; batched callers read their
-    rows through one :class:`GridLookup`.
+    coordinates; a scalar vertex is a batch of one.
+    :func:`minimize_hamiltonian` reads every row at the grid nodes.
+    ``drift`` and ``cost`` interpolate linearly in x off the grid and serve
+    a batch of one (a rollout); batched callers read their rows through one
+    :class:`GridLookup`.
     """
 
     def __init__(self, problem, alpha, x_grid, times):
@@ -235,44 +237,19 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
     return fields
 
 
-def _control_ratio(coef, quad):
-    # unclamped minimizer per unit adjoint: -c / (2 d)
+def minimize_hamiltonian(fields, k, q):
+    """Minimizer of q * drift + cost over the control set at the grid nodes.
+
+    ``q`` holds adjoints on the space grid, (..., n_vertices, N_x): one
+    row per vertex of the batch, leading axes for several slopes. With
+    drift coefficient c and quadratic cost coefficient d of time node k,
+    the minimizer is the clamp of -q c / (2 d) to the control set.
+    """
+    quad = fields.cost_quad[:, k]
     if np.any(quad <= 0.0):
         raise InvariantError("quadratic control-cost bracket is not positive")
-    return -coef / (2.0 * quad)
-
-
-def minimize_hamiltonian(fields, k, x, q):
-    """Pointwise minimizer of q * drift + cost over the control interval.
-
-    With drift coefficient c and quadratic cost coefficient d at x, the
-    minimizer is the clamp of -q c / (2 d) to the control set.
-    """
-    p = fields.problem
-    look = GridLookup(fields.x_grid, x)
-    h = _control_ratio(look(fields.drift_coef[:, k]), look(fields.cost_quad[:, k]))
-    return theta_clamp(np.asarray(q, dtype=float) * h, p.u_min, p.u_max)
-
-
-class ValueGrid:
-    """Space-time tabulation of a vertex value function."""
-
-    def __init__(self, values, x_grid, times):
-        v = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise NumericalError("value grid contains non-finite entries")
-        if np.any(v[-1] != 0.0):
-            raise InvariantError("terminal value must be exactly zero")
-        self.values = v
-        self.x_grid = _uniform_grid(x_grid)
-        self.times = np.asarray(times, dtype=float)
-
-    @property
-    def dx(self):
-        return float(self.x_grid[1] - self.x_grid[0])
-
-    def at(self, k, x):
-        return GridLookup(self.x_grid, x)(self.values[k])
+    h = -fields.drift_coef[:, k] / (2.0 * quad)   # unclamped, per unit adjoint
+    return theta_clamp(q * h, fields.problem.u_min, fields.problem.u_max)
 
 
 class Policy:
@@ -295,12 +272,10 @@ class Policy:
         return self.eval_index(k, x)
 
 
-def policy_lipschitz(policy):
-    """Max over time of the max adjacent difference quotient in x."""
-    dx = policy.x_grid[1] - policy.x_grid[0]
-    if policy.values.shape[1] < 2:
-        return 0.0
-    return float(np.abs(np.diff(policy.values, axis=1)).max() / dx)
+def policy_lipschitz(table, x_grid):
+    """Largest adjacent difference quotient in x of a (..., K+1, N_x) policy
+    table on ``x_grid``, over every row and time node."""
+    return float(np.abs(np.diff(table, axis=-1)).max() / (x_grid[1] - x_grid[0]))
 
 
 def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
@@ -315,8 +290,9 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     boundaries, solved exactly by one real FFT pair per step: O(N_x log N_x),
     no (N_x, N_x) array. The sweep is row-independent: from the same field
     rows a vertex gets the same bits alone as in a batch, and so do the
-    rows of :func:`frozen_fields`. Returns the value grid and the feedback
-    policy, or lists of them, one per vertex, when ``alpha`` is an array.
+    rows of :func:`frozen_fields`. Returns the value and the feedback
+    tables, each (n, K+1, N_x) for n vertices (n = 1 for a scalar
+    ``alpha``); the terminal value row is zero.
     """
     if fields is None:
         fields = frozen_fields(problem, g, alpha, ensemble, x_grid)
@@ -340,9 +316,6 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
         even = np.concatenate([rhs, rhs[:, -2:0:-1]], axis=1)
         return np.fft.irfft(np.fft.rfft(even) / lam, n=even.shape[1])[:, :nx]
 
-    def clamp(q, h):
-        return theta_clamp(q * h, problem.u_min, problem.u_max)
-
     # the field tables live on x_grid, so they are read without interpolation
     V = np.zeros((n, K1, nx))
     policy = np.zeros((n, K1, nx))
@@ -350,12 +323,11 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
         coef = fields.drift_coef[:, k]
         const = fields.cost_const[:, k]
         quad = fields.cost_quad[:, k]
-        h = _control_ratio(coef, quad)
         Vn = V[:, k + 1]
-        Dp, Dm = np.zeros((2, n, nx))
+        D = np.zeros((2, n, nx))
+        Dp, Dm = D
         Dp[:, :-1] = Dm[:, 1:] = np.diff(Vn, axis=1) / dx
-        u_p = clamp(Dp, h)
-        u_m = clamp(Dm, h)
+        u_p, u_m = minimize_hamiltonian(fields, k, D)   # both one-sided slopes
         f_p = coef * u_p
         f_m = coef * u_m
         H_p = f_p * Dp + (const + quad * u_p ** 2)
@@ -366,7 +338,7 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
         # Neither candidate self-consistent: fall back to the central slope.
         neither = ~ok_p & ~ok_m
         if np.any(neither):
-            u_c = clamp(0.5 * (Dp + Dm), h)
+            u_c = minimize_hamiltonian(fields, k, 0.5 * (Dp + Dm))
             f_c = coef * u_c
             H_c = f_c * np.where(f_c > 0, Dp, Dm) + (const + quad * u_c ** 2)
             u_m = np.where(neither, u_c, u_m)
@@ -378,14 +350,8 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
         if not np.all(np.isfinite(V[:, k])):
             raise NumericalError(f"value sweep produced non-finite values at step {k}")
         policy[:, k] = u_k
-    h = _control_ratio(fields.drift_coef[:, -1], fields.cost_quad[:, -1])
-    policy[:, -1] = clamp(np.zeros((n, nx)), h)
-    vgs = [ValueGrid(V[v], x, times) for v in range(n)]
-    pols = [Policy(policy[v], x, times, (problem.u_min, problem.u_max))
-            for v in range(n)]
-    if np.ndim(alpha) == 0:
-        return vgs[0], pols[0]
-    return vgs, pols
+    policy[:, -1] = minimize_hamiltonian(fields, K1 - 1, np.zeros((n, nx)))
+    return V, policy
 
 
 def euler_maruyama(x0, noise, dt, sigma, drift):

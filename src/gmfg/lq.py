@@ -104,8 +104,15 @@ class RiccatiPath:
     """Backward Riccati solution on the shared time grid."""
 
     times: np.ndarray
-    Pi: np.ndarray        # (K+1, n, n), symmetric
-    Pi_half: np.ndarray   # (K, n, n), midpoints for staged integrators
+    half_steps: np.ndarray   # (2K+1, n, n), symmetric, the RK4 half-step path
+
+    @property
+    def Pi(self):        # (K+1, n, n), the time nodes
+        return self.half_steps[::2]
+
+    @property
+    def Pi_half(self):   # (K, n, n), midpoints for staged integrators
+        return self.half_steps[1::2]
 
     def validate(self, Q_T):
         if not np.allclose(self.Pi[-1], Q_T):
@@ -142,7 +149,7 @@ def solve_riccati(p):
         fine[j] = _sym(step)
         if np.abs(fine[j]).max() > _BLOWUP:
             raise NumericalError(f"Riccati finite escape near t={j * h:.4g}")
-    return RiccatiPath(p.times, fine[::2], fine[1::2])
+    return RiccatiPath(p.times, fine)
 
 
 @dataclass
@@ -180,15 +187,12 @@ def fundamental_matrices(p, ric):
     """
     n, K = p.n, p.K
     dt = p.T / K
-    fine = np.empty((2 * K + 1, n, n))
-    fine[::2] = ric.Pi
-    fine[1::2] = ric.Pi_half
 
     def m_phi(j):
-        return p.A - p.BRB @ fine[j] + p.D0
+        return p.A - p.BRB @ ric.half_steps[j] + p.D0
 
     def m_psi(j):
-        return -(p.A - p.BRB @ fine[j]).T
+        return -(p.A - p.BRB @ ric.half_steps[j]).T
 
     U = _propagate_fundamental(m_phi, n, K, dt)
     W = _propagate_fundamental(m_psi, n, K, dt)
@@ -383,17 +387,14 @@ def _recover_offsets(p, ric, xbar, zbar):
     """Backward RK4 for the offset ODE driven by the mean-field surface."""
     K, n, M = p.K, p.n, xbar.shape[0]
     dt = p.T / K
-    fine_Pi = np.empty((2 * K + 1, n, n))
-    fine_Pi[::2] = ric.Pi
-    fine_Pi[1::2] = ric.Pi_half
     # surface values at half nodes by linear interpolation
     xb_h = 0.5 * (xbar[:, 1:] + xbar[:, :-1])
     zb_h = 0.5 * (zbar[:, 1:] + zbar[:, :-1])
 
     # the per-node coefficient matrices on the fine grid, built once
-    drive_x = np.swapaxes(p.gamma0 * p.Q - fine_Pi @ p.D0, 1, 2)
-    drive_z = np.swapaxes(p.gamma * p.Q - fine_Pi @ p.D, 1, 2)
-    closed = p.A - p.BRB @ fine_Pi
+    drive_x = np.swapaxes(p.gamma0 * p.Q - ric.half_steps @ p.D0, 1, 2)
+    drive_z = np.swapaxes(p.gamma * p.Q - ric.half_steps @ p.D, 1, 2)
+    closed = p.A - p.BRB @ ric.half_steps
     forcing = p.Q @ p.eta
 
     def rhs(j, s, xb, zb):

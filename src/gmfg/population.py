@@ -113,18 +113,13 @@ class TrajectorySet:
     cluster_laws: MeasureEnsemble = None
 
 
-def _cluster_policies(pop, solution):
+def _cluster_policy(pop, solution):
+    """(M_k, K+1, N_x) policy table: each cluster's row is the solved row of
+    the solver vertex nearest its midpoint."""
     solver_mid = solution.problem.vertex_grid.midpoints
-    out = []
-    for l in range(pop.M_k):
-        v = int(np.argmin(np.abs(solver_mid - pop.vertex_grid.midpoints[l])))
-        out.append(solution.policies[v])
-    return out
-
-
-def _cluster_policy_table(pop, solution):
-    """(M_k, K+1, N_x) policy table, one row per cluster."""
-    return np.stack([pol.values for pol in _cluster_policies(pop, solution)])
+    nearest = np.argmin(np.abs(solver_mid[None, :]
+                               - pop.vertex_grid.midpoints[:, None]), axis=1)
+    return solution.policy[nearest]
 
 
 def _deviation_control(psi, t, x_i, x_all):
@@ -221,7 +216,7 @@ def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
     p = problem.functions
     K, S = problem.K, len(pops)
     dt = p.T / K
-    table = _cluster_policy_table(pop, solution)
+    table = _cluster_policy(pop, solution)
     dev = [s for s, psi in enumerate(members) if psi is not None]
     dev_controls = np.empty((S, K))
     agents = list(dict.fromkeys(cost_agents))
@@ -295,7 +290,7 @@ def _field_propagation(pop, solution, fields, label, laws=None):
     """
     problem = solution.problem
     p = problem.functions
-    table = _cluster_policy_table(pop, solution)
+    table = _cluster_policy(pop, solution)
 
     def drift(k, x):
         look = GridLookup(fields.x_grid, x, pop.cluster_of)
@@ -317,9 +312,8 @@ def run_system_c(pop, solution, R_law=2000):
     zero-drift start and every pass of the sub-iteration.
     """
     clone = _law_problem(pop, solution, R_law)
-    policies = _cluster_policies(pop, solution)
     start = _start_paths(clone)
-    _, laws, _ = inner_mv_consistency(clone, policies,
+    _, laws, _ = inner_mv_consistency(clone, _cluster_policy(pop, solution),
                                       marginals(zero_drift_bundle(clone, start)),
                                       start=start)
     fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
@@ -455,9 +449,9 @@ def empirical_field_best_response(pop, solution, ts_a, iota):
     problem = solution.problem
     paths = ts_a.paths.reshape(pop.M_k, pop.size, problem.K + 1)
     ens = MeasureEnsemble(np.swapaxes(paths, 1, 2), problem.times)
-    _, pol = solve_hjb(problem.functions, pop.graph, pop.midpoint(iota), ens,
-                       problem.x_grid)
-    return pol
+    p = problem.functions
+    _, policy = solve_hjb(p, pop.graph, pop.midpoint(iota), ens, problem.x_grid)
+    return Policy(policy[0], problem.x_grid, problem.times, (p.u_min, p.u_max))
 
 
 def default_deviation_family(pop, solution, ts_a, iota):

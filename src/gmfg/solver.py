@@ -69,20 +69,16 @@ class GMFGProblem:
 
 @dataclass
 class GMFGSolution:
-    """Converged (or partial) solution of the fixed point."""
+    """Converged (or partial) solution of the fixed point: the (M, K+1, N_x)
+    feedback table, one row per vertex, and the ensemble it induces."""
 
-    value_grids: list
-    policies: list
+    policy: np.ndarray
     ensemble: MeasureEnsemble
-    bundle: PathBundle
     trace: list
     converged: bool
     tol: float
     noise_floor: float
     problem: GMFGProblem = None
-
-    def policy_table(self):
-        return np.stack([p.values for p in self.policies])
 
 
 def _start_paths(problem):
@@ -127,12 +123,13 @@ def zero_drift_bundle(problem, start=None):
     return PathBundle(paths, problem.times)
 
 
-def propagate_closed_loop(problem, policies, e_drift, fields=None, start=None):
+def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None):
     """Closed-loop Euler-Maruyama propagation of every vertex population.
 
     Per vertex, R particles start from i.i.d. draws of the initial law and
     follow the measure-coupled drift evaluated against ``e_drift`` with the
-    vertex policy in the control slot. All (M, R) particles step together:
+    vertex row of the (M, K+1, N_x) feedback table ``policy`` in the
+    control slot. All (M, R) particles step together:
     one grid lookup per step serves both the policy and the drift tables.
     Noise and initial draws are keyed by (seed, vertex, replica), so
     repeated calls couple exactly; a solve passes the ``start`` buffer it
@@ -145,7 +142,6 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None, start=None):
     if fields is None:
         fields = frozen_fields(p, problem.graphon, problem.vertex_grid.midpoints,
                                e_drift, problem.x_grid, drift_only=True)
-    table = np.stack([pol.values for pol in policies])
     rows = np.arange(problem.M)[:, None]
     dt = p.T / problem.K
     paths = _fresh_paths(problem, start)
@@ -155,7 +151,7 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None, start=None):
         nonlocal escaped
         look = GridLookup(problem.x_grid, x, rows)
         escaped += look.escaped
-        return look(fields.drift_coef[:, k]) * look(table[:, k])
+        return look(fields.drift_coef[:, k]) * look(policy[:, k])
 
     euler_maruyama_steps(paths, dt, drift)
     bad = ~np.isfinite(paths[:, :, -1]).all(axis=1)
@@ -165,12 +161,12 @@ def propagate_closed_loop(problem, policies, e_drift, fields=None, start=None):
                       escaped_mass=escaped / paths[..., 1:].size)
 
 
-def inner_mv_consistency(problem, policies, e_start, tol_inner=None,
+def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
                          max_inner=60, start=None):
-    """Self-consistent propagation under fixed policies.
+    """Self-consistent propagation under a fixed feedback table.
 
-    Iterates drift-ensemble updates nu <- marginals(propagate(policies, nu))
-    until the sup W1 change drops below ``tol_inner``. With policies fixed
+    Iterates drift-ensemble updates nu <- marginals(propagate(policy, nu))
+    until the sup W1 change drops below ``tol_inner``. With the policy fixed
     this map contracts on any horizon window, so geometric decay of the
     change is the expected trace shape. Every pass propagates from one
     start buffer: the caller's ``start``, or one drawn here. Returns
@@ -183,7 +179,7 @@ def inner_mv_consistency(problem, policies, e_start, tol_inner=None,
     ens = e_start
     trace = []
     for j in range(max_inner):
-        bundle = propagate_closed_loop(problem, policies, ens, start=start)
+        bundle = propagate_closed_loop(problem, policy, ens, start=start)
         new = marginals(bundle)
         d = ensemble_w1_sup(new, ens)
         trace.append(d)
@@ -193,15 +189,6 @@ def inner_mv_consistency(problem, policies, e_start, tol_inner=None,
     raise ConvergenceError(
         f"measure consistency stalled above {tol_inner:.3g} after {max_inner} passes",
         trace=trace)
-
-
-def _solve_all_vertices(problem, ensemble):
-    alphas = problem.vertex_grid.midpoints
-    fields = frozen_fields(problem.functions, problem.graphon, alphas,
-                           ensemble, problem.x_grid)
-    vgs, pols = solve_hjb(problem.functions, problem.graphon, alphas,
-                          ensemble, problem.x_grid, fields=fields)
-    return vgs, pols, fields
 
 
 def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
@@ -235,24 +222,26 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     elif min_outer > max_outer:
         raise ConfigError(f"min_outer {min_outer} exceeds max_outer {max_outer}")
     floor = problem.noise_floor
+    p, alphas = problem.functions, problem.vertex_grid.midpoints
     tol_eff = max(tol if tol is not None else 0.0, 5.0 / math.sqrt(problem.R))
     start = _start_paths(problem)
     ens = marginals(zero_drift_bundle(problem, start))
     trace = []
     prev_policy = None
     for i in range(max_outer):
-        vgs, pols, fls = _solve_all_vertices(problem, ens)
+        fls = frozen_fields(p, problem.graphon, alphas, ens, problem.x_grid)
+        _, policy = solve_hjb(p, problem.graphon, alphas, ens, problem.x_grid,
+                              fields=fls)
         if mode == "single_loop":
-            bundle = propagate_closed_loop(problem, pols, ens, fields=fls, start=start)
+            bundle = propagate_closed_loop(problem, policy, ens, fields=fls, start=start)
             passes = 1
         else:
-            bundle, _, inner = inner_mv_consistency(problem, pols, ens, inner_tol,
+            bundle, _, inner = inner_mv_consistency(problem, policy, ens, inner_tol,
                                                     start=start)
             passes = len(inner)
         new = marginals(bundle)
         d = ensemble_w1_sup(new, ens)
-        pol_table = np.stack([p.values for p in pols])
-        pol_delta = float(np.abs(pol_table - prev_policy).max()) if prev_policy is not None else math.nan
+        pol_delta = float(np.abs(policy - prev_policy).max()) if prev_policy is not None else math.nan
         entry = {
             "iteration": i,
             "distance": d,
@@ -261,14 +250,13 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "cfl_margin": float(fls.cfl_margin().min()),
             "escaped_mass": bundle.escaped_mass,
             "inner_passes": passes,
-            "policy_lipschitz": max(policy_lipschitz(pol) for pol in pols),
+            "policy_lipschitz": policy_lipschitz(policy, problem.x_grid),
         }
         trace.append(entry)
-        prev_policy = pol_table
+        prev_policy = policy
         ens = new
         if d < tol_eff and i + 1 >= min_outer:
-            return GMFGSolution(vgs, pols, ens, bundle, trace, True, tol_eff,
-                                floor, problem)
+            return GMFGSolution(policy, ens, trace, True, tol_eff, floor, problem)
     raise ConvergenceError(
         f"no contraction below {tol_eff:.3g} within {max_outer} passes", trace=trace)
 
@@ -303,19 +291,19 @@ def sensitivity_probe(problem, solution, delta=0.05):
     A zero denominator leaves the corresponding estimate undefined (NaN).
     """
     shifted = solution.ensemble.shift(delta)
-    _, pols_shifted, _ = _solve_all_vertices(problem, shifted)
-    base_table = solution.policy_table()
-    new_table = np.stack([p.values for p in pols_shifted])
-    dphi = float(np.abs(new_table - base_table).max())
+    _, shifted_policy = solve_hjb(problem.functions, problem.graphon,
+                                  problem.vertex_grid.midpoints, shifted,
+                                  problem.x_grid)
+    dphi = float(np.abs(shifted_policy - solution.policy).max())
     shift_dist = min(abs(float(delta)), 1.0)
     c1 = dphi / shift_dist if shift_dist > 0 else math.nan
 
     if dphi <= 0.0:
         return SensitivityReport(c1, math.nan, dphi, shift_dist)
     start = _start_paths(problem)
-    b1, _, t1 = inner_mv_consistency(problem, solution.policies, solution.ensemble,
+    b1, _, t1 = inner_mv_consistency(problem, solution.policy, solution.ensemble,
                                      start=start)
-    b2, _, t2 = inner_mv_consistency(problem, pols_shifted, solution.ensemble,
+    b2, _, t2 = inner_mv_consistency(problem, shifted_policy, solution.ensemble,
                                      start=start)
     c2 = ensemble_distance(b1, b2) / dphi
     return SensitivityReport(c1, c2, dphi, shift_dist, (t1, t2))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gmfg import ConfigError, parse_scenario
@@ -286,6 +287,31 @@ class TestSolveGMFGCommand:
         main(["solve-gmfg", "--config", cfg, "--out", str(out2)])
         for name in sorted(os.listdir(out1)):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_policy_csvs_hold_the_solved_table(self, tmp_path):
+        """policy_{v:03d}.csv is row v of the feedback table that a direct
+        solve of the same scenario returns, byte for byte."""
+        from gmfg import picard_solve
+        from gmfg.artifacts import index_columns, write_csv
+        from gmfg.cli import _meta
+
+        doc = nonlinear_scenario()
+        doc["graphon"] = {"kind": "uniform_attachment"}
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["solve-gmfg", "--config", cfg, "--out", str(out)]) == 0
+        sc = parse_scenario(cfg)
+        problem = sc.build_problem()
+        sol = picard_solve(problem, tol=sc.picard_tol, max_outer=sc.max_outer,
+                           mode=sc.mode, min_outer=sc.min_outer,
+                           inner_tol=sc.inner_tol)
+        assert sol.policy.shape == (problem.M, problem.K + 1, problem.N_x)
+        assert not np.array_equal(sol.policy[0], sol.policy[1])
+        for v in range(problem.M):
+            write_csv(tmp_path / "ref.csv", ["t_index", "x_index", "value"],
+                      index_columns(sol.policy[v]), _meta(sc))
+            assert ((out / f"policy_{v:03d}.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes())
 
     def test_gmfg_seed_env_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "s.json", nonlinear_scenario())

@@ -211,10 +211,11 @@ class TestMinimizeHamiltonian:
                                         Constant(0.5), Constant(0.0), Constant(0.0),
                                         (-1, 1), 0.3, 1.0)
         fl = self._fields(p)
-        # h = -1/(2*0.5) = -1, so u = clamp(-q)
-        x = np.zeros(3)
-        u = minimize_hamiltonian(fl, 0, x, np.array([2.0, 0.3, -5.0]))
-        np.testing.assert_allclose(u, [-1.0, -0.3, 1.0])
+        # h = -1/(2*0.5) = -1, so u = clamp(-q); the first three grid nodes
+        q = np.zeros((1, fl.x_grid.size))
+        q[0, :3] = [2.0, 0.3, -5.0]
+        u = minimize_hamiltonian(fl, 0, q)
+        np.testing.assert_allclose(u[0, :3], [-1.0, -0.3, 1.0])
 
     def test_invariant_error_when_quadratic_bracket_vanishes(self):
         # l2 = 0 and l4 only reachable through g = 0: the bracket collapses
@@ -223,7 +224,7 @@ class TestMinimizeHamiltonian:
                                         (-1, 1), 0.3, 1.0)
         fl = self._fields(p, g=Graphon.constant(0.0))
         with pytest.raises(InvariantError):
-            minimize_hamiltonian(fl, 0, np.zeros(2), np.ones(2))
+            minimize_hamiltonian(fl, 0, np.ones((1, fl.x_grid.size)))
 
     def test_structured_agrees_with_grid_search(self):
         p = ProblemFunctions.structured(
@@ -231,9 +232,9 @@ class TestMinimizeHamiltonian:
             Constant(0.6), Constant(0.1), Constant(0.4), (-1, 1), 0.3, 1.0)
         fl = self._fields(p, g=Graphon.constant(0.8))
         gen = np.random.default_rng(0)
-        x = gen.uniform(-2, 2, 200)
-        q = gen.uniform(-3, 3, 200)
-        u = minimize_hamiltonian(fl, 2, x, q)
+        x = fl.x_grid
+        q = gen.uniform(-3, 3, x.size)
+        u = minimize_hamiltonian(fl, 2, q[None, :])[0]
         # brute-force oracle: argmin of the Hamiltonian over a fine control grid
         us = np.linspace(-1, 1, 2001)
 
@@ -253,9 +254,10 @@ class TestSolveHJB:
                                         Constant(1.0), Constant(0.0), Constant(0.0),
                                         (-1, 1), 0.2, 0.5)
         ens = dirac_ensemble(0.0, 2, 16, 0.5)
-        vg, pol = solve_hjb(p, Graphon.constant(0.0), 0.25, ens, np.linspace(-2, 2, 81))
-        assert np.abs(vg.values).max() < 1e-12
-        assert np.abs(pol.values).max() < 1e-12
+        values, policy = solve_hjb(p, Graphon.constant(0.0), 0.25, ens,
+                                   np.linspace(-2, 2, 81))
+        assert np.abs(values).max() < 1e-12
+        assert np.abs(policy).max() < 1e-12
 
     def test_stability_precondition(self):
         p = structured_lq_like(u_box=(-10, 10))
@@ -272,16 +274,16 @@ class TestSolveHJB:
         K, Nx = 8000, 3201
         x_grid = np.linspace(-6, 6, Nx)
         ens = dirac_ensemble(0.0, 1, K, T)
-        vg, pol = solve_hjb(p, Graphon.constant(0.0), 0.5, ens, x_grid)
+        (values,), (policy,) = solve_hjb(p, Graphon.constant(0.0), 0.5, ens, x_grid)
         mask = np.abs(x_grid) <= 2.0
         worst = 0.0
         for k in (0, K // 2):
-            t = vg.times[k]
+            t = ens.times[k]
             exact = np.tanh(T - t) * x_grid**2 + sigma**2 * np.log(np.cosh(T - t))
-            worst = max(worst, np.abs(vg.values[k] - exact)[mask].max())
+            worst = max(worst, np.abs(values[k] - exact)[mask].max())
         assert worst < 2e-3
         # the wide box never saturates where mass lives
-        saturated = np.mean(np.abs(pol.values[:, mask]) > 10 - 1e-9)
+        saturated = np.mean(np.abs(policy[:, mask]) > 10 - 1e-9)
         assert saturated < 1e-3
 
     def test_value_bound(self):
@@ -292,13 +294,13 @@ class TestSolveHJB:
         x_grid = np.linspace(-2.5, 2.5, 101)
         from gmfg.control import frozen_fields as ff
         fl = ff(p, Graphon.constant(0.0), 0.25, ens, x_grid)
-        vg, _ = solve_hjb(p, Graphon.constant(0.0), 0.25, ens, x_grid, fields=fl)
+        values, _ = solve_hjb(p, Graphon.constant(0.0), 0.25, ens, x_grid, fields=fl)
         # cost = const + quad u^2 with quad >= 0: its sup over the control
         # set is attained at u = 0 or at the largest |u|
         umax = max(abs(p.u_min), abs(p.u_max))
         cost_bound = np.maximum(np.abs(fl.cost_const),
                                 np.abs(fl.cost_const + fl.cost_quad * umax**2)).max()
-        assert np.abs(vg.values).max() <= p.T * cost_bound + 1e-9
+        assert np.abs(values).max() <= p.T * cost_bound + 1e-9
 
     @pytest.mark.parametrize("sigma, K, n_x", [(0.3, 16, 81),     # nu ~ 1.1
                                                (3.0, 10, 201),    # nu ~ 1100
@@ -317,7 +319,7 @@ class TestSolveHJB:
         ens = dirac_ensemble(0.4, 2, K, T)
         x_grid = np.linspace(-2.0, 2.0, n_x)
         fl = frozen_fields(p, g, 0.25, ens, x_grid)
-        vg, _ = solve_hjb(p, g, 0.25, ens, x_grid, fields=fl)
+        values, _ = solve_hjb(p, g, 0.25, ens, x_grid, fields=fl)
         dt, dx = T / K, x_grid[1] - x_grid[0]
         nu = sigma**2 * dt / (2.0 * dx * dx)
         ab = np.zeros((3, n_x))
@@ -326,7 +328,7 @@ class TestSolveHJB:
         want = np.zeros((K + 1, n_x))
         for k in range(K - 1, -1, -1):
             want[k] = solve_banded((1, 1), ab, want[k + 1] + dt * fl.cost_const[0, k])
-        assert np.abs(vg.values - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(values[0] - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_fine_grid_solve_allocates_no_dense_matrix(self):
         # one (3201, 3201) float array alone would take 82 MB
@@ -358,12 +360,12 @@ class TestSolveHJB:
         x_grid = np.linspace(-3.0, 3.0, 1201)
         g = Graphon.constant(0.0)
         alphas = (np.arange(M) + 0.5) / M
-        vgs, pols = solve_hjb(p, g, alphas, ens, x_grid)
-        assert not np.array_equal(vgs[0].values, vgs[1].values)
+        values, policy = solve_hjb(p, g, alphas, ens, x_grid)
+        assert not np.array_equal(values[0], values[1])
         for v, alpha in enumerate(alphas):
-            vg, pol = solve_hjb(p, g, alpha, ens, x_grid)
-            assert np.array_equal(vgs[v].values, vg.values)
-            assert np.array_equal(pols[v].values, pol.values)
+            value, pol = solve_hjb(p, g, alpha, ens, x_grid)
+            assert np.array_equal(values[v], value[0])
+            assert np.array_equal(policy[v], pol[0])
 
     def test_grid_refinement_first_order(self):
         sigma, T = 0.3, 1.0
@@ -372,8 +374,8 @@ class TestSolveHJB:
         for Nx, K in [(101, 100), (201, 200), (401, 400)]:
             x_grid = np.linspace(-4, 4, Nx)
             ens = dirac_ensemble(0.0, 1, K, T)
-            vg, _ = solve_hjb(p, Graphon.constant(0.0), 0.5, ens, x_grid)
-            vals.append(np.interp(0.7, x_grid, vg.values[0]))
+            values, _ = solve_hjb(p, Graphon.constant(0.0), 0.5, ens, x_grid)
+            vals.append(np.interp(0.7, x_grid, values[0, 0]))
         c1, c2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert 0.3 <= c2 / c1 <= 0.7
 
@@ -382,15 +384,13 @@ class TestPolicy:
     def test_policy_lipschitz_constant_policy(self):
         times = np.linspace(0, 1, 4)
         x = np.linspace(-1, 1, 11)
-        pol = Policy(np.zeros((4, 11)), x, times, (-1, 1))
-        assert policy_lipschitz(pol) == 0.0
+        assert policy_lipschitz(np.zeros((times.size, x.size)), x) == 0.0
 
     def test_policy_lipschitz_clamp_table(self):
         times = np.linspace(0, 1, 3)
         x = np.linspace(-2, 2, 41)
-        table = np.tile(np.clip(x, -1, 1), (3, 1))
-        pol = Policy(table, x, times, (-1, 1))
-        assert policy_lipschitz(pol) == pytest.approx(1.0)
+        table = np.tile(np.clip(x, -1, 1), (times.size, 1))
+        assert policy_lipschitz(table, x) == pytest.approx(1.0)
 
     def test_time_piecewise_constant_eval(self):
         times = np.array([0.0, 0.5, 1.0])
@@ -461,22 +461,23 @@ def solved():
     ens = dirac_ensemble(0.0, 2, K, 1.0)
     x_grid = np.linspace(-3, 3, 241)
     fl = frozen_fields(p, Graphon.constant(0.0), 0.25, ens, x_grid)
-    vg, pol = solve_hjb(p, Graphon.constant(0.0), 0.25, ens, x_grid, fields=fl)
-    return p, fl, vg, pol
+    (values,), (table,) = solve_hjb(p, Graphon.constant(0.0), 0.25, ens, x_grid,
+                                    fields=fl)
+    return p, fl, values, Policy(table, x_grid, ens.times, (p.u_min, p.u_max))
 
 
 class TestRolloutConsistency:
     def test_rollout_matches_value(self, solved):
-        p, fl, vg, pol = solved
+        p, fl, values, pol = solved
         x0 = 1.0
         mean, se = rollout_cost(p, fl, pol, x0, 10_000, seed=7)
-        dx = vg.x_grid[1] - vg.x_grid[0]
-        dt = vg.times[1] - vg.times[0]
-        v0 = vg.at(0, x0)
+        dx = pol.x_grid[1] - pol.x_grid[0]
+        dt = pol.times[1] - pol.times[0]
+        v0 = np.interp(x0, pol.x_grid, values[0])
         assert abs(mean - v0) <= 3 * se + 5 * max(dx, dt)
 
     def test_policy_dominates_fixed_comparators(self, solved):
-        p, fl, vg, pol = solved
+        p, fl, _, pol = solved
         x0 = 1.0
         mean_opt, se_opt = rollout_cost(p, fl, pol, x0, 10_000, seed=7)
         gen = np.random.default_rng(3)

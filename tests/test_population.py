@@ -19,6 +19,14 @@ tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
 mean_revert = Poly2(x=-1.0, y=1.0, clip=(-2.0, 2.0))
 
 
+def solved_policy(solution, v):
+    """Row v of a solution's feedback table as a Policy a deviator plays."""
+    problem = solution.problem
+    p = problem.functions
+    return Policy(solution.policy[v], problem.x_grid, problem.times,
+                  (p.u_min, p.u_max))
+
+
 def coupled_problem(sigma=0.3, T=0.5):
     """Ladder-style instance with intra mean reversion and graphon-scaled
     control: drift u * (clip(zbar_own - x) + c_g), cost tracks the own field."""
@@ -113,7 +121,7 @@ class TestSystemA:
                                         Constant(1.0), Constant(0.0), Constant(0.0),
                                         (1, 2), 0.2, 1.0)
         sol = solve_instance(p, Graphon.constant(1.0), M=2, K=40, R=400)
-        assert np.all(sol.policy_table() == 1.0)
+        assert np.all(sol.policy == 1.0)
         pop = build_population(Graphon.constant(1.0), 2, 100,
                                dirac(0.0), seed=6)
         ts = run_system_a(pop, sol)
@@ -137,7 +145,7 @@ class TestSystemB:
         pop = build_population(Graphon.uniform_attachment(), 4, 25,
                                normal_quantile_measure(0.0, 0.3, 65), seed=12)
         ts_a = run_system_a(pop, coupled_solution, cost_agents=(0,))
-        solver_pol = coupled_solution.policies[0]
+        solver_pol = solved_policy(coupled_solution, 0)
         ts_b = run_system_b(pop, coupled_solution, 0, solver_pol, cost_agents=(0,))
         assert np.array_equal(ts_a.paths, ts_b.paths)
         assert ts_a.costs[0] == pytest.approx(ts_b.costs[0], abs=1e-15)
@@ -243,7 +251,7 @@ class TestStackedRuns:
         law = normal_quantile_measure(0.0, 0.3, 65)
         pops = [build_population(Graphon.uniform_attachment(), 4, 4,
                                  law, seed=17 + r) for r in range(3)]
-        on_grid = coupled_solution.policies[1]
+        on_grid = solved_policy(coupled_solution, 1)
         off_grid = Policy(np.linspace(-0.5, 0.5, 55).reshape(5, 11),
                           np.linspace(-2.0, 2.0, 11),
                           np.linspace(0.0, problem.functions.T, 5), (-1.0, 1.0))
@@ -280,7 +288,7 @@ class TestStackedRuns:
         pops = [build_population(Graphon.uniform_attachment(), 4, 4,
                                  law, seed=40 + r) for r in range(5)]
         members = [None, lambda t, xi, xs: np.clip(np.mean(xs) - xi, -1, 1),
-                   None, graphon_coupled_solution.policies[2], None]
+                   None, solved_policy(graphon_coupled_solution, 2), None]
         whole = population.simulate_coupled(pops, graphon_coupled_solution,
                                             members, 4, (0, 4))
         calls = []
@@ -392,7 +400,7 @@ class TestNashGap:
     def test_gap_zero_for_equilibrium_only_family(self, coupled_solution):
         pops = [build_population(Graphon.uniform_attachment(), 4, 20,
                                  normal_quantile_measure(0.0, 0.3, 65), seed=70)]
-        builder = lambda pop, sol, ts_a, iota: {"self": sol.policies[0]}
+        builder = lambda pop, sol, ts_a, iota: {"self": solved_policy(sol, 0)}
         rep = _assemble_gap_report(
             *_equilibrium_and_deviations(pops, coupled_solution, 0, builder), 0)
         assert rep.gap == 0.0
@@ -417,7 +425,7 @@ class TestNashGap:
         fam = default_deviation_family(pop, coupled_solution, ts_a, 0)
         assert fam["const_lo"](0.0, 0.0, None) == -1.0
         br = fam["empirical_br"]
-        assert policy_lipschitz(br) < 50.0
+        assert policy_lipschitz(br.values, br.x_grid) < 50.0
 
     def test_gap_vanishes_without_coupling(self, uncoupled_solution):
         # every agent already plays its single-agent optimum, so no family
@@ -437,7 +445,7 @@ class TestPerturbationTerms:
         pop = build_population(Graphon.constant(0.0), 2, 20, dirac(0.0),
                                seed=31)
         ts = run_system_b(pop, uncoupled_solution, 0,
-                          uncoupled_solution.policies[0])
+                          solved_policy(uncoupled_solution, 0))
         out = perturbation_terms([ts], pop, uncoupled_solution)
         # x^2 cost bracket differs only through interpolation-free sums
         assert out["delta_f0"] < 1e-9
@@ -566,7 +574,7 @@ class TestPerturbationTerms:
                 pop = build_population(Graphon.constant(0.5), 1, size,
                                        normal_quantile_measure(0.0, 0.3, 65),
                                        seed=200 + 17 * r)
-                ts = run_system_b(pop, sol, 0, sol.policies[0])
+                ts = run_system_b(pop, sol, 0, solved_policy(sol, 0))
                 per_rep.append(ts)
             out = perturbation_terms(per_rep, pop, sol)
             vals.append(out["delta_f0"])

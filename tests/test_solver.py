@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gmfg import (Constant, ConvergenceError, GMFGProblem, Graphon,
-                  InvariantError, Measure1D, Policy, Poly2, ProblemFunctions, dirac,
+                  InvariantError, Measure1D, Poly2, ProblemFunctions, dirac,
                   ensemble_distance, ensemble_w1_sup, inner_mv_consistency, marginals, normal_quantile_measure,
                   picard_solve, propagate_closed_loop, sensitivity_probe, w1,
                   w1_joint_continuity_scan, zero_drift_bundle)
@@ -43,9 +43,8 @@ def small_solution():
 
 
 def constant_policy(problem, value):
-    table = np.full((problem.K + 1, problem.N_x), float(value))
-    return Policy(table, problem.x_grid, problem.times,
-                  (problem.functions.u_min, problem.functions.u_max))
+    """The (M, K+1, N_x) feedback table that plays ``value`` everywhere."""
+    return np.full((problem.M, problem.K + 1, problem.N_x), float(value))
 
 
 class TestPropagation:
@@ -56,8 +55,7 @@ class TestPropagation:
         problem = GMFGProblem(p, Graphon.constant(0.0), dirac(0.0),
                               M=2, K=64, N_x=101, R=10_000, seed=3)
         ens = marginals(zero_drift_bundle(problem))
-        policies = [constant_policy(problem, 0.0)] * 2
-        bundle = propagate_closed_loop(problem, policies, ens)
+        bundle = propagate_closed_loop(problem, constant_policy(problem, 0.0), ens)
         levels = (np.arange(4001) + 0.5) / 4001
         from scipy.special import ndtri
         oracle = Measure1D(ndtri(levels))  # N(0, 1) at t = 1
@@ -74,8 +72,7 @@ class TestPropagation:
                               dirac(0.2), M=2, K=40, N_x=101, R=4000, seed=5)
         ens = marginals(zero_drift_bundle(problem))
         u_star = 0.5
-        policies = [constant_policy(problem, u_star)] * 2
-        bundle = propagate_closed_loop(problem, policies, ens)
+        bundle = propagate_closed_loop(problem, constant_policy(problem, u_star), ens)
         mean_T = bundle.paths[:, :, -1].mean(axis=1)
         target = 0.2 + u_star * problem.functions.T
         band = 3 * problem.functions.sigma / math.sqrt(problem.R)
@@ -84,7 +81,7 @@ class TestPropagation:
     def test_common_random_numbers_coupling(self):
         problem = small_problem()
         ens = marginals(zero_drift_bundle(problem))
-        pols = [constant_policy(problem, 0.1)] * problem.M
+        pols = constant_policy(problem, 0.1)
         b1 = propagate_closed_loop(problem, pols, ens)
         b2 = propagate_closed_loop(problem, pols, ens)
         assert np.array_equal(b1.paths, b2.paths)
@@ -94,7 +91,7 @@ class TestPropagation:
         contiguous row."""
         problem = small_problem(M=2, K=8, R=300)
         start = zero_drift_bundle(problem)
-        pols = [constant_policy(problem, 0.1)] * problem.M
+        pols = constant_policy(problem, 0.1)
         for bundle in (start, propagate_closed_loop(problem, pols, marginals(start))):
             assert bundle.paths.shape == (problem.M, problem.R, problem.K + 1)
             assert np.swapaxes(bundle.paths, 1, 2).flags.c_contiguous
@@ -108,7 +105,7 @@ class TestInnerConsistency:
                                         Constant(0.0), Constant(0.0), (-1, 1), 0.3, 0.5),
             Graphon.constant(0.0), dirac(0.0), M=2, K=16, N_x=81, R=500, seed=7)
         ens = marginals(zero_drift_bundle(prob))
-        pols = [constant_policy(prob, 0.3)] * 2
+        pols = constant_policy(prob, 0.3)
         bundle, _, trace = inner_mv_consistency(prob, pols, ens, tol_inner=1e-9)
         assert len(trace) == 2 and trace[1] == 0.0
         direct = propagate_closed_loop(prob, pols, ens)
@@ -118,7 +115,7 @@ class TestInnerConsistency:
         prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=3, K=32, N_x=81, R=1000, seed=9)
         start = marginals(zero_drift_bundle(prob))
-        pols = [constant_policy(prob, 1.0)] * 3
+        pols = constant_policy(prob, 1.0)
         _, _, trace = inner_mv_consistency(prob, pols, start, tol_inner=1e-6,
                                            max_inner=40)
         ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e-9]
@@ -128,7 +125,7 @@ class TestInnerConsistency:
         prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=2, K=16, N_x=61, R=400, seed=10)
         start = marginals(zero_drift_bundle(prob))
-        pols = [constant_policy(prob, 1.0)] * 2
+        pols = constant_policy(prob, 1.0)
         with pytest.raises(ConvergenceError) as err:
             inner_mv_consistency(prob, pols, start, tol_inner=1e-12, max_inner=2)
         assert len(err.value.trace) == 2
@@ -181,7 +178,8 @@ class TestPicardSolve:
         s1 = picard_solve(prob1, tol=0.25)
         s2 = picard_solve(prob2, tol=0.25)
         assert [e["distance"] for e in s1.trace] == [e["distance"] for e in s2.trace]
-        assert np.array_equal(s1.bundle.paths, s2.bundle.paths)
+        assert np.array_equal(s1.ensemble.atoms, s2.ensemble.atoms)
+        assert np.array_equal(s1.policy, s2.policy)
 
     def test_nonconvergence_raises_with_trace(self):
         prob = small_problem(M=2, K=16, R=500)
@@ -228,14 +226,17 @@ class TestPicardSolve:
         _, sol = small_solution
         assert all(e["policy_lipschitz"] >= 0.0 for e in sol.trace)
         assert sol.trace[-1]["policy_lipschitz"] == max(
-            policy_lipschitz(pol) for pol in sol.policies)
+            policy_lipschitz(pol, sol.problem.x_grid) for pol in sol.policy)
 
     def test_narrow_domain_reports_escaped_mass(self):
         problem = GMFGProblem(tracking_problem(), Graphon.uniform_attachment(),
                               dirac(0.0), M=2, K=16, N_x=11, R=500, seed=11,
                               domain=(-0.3, 0.3))
         sol = picard_solve(problem, tol=10.0, min_outer=1, max_outer=1)
-        steps = sol.bundle.paths[:, :, :-1]
+        # the pass's propagation: its policy against the zero-drift start
+        bundle = propagate_closed_loop(problem, sol.policy,
+                                       marginals(zero_drift_bundle(problem)))
+        steps = bundle.paths[:, :, :-1]
         outside = np.mean((steps < -0.3) | (steps > 0.3))
         assert sol.trace[0]["escaped_mass"] == pytest.approx(outside, abs=1e-15)
         assert sol.trace[0]["escaped_mass"] > 0.05
@@ -301,8 +302,9 @@ class TestPicardSolve:
     def test_path_diagnostics(self, small_solution):
         problem, sol = small_solution
         start = zero_drift_bundle(problem)
-        assert ensemble_distance(start, sol.bundle) > 0.0
-        assert ensemble_distance(sol.bundle, sol.bundle) == 0.0
+        bundle = propagate_closed_loop(problem, sol.policy, sol.ensemble)
+        assert ensemble_distance(start, bundle) > 0.0
+        assert ensemble_distance(bundle, bundle) == 0.0
 
 
 class TestSensitivityProbe:
@@ -356,8 +358,8 @@ class TestJointContinuityRefinement:
             prob = sol.problem
             interior = np.abs(prob.x_grid) <= 1.5
             dx = prob.x_grid[1] - prob.x_grid[0]
-            for pol in sol.policies:
-                slope = np.abs(np.diff(pol.values[:, interior], axis=1)).max() / dx
+            for pol in sol.policy:
+                slope = np.abs(np.diff(pol[:, interior], axis=1)).max() / dx
                 assert slope < 3.0
 
 
@@ -378,8 +380,8 @@ class TestBatchedPass:
         x, times = problem.x_grid, problem.times
         alphas = problem.vertex_grid.midpoints
         fields = frozen_fields(p, problem.graphon, alphas, ens, x)
-        vgs, pols = solve_hjb(p, problem.graphon, alphas, ens, x, fields=fields)
-        bundle = propagate_closed_loop(problem, pols, ens, fields=fields)
+        values, table = solve_hjb(p, problem.graphon, alphas, ens, x, fields=fields)
+        bundle = propagate_closed_loop(problem, table, ens, fields=fields)
         s = p.structured_parts
 
         def bracket(name, v, k):
@@ -430,8 +432,8 @@ class TestBatchedPass:
                 V[k] = diffuse(V[k + 1] + dt * np.where(use_p, H_p, H_m))
                 policy[k] = np.where(use_p, u_p, u_m)
             policy[-1] = np.clip(0.0 * (-drift[-1] / (2.0 * quad[-1])), p.u_min, p.u_max)
-            assert np.array_equal(vgs[v].values, V)
-            assert np.array_equal(pols[v].values, policy)
+            assert np.array_equal(values[v], V)
+            assert np.array_equal(table[v], policy)
 
             xs = problem.initial_law.quantile(
                 rng.stream(problem.seed, rng.INITIAL, v).random(problem.R))
