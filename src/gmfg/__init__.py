@@ -16,8 +16,7 @@ from .control import (FrozenFields, Policy, ProblemFunctions, frozen_fields,
 from .solver import (GMFGProblem, GMFGSolution, SensitivityReport,
                      inner_mv_consistency, picard_solve, propagate_closed_loop,
                      sensitivity_probe, zero_drift_bundle)
-from .population import (DeviationReport, FinitePopulation, NashGapReport,
-                         TrajectorySet, build_population,
+from .population import (FinitePopulation, TrajectorySet, build_population,
                          default_deviation_family, deviation_metrics,
                          empirical_field_best_response,
                          perturbation_terms, run_ladder, run_system_a,

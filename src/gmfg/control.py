@@ -141,10 +141,8 @@ class FrozenFields:
     of shape (n_vertices, K+1, N_x): drift coefficient (of u), constant
     cost, and quadratic cost coefficient. ``alpha`` holds the vertex
     coordinates; a scalar vertex is a batch of one.
-    :func:`minimize_hamiltonian` reads every row at the grid nodes.
-    ``drift`` and ``cost`` interpolate linearly in x off the grid and serve
-    a batch of one (a rollout); batched callers read their rows through one
-    :class:`GridLookup`.
+    :func:`minimize_hamiltonian` reads every row at the grid nodes; a
+    caller off the grid reads its rows through one :class:`GridLookup`.
     """
 
     def __init__(self, problem, alpha, x_grid, times):
@@ -155,16 +153,6 @@ class FrozenFields:
         self.drift_coef = None   # (n_vertices, K+1, N_x)
         self.cost_const = None
         self.cost_quad = None
-
-    def drift(self, k, x, u):
-        """Drift field value at time node k (first vertex of the batch)."""
-        return GridLookup(self.x_grid, x)(self.drift_coef[:, k]) * u
-
-    def cost(self, k, x, u):
-        """Running-cost field value at time node k (first vertex of the batch)."""
-        look = GridLookup(self.x_grid, x)
-        return (look(self.cost_const[:, k])
-                + look(self.cost_quad[:, k]) * np.asarray(u) ** 2)
 
     def drift_bound(self):
         """Per-vertex upper estimate of sup |drift| over the grid and the
@@ -386,8 +374,10 @@ def euler_maruyama_steps(paths, dt, drift):
 def rollout_cost(problem, fields, policy, x0, n_paths, seed):
     """Monte-Carlo cost of running a feedback policy from a point start.
 
-    Euler-Maruyama under the frozen fields; returns (mean, standard error)
-    of the accumulated running cost over ``n_paths`` replicas.
+    Euler-Maruyama under the frozen fields of one vertex, whose drift and
+    cost tables each step reads through one grid lookup; returns (mean,
+    standard error) of the accumulated running cost over ``n_paths``
+    replicas.
     """
     from . import rng
 
@@ -398,8 +388,10 @@ def rollout_cost(problem, fields, policy, x0, n_paths, seed):
 
     def drift(k, x):
         u = policy.eval_index(k, x)
-        cost[:] += fields.cost(k, x, u) * dt
-        return fields.drift(k, x, u)
+        look = GridLookup(fields.x_grid, x)
+        cost[:] += (look(fields.cost_const[:, k])
+                    + look(fields.cost_quad[:, k]) * u ** 2) * dt
+        return look(fields.drift_coef[:, k]) * u
 
     euler_maruyama(np.full(n_paths, float(x0)), noise, dt, problem.sigma, drift)
     return float(cost.mean()), float(cost.std(ddof=1) / np.sqrt(n_paths))

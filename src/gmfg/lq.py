@@ -110,10 +110,6 @@ class RiccatiPath:
     def Pi(self):        # (K+1, n, n), the time nodes
         return self.half_steps[::2]
 
-    @property
-    def Pi_half(self):   # (K, n, n), midpoints for staged integrators
-        return self.half_steps[1::2]
-
     def validate(self, Q_T):
         if not np.allclose(self.Pi[-1], Q_T):
             raise InvariantError("terminal Riccati value must equal Q_T")

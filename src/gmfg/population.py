@@ -336,19 +336,6 @@ def run_system_d(pop, solution, fields=None):
     return _field_propagation(pop, solution, fields, "D")
 
 
-@dataclass
-class DeviationReport:
-    """Monte-Carlo estimates of the system deviation metrics."""
-
-    eps1: float
-    eps1_se: float
-    eps2: float
-    eps2_se: float
-    eps3: float
-    eps3_se: float
-    n_reps: int
-
-
 def _sup_mean_gap(rep_rows):
     """Sup over cells of the replication mean, SE taken at the argmax cell.
 
@@ -391,26 +378,26 @@ def _pooled_gap_rows(pairs, cluster_of, exclude=None):
     return np.stack(rows)   # (reps, clusters, K+1)
 
 
-def deviation_metrics(ts_a_reps, ts_c_reps, ts_d_reps, ts_b_family_reps=None,
-                      cluster_of=None):
+def deviation_metrics(ts_a_reps, ts_c_reps, ts_d_reps, ts_b_family_reps=None, *,
+                      cluster_of):
     """Estimate eps1 (A to C), eps2 (C to D), eps3 (B to D, non-deviators).
 
-    Each argument is a list over macro-replications; eps3 additionally takes
-    the sup over the supplied deviation family. When ``cluster_of`` is given
-    the within-cluster exchangeability of Systems A/C/D is used to pool
-    agents of a cluster as replications of the same expectation before the
-    sup over (cluster, time); otherwise the sup runs over raw (agent, time)
-    cells. Standard errors are replication-level at the argmax cell.
+    Each run argument is a list over macro-replications; eps3 additionally
+    takes the sup over the supplied deviation family (NaN without one).
+    Within a cluster (``cluster_of``, the cluster of each agent) the
+    compared processes are exchangeable, the deviator of a B run aside, so
+    each replication pools a cluster's agents as samples of one expectation
+    before the sup over (cluster, time). Standard errors are
+    replication-level at the argmax cell. Returns the rung fields
+    eps1..eps3 and their ``_se``.
     """
     n = len(ts_a_reps)
     if not (len(ts_c_reps) == len(ts_d_reps) == n) or n == 0:
         raise GridError("system runs must align across replications")
-    N = ts_a_reps[0].paths.shape[0]
-    groups = cluster_of if cluster_of is not None else np.arange(N)
     rows1 = _pooled_gap_rows([(a.paths, c.paths) for a, c in zip(ts_a_reps, ts_c_reps)],
-                             groups)
+                             cluster_of)
     rows2 = _pooled_gap_rows([(c.paths, d.paths) for c, d in zip(ts_c_reps, ts_d_reps)],
-                             groups)
+                             cluster_of)
     eps1, se1 = _sup_mean_gap(rows1)
     eps2, se2 = _sup_mean_gap(rows2)
     eps3, se3 = math.nan, math.nan
@@ -419,11 +406,12 @@ def deviation_metrics(ts_a_reps, ts_c_reps, ts_d_reps, ts_b_family_reps=None,
             iota = b_reps[0].deviator
             rows3 = _pooled_gap_rows(
                 [(b.paths, d.paths) for b, d in zip(b_reps, ts_d_reps)],
-                groups, exclude=iota)
+                cluster_of, exclude=iota)
             val, se = _sup_mean_gap(rows3)
             if not (val <= eps3):
                 eps3, se3 = val, se
-    return DeviationReport(eps1, se1, eps2, se2, eps3, se3, n)
+    return {"eps1": eps1, "eps1_se": se1, "eps2": eps2, "eps2_se": se2,
+            "eps3": eps3, "eps3_se": se3}
 
 
 def random_lipschitz_policy(problem, seed, index):
@@ -470,45 +458,25 @@ def default_deviation_family(pop, solution, ts_a, iota):
     return family
 
 
-@dataclass
-class NashGapReport:
-    """Lower bound on the unilateral improvement available to one agent."""
-
-    gap: float
-    gap_se: float
-    equilibrium_cost: float
-    equilibrium_cost_se: float
-    deviation_costs: dict
-    family: tuple
-    deviator: int
-    n_reps: int
-
-
 def _assemble_gap_report(ts_a, b_fam, iota):
     """Nash gap of the mean-field profile for agent ``iota``: the clipped
     best paired improvement of a family member's cost (``b_fam``, runs by
-    member) over the System A cost, a lower bound on the adversarial sup."""
-    n = len(ts_a)
+    member) over the System A cost, a lower bound on the adversarial sup.
+    Returns the rung fields gap, gap_se, equilibrium_cost, the
+    deviation_costs (mean, SE) by member and the sorted family names."""
     eq = np.array([a.costs[iota] for a in ts_a])
-    report_costs = {}
+    costs = {}
     best_diff, best_se = -math.inf, math.nan
     for name, runs in b_fam.items():
         vals = np.array([b.costs[iota] for b in runs])
         diff = eq - vals                      # paired improvement
         mean_diff = float(diff.mean())
-        report_costs[name] = (float(vals.mean()), _std_error(vals))
+        costs[name] = (float(vals.mean()), _std_error(vals))
         if mean_diff > best_diff:
             best_diff, best_se = mean_diff, _std_error(diff)
-    return NashGapReport(
-        gap=max(0.0, best_diff),
-        gap_se=best_se,
-        equilibrium_cost=float(eq.mean()),
-        equilibrium_cost_se=_std_error(eq),
-        deviation_costs=report_costs,
-        family=tuple(sorted(b_fam)),
-        deviator=iota,
-        n_reps=n,
-    )
+    return {"gap": max(0.0, best_diff), "gap_se": best_se,
+            "equilibrium_cost": float(eq.mean()), "deviation_costs": costs,
+            "family": tuple(sorted(b_fam))}
 
 
 @contextmanager
@@ -622,19 +590,12 @@ def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
         ts_d = [run_system_d(pop, solution, fields=d_fields) for pop in pops]
     ts_a, b_fam = _equilibrium_and_deviations(
         pops, solution, iota, default_deviation_family, seconds)
-    dev = deviation_metrics(ts_a, ts_c, ts_d, b_fam, cluster_of=pops[0].cluster_of)
-    gap = _assemble_gap_report(ts_a, b_fam, iota)
     rung = {
         "M_k": int(M_k),
         "cluster_size": int(size),
         "N": int(M_k * size),
-        "eps1": dev.eps1, "eps1_se": dev.eps1_se,
-        "eps2": dev.eps2, "eps2_se": dev.eps2_se,
-        "eps3": dev.eps3, "eps3_se": dev.eps3_se,
-        "gap": gap.gap, "gap_se": gap.gap_se,
-        "equilibrium_cost": gap.equilibrium_cost,
-        "deviation_costs": gap.deviation_costs,
-        "family": gap.family,
+        **deviation_metrics(ts_a, ts_c, ts_d, b_fam, cluster_of=pops[0].cluster_of),
+        **_assemble_gap_report(ts_a, b_fam, iota),
         "n_reps": n_reps,
         "solution_iterations": len(solution.trace),
         "system_a_paths": ts_a[0].paths,

@@ -69,13 +69,12 @@ class GMFGProblem:
 
 @dataclass
 class GMFGSolution:
-    """Converged (or partial) solution of the fixed point: the (M, K+1, N_x)
-    feedback table, one row per vertex, and the ensemble it induces."""
+    """Converged solution of the fixed point: the (M, K+1, N_x) feedback
+    table, one row per vertex, and the ensemble it induces."""
 
     policy: np.ndarray
     ensemble: MeasureEnsemble
     trace: list
-    converged: bool
     tol: float
     noise_floor: float
     problem: GMFGProblem = None
@@ -234,12 +233,12 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
                               fields=fls)
         if mode == "single_loop":
             bundle = propagate_closed_loop(problem, policy, ens, fields=fls, start=start)
+            new = marginals(bundle)
             passes = 1
         else:
-            bundle, _, inner = inner_mv_consistency(problem, policy, ens, inner_tol,
-                                                    start=start)
+            bundle, new, inner = inner_mv_consistency(problem, policy, ens, inner_tol,
+                                                      start=start)
             passes = len(inner)
-        new = marginals(bundle)
         d = ensemble_w1_sup(new, ens)
         pol_delta = float(np.abs(policy - prev_policy).max()) if prev_policy is not None else math.nan
         entry = {
@@ -256,7 +255,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         prev_policy = policy
         ens = new
         if d < tol_eff and i + 1 >= min_outer:
-            return GMFGSolution(policy, ens, trace, True, tol_eff, floor, problem)
+            return GMFGSolution(policy, ens, trace, tol_eff, floor, problem)
     raise ConvergenceError(
         f"no contraction below {tol_eff:.3g} within {max_outer} passes", trace=trace)
 

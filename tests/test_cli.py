@@ -334,7 +334,8 @@ class TestSolveGMFGCommand:
 
 
 class TestSimulateEnashCommand:
-    def test_tiny_ladder_report(self, tmp_path):
+    def test_tiny_ladder_report(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GMFG_TIMING", raising=False)
         doc = nonlinear_scenario()
         doc["graphon"] = {"kind": "uniform_attachment"}
         doc["ladder"] = {"rungs": [[1, 3], [2, 4]], "replications": 2,
@@ -345,8 +346,10 @@ class TestSimulateEnashCommand:
         report = json.loads((out / "report.json").read_text())
         assert len(report["rungs"]) == 2
         rung = report["rungs"][0]
-        for key in ("eps1", "eps2", "eps3", "gap", "gap_se", "N"):
-            assert key in rung
+        assert set(rung) == {
+            "M_k", "cluster_size", "N", "eps1", "eps1_se", "eps2", "eps2_se",
+            "eps3", "eps3_se", "gap", "gap_se", "equilibrium_cost",
+            "deviation_costs", "family", "n_reps", "solution_iterations"}
         assert rung["N"] == 3
 
     def test_dump_paths_and_ladder_override(self, tmp_path):

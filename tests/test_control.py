@@ -72,8 +72,8 @@ class TestFrozenFields:
         f_zero = frozen_fields(p, Graphon.constant(0.0), 0.375, ens, x_grid)
         f_one = frozen_fields(p, Graphon.constant(1.0), 0.375, ens, x_grid)
         # with g = 0 only the intra bracket is active: drift coefficient 1
-        np.testing.assert_allclose(f_zero.drift(0, x_grid, 1.0), 1.0)
-        np.testing.assert_allclose(f_one.drift(0, x_grid, 1.0), 2.0)
+        np.testing.assert_allclose(f_zero.drift_coef[0, 0], 1.0)
+        np.testing.assert_allclose(f_one.drift_coef[0, 0], 2.0)
 
     def test_generic_mixture_of_diracs(self):
         # f(x,y) = y against delta_c at every vertex with g = 1 gives c u
@@ -83,8 +83,7 @@ class TestFrozenFields:
         c = -0.35
         ens = dirac_ensemble(c, 6, 4, 0.5)
         fl = frozen_fields(p, Graphon.constant(1.0), 0.25, ens, np.linspace(-1, 1, 11))
-        np.testing.assert_allclose(fl.drift(2, np.array([0.1, 0.5]), 0.3), 0.3 * c,
-                                   atol=1e-12)
+        np.testing.assert_allclose(fl.drift_coef[0, 2] * 0.3, 0.3 * c, atol=1e-12)
 
     def test_uniform_attachment_section_weight(self):
         # f0 = 0, f = 1: the drift coefficient equals the section integral
@@ -94,7 +93,7 @@ class TestFrozenFields:
         ens = dirac_ensemble(0.0, 16, 4, 0.5)
         fl = frozen_fields(p, Graphon.uniform_attachment(), 0.5, ens,
                            np.linspace(-1, 1, 11))
-        np.testing.assert_allclose(fl.drift(0, np.zeros(3), 1.0), 0.375, atol=1e-12)
+        np.testing.assert_allclose(fl.drift_coef[0, 0], 0.375, atol=1e-12)
 
     def test_vertex_alone_equals_its_row_of_a_batch(self):
         """A nonzero section weights the graphon columns the same way for
@@ -237,9 +236,10 @@ class TestMinimizeHamiltonian:
         u = minimize_hamiltonian(fl, 2, q[None, :])[0]
         # brute-force oracle: argmin of the Hamiltonian over a fine control grid
         us = np.linspace(-1, 1, 2001)
+        c, l, d = (t[0, 2][:, None] for t in (fl.drift_coef, fl.cost_const, fl.cost_quad))
 
         def hamiltonian(v):
-            return q[:, None] * fl.drift(2, x[:, None], v) + fl.cost(2, x[:, None], v)
+            return q[:, None] * (c * v) + (l + d * v**2)
 
         H = hamiltonian(us)
         u_grid = us[np.argmin(H, axis=1)]

@@ -367,8 +367,8 @@ class TestDeviationMetrics:
             reps_a.append(run_system_a(pop, uncoupled_solution))
             reps_c.append(run_system_c(pop, uncoupled_solution, R_law=200))
             reps_d.append(run_system_d(pop, uncoupled_solution))
-        rep = deviation_metrics(reps_a, reps_c, reps_d)
-        assert rep.eps1 < 1e-12 and rep.eps2 < 1e-12
+        rep = deviation_metrics(reps_a, reps_c, reps_d, cluster_of=pop.cluster_of)
+        assert rep["eps1"] < 1e-12 and rep["eps2"] < 1e-12
 
     def test_metrics_positive_and_ordered(self, coupled_solution):
         reps_a, reps_c, reps_d, fam = [], [], [], {}
@@ -383,17 +383,17 @@ class TestDeviationMetrics:
             reps_d.append(run_system_d(pop, coupled_solution))
             fam.setdefault("const_mid", []).append(
                 run_system_b(pop, coupled_solution, 0, lambda t, xi, xs: 0.0))
-        rep = deviation_metrics(reps_a, reps_c, reps_d, fam)
-        assert rep.eps1 > 0 and rep.eps2 > 0 and rep.eps3 > 0
+        rep = deviation_metrics(reps_a, reps_c, reps_d, fam, cluster_of=pop.cluster_of)
+        assert rep["eps1"] > 0 and rep["eps2"] > 0 and rep["eps3"] > 0
         # triangle-style ordering within noise
-        noise = 2 * (rep.eps1_se + rep.eps2_se + rep.eps3_se)
-        assert rep.eps3 >= rep.eps2 - rep.eps1 - noise
+        noise = 2 * (rep["eps1_se"] + rep["eps2_se"] + rep["eps3_se"])
+        assert rep["eps3"] >= rep["eps2"] - rep["eps1"] - noise
 
     def test_alignment_required(self, uncoupled_solution):
         pop = build_population(Graphon.constant(0.0), 2, 5, dirac(0.0), seed=1)
         a = run_system_a(pop, uncoupled_solution)
         with pytest.raises(GridError):
-            deviation_metrics([a], [], [])
+            deviation_metrics([a], [], [], cluster_of=pop.cluster_of)
 
 
 class TestNashGap:
@@ -403,8 +403,8 @@ class TestNashGap:
         builder = lambda pop, sol, ts_a, iota: {"self": solved_policy(sol, 0)}
         rep = _assemble_gap_report(
             *_equilibrium_and_deviations(pops, coupled_solution, 0, builder), 0)
-        assert rep.gap == 0.0
-        assert rep.family == ("self",)
+        assert rep["gap"] == 0.0
+        assert rep["family"] == ("self",)
 
     def test_default_family_reports_costs(self, coupled_solution):
         pops = [build_population(Graphon.uniform_attachment(), 4, 15,
@@ -412,11 +412,11 @@ class TestNashGap:
                                  seed=80 + r) for r in range(3)]
         rep = _assemble_gap_report(*_equilibrium_and_deviations(
             pops, coupled_solution, 0, default_deviation_family), 0)
-        assert rep.gap >= 0.0
-        assert set(rep.family) == {"const_lo", "const_hi", "const_mid",
+        assert rep["gap"] >= 0.0
+        assert set(rep["family"]) == {"const_lo", "const_hi", "const_mid",
                                    "empirical_br", "random_0", "random_1",
                                    "random_2"}
-        assert all(len(v) == 2 for v in rep.deviation_costs.values())
+        assert all(len(v) == 2 for v in rep["deviation_costs"].values())
 
     def test_default_family_members_behave(self, coupled_solution):
         pop = build_population(Graphon.uniform_attachment(), 4, 15,
@@ -437,7 +437,7 @@ class TestNashGap:
         problem = uncoupled_solution.problem
         band = 5 * max(problem.x_grid[1] - problem.x_grid[0],
                        problem.times[1] - problem.times[0])
-        assert rep.gap < 3 * rep.gap_se + band
+        assert rep["gap"] < 3 * rep["gap_se"] + band
 
 
 class TestPerturbationTerms:

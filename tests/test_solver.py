@@ -142,7 +142,6 @@ class TestPicardSolve:
         sol = picard_solve(prob, tol=0.25)
         assert len(sol.trace) == 2
         assert sol.trace[1]["distance"] <= prob.noise_floor
-        assert sol.converged
 
     def test_zero_graphon_recovers_vertex_symmetric_mfg(self):
         prob = small_problem(M=3, R=2000, graphon=Graphon.constant(0.0),
@@ -160,7 +159,6 @@ class TestPicardSolve:
         ratios = [b / a for a, b in zip(dists, dists[1:])]
         assert len(ratios) >= 3
         assert all(r < 1.0 for r in ratios[:3])
-        assert sol.converged
 
     def test_fixed_point_residual(self, small_solution):
         # pass n+1 of a longer solve starts from the n-pass solution's
@@ -266,6 +264,26 @@ class TestPicardSolve:
         assert max(lengths) > 2
         single = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
         assert [e["inner_passes"] for e in single.trace] == [1] * len(single.trace)
+
+    def test_double_loop_sorts_each_propagation_once(self, monkeypatch):
+        """A double-loop pass takes its new ensemble from the inner
+        sub-iteration: the start and every propagation are sorted once."""
+        import gmfg.solver as solver_mod
+
+        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
+                              Graphon.constant(1.0), dirac(0.5), M=2, K=16,
+                              N_x=61, R=400, seed=10)
+        real = solver_mod.marginals
+        calls = []
+
+        def counting(bundle):
+            calls.append(bundle)
+            return real(bundle)
+
+        monkeypatch.setattr(solver_mod, "marginals", counting)
+        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10,
+                           mode="double_loop", inner_tol=1e-6)
+        assert len(calls) == 1 + sum(e["inner_passes"] for e in sol.trace)
 
     @pytest.mark.parametrize("mode", ["single_loop", "double_loop"])
     def test_one_draw_per_solve(self, monkeypatch, mode):
