@@ -237,7 +237,13 @@ class Poly2:
             inside = inside + c * s2[0]
         level = np.where(g < lo, lo, hi)[:, None, :] * n0
         mid = ((g >= lo) & (g <= hi))[:, None, :]
-        return np.where(mid, inside, level).sum(axis=2) / clusters.size
+        seg = np.where(mid, inside, level)
+        # left to right over the E+1 segments, the order in which a
+        # last-axis sum of so few terms adds them, without its set-up cost
+        total = seg[..., 0] + seg[..., 1]
+        for j in range(2, seg.shape[2]):
+            total += seg[..., j]
+        return total / clusters.size
 
     def _roots(self, a, b, level):
         """Real roots in y of c y^2 + b y + a = level, +inf if absent:

@@ -111,16 +111,32 @@ class MeasureEnsemble:
     """Equal-weight measures indexed by (vertex cell, time node).
 
     Stored as one dense (M, K+1, n) atom array, every entry n atoms of
-    weight 1/n. The ensemble copies its atoms into C order and sorts each
-    entry in place, so it owns them, never aliases the array it was built
-    from, and each time node's vertex measures are contiguous rows: the
-    cluster moments then round alike whatever the layout of the input.
+    weight 1/n. The ensemble sorts each entry in place and owns its atoms,
+    so each time node's vertex measures are contiguous rows: the cluster
+    moments then round alike whatever the layout of the input. The
+    constructor copies its input into C order and never aliases it;
+    :meth:`adopt` takes a C-order buffer over without a copy.
     A time-Holder modulus for the ensemble is a diagnostic, not a
     construction-time invariant; see :func:`holder_modulus`.
     """
 
     def __init__(self, atoms, times):
-        a = np.array(atoms, dtype=float, order="C")
+        self._own(np.array(atoms, dtype=float, order="C"), times)
+
+    @classmethod
+    def adopt(cls, atoms, times):
+        """The ensemble of a writable C-contiguous (M, K+1, n) float array,
+        which it sorts in place and owns: a write to ``atoms`` afterwards
+        changes the ensemble. Equal to ``MeasureEnsemble(atoms.copy(),
+        times)`` bit for bit, without the copy."""
+        if not (isinstance(atoms, np.ndarray) and atoms.dtype == float
+                and atoms.flags.c_contiguous and atoms.flags.writeable):
+            raise GridError("adopted atoms must be a writable C-order float array")
+        ens = cls.__new__(cls)
+        ens._own(atoms, times)
+        return ens
+
+    def _own(self, a, times):
         if a.ndim != 3:
             raise GridError("ensemble atoms must have shape (M, K+1, n)")
         if not np.all(np.isfinite(a)):
@@ -167,10 +183,15 @@ class MeasureEnsemble:
 
 
 def ensemble_w1_sup(e1, e2):
-    """Sup over (vertex, time) of W1 between matching ensemble entries."""
+    """Sup over (vertex, time) of W1 between matching ensemble entries.
+
+    Taken one vertex at a time, so the |a - b| temporary is one vertex's
+    (K+1, n) block; each row's mean is the same contiguous reduction as
+    over the whole array, so the value is too.
+    """
     if e1.atoms.shape != e2.atoms.shape:
         raise GridError("ensembles differ in grid or in atoms per entry")
-    return float(_w1_sorted_equal(e1.atoms, e2.atoms).max())
+    return max(float(_w1_sorted_equal(a, b).max()) for a, b in zip(e1.atoms, e2.atoms))
 
 
 class PathBundle:
@@ -225,7 +246,9 @@ def marginals(bundle):
     """Empirical measure of the particles at every (vertex, time).
 
     The ensemble sorts a copy of the particles, so ``bundle.paths`` keeps
-    the particle order that coupled path distances read.
+    the particle order that coupled path distances read. A single-loop
+    Picard pass, whose paths nothing reads afterwards, sorts its buffer in
+    place instead (:meth:`MeasureEnsemble.adopt`).
     """
     return MeasureEnsemble(np.swapaxes(bundle.paths, 1, 2), bundle.times)
 

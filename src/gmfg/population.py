@@ -462,7 +462,7 @@ def _assemble_gap_report(ts_a, b_fam, iota):
     """Nash gap of the mean-field profile for agent ``iota``: the clipped
     best paired improvement of a family member's cost (``b_fam``, runs by
     member) over the System A cost, a lower bound on the adversarial sup.
-    Returns the rung fields gap, gap_se, equilibrium_cost, the
+    Returns the rung fields gap, gap_se, equilibrium_cost and its SE, the
     deviation_costs (mean, SE) by member and the sorted family names."""
     eq = np.array([a.costs[iota] for a in ts_a])
     costs = {}
@@ -475,8 +475,8 @@ def _assemble_gap_report(ts_a, b_fam, iota):
         if mean_diff > best_diff:
             best_diff, best_se = mean_diff, _std_error(diff)
     return {"gap": max(0.0, best_diff), "gap_se": best_se,
-            "equilibrium_cost": float(eq.mean()), "deviation_costs": costs,
-            "family": tuple(sorted(b_fam))}
+            "equilibrium_cost": float(eq.mean()), "equilibrium_cost_se": _std_error(eq),
+            "deviation_costs": costs, "family": tuple(sorted(b_fam))}
 
 
 @contextmanager

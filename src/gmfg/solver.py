@@ -86,10 +86,10 @@ def _start_paths(problem):
     Slot 0 holds each vertex's initial draws of the initial law and slot
     k+1 its scaled Brownian increment sigma sqrt(dt) Z_k. Both streams are
     keyed by (seed, vertex), so a solve draws them once and every
-    propagation of it starts from a copy (:func:`_fresh_paths`). The
-    memory is time-major, (M, K+1, R), behind the (M, R, K+1) view: an
-    Euler step then writes one contiguous block, and the marginals read the
-    buffer in memory order.
+    propagation of it starts from a copy (:func:`_fresh_paths`), fresh or
+    written into a buffer the solve recycles. The memory is time-major,
+    (M, K+1, R), behind the (M, R, K+1) view: an Euler step then writes one
+    contiguous block, and the buffer is in an ensemble's memory order.
     """
     scale = problem.functions.sigma * math.sqrt(problem.functions.T / problem.K)
     paths = np.empty((problem.M, problem.K + 1, problem.R)).swapaxes(1, 2)
@@ -104,10 +104,18 @@ def _start_paths(problem):
     return paths
 
 
-def _fresh_paths(problem, start):
-    # a writable copy of the solve's start buffer, in its time-major layout;
-    # a call made outside a solve (start None) draws its own
-    return (_start_paths(problem) if start is None else start).copy(order="K")
+def _fresh_paths(problem, start, out=None):
+    # a writable copy of the solve's start buffer, in its time-major layout:
+    # written into ``out``, the (M, K+1, R) atoms of an ensemble the solve
+    # no longer reads, when given, else fresh; a call made outside a solve
+    # (start None) draws its own
+    if start is None:
+        start = _start_paths(problem)
+    if out is None:
+        return start.copy(order="K")
+    paths = np.swapaxes(out, 1, 2)
+    np.copyto(paths, start)
+    return paths
 
 
 def zero_drift_bundle(problem, start=None):
@@ -122,7 +130,8 @@ def zero_drift_bundle(problem, start=None):
     return PathBundle(paths, problem.times)
 
 
-def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None):
+def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None,
+                          _out=None):
     """Closed-loop Euler-Maruyama propagation of every vertex population.
 
     Per vertex, R particles start from i.i.d. draws of the initial law and
@@ -132,7 +141,9 @@ def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None):
     one grid lookup per step serves both the policy and the drift tables.
     Noise and initial draws are keyed by (seed, vertex, replica), so
     repeated calls couple exactly; a solve passes the ``start`` buffer it
-    drew once (:func:`_start_paths`), and a call without one draws it. The
+    drew once (:func:`_start_paths`), and a call without one draws it.
+    :func:`picard_solve` also passes ``_out``, the atoms of an ensemble it
+    has retired, to propagate in that memory instead of a fresh copy. The
     bundle's ``escaped_mass`` is the share of particle-steps that started
     outside the space grid, where the tables are clamped to their end
     values.
@@ -143,7 +154,7 @@ def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None):
                                e_drift, problem.x_grid, drift_only=True)
     rows = np.arange(problem.M)[:, None]
     dt = p.T / problem.K
-    paths = _fresh_paths(problem, start)
+    paths = _fresh_paths(problem, start, _out)
     escaped = 0
 
     def drift(k, x):
@@ -169,7 +180,9 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
     this map contracts on any horizon window, so geometric decay of the
     change is the expected trace shape. Every pass propagates from one
     start buffer: the caller's ``start``, or one drawn here. Returns
-    (bundle, ensemble, trace).
+    (bundle, ensemble, trace); the ensemble is a sorted copy, so the bundle
+    keeps the particle order that coupled path distances read
+    (:func:`sensitivity_probe`).
     """
     if tol_inner is None:
         tol_inner = max(1e-4, 0.2 * problem.noise_floor)
@@ -207,6 +220,12 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     quotient of any vertex policy (:func:`~gmfg.control.policy_lipschitz`).
     The initial states and the noise are drawn once per solve and shared
     by every propagation of it (common random numbers across passes).
+    The zero-drift start is sorted into a copy (:func:`marginals`). A
+    single-loop pass sorts its propagation buffer in place and adopts it
+    as the new ensemble, and the next pass propagates in the atoms of the
+    ensemble this one retired: a solve holds at most three path-sized
+    arrays (the start buffer and two ensembles), and after the zero-drift
+    start only its first pass allocates one.
     Particle noise cannot resolve ensembles below the sampling floor, so
     the tolerance is clamped to 5 / sqrt(R). Convergence may be
     declared from pass ``min_outer`` on (default 2); an explicit
@@ -225,6 +244,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     tol_eff = max(tol if tol is not None else 0.0, 5.0 / math.sqrt(problem.R))
     start = _start_paths(problem)
     ens = marginals(zero_drift_bundle(problem, start))
+    spare = None
     trace = []
     prev_policy = None
     for i in range(max_outer):
@@ -232,8 +252,12 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         _, policy = solve_hjb(p, problem.graphon, alphas, ens, problem.x_grid,
                               fields=fls)
         if mode == "single_loop":
-            bundle = propagate_closed_loop(problem, policy, ens, fields=fls, start=start)
-            new = marginals(bundle)
+            bundle = propagate_closed_loop(problem, policy, ens, fields=fls,
+                                           start=start, _out=spare)
+            new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
+            # nothing reads ens once this pass ends: the fields are tables,
+            # and only ``new`` can be returned
+            spare = ens.atoms
             passes = 1
         else:
             bundle, new, inner = inner_mv_consistency(problem, policy, ens, inner_tol,

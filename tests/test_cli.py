@@ -349,7 +349,8 @@ class TestSimulateEnashCommand:
         assert set(rung) == {
             "M_k", "cluster_size", "N", "eps1", "eps1_se", "eps2", "eps2_se",
             "eps3", "eps3_se", "gap", "gap_se", "equilibrium_cost",
-            "deviation_costs", "family", "n_reps", "solution_iterations"}
+            "equilibrium_cost_se", "deviation_costs", "family", "n_reps",
+            "solution_iterations"}
         assert rung["N"] == 3
 
     def test_dump_paths_and_ladder_override(self, tmp_path):

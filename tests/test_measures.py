@@ -249,6 +249,44 @@ class TestEnsembleContainer:
         with pytest.raises(GridError):
             ensemble_w1_sup(e3, e4)
 
+    def test_adopt_sorts_its_buffer_in_place(self):
+        """An adopted buffer is the ensemble's memory, and the ensemble is
+        the one a copy of the buffer builds, bit for bit."""
+        gen = np.random.default_rng(9)
+        buf = gen.normal(size=(3, 4, 50))
+        want = MeasureEnsemble(buf.copy(), np.linspace(0.0, 1.0, 4))
+        e = MeasureEnsemble.adopt(buf, np.linspace(0.0, 1.0, 4))
+        assert np.shares_memory(e.atoms, buf)
+        assert np.array_equal(e.atoms, want.atoms)
+        assert np.array_equal(buf, want.atoms)
+
+    def test_adopt_checks_its_buffer(self):
+        times = np.linspace(0.0, 1.0, 4)
+        # the (M, K+1, R) view of a time-major path buffer is C-contiguous;
+        # the path-major view is not
+        with pytest.raises(GridError):
+            MeasureEnsemble.adopt(np.zeros((3, 50, 4)).swapaxes(1, 2), times)
+        with pytest.raises(GridError):
+            MeasureEnsemble.adopt(np.zeros((4, 50)), times)
+        with pytest.raises(GridError):
+            MeasureEnsemble.adopt(np.zeros((3, 5, 50)), times)
+        bad = np.zeros((3, 4, 50))
+        bad[1, 2, 3] = np.nan
+        with pytest.raises(InvariantError):
+            MeasureEnsemble.adopt(bad, times)
+
+    def test_w1_sup_equals_the_whole_array_reduction(self):
+        """Taken one vertex at a time, the sup is bit-equal to the max of
+        the whole-array row means."""
+        from gmfg.measures import _w1_sorted_equal
+
+        gen = np.random.default_rng(12)
+        for shape in ((1, 3, 7), (5, 9, 130), (8, 33, 1000)):
+            e1 = MeasureEnsemble(gen.normal(size=shape), np.arange(shape[1]))
+            e2 = MeasureEnsemble(gen.standard_t(3, size=shape), np.arange(shape[1]))
+            assert ensemble_w1_sup(e1, e2) == float(
+                _w1_sorted_equal(e1.atoms, e2.atoms).max())
+
     def test_marginals_leave_paths_unsorted(self):
         gen = np.random.default_rng(8)
         paths = gen.normal(size=(2, 50, 4))

@@ -410,9 +410,13 @@ class TestNashGap:
         pops = [build_population(Graphon.uniform_attachment(), 4, 15,
                                  normal_quantile_measure(0.0, 0.3, 65),
                                  seed=80 + r) for r in range(3)]
-        rep = _assemble_gap_report(*_equilibrium_and_deviations(
-            pops, coupled_solution, 0, default_deviation_family), 0)
+        ts_a, b_fam = _equilibrium_and_deviations(pops, coupled_solution, 0,
+                                                  default_deviation_family)
+        rep = _assemble_gap_report(ts_a, b_fam, 0)
         assert rep["gap"] >= 0.0
+        eq = np.array([a.costs[0] for a in ts_a])
+        assert rep["equilibrium_cost"] == eq.mean()
+        assert rep["equilibrium_cost_se"] == eq.std(ddof=1) / math.sqrt(3)
         assert set(rep["family"]) == {"const_lo", "const_hi", "const_mid",
                                    "empirical_br", "random_0", "random_1",
                                    "random_2"}

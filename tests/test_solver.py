@@ -308,6 +308,42 @@ class TestPicardSolve:
         assert draws.count(rng.PROPAGATE) == problem.M
         assert draws.count(rng.INITIAL) == problem.M
 
+    def test_single_loop_holds_three_path_arrays(self):
+        """A single-loop pass sorts its propagation buffer in place and
+        propagates in the atoms of the ensemble it retires, so the solve's
+        peak is the start buffer and two ensembles, plus one vertex's W1
+        temporary, not five path-sized arrays."""
+        import tracemalloc
+
+        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
+                              Graphon.uniform_attachment(),
+                              normal_quantile_measure(0.0, 0.3, 129), M=4, K=32,
+                              N_x=61, R=4000, seed=12)
+        path_bytes = problem.M * (problem.K + 1) * problem.R * 8
+        tracemalloc.start()
+        try:
+            sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sol.trace) == 3
+        assert peak < 4.0 * path_bytes
+
+    def test_recycled_buffer_leaves_ensembles_intact(self):
+        """Pass 4 of a solve, which propagates in the atoms of a retired
+        ensemble, equals the marginals of a fresh propagation of its policy
+        against the 3-pass solution's ensemble, bit for bit, and its
+        distance is the W1 gap between the two solutions' ensembles."""
+        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
+                              Graphon.uniform_attachment(),
+                              normal_quantile_measure(0.0, 0.3, 129), M=3, K=16,
+                              N_x=61, R=500, seed=13)
+        s3 = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
+        s4 = picard_solve(problem, tol=10.0, min_outer=4, max_outer=4)
+        again = marginals(propagate_closed_loop(problem, s4.policy, s3.ensemble))
+        assert np.array_equal(s4.ensemble.atoms, again.atoms)
+        assert s4.trace[-1]["distance"] == ensemble_w1_sup(s4.ensemble, s3.ensemble) > 0.0
+
     def test_min_particle_count_enforced(self):
         with pytest.raises(InvariantError):
             small_problem(R=50)
