@@ -12,6 +12,9 @@ config and seed are byte-identical; wall-clock timings (a command's
 ``wall_time``, and each ladder rung's per-phase ``seconds``) are only
 emitted when GMFG_TIMING=1.
 Exit codes: 0 success, 1 input error, 2 convergence failure (trace written).
+``simulate-enash`` runs one rung at a time and dumps each as it ends: a
+ladder whose solve fails at rung k exits 2 with no ``report.json``,
+leaving only the ``--dump-paths`` files of the rungs before k.
 """
 
 import argparse
@@ -25,7 +28,7 @@ from .errors import ConfigError, ConvergenceError
 from .graphon import (cell_average_step, cut_norm_grid_bound, h11_deviation,
                       sample_step_graphon, step_difference)
 from .lq import solve_lq_fixed_point
-from .population import run_ladder
+from .population import check_deviator, run_ladder
 from .scenario import parse_scenario
 from .solver import picard_solve
 
@@ -126,26 +129,27 @@ def cmd_simulate_enash(scenario, out_dir, args):
     if repeated:
         raise ConfigError("ladder repeats rung(s) "
                           + ", ".join(f"{mk}:{sz}" for mk, sz in repeated))
-    results = run_ladder(scenario.build_problem, ladder,
-                         n_reps=scenario.replications, tol=scenario.picard_tol,
-                         iota=scenario.deviator,
-                         solver_kwargs={"max_outer": scenario.max_outer,
-                                        "min_outer": scenario.min_outer,
-                                        "mode": scenario.mode,
-                                        "inner_tol": scenario.inner_tol},
-                         R_law=scenario.R_law,
-                         with_perturbations=args.perturbations,
-                         timing=_timing())
-    paths = [rung.pop("system_a_paths") for rung in results]
+    check_deviator(ladder, scenario.deviator)
+    results = []
+    for mk, size in ladder:
+        [rung] = run_ladder(
+            scenario.build_problem, [(mk, size)], n_reps=scenario.replications,
+            tol=scenario.picard_tol, iota=scenario.deviator,
+            solver_kwargs={"max_outer": scenario.max_outer, "min_outer": scenario.min_outer,
+                           "mode": scenario.mode, "inner_tol": scenario.inner_tol},
+            R_law=scenario.R_law, with_perturbations=args.perturbations, timing=_timing())
+        # a view of the rung's whole System A stack, gone before the next solve
+        paths = rung.pop("system_a_paths")
+        if args.dump_paths:
+            write_csv(os.path.join(out_dir, f"trajectories_M{mk}_n{size}.csv"),
+                      ["agent", "time_index", "value"], index_columns(paths),
+                      _meta(scenario))
+        del paths
+        results.append(rung)
     payload = {"rungs": results, "deviator": scenario.deviator,
                "replications": scenario.replications}
     payload.update(_maybe_time(started))
     write_json(os.path.join(out_dir, "report.json"), scenario, payload)
-    if args.dump_paths:
-        for (mk, size), rung_paths in zip(ladder, paths):
-            write_csv(os.path.join(out_dir, f"trajectories_M{mk}_n{size}.csv"),
-                      ["agent", "time_index", "value"], index_columns(rung_paths),
-                      _meta(scenario))
     return 0
 
 

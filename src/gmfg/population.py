@@ -572,9 +572,9 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
 def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
                  timing):
     """One rung of :func:`run_ladder`: the report dict of ``problem.M``
-    clusters of ``size`` agents. The rung's solution and runs are freed on
-    return, before the next rung's solve, whose particles set the peak
-    memory of a ladder."""
+    clusters of ``size`` agents. Its solution and runs are freed on return
+    but for the System A stack that ``system_a_paths`` views: drop it
+    before the next rung's solve, which sets the peak memory of a ladder."""
     M_k = problem.M
     seconds = {} if timing else None
     with _timed(seconds, "solve"):
@@ -610,6 +610,14 @@ def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
     return rung
 
 
+def check_deviator(ladder, iota):
+    """ConfigError unless agent ``iota`` exists on every (M_k, size) rung."""
+    small = [(M_k, size) for M_k, size in ladder if not 0 <= iota < M_k * size]
+    if small:
+        raise ConfigError(f"deviator {iota} is not an agent of rung(s) "
+                          + ", ".join(f"{mk}:{sz} (N={mk * sz})" for mk, sz in small))
+
+
 def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
                solver_kwargs=None, R_law=2000, with_perturbations=False,
                timing=False):
@@ -622,15 +630,14 @@ def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
     of every replication runs as one stack, and so does every replication x
     family member of System B. Returns one report dict per rung;
     ``system_a_paths`` holds the (N, K+1) System A paths of the first
-    replication and, with ``timing``, ``seconds`` the wall time of each
-    phase (solve, system_a, family, system_b, system_c, system_d).
+    replication, a view that keeps the rung's whole stack alive (the CLI
+    runs one rung per call and drops it before the next rung's solve), and,
+    with ``timing``, ``seconds`` the wall time of each phase (solve,
+    system_a, family, system_b, system_c, system_d).
     """
     from .solver import picard_solve
 
-    small = [(M_k, size) for M_k, size in ladder if not 0 <= iota < M_k * size]
-    if small:
-        raise ConfigError(f"deviator {iota} is not an agent of rung(s) "
-                          + ", ".join(f"{mk}:{sz} (N={mk * sz})" for mk, sz in small))
+    check_deviator(ladder, iota)
     solve = functools.partial(picard_solve, tol=tol, **(solver_kwargs or {}))
     results = []
     for M_k, size in ladder:

@@ -105,10 +105,8 @@ def _start_paths(problem):
 
 
 def _fresh_paths(problem, start, out=None):
-    # a writable copy of the solve's start buffer, in its time-major layout:
-    # written into ``out``, the (M, K+1, R) atoms of an ensemble the solve
-    # no longer reads, when given, else fresh; a call made outside a solve
-    # (start None) draws its own
+    # a writable copy of the start buffer (drawn here if None), in its
+    # time-major layout: fresh, or written into the (M, K+1, R) ``out``
     if start is None:
         start = _start_paths(problem)
     if out is None:
@@ -142,11 +140,9 @@ def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None,
     Noise and initial draws are keyed by (seed, vertex, replica), so
     repeated calls couple exactly; a solve passes the ``start`` buffer it
     drew once (:func:`_start_paths`), and a call without one draws it.
-    :func:`picard_solve` also passes ``_out``, the atoms of an ensemble it
-    has retired, to propagate in that memory instead of a fresh copy. The
-    bundle's ``escaped_mass`` is the share of particle-steps that started
-    outside the space grid, where the tables are clamped to their end
-    values.
+    ``_out``, the atoms of a retired ensemble, is written instead of a
+    fresh copy. ``escaped_mass`` is the share of particle-steps that
+    started outside the space grid, where the tables are clamped.
     """
     p = problem.functions
     if fields is None:
@@ -172,32 +168,36 @@ def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None,
 
 
 def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
-                         max_inner=60, start=None):
+                         max_inner=60, start=None, fields=None, _out=None):
     """Self-consistent propagation under a fixed feedback table.
 
-    Iterates drift-ensemble updates nu <- marginals(propagate(policy, nu))
-    until the sup W1 change drops below ``tol_inner``. With the policy fixed
-    this map contracts on any horizon window, so geometric decay of the
-    change is the expected trace shape. Every pass propagates from one
-    start buffer: the caller's ``start``, or one drawn here. Returns
-    (bundle, ensemble, trace); the ensemble is a sorted copy, so the bundle
-    keeps the particle order that coupled path distances read
-    (:func:`sensitivity_probe`).
+    Iterates nu <- marginals(propagate(policy, nu)) until the sup W1 change
+    drops below ``tol_inner`` (an infinite one stops after one pass); with
+    the policy fixed the map contracts, so the change decays geometrically.
+    Each pass propagates from ``start`` (drawn here if None) into the atoms
+    of the ensemble the loop last retired and adopts that buffer, sorted in
+    place, as the new ensemble (:meth:`MeasureEnsemble.adopt`): two
+    path-sized arrays besides ``start`` and ``e_start``, which is never
+    recycled. Pass 0 may take the drift ``fields`` of ``e_start`` and a
+    spare (M, K+1, R) buffer ``_out``. Returns (escaped_mass, ensemble,
+    trace): the last propagation's escaped mass and the per-pass distances.
     """
     if tol_inner is None:
         tol_inner = max(1e-4, 0.2 * problem.noise_floor)
     if start is None:
         start = _start_paths(problem)
-    ens = e_start
-    trace = []
-    for j in range(max_inner):
-        bundle = propagate_closed_loop(problem, policy, ens, start=start)
-        new = marginals(bundle)
+    ens, trace = e_start, []
+    for _ in range(max_inner):
+        bundle = propagate_closed_loop(problem, policy, ens, fields=fields,
+                                       start=start, _out=_out)
+        new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
         d = ensemble_w1_sup(new, ens)
         trace.append(d)
-        ens = new
+        # nothing reads the retired ens now; the caller's is never recycled
+        _out = ens.atoms if ens is not e_start else None
+        ens, fields = new, None
         if d < tol_inner:
-            return bundle, ens, trace
+            return bundle.escaped_mass, ens, trace
     raise ConvergenceError(
         f"measure consistency stalled above {tol_inner:.3g} after {max_inner} passes",
         trace=trace)
@@ -207,31 +207,26 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
                  min_outer=None, inner_tol=None):
     """Fixed-point iteration of the full game map.
 
-    Starting from the zero-drift propagation marginals, each pass solves the
-    vertex value equations against the current ensemble, propagates the
-    closed loop (directly in ``single_loop`` mode, through the inner
-    measure-consistency sub-iteration in ``double_loop`` mode), and measures
-    the sup-over-(vertex, time) W1 change. Each trace entry also records
-    the pass's CFL margin (the smallest 1 - sup|drift| dt / dx over the
-    vertices), its escaped mass (the share of particle-steps outside the
-    space grid), its number of propagations (``inner_passes``: 1 in
-    ``single_loop`` mode, the inner sub-iteration's pass count in
-    ``double_loop`` mode) and ``policy_lipschitz``, the largest x-difference
-    quotient of any vertex policy (:func:`~gmfg.control.policy_lipschitz`).
-    The initial states and the noise are drawn once per solve and shared
-    by every propagation of it (common random numbers across passes).
-    The zero-drift start is sorted into a copy (:func:`marginals`). A
-    single-loop pass sorts its propagation buffer in place and adopts it
-    as the new ensemble, and the next pass propagates in the atoms of the
-    ensemble this one retired: a solve holds at most three path-sized
-    arrays (the start buffer and two ensembles), and after the zero-drift
-    start only its first pass allocates one.
-    Particle noise cannot resolve ensembles below the sampling floor, so
-    the tolerance is clamped to 5 / sqrt(R). Convergence may be
-    declared from pass ``min_outer`` on (default 2); an explicit
-    ``min_outer`` above ``max_outer`` could never be met and is a
-    ConfigError. Non-convergence raises with the trace attached, so callers
-    can inspect an empirical ratio at or above one.
+    Starting from the zero-drift propagation marginals (sorted into a
+    copy), each pass solves the vertex value equations against the current
+    ensemble and runs :func:`inner_mv_consistency` with the pass's frozen
+    fields in the atoms of the ensemble the last pass retired: one pass of
+    it in ``single_loop`` mode, down to ``inner_tol`` in ``double_loop``
+    mode. A single-loop solve holds three path-sized arrays (the start
+    buffer and two ensembles), a double-loop one about four. The pass's
+    distance is the sup-over-(vertex, time) W1 change. Each trace entry
+    also records the CFL margin (the smallest 1 - sup|drift| dt / dx over
+    the vertices), the escaped mass (the share of particle-steps outside
+    the space grid), the propagations (``inner_passes``) and
+    ``policy_lipschitz``, the largest x-difference quotient of any vertex
+    policy (:func:`~gmfg.control.policy_lipschitz`). The initial states
+    and the noise are drawn once per solve and shared by every propagation
+    of it (common random numbers across passes). Particle noise cannot
+    resolve ensembles below the sampling floor, so the tolerance is clamped
+    to 5 / sqrt(R). Convergence may be declared from pass ``min_outer`` on
+    (default 2); an explicit ``min_outer`` above ``max_outer`` could never
+    be met and is a ConfigError. Non-convergence raises with the trace
+    attached, so callers can inspect an empirical ratio at or above one.
     """
     if mode not in ("single_loop", "double_loop"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -239,31 +234,20 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         min_outer = 2
     elif min_outer > max_outer:
         raise ConfigError(f"min_outer {min_outer} exceeds max_outer {max_outer}")
-    floor = problem.noise_floor
     p, alphas = problem.functions, problem.vertex_grid.midpoints
     tol_eff = max(tol if tol is not None else 0.0, 5.0 / math.sqrt(problem.R))
+    tol_inner = math.inf if mode == "single_loop" else inner_tol
     start = _start_paths(problem)
     ens = marginals(zero_drift_bundle(problem, start))
-    spare = None
+    spare = prev_policy = None
     trace = []
-    prev_policy = None
     for i in range(max_outer):
         fls = frozen_fields(p, problem.graphon, alphas, ens, problem.x_grid)
         _, policy = solve_hjb(p, problem.graphon, alphas, ens, problem.x_grid,
                               fields=fls)
-        if mode == "single_loop":
-            bundle = propagate_closed_loop(problem, policy, ens, fields=fls,
-                                           start=start, _out=spare)
-            new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
-            # nothing reads ens once this pass ends: the fields are tables,
-            # and only ``new`` can be returned
-            spare = ens.atoms
-            passes = 1
-        else:
-            bundle, new, inner = inner_mv_consistency(problem, policy, ens, inner_tol,
-                                                      start=start)
-            passes = len(inner)
-        d = ensemble_w1_sup(new, ens)
+        escaped, new, inner = inner_mv_consistency(
+            problem, policy, ens, tol_inner, start=start, fields=fls, _out=spare)
+        d = inner[0] if len(inner) == 1 else ensemble_w1_sup(new, ens)
         pol_delta = float(np.abs(policy - prev_policy).max()) if prev_policy is not None else math.nan
         entry = {
             "iteration": i,
@@ -271,15 +255,16 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "ratio": d / trace[-1]["distance"] if trace and trace[-1]["distance"] > 0 else math.nan,
             "policy_delta": pol_delta,
             "cfl_margin": float(fls.cfl_margin().min()),
-            "escaped_mass": bundle.escaped_mass,
-            "inner_passes": passes,
+            "escaped_mass": escaped,
+            "inner_passes": len(inner),
             "policy_lipschitz": policy_lipschitz(policy, problem.x_grid),
         }
         trace.append(entry)
         prev_policy = policy
-        ens = new
+        # nothing reads ens once this pass ends: the fields are tables
+        spare, ens = ens.atoms, new
         if d < tol_eff and i + 1 >= min_outer:
-            return GMFGSolution(policy, ens, trace, tol_eff, floor, problem)
+            return GMFGSolution(policy, ens, trace, tol_eff, problem.noise_floor, problem)
     raise ConvergenceError(
         f"no contraction below {tol_eff:.3g} within {max_outer} passes", trace=trace)
 
@@ -311,7 +296,9 @@ def sensitivity_probe(problem, solution, delta=0.05):
       change, with both policy sets propagated to measure consistency
       under common noise.
 
-    A zero denominator leaves the corresponding estimate undefined (NaN).
+    The coupled bundles are one propagation of each policy against its
+    converged laws. A zero denominator leaves the corresponding estimate
+    undefined (NaN).
     """
     shifted = solution.ensemble.shift(delta)
     _, shifted_policy = solve_hjb(problem.functions, problem.graphon,
@@ -324,9 +311,11 @@ def sensitivity_probe(problem, solution, delta=0.05):
     if dphi <= 0.0:
         return SensitivityReport(c1, math.nan, dphi, shift_dist)
     start = _start_paths(problem)
-    b1, _, t1 = inner_mv_consistency(problem, solution.policy, solution.ensemble,
-                                     start=start)
-    b2, _, t2 = inner_mv_consistency(problem, shifted_policy, solution.ensemble,
-                                     start=start)
-    c2 = ensemble_distance(b1, b2) / dphi
-    return SensitivityReport(c1, c2, dphi, shift_dist, (t1, t2))
+    bundles, traces = [], []
+    for policy in (solution.policy, shifted_policy):
+        _, laws, trace = inner_mv_consistency(problem, policy, solution.ensemble,
+                                              start=start)
+        bundles.append(propagate_closed_loop(problem, policy, laws, start=start))
+        traces.append(trace)
+    c2 = ensemble_distance(*bundles) / dphi
+    return SensitivityReport(c1, c2, dphi, shift_dist, tuple(traces))

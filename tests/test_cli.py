@@ -434,8 +434,64 @@ class TestSimulateEnashCommand:
         assert "ladder repeats rung(s) 2:3" in capsys.readouterr().err
         assert solves == []
 
+    def test_finished_rung_stack_is_freed_before_next_solve(self, tmp_path,
+                                                            monkeypatch):
+        """A rung's System A stack, which its dumped paths view, is dead
+        when the next rung's solve starts."""
+        import weakref
+
+        from gmfg import population, solver
+
+        doc = nonlinear_scenario()
+        doc["graphon"] = {"kind": "uniform_attachment"}
+        doc["ladder"] = {"rungs": [[1, 3], [2, 4], [2, 5]], "replications": 2,
+                         "R_law": 120}
+        cfg = write_config(tmp_path / "s.json", doc)
+        real_run, real_solve = population.simulate_coupled, solver.picard_solve
+        stacks, alive = [], []
+
+        def recording(pops, solution, members, *args, **kwargs):
+            runs = real_run(pops, solution, members, *args, **kwargs)
+            if all(psi is None for psi in members):
+                stacks.append(weakref.ref(runs[0].paths.base))
+            return runs
+
+        def solving(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in stacks))
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(population, "simulate_coupled", recording)
+        monkeypatch.setattr(solver, "picard_solve", solving)
+        assert main(["simulate-enash", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--dump-paths"]) == 0
+        assert len(stacks) == 3
+        assert alive == [0, 0, 0]
+
+    def test_failed_rung_leaves_earlier_dumps_and_no_report(self, tmp_path,
+                                                            monkeypatch):
+        from gmfg import ConvergenceError, solver
+
+        doc = nonlinear_scenario()
+        doc["ladder"] = {"rungs": [[1, 3], [2, 4]], "replications": 1,
+                         "R_law": 120}
+        cfg = write_config(tmp_path / "s.json", doc)
+        real = solver.picard_solve
+
+        def failing(problem, *args, **kwargs):
+            if problem.M == 2:
+                raise ConvergenceError("no contraction", trace=[])
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "picard_solve", failing)
+        out = tmp_path / "out"
+        assert main(["simulate-enash", "--config", cfg, "--out", str(out),
+                     "--dump-paths"]) == 2
+        assert sorted(os.listdir(out)) == ["trajectories_M1_n3.csv"]
+
     def test_deviator_outside_a_rung_is_input_error(self, tmp_path, capsys,
                                                     monkeypatch):
+        """The whole ladder is checked before the first rung's solve,
+        wherever the rung that lacks the deviator stands."""
         from gmfg import solver
 
         doc = nonlinear_scenario()
@@ -445,9 +501,11 @@ class TestSimulateEnashCommand:
         solves = []
         monkeypatch.setattr(solver, "picard_solve",
                             lambda *a, **k: solves.append(a))
-        assert main(["simulate-enash", "--config", cfg, "--out",
-                     str(tmp_path / "out"), "--ladder", "2:3,2:5"]) == 1
-        assert "deviator 6 is not an agent of rung(s) 2:3 (N=6)" in capsys.readouterr().err
+        for ladder in ("2:3,2:5", "2:5,2:3"):
+            assert main(["simulate-enash", "--config", cfg, "--out",
+                         str(tmp_path / "out"), "--ladder", ladder]) == 1
+            assert ("deviator 6 is not an agent of rung(s) 2:3 (N=6)"
+                    in capsys.readouterr().err)
         assert solves == []
 
     def test_mode_and_inner_tol_reach_the_ladder_solves(self, tmp_path,

@@ -106,10 +106,10 @@ class TestInnerConsistency:
             Graphon.constant(0.0), dirac(0.0), M=2, K=16, N_x=81, R=500, seed=7)
         ens = marginals(zero_drift_bundle(prob))
         pols = constant_policy(prob, 0.3)
-        bundle, _, trace = inner_mv_consistency(prob, pols, ens, tol_inner=1e-9)
+        _, got, trace = inner_mv_consistency(prob, pols, ens, tol_inner=1e-9)
         assert len(trace) == 2 and trace[1] == 0.0
         direct = propagate_closed_loop(prob, pols, ens)
-        assert np.array_equal(bundle.paths, direct.paths)
+        assert np.array_equal(got.atoms, marginals(direct).atoms)
 
     def test_weak_coupling_geometric_decay(self):
         prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
@@ -267,23 +267,31 @@ class TestPicardSolve:
 
     def test_double_loop_sorts_each_propagation_once(self, monkeypatch):
         """A double-loop pass takes its new ensemble from the inner
-        sub-iteration: the start and every propagation are sorted once."""
+        sub-iteration: the zero-drift start is sorted into a copy once, and
+        every propagation is sorted once, in place, as it is adopted."""
         import gmfg.solver as solver_mod
+        from gmfg.measures import MeasureEnsemble
 
         problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
                               Graphon.constant(1.0), dirac(0.5), M=2, K=16,
                               N_x=61, R=400, seed=10)
-        real = solver_mod.marginals
+        real_marginals, real_adopt = solver_mod.marginals, MeasureEnsemble.adopt
         calls = []
 
         def counting(bundle):
-            calls.append(bundle)
-            return real(bundle)
+            calls.append("marginals")
+            return real_marginals(bundle)
+
+        def adopting(atoms, times):
+            calls.append("adopt")
+            return real_adopt(atoms, times)
 
         monkeypatch.setattr(solver_mod, "marginals", counting)
+        monkeypatch.setattr(MeasureEnsemble, "adopt", staticmethod(adopting))
         sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10,
                            mode="double_loop", inner_tol=1e-6)
-        assert len(calls) == 1 + sum(e["inner_passes"] for e in sol.trace)
+        assert calls.count("marginals") == 1
+        assert calls.count("adopt") == sum(e["inner_passes"] for e in sol.trace)
 
     @pytest.mark.parametrize("mode", ["single_loop", "double_loop"])
     def test_one_draw_per_solve(self, monkeypatch, mode):
@@ -308,11 +316,10 @@ class TestPicardSolve:
         assert draws.count(rng.PROPAGATE) == problem.M
         assert draws.count(rng.INITIAL) == problem.M
 
-    def test_single_loop_holds_three_path_arrays(self):
-        """A single-loop pass sorts its propagation buffer in place and
-        propagates in the atoms of the ensemble it retires, so the solve's
-        peak is the start buffer and two ensembles, plus one vertex's W1
-        temporary, not five path-sized arrays."""
+    @staticmethod
+    def peak_path_arrays(**kw):
+        """A 3-pass solve and its ``tracemalloc`` peak in (M, K+1, R)
+        float arrays."""
         import tracemalloc
 
         problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
@@ -322,12 +329,29 @@ class TestPicardSolve:
         path_bytes = problem.M * (problem.K + 1) * problem.R * 8
         tracemalloc.start()
         try:
-            sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
+            sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(sol.trace) == 3
-        assert peak < 4.0 * path_bytes
+        return sol, peak / path_bytes
+
+    def test_single_loop_holds_three_path_arrays(self):
+        """A single-loop pass sorts its propagation buffer in place and
+        propagates in the atoms of the ensemble it retires, so the solve's
+        peak is the start buffer and two ensembles, plus one vertex's W1
+        temporary, not five path-sized arrays."""
+        _, arrays = self.peak_path_arrays()
+        assert arrays < 4.0
+
+    def test_double_loop_holds_four_path_arrays(self):
+        """Every inner pass propagates in the atoms of the ensemble the
+        loop retired and never in the outer ensemble it started from, so a
+        double-loop solve's peak is the start buffer, the outer ensemble and
+        the inner loop's two, not six path-sized arrays."""
+        sol, arrays = self.peak_path_arrays(mode="double_loop", inner_tol=1e-6)
+        assert max(e["inner_passes"] for e in sol.trace) >= 2
+        assert arrays < 5.0
 
     def test_recycled_buffer_leaves_ensembles_intact(self):
         """Pass 4 of a solve, which propagates in the atoms of a retired
@@ -393,6 +417,56 @@ class TestSensitivityProbe:
         rep = sensitivity_probe(problem, sol, delta=0.05)
         last_ratio = sol.trace[-1]["ratio"]
         assert last_ratio == pytest.approx(rep.product, rel=2.0)
+
+
+class TestLQCrossCheck:
+    """The Picard solver on the linear-quadratic game, against the closed
+    form of :mod:`gmfg.lq`.
+
+    With f0 = 1, f = 0, l1 = x^2 - 2 gamma0 x y - 2 eta x, l2 = 1,
+    l3 = -2 gamma x y and l4 = 0 the structured cost is the LQ tracking cost
+    (x - gamma0 xbar - gamma zbar - eta)^2 + u^2 up to terms free of x, so
+    the optimal feedback is -Pi(t) x - s(alpha, t) and the vertex means are
+    xbar(alpha, t). The control set is wide enough that the clamp never
+    binds near the mass. One check of the brackets, the value sweep, the
+    clamp and the propagation against an independent solver.
+    """
+
+    gamma0, gamma, eta, sigma, T, M = 0.5, 0.4, 1.0, 0.3, 0.5, 4
+
+    def errors(self, K, N_x):
+        from gmfg.lq import LQParams, solve_lq_fixed_point
+
+        fns = ProblemFunctions.structured(
+            Constant(1.0), Constant(0.0),
+            Poly2(xx=1.0, xy=-2.0 * self.gamma0, x=-2.0 * self.eta), Constant(1.0),
+            Poly2(xy=-2.0 * self.gamma), Constant(0.0), (-4.0, 4.0), self.sigma, self.T)
+        problem = GMFGProblem(fns, Graphon.uniform_attachment(),
+                              normal_quantile_measure(0.5, 0.3, 129), M=self.M,
+                              K=K, N_x=N_x, R=4000, seed=5)
+        sol = picard_solve(problem, tol=0.05)
+        lq = solve_lq_fixed_point(LQParams(
+            0.0, 1.0, 0.0, 0.0, self.sigma, 1.0, 1.0, 0.0, self.gamma0, self.gamma,
+            self.eta, 0.5, self.T, Graphon.uniform_attachment(), self.M, K))
+        x = problem.x_grid
+        exact = (-lq.feedback_gain[None, :, 0, :] * x
+                 - lq.feedback_offset[:, :, :1])
+        near = np.abs(x - 0.5) < 1.0
+        policy_err = float(np.abs(sol.policy - exact)[:, :-1, near].max())
+        mean_err = float(np.abs(sol.ensemble.atoms.mean(axis=2)
+                                - lq.xbar[:, :, 0]).max())
+        return policy_err, mean_err
+
+    def test_policy_and_means_match_closed_form(self):
+        coarse, coarse_mean = self.errors(64, 201)
+        fine, fine_mean = self.errors(128, 401)
+        # the sweep is first order: 0.021 and 0.012 when this was written
+        assert coarse < 0.03
+        assert fine < 0.75 * coarse
+        # 1 / sqrt(R), a third of the noise floor: about three standard
+        # errors of a mean of 4000 particles that spread less than 0.4
+        # (0.008 at both resolutions when this was written)
+        assert max(coarse_mean, fine_mean) < 1.0 / math.sqrt(4000)
 
 
 class TestJointContinuityRefinement:
