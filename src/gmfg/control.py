@@ -8,14 +8,17 @@ closed-form clamp, since the dynamics are control-affine with quadratic
 control cost), and runs the backward semi-implicit value sweep that
 produces one (vertex, time, space) table each of values and feedback.
 Fields and sweep work on a whole batch of vertices at once. It also holds
-the uniform-grid table lookup and the Euler-Maruyama stepper that every
-particle and agent simulation shares.
+the uniform-grid table lookup, the Euler-Maruyama stepper that every
+particle and agent simulation shares, and the one closed-loop kernel on it
+(:func:`closed_loop_steps`) that runs the solver's particles and the agents
+of Systems C and D under frozen drift fields.
 """
 
 import math
 
 import numpy as np
 
+from . import rng
 from .coefficients import Constant, Poly2
 from .errors import ConfigError, GridError, InvariantError, NumericalError
 from .graphon import VertexGrid
@@ -342,19 +345,6 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     return V, policy
 
 
-def euler_maruyama(x0, noise, dt, sigma, drift):
-    """Euler-Maruyama paths of dX = drift dt + sigma dW from the states x0.
-
-    ``noise`` holds the (..., K) standard normal increments and
-    ``drift(k, x)`` returns the drift of the states ``x`` at time node k.
-    Returns the (..., K+1) paths; see :func:`euler_maruyama_steps`.
-    """
-    paths = np.empty(np.shape(noise)[:-1] + (np.shape(noise)[-1] + 1,))
-    paths[..., 0] = x0
-    np.multiply(sigma * math.sqrt(dt), noise, out=paths[..., 1:])
-    return euler_maruyama_steps(paths, dt, drift)
-
-
 def euler_maruyama_steps(paths, dt, drift):
     """The Euler-Maruyama time loop, in place on a (..., K+1) buffer.
 
@@ -371,6 +361,33 @@ def euler_maruyama_steps(paths, dt, drift):
     return paths
 
 
+def closed_loop_steps(paths, dt, fields, policy):
+    """The closed-loop Euler-Maruyama run, in place on an (n, ..., K+1) buffer.
+
+    The feedback drift of every solver particle and every System C/D agent:
+    row v of ``paths`` (filled as for :func:`euler_maruyama_steps`) reads
+    row v of ``fields.drift_coef`` and of the (n, K+1, N_x) feedback table
+    ``policy``, both through one :class:`GridLookup` per step on
+    ``fields.x_grid``. A non-finite path raises NumericalError naming its
+    row. Returns the escaped mass: the share of point-steps that started
+    outside the space grid, where the tables are clamped.
+    """
+    rows = np.arange(paths.shape[0]).reshape((-1,) + (1,) * (paths.ndim - 2))
+    escaped = 0
+
+    def drift(k, x):
+        nonlocal escaped
+        look = GridLookup(fields.x_grid, x, rows)
+        escaped += look.escaped
+        return look(fields.drift_coef[:, k]) * look(policy[:, k])
+
+    euler_maruyama_steps(paths, dt, drift)
+    bad = ~np.isfinite(paths[..., -1]).reshape(paths.shape[0], -1).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"propagation diverged at row {int(np.argmax(bad))}")
+    return escaped / paths[..., 1:].size
+
+
 def rollout_cost(problem, fields, policy, x0, n_paths, seed):
     """Monte-Carlo cost of running a feedback policy from a point start.
 
@@ -379,11 +396,12 @@ def rollout_cost(problem, fields, policy, x0, n_paths, seed):
     standard error) of the accumulated running cost over ``n_paths``
     replicas.
     """
-    from . import rng
-
     times = fields.times
     dt = float(times[1] - times[0])
-    noise = rng.stream(seed, rng.PROPAGATE, 0).standard_normal((n_paths, times.size - 1))
+    paths = np.empty((n_paths, times.size))
+    paths[:, 0] = float(x0)
+    np.multiply(problem.sigma * math.sqrt(dt), rng.stream(seed, rng.PROPAGATE, 0)
+                .standard_normal((n_paths, times.size - 1)), out=paths[:, 1:])
     cost = np.zeros(n_paths)
 
     def drift(k, x):
@@ -393,5 +411,5 @@ def rollout_cost(problem, fields, policy, x0, n_paths, seed):
                     + look(fields.cost_quad[:, k]) * u ** 2) * dt
         return look(fields.drift_coef[:, k]) * u
 
-    euler_maruyama(np.full(n_paths, float(x0)), noise, dt, problem.sigma, drift)
+    euler_maruyama_steps(paths, dt, drift)
     return float(cost.mean()), float(cost.std(ddof=1) / np.sqrt(n_paths))

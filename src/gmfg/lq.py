@@ -6,7 +6,9 @@ offset. The solve reduces to one Riccati path shared by all vertices, the
 fundamental matrices of the closed-loop drift and its adjoint, and a linear
 integral operator acting on the vertex-mean surface; when that operator's
 norm bound is below one the mean-field surface is the limit of a Picard
-iteration and the per-vertex feedback is affine.
+iteration and the per-vertex feedback is affine. The Riccati,
+fundamental-matrix and offset ODEs all take the one classical RK4 step
+:func:`_rk4` on the half-step grid.
 """
 
 import math
@@ -120,6 +122,21 @@ class RiccatiPath:
                 raise InvariantError("Riccati path lost positive semidefiniteness")
 
 
+def _rk4(rhs, y, h, j):
+    """One classical RK4 step of y' = rhs(i, y) from fine node j.
+
+    The fine grid holds the nodes and their midpoints, so the step of
+    length h reads the middle stages at node j + 1 and the last at j + 2;
+    a negative h steps backward, from j through j - 1 to j - 2.
+    """
+    d = 1 if h > 0 else -1
+    k1 = rhs(j, y)
+    k2 = rhs(j + d, y + 0.5 * h * k1)
+    k3 = rhs(j + d, y + 0.5 * h * k2)
+    k4 = rhs(j + 2 * d, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def solve_riccati(p):
     """Classical RK4 backward solve of the matrix Riccati equation.
 
@@ -130,19 +147,13 @@ def solve_riccati(p):
     n, K = p.n, p.K
     h = p.T / (2 * K)
 
-    def rhs(Pi):
+    def rhs(_, Pi):
         return -(p.A.T @ Pi + Pi @ p.A - Pi @ p.BRB @ Pi + p.Q)
 
     fine = np.empty((2 * K + 1, n, n))
     fine[-1] = _sym(p.Q_T)
     for j in range(2 * K - 1, -1, -1):
-        Pi = fine[j + 1]
-        k1 = rhs(Pi)
-        k2 = rhs(Pi - 0.5 * h * k1)
-        k3 = rhs(Pi - 0.5 * h * k2)
-        k4 = rhs(Pi - h * k3)
-        step = Pi - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        fine[j] = _sym(step)
+        fine[j] = _sym(_rk4(rhs, fine[j + 1], -h, j + 1))
         if np.abs(fine[j]).max() > _BLOWUP:
             raise NumericalError(f"Riccati finite escape near t={j * h:.4g}")
     return RiccatiPath(p.times, fine)
@@ -156,47 +167,27 @@ class FundamentalMatrices:
     Psi: np.ndarray
 
 
-def _propagate_fundamental(coeff_at, n, K, dt):
-    U = np.empty((K + 1, n, n))
-    U[0] = np.eye(n)
-    for k in range(K):
-        M0 = coeff_at(2 * k)
-        Mh = coeff_at(2 * k + 1)
-        M1 = coeff_at(2 * k + 2)
-        u = U[k]
-        k1 = M0 @ u
-        k2 = Mh @ (u + 0.5 * dt * k1)
-        k3 = Mh @ (u + 0.5 * dt * k2)
-        k4 = M1 @ (u + dt * k3)
-        U[k + 1] = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.abs(U[k + 1]).max() > _BLOWUP:
-            raise NumericalError("fundamental matrix overflow")
-    return U
-
-
 def fundamental_matrices(p, ric):
     """Fundamental solutions of the closed-loop drift and its adjoint.
 
     Phi solves xdot = (A - B R^-1 B' Pi_t + D0) x and Psi solves
     ydot = -(A - B R^-1 B' Pi_t)' y; both tables satisfy Phi(s, s) = I.
-    When D0 = 0, Psi(t, s) equals Phi(s, t) transposed.
+    When D0 = 0, Psi(t, s) equals Phi(s, t) transposed. Each is one forward
+    RK4 solve of U' = C(t) U, U(0) = I, over its (2K+1, n, n) coefficient
+    table C on the fine grid, built once; Phi(t, s) = U(t) U(s)^-1.
     """
-    n, K = p.n, p.K
-    dt = p.T / K
-
-    def m_phi(j):
-        return p.A - p.BRB @ ric.half_steps[j] + p.D0
-
-    def m_psi(j):
-        return -(p.A - p.BRB @ ric.half_steps[j]).T
-
-    U = _propagate_fundamental(m_phi, n, K, dt)
-    W = _propagate_fundamental(m_psi, n, K, dt)
-    Uinv = np.linalg.inv(U)
-    Winv = np.linalg.inv(W)
-    Phi = np.einsum("tij,sjk->tsik", U, Uinv)
-    Psi = np.einsum("tij,sjk->tsik", W, Winv)
-    return FundamentalMatrices(Phi, Psi)
+    dt = p.T / p.K
+    closed = p.A - p.BRB @ ric.half_steps
+    tables = []
+    for coef in (closed + p.D0, -np.swapaxes(closed, 1, 2)):
+        U = np.empty((p.K + 1, p.n, p.n))
+        U[0] = np.eye(p.n)
+        for k in range(p.K):
+            U[k + 1] = _rk4(lambda j, u: coef[j] @ u, U[k], dt, 2 * k)
+            if np.abs(U[k + 1]).max() > _BLOWUP:
+                raise NumericalError("fundamental matrix overflow")
+        tables.append(np.einsum("tij,sjk->tsik", U, np.linalg.inv(U)))
+    return FundamentalMatrices(*tables)
 
 
 def _trap_weight_rows(K1, dt):
@@ -380,12 +371,13 @@ def solve_lq_fixed_point(p, tol=1e-9, x_init=None):
 
 
 def _recover_offsets(p, ric, xbar, zbar):
-    """Backward RK4 for the offset ODE driven by the mean-field surface."""
+    """Backward RK4 for the offset ODE driven by the mean-field surface,
+    read at the half nodes as the mean of the two node values."""
     K, n, M = p.K, p.n, xbar.shape[0]
-    dt = p.T / K
-    # surface values at half nodes by linear interpolation
-    xb_h = 0.5 * (xbar[:, 1:] + xbar[:, :-1])
-    zb_h = 0.5 * (zbar[:, 1:] + zbar[:, :-1])
+    # both surfaces on the fine grid: the nodes, and their means between
+    fine = np.empty((2, M, 2 * K + 1, n))
+    fine[:, :, ::2] = xbar, zbar
+    fine[:, :, 1::2] = 0.5 * (fine[:, :, 2::2] + fine[:, :, :-2:2])
 
     # the per-node coefficient matrices on the fine grid, built once
     drive_x = np.swapaxes(p.gamma0 * p.Q - ric.half_steps @ p.D0, 1, 2)
@@ -393,18 +385,14 @@ def _recover_offsets(p, ric, xbar, zbar):
     closed = p.A - p.BRB @ ric.half_steps
     forcing = p.Q @ p.eta
 
-    def rhs(j, s, xb, zb):
-        return -(s @ closed[j]) + (xb @ drive_x[j] + zb @ drive_z[j] + forcing)
+    def rhs(j, s):
+        return -(s @ closed[j]) + (fine[0, :, j] @ drive_x[j]
+                                   + fine[1, :, j] @ drive_z[j] + forcing)
 
     s = np.empty((M, K + 1, n))
     s[:, K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T
     for k in range(K - 1, -1, -1):
-        cur = s[:, k + 1]
-        k1 = rhs(2 * k + 2, cur, xbar[:, k + 1], zbar[:, k + 1])
-        k2 = rhs(2 * k + 1, cur - 0.5 * dt * k1, xb_h[:, k], zb_h[:, k])
-        k3 = rhs(2 * k + 1, cur - 0.5 * dt * k2, xb_h[:, k], zb_h[:, k])
-        k4 = rhs(2 * k, cur - dt * k3, xbar[:, k], zbar[:, k])
-        s[:, k] = cur - (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s[:, k] = _rk4(rhs, s[:, k + 1], -p.T / K, 2 * k + 2)
     return s
 
 

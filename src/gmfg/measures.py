@@ -246,9 +246,10 @@ def marginals(bundle):
     """Empirical measure of the particles at every (vertex, time).
 
     The ensemble sorts a copy of the particles, so ``bundle.paths`` keeps
-    the particle order that coupled path distances read. The
-    measure-consistency loop, whose paths nothing reads afterwards, sorts
-    its buffer in place instead (:meth:`MeasureEnsemble.adopt`).
+    the particle order that coupled path distances read. The zero-drift
+    start and the measure-consistency loop, whose paths nothing reads
+    afterwards, sort their buffers in place instead
+    (:meth:`MeasureEnsemble.adopt`).
     """
     return MeasureEnsemble(np.swapaxes(bundle.paths, 1, 2), bundle.times)
 

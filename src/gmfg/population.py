@@ -48,13 +48,13 @@ import numpy as np
 
 from . import rng
 from .coefficients import SortedClusters
-from .control import (GridLookup, Policy, brackets, euler_maruyama,
+from .control import (GridLookup, Policy, brackets, closed_loop_steps,
                       euler_maruyama_steps, frozen_fields, solve_hjb)
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import MeasureEnsemble
-from .solver import (GMFGProblem, _start_paths, inner_mv_consistency, marginals,
-                     zero_drift_bundle)
+from .solver import (GMFGProblem, _start_paths, inner_mv_consistency,
+                     zero_drift_ensemble)
 
 
 class FinitePopulation:
@@ -81,8 +81,15 @@ class FinitePopulation:
         """Vertex coordinate I*(i) of the agent's cluster."""
         return float(self.vertex_grid.midpoints[self.cluster_of[agent]])
 
-    def brownian_increments(self, K):
-        return rng.stream(self.seed, rng.POP_BROWNIAN).standard_normal((self.N, K))
+    def start_paths(self, sigma, dt, K, out=None):
+        """The (N, K+1) start buffer of a run, fresh or written into ``out``:
+        the initial states, then the scaled increments sigma sqrt(dt) Z_k."""
+        if out is None:
+            out = np.empty((self.N, K + 1))
+        out[:, 0] = self.initial_states
+        np.multiply(sigma * math.sqrt(dt), rng.stream(self.seed, rng.POP_BROWNIAN)
+                    .standard_normal((self.N, K)), out=out[:, 1:])
+        return out
 
 
 def build_population(g, M_k, size, initial_law, seed):
@@ -238,12 +245,10 @@ def simulate_coupled(pops, solution, members, iota=None, cost_agents=()):
     # each population's noise is drawn once, straight into its first row
     paths = np.empty((S, pop.N, K + 1))
     for s, q in enumerate(pops):
-        paths[s, :, 0] = q.initial_states
         if s and q is pops[s - 1]:
-            paths[s, :, 1:] = paths[s - 1, :, 1:]
+            paths[s] = paths[s - 1]
         else:
-            np.multiply(p.sigma * math.sqrt(dt), q.brownian_increments(K),
-                        out=paths[s, :, 1:])
+            q.start_paths(p.sigma, dt, K, out=paths[s])
     euler_maruyama_steps(paths, dt, drift)
     out = []
     for s, psi in enumerate(members):
@@ -281,23 +286,19 @@ def _law_problem(pop, solution, R_law):
                        domain=(problem.x_grid[0], problem.x_grid[-1]))
 
 
-def _field_propagation(pop, solution, fields, label, laws=None):
+def _field_propagation(pop, problem, table, fields, label, laws=None):
     """Propagate all agents against per-cluster frozen drift fields.
 
-    ``fields`` is the batch of frozen fields at the cluster nodes; one grid
-    lookup per step reads every agent's cluster row of the drift and policy
-    tables.
+    ``fields`` is the batch of frozen fields at the cluster nodes and
+    ``table`` the (M_k, K+1, N_x) cluster policy. The agents' (N, K+1)
+    start buffer, in cluster order, is the (M_k, size, K+1) buffer of the
+    closed-loop kernel :func:`~gmfg.control.closed_loop_steps`, so each
+    agent reads its cluster's rows.
     """
-    problem = solution.problem
     p = problem.functions
-    table = _cluster_policy(pop, solution)
-
-    def drift(k, x):
-        look = GridLookup(fields.x_grid, x, pop.cluster_of)
-        return look(fields.drift_coef[:, k]) * look(table[:, k])
-
-    paths = euler_maruyama(pop.initial_states, pop.brownian_increments(problem.K),
-                           p.T / problem.K, p.sigma, drift)
+    dt = p.T / problem.K
+    paths = pop.start_paths(p.sigma, dt, problem.K)
+    closed_loop_steps(paths.reshape(pop.M_k, pop.size, -1), dt, fields, table)
     return TrajectorySet(paths, problem.times, label, cluster_laws=laws)
 
 
@@ -308,17 +309,19 @@ def run_system_c(pop, solution, R_law=2000):
     needs the M_k cluster laws. These are found by the measure-consistency
     sub-iteration with ``R_law`` replicas per cluster, then every agent is
     propagated against its cluster's law with the same Brownian increments
-    as System A. The law solve draws its start buffer once, for the
-    zero-drift start and every pass of the sub-iteration.
+    as System A (:func:`_field_propagation`). The law solve draws its start
+    buffer once, for the zero-drift start and every pass of the
+    sub-iteration; one cluster policy table serves the law solve and the
+    agents.
     """
+    table = _cluster_policy(pop, solution)
     clone = _law_problem(pop, solution, R_law)
     start = _start_paths(clone)
-    _, laws, _ = inner_mv_consistency(clone, _cluster_policy(pop, solution),
-                                      marginals(zero_drift_bundle(clone, start)),
+    _, laws, _ = inner_mv_consistency(clone, table, zero_drift_ensemble(clone, start),
                                       start=start)
     fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
                            laws, clone.x_grid, drift_only=True)
-    return _field_propagation(pop, solution, fields, "C", laws=laws)
+    return _field_propagation(pop, solution.problem, table, fields, "C", laws=laws)
 
 
 def system_d_fields(pop, solution):
@@ -333,7 +336,8 @@ def run_system_d(pop, solution, fields=None):
     """Reference agents propagated in the infinite-population ensemble."""
     if fields is None:
         fields = system_d_fields(pop, solution)
-    return _field_propagation(pop, solution, fields, "D")
+    return _field_propagation(pop, solution.problem, _cluster_policy(pop, solution),
+                              fields, "D")
 
 
 def _sup_mean_gap(rep_rows):

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .control import (GridLookup, euler_maruyama_steps, frozen_fields,
-                      policy_lipschitz, solve_hjb)
-from .errors import ConfigError, ConvergenceError, InvariantError, NumericalError
+from .control import closed_loop_steps, frozen_fields, policy_lipschitz, solve_hjb
+from .errors import ConfigError, ConvergenceError, InvariantError
 from .graphon import VertexGrid
-from .measures import (MeasureEnsemble, PathBundle, ensemble_distance,
-                       ensemble_w1_sup, marginals)
+from .measures import MeasureEnsemble, PathBundle, ensemble_distance, ensemble_w1_sup
 
 
 class GMFGProblem:
@@ -116,16 +114,18 @@ def _fresh_paths(problem, start, out=None):
     return paths
 
 
-def zero_drift_bundle(problem, start=None):
-    """Pure-diffusion propagation of the initial law (the starting iterate).
+def zero_drift_ensemble(problem, start=None):
+    """Pure-diffusion marginals of the initial law (the starting iterate).
 
-    ``start`` is the solve's start buffer (:func:`_start_paths`); without
-    one, the draws are made here.
+    Sums the increments of a fresh copy of the start buffer ``start``
+    (:func:`_start_paths`; without one, the draws are made here) and adopts
+    that copy, sorted in place, as the ensemble
+    (:meth:`MeasureEnsemble.adopt`).
     """
     paths = _fresh_paths(problem, start)
     np.cumsum(paths[..., 1:], axis=2, out=paths[..., 1:])
     paths[..., 1:] += paths[..., :1]
-    return PathBundle(paths, problem.times)
+    return MeasureEnsemble.adopt(np.swapaxes(paths, 1, 2), problem.times)
 
 
 def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None,
@@ -135,36 +135,21 @@ def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None,
     Per vertex, R particles start from i.i.d. draws of the initial law and
     follow the measure-coupled drift evaluated against ``e_drift`` with the
     vertex row of the (M, K+1, N_x) feedback table ``policy`` in the
-    control slot. All (M, R) particles step together:
-    one grid lookup per step serves both the policy and the drift tables.
-    Noise and initial draws are keyed by (seed, vertex, replica), so
-    repeated calls couple exactly; a solve passes the ``start`` buffer it
-    drew once (:func:`_start_paths`), and a call without one draws it.
-    ``_out``, the atoms of a retired ensemble, is written instead of a
-    fresh copy. ``escaped_mass`` is the share of particle-steps that
-    started outside the space grid, where the tables are clamped.
+    control slot. All (M, R) particles step together in the closed-loop
+    kernel :func:`~gmfg.control.closed_loop_steps`, which also gives the
+    ``escaped_mass`` and raises NumericalError on a diverged vertex. Noise
+    and initial draws are keyed by (seed, vertex, replica), so repeated
+    calls couple exactly; a solve passes the ``start`` buffer it drew once
+    (:func:`_start_paths`), and a call without one draws it. ``_out``, the
+    atoms of a retired ensemble, is written instead of a fresh copy.
     """
     p = problem.functions
     if fields is None:
         fields = frozen_fields(p, problem.graphon, problem.vertex_grid.midpoints,
                                e_drift, problem.x_grid, drift_only=True)
-    rows = np.arange(problem.M)[:, None]
-    dt = p.T / problem.K
     paths = _fresh_paths(problem, start, _out)
-    escaped = 0
-
-    def drift(k, x):
-        nonlocal escaped
-        look = GridLookup(problem.x_grid, x, rows)
-        escaped += look.escaped
-        return look(fields.drift_coef[:, k]) * look(policy[:, k])
-
-    euler_maruyama_steps(paths, dt, drift)
-    bad = ~np.isfinite(paths[:, :, -1]).all(axis=1)
-    if bad.any():
-        raise NumericalError(f"propagation diverged at vertex {int(np.argmax(bad))}")
-    return PathBundle(paths, problem.times,
-                      escaped_mass=escaped / paths[..., 1:].size)
+    escaped = closed_loop_steps(paths, p.T / problem.K, fields, policy)
+    return PathBundle(paths, problem.times, escaped_mass=escaped)
 
 
 def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
@@ -207,9 +192,10 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
                  min_outer=None, inner_tol=None):
     """Fixed-point iteration of the full game map.
 
-    Starting from the zero-drift propagation marginals (sorted into a
-    copy), each pass solves the vertex value equations against the current
-    ensemble and runs :func:`inner_mv_consistency` with the pass's frozen
+    Starting from the zero-drift propagation marginals
+    (:func:`zero_drift_ensemble`, which adopts its buffer), each pass
+    solves the vertex value equations against the current ensemble and
+    runs :func:`inner_mv_consistency` with the pass's frozen
     fields in the atoms of the ensemble the last pass retired: one pass of
     it in ``single_loop`` mode, down to ``inner_tol`` in ``double_loop``
     mode. A single-loop solve holds three path-sized arrays (the start
@@ -238,7 +224,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     tol_eff = max(tol if tol is not None else 0.0, 5.0 / math.sqrt(problem.R))
     tol_inner = math.inf if mode == "single_loop" else inner_tol
     start = _start_paths(problem)
-    ens = marginals(zero_drift_bundle(problem, start))
+    ens = zero_drift_ensemble(problem, start)
     spare = prev_policy = None
     trace = []
     for i in range(max_outer):

@@ -429,7 +429,7 @@ class TestPolicy:
 
 class TestEulerMaruyama:
     def test_constant_drift_matches_closed_form(self):
-        from gmfg.control import euler_maruyama
+        from gmfg.control import euler_maruyama_steps
 
         gen = np.random.default_rng(5)
         x0 = gen.normal(size=6)
@@ -441,7 +441,11 @@ class TestEulerMaruyama:
             seen.append(k)
             return np.full_like(x, c)
 
-        paths = euler_maruyama(x0, noise, dt, sigma, drift)
+        buf = np.empty((6, 10))
+        buf[:, 0] = x0
+        buf[:, 1:] = sigma * np.sqrt(dt) * noise
+        paths = euler_maruyama_steps(buf, dt, drift)
+        assert paths is buf
         assert seen == list(range(9))
         assert paths.shape == (6, 10)
         steps = np.arange(10)

@@ -3,9 +3,9 @@ import pytest
 from scipy.linalg import expm
 
 from gmfg import Graphon, InvariantError, VertexGrid, section_integral
-from gmfg.lq import (LambdaOperator, LQParams, fundamental_matrices,
-                     lq_consistency_vs_simulation, solve_lq_fixed_point,
-                     solve_riccati)
+from gmfg.lq import (LambdaOperator, LQParams, _recover_offsets,
+                     fundamental_matrices, lq_consistency_vs_simulation,
+                     solve_lq_fixed_point, solve_riccati)
 
 
 def scalar_params(A=0.0, B=1.0, D0=0.0, D=0.0, Sigma=0.5, Q=1.0, R=1.0,
@@ -244,6 +244,47 @@ def reference_forcing(op):
     return out
 
 
+def reference_fundamental(coeff_at, n, K, dt):
+    # the four RK4 stages written out, one coefficient call per stage node
+    U = np.empty((K + 1, n, n))
+    U[0] = np.eye(n)
+    for k in range(K):
+        M0, Mh, M1 = coeff_at(2 * k), coeff_at(2 * k + 1), coeff_at(2 * k + 2)
+        u = U[k]
+        k1 = M0 @ u
+        k2 = Mh @ (u + 0.5 * dt * k1)
+        k3 = Mh @ (u + 0.5 * dt * k2)
+        k4 = M1 @ (u + dt * k3)
+        U[k + 1] = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return U
+
+
+def reference_offsets(p, ric, xbar, zbar):
+    # backward stages from node k + 1, half-node surfaces as node means
+    K, n, M = p.K, p.n, xbar.shape[0]
+    dt = p.T / K
+    xb_h = 0.5 * (xbar[:, 1:] + xbar[:, :-1])
+    zb_h = 0.5 * (zbar[:, 1:] + zbar[:, :-1])
+    drive_x = np.swapaxes(p.gamma0 * p.Q - ric.half_steps @ p.D0, 1, 2)
+    drive_z = np.swapaxes(p.gamma * p.Q - ric.half_steps @ p.D, 1, 2)
+    closed = p.A - p.BRB @ ric.half_steps
+    forcing = p.Q @ p.eta
+
+    def rhs(j, s, xb, zb):
+        return -(s @ closed[j]) + (xb @ drive_x[j] + zb @ drive_z[j] + forcing)
+
+    s = np.empty((M, K + 1, n))
+    s[:, K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T
+    for k in range(K - 1, -1, -1):
+        cur = s[:, k + 1]
+        k1 = rhs(2 * k + 2, cur, xbar[:, k + 1], zbar[:, k + 1])
+        k2 = rhs(2 * k + 1, cur - 0.5 * dt * k1, xb_h[:, k], zb_h[:, k])
+        k3 = rhs(2 * k + 1, cur - 0.5 * dt * k2, xb_h[:, k], zb_h[:, k])
+        k4 = rhs(2 * k, cur - dt * k3, xbar[:, k], zbar[:, k])
+        s[:, k] = cur - (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return s
+
+
 class TestMatrixKernels:
     """The whole-array kernels against the per-node loops, for n = 2."""
 
@@ -268,6 +309,32 @@ class TestMatrixKernels:
         np.testing.assert_allclose(op.apply(x), want, rtol=0, atol=1e-13)
         np.testing.assert_allclose(op.forcing(), reference_forcing(op),
                                    rtol=0, atol=1e-13)
+
+    def test_fundamental_matrices_match_stage_loops(self):
+        """The shared RK4 step over batched coefficient tables gives the
+        bits of the written-out stages with per-node coefficients."""
+        p = matrix_params()
+        ric = solve_riccati(p)
+        dt = p.T / p.K
+        U = reference_fundamental(
+            lambda j: p.A - p.BRB @ ric.half_steps[j] + p.D0, p.n, p.K, dt)
+        W = reference_fundamental(
+            lambda j: -(p.A - p.BRB @ ric.half_steps[j]).T, p.n, p.K, dt)
+        fm = fundamental_matrices(p, ric)
+        assert np.array_equal(fm.Phi, np.einsum("tij,sjk->tsik", U, np.linalg.inv(U)))
+        assert np.array_equal(fm.Psi, np.einsum("tij,sjk->tsik", W, np.linalg.inv(W)))
+
+    def test_offsets_match_stage_loops(self):
+        """Backward steps of the shared RK4 step (a negative length) on the
+        fine-grid surfaces give the bits of the written-out stages."""
+        p = matrix_params()
+        ric = solve_riccati(p)
+        gen = np.random.default_rng(11)
+        xbar = gen.normal(size=(p.M, p.K + 1, p.n))
+        zbar = gen.normal(size=(p.M, p.K + 1, p.n))
+        want = reference_offsets(p, ric, xbar, zbar)
+        assert np.abs(want).max() > 1e-2
+        assert np.array_equal(_recover_offsets(p, ric, xbar, zbar), want)
 
 
 class TestSolveLQFixedPoint:

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from gmfg import (Constant, GMFGProblem, Graphon, GridError, InvariantError,
-                  Policy, Poly2, ProblemFunctions, build_population,
+                  NumericalError, Policy, Poly2, ProblemFunctions, build_population,
                   default_deviation_family, deviation_metrics, dirac, empirical,
                   normal_quantile_measure, perturbation_terms, picard_solve,
                   policy_lipschitz, run_system_a, run_system_b, run_system_c,
                   run_system_d, w1)
-from gmfg.population import _assemble_gap_report, _equilibrium_and_deviations
+from gmfg import rng
+from gmfg.control import frozen_fields
+from gmfg.population import (_assemble_gap_report, _cluster_policy,
+                             _equilibrium_and_deviations, _law_problem,
+                             system_d_fields)
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -324,7 +328,55 @@ class TestStackedRuns:
             simulate_coupled(pops[:1], coupled_solution, [lambda t, xi, xs: 0.0])
 
 
+def reference_field_paths(pop, solution, fields):
+    """Agents under per-cluster frozen drift fields, step by step: each
+    cluster's agents read its drift and policy rows with np.interp."""
+    problem = solution.problem
+    p, K = problem.functions, problem.K
+    dt = p.T / K
+    table = _cluster_policy(pop, solution)
+    noise = rng.stream(pop.seed, rng.POP_BROWNIAN).standard_normal((pop.N, K))
+    paths = np.empty((pop.N, K + 1))
+    x = paths[:, 0] = pop.initial_states
+    for k in range(K):
+        drift = np.empty(pop.N)
+        for c in range(pop.M_k):
+            i = pop.cluster_of == c
+            drift[i] = (np.interp(x[i], fields.x_grid, fields.drift_coef[c, k])
+                        * np.interp(x[i], fields.x_grid, table[c, k]))
+        x = x + drift * dt + p.sigma * math.sqrt(dt) * noise[:, k]
+        paths[:, k + 1] = x
+    return paths
+
+
 class TestSystemCD:
+    def test_c_and_d_match_interp_reference(self, coupled_solution):
+        """Systems C and D run the closed-loop kernel on the agents' buffer
+        as (cluster, agent) rows: the bits of a per-cluster np.interp loop."""
+        pop = build_population(Graphon.uniform_attachment(), 4, 5,
+                               normal_quantile_measure(0.0, 0.3, 65), seed=27)
+        ts_d = run_system_d(pop, coupled_solution)
+        want_d = reference_field_paths(pop, coupled_solution,
+                                       system_d_fields(pop, coupled_solution))
+        assert np.array_equal(ts_d.paths, want_d)
+        ts_c = run_system_c(pop, coupled_solution, R_law=200)
+        clone = _law_problem(pop, coupled_solution, 200)
+        fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
+                               ts_c.cluster_laws, clone.x_grid, drift_only=True)
+        assert np.array_equal(ts_c.paths,
+                              reference_field_paths(pop, coupled_solution, fields))
+        assert not np.array_equal(ts_c.paths, ts_d.paths)
+
+    def test_nan_drift_row_raises(self, coupled_solution):
+        """A non-finite drift row fails System D at its cluster instead of
+        returning non-finite paths."""
+        pop = build_population(Graphon.uniform_attachment(), 4, 5,
+                               normal_quantile_measure(0.0, 0.3, 65), seed=27)
+        fields = system_d_fields(pop, coupled_solution)
+        fields.drift_coef[2, 5] = np.nan
+        with pytest.raises(NumericalError, match="diverged at row 2"):
+            run_system_d(pop, coupled_solution, fields=fields)
+
     def test_uncoupled_c_equals_a_pathwise(self, uncoupled_solution):
         pop = build_population(Graphon.constant(0.0), 2, 30, dirac(0.0),
                                seed=21)

@@ -7,7 +7,7 @@ from gmfg import (Constant, ConvergenceError, GMFGProblem, Graphon,
                   InvariantError, Measure1D, Poly2, ProblemFunctions, dirac,
                   ensemble_distance, ensemble_w1_sup, inner_mv_consistency, marginals, normal_quantile_measure,
                   picard_solve, propagate_closed_loop, sensitivity_probe, w1,
-                  w1_joint_continuity_scan, zero_drift_bundle)
+                  w1_joint_continuity_scan, zero_drift_ensemble)
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -54,7 +54,7 @@ class TestPropagation:
                                         (-1, 1), 1.0, 1.0)
         problem = GMFGProblem(p, Graphon.constant(0.0), dirac(0.0),
                               M=2, K=64, N_x=101, R=10_000, seed=3)
-        ens = marginals(zero_drift_bundle(problem))
+        ens = zero_drift_ensemble(problem)
         bundle = propagate_closed_loop(problem, constant_policy(problem, 0.0), ens)
         levels = (np.arange(4001) + 0.5) / 4001
         from scipy.special import ndtri
@@ -70,7 +70,7 @@ class TestPropagation:
         # f0 = 0, f = 1, g = 1: drift is exactly u; paths are x0 + u t + noise
         problem = GMFGProblem(tracking_problem(), Graphon.constant(1.0),
                               dirac(0.2), M=2, K=40, N_x=101, R=4000, seed=5)
-        ens = marginals(zero_drift_bundle(problem))
+        ens = zero_drift_ensemble(problem)
         u_star = 0.5
         bundle = propagate_closed_loop(problem, constant_policy(problem, u_star), ens)
         mean_T = bundle.paths[:, :, -1].mean(axis=1)
@@ -80,7 +80,7 @@ class TestPropagation:
 
     def test_common_random_numbers_coupling(self):
         problem = small_problem()
-        ens = marginals(zero_drift_bundle(problem))
+        ens = zero_drift_ensemble(problem)
         pols = constant_policy(problem, 0.1)
         b1 = propagate_closed_loop(problem, pols, ens)
         b2 = propagate_closed_loop(problem, pols, ens)
@@ -90,11 +90,26 @@ class TestPropagation:
         """Behind the (M, R, K+1) view, one time node of a vertex is one
         contiguous row."""
         problem = small_problem(M=2, K=8, R=300)
-        start = zero_drift_bundle(problem)
-        pols = constant_policy(problem, 0.1)
-        for bundle in (start, propagate_closed_loop(problem, pols, marginals(start))):
+        ens = zero_drift_ensemble(problem)
+        for u in (0.0, 0.1):
+            bundle = propagate_closed_loop(problem, constant_policy(problem, u), ens)
             assert bundle.paths.shape == (problem.M, problem.R, problem.K + 1)
             assert np.swapaxes(bundle.paths, 1, 2).flags.c_contiguous
+
+
+    def test_nan_drift_row_raises(self):
+        """A non-finite drift row fails the propagation at its vertex."""
+        from gmfg import NumericalError, frozen_fields
+
+        problem = small_problem(M=3, K=8, R=300)
+        ens = zero_drift_ensemble(problem)
+        fields = frozen_fields(problem.functions, problem.graphon,
+                               problem.vertex_grid.midpoints, ens, problem.x_grid,
+                               drift_only=True)
+        fields.drift_coef[1, 4] = np.nan
+        with pytest.raises(NumericalError, match="diverged at row 1"):
+            propagate_closed_loop(problem, constant_policy(problem, 0.1), ens,
+                                  fields=fields)
 
 
 class TestInnerConsistency:
@@ -104,7 +119,7 @@ class TestInnerConsistency:
                                         Poly2(xx=1.0), Constant(1.0),
                                         Constant(0.0), Constant(0.0), (-1, 1), 0.3, 0.5),
             Graphon.constant(0.0), dirac(0.0), M=2, K=16, N_x=81, R=500, seed=7)
-        ens = marginals(zero_drift_bundle(prob))
+        ens = zero_drift_ensemble(prob)
         pols = constant_policy(prob, 0.3)
         _, got, trace = inner_mv_consistency(prob, pols, ens, tol_inner=1e-9)
         assert len(trace) == 2 and trace[1] == 0.0
@@ -114,7 +129,7 @@ class TestInnerConsistency:
     def test_weak_coupling_geometric_decay(self):
         prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=3, K=32, N_x=81, R=1000, seed=9)
-        start = marginals(zero_drift_bundle(prob))
+        start = zero_drift_ensemble(prob)
         pols = constant_policy(prob, 1.0)
         _, _, trace = inner_mv_consistency(prob, pols, start, tol_inner=1e-6,
                                            max_inner=40)
@@ -124,7 +139,7 @@ class TestInnerConsistency:
     def test_exhausted_iterations_raise_with_trace(self):
         prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=2, K=16, N_x=61, R=400, seed=10)
-        start = marginals(zero_drift_bundle(prob))
+        start = zero_drift_ensemble(prob)
         pols = constant_policy(prob, 1.0)
         with pytest.raises(ConvergenceError) as err:
             inner_mv_consistency(prob, pols, start, tol_inner=1e-12, max_inner=2)
@@ -233,7 +248,7 @@ class TestPicardSolve:
         sol = picard_solve(problem, tol=10.0, min_outer=1, max_outer=1)
         # the pass's propagation: its policy against the zero-drift start
         bundle = propagate_closed_loop(problem, sol.policy,
-                                       marginals(zero_drift_bundle(problem)))
+                                       zero_drift_ensemble(problem))
         steps = bundle.paths[:, :, :-1]
         outside = np.mean((steps < -0.3) | (steps > 0.3))
         assert sol.trace[0]["escaped_mass"] == pytest.approx(outside, abs=1e-15)
@@ -267,15 +282,16 @@ class TestPicardSolve:
 
     def test_double_loop_sorts_each_propagation_once(self, monkeypatch):
         """A double-loop pass takes its new ensemble from the inner
-        sub-iteration: the zero-drift start is sorted into a copy once, and
-        every propagation is sorted once, in place, as it is adopted."""
-        import gmfg.solver as solver_mod
+        sub-iteration: the zero-drift start and every propagation are each
+        sorted once, in place, as they are adopted, and nothing sorts a
+        copy."""
+        import gmfg.measures as measures_mod
         from gmfg.measures import MeasureEnsemble
 
         problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
                               Graphon.constant(1.0), dirac(0.5), M=2, K=16,
                               N_x=61, R=400, seed=10)
-        real_marginals, real_adopt = solver_mod.marginals, MeasureEnsemble.adopt
+        real_marginals, real_adopt = measures_mod.marginals, MeasureEnsemble.adopt
         calls = []
 
         def counting(bundle):
@@ -286,12 +302,12 @@ class TestPicardSolve:
             calls.append("adopt")
             return real_adopt(atoms, times)
 
-        monkeypatch.setattr(solver_mod, "marginals", counting)
+        monkeypatch.setattr(measures_mod, "marginals", counting)
         monkeypatch.setattr(MeasureEnsemble, "adopt", staticmethod(adopting))
         sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10,
                            mode="double_loop", inner_tol=1e-6)
-        assert calls.count("marginals") == 1
-        assert calls.count("adopt") == sum(e["inner_passes"] for e in sol.trace)
+        assert calls.count("marginals") == 0
+        assert calls.count("adopt") == 1 + sum(e["inner_passes"] for e in sol.trace)
 
     @pytest.mark.parametrize("mode", ["single_loop", "double_loop"])
     def test_one_draw_per_solve(self, monkeypatch, mode):
@@ -379,7 +395,8 @@ class TestPicardSolve:
 
     def test_path_diagnostics(self, small_solution):
         problem, sol = small_solution
-        start = zero_drift_bundle(problem)
+        start = propagate_closed_loop(problem, constant_policy(problem, 0.0),
+                                      sol.ensemble)
         bundle = propagate_closed_loop(problem, sol.policy, sol.ensemble)
         assert ensemble_distance(start, bundle) > 0.0
         assert ensemble_distance(bundle, bundle) == 0.0
@@ -504,7 +521,7 @@ class TestBatchedPass:
         problem = GMFGProblem(p, Graphon.uniform_attachment(),
                               normal_quantile_measure(0.2, 0.3, 65), M=3, K=12,
                               N_x=41, R=300, seed=23)
-        ens = marginals(zero_drift_bundle(problem))
+        ens = zero_drift_ensemble(problem)
         x, times = problem.x_grid, problem.times
         alphas = problem.vertex_grid.midpoints
         fields = frozen_fields(p, problem.graphon, alphas, ens, x)
