@@ -11,8 +11,11 @@ Outputs are machine-readable: CSV in the shared format of
 config and seed are byte-identical; wall-clock timings (a command's
 ``wall_time``, and each ladder rung's per-phase ``seconds``) are only
 emitted when GMFG_TIMING=1.
-Exit codes: 0 success, 1 input error, 2 convergence failure (trace written).
-``simulate-enash`` runs one rung at a time and dumps each as it ends: a
+Exit codes: 0 success; 1 input error, or any other package error; 2
+convergence failure (``solve-gmfg`` writes its trace) or numerical
+failure. Every package error leaves as ``gmfg:`` lines on stderr, never
+as a traceback. ``simulate-enash`` checks the whole ladder before the
+first solve, then runs one rung at a time and dumps each as it ends: a
 ladder whose solve fails at rung k exits 2 with no ``report.json``,
 leaving only the ``--dump-paths`` files of the rungs before k.
 """
@@ -24,11 +27,11 @@ import time
 
 from . import __version__
 from .artifacts import atomic_write, index_columns, json_text, write_csv
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, GmfgError, NumericalError
 from .graphon import (cell_average_step, cut_norm_grid_bound, h11_deviation,
                       sample_step_graphon, step_difference)
 from .lq import solve_lq_fixed_point
-from .population import check_deviator, run_ladder
+from .population import check_ladder, run_ladder
 from .scenario import parse_scenario
 from .solver import picard_solve
 
@@ -79,17 +82,12 @@ def cmd_solve_gmfg(scenario, out_dir, args):
     started = time.time()
     problem = scenario.build_problem()
     try:
-        sol = picard_solve(problem, tol=scenario.picard_tol,
-                           max_outer=scenario.max_outer, mode=scenario.mode,
-                           min_outer=scenario.min_outer,
-                           inner_tol=scenario.inner_tol)
+        sol = picard_solve(problem, **scenario.solver_settings)
     except ConvergenceError as exc:
-        payload = {"converged": False, "trace": exc.trace,
-                   "error": str(exc)}
+        payload = {"converged": False, "trace": exc.trace, "error": str(exc)}
         payload.update(_maybe_time(started))
         write_json(os.path.join(out_dir, "trace.json"), scenario, payload)
-        print(f"solve-gmfg: {exc}", file=sys.stderr)
-        return 2
+        raise
     comp = sol.ensemble.compress(scenario.output_atoms)
     v, k, _, atom, weight = index_columns(comp.atoms, comp.weights)
     write_csv(os.path.join(out_dir, "ensemble.csv"),
@@ -100,7 +98,7 @@ def cmd_solve_gmfg(scenario, out_dir, args):
                   ["t_index", "x_index", "value"], index_columns(table),
                   _meta(scenario))
     payload = {"converged": True, "trace": sol.trace, "tolerance": sol.tol,
-               "noise_floor": sol.noise_floor}
+               "noise_floor": problem.noise_floor}
     payload.update(_maybe_time(started))
     write_json(os.path.join(out_dir, "trace.json"), scenario, payload)
     return 0
@@ -122,21 +120,13 @@ def cmd_simulate_enash(scenario, out_dir, args):
     started = time.time()
     if scenario.kind != "nonlinear":
         raise ConfigError("simulate-enash needs a nonlinear scenario")
-    ladder = (_parse_ladder(args.ladder) if args.ladder
-              else [(mk, sz) for mk, sz in scenario.rungs])
-    # a repeated rung reruns identical work and would share a dump file
-    repeated = sorted({r for r in ladder if ladder.count(r) > 1})
-    if repeated:
-        raise ConfigError("ladder repeats rung(s) "
-                          + ", ".join(f"{mk}:{sz}" for mk, sz in repeated))
-    check_deviator(ladder, scenario.deviator)
+    ladder = _parse_ladder(args.ladder) if args.ladder else scenario.rungs
+    check_ladder(ladder, scenario.deviator, scenario.graphon)
     results = []
     for mk, size in ladder:
         [rung] = run_ladder(
             scenario.build_problem, [(mk, size)], n_reps=scenario.replications,
-            tol=scenario.picard_tol, iota=scenario.deviator,
-            solver_kwargs={"max_outer": scenario.max_outer, "min_outer": scenario.min_outer,
-                           "mode": scenario.mode, "inner_tol": scenario.inner_tol},
+            iota=scenario.deviator, solver_kwargs=scenario.solver_settings,
             R_law=scenario.R_law, with_perturbations=args.perturbations, timing=_timing())
         # a view of the rung's whole System A stack, gone before the next solve
         paths = rung.pop("system_a_paths")
@@ -224,13 +214,10 @@ def main(argv=None):
     try:
         scenario = parse_scenario(args.config, seed_override=_seed_override())
         return dispatch(args.command, scenario, args.out, args)
-    except ConfigError as exc:
-        for problem in exc.problems:
+    except GmfgError as exc:
+        for problem in getattr(exc, "problems", [exc]):
             print(f"gmfg: {problem}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"gmfg: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (ConvergenceError, NumericalError)) else 1
     except OSError as exc:
         print(f"gmfg: {exc}", file=sys.stderr)
         return 1

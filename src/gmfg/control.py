@@ -8,10 +8,10 @@ closed-form clamp, since the dynamics are control-affine with quadratic
 control cost), and runs the backward semi-implicit value sweep that
 produces one (vertex, time, space) table each of values and feedback.
 Fields and sweep work on a whole batch of vertices at once. It also holds
-the uniform-grid table lookup, the Euler-Maruyama stepper that every
-particle and agent simulation shares, and the one closed-loop kernel on it
-(:func:`closed_loop_steps`) that runs the solver's particles and the agents
-of Systems C and D under frozen drift fields.
+the uniform-grid table lookup, the Euler-Maruyama increments and stepper
+that every particle and agent simulation shares, and the one closed-loop
+kernel on them (:func:`closed_loop_steps`) that runs the solver's particles
+and the agents of Systems C and D under frozen drift fields.
 """
 
 import math
@@ -209,8 +209,8 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
     x_grid = fields.x_grid
     grid = VertexGrid(ensemble.n_vertices)
     alphas = fields.alpha
-    v_own = np.argmin(np.abs(grid.midpoints[None, :] - alphas[:, None]), axis=1)
-    gw = g.evaluate(alphas[:, None], grid.midpoints[None, :]) / grid.M
+    v_own = grid.nearest(alphas)
+    gw = grid.section_weights(g, alphas)
     p = problem.structured_parts
     # (table, intra coefficient, graphon coefficient)
     tables = [("drift_coef", "f0", "f")]
@@ -345,6 +345,16 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     return V, policy
 
 
+def scaled_increments(out, sigma, dt, gen):
+    """Fill slots 1..K of the start buffer ``out`` of :func:`euler_maruyama_steps`
+    (slot 0 holds the caller's initial states) with sigma sqrt(dt) Z from one
+    fresh draw of the generator ``gen`` (standard_normal(out=) needs a
+    contiguous target), freed before the caller's next draw; returns ``out``."""
+    np.multiply(sigma * math.sqrt(dt), gen.standard_normal(out[..., 1:].shape),
+                out=out[..., 1:])
+    return out
+
+
 def euler_maruyama_steps(paths, dt, drift):
     """The Euler-Maruyama time loop, in place on a (..., K+1) buffer.
 
@@ -400,8 +410,7 @@ def rollout_cost(problem, fields, policy, x0, n_paths, seed):
     dt = float(times[1] - times[0])
     paths = np.empty((n_paths, times.size))
     paths[:, 0] = float(x0)
-    np.multiply(problem.sigma * math.sqrt(dt), rng.stream(seed, rng.PROPAGATE, 0)
-                .standard_normal((n_paths, times.size - 1)), out=paths[:, 1:])
+    scaled_increments(paths, problem.sigma, dt, rng.stream(seed, rng.PROPAGATE, 0))
     cost = np.zeros(n_paths)
 
     def drift(k, x):

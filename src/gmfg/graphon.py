@@ -31,6 +31,18 @@ class VertexGrid:
         idx = np.ceil(a * self.M).astype(int) - 1
         return np.clip(idx, 0, self.M - 1)
 
+    def nearest(self, alpha):
+        """Index of the midpoint nearest each coordinate; an exact tie goes
+        to the lower index."""
+        a = np.asarray(alpha, dtype=float)
+        return np.argmin(np.abs(self.midpoints - a[..., None]), axis=-1)
+
+    def section_weights(self, g, alpha):
+        """Midpoint-rule weights g(alpha, beta_j) / M of the section of the
+        graphon ``g`` at each coordinate: (..., M) for alpha of shape (...)."""
+        a = np.asarray(alpha, dtype=float)
+        return g.evaluate(a[..., None], self.midpoints) / self.M
+
     def __repr__(self):
         return f"VertexGrid(M={self.M})"
 

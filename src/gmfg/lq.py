@@ -95,11 +95,6 @@ class LQParams:
         self.Rinv = np.linalg.inv(self.R)
         self.BRB = self.B @ self.Rinv @ self.B.T
 
-    def graphon_weights(self):
-        """Row-stochastic-up-to-mass vertex quadrature of the kernel."""
-        m = self.vertex_grid.midpoints
-        return self.graphon.evaluate(m[:, None], m[None, :]) / self.M
-
 
 @dataclass
 class RiccatiPath:
@@ -232,7 +227,7 @@ class LambdaOperator:
         self.fm = fundamental_matrices(p, self.ric)
         dt = p.T / p.K
         self.w_low, self.w_up = _trap_weight_rows(p.K + 1, dt)
-        self.Gw = p.graphon_weights()
+        self.Gw = p.vertex_grid.section_weights(p.graphon, p.vertex_grid.midpoints)
         # kernel coefficient matrices per time node
         self.A1 = p.gamma0 * p.Q[None] - np.einsum("kij,jl->kil", self.ric.Pi, p.D0)
         self.A2 = p.gamma * p.Q[None] - np.einsum("kij,jl->kil", self.ric.Pi, p.D)

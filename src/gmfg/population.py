@@ -49,7 +49,8 @@ import numpy as np
 from . import rng
 from .coefficients import SortedClusters
 from .control import (GridLookup, Policy, brackets, closed_loop_steps,
-                      euler_maruyama_steps, frozen_fields, solve_hjb)
+                      euler_maruyama_steps, frozen_fields, scaled_increments,
+                      solve_hjb)
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import MeasureEnsemble
@@ -87,9 +88,7 @@ class FinitePopulation:
         if out is None:
             out = np.empty((self.N, K + 1))
         out[:, 0] = self.initial_states
-        np.multiply(sigma * math.sqrt(dt), rng.stream(self.seed, rng.POP_BROWNIAN)
-                    .standard_normal((self.N, K)), out=out[:, 1:])
-        return out
+        return scaled_increments(out, sigma, dt, rng.stream(self.seed, rng.POP_BROWNIAN))
 
 
 def build_population(g, M_k, size, initial_law, seed):
@@ -123,23 +122,13 @@ class TrajectorySet:
 def _cluster_policy(pop, solution):
     """(M_k, K+1, N_x) policy table: each cluster's row is the solved row of
     the solver vertex nearest its midpoint."""
-    solver_mid = solution.problem.vertex_grid.midpoints
-    nearest = np.argmin(np.abs(solver_mid[None, :]
-                               - pop.vertex_grid.midpoints[:, None]), axis=1)
-    return solution.policy[nearest]
+    return solution.policy[solution.problem.vertex_grid.nearest(pop.vertex_grid.midpoints)]
 
 
 def _deviation_control(psi, t, x_i, x_all):
     if isinstance(psi, Policy):
         return float(psi(t, x_i))
     return float(psi(t, x_i, x_all))
-
-
-def _row_columns(S, M_k, columns):
-    """Cluster columns in a stack of S rows: row s holds the clusters
-    s M_k .. s M_k + M_k - 1, and ``columns`` (n, width) names the clusters
-    each of a row's n points reads within its row. Returns (S n, width)."""
-    return (np.arange(S)[:, None, None] * M_k + columns).reshape(-1, columns.shape[1])
 
 
 def _graphon_means(part, x, row, W):
@@ -157,10 +146,12 @@ def _own_means(part, x, own):
 
 
 def _stack_views(clusters, S, M_k, own):
-    """The own-cluster and the row views of a stack of S rows for points in
-    the clusters ``own`` (n,) of their row."""
-    return (clusters.view(_row_columns(S, M_k, own[:, None])),
-            clusters.view(_row_columns(S, M_k, np.tile(np.arange(M_k), (own.size, 1)))))
+    """The own-cluster and the row views of a stack of S rows, row s the
+    clusters s M_k .. s M_k + M_k - 1, for points in the clusters ``own``
+    (n,) of their row: (S n, 1) and (S n, M_k) cluster columns."""
+    first = np.arange(S)[:, None, None] * M_k
+    return (clusters.view((first + own[:, None]).reshape(-1, 1)),
+            clusters.view((first + np.tile(np.arange(M_k), (own.size, 1))).reshape(-1, M_k)))
 
 
 def _empirical_drift(p, pop, clusters, x, u):
@@ -529,19 +520,19 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     section-weighted ensemble. Both sides are exact coefficient means, over
     the population's clusters and over the ensemble's vertex measures at
     each time node; at each node one SortedClusters holds the clusters of
-    every replication. Returns the four E|.| sups and their sum.
+    every replication, and each side is one :func:`~gmfg.control.brackets`
+    call. Returns the four E|.| sups and their sum.
     """
     problem = solution.problem
     s = problem.functions.structured_parts
     iota = ts_b_reps[0].deviator if iota is None else iota
     ensemble = solution.ensemble
-    grid = VertexGrid(ensemble.n_vertices)
     alpha = pop.midpoint(iota)
-    v_own = int(np.argmin(np.abs(grid.midpoints - alpha)))
-    gw = problem.graphon.evaluate(alpha, grid.midpoints)[:, None] / grid.M
+    v_own = int(problem.vertex_grid.nearest(alpha))
+    gw = problem.vertex_grid.section_weights(problem.graphon, [alpha]).T
     n, M_k = len(ts_b_reps), pop.M_k
     own_cluster = pop.cluster_of[iota:iota + 1]
-    W = pop.graph.matrix[own_cluster] / M_k   # (1, M_k)
+    W = pop.graph.matrix[own_cluster] / M_k   # (1, M_k), every replication's row
     # node k of this copy is a strided (n, N) view, as a path column
     # ts.paths[:, k] is; the cluster moments round by stride, so each
     # replication's brackets equal those of its paths alone
@@ -552,18 +543,15 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     def terms(f0, l1, l2, f, l3, l4, u):
         return np.stack([f0 * u, f * u, l1 + l2 * u**2, l3 + l4 * u**2])
 
+    names = ("f0", "l1", "l2", "f", "l3", "l4")
     sums = np.zeros((4, problem.K))
     for k in range(problem.K):
-        xi, uk = states[:, iota, k], u[:, k, None]
-        x = xi[:, None]   # the deviator of each replication, (n, 1)
+        xi, uk = states[:, iota, k], u[:, k, None]   # the deviator of each replication
         clusters = SortedClusters(np.reshape(states[:, :, k], (n * M_k, pop.size)))
         own, row = _stack_views(clusters, n, M_k, own_cluster)
-        finite = terms(*(_own_means(s[c], x, own) for c in ("f0", "l1", "l2")),
-                       *(_graphon_means(s[c], x, row, W) for c in ("f", "l3", "l4")),
-                       uk)
+        finite = terms(*brackets(s, names, xi, own, row, W.T), uk)
         limit = ensemble.clusters(k)
-        mean_field = terms(*brackets(s, ("f0", "l1", "l2", "f", "l3", "l4"), xi,
-                                     limit.view([[v_own]]), limit, gw), uk)
+        mean_field = terms(*brackets(s, names, xi, limit.view([[v_own]]), limit, gw), uk)
         gap = np.abs(finite - mean_field)[:, :, 0]
         for r in range(n):   # one replication at a time: a fixed summation order
             sums[:, k] += gap[:, r]
@@ -614,40 +602,44 @@ def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
     return rung
 
 
-def check_deviator(ladder, iota):
-    """ConfigError unless agent ``iota`` exists on every (M_k, size) rung."""
-    small = [(M_k, size) for M_k, size in ladder if not 0 <= iota < M_k * size]
-    if small:
-        raise ConfigError(f"deviator {iota} is not an agent of rung(s) "
-                          + ", ".join(f"{mk}:{sz} (N={mk * sz})" for mk, sz in small))
+def check_ladder(ladder, iota, graphon):
+    """ConfigError naming the rungs at fault unless the (M_k, size) rungs are
+    distinct, each holds agent ``iota`` and a step ``graphon`` has M_k nodes."""
+    repeated = [f"{mk}:{sz}" for mk, sz in sorted({r for r in ladder if ladder.count(r) > 1})]
+    small = [f"{mk}:{sz} (N={mk * sz})" for mk, sz in ladder if not 0 <= iota < mk * sz]
+    off = [f"{mk}:{sz}" for mk, sz in ladder if graphon.kind == "step" and mk != graphon.cells]
+    problems = [f"{what} rung(s) " + ", ".join(rungs) for what, rungs in (
+        ("ladder repeats", repeated), (f"deviator {iota} is not an agent of", small),
+        (f"step graphon has {graphon.cells} nodes, not the M_k of", off)) if rungs]
+    if problems:
+        raise ConfigError(problems[0], problems)
 
 
-def run_ladder(make_problem, ladder, n_reps=20, tol=None, iota=0,
-               solver_kwargs=None, R_law=2000, with_perturbations=False,
-               timing=False):
+def run_ladder(make_problem, ladder, n_reps=20, iota=0, solver_kwargs=None,
+               R_law=2000, with_perturbations=False, timing=False):
     """Full approximate-Nash experiment over a population ladder.
 
-    For each rung (M_k, cluster_size) the game is solved once on the
-    matching vertex grid, then ``n_reps`` independent populations run
-    Systems A/B/C/D with shared per-replication noise; the B runs double as
-    both the eps3 family sup and the unilateral cost comparisons. System A
-    of every replication runs as one stack, and so does every replication x
-    family member of System B. Returns one report dict per rung;
-    ``system_a_paths`` holds the (N, K+1) System A paths of the first
-    replication, a view that keeps the rung's whole stack alive (the CLI
-    runs one rung per call and drops it before the next rung's solve), and,
-    with ``timing``, ``seconds`` the wall time of each phase (solve,
-    system_a, family, system_b, system_c, system_d).
+    Every rung (M_k, cluster_size) is checked (:func:`check_ladder`) before
+    the first solve. Each is then solved once on the matching vertex grid
+    (``picard_solve(problem, **solver_kwargs)``), and ``n_reps`` independent
+    populations run Systems A/B/C/D with shared per-replication noise; the
+    B runs double as both the eps3 family sup and the unilateral cost
+    comparisons. System A of every replication runs as one stack, and so
+    does every replication x family member of System B. Returns one report
+    dict per rung; ``system_a_paths`` holds the (N, K+1) System A paths of
+    the first replication, a view that keeps the rung's whole stack alive
+    (the CLI runs one rung per call and drops it before the next rung's
+    solve), and, with ``timing``, ``seconds`` the wall time of each phase
+    (solve, system_a, family, system_b, system_c, system_d).
     """
     from .solver import picard_solve
 
-    check_deviator(ladder, iota)
-    solve = functools.partial(picard_solve, tol=tol, **(solver_kwargs or {}))
-    results = []
-    for M_k, size in ladder:
-        problem = make_problem(M_k)
-        if problem.M != M_k:
+    problems = [make_problem(M_k) for M_k, _ in ladder]
+    for problem, rung in zip(problems, ladder):
+        if problem.M != rung[0]:
             raise GridError("ladder rung must align the solver grid with M_k")
-        results.append(_ladder_rung(problem, size, n_reps, iota, solve, R_law,
-                                    with_perturbations, timing))
-    return results
+        check_ladder([rung], iota, problem.graphon)
+    solve = functools.partial(picard_solve, **(solver_kwargs or {}))
+    return [_ladder_rung(problem, size, n_reps, iota, solve, R_law,
+                         with_perturbations, timing)
+            for problem, (_, size) in zip(problems, ladder)]

@@ -281,6 +281,12 @@ class Scenario:
             self._parse_lq(problem, check)
         check.raise_if_failed()
 
+    @property
+    def solver_settings(self):
+        """The :func:`~gmfg.solver.picard_solve` keywords of the tolerances."""
+        return dict(tol=self.picard_tol, max_outer=self.max_outer, mode=self.mode,
+                    min_outer=self.min_outer, inner_tol=self.inner_tol)
+
     # -- nonlinear ----------------------------------------------------------
 
     def _parse_nonlinear(self, spec, check):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .control import closed_loop_steps, frozen_fields, policy_lipschitz, solve_hjb
+from .control import (closed_loop_steps, frozen_fields, policy_lipschitz,
+                      scaled_increments, solve_hjb)
 from .errors import ConfigError, ConvergenceError, InvariantError
 from .graphon import VertexGrid
 from .measures import MeasureEnsemble, PathBundle, ensemble_distance, ensemble_w1_sup
@@ -74,7 +75,6 @@ class GMFGSolution:
     ensemble: MeasureEnsemble
     trace: list
     tol: float
-    noise_floor: float
     problem: GMFGProblem = None
 
 
@@ -82,22 +82,20 @@ def _start_paths(problem):
     """The read-only (M, R, K+1) start buffer of a solve.
 
     Slot 0 holds each vertex's initial draws of the initial law and slot
-    k+1 its scaled Brownian increment sigma sqrt(dt) Z_k. Both streams are
+    k+1 its scaled Brownian increment sigma sqrt(dt) Z_k, filled one vertex
+    at a time (:func:`~gmfg.control.scaled_increments`). Both streams are
     keyed by (seed, vertex), so a solve draws them once and every
     propagation of it starts from a copy (:func:`_fresh_paths`), fresh or
     written into a buffer the solve recycles. The memory is time-major,
     (M, K+1, R), behind the (M, R, K+1) view: an Euler step then writes one
     contiguous block, and the buffer is in an ensemble's memory order.
     """
-    scale = problem.functions.sigma * math.sqrt(problem.functions.T / problem.K)
+    p, dt = problem.functions, problem.functions.T / problem.K
     paths = np.empty((problem.M, problem.K + 1, problem.R)).swapaxes(1, 2)
     for v in range(problem.M):
         paths[v, :, 0] = problem.initial_law.quantile(
             rng.stream(problem.seed, rng.INITIAL, v).random(problem.R))
-        # standard_normal(out=) needs a contiguous target, so draw and
-        # scale; an unnamed draw is freed before the next one is made
-        np.multiply(scale, rng.stream(problem.seed, rng.PROPAGATE, v)
-                    .standard_normal((problem.R, problem.K)), out=paths[v, :, 1:])
+        scaled_increments(paths[v], p.sigma, dt, rng.stream(problem.seed, rng.PROPAGATE, v))
     paths.flags.writeable = False
     return paths
 
@@ -250,7 +248,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         # nothing reads ens once this pass ends: the fields are tables
         spare, ens = ens.atoms, new
         if d < tol_eff and i + 1 >= min_outer:
-            return GMFGSolution(policy, ens, trace, tol_eff, problem.noise_floor, problem)
+            return GMFGSolution(policy, ens, trace, tol_eff, problem)
     raise ConvergenceError(
         f"no contraction below {tol_eff:.3g} within {max_outer} passes", trace=trace)
 

@@ -84,8 +84,8 @@ def ladder_results():
 
     start = time.time()
     results = run_ladder(make_problem, [(2, 25), (4, 50), (8, 100)],
-                         n_reps=20, tol=0.08, iota=0,
-                         solver_kwargs={"max_outer": 25})
+                         n_reps=20, iota=0,
+                         solver_kwargs={"tol": 0.08, "max_outer": 25})
     return results, time.time() - start
 
 

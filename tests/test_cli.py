@@ -257,6 +257,23 @@ class TestSolveGMFGCommand:
         assert trace["converged"] is False
         assert len(trace["trace"]) == 1
 
+    def test_numerical_error_exits_2_without_traceback(self, tmp_path, capsys,
+                                                        monkeypatch):
+        """Every package error leaves main as gmfg: lines on stderr, here a
+        NumericalError of the solve with exit code 2."""
+        from gmfg import NumericalError, cli
+
+        def failing(*args, **kwargs):
+            raise NumericalError("propagation diverged at row 1")
+
+        monkeypatch.setattr(cli, "picard_solve", failing)
+        cfg = write_config(tmp_path / "s.json", nonlinear_scenario())
+        assert main(["solve-gmfg", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["gmfg: propagation diverged at row 1"]
+        assert "Traceback" not in err
+
     def test_min_outer_above_max_outer_is_input_error(self, tmp_path, capsys):
         doc = nonlinear_scenario()
         doc["tolerances"] = {"picard_tol": 0.3, "min_outer": 5, "max_outer": 4}
@@ -506,6 +523,25 @@ class TestSimulateEnashCommand:
                          str(tmp_path / "out"), "--ladder", ladder]) == 1
             assert ("deviator 6 is not an agent of rung(s) 2:3 (N=6)"
                     in capsys.readouterr().err)
+        assert solves == []
+
+    def test_step_graphon_off_a_rung_is_input_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """A step graphon whose node count misses a later rung's M_k fails
+        before the first rung's solve, naming that rung."""
+        from gmfg import solver
+
+        doc = nonlinear_scenario()
+        doc["graphon"] = {"kind": "step", "matrix": [[0.5, 0.2], [0.2, 0.5]]}
+        doc["ladder"] = {"rungs": [[2, 5]], "replications": 1, "R_law": 120}
+        cfg = write_config(tmp_path / "s.json", doc)
+        solves = []
+        monkeypatch.setattr(solver, "picard_solve",
+                            lambda *a, **k: solves.append(a))
+        assert main(["simulate-enash", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--ladder", "2:5,4:5"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "gmfg: step graphon has 2 nodes, not the M_k of rung(s) 4:5"]
         assert solves == []
 
     def test_mode_and_inner_tol_reach_the_ladder_solves(self, tmp_path,

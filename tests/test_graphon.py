@@ -41,6 +41,31 @@ class TestVertexGrid:
         with pytest.raises(DomainError):
             VertexGrid(0)
 
+    def test_nearest_ties_go_low(self):
+        # 0.5 lies exactly between the midpoints 7/16 and 9/16
+        assert VertexGrid(8).nearest([1 / 6, 0.5, 5 / 6]).tolist() == [1, 3, 6]
+        assert VertexGrid(8).nearest(0.5) == 3
+
+    @pytest.mark.parametrize("g", [
+        Graphon.uniform_attachment(),
+        Graphon.from_table([[0.6, 0.45], [0.45, 0.3]]),
+        Graphon.product([0.2, 0.9, 0.4]),
+        Graphon.step([[0.5, 0.2], [0.2, 0.5]])])
+    def test_section_weights_match_written_out_forms(self, g):
+        """Bit for bit the batched, the single-coordinate and the
+        vertex-by-vertex forms the solver, the perturbation terms and the
+        LQ operator wrote out."""
+        grid = VertexGrid(8)
+        m = grid.midpoints
+        alphas = np.array([0.0, 1 / 6, 0.3, 0.5, 1.0])
+        assert np.array_equal(grid.section_weights(g, alphas),
+                              g.evaluate(alphas[:, None], m[None, :]) / grid.M)
+        for alpha in alphas:
+            assert np.array_equal(grid.section_weights(g, [float(alpha)]).T,
+                                  g.evaluate(float(alpha), m)[:, None] / grid.M)
+        assert np.array_equal(grid.section_weights(g, m),
+                              g.evaluate(m[:, None], m[None, :]) / 8)
+
 
 class TestEvaluate:
     def test_zero_kernel(self):

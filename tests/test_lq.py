@@ -34,7 +34,8 @@ class TestLQParams:
 
     def test_graphon_weights_row_sums(self):
         p = benchmark_params(M=8, K=4)
-        c_g = p.graphon_weights().sum(axis=1).max()
+        weights = p.vertex_grid.section_weights(p.graphon, p.vertex_grid.midpoints)
+        c_g = weights.sum(axis=1).max()
         # analytic maximum of the section integral is 1/2 at the left edge
         grid = VertexGrid(8)
         edge = section_integral(Graphon.uniform_attachment(), 0.0,

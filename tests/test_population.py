@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gmfg import (Constant, GMFGProblem, Graphon, GridError, InvariantError,
-                  NumericalError, Policy, Poly2, ProblemFunctions, build_population,
-                  default_deviation_family, deviation_metrics, dirac, empirical,
-                  normal_quantile_measure, perturbation_terms, picard_solve,
-                  policy_lipschitz, run_system_a, run_system_b, run_system_c,
+from gmfg import (ConfigError, Constant, GMFGProblem, GMFGSolution, Graphon, GridError,
+                  InvariantError, NumericalError, Policy, Poly2, ProblemFunctions,
+                  build_population, default_deviation_family, deviation_metrics, dirac,
+                  empirical, normal_quantile_measure, perturbation_terms, picard_solve,
+                  policy_lipschitz, run_ladder, run_system_a, run_system_b, run_system_c,
                   run_system_d, w1)
 from gmfg import rng
 from gmfg.control import frozen_fields
@@ -97,6 +97,33 @@ class TestBuildPopulation:
                              dirac(0.0), seed=0)
         with pytest.raises(InvariantError):
             build_population(Graphon.constant(0.2), 2, 0, dirac(0.0), seed=0)
+
+
+class TestClusterPolicy:
+    def test_clusters_read_the_nearest_solver_vertex(self):
+        """Cluster midpoints 1/6, 1/2 and 5/6 against an M = 8 grid: the
+        middle one ties between vertices 3 and 4 and reads 3."""
+        problem = GMFGProblem(uncoupled_problem(), Graphon.uniform_attachment(),
+                              dirac(0.0), M=8, K=4, N_x=11, R=100)
+        policy = np.arange(8 * 5 * 11, dtype=float).reshape(8, 5, 11)
+        solution = GMFGSolution(policy, None, [], 0.1, problem)
+        pop = build_population(problem.graphon, 3, 2, problem.initial_law, seed=1)
+        assert np.array_equal(_cluster_policy(pop, solution), policy[[1, 3, 6]])
+
+    def test_ladder_is_checked_before_the_first_solve(self, monkeypatch):
+        from gmfg import solver
+
+        solves = []
+        monkeypatch.setattr(solver, "picard_solve", lambda *a, **k: solves.append(a))
+        step = Graphon.step([[0.5, 0.2], [0.2, 0.5]])
+
+        def make_problem(M):
+            return GMFGProblem(uncoupled_problem(), step, dirac(0.0), M=M, K=4,
+                               N_x=11, R=100)
+
+        with pytest.raises(ConfigError, match="2 nodes, not the M_k of rung.s. 4:5"):
+            run_ladder(make_problem, [(2, 5), (4, 5)], n_reps=1)
+        assert solves == []
 
 
 class TestSystemA:
