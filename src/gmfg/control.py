@@ -101,40 +101,48 @@ class GridLookup:
     against the grid nodes); reading a table then gives exactly what
     ``np.interp`` gives: (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) times
     x - xp[j], plus fp[j], and the end values outside the grid. Tables are
-    (n_rows, N_x); ``rows`` (broadcast against the points) picks the row
-    each point reads, 0 for a batch of one. ``escaped`` counts the points
-    outside the grid. The grid must be uniform, as every space grid of the
-    package is.
+    (n_rows, N_x); ``rows`` (broadcast to the shape of the points) picks
+    the row each point reads, 0 for a batch of one. ``escaped`` counts the
+    points outside the grid. The grid must be uniform, as every space grid
+    of the package is.
     """
 
     def __init__(self, x_grid, x, rows=0):
         xp = np.asarray(x_grid, dtype=float)
         x = np.asarray(x, dtype=float)
         n = xp.size
+        self.shape = x.shape
+        x = x.reshape(-1)
         t = np.floor((x - xp[0]) * ((n - 1) / (xp[-1] - xp[0])))
         j = np.fmax(np.fmin(t, n - 2), 0).astype(np.intp)   # NaN lands in range
-        j = np.clip(j + (x >= xp[j + 1]) - (x < xp[j]), 0, n - 2)
+        offset = x - xp.take(j)
+        # the floor is one cell off next to a node, and every point off the
+        # grid lies outside its clamped cell; only these points (never a
+        # NaN) need the correction against the nodes
+        edge = np.flatnonzero((offset < 0) | (x >= xp[1:].take(j)))
+        xe = x[edge]
+        je = j[edge]
+        je = np.clip(je + (xe >= xp[je + 1]) - (xe < xp[je]), 0, n - 2)
+        j[edge] = je
+        offset[edge] = xe - xp[je]
         self.n = n
-        self.rows = rows
-        self.flat = np.asarray(rows) * n + j
-        self.offset = x - xp[j]
+        self.flat = (np.asarray(rows) * n + j.reshape(self.shape)).reshape(-1)
+        self.offset = offset
         self.widths = np.diff(xp)
-        self.below = x < xp[0]
-        self.above = x >= xp[-1]
-        self.ends = bool(self.below.any() or self.above.any())
-        self.escaped = (int(np.count_nonzero(self.below))
-                        + int(np.count_nonzero(x[self.above] > xp[-1]))
-                        if self.ends else 0)
+        # the points off the grid read the end values of their rows: cell 0
+        # starts at a row's first value and cell N_x - 2 ends at its last
+        below, above = edge[xe < xp[0]], edge[xe >= xp[-1]]
+        self.ends = np.concatenate([below, above])
+        self.end_flat = np.concatenate([self.flat[below], self.flat[above] + 1])
+        self.escaped = int(np.count_nonzero((xe < xp[0]) | (xe > xp[-1])))
 
     def __call__(self, table):
         table = np.asarray(table, dtype=float).reshape(-1, self.n)
         slope = np.zeros_like(table)
         np.divide(np.diff(table, axis=1), self.widths, out=slope[:, :-1])
         out = slope.take(self.flat) * self.offset + table.take(self.flat)
-        if self.ends:
-            out = np.where(self.below, table[self.rows, 0],
-                           np.where(self.above, table[self.rows, -1], out))
-        return out
+        out[self.ends] = table.take(self.end_flat)
+        return out.reshape(self.shape)
 
 
 class FrozenFields:

@@ -25,6 +25,8 @@ _BLOWUP = 1e8
 _LQ_MAX_ITER = 200
 # slack of the Monte-Carlo band for the ODE discretization
 _LQ_ODE_TOL = 1e-3
+# rows of Phi or Psi per block of the one-input norm bound
+_BOUND_ROWS = 64
 
 
 def _sym(m):
@@ -215,10 +217,13 @@ class LambdaOperator:
     (K+1)n x (K+1)n: ``w_up * Psi`` for the backward integral over
     tau >= r and ``w_low * Phi`` for the forward one over r <= t, so
     ``apply`` and ``forcing`` are a few matmuls over all vertices and times.
-    The norm bound needs the Frobenius norms of Phi(t,r) BRB Psi(r,tau);
+    The norm bound needs the Frobenius norms of Phi(t,r) BRB Psi(r,tau).
+    With one control input BRB = l l', so each norm is |Phi(t,r) l| times
+    |Psi(r,tau)' l|: the bound costs O(K^2) small products, read in fixed
+    blocks of rows with no (K+1) x (K+1) temporary. With two or more inputs
     it takes them in Gram form, |A B|_F^2 = <A'A, B B'>, as one matmul of
     (K+1-r) flattened Gram matrices against (K+1-r) others per r, over only
-    the rows t >= r that the outer quadrature reads.
+    the rows t >= r that the outer quadrature reads: O(K^3).
     """
 
     def __init__(self, p):
@@ -268,12 +273,44 @@ class LambdaOperator:
 
     def norm_bound(self):
         """Quadrature evaluation of the operator-norm bound c_Lambda."""
-        p, fm = self.p, self.fm
-        K1, n = p.K + 1, p.n
+        p = self.p
         c_g = float(self.Gw.sum(axis=1).max())
         a1 = (np.linalg.norm(self.A1, axis=(1, 2))
               + c_g * np.linalg.norm(self.A2, axis=(1, 2)))  # (K+1,)
         gamma_mix = abs(p.gamma0) + c_g * abs(p.gamma)
+        if p.n_u == 1:
+            return self._rank_one_bound(c_g, a1, gamma_mix)
+        return self._gram_bound(c_g, a1, gamma_mix)
+
+    def _rank_one_bound(self, c_g, a1, gamma_mix):
+        """The bound for one control input, where BRB = l l' and every
+        Frobenius norm of Phi(t,r) BRB Psi(r,tau) is |Phi(t,r) l| times
+        |Psi(r,tau)' l|: the r side sums to one number s_r per r, and
+        the t side reads |Phi(t,r) l| and |Phi(t,r) D| in blocks of rows."""
+        p, fm = self.p, self.fm
+        K1 = p.K + 1
+        l = p.B[:, 0] * math.sqrt(p.Rinv[0, 0])
+        end = np.linalg.norm(np.einsum("rji,j->ri", fm.Psi[:, -1], l) @ p.Q_T, axis=1)
+        s = gamma_mix * end
+        for r0 in range(0, K1, _BOUND_ROWS):
+            r1 = min(r0 + _BOUND_ROWS, K1)
+            psi_l = np.linalg.norm(np.einsum("ruji,j->rui", fm.Psi[r0:r1, r0:], l),
+                                   axis=2)
+            s[r0:r1] += (self.w_up[r0:r1, r0:] * psi_l) @ a1[r0:]
+        totals = np.empty(K1)
+        for t0 in range(0, K1, _BOUND_ROWS):
+            t1 = min(t0 + _BOUND_ROWS, K1)
+            phi = fm.Phi[t0:t1, :t1]
+            inner = (np.linalg.norm(phi @ l, axis=2) * s[:t1]
+                     + c_g * np.linalg.norm(phi @ p.D, axis=(2, 3)))
+            totals[t0:t1] = np.einsum("tr,tr->t", self.w_low[t0:t1, :t1], inner)
+        return float(totals.max())
+
+    def _gram_bound(self, c_g, a1, gamma_mix):
+        """The bound for two or more control inputs, with each Frobenius norm
+        of Phi(t,r) BRB Psi(r,tau) taken in Gram form."""
+        p, fm = self.p, self.fm
+        K1, n = p.K + 1, p.n
         # Gram matrices A'A of Phi(t,r) BRB and B B' of Psi(r,tau), each row
         # padded with a zero: the zeros add nothing to the inner products but
         # keep the matmul off its ~3x slower path for an inner dimension of

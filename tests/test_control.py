@@ -522,6 +522,31 @@ class TestGridLookup:
         assert np.array_equal(look(fp), expected)
         assert look.escaped == np.count_nonzero((x < xp[0]) | (x > xp[-1]))
 
+    def test_row_batches_as_the_closed_loop_reads_them(self):
+        """2-D points with (M, 1) broadcast rows, as closed_loop_steps looks
+        them up: nodes, points next to nodes, points off both ends and a NaN
+        each read what np.interp reads on their row."""
+        xp = np.linspace(-2.0, 3.0, 11)
+        gen = np.random.default_rng(4)
+        M = 3
+        fp = gen.normal(size=(M, xp.size))
+        x = np.empty((M, 40))
+        x[:, :20] = gen.uniform(-2.5, 3.5, size=(M, 20))
+        x[:, 20:31] = xp
+        x[:, 31:34] = np.nextafter(xp[[2, 5, 9]], -np.inf)
+        x[:, 34] = np.nextafter(xp[-1], np.inf)
+        x[:, 35:37] = -np.inf, np.inf
+        x[:, 37:39] = xp[0] - 1.0, xp[-1] + 1.0
+        x[1, 39] = np.nan
+        x[[0, 2], 39] = xp[4]
+        look = GridLookup(xp, x, np.arange(M).reshape(M, 1))
+        out = look(fp)
+        assert out.shape == x.shape
+        for v in range(M):
+            assert np.array_equal(out[v], np.interp(x[v], xp, fp[v]), equal_nan=True)
+        assert np.isnan(out[1, 39])
+        assert look.escaped == np.count_nonzero((x < xp[0]) | (x > xp[-1]))
+
     def test_scalar_point_and_one_row_table(self):
         xp = np.linspace(-1.0, 1.0, 5)
         fp = np.array([0.0, 1.0, 4.0, 9.0, 16.0])

@@ -186,6 +186,15 @@ def matrix_params(M=3, K=30):
                     Graphon.uniform_attachment(), M, K)
 
 
+def one_input_params(B=((1.0,), (0.5,)), R=((1.3,),), M=3, K=30):
+    # n = 2 driven through a single control input
+    return LQParams([[0.1, 0.3], [-0.2, 0.0]], B, [[0.05, 0.0], [0.0, 0.02]],
+                    [[0.2, 0.1], [0.0, 0.2]], [[0.5, 0.0], [0.1, 0.3]],
+                    [[1.0, 0.2], [0.2, 0.8]], R, [[0.3, 0.0], [0.0, 0.1]],
+                    0.4, 0.6, [0.5, -0.2], [1.0, 0.3], 1.0,
+                    Graphon.uniform_attachment(), M, K)
+
+
 def reference_norm_bound(op):
     # per-r product tensor and np.linalg.norm over every row t
     p, fm = op.p, op.fm
@@ -301,6 +310,25 @@ class TestMatrixKernels:
         want = reference_norm_bound(op)
         assert want > 0.0
         assert op.norm_bound() == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_one_input_norm_bound_matches_reference(self):
+        """With one control input the bound factors through BRB = l l'."""
+        op = LambdaOperator(one_input_params())
+        assert op.p.n_u == 1
+        want = reference_norm_bound(op)
+        assert want > 0.0
+        assert op.norm_bound() == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_one_input_bound_equals_gram_bound(self):
+        """A zero second input column leaves BRB as it is but runs the Gram
+        form: both evaluations give one bound."""
+        p = one_input_params()
+        b, r = p.B[:, 0], float(p.R[0, 0])
+        q = one_input_params(B=np.column_stack([b, np.zeros(2)]), R=np.diag([r, 1.0]))
+        assert q.n_u == 2
+        np.testing.assert_array_equal(q.BRB, p.BRB)
+        want = LambdaOperator(q).norm_bound()
+        assert LambdaOperator(p).norm_bound() == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_apply_and_forcing_match_reference(self):
         op = LambdaOperator(matrix_params())
