@@ -16,12 +16,17 @@ import os
 import numpy as np
 
 
-def atomic_write(path, text):
-    """Write ``text`` to ``path`` through a temporary file and a rename."""
+# rows formatted per block of a streamed CSV write
+_CSV_BLOCK_ROWS = 4096
+
+
+def atomic_write(path, blocks):
+    """Write the text ``blocks`` (strings, consumed one at a time) to
+    ``path`` through a temporary file and a rename."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(blocks)
     os.replace(tmp, path)
 
 
@@ -36,15 +41,24 @@ def index_columns(*tables):
 def write_csv(path, header, columns, meta=None):
     """Write equal-length column arrays under ``header`` as one CSV file.
 
-    ``meta`` (a mapping) becomes leading ``# key=value`` lines.
+    ``meta`` (a mapping) becomes leading ``# key=value`` lines. Rows are
+    formatted and written in blocks, so the whole text is never held.
     """
     cols = [np.asarray(c) for c in columns]
+    n_rows = len(cols[0])
+    if any(len(c) != n_rows for c in cols):
+        raise ValueError("CSV columns differ in length")
     row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
                    for c in cols) + "\r\n"
-    lines = [f"# {key}={value}\r\n" for key, value in (meta or {}).items()]
-    lines.append(",".join(header) + "\r\n")
-    lines.extend(map(row.__mod__, zip(*(c.tolist() for c in cols), strict=True)))
-    atomic_write(path, "".join(lines))
+
+    def blocks():
+        yield "".join(f"# {key}={value}\r\n" for key, value in (meta or {}).items())
+        yield ",".join(header) + "\r\n"
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = (c[start:start + _CSV_BLOCK_ROWS].tolist() for c in cols)
+            yield "".join(map(row.__mod__, zip(*block)))
+
+    atomic_write(path, blocks())
 
 
 def json_text(obj, level=0):

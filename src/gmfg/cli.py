@@ -42,7 +42,7 @@ def _meta(scenario):
 def write_json(path, scenario, payload):
     doc = {"meta": _meta(scenario)}
     doc.update(payload)
-    atomic_write(path, json_text(doc) + "\n")
+    atomic_write(path, [json_text(doc), "\n"])
 
 
 def _timing():

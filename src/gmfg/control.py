@@ -133,6 +133,9 @@ class GridLookup:
         # starts at a row's first value and cell N_x - 2 ends at its last
         below, above = edge[xe < xp[0]], edge[xe >= xp[-1]]
         self.ends = np.concatenate([below, above])
+        # their interpolated values are overwritten; a zero offset keeps a
+        # flat end cell from meeting an infinite one (0 * inf)
+        offset[self.ends] = 0.0
         self.end_flat = np.concatenate([self.flat[below], self.flat[above] + 1])
         self.escaped = int(np.count_nonzero((xe < xp[0]) | (xe > xp[-1])))
 

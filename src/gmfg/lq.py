@@ -8,7 +8,9 @@ integral operator acting on the vertex-mean surface; when that operator's
 norm bound is below one the mean-field surface is the limit of a Picard
 iteration and the per-vertex feedback is affine. The Riccati,
 fundamental-matrix and offset ODEs all take the one classical RK4 step
-:func:`_rk4` on the half-step grid.
+:func:`_rk4` on the half-step grid. The fundamental matrices are kept as
+factors, Phi(t, s) = U(t) U(s)^-1, so the operator's trapezoid integrals
+are cumulative sums and its memory is linear in the number of time nodes.
 """
 
 import math
@@ -158,24 +160,31 @@ def solve_riccati(p):
 
 @dataclass
 class FundamentalMatrices:
-    """Dense tables Phi(t, s), Psi(t, s) on all grid node pairs."""
+    """Factors of the fundamental matrices on the time nodes.
 
-    Phi: np.ndarray  # (K+1, K+1, n, n), Phi[t, s]
-    Psi: np.ndarray
+    Phi(t, s) = U[t] U_inv[s] and Psi(t, s) = W[t] W_inv[s]; each table has
+    shape (K+1, n, n), so no table over node pairs is ever formed.
+    """
+
+    U: np.ndarray
+    U_inv: np.ndarray
+    W: np.ndarray
+    W_inv: np.ndarray
 
 
 def fundamental_matrices(p, ric):
     """Fundamental solutions of the closed-loop drift and its adjoint.
 
     Phi solves xdot = (A - B R^-1 B' Pi_t + D0) x and Psi solves
-    ydot = -(A - B R^-1 B' Pi_t)' y; both tables satisfy Phi(s, s) = I.
-    When D0 = 0, Psi(t, s) equals Phi(s, t) transposed. Each is one forward
-    RK4 solve of U' = C(t) U, U(0) = I, over its (2K+1, n, n) coefficient
-    table C on the fine grid, built once; Phi(t, s) = U(t) U(s)^-1.
+    ydot = -(A - B R^-1 B' Pi_t)' y; both satisfy Phi(s, s) = I. When
+    D0 = 0, Psi(t, s) equals Phi(s, t) transposed. Each factor is one
+    forward RK4 solve of U' = C(t) U, U(0) = I, over its (2K+1, n, n)
+    coefficient table C on the fine grid, built once, and its inverse is
+    one batched ``np.linalg.inv``.
     """
     dt = p.T / p.K
     closed = p.A - p.BRB @ ric.half_steps
-    tables = []
+    factors = []
     for coef in (closed + p.D0, -np.swapaxes(closed, 1, 2)):
         U = np.empty((p.K + 1, p.n, p.n))
         U[0] = np.eye(p.n)
@@ -183,24 +192,15 @@ def fundamental_matrices(p, ric):
             U[k + 1] = _rk4(lambda j, u: coef[j] @ u, U[k], dt, 2 * k)
             if np.abs(U[k + 1]).max() > _BLOWUP:
                 raise NumericalError("fundamental matrix overflow")
-        tables.append(np.einsum("tij,sjk->tsik", U, np.linalg.inv(U)))
-    return FundamentalMatrices(*tables)
+        factors += [U, np.linalg.inv(U)]
+    return FundamentalMatrices(*factors)
 
 
-def _trap_weight_rows(K1, dt):
-    """Row r holds trapezoid weights for nodes r..K; row t of the lower
-    variant holds weights for nodes 0..t (zero row when the span is empty)."""
-    upper = np.zeros((K1, K1))
-    lower = np.zeros((K1, K1))
-    for r in range(K1):
-        m = K1 - r
-        if m > 1:
-            upper[r, r:] = dt
-            upper[r, r] = upper[r, -1] = 0.5 * dt
-        if r > 0:
-            lower[r, : r + 1] = dt
-            lower[r, 0] = lower[r, r] = 0.5 * dt
-    return lower, upper
+def _trapezoid(first, last, nodes, dt):
+    """Trapezoid weights of the span of nodes first..last, read at
+    ``nodes`` (all three broadcast); a one-node span weighs nothing."""
+    inside = (nodes >= first) & (nodes <= last)
+    return dt * inside - 0.5 * dt * (nodes == first) - 0.5 * dt * (nodes == last)
 
 
 class LambdaOperator:
@@ -213,15 +213,18 @@ class LambdaOperator:
     evaluated with exactly the same quadrature so the contraction check is
     self-consistent.
 
-    Both time integrals are prebuilt as trapezoid-weighted kernels of shape
-    (K+1)n x (K+1)n: ``w_up * Psi`` for the backward integral over
-    tau >= r and ``w_low * Phi`` for the forward one over r <= t, so
-    ``apply`` and ``forcing`` are a few matmuls over all vertices and times.
+    Both time integrals are semiseparable, since Phi(t, r) = U[t] U_inv[r]
+    and Psi(r, tau) = W[r] W_inv[tau]: the forward integral over r <= t is
+    U[t] times a cumulative trapezoid sum of U_inv J, and the backward one
+    over tau >= r is W[r] times a reverse cumulative sum of W_inv y. So
+    ``apply`` and ``forcing`` cost O(M K n^2) and the operator holds only
+    (K+1, n, n) factor tables.
     The norm bound needs the Frobenius norms of Phi(t,r) BRB Psi(r,tau).
     With one control input BRB = l l', so each norm is |Phi(t,r) l| times
     |Psi(r,tau)' l|: the bound costs O(K^2) small products, read in fixed
-    blocks of rows with no (K+1) x (K+1) temporary. With two or more inputs
-    it takes them in Gram form, |A B|_F^2 = <A'A, B B'>, as one matmul of
+    blocks of rows whose Phi, Psi and trapezoid weights are built from the
+    factors, with no (K+1) x (K+1) temporary. With two or more inputs it
+    takes them in Gram form, |A B|_F^2 = <A'A, B B'>, as one matmul of
     (K+1-r) flattened Gram matrices against (K+1-r) others per r, over only
     the rows t >= r that the outer quadrature reads: O(K^3).
     """
@@ -230,14 +233,11 @@ class LambdaOperator:
         self.p = p
         self.ric = solve_riccati(p)
         self.fm = fundamental_matrices(p, self.ric)
-        dt = p.T / p.K
-        self.w_low, self.w_up = _trap_weight_rows(p.K + 1, dt)
+        self.dt = p.T / p.K
         self.Gw = p.vertex_grid.section_weights(p.graphon, p.vertex_grid.midpoints)
         # kernel coefficient matrices per time node
         self.A1 = p.gamma0 * p.Q[None] - np.einsum("kij,jl->kil", self.ric.Pi, p.D0)
         self.A2 = p.gamma * p.Q[None] - np.einsum("kij,jl->kil", self.ric.Pi, p.D)
-        self.kernel_up = _weighted_kernel(self.w_up, self.fm.Psi)
-        self.kernel_low = _weighted_kernel(self.w_low, self.fm.Phi)
 
     def vertex_average(self, surface):
         return np.einsum("ij,jkn->ikn", self.Gw, surface)
@@ -245,14 +245,21 @@ class LambdaOperator:
     def _backward(self, y, term):
         """Integral of Psi(r, tau) y over tau >= r plus Psi(r, T) term, for a
         y of shape (m, K+1, n) and a terminal term of shape (m, n)."""
-        m = y.shape[0]
-        inner = (y.reshape(m, -1) @ self.kernel_up.T
-                 + term @ self.fm.Psi[:, -1].reshape(-1, self.p.n).T)
-        return inner.reshape(y.shape)
+        fm = self.fm
+        g = np.einsum("kij,mkj->mki", fm.W_inv, y)
+        tail = np.zeros_like(g)
+        pairs = (0.5 * self.dt) * (g[:, :-1] + g[:, 1:])
+        tail[:, :-1] = np.cumsum(pairs[:, ::-1], axis=1)[:, ::-1]
+        tail += (term @ fm.W_inv[-1].T)[:, None]
+        return np.einsum("kij,mkj->mki", fm.W, tail)
 
     def _forward(self, J):
         """Integral of Phi(t, r) J over r <= t, for J of shape (m, K+1, n)."""
-        return (J.reshape(J.shape[0], -1) @ self.kernel_low.T).reshape(J.shape)
+        fm = self.fm
+        h = np.einsum("kij,mkj->mki", fm.U_inv, J)
+        head = np.zeros_like(h)
+        np.cumsum((0.5 * self.dt) * (h[:, :-1] + h[:, 1:]), axis=1, out=head[:, 1:])
+        return np.einsum("kij,mkj->mki", fm.U, head)
 
     def apply(self, surface):
         """Evaluate the operator on a surface of shape (M, K+1, n)."""
@@ -269,7 +276,7 @@ class LambdaOperator:
         p = self.p
         y = np.broadcast_to(p.Q @ p.eta, (1, p.K + 1, p.n))
         J = self._backward(y, (p.Q_T @ p.eta)[None]) @ p.BRB.T
-        return self.fm.Phi[:, 0] @ p.x0 + self._forward(J)[0]
+        return self.fm.U @ p.x0 + self._forward(J)[0]
 
     def norm_bound(self):
         """Quadrature evaluation of the operator-norm bound c_Lambda."""
@@ -287,30 +294,35 @@ class LambdaOperator:
         Frobenius norm of Phi(t,r) BRB Psi(r,tau) is |Phi(t,r) l| times
         |Psi(r,tau)' l|: the r side sums to one number s_r per r, and
         the t side reads |Phi(t,r) l| and |Phi(t,r) D| in blocks of rows."""
-        p, fm = self.p, self.fm
+        p, fm, dt = self.p, self.fm, self.dt
         K1 = p.K + 1
+        nodes = np.arange(K1)
         l = p.B[:, 0] * math.sqrt(p.Rinv[0, 0])
-        end = np.linalg.norm(np.einsum("rji,j->ri", fm.Psi[:, -1], l) @ p.Q_T, axis=1)
+        psi_end = np.einsum("rij,jk->rik", fm.W, fm.W_inv[-1])   # Psi[:, K]
+        end = np.linalg.norm(np.einsum("rji,j->ri", psi_end, l) @ p.Q_T, axis=1)
         s = gamma_mix * end
         for r0 in range(0, K1, _BOUND_ROWS):
             r1 = min(r0 + _BOUND_ROWS, K1)
-            psi_l = np.linalg.norm(np.einsum("ruji,j->rui", fm.Psi[r0:r1, r0:], l),
-                                   axis=2)
-            s[r0:r1] += (self.w_up[r0:r1, r0:] * psi_l) @ a1[r0:]
+            psi = np.einsum("rij,ujk->ruik", fm.W[r0:r1], fm.W_inv[r0:])
+            psi_l = np.linalg.norm(np.einsum("ruji,j->rui", psi, l), axis=2)
+            w_up = _trapezoid(nodes[r0:r1, None], p.K, nodes[r0:], dt)
+            s[r0:r1] += (w_up * psi_l) @ a1[r0:]
         totals = np.empty(K1)
         for t0 in range(0, K1, _BOUND_ROWS):
             t1 = min(t0 + _BOUND_ROWS, K1)
-            phi = fm.Phi[t0:t1, :t1]
+            phi = np.einsum("tij,rjk->trik", fm.U[t0:t1], fm.U_inv[:t1])
             inner = (np.linalg.norm(phi @ l, axis=2) * s[:t1]
                      + c_g * np.linalg.norm(phi @ p.D, axis=(2, 3)))
-            totals[t0:t1] = np.einsum("tr,tr->t", self.w_low[t0:t1, :t1], inner)
+            w_low = _trapezoid(0, nodes[t0:t1, None], nodes[:t1], dt)
+            totals[t0:t1] = np.einsum("tr,tr->t", w_low, inner)
         return float(totals.max())
 
     def _gram_bound(self, c_g, a1, gamma_mix):
         """The bound for two or more control inputs, with each Frobenius norm
         of Phi(t,r) BRB Psi(r,tau) taken in Gram form."""
-        p, fm = self.p, self.fm
+        p, fm, dt = self.p, self.fm, self.dt
         K1, n = p.K + 1, p.n
+        nodes = np.arange(K1)
         # Gram matrices A'A of Phi(t,r) BRB and B B' of Psi(r,tau), each row
         # padded with a zero: the zeros add nothing to the inner products but
         # keep the matmul off its ~3x slower path for an inner dimension of
@@ -318,30 +330,24 @@ class LambdaOperator:
         gram_a = np.zeros((K1, n, n + 1))
         gram_b = np.zeros((K1, n, n + 1))
         buf = np.empty(K1 * K1)
-        inner = np.zeros((K1, K1))   # [t, r], rows t >= r
+        totals = np.zeros(K1)
         for r in range(K1):
             m = K1 - r
-            PB = fm.Phi[r:, r] @ p.BRB
+            phi = np.einsum("tij,jk->tik", fm.U[r:], fm.U_inv[r])   # Phi[r:, r]
+            psi = np.einsum("ij,ujk->uik", fm.W[r], fm.W_inv[r:])   # Psi[r, r:]
+            PB = phi @ p.BRB
             np.einsum("tji,tjk->tik", PB, PB, out=gram_a[:m, :, :n])
-            np.einsum("uij,ukj->uik", fm.Psi[r, r:], fm.Psi[r, r:],
-                      out=gram_b[:m, :, :n])
+            np.einsum("uij,ukj->uik", psi, psi, out=gram_b[:m, :, :n])
             nb = np.matmul(gram_a[:m].reshape(m, -1), gram_b[:m].reshape(m, -1).T,
                            out=buf[:m * m].reshape(m, m))  # (t, tau)
             np.maximum(nb, 0.0, out=nb)
             np.sqrt(nb, out=nb)
-            end = np.linalg.norm(PB @ (fm.Psi[r, -1] @ p.Q_T), axis=(1, 2))
-            inner[r:, r] = (nb @ (self.w_up[r, r:] * a1[r:]) + end * gamma_mix
-                            + c_g * np.linalg.norm(fm.Phi[r:, r] @ p.D, axis=(1, 2)))
-        totals = np.einsum("tr,tr->t", self.w_low, inner)
+            end = np.linalg.norm(PB @ (psi[-1] @ p.Q_T), axis=(1, 2))
+            inner = (nb @ (_trapezoid(r, p.K, nodes[r:], dt) * a1[r:])
+                     + end * gamma_mix + c_g * np.linalg.norm(phi @ p.D, axis=(1, 2)))
+            # column r of the outer weights, over the rows t >= r
+            totals[r:] += _trapezoid(0, nodes[r:], r, dt) * inner
         return float(totals.max())
-
-
-def _weighted_kernel(weights, table):
-    """The (K+1)n x (K+1)n matrix of weights[a, b] * table[a, b] with block
-    row a and block column b."""
-    K1, n = table.shape[0], table.shape[2]
-    kernel = weights[:, :, None, None] * table
-    return kernel.transpose(0, 2, 1, 3).reshape(K1 * n, K1 * n)
 
 
 @dataclass

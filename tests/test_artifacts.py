@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gmfg.artifacts import json_text
+from gmfg.artifacts import json_text, write_csv
 
 
 def _jsonable(obj):
@@ -23,6 +23,17 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
+
+
+def reference_csv(header, columns, meta):
+    # the single-string CSV text the block writer replaces, kept as its reference
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
+                   for c in cols) + "\r\n"
+    lines = [f"# {key}={value}\r\n" for key, value in meta.items()]
+    lines.append(",".join(header) + "\r\n")
+    lines.extend(map(row.__mod__, zip(*(c.tolist() for c in cols), strict=True)))
+    return "".join(lines)
 
 
 def reference_text(obj):
@@ -76,3 +87,23 @@ class TestJsonText:
             reference_text({"x": [value]})
         with pytest.raises(TypeError):
             json_text({"x": [value]})
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097, 10_000])
+    def test_blocks_write_the_reference_bytes(self, tmp_path, n_rows):
+        gen = np.random.default_rng(n_rows)
+        columns = [np.arange(n_rows), gen.normal(size=n_rows) * 1e3,
+                   gen.integers(-5, 5, size=n_rows).astype(np.int32),
+                   np.where(np.arange(n_rows) % 7 == 0, np.nan, 0.1)]
+        header = ["i", "x", "k", "y"]
+        meta = {"scenario_hash": "abc", "artifact_version": "1"}
+        write_csv(tmp_path / "a.csv", header, columns, meta)
+        with open(tmp_path / "a.csv", "rb") as fh:
+            assert fh.read() == reference_csv(header, columns, meta).encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+    def test_columns_of_unequal_length_write_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "a.csv", ["a", "b"], [np.zeros(5000), np.zeros(4999)])
+        assert list(tmp_path.iterdir()) == []

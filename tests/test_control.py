@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -546,6 +548,16 @@ class TestGridLookup:
             assert np.array_equal(out[v], np.interp(x[v], xp, fp[v]), equal_nan=True)
         assert np.isnan(out[1, 39])
         assert look.escaped == np.count_nonzero((x < xp[0]) | (x > xp[-1]))
+
+    def test_infinite_points_on_a_flat_table(self):
+        """Points at -inf and inf read the end values of a flat table, as
+        np.interp does, with no invalid 0 * inf on the way."""
+        xp = np.linspace(0.0, 1.0, 5)
+        x = np.array([np.inf, 0.5, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = GridLookup(xp, x)(np.zeros(5))
+        assert np.array_equal(out, np.interp(x, xp, np.zeros(5)))
 
     def test_scalar_point_and_one_row_table(self):
         xp = np.linspace(-1.0, 1.0, 5)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from gmfg import Graphon, InvariantError, VertexGrid, section_integral
-from gmfg.lq import (LambdaOperator, LQParams, _recover_offsets,
+from gmfg.lq import (LambdaOperator, LQParams, _recover_offsets, _rk4,
                      fundamental_matrices, lq_consistency_vs_simulation,
                      solve_lq_fixed_point, solve_riccati)
 
@@ -14,6 +16,27 @@ def scalar_params(A=0.0, B=1.0, D0=0.0, D=0.0, Sigma=0.5, Q=1.0, R=1.0,
     g = graphon if graphon is not None else Graphon.constant(0.0)
     return LQParams([[A]], [[B]], [[D0]], [[D]], [[Sigma]], [[Q]], [[R]],
                     [[Q_T]], gamma0, gamma, [eta], [x0], T, g, M, K)
+
+
+def pair_tables(fm):
+    # the dense Phi(t, s) and Psi(t, s) over all node pairs, from the factors
+    return (np.einsum("tij,sjk->tsik", fm.U, fm.U_inv),
+            np.einsum("tij,sjk->tsik", fm.W, fm.W_inv))
+
+
+def trap_weight_rows(K1, dt):
+    # row r of the upper table: trapezoid weights for nodes r..K; row t of
+    # the lower one: weights for nodes 0..t (a zero row when the span is empty)
+    upper = np.zeros((K1, K1))
+    lower = np.zeros((K1, K1))
+    for r in range(K1):
+        if K1 - r > 1:
+            upper[r, r:] = dt
+            upper[r, r] = upper[r, -1] = 0.5 * dt
+        if r > 0:
+            lower[r, : r + 1] = dt
+            lower[r, 0] = lower[r, r] = 0.5 * dt
+    return lower, upper
 
 
 def benchmark_params(M=16, K=200):
@@ -86,16 +109,16 @@ class TestSolveRiccati:
 class TestFundamentalMatrices:
     def test_identity_at_equal_times(self):
         p = benchmark_params(M=2, K=50)
-        fm = fundamental_matrices(p, solve_riccati(p))
+        Phi, Psi = pair_tables(fundamental_matrices(p, solve_riccati(p)))
         for s in (0, 17, 50):
-            np.testing.assert_allclose(fm.Phi[s, s], np.eye(1), atol=1e-14)
-            np.testing.assert_allclose(fm.Psi[s, s], np.eye(1), atol=1e-14)
+            np.testing.assert_allclose(Phi[s, s], np.eye(1), atol=1e-14)
+            np.testing.assert_allclose(Psi[s, s], np.eye(1), atol=1e-14)
 
     def test_zero_coefficients_give_identity(self):
         p = scalar_params(A=0.0, B=0.0, D0=0.0, Q=0.0, Q_T=0.0, K=30)
-        fm = fundamental_matrices(p, solve_riccati(p))
-        np.testing.assert_allclose(fm.Phi, np.broadcast_to(np.eye(1), fm.Phi.shape))
-        np.testing.assert_allclose(fm.Psi, np.broadcast_to(np.eye(1), fm.Psi.shape))
+        Phi, Psi = pair_tables(fundamental_matrices(p, solve_riccati(p)))
+        np.testing.assert_allclose(Phi, np.broadcast_to(np.eye(1), Phi.shape))
+        np.testing.assert_allclose(Psi, np.broadcast_to(np.eye(1), Psi.shape))
 
     def test_adjoint_duality_when_d0_vanishes(self):
         A = np.array([[-0.4, 0.2], [0.1, -0.6]])
@@ -103,8 +126,8 @@ class TestFundamentalMatrices:
                      0.2 * np.eye(2), np.eye(2), np.eye(2), 0.5 * np.eye(2),
                      0.3, 0.2, np.zeros(2), np.ones(2), 1.0,
                      Graphon.constant(0.5), 2, 200)
-        fm = fundamental_matrices(p, solve_riccati(p))
-        err = np.abs(fm.Psi - np.swapaxes(fm.Phi.transpose(1, 0, 2, 3), 2, 3)).max()
+        Phi, Psi = pair_tables(fundamental_matrices(p, solve_riccati(p)))
+        err = np.abs(Psi - np.swapaxes(Phi.transpose(1, 0, 2, 3), 2, 3)).max()
         assert err < 1e-8
 
 
@@ -144,8 +167,7 @@ class TestLambdaOperator:
         K1 = 41
         dt = p.T / 40
         BRB = float(p.BRB[0, 0])
-        Phi = op.fm.Phi[:, :, 0, 0]
-        Psi = op.fm.Psi[:, :, 0, 0]
+        Phi, Psi = (table[:, :, 0, 0] for table in pair_tables(op.fm))
         A1 = op.A1[:, 0, 0]
         expected = np.zeros_like(got)
         for m in range(3):
@@ -160,6 +182,20 @@ class TestLambdaOperator:
                     accum_t += wr * Phi[t, r] * BRB * accum_r
                 expected[m, t, 0] = accum_t
         assert np.abs(got - expected).max() < 1e-9
+
+    def test_memory_is_linear_in_time_nodes(self):
+        """Build, norm bound and one apply at K = 1600 hold no table over
+        node pairs: one such (K+1)^2 table of floats alone takes 20 MB."""
+        p = benchmark_params(M=4, K=1600)
+        tracemalloc.start()
+        try:
+            op = LambdaOperator(p)
+            op.norm_bound()
+            op.apply(np.ones((4, 1601, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_norm_bound_zero_when_b_and_d_vanish(self):
         p = scalar_params(B=0.0, D=0.0, Q=1.0, Q_T=1.0, gamma0=0.5, gamma=0.5,
@@ -197,8 +233,10 @@ def one_input_params(B=((1.0,), (0.5,)), R=((1.3,),), M=3, K=30):
 
 def reference_norm_bound(op):
     # per-r product tensor and np.linalg.norm over every row t
-    p, fm = op.p, op.fm
+    p = op.p
     K1 = p.K + 1
+    Phi, Psi = pair_tables(op.fm)
+    w_low, w_up = trap_weight_rows(K1, p.T / p.K)
     c_g = float(op.Gw.sum(axis=1).max())
     a1 = (np.linalg.norm(op.A1, axis=(1, 2))
           + c_g * np.linalg.norm(op.A2, axis=(1, 2)))
@@ -206,52 +244,78 @@ def reference_norm_bound(op):
     inner = np.zeros((K1, K1))
     single = np.zeros((K1, K1))
     for r in range(K1):
-        PB = fm.Phi[:, r] @ p.BRB
-        prod = np.einsum("tij,ujk->tuik", PB, fm.Psi[r, r:])
+        PB = Phi[:, r] @ p.BRB
+        prod = np.einsum("tij,ujk->tuik", PB, Psi[r, r:])
         nb = np.linalg.norm(prod, axis=(2, 3))
-        inner[:, r] = nb @ (op.w_up[r, r:] * a1[r:])
-        end = np.linalg.norm(PB @ (fm.Psi[r, -1] @ p.Q_T), axis=(1, 2))
+        inner[:, r] = nb @ (w_up[r, r:] * a1[r:])
+        end = np.linalg.norm(PB @ (Psi[r, -1] @ p.Q_T), axis=(1, 2))
         single[:, r] = end * gamma_mix + c_g * np.linalg.norm(
-            fm.Phi[:, r] @ p.D, axis=(1, 2))
-    return float(np.einsum("tr,tr->t", op.w_low, inner + single).max())
+            Phi[:, r] @ p.D, axis=(1, 2))
+    return float(np.einsum("tr,tr->t", w_low, inner + single).max())
 
 
-def reference_apply(op, x):
-    # per-r backward and per-t forward quadrature loops
-    p, fm = op.p, op.fm
+def reference_apply(op, x, Phi, Psi):
+    # per-r backward and per-t forward quadrature loops over dense tables
+    p = op.p
     K1 = p.K + 1
+    w_low, w_up = trap_weight_rows(K1, p.T / p.K)
     z = op.vertex_average(x)
     y = (np.einsum("kij,mkj->mki", op.A1, x)
          + np.einsum("kij,mkj->mki", op.A2, z))
     term = np.einsum("ij,mj->mi", p.Q_T, p.gamma0 * x[:, -1] + p.gamma * z[:, -1])
     inner = np.empty((x.shape[0], K1, p.n))
     for r in range(K1):
-        inner[:, r] = np.einsum("u,uij,muj->mi", op.w_up[r, r:], fm.Psi[r, r:],
+        inner[:, r] = np.einsum("u,uij,muj->mi", w_up[r, r:], Psi[r, r:],
                                 y[:, r:])
-        inner[:, r] += np.einsum("ij,mj->mi", fm.Psi[r, -1], term)
+        inner[:, r] += np.einsum("ij,mj->mi", Psi[r, -1], term)
     J = (np.einsum("ij,mrj->mri", p.BRB, inner)
          + np.einsum("ij,mrj->mri", p.D, z))
     out = np.empty_like(x)
     for t in range(K1):
-        out[:, t] = np.einsum("r,rij,mrj->mi", op.w_low[t, : t + 1],
-                              fm.Phi[t, : t + 1], J[:, : t + 1])
+        out[:, t] = np.einsum("r,rij,mrj->mi", w_low[t, : t + 1],
+                              Phi[t, : t + 1], J[:, : t + 1])
     return out
 
 
 def reference_forcing(op):
-    p, fm = op.p, op.fm
+    p = op.p
     K1 = p.K + 1
+    Phi, Psi = pair_tables(op.fm)
+    w_low, w_up = trap_weight_rows(K1, p.T / p.K)
     inner = np.empty((K1, p.n))
     for r in range(K1):
-        inner[r] = np.einsum("u,uij,j->i", op.w_up[r, r:], fm.Psi[r, r:],
+        inner[r] = np.einsum("u,uij,j->i", w_up[r, r:], Psi[r, r:],
                              p.Q @ p.eta)
-        inner[r] += fm.Psi[r, -1] @ (p.Q_T @ p.eta)
+        inner[r] += Psi[r, -1] @ (p.Q_T @ p.eta)
     J = inner @ p.BRB.T
     out = np.empty((K1, p.n))
     for t in range(K1):
-        out[t] = fm.Phi[t, 0] @ p.x0 + np.einsum(
-            "r,rij,rj->i", op.w_low[t, : t + 1], fm.Phi[t, : t + 1], J[: t + 1])
+        out[t] = Phi[t, 0] @ p.x0 + np.einsum(
+            "r,rij,rj->i", w_low[t, : t + 1], Phi[t, : t + 1], J[: t + 1])
     return out
+
+
+def transition_tables(p, ric):
+    # Phi(t, r), t >= r, as products of the one-step RK4 maps of the drift,
+    # and Psi(r, tau), tau >= r, as products of the inverses of the adjoint's
+    # one-step maps: no inverse of an ill-conditioned U(t) is taken
+    dt = p.T / p.K
+    closed = p.A - p.BRB @ ric.half_steps
+    tables = []
+    for coef, invert in ((closed + p.D0, False), (-np.swapaxes(closed, 1, 2), True)):
+        steps = [_rk4(lambda j, u: coef[j] @ u, np.eye(p.n), dt, 2 * k)
+                 for k in range(p.K)]
+        table = np.zeros((p.K + 1, p.K + 1, p.n, p.n))
+        for a in range(p.K + 1):
+            table[a, a] = np.eye(p.n)
+            if invert:
+                for r in range(a - 1, -1, -1):
+                    table[r, a] = np.linalg.inv(steps[r]) @ table[r + 1, a]
+            else:
+                for t in range(a + 1, p.K + 1):
+                    table[t, a] = steps[t - 1] @ table[t - 1, a]
+        tables.append(table)
+    return tables
 
 
 def reference_fundamental(coeff_at, n, K, dt):
@@ -333,11 +397,30 @@ class TestMatrixKernels:
     def test_apply_and_forcing_match_reference(self):
         op = LambdaOperator(matrix_params())
         x = np.random.default_rng(5).normal(size=(3, 31, 2))
-        want = reference_apply(op, x)
+        want = reference_apply(op, x, *pair_tables(op.fm))
         assert np.abs(want).max() > 1e-2
         np.testing.assert_allclose(op.apply(x), want, rtol=0, atol=1e-13)
         np.testing.assert_allclose(op.forcing(), reference_forcing(op),
                                    rtol=0, atol=1e-13)
+
+    def test_stiff_apply_matches_transition_products(self):
+        """A drift with rates -8 and 0.5 over T = 2 makes U(T) ill-conditioned;
+        the factored quadrature stays within eps * cond U(T) of the
+        transition-product tables."""
+        c, s = np.cos(0.4), np.sin(0.4)
+        rot = np.array([[c, -s], [s, c]])
+        q = one_input_params(K=60)
+        p = LQParams(rot @ np.diag([-8.0, 0.5]) @ rot.T, q.B, q.D0, q.D, q.Sigma,
+                     q.Q, q.R, q.Q_T, q.gamma0, q.gamma, q.eta, q.x0, 2.0,
+                     q.graphon, q.M, q.K)
+        op = LambdaOperator(p)
+        cond = np.linalg.cond(op.fm.U[-1])
+        assert cond > 1e7
+        x = np.random.default_rng(7).normal(size=(3, 61, 2))
+        want = reference_apply(op, x, *transition_tables(p, op.ric))
+        scale = np.abs(want).max()
+        assert scale > 1e-2
+        assert np.abs(op.apply(x) - want).max() <= 2 * np.finfo(float).eps * cond * scale
 
     def test_fundamental_matrices_match_stage_loops(self):
         """The shared RK4 step over batched coefficient tables gives the
@@ -350,8 +433,10 @@ class TestMatrixKernels:
         W = reference_fundamental(
             lambda j: -(p.A - p.BRB @ ric.half_steps[j]).T, p.n, p.K, dt)
         fm = fundamental_matrices(p, ric)
-        assert np.array_equal(fm.Phi, np.einsum("tij,sjk->tsik", U, np.linalg.inv(U)))
-        assert np.array_equal(fm.Psi, np.einsum("tij,sjk->tsik", W, np.linalg.inv(W)))
+        assert np.array_equal(fm.U, U)
+        assert np.array_equal(fm.W, W)
+        assert np.array_equal(fm.U_inv, np.linalg.inv(U))
+        assert np.array_equal(fm.W_inv, np.linalg.inv(W))
 
     def test_offsets_match_stage_loops(self):
         """Backward steps of the shared RK4 step (a negative length) on the
@@ -372,9 +457,11 @@ class TestSolveLQFixedPoint:
                           eta=0.0, D0=0.0, D=0.0, x0=0.7, M=3, K=100)
         sol = solve_lq_fixed_point(p)
         op = LambdaOperator(p)
-        # a fresh build reproduces the solution's own Riccati path and kernels
+        # a fresh build reproduces the solution's own Riccati path and factors
         np.testing.assert_array_equal(op.ric.Pi, sol.riccati.Pi)
-        np.testing.assert_array_equal(op.fm.Phi, sol.fundamentals.Phi)
+        for name in ("U", "U_inv", "W", "W_inv"):
+            np.testing.assert_array_equal(getattr(op.fm, name),
+                                          getattr(sol.fundamentals, name))
         forcing = op.forcing()
         for v in range(3):
             np.testing.assert_allclose(sol.xbar[v], forcing, atol=1e-12)
