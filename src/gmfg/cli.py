@@ -9,8 +9,8 @@
 Outputs are machine-readable: CSV in the shared format of
 :mod:`gmfg.artifacts` and JSON with stable key order. Reruns with the same
 config and seed are byte-identical; wall-clock timings (a command's
-``wall_time``, and each ladder rung's per-phase ``seconds``) are only
-emitted when GMFG_TIMING=1.
+``wall_time``, each Picard trace entry's ``phase_seconds`` and each ladder
+rung's per-phase ``seconds``) are only emitted when GMFG_TIMING=1.
 Exit codes: 0 success; 1 input error, or any other package error; 2
 convergence failure (``solve-gmfg`` writes its trace) or numerical
 failure. Every package error leaves as ``gmfg:`` lines on stderr, never
@@ -82,7 +82,7 @@ def cmd_solve_gmfg(scenario, out_dir, args):
     started = time.time()
     problem = scenario.build_problem()
     try:
-        sol = picard_solve(problem, **scenario.solver_settings)
+        sol = picard_solve(problem, **scenario.solver_settings, timing=_timing())
     except ConvergenceError as exc:
         payload = {"converged": False, "trace": exc.trace, "error": str(exc)}
         payload.update(_maybe_time(started))

@@ -22,6 +22,17 @@ The moments and the prefix sums are built on first use, one power at a
 time: a segment's count is the difference of its search positions, a clip
 linear in y reads the prefix sums of y alone, and only a clipped
 coefficient quadratic in y builds those of y^2.
+
+``cluster_means`` runs in two steps. The plan (:meth:`Poly2.plan`) is the
+set-up that depends only on the query points: each point's coefficients
+of 1 and y and, for a clip, its sorted cuts and each segment's regime. It
+is built once per (coefficient, points). The apply step
+(:meth:`Poly2Plan.apply`) runs once per :class:`SortedClusters`: the E
+searches per (point, cluster) and the sum over the E+1 segments. So a
+caller with fixed points and many sets of clusters, such as the time nodes
+of :func:`~gmfg.control.frozen_fields` on one x-grid, pays the set-up once;
+callers whose points move, such as the population stacks, plan at every
+step.
 """
 
 import copy
@@ -143,8 +154,10 @@ class SortedClusters:
         pos = np.empty((n, width, E + 2), dtype=np.intp)
         pos[:, :, 0], pos[:, :, -1] = 0, self.size
         if self.columns.shape[0] == 1:
+            # cut by cut: along a grid each cut's keys ascend, and the search
+            # starts each key where the last one ended
             for j, l in enumerate(self.columns[0]):
-                pos[:, j, 1:-1] = np.searchsorted(y[l], cuts, side="left")
+                pos[:, j, 1:-1] = np.searchsorted(y[l], cuts.T, side="left").T
         else:
             flat = np.broadcast_to(self.columns, (n, width)).ravel()
             order = np.argsort(flat, kind="stable")
@@ -171,14 +184,36 @@ class Constant:
     def __call__(self, x, y):
         return np.full(_shape(x, y), self.c)
 
+    def plan(self, x):
+        """The :class:`ConstantPlan` of :meth:`cluster_means` at the points x."""
+        return ConstantPlan(self.c, np.size(x))
+
     def cluster_means(self, x, clusters):
         """(len(x), width) means over each column's cluster samples of y."""
-        return np.full((np.size(x), clusters.width), self.c)
+        return self.plan(x).apply(clusters)
+
+
+@dataclass
+class ConstantPlan:
+    """The cluster means of a constant at ``n`` points: nothing to set up."""
+
+    c: float
+    n: int
+
+    def apply(self, clusters):
+        """(n, width) copies of c."""
+        return np.full((self.n, clusters.width), self.c)
 
 
 @dataclass
 class Poly2:
-    """const + x X + y Y + xx X^2 + xy X Y + yy Y^2, optionally clipped."""
+    """const + x X + y Y + xx X^2 + xy X Y + yy Y^2, optionally clipped.
+
+    :meth:`cluster_means` is :meth:`plan`, the set-up that depends only on
+    the query points, then :meth:`Poly2Plan.apply` for the clusters. A
+    caller that integrates at the same points against several sets of
+    clusters builds the plan once and applies it to each.
+    """
 
     const: float = 0.0
     x: float = 0.0
@@ -208,19 +243,53 @@ class Poly2:
         ``width`` is M, one column per cluster, or the width of a
         :meth:`SortedClusters.view`.
         """
+        return self.plan(x).apply(clusters)
+
+    def plan(self, x):
+        """The :class:`Poly2Plan` of :meth:`cluster_means` at the points x.
+
+        For a clip, each point's cuts are the real roots of the quadratic at
+        both clip levels, sorted, and each segment between them is flagged
+        below the clip, inside it or above it. A clip linear in y has one
+        root per level, so sorting is a minimum and a maximum, and where
+        both roots are finite the sign of the slope b fixes the regimes:
+        rising, the segments lie below, inside and above the clip. Every
+        other point (a root absent or overflowed, or a clip quadratic in y)
+        reads its regime at a probe strictly inside each segment.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a = (self.const + self.x * x + self.xx * x**2)[:, None]   # coef of 1
         b = (self.y + self.xy * x)[:, None]                        # coef of y
         c = self.yy                                                # coef of y^2
         if self.clip is None:
-            m1, m2 = clusters.means()
-            return a + b * m1 + c * m2
+            return Poly2Plan(a, b, c)
         lo, hi = self.clip
-        cuts = np.concatenate([self._roots(a, b, lo), self._roots(a, b, hi)], axis=1)
-        cuts.sort(axis=1)
-        # The clip regime is fixed between consecutive cuts; read it at a
-        # point strictly inside each segment, never at a cut.
-        ends = np.full((x.size, 1), np.inf)
+        roots = self._roots(a, b, lo), self._roots(a, b, hi)
+        if c == 0.0:
+            cuts = np.concatenate([np.minimum(*roots), np.maximum(*roots)], axis=1)
+            below = np.zeros((x.size, 3), dtype=bool)
+            below[:, 0], below[:, 2] = b[:, 0] > 0.0, b[:, 0] < 0.0
+            mid = np.zeros((x.size, 3), dtype=bool)
+            mid[:, 1] = True
+            # an absent root is +inf, so the larger cut is finite only
+            # when both are
+            probed = np.flatnonzero(~np.isfinite(cuts[:, 1]))
+            if probed.size:
+                below[probed], mid[probed] = self._regimes(
+                    a[probed], b[probed], cuts[probed])
+        else:
+            cuts = np.concatenate(roots, axis=1)
+            cuts.sort(axis=1)
+            below, mid = self._regimes(a, b, cuts)
+        return Poly2Plan(a, b, c, cuts, np.where(below, lo, hi)[:, None, :],
+                         mid[:, None, :])
+
+    def _regimes(self, a, b, cuts):
+        """(below, inside) flags of the segments between the sorted ``cuts``
+        (n, E), each read at a point strictly inside it, never at a cut."""
+        lo, hi = self.clip
+        c = self.yy
+        ends = np.full((cuts.shape[0], 1), np.inf)
         edges = np.concatenate([-ends, cuts, ends], axis=1)
         left, right = edges[:, :-1], edges[:, 1:]
         with np.errstate(invalid="ignore", over="ignore"):
@@ -230,20 +299,7 @@ class Poly2:
                                       np.where(np.isfinite(left),
                                                left + 1.0 + np.abs(left), 0.0)))
             g = a + probe * (b + c * probe)
-        # a clip linear in y never reads the y^2 sums
-        n0, s1, *s2 = clusters.segment_sums(cuts, (0, 1) if c == 0.0 else (0, 1, 2))
-        inside = a[:, :, None] * n0 + b[:, :, None] * s1
-        if s2:
-            inside = inside + c * s2[0]
-        level = np.where(g < lo, lo, hi)[:, None, :] * n0
-        mid = ((g >= lo) & (g <= hi))[:, None, :]
-        seg = np.where(mid, inside, level)
-        # left to right over the E+1 segments, the order in which a
-        # last-axis sum of so few terms adds them, without its set-up cost
-        total = seg[..., 0] + seg[..., 1]
-        for j in range(2, seg.shape[2]):
-            total += seg[..., j]
-        return total / clusters.size
+        return g < lo, (g >= lo) & (g <= hi)
 
     def _roots(self, a, b, level):
         """Real roots in y of c y^2 + b y + a = level, +inf if absent:
@@ -259,3 +315,44 @@ class Poly2:
                 roots = np.concatenate([q / c, k / q], axis=1)
                 roots[(disc < 0.0)[:, 0]] = np.inf
         return np.where(np.isfinite(roots), roots, np.inf)
+
+
+class Poly2Plan:
+    """The cluster means of a :class:`Poly2` at fixed points, set up.
+
+    Built by :meth:`Poly2.plan` from the points' coefficients ``a`` and
+    ``b`` (n, 1) of 1 and y, and ``c`` of y^2; a clip adds the sorted
+    ``cuts`` (n, E), each segment's clip ``level`` and ``mid`` flag (inside
+    the clip), both (n, 1, E+1). :meth:`apply` does the rest per
+    :class:`SortedClusters`: without a clip, the cluster moments; with one,
+    :meth:`SortedClusters.segment_sums` at the cuts, then each segment's
+    sum (the quadratic's inside the clip, the level's count outside it)
+    added left to right.
+    """
+
+    def __init__(self, a, b, c, cuts=None, level=None, mid=None):
+        self.a, self.b, self.c = a, b, c
+        # cut-major in memory, the order in which the cuts are searched
+        self.cuts = None if cuts is None else np.asfortranarray(cuts)
+        self.level, self.mid = level, mid
+        # a clip linear in y never reads the y^2 sums
+        self.powers = (0, 1) if c == 0.0 else (0, 1, 2)
+
+    def apply(self, clusters):
+        """(n, width) exact means over each column's cluster of ``clusters``."""
+        if self.cuts is None:
+            m1, m2 = clusters.means()
+            return self.a + self.b * m1 + self.c * m2
+        n0, s1, *s2 = clusters.segment_sums(self.cuts, self.powers)
+        inside = self.a[:, :, None] * n0
+        inside += self.b[:, :, None] * s1
+        if s2:
+            inside += self.c * s2[0]
+        seg = self.level * n0
+        np.copyto(seg, inside, where=self.mid)
+        # left to right over the E+1 segments, the order in which a
+        # last-axis sum of so few terms adds them, without its set-up cost
+        total = seg[..., 0] + seg[..., 1]
+        for j in range(2, seg.shape[2]):
+            total += seg[..., j]
+        return total / clusters.size

@@ -182,24 +182,26 @@ class FrozenFields:
         return 1.0 - self.drift_bound() * dt / dx
 
 
-def brackets(parts, names, x, own, coupled, weights):
-    """Exact brackets of the named coefficients at the states ``x``.
+def brackets(plans, names, own, coupled, weights):
+    """Exact brackets of the named coefficients at the points of their plans.
 
-    ``own`` and ``coupled`` are views of one
+    ``plans`` maps each name to the plan of its coefficient at the query
+    points (:meth:`~gmfg.coefficients.Poly2.plan`), and ``own`` and
+    ``coupled`` are views of one
     :class:`~gmfg.coefficients.SortedClusters`. An intra coefficient (f0,
-    l1, l2) is averaged over the clusters that ``own`` gives each point
-    (:meth:`~gmfg.coefficients.Poly2.cluster_means`); a graphon one (f, l3,
-    l4) over those of ``coupled``, and its columns are then weighted by the
-    (width, k) matrix ``weights``, one matrix-vector product per weight
-    column: an output column is the product it would be with k = 1, so it
-    rounds the same whatever k is. Returns one (len(x), k) array per name.
+    l1, l2) is averaged over the clusters that ``own`` gives each point; a
+    graphon one (f, l3, l4) over those of ``coupled``, and its columns are
+    then weighted by the (width, k) matrix ``weights``, one matrix-vector
+    product per weight column: an output column is the product it would be
+    with k = 1, so it rounds the same whatever k is. Returns one (n points,
+    k) array per name.
     """
     out = []
     for name in names:
         if name in ("f0", "l1", "l2"):
-            out.append(parts[name].cluster_means(np.atleast_1d(x), own))
+            out.append(plans[name].apply(own))
         else:
-            m = parts[name].cluster_means(np.atleast_1d(x), coupled)
+            m = plans[name].apply(coupled)
             out.append(np.matmul(m, weights.T[:, :, None])[:, :, 0].T)
     return out
 
@@ -213,7 +215,10 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
     :meth:`~gmfg.measures.MeasureEnsemble.clusters`): the intra bracket reads
     the ensemble vertex nearest alpha (exact when alpha is a grid midpoint),
     and the graphon bracket weights the vertices by the section g(alpha, .)
-    with midpoint-rule quadrature, so a zero section gives exactly 0.
+    with midpoint-rule quadrature, so a zero section gives exactly 0. Each
+    coefficient's per-point set-up on ``x_grid`` (for a clip, the roots,
+    cuts and regimes; :meth:`~gmfg.coefficients.Poly2.plan`) is built once
+    per call, so a time node costs only the cluster searches and sums.
     ``drift_only`` skips the cost tables for propagation-only callers.
     """
     fields = FrozenFields(problem, alpha, x_grid, ensemble.times)
@@ -227,14 +232,15 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
     tables = [("drift_coef", "f0", "f")]
     if not drift_only:
         tables += [("cost_const", "l1", "l3"), ("cost_quad", "l2", "l4")]
-    for name, _, _ in tables:
+    plans = {}
+    for name, intra, coupled in tables:
         setattr(fields, name, np.empty((alphas.size, ensemble.n_times, x_grid.size)))
+        plans.update({part: p[part].plan(x_grid) for part in (intra, coupled)})
     for k in range(ensemble.n_times):
         clusters = ensemble.clusters(k)
         own_view = clusters.view(v_own[None, :])
         for name, intra, coupled in tables:
-            own, mixed = brackets(p, (intra, coupled), x_grid, own_view, clusters,
-                                  gw.T)
+            own, mixed = brackets(plans, (intra, coupled), own_view, clusters, gw.T)
             getattr(fields, name)[:, k] = (own + mixed).T
     return fields
 

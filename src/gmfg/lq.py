@@ -180,7 +180,8 @@ def fundamental_matrices(p, ric):
     D0 = 0, Psi(t, s) equals Phi(s, t) transposed. Each factor is one
     forward RK4 solve of U' = C(t) U, U(0) = I, over its (2K+1, n, n)
     coefficient table C on the fine grid, built once, and its inverse is
-    one batched ``np.linalg.inv``.
+    one batched ``np.linalg.inv``. A factor that grows past ``_BLOWUP`` or
+    that is singular to working precision raises NumericalError.
     """
     dt = p.T / p.K
     closed = p.A - p.BRB @ ric.half_steps
@@ -192,7 +193,12 @@ def fundamental_matrices(p, ric):
             U[k + 1] = _rk4(lambda j, u: coef[j] @ u, U[k], dt, 2 * k)
             if np.abs(U[k + 1]).max() > _BLOWUP:
                 raise NumericalError("fundamental matrix overflow")
-        factors += [U, np.linalg.inv(U)]
+        try:
+            factors += [U, np.linalg.inv(U)]
+        except np.linalg.LinAlgError:
+            # a stiff drift can shrink U(t) below working precision
+            raise NumericalError("fundamental matrix is singular to working "
+                                 "precision") from None
     return FundamentalMatrices(*factors)
 
 

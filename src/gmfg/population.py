@@ -40,8 +40,6 @@ lower bound on the Nash gap of the mean-field strategy profile.
 
 import functools
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +52,7 @@ from .control import (GridLookup, Policy, brackets, closed_loop_steps,
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import MeasureEnsemble
-from .solver import (GMFGProblem, _start_paths, inner_mv_consistency,
+from .solver import (GMFGProblem, _start_paths, _timed, inner_mv_consistency,
                      zero_drift_ensemble)
 
 
@@ -474,18 +472,6 @@ def _assemble_gap_report(ts_a, b_fam, iota):
             "deviation_costs": costs, "family": tuple(sorted(b_fam))}
 
 
-@contextmanager
-def _timed(seconds, phase):
-    """Add the block's wall time to ``seconds[phase]`` unless ``seconds`` is
-    None."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        if seconds is not None:
-            seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
-
-
 def _equilibrium_and_deviations(populations, solution, iota, family_builder,
                                 seconds=None):
     """System A of every replication, then every replication x family member.
@@ -521,7 +507,8 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     the population's clusters and over the ensemble's vertex measures at
     each time node; at each node one SortedClusters holds the clusters of
     every replication, and each side is one :func:`~gmfg.control.brackets`
-    call. Returns the four E|.| sups and their sum.
+    call on the same coefficient plans, built once per node at the
+    deviators' states. Returns the four E|.| sups and their sum.
     """
     problem = solution.problem
     s = problem.functions.structured_parts
@@ -549,9 +536,10 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
         xi, uk = states[:, iota, k], u[:, k, None]   # the deviator of each replication
         clusters = SortedClusters(np.reshape(states[:, :, k], (n * M_k, pop.size)))
         own, row = _stack_views(clusters, n, M_k, own_cluster)
-        finite = terms(*brackets(s, names, xi, own, row, W.T), uk)
+        plans = {name: s[name].plan(xi) for name in names}   # both sides' points
+        finite = terms(*brackets(plans, names, own, row, W.T), uk)
         limit = ensemble.clusters(k)
-        mean_field = terms(*brackets(s, names, xi, limit.view([[v_own]]), limit, gw), uk)
+        mean_field = terms(*brackets(plans, names, limit.view([[v_own]]), limit, gw), uk)
         gap = np.abs(finite - mean_field)[:, :, 0]
         for r in range(n):   # one replication at a time: a fixed summation order
             sums[:, k] += gap[:, r]

@@ -9,6 +9,8 @@ governs that rate.
 """
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,15 +145,34 @@ def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None,
     """
     p = problem.functions
     if fields is None:
-        fields = frozen_fields(p, problem.graphon, problem.vertex_grid.midpoints,
-                               e_drift, problem.x_grid, drift_only=True)
+        fields = _drift_fields(problem, e_drift)
     paths = _fresh_paths(problem, start, _out)
     escaped = closed_loop_steps(paths, p.T / problem.K, fields, policy)
     return PathBundle(paths, problem.times, escaped_mass=escaped)
 
 
+def _drift_fields(problem, ensemble):
+    """Drift-only frozen fields of every solver vertex against ``ensemble``."""
+    return frozen_fields(problem.functions, problem.graphon,
+                         problem.vertex_grid.midpoints, ensemble, problem.x_grid,
+                         drift_only=True)
+
+
+@contextmanager
+def _timed(seconds, phase):
+    """Add the block's wall time to ``seconds[phase]`` unless ``seconds`` is
+    None."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        if seconds is not None:
+            seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
+
+
 def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
-                         max_inner=60, start=None, fields=None, _out=None):
+                         max_inner=60, start=None, fields=None, _out=None,
+                         seconds=None):
     """Self-consistent propagation under a fixed feedback table.
 
     Iterates nu <- marginals(propagate(policy, nu)) until the sup W1 change
@@ -162,8 +183,11 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
     place, as the new ensemble (:meth:`MeasureEnsemble.adopt`): two
     path-sized arrays besides ``start`` and ``e_start``, which is never
     recycled. Pass 0 may take the drift ``fields`` of ``e_start`` and a
-    spare (M, K+1, R) buffer ``_out``. Returns (escaped_mass, ensemble,
-    trace): the last propagation's escaped mass and the per-pass distances.
+    spare (M, K+1, R) buffer ``_out``. With a ``seconds`` dict, the wall
+    time of freezing the drift fields, propagating and measuring the W1
+    change is added to its ``fields``, ``propagate`` and ``w1`` entries.
+    Returns (escaped_mass, ensemble, trace): the last propagation's escaped
+    mass and the per-pass distances.
     """
     if tol_inner is None:
         tol_inner = max(1e-4, 0.2 * problem.noise_floor)
@@ -171,10 +195,15 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
         start = _start_paths(problem)
     ens, trace = e_start, []
     for _ in range(max_inner):
-        bundle = propagate_closed_loop(problem, policy, ens, fields=fields,
-                                       start=start, _out=_out)
-        new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
-        d = ensemble_w1_sup(new, ens)
+        if fields is None:
+            with _timed(seconds, "fields"):
+                fields = _drift_fields(problem, ens)
+        with _timed(seconds, "propagate"):
+            bundle = propagate_closed_loop(problem, policy, ens, fields=fields,
+                                           start=start, _out=_out)
+            new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
+        with _timed(seconds, "w1"):
+            d = ensemble_w1_sup(new, ens)
         trace.append(d)
         # nothing reads the retired ens now; the caller's is never recycled
         _out = ens.atoms if ens is not e_start else None
@@ -187,7 +216,7 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
 
 
 def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
-                 min_outer=None, inner_tol=None):
+                 min_outer=None, inner_tol=None, timing=False):
     """Fixed-point iteration of the full game map.
 
     Starting from the zero-drift propagation marginals
@@ -203,7 +232,10 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     the vertices), the escaped mass (the share of particle-steps outside
     the space grid), the propagations (``inner_passes``) and
     ``policy_lipschitz``, the largest x-difference quotient of any vertex
-    policy (:func:`~gmfg.control.policy_lipschitz`). The initial states
+    policy (:func:`~gmfg.control.policy_lipschitz`). With ``timing``, each
+    entry also holds ``phase_seconds``, the pass's wall time in freezing the
+    fields, the value sweep, the propagations and the W1 distances
+    (``fields``, ``hjb``, ``propagate``, ``w1``). The initial states
     and the noise are drawn once per solve and shared by every propagation
     of it (common random numbers across passes). Particle noise cannot
     resolve ensembles below the sampling floor, so the tolerance is clamped
@@ -226,12 +258,17 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
     spare = prev_policy = None
     trace = []
     for i in range(max_outer):
-        fls = frozen_fields(p, problem.graphon, alphas, ens, problem.x_grid)
-        _, policy = solve_hjb(p, problem.graphon, alphas, ens, problem.x_grid,
-                              fields=fls)
+        seconds = {} if timing else None
+        with _timed(seconds, "fields"):
+            fls = frozen_fields(p, problem.graphon, alphas, ens, problem.x_grid)
+        with _timed(seconds, "hjb"):
+            _, policy = solve_hjb(p, problem.graphon, alphas, ens, problem.x_grid,
+                                  fields=fls)
         escaped, new, inner = inner_mv_consistency(
-            problem, policy, ens, tol_inner, start=start, fields=fls, _out=spare)
-        d = inner[0] if len(inner) == 1 else ensemble_w1_sup(new, ens)
+            problem, policy, ens, tol_inner, start=start, fields=fls, _out=spare,
+            seconds=seconds)
+        with _timed(seconds, "w1"):
+            d = inner[0] if len(inner) == 1 else ensemble_w1_sup(new, ens)
         pol_delta = float(np.abs(policy - prev_policy).max()) if prev_policy is not None else math.nan
         entry = {
             "iteration": i,
@@ -243,6 +280,9 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "inner_passes": len(inner),
             "policy_lipschitz": policy_lipschitz(policy, problem.x_grid),
         }
+        if timing:
+            entry["phase_seconds"] = {phase: seconds.get(phase, 0.0) for phase in
+                                      ("fields", "hjb", "propagate", "w1")}
         trace.append(entry)
         prev_policy = policy
         # nothing reads ens once this pass ends: the fields are tables

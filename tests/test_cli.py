@@ -234,6 +234,25 @@ class TestSolveLQCommand:
                      "diagnostics.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_singular_fundamental_matrix_is_numerical_error(self, tmp_path):
+        """A stable stiff mode (eigenvalue -20 over T = 2) drives the
+        closed-loop fundamental matrix singular to working precision: the
+        run exits 2 with a gmfg: line, not a traceback."""
+        c, s = np.cos(0.4), np.sin(0.4)
+        rot = np.array([[c, -s], [s, c]])
+        doc = lq_scenario()
+        doc["problem"].update(
+            A=(rot @ np.diag([-20.0, 0.5]) @ rot.T).tolist(), B=[[1], [0.5]],
+            D0=[[0.05, 0], [0, 0.02]], D=[[0.2, 0.1], [0, 0.2]],
+            Sigma=[[0.5, 0], [0.1, 0.3]], Q=[[1, 0.2], [0.2, 0.8]], R=[[1]],
+            Q_T=[[0.3, 0], [0, 0.1]], eta=[0.5, -0.2], x0=[1, 0.3], T=2.0)
+        cfg = write_config(tmp_path / "s.json", doc)
+        proc = run_python(["-m", "gmfg.cli", "solve-lq", "--config", cfg,
+                           "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("gmfg: fundamental matrix is singular")
+
 
 class TestSolveGMFGCommand:
     def test_outputs_written(self, tmp_path):
@@ -246,6 +265,31 @@ class TestSolveGMFGCommand:
         trace = json.loads((out / "trace.json").read_text())
         assert trace["converged"] is True
         assert trace["trace"][-1]["distance"] < trace["tolerance"]
+
+    def test_phase_seconds_only_under_timing(self, tmp_path, monkeypatch):
+        """Without GMFG_TIMING the trace carries no timing; with it, each
+        Picard entry gains the four phase times and nothing else moves:
+        dropping the timing keys gives the default trace.json bytes."""
+        from gmfg.artifacts import json_text
+
+        cfg = write_config(tmp_path / "s.json", nonlinear_scenario())
+        monkeypatch.delenv("GMFG_TIMING", raising=False)
+        assert main(["solve-gmfg", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        default = (tmp_path / "o" / "trace.json").read_text()
+        assert "phase_seconds" not in default and "wall_time" not in default
+        monkeypatch.setenv("GMFG_TIMING", "1")
+        assert main(["solve-gmfg", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+        timed = json.loads((tmp_path / "t" / "trace.json").read_text())
+        assert timed.pop("wall_time") >= 0.0
+        for entry in timed["trace"]:
+            phases = entry.pop("phase_seconds")
+            assert sorted(phases) == ["fields", "hjb", "propagate", "w1"]
+            assert all(v >= 0.0 for v in phases.values())
+        assert json_text(timed) + "\n" == default
+        for name in os.listdir(tmp_path / "o"):
+            if name != "trace.json":
+                assert ((tmp_path / "o" / name).read_bytes()
+                        == (tmp_path / "t" / name).read_bytes())
 
     def test_exit_2_on_nonconvergence_with_trace(self, tmp_path):
         doc = nonlinear_scenario()

@@ -72,6 +72,27 @@ class TestClusterMeans:
     @example(Poly2(yy=-1.0, clip=(-1.0, -0.25)),
              ([4, 4], np.array([0.5, -1.0, 0.5, 1.0, -1.0, 1.0, 0.5, 0.5]),
               np.array([0.0]), np.array([1])))
+    # clips linear in y: slope b > 0, b < 0, b == 0 with a inside and
+    # outside the clip (no cut), samples exactly on a cut, and a root that
+    # overflows (a huge, b tiny), which must not read the sign of b
+    @example(Poly2(const=0.5, y=2.0, clip=(-1.0, 1.0)),
+             ([3, 3], np.array([-0.75, 0.25, -2.0, 1.0, 0.0, -0.5]),
+              np.array([0.0, 1.0]), np.array([0, 1])))
+    @example(Poly2(x=1.0, y=-2.0, clip=(-1.0, 1.0)),
+             ([2, 2], np.array([0.5, -0.5, 0.75, 3.0]), np.array([0.0, 0.5]),
+              np.array([1, 0])))
+    @example(Poly2(const=0.25, y=1.0, xy=-1.0, clip=(-1.0, 1.0)),
+             ([3], np.array([-4.0, 0.0, 4.0]), np.array([1.0, 0.0, 2.0]),
+              np.array([0, 0, 0])))
+    @example(Poly2(const=3.0, x=0.5, clip=(-1.0, 1.0)),
+             ([2, 2], np.array([-1.0, 1.0, 0.0, 2.0]), np.array([-10.0, 0.0]),
+              np.array([0, 1])))
+    @example(Poly2(const=1e300, y=1e-10, clip=(-1.0, 1.0)),
+             ([3], np.array([-1.0, 0.0, 2.0]), np.array([0.0]), np.array([0])))
+    # a == lo and a tiny slope: a probe left of the cut at 0 rounds back to
+    # lo and would read the segment as inside the clip
+    @example(Poly2(const=1.0, y=1e-20, clip=(1.0, 2.0)),
+             ([3], np.array([-1e30, 0.5, 1.0]), np.array([0.0]), np.array([0])))
     def test_exact_against_brute_force(self, coef, samples):
         sizes, values, x, own = samples
         clusters = equal_clusters(values, sizes)
@@ -122,6 +143,28 @@ class TestClusterMeans:
             got = coef.cluster_means(x, equal_clusters(values, sizes))
         want = brute_force_means(coef, sizes, values, x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_overflowed_root_reads_its_regime_at_a_probe(self):
+        # both roots of a + b y at the clip levels overflow to +inf, so there
+        # is no cut; the one segment lies above the clip whatever b's sign
+        coef = Poly2(const=1e300, y=1e-10, clip=(-1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coef.cluster_means([0.0], equal_clusters(np.array([-1.0, 0.0, 2.0]), [3]))
+        assert got.tolist() == [[1.0]]
+
+    def test_plan_applies_to_any_clusters(self):
+        """One plan per coefficient and points gives, cluster set by cluster
+        set, the bits of cluster_means, for each kind of coefficient."""
+        rng = np.random.default_rng(3)
+        x = np.linspace(-2.0, 2.0, 9)
+        for coef in (Constant(0.5), Poly2(x=1.0, xy=0.5), Poly2(x=-1.0, y=1.0, clip=(-0.5, 0.5)),
+                     Poly2(xx=1.0, xy=-2.0, yy=1.0, clip=(0.1, 1.5))):
+            plan = coef.plan(x)
+            for _ in range(3):
+                clusters = SortedClusters(rng.normal(size=(4, 7)))
+                for view in (clusters, clusters.view(np.arange(9)[:, None] % 4)):
+                    assert np.array_equal(plan.apply(view), coef.cluster_means(x, view))
 
     def test_scalar_query_gives_one_row(self):
         clusters = SortedClusters(np.array([[0.5, -1.0], [2.0, 1.5]]))

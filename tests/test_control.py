@@ -10,6 +10,7 @@ from gmfg import (ConfigError, Constant, Graphon, InvariantError,
                   minimize_hamiltonian, policy_lipschitz, rollout_cost,
                   solve_hjb, theta_clamp)
 from gmfg.control import GridLookup
+from gmfg.graphon import VertexGrid
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -113,6 +114,65 @@ class TestFrozenFields:
             alone = frozen_fields(p, g, alpha, ens, x_grid)
             for name in ("drift_coef", "cost_const", "cost_quad"):
                 assert np.array_equal(getattr(batch, name)[v], getattr(alone, name)[0])
+
+    @staticmethod
+    def _clipped_problem():
+        # f0 clipped linear in y (two cuts), l3 clipped quadratic in y (four),
+        # f and l1 unclipped, l2 and l4 constant
+        return ProblemFunctions.structured(
+            Poly2(x=-1.0, y=1.0, clip=(-0.5, 0.5)), Poly2(y=0.3, xy=0.2), tracking,
+            Constant(1.0), Poly2(const=0.1, xy=-0.5, yy=0.5, clip=(0.0, 0.8)),
+            Constant(0.5), (-1, 1), 0.3, 0.5)
+
+    def test_planned_tables_equal_per_node_brackets(self):
+        """Bit for bit, the tables equal a loop that integrates every
+        coefficient at every time node from scratch, for a batch of
+        vertices and one vertex alone."""
+        p = self._clipped_problem()
+        rng = np.random.default_rng(5)
+        atoms = np.sort(rng.normal(0.0, 0.8, (4, 7, 60)), axis=2)
+        atoms[:, :, ::7] = 0.5   # ties, and atoms exactly on a cut at x = 0
+        atoms.sort(axis=2)
+        ens = MeasureEnsemble(atoms, np.linspace(0.0, 0.5, 7))
+        x_grid = np.linspace(-2, 2, 41)
+        g = Graphon.uniform_attachment()
+        grid = VertexGrid(4)
+        for alphas in ((np.arange(4) + 0.5) / 4, np.array([0.3])):
+            fields = frozen_fields(p, g, alphas, ens, x_grid)
+            v_own, gw = grid.nearest(alphas), grid.section_weights(g, alphas)
+            s = p.structured_parts
+            for name, intra, coupled in (("drift_coef", "f0", "f"),
+                                         ("cost_const", "l1", "l3"),
+                                         ("cost_quad", "l2", "l4")):
+                table = np.empty((alphas.size, 7, 41))
+                for k in range(7):
+                    clusters = ens.clusters(k)
+                    own = s[intra].cluster_means(x_grid, clusters.view(v_own[None, :]))
+                    m = s[coupled].cluster_means(x_grid, clusters)
+                    mixed = np.matmul(m, gw[:, :, None])[:, :, 0].T
+                    table[:, k] = (own + mixed).T
+                assert np.array_equal(getattr(fields, name), table), name
+
+    def test_clip_set_up_runs_once_per_call(self, monkeypatch):
+        """The roots of a clipped coefficient are found on the grid once per
+        call, one search per clip level, not once per time node."""
+        calls = []
+        roots = Poly2._roots
+
+        def spy(self, a, b, level):
+            calls.append(level)
+            return roots(self, a, b, level)
+
+        monkeypatch.setattr(Poly2, "_roots", spy)
+        p = self._clipped_problem()
+        ens = MeasureEnsemble(np.random.default_rng(6).normal(size=(3, 9, 20)),
+                              np.linspace(0.0, 0.5, 9))
+        frozen_fields(p, Graphon.uniform_attachment(), 0.5, ens, np.linspace(-2, 2, 41),
+                      drift_only=True)
+        assert calls == [-0.5, 0.5]
+        calls.clear()
+        frozen_fields(p, Graphon.uniform_attachment(), 0.5, ens, np.linspace(-2, 2, 41))
+        assert sorted(calls) == [-0.5, 0.0, 0.5, 0.8]
 
 
 # Small dyadic numbers keep the arithmetic exact often enough that atoms
