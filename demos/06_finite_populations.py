@@ -30,8 +30,8 @@ def make_problem(M):
                        M=M, K=64, N_x=201, R=4000, seed=3)
 
 
-rungs = run_ladder(make_problem, [(2, 25), (4, 50), (8, 100)], n_reps=12,
-                   iota=0, solver_kwargs={"tol": 0.12})
+rungs = list(run_ladder(make_problem, [(2, 25), (4, 50), (8, 100)], n_reps=12,
+                        iota=0, solver_kwargs={"tol": 0.12}))
 
 print(f"{'M_k':>4} {'|C|':>5} {'N':>5} {'eps1':>9} {'eps2':>9} {'gap':>9}")
 for r in rungs:

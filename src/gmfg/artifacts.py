@@ -9,6 +9,7 @@ document with dict keys as strings, tuples and arrays as lists, numpy
 scalars as Python numbers and non-finite floats as ``null``.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -22,12 +23,18 @@ _CSV_BLOCK_ROWS = 4096
 
 def atomic_write(path, blocks):
     """Write the text ``blocks`` (strings, consumed one at a time) to
-    ``path`` through a temporary file and a rename."""
+    ``path`` through a temporary file and a rename. A failed write removes
+    the temporary file and re-raises; ``path`` is left as it was."""
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.writelines(blocks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines(blocks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def index_columns(*tables):

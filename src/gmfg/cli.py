@@ -31,7 +31,7 @@ from .errors import ConfigError, ConvergenceError, GmfgError, NumericalError
 from .graphon import (cell_average_step, cut_norm_grid_bound, h11_deviation,
                       sample_step_graphon, step_difference)
 from .lq import solve_lq_fixed_point
-from .population import check_ladder, run_ladder
+from .population import run_ladder
 from .scenario import parse_scenario
 from .solver import picard_solve
 
@@ -121,19 +121,19 @@ def cmd_simulate_enash(scenario, out_dir, args):
     if scenario.kind != "nonlinear":
         raise ConfigError("simulate-enash needs a nonlinear scenario")
     ladder = _parse_ladder(args.ladder) if args.ladder else scenario.rungs
-    check_ladder(ladder, scenario.deviator, scenario.graphon)
     results = []
-    for mk, size in ladder:
-        [rung] = run_ladder(
-            scenario.build_problem, [(mk, size)], n_reps=scenario.replications,
+    for rung in run_ladder(
+            scenario.build_problem, ladder, n_reps=scenario.replications,
             iota=scenario.deviator, solver_kwargs=scenario.solver_settings,
-            R_law=scenario.R_law, with_perturbations=args.perturbations, timing=_timing())
+            R_law=scenario.R_law, with_perturbations=args.perturbations,
+            timing=_timing()):
         # a view of the rung's whole System A stack, gone before the next solve
         paths = rung.pop("system_a_paths")
         if args.dump_paths:
-            write_csv(os.path.join(out_dir, f"trajectories_M{mk}_n{size}.csv"),
-                      ["agent", "time_index", "value"], index_columns(paths),
-                      _meta(scenario))
+            write_csv(os.path.join(
+                out_dir, f"trajectories_M{rung['M_k']}_n{rung['cluster_size']}.csv"),
+                ["agent", "time_index", "value"], index_columns(paths),
+                _meta(scenario))
         del paths
         results.append(rung)
     payload = {"rungs": results, "deviator": scenario.deviator,

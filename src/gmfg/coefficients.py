@@ -2,11 +2,12 @@
 
 Every coefficient a scenario can express is a constant or a quadratic in
 (x, y) with an optional clip. Both are small value objects: calling one on
-broadcastable arrays evaluates the surface pointwise, and ``cluster_means``
+broadcastable arrays evaluates the surface pointwise, and its plan
 integrates it exactly against the samples of each cluster, be the clusters
 the equal agent groups of a finite population or the equal-weight vertex
-measures of an ensemble at one time node. Every cluster holds the same
-number n of samples, each of weight 1/n.
+measures of an ensemble at one time node, for every bracket of
+:func:`~gmfg.control.brackets`. Every cluster holds the same number n of
+samples, each of weight 1/n.
 
 For a fixed x a quadratic is c y^2 + b y + a, so its mean over a cluster
 needs only the cluster's sums of y and y^2. A clip to [lo, hi]
@@ -23,7 +24,7 @@ time: a segment's count is the difference of its search positions, a clip
 linear in y reads the prefix sums of y alone, and only a clipped
 coefficient quadratic in y builds those of y^2.
 
-``cluster_means`` runs in two steps. The plan (:meth:`Poly2.plan`) is the
+A mean runs in two steps. The plan (:meth:`Poly2.plan`) is the
 set-up that depends only on the query points: each point's coefficients
 of 1 and y and, for a clip, its sorted cuts and each segment's regime. It
 is built once per (coefficient, points). The apply step
@@ -185,12 +186,8 @@ class Constant:
         return np.full(_shape(x, y), self.c)
 
     def plan(self, x):
-        """The :class:`ConstantPlan` of :meth:`cluster_means` at the points x."""
+        """The :class:`ConstantPlan` of the cluster means at the points x."""
         return ConstantPlan(self.c, np.size(x))
-
-    def cluster_means(self, x, clusters):
-        """(len(x), width) means over each column's cluster samples of y."""
-        return self.plan(x).apply(clusters)
 
 
 @dataclass
@@ -209,8 +206,8 @@ class ConstantPlan:
 class Poly2:
     """const + x X + y Y + xx X^2 + xy X Y + yy Y^2, optionally clipped.
 
-    :meth:`cluster_means` is :meth:`plan`, the set-up that depends only on
-    the query points, then :meth:`Poly2Plan.apply` for the clusters. A
+    Its exact cluster means are :meth:`plan`, the set-up that depends only
+    on the query points, then :meth:`Poly2Plan.apply` for the clusters. A
     caller that integrates at the same points against several sets of
     clusters builds the plan once and applies it to each.
     """
@@ -237,16 +234,8 @@ class Poly2:
             out = np.clip(out, self.clip[0], self.clip[1])
         return out
 
-    def cluster_means(self, x, clusters):
-        """(len(x), width) exact means over each column's cluster.
-
-        ``width`` is M, one column per cluster, or the width of a
-        :meth:`SortedClusters.view`.
-        """
-        return self.plan(x).apply(clusters)
-
     def plan(self, x):
-        """The :class:`Poly2Plan` of :meth:`cluster_means` at the points x.
+        """The :class:`Poly2Plan` of the cluster means at the points x.
 
         For a clip, each point's cuts are the real roots of the quadratic at
         both clip levels, sorted, and each segment between them is flagged
@@ -339,7 +328,9 @@ class Poly2Plan:
         self.powers = (0, 1) if c == 0.0 else (0, 1, 2)
 
     def apply(self, clusters):
-        """(n, width) exact means over each column's cluster of ``clusters``."""
+        """(n, width) exact means over each column's cluster of ``clusters``:
+        ``width`` is M, one column per cluster, or the width of a
+        :meth:`SortedClusters.view`. A fresh C-order array."""
         if self.cuts is None:
             m1, m2 = clusters.means()
             return self.a + self.b * m1 + self.c * m2

@@ -190,20 +190,16 @@ def brackets(plans, names, own, coupled, weights):
     ``coupled`` are views of one
     :class:`~gmfg.coefficients.SortedClusters`. An intra coefficient (f0,
     l1, l2) is averaged over the clusters that ``own`` gives each point; a
-    graphon one (f, l3, l4) over those of ``coupled``, and its columns are
-    then weighted by the (width, k) matrix ``weights``, one matrix-vector
-    product per weight column: an output column is the product it would be
-    with k = 1, so it rounds the same whatever k is. Returns one (n points,
-    k) array per name.
+    graphon one (f, l3, l4) over the ``width`` clusters of ``coupled``,
+    then weighted by ``weights``, broadcastable to (n points, k, width),
+    in one sequential sum per output: a point rounds the same alone as in a
+    batch, and a column the same whatever k is. Returns one array per name:
+    (n points, width of ``own``) for an intra coefficient, (n points, k)
+    for a graphon one.
     """
-    out = []
-    for name in names:
-        if name in ("f0", "l1", "l2"):
-            out.append(plans[name].apply(own))
-        else:
-            m = plans[name].apply(coupled)
-            out.append(np.matmul(m, weights.T[:, :, None])[:, :, 0].T)
-    return out
+    return [plans[name].apply(own) if name in ("f0", "l1", "l2")
+            else np.einsum("pw,pkw->pk", plans[name].apply(coupled), weights)
+            for name in names]
 
 
 def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
@@ -240,7 +236,7 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
         clusters = ensemble.clusters(k)
         own_view = clusters.view(v_own[None, :])
         for name, intra, coupled in tables:
-            own, mixed = brackets(plans, (intra, coupled), own_view, clusters, gw.T)
+            own, mixed = brackets(plans, (intra, coupled), own_view, clusters, gw[None])
             getattr(fields, name)[:, k] = (own + mixed).T
     return fields
 

@@ -235,11 +235,11 @@ def path_distance_DT(b1, b2):
 
 
 def ensemble_distance(m1, m2):
-    """Max over vertex cells of the coupled path distance."""
+    """Max over vertex cells of the coupled path distance
+    (:func:`path_distance_DT`)."""
     if m1.paths.shape != m2.paths.shape:
         raise GridError("bundles must share (M, R, K+1)")
-    sup = np.abs(m1.paths - m2.paths).max(axis=2)
-    return float(np.minimum(sup, 1.0).mean(axis=1).max())
+    return max(path_distance_DT(a, b) for a, b in zip(m1.paths, m2.paths))
 
 
 def marginals(bundle):

@@ -21,17 +21,15 @@ then every replication x deviation-family member, and each row is bit-equal
 to its run alone.
 
 The coupled averages in Systems A and B and both sides of the perturbation
-terms are exact cluster brackets: each Euler step reshapes the (S, N)
+terms are exact cluster brackets of the solver's engine,
+:func:`~gmfg.control.brackets`: each Euler step reshapes the (S, N)
 states into the (S M_k, n) samples of all (row, cluster) pairs, one
-:class:`~gmfg.coefficients.SortedClusters`, each agent reads its own
-cluster and its row's clusters through views of it, and each coefficient
-integrates itself against them through the sums of 1, y and y^2 (sorted
-prefix sums for a clipped one), each built on its first use in the step:
-a drift with a clipped f0 linear in y reads the prefix sums of y alone,
-and never the moments. A step costs O(S N M_k log n) for N agents
-per row in M_k clusters of n, not one coefficient evaluation per pair of
-agents. The limit side of the perturbation terms is the same engine over
-the vertex measures of the solved ensemble.
+:class:`~gmfg.coefficients.SortedClusters`, and each agent reads its own
+cluster and its row's clusters, weighted by its graph row, through views
+of it. A step costs O(S N M_k log n) for N agents per row in M_k clusters
+of n, not one coefficient evaluation per pair of agents. The limit side
+of the perturbation terms is the same engine over the vertex measures of
+the solved ensemble.
 
 Path gaps between the systems estimate the deviation metrics eps1..eps3,
 and unilateral cost comparisons over a declared deviation family give a
@@ -52,8 +50,8 @@ from .control import (GridLookup, Policy, brackets, closed_loop_steps,
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import MeasureEnsemble
-from .solver import (GMFGProblem, _start_paths, _timed, inner_mv_consistency,
-                     zero_drift_ensemble)
+from .solver import (GMFGProblem, _drift_fields, _start_paths, _timed,
+                     inner_mv_consistency, zero_drift_ensemble)
 
 
 class FinitePopulation:
@@ -75,10 +73,22 @@ class FinitePopulation:
         self.initial_law = initial_law
         draws = rng.stream(seed, rng.POP_INITIAL).random(self.N)
         self.initial_states = initial_law.quantile(draws)
+        self._stack_weights = {}
 
     def midpoint(self, agent):
         """Vertex coordinate I*(i) of the agent's cluster."""
         return float(self.vertex_grid.midpoints[self.cluster_of[agent]])
+
+    def stack_weights(self, S, agents=None):
+        """(S n, 1, M_k) graphon bracket weights of the ``agents`` (n, every
+        agent if None) of S stacked rows: each agent's graph row divided by
+        M_k, built once per (S, agents) for every Euler step of a stack."""
+        key = S, agents if agents is None else tuple(agents)
+        if key not in self._stack_weights:
+            own = self.cluster_of if agents is None else self.cluster_of[agents]
+            self._stack_weights[key] = np.tile(self.graph.matrix[own] / self.M_k,
+                                               (S, 1))[:, None]
+        return self._stack_weights[key]
 
     def start_paths(self, sigma, dt, K, out=None):
         """The (N, K+1) start buffer of a run, fresh or written into ``out``:
@@ -129,20 +139,6 @@ def _deviation_control(psi, t, x_i, x_all):
     return float(psi(t, x_i, x_all))
 
 
-def _graphon_means(part, x, row, W):
-    """Graphon bracket of the coefficient ``part`` at the (S, n) states
-    ``x`` of a stack: its means over the clusters of each point's row (the
-    view ``row``), weighted by the point's graph row ``W`` (n, M_k)."""
-    m = part.cluster_means(x.ravel(), row).reshape(*x.shape, -1)
-    return (W * m).sum(axis=2)
-
-
-def _own_means(part, x, own):
-    """Intra bracket of ``part`` at the (S, n) states ``x``, each point over
-    its own cluster (the view ``own``)."""
-    return part.cluster_means(x.ravel(), own).reshape(x.shape)
-
-
 def _stack_views(clusters, S, M_k, own):
     """The own-cluster and the row views of a stack of S rows, row s the
     clusters s M_k .. s M_k + M_k - 1, for points in the clusters ``own``
@@ -152,25 +148,30 @@ def _stack_views(clusters, S, M_k, own):
             clusters.view((first + np.tile(np.arange(M_k), (own.size, 1))).reshape(-1, M_k)))
 
 
+def _stack_brackets(parts, names, clusters, x, own, weights):
+    """One (S, n) :func:`~gmfg.control.brackets` array per name at the
+    states ``x`` of a stack, for points in the clusters ``own`` (n,) of
+    their row, with their :meth:`FinitePopulation.stack_weights`."""
+    views = _stack_views(clusters, x.shape[0], weights.shape[-1], own)
+    plans = {name: parts[name].plan(x.ravel()) for name in names}
+    return [b.reshape(x.shape) for b in brackets(plans, names, *views, weights)]
+
+
 def _empirical_drift(p, pop, clusters, x, u):
     """Empirical intra + graphon-weighted inter drift of the (S, N) stack."""
-    s = p.structured_parts
-    own, row = _stack_views(clusters, x.shape[0], pop.M_k, pop.cluster_of)
-    W = pop.graph.matrix[pop.cluster_of] / pop.M_k   # (N, M_k)
-    return (_own_means(s["f0"], x, own) + _graphon_means(s["f"], x, row, W)) * u
+    f0, f = _stack_brackets(p.structured_parts, ("f0", "f"), clusters, x,
+                            pop.cluster_of, pop.stack_weights(x.shape[0]))
+    return (f0 + f) * u
 
 
 def _running_costs(p, pop, clusters, x, u, agents):
     """(S, len(agents)) running costs of the marked agents of every row
     against the realized state of their row."""
-    s = p.structured_parts
-    clus = pop.cluster_of[agents]
-    own, row = _stack_views(clusters, x.shape[0], pop.M_k, clus)
-    W = pop.graph.matrix[clus] / pop.M_k
-    xa, u2 = x[:, agents], u[:, agents] ** 2
-    return (_own_means(s["l1"], xa, own) + _own_means(s["l2"], xa, own) * u2
-            + _graphon_means(s["l3"], xa, row, W)
-            + _graphon_means(s["l4"], xa, row, W) * u2)
+    u2 = u[:, agents] ** 2
+    l1, l2, l3, l4 = _stack_brackets(p.structured_parts, ("l1", "l2", "l3", "l4"),
+                                     clusters, x[:, agents], pop.cluster_of[agents],
+                                     pop.stack_weights(x.shape[0], agents))
+    return l1 + l2 * u2 + l3 + l4 * u2
 
 
 # (row, agent, cluster) cells of one stacked Euler step: bounds the
@@ -308,9 +309,8 @@ def run_system_c(pop, solution, R_law=2000):
     start = _start_paths(clone)
     _, laws, _ = inner_mv_consistency(clone, table, zero_drift_ensemble(clone, start),
                                       start=start)
-    fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
-                           laws, clone.x_grid, drift_only=True)
-    return _field_propagation(pop, solution.problem, table, fields, "C", laws=laws)
+    return _field_propagation(pop, solution.problem, table, _drift_fields(clone, laws),
+                              "C", laws=laws)
 
 
 def system_d_fields(pop, solution):
@@ -516,13 +516,14 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     ensemble = solution.ensemble
     alpha = pop.midpoint(iota)
     v_own = int(problem.vertex_grid.nearest(alpha))
-    gw = problem.vertex_grid.section_weights(problem.graphon, [alpha]).T
+    gw = problem.vertex_grid.section_weights(problem.graphon, [alpha])   # (1, M)
     n, M_k = len(ts_b_reps), pop.M_k
     own_cluster = pop.cluster_of[iota:iota + 1]
-    W = pop.graph.matrix[own_cluster] / M_k   # (1, M_k), every replication's row
+    dev_weights = pop.stack_weights(1, [iota])   # every replication's row
     # node k of this copy is a strided (n, N) view, as a path column
-    # ts.paths[:, k] is; the cluster moments round by stride, so each
-    # replication's brackets equal those of its paths alone
+    # ts.paths[:, k] is; the cluster moments round by stride and brackets
+    # weights each point in its own sum, so each replication's brackets
+    # equal those of its paths alone
     states = np.stack([ts.paths for ts in ts_b_reps])   # (n, N, K+1)
     u = np.stack([ts.deviator_controls if ts.deviator_controls is not None
                   else np.zeros(problem.K) for ts in ts_b_reps])   # (n, K)
@@ -537,9 +538,10 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
         clusters = SortedClusters(np.reshape(states[:, :, k], (n * M_k, pop.size)))
         own, row = _stack_views(clusters, n, M_k, own_cluster)
         plans = {name: s[name].plan(xi) for name in names}   # both sides' points
-        finite = terms(*brackets(plans, names, own, row, W.T), uk)
+        finite = terms(*brackets(plans, names, own, row, dev_weights), uk)
         limit = ensemble.clusters(k)
-        mean_field = terms(*brackets(plans, names, limit.view([[v_own]]), limit, gw), uk)
+        mean_field = terms(*brackets(plans, names, limit.view([[v_own]]), limit,
+                                     gw[None]), uk)
         gap = np.abs(finite - mean_field)[:, :, 0]
         for r in range(n):   # one replication at a time: a fixed summation order
             sums[:, k] += gap[:, r]
@@ -607,27 +609,28 @@ def run_ladder(make_problem, ladder, n_reps=20, iota=0, solver_kwargs=None,
                R_law=2000, with_perturbations=False, timing=False):
     """Full approximate-Nash experiment over a population ladder.
 
-    Every rung (M_k, cluster_size) is checked (:func:`check_ladder`) before
-    the first solve. Each is then solved once on the matching vertex grid
-    (``picard_solve(problem, **solver_kwargs)``), and ``n_reps`` independent
-    populations run Systems A/B/C/D with shared per-replication noise; the
-    B runs double as both the eps3 family sup and the unilateral cost
-    comparisons. System A of every replication runs as one stack, and so
-    does every replication x family member of System B. Returns one report
-    dict per rung; ``system_a_paths`` holds the (N, K+1) System A paths of
-    the first replication, a view that keeps the rung's whole stack alive
-    (the CLI runs one rung per call and drops it before the next rung's
+    The whole ladder of rungs (M_k, cluster_size) is checked on the call
+    (:func:`check_ladder`, on the first rung's graphon). The returned
+    iterator then solves one rung at a time on the matching vertex grid
+    (``picard_solve(problem, **solver_kwargs)``), and ``n_reps``
+    independent populations run Systems A/B/C/D with shared
+    per-replication noise; the B runs double as both the eps3 family sup
+    and the unilateral cost comparisons. System A of every replication
+    runs as one stack, and so does every replication x family member of
+    System B. It yields one report dict per rung; ``system_a_paths`` holds
+    the (N, K+1) System A paths of the first replication, a view that keeps
+    the rung's whole stack alive (the CLI drops it before the next rung's
     solve), and, with ``timing``, ``seconds`` the wall time of each phase
     (solve, system_a, family, system_b, system_c, system_d).
     """
     from .solver import picard_solve
 
     problems = [make_problem(M_k) for M_k, _ in ladder]
-    for problem, rung in zip(problems, ladder):
-        if problem.M != rung[0]:
-            raise GridError("ladder rung must align the solver grid with M_k")
-        check_ladder([rung], iota, problem.graphon)
+    if any(problem.M != M_k for problem, (M_k, _) in zip(problems, ladder)):
+        raise GridError("ladder rung must align the solver grid with M_k")
+    if problems:
+        check_ladder(ladder, iota, problems[0].graphon)
     solve = functools.partial(picard_solve, **(solver_kwargs or {}))
-    return [_ladder_rung(problem, size, n_reps, iota, solve, R_law,
+    return (_ladder_rung(problem, size, n_reps, iota, solve, R_law,
                          with_perturbations, timing)
-            for problem, (_, size) in zip(problems, ladder)]
+            for problem, (_, size) in zip(problems, ladder))

@@ -83,9 +83,9 @@ def ladder_results():
                            M=M, K=64, N_x=201, R=4000, seed=101)
 
     start = time.time()
-    results = run_ladder(make_problem, [(2, 25), (4, 50), (8, 100)],
-                         n_reps=20, iota=0,
-                         solver_kwargs={"tol": 0.08, "max_outer": 25})
+    results = list(run_ladder(make_problem, [(2, 25), (4, 50), (8, 100)],
+                              n_reps=20, iota=0,
+                              solver_kwargs={"tol": 0.08, "max_outer": 25}))
     return results, time.time() - start
 
 

@@ -107,3 +107,17 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "a.csv", ["a", "b"], [np.zeros(5000), np.zeros(4999)])
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        """A row that cannot be formatted fails the write midway: the
+        temporary file is removed, and an earlier file at the path is kept."""
+        bad = [np.array(["q"], dtype=object)]
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "x.csv", ["a"], bad)
+        assert list(tmp_path.iterdir()) == []
+        write_csv(tmp_path / "x.csv", ["a"], [np.arange(3)])
+        before = (tmp_path / "x.csv").read_bytes()
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "x.csv", ["a"], bad)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+        assert (tmp_path / "x.csv").read_bytes() == before

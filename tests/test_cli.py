@@ -479,15 +479,15 @@ class TestSimulateEnashCommand:
     @pytest.mark.parametrize("ladder", [None, "2:3,1:4,2:3"])
     def test_repeated_rung_is_input_error(self, tmp_path, capsys, monkeypatch,
                                           ladder):
-        from gmfg import cli
+        from gmfg import solver
 
         doc = nonlinear_scenario()
         doc["ladder"] = {"rungs": [[2, 3], [2, 3]], "replications": 1,
                          "R_law": 120}
         cfg = write_config(tmp_path / "s.json", doc)
         solves = []
-        monkeypatch.setattr(cli, "run_ladder",
-                            lambda *a, **k: solves.append(a) or [])
+        monkeypatch.setattr(solver, "picard_solve",
+                            lambda *a, **k: solves.append(a))
         argv = ["simulate-enash", "--config", cfg, "--out", str(tmp_path / "out")]
         if ladder:
             argv += ["--ladder", ladder]

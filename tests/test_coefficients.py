@@ -96,12 +96,12 @@ class TestClusterMeans:
     def test_exact_against_brute_force(self, coef, samples):
         sizes, values, x, own = samples
         clusters = equal_clusters(values, sizes)
-        got = coef.cluster_means(x, clusters)
+        got = coef.plan(x).apply(clusters)
         want = brute_force_means(coef, sizes, values, x)
         tol = 1e-12 * scale(coef, values, x)
         assert got.shape == (x.size, len(sizes))
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-        got_own = coef.cluster_means(x, clusters.view(own[:, None]))
+        got_own = coef.plan(x).apply(clusters.view(own[:, None]))
         assert got_own.shape == (x.size, 1)
         np.testing.assert_allclose(got_own[:, 0], want[np.arange(x.size), own],
                                    rtol=0, atol=tol)
@@ -128,7 +128,7 @@ class TestClusterMeans:
         sizes = [data.draw(st.integers(1, 7))] * data.draw(st.integers(1, 4))
         values = np.array(data.draw(st.lists(numbers, min_size=sum(sizes),
                                              max_size=sum(sizes))))
-        got = coef.cluster_means(x, equal_clusters(values, sizes))
+        got = coef.plan(x).apply(equal_clusters(values, sizes))
         np.testing.assert_allclose(got, brute_force_means(coef, sizes, values, x),
                                    rtol=0, atol=1e-12 * scale(coef, values, x))
 
@@ -140,7 +140,7 @@ class TestClusterMeans:
         x = np.array([0.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = coef.cluster_means(x, equal_clusters(values, sizes))
+            got = coef.plan(x).apply(equal_clusters(values, sizes))
         want = brute_force_means(coef, sizes, values, x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -150,12 +150,13 @@ class TestClusterMeans:
         coef = Poly2(const=1e300, y=1e-10, clip=(-1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = coef.cluster_means([0.0], equal_clusters(np.array([-1.0, 0.0, 2.0]), [3]))
+            got = coef.plan([0.0]).apply(equal_clusters(np.array([-1.0, 0.0, 2.0]), [3]))
         assert got.tolist() == [[1.0]]
 
     def test_plan_applies_to_any_clusters(self):
-        """One plan per coefficient and points gives, cluster set by cluster
-        set, the bits of cluster_means, for each kind of coefficient."""
+        """One plan per coefficient and points, reused across cluster sets,
+        gives the bits of a fresh plan per set, for each kind of
+        coefficient."""
         rng = np.random.default_rng(3)
         x = np.linspace(-2.0, 2.0, 9)
         for coef in (Constant(0.5), Poly2(x=1.0, xy=0.5), Poly2(x=-1.0, y=1.0, clip=(-0.5, 0.5)),
@@ -164,11 +165,11 @@ class TestClusterMeans:
             for _ in range(3):
                 clusters = SortedClusters(rng.normal(size=(4, 7)))
                 for view in (clusters, clusters.view(np.arange(9)[:, None] % 4)):
-                    assert np.array_equal(plan.apply(view), coef.cluster_means(x, view))
+                    assert np.array_equal(plan.apply(view), coef.plan(x).apply(view))
 
     def test_scalar_query_gives_one_row(self):
         clusters = SortedClusters(np.array([[0.5, -1.0], [2.0, 1.5]]))
-        got = Poly2(y=1.0, clip=(-0.5, 1.0)).cluster_means(0.3, clusters)
+        got = Poly2(y=1.0, clip=(-0.5, 1.0)).plan(0.3).apply(clusters)
         np.testing.assert_allclose(got, [[0.0, 1.0]], rtol=0, atol=1e-15)
 
 
@@ -222,8 +223,8 @@ class TestEnsembleClusters:
         assert np.shares_memory(clusters.sorted_rows(), ens.atoms)
         x = np.linspace(-1.5, 1.5, 13)
         np.testing.assert_array_equal(
-            self.coef.cluster_means(x, clusters),
-            self.coef.cluster_means(x, SortedClusters(rows)))
+            self.coef.plan(x).apply(clusters),
+            self.coef.plan(x).apply(SortedClusters(rows)))
 
     def test_uniform_ensemble(self):
         rows = np.random.default_rng(3).normal(0.0, 0.6, (3, 40))
@@ -242,8 +243,8 @@ class TestEnsembleClusters:
         for k in range(4):
             a, b = strided.clusters(k), contiguous.clusters(k)
             assert np.array_equal(a.s1, b.s1) and np.array_equal(a.s2, b.s2)
-            assert np.array_equal(self.coef.cluster_means(x, a),
-                                  self.coef.cluster_means(x, b))
+            assert np.array_equal(self.coef.plan(x).apply(a),
+                                  self.coef.plan(x).apply(b))
 
 
 class TestPointwise:

@@ -9,7 +9,8 @@ from gmfg import (ConfigError, Constant, Graphon, InvariantError,
                   MeasureEnsemble, Policy, Poly2, ProblemFunctions, frozen_fields,
                   minimize_hamiltonian, policy_lipschitz, rollout_cost,
                   solve_hjb, theta_clamp)
-from gmfg.control import GridLookup
+from gmfg.coefficients import SortedClusters
+from gmfg.control import GridLookup, brackets
 from gmfg.graphon import VertexGrid
 
 
@@ -147,8 +148,8 @@ class TestFrozenFields:
                 table = np.empty((alphas.size, 7, 41))
                 for k in range(7):
                     clusters = ens.clusters(k)
-                    own = s[intra].cluster_means(x_grid, clusters.view(v_own[None, :]))
-                    m = s[coupled].cluster_means(x_grid, clusters)
+                    own = s[intra].plan(x_grid).apply(clusters.view(v_own[None, :]))
+                    m = s[coupled].plan(x_grid).apply(clusters)
                     mixed = np.matmul(m, gw[:, :, None])[:, :, 0].T
                     table[:, k] = (own + mixed).T
                 assert np.array_equal(getattr(fields, name), table), name
@@ -173,6 +174,61 @@ class TestFrozenFields:
         calls.clear()
         frozen_fields(p, Graphon.uniform_attachment(), 0.5, ens, np.linspace(-2, 2, 41))
         assert sorted(calls) == [-0.5, 0.0, 0.5, 0.8]
+
+
+class TestBrackets:
+    def test_replication_alone_rounds_as_in_a_batch(self):
+        """Each replication row of a clipped graphon bracket, as the
+        perturbation terms read it, gets the bits of its point and its
+        clusters alone."""
+        coef = Poly2(y=1.0, x=-1.0, clip=(-2.0, 2.0))
+        M_k, n, reps = 4, 50, 6
+        own_cluster = 1
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            states = rng.normal(0.0, 0.8, (reps, M_k * n))
+            xi = states[:, own_cluster * n]
+            weights = rng.uniform(0.2, 0.7, (1, 1, M_k)) / M_k
+            plans = {"f0": coef.plan(xi), "f": coef.plan(xi)}
+            clusters = SortedClusters(states.reshape(reps * M_k, n))
+            first = np.arange(reps)[:, None] * M_k
+            batch = brackets(plans, ("f0", "f"), clusters.view(first + own_cluster),
+                             clusters.view(first + np.arange(M_k)), weights)
+            for r in range(reps):
+                alone = SortedClusters(states[r].reshape(M_k, n))
+                one = {"f0": coef.plan(xi[r:r + 1]), "f": coef.plan(xi[r:r + 1])}
+                got = brackets(one, ("f0", "f"), alone.view([[own_cluster]]), alone,
+                               weights)
+                for g, b in zip(got, batch):
+                    assert g.shape == (1, 1)
+                    assert np.array_equal(g[0], b[r]), (seed, r)
+
+    def test_frozen_field_column_and_point_alone_round_as_in_a_batch(self):
+        """With the frozen-field weights (one section row per vertex), a
+        vertex alone (k = 1) gets the bits of its column of all M vertices,
+        and a grid point alone those of its row of the grid."""
+        rng = np.random.default_rng(8)
+        M = 5
+        clusters = SortedClusters(rng.normal(0.0, 0.8, (M, 40)))
+        x = np.linspace(-2.0, 2.0, 201)
+        grid = VertexGrid(M)
+        gw = grid.section_weights(Graphon.uniform_attachment(), grid.midpoints)
+        names = ("l1", "l3")
+        for coef in (Poly2(const=0.1, xy=-0.5, yy=0.5, clip=(0.0, 0.8)),
+                     Poly2(y=0.3, xy=0.2)):
+            plans = dict.fromkeys(names, coef.plan(x))
+            own, mixed = brackets(plans, names, clusters.view(np.arange(M)[None, :]),
+                                  clusters, gw[None])
+            assert mixed.shape == (x.size, M)
+            for v in range(M):
+                [col] = brackets(plans, ("l3",), None, clusters, gw[None, v:v + 1])
+                assert np.array_equal(col[:, 0], mixed[:, v])
+            for i in (0, 57, 200):
+                point = dict.fromkeys(names, coef.plan(x[i:i + 1]))
+                got = brackets(point, names, clusters.view(np.arange(M)[None, :]),
+                               clusters, gw[None])
+                assert np.array_equal(got[0][0], own[i])
+                assert np.array_equal(got[1][0], mixed[i])
 
 
 # Small dyadic numbers keep the arithmetic exact often enough that atoms
