@@ -35,10 +35,10 @@ for shift in (0.25, 5.0):
           path_distance_DT(b1.paths[0], b2.paths[0]),
           " ensemble distance =", ensemble_distance(b1, b2))
 
-# Brownian marginals move like sqrt(dt); the Holder fit should find an
-# exponent near one half.
+# Brownian paths move like sqrt(dt); the Holder fit of their mean
+# increments should find an exponent near one half.
+c_h, eta = holder_modulus(b1)
+print(f"\nHolder fit of the Brownian paths: C_h = {c_h:.4f}, eta = {eta:.3f}")
 ens = marginals(b1)
-c_h, eta = holder_modulus(ens)
-print(f"\nHolder fit of the Brownian ensemble: C_h = {c_h:.4f}, eta = {eta:.3f}")
 print("joint (vertex, time) continuity scan:",
       round(w1_joint_continuity_scan(ens), 4))

@@ -11,7 +11,7 @@ import numpy as np
 
 from gmfg import (Constant, GMFGProblem, Graphon, Poly2, ProblemFunctions,
                   holder_modulus, normal_quantile_measure, picard_solve,
-                  sensitivity_probe)
+                  propagate_closed_loop, sensitivity_probe)
 
 functions = ProblemFunctions.structured(
     Constant(0.0), Constant(1.0),              # drift: c_g(alpha) * u
@@ -36,8 +36,10 @@ print(f"\nsensitivity probe: c1 = {report.c1:.3f}, c2 = {report.c2:.3f}, "
       f"product = {report.product:.3f}")
 print("the product bounds the contraction rate the trace exhibits")
 
-c_h, eta = holder_modulus(solution.ensemble)
-print(f"\ntime-Holder diagnostic of the converged ensemble: eta = {eta:.3f}")
+c_h, eta = holder_modulus(propagate_closed_loop(problem, solution.policy,
+                                                solution.ensemble))
+print(f"\ntime-Holder diagnostic of paths under the converged policy: "
+      f"C_h = {c_h:.3f}, eta = {eta:.3f}")
 
 # Vertices with more connectivity get cheaper control authority; compare the
 # terminal spread of the most and least connected vertices.

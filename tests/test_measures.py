@@ -182,9 +182,8 @@ class TestMarginals:
 
 class TestHolderModulus:
     def test_time_constant_degenerate(self):
-        atoms = np.zeros((2, 5, 10))
-        e = MeasureEnsemble(atoms, np.linspace(0, 1, 5))
-        assert holder_modulus(e) == (0.0, 1.0)
+        bundle = PathBundle(np.zeros((2, 10, 5)), np.linspace(0, 1, 5))
+        assert holder_modulus(bundle) == (0.0, 1.0)
 
     def test_brownian_exponent_near_half(self):
         gen = np.random.default_rng(5)
@@ -192,21 +191,24 @@ class TestHolderModulus:
         times = np.linspace(0, 1, K + 1)
         steps = gen.standard_normal((1, R, K)) * np.sqrt(1.0 / K)
         paths = np.concatenate([np.zeros((1, R, 1)), np.cumsum(steps, axis=2)], axis=2)
-        _, eta = holder_modulus(marginals(PathBundle(paths, times)))
-        assert eta == pytest.approx(0.5, abs=0.15)
+        c_h, eta = holder_modulus(PathBundle(paths, times))
+        assert eta == pytest.approx(0.5, abs=0.02)
+        # E|B_{t+h} - B_t| = sqrt(2 h / pi)
+        assert c_h == pytest.approx(np.sqrt(2.0 / np.pi), rel=0.05)
 
     def test_linear_drift_exponent_near_one(self):
         times = np.linspace(0, 1, 17)
         gen = np.random.default_rng(2)
         x0 = gen.uniform(-0.5, 0.5, (1, 200, 1))
         paths = x0 + 0.7 * times[None, None, :]
-        _, eta = holder_modulus(marginals(PathBundle(paths, times)))
-        assert eta == pytest.approx(1.0, abs=0.1)
+        c_h, eta = holder_modulus(PathBundle(paths, times))
+        assert eta == pytest.approx(1.0, abs=1e-9)
+        assert c_h == pytest.approx(0.7, rel=1e-9)
 
     def test_needs_three_time_points(self):
-        e = MeasureEnsemble(np.zeros((1, 2, 3)), [0.0, 1.0])
+        bundle = PathBundle(np.zeros((1, 3, 2)), [0.0, 1.0])
         with pytest.raises(GridError):
-            holder_modulus(e)
+            holder_modulus(bundle)
 
 
 class TestJointContinuityScan:

@@ -402,6 +402,29 @@ class TestPicardSolve:
         assert ensemble_distance(bundle, bundle) == 0.0
 
 
+class TestHolderDiagnostic:
+    def test_path_fit_is_steady_in_the_path_count(self):
+        """The Holder fit of coupled paths under a solved policy measures
+        the flow, not the sampling noise: on the acceptance problem (two
+        vertices) C_h moves by less than 20% from R = 2,500 to 40,000, and
+        eta stays in criterion 9's band. The fit of odd test-function means
+        it replaces read only the noise of this symmetric law, and its C_h
+        fell like 1 / sqrt(R)."""
+        from gmfg import holder_modulus
+
+        def problem(R):
+            return GMFGProblem(tracking_problem(), Graphon.uniform_attachment(),
+                               normal_quantile_measure(0.0, 0.3, 129), M=2, K=64,
+                               N_x=201, R=R, seed=2024)
+
+        sol = picard_solve(problem(2500), tol=0.05)
+        fits = [holder_modulus(propagate_closed_loop(problem(R), sol.policy,
+                                                     sol.ensemble))
+                for R in (2500, 40_000)]
+        assert all(0.3 <= eta <= 1.0 for _, eta in fits)
+        assert fits[1][0] == pytest.approx(fits[0][0], rel=0.2)
+
+
 class TestSensitivityProbe:
     def test_decoupled_problem_has_zero_c1(self):
         p = ProblemFunctions.structured(Constant(1.0), Constant(0.0),
