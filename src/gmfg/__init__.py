@@ -8,11 +8,12 @@ from .graphon import (Graphon, VertexGrid, cell_average_step, cut_norm_grid_boun
 from .coefficients import Constant, Poly2, SortedClusters
 from .measures import (Measure1D, MeasureEnsemble, PathBundle, dirac, empirical,
                        ensemble_distance, ensemble_w1_sup, holder_modulus,
-                       marginals, normal_quantile_measure, path_distance_DT, w1,
+                       marginals, node_masses, node_quantiles, node_w1_sup,
+                       normal_quantile_measure, path_distance_DT, w1,
                        w1_joint_continuity_scan)
 from .control import (FrozenFields, Policy, ProblemFunctions, frozen_fields,
                       minimize_hamiltonian, policy_lipschitz, rollout_cost,
-                      solve_hjb, theta_clamp)
+                      solve_fpk, solve_hjb, theta_clamp)
 from .solver import (GMFGProblem, GMFGSolution, SensitivityReport,
                      inner_mv_consistency, picard_solve, propagate_closed_loop,
                      sensitivity_probe, zero_drift_ensemble)

@@ -282,6 +282,34 @@ def policy_lipschitz(table, x_grid):
     return float(np.abs(np.diff(table, axis=-1)).max() / (x_grid[1] - x_grid[0]))
 
 
+def _check_cfl(speed, dt, dx):
+    # the stability bound of the value sweep and of the law's transport
+    if speed * dt > dx + 1e-12:
+        raise ConfigError(
+            f"stability requires |drift| dt <= dx: {speed:.3g} * {dt:.3g} > {dx:.3g}")
+
+
+def implicit_diffusion(sigma, dt, x_grid):
+    """The implicit diffusion step (I + nu L)^-1 of the value sweep, with
+    nu = sigma^2 dt / (2 dx^2) and L the second difference reflected at
+    both ends (zero slope), as a function of (n, N_x) rows.
+
+    I + nu L is diagonal in the DCT-I basis (G. Strang, SIAM Review 41(1),
+    1999): one solve divides the real FFT of each row's even extension,
+    2 (N_x - 1) long, by its eigenvalues. O(N_x log N_x) per row, no
+    (N_x, N_x) array, and rows transform independently.
+    """
+    nx, dx = x_grid.size, float(x_grid[1] - x_grid[0])
+    nu = sigma**2 * dt / (2.0 * dx * dx)
+    lam = 1.0 + 2.0 * nu * (1.0 - np.cos(np.pi * np.arange(nx) / (nx - 1)))
+
+    def diffuse(rhs):
+        even = np.concatenate([rhs, rhs[:, -2:0:-1]], axis=1)
+        return np.fft.irfft(np.fft.rfft(even) / lam, n=even.shape[1])[:, :nx]
+
+    return diffuse
+
+
 def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     """Backward semi-implicit solve of the vertex value equations.
 
@@ -291,10 +319,9 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     chosen by drift direction (candidate minimizers from the forward and
     backward differences, kept when self-consistent), the drift and cost
     terms enter explicitly, and the diffusion is implicit with zero-slope
-    boundaries, solved exactly by one real FFT pair per step: O(N_x log N_x),
-    no (N_x, N_x) array. The sweep is row-independent: from the same field
-    rows a vertex gets the same bits alone as in a batch, and so do the
-    rows of :func:`frozen_fields`. Returns the value and the feedback
+    boundaries (:func:`implicit_diffusion`). The sweep is row-independent:
+    from the same field rows a vertex gets the same bits alone as in a
+    batch, and so do the rows of :func:`frozen_fields`. Returns the value and the feedback
     tables, each (n, K+1, N_x) for n vertices (n = 1 for a scalar
     ``alpha``); the terminal value row is zero.
     """
@@ -305,20 +332,8 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     n, nx, K1 = fields.alpha.size, x.size, times.size
     dt = float(times[1] - times[0])
     dx = float(x[1] - x[0])
-    bound = float(fields.drift_bound().max())
-    if bound * dt > dx + 1e-12:
-        raise ConfigError(
-            f"stability requires |drift| dt <= dx: {bound:.3g} * {dt:.3g} > {dx:.3g}")
-
-    nu = problem.sigma**2 * dt / (2.0 * dx * dx)
-    # I + nu L (L the reflected second difference) is diagonal in the DCT-I
-    # basis (G. Strang, SIAM Review 41(1), 1999): one solve divides the real
-    # FFT of each row's even extension, 2 (nx - 1) long, by its eigenvalues.
-    lam = 1.0 + 2.0 * nu * (1.0 - np.cos(np.pi * np.arange(nx) / (nx - 1)))
-
-    def diffuse(rhs):
-        even = np.concatenate([rhs, rhs[:, -2:0:-1]], axis=1)
-        return np.fft.irfft(np.fft.rfft(even) / lam, n=even.shape[1])[:, :nx]
+    _check_cfl(float(fields.drift_bound().max()), dt, dx)
+    diffuse = implicit_diffusion(problem.sigma, dt, x)
 
     # the field tables live on x_grid, so they are read without interpolation
     V = np.zeros((n, K1, nx))
@@ -356,6 +371,48 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
         policy[:, k] = u_k
     policy[:, -1] = minimize_hamiltonian(fields, K1 - 1, np.zeros((n, nx)))
     return V, policy
+
+
+def solve_fpk(problem, x_grid, times, mass0, drift=None):
+    """Forward solve of the vertex Fokker-Planck equations on the x-grid.
+
+    ``mass0`` holds the (n, N_x) initial node masses of n rows and
+    ``drift`` their (n, K+1, N_x) nodal drift, fields.drift_coef times the
+    feedback table (None: pure diffusion). Each step is the adjoint of the
+    value sweep's step (Y. Achdou and I. Capuzzo-Dolcetta, SIAM J. Numer.
+    Anal. 48(3), 2010): upwind transport moves |b| dt / dx <= 1 of each
+    node's mass to its downwind neighbour and none past an end node, then
+    the implicit diffusion (I + nu L^T)^-1 = W (I + nu L)^-1 W^-1 of
+    :func:`implicit_diffusion`, with W = diag(1/2, 1, ..., 1, 1/2), since
+    L = W^-1 S for a symmetric S. Both keep the total mass, and since
+    I + nu L^T is an M-matrix the masses stay nonnegative; the FFT's
+    rounding below zero is cut to 0. A drift that breaks |b| dt <= dx
+    raises ConfigError, as the sweep does. Returns the (n, K+1, N_x) node
+    masses.
+    """
+    x = np.asarray(x_grid, dtype=float)
+    dt, dx = float(times[1] - times[0]), float(x[1] - x[0])
+    if drift is not None:
+        _check_cfl(float(np.abs(drift).max()), dt, dx)
+    diffuse = implicit_diffusion(problem.sigma, dt, x)
+    masses = np.empty((mass0.shape[0], times.size, x.size))
+    masses[:, 0] = mass0
+    for k in range(times.size - 1):
+        m = masses[:, k].copy()
+        if drift is not None:
+            share = np.minimum(np.abs(drift[:, k]) * (dt / dx), 1.0)
+            right = np.where(drift[:, k] > 0.0, share * m, 0.0)
+            left = np.where(drift[:, k] < 0.0, share * m, 0.0)
+            right[:, -1] = left[:, 0] = 0.0   # no flux past the end nodes
+            m -= right
+            m -= left
+            m[:, 1:] += right[:, :-1]
+            m[:, :-1] += left[:, 1:]
+        m[:, [0, -1]] *= 2.0
+        m = diffuse(m)
+        m[:, [0, -1]] *= 0.5
+        np.maximum(m, 0.0, out=masses[:, k + 1])
+    return masses
 
 
 def scaled_increments(out, sigma, dt, gen):

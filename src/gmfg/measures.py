@@ -183,6 +183,59 @@ class MeasureEnsemble:
         return MeasureEnsemble(self.atoms[:, :, idx], self.times)
 
 
+def node_masses(law, x_grid):
+    """The node masses on ``x_grid`` of an atomic ``law``: each atom's weight
+    split linearly between the two nodes of its cell, so the mean is kept.
+    An atom outside the grid raises DomainError."""
+    x = np.asarray(x_grid, dtype=float)
+    a = law.atoms
+    if a[0] < x[0] or a[-1] > x[-1]:
+        raise DomainError(f"initial atoms span [{a[0]:.6g}, {a[-1]:.6g}], outside "
+                          f"the space grid [{x[0]:.6g}, {x[-1]:.6g}]")
+    j = np.minimum(np.searchsorted(x, a, side="right") - 1, x.size - 2)
+    theta = (a - x[j]) / (x[j + 1] - x[j])
+    return (np.bincount(j, law.weights * (1.0 - theta), minlength=x.size)
+            + np.bincount(j + 1, law.weights * theta, minlength=x.size))
+
+
+def node_quantiles(masses, x_grid, n):
+    """(..., n) quantile atoms of the node laws ``masses`` (..., N_x).
+
+    Node j's mass is spread evenly over its cell, [x_j - dx/2, x_j + dx/2]
+    cut to the grid (half cells at the ends, the trapezoid weights of the
+    diffusion step), so each law's CDF is piecewise linear; the atoms are
+    its values at the levels (i + 1/2) / n, sorted in each row. A level
+    falls in the node whose cumulative mass first reaches it, and each
+    node's count of levels is read from its cumulative mass, so no row is
+    searched or sorted. The masses must be nonnegative.
+    """
+    x = np.asarray(x_grid, dtype=float)
+    shape, nx = masses.shape[:-1], x.size
+    m = masses.reshape(-1, nx)
+    cum = np.cumsum(m, axis=1)
+    # levels (i + 1/2) / n at or below each node's cumulative mass
+    reached = np.minimum(np.floor(cum * n + 0.5), n)
+    reached[:, -1] = n
+    counts = np.diff(reached, axis=1, prepend=0.0).astype(np.intp).ravel()
+    flat = np.repeat(np.arange(m.size), counts)    # (row, node) of each level
+    node = flat % nx
+    below = np.where(node > 0, cum.ravel()[flat - 1], 0.0)
+    levels = np.tile((np.arange(n) + 0.5) / n, m.shape[0])
+    share = np.clip((levels - below) / m.ravel()[flat], 0.0, 1.0)
+    half = 0.5 * (x[1] - x[0])
+    lo = np.maximum(x - half, x[0])
+    hi = np.minimum(x + half, x[-1])
+    return (lo[node] + share * (hi[node] - lo[node])).reshape(shape + (n,))
+
+
+def node_w1_sup(m1, m2, dx):
+    """Sup over the leading entries of the exact W1 between node laws of
+    equal mass on a grid of spacing ``dx``: dx times the sum of |F1 - F2|
+    over the nodes but the last, F the cumulative masses."""
+    gap = np.cumsum(m1 - m2, axis=-1)[..., :-1]
+    return float(dx * np.abs(gap).sum(axis=-1).max())
+
+
 def ensemble_w1_sup(e1, e2):
     """Sup over (vertex, time) of W1 between matching ensemble entries.
 

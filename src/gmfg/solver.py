@@ -1,11 +1,13 @@
 """The outer graphon mean field game fixed point.
 
 One Picard pass maps a measure ensemble to per-vertex best responses, then
-to the closed-loop particle propagation those responses induce, then back to
-the new ensemble of time marginals. Common random numbers across passes make
-the map deterministic, so the iteration trace exposes the contraction rate
-directly. A sensitivity probe estimates the two constants whose product
-governs that rate.
+to the law those responses induce, solved on the x-grid by the forward
+Fokker-Planck step that is the adjoint of the value sweep, then back to the
+ensemble of its quantile atoms. The map is deterministic, so the iteration
+trace exposes the contraction rate directly. Particles remain where paths
+are the object: closed-loop propagation under common random numbers, the
+measure-consistency loop of System C's cluster laws, and a sensitivity
+probe that estimates the two constants whose product governs the rate.
 """
 
 import math
@@ -17,10 +19,15 @@ import numpy as np
 
 from . import rng
 from .control import (closed_loop_steps, frozen_fields, policy_lipschitz,
-                      scaled_increments, solve_hjb)
+                      scaled_increments, solve_fpk, solve_hjb)
 from .errors import ConfigError, ConvergenceError, InvariantError
 from .graphon import VertexGrid
-from .measures import MeasureEnsemble, PathBundle, ensemble_distance, ensemble_w1_sup
+from .measures import (MeasureEnsemble, PathBundle, ensemble_distance, ensemble_w1_sup,
+                       node_masses, node_quantiles, node_w1_sup)
+
+# quantile atoms per (vertex, time) of a solved law: the ensemble that
+# frozen_fields, ensemble.csv and System D read
+LAW_ATOMS = 128
 
 
 class GMFGProblem:
@@ -43,6 +50,7 @@ class GMFGProblem:
         if domain is None:
             domain = self._default_domain(domain_padding)
         self.x_grid = np.linspace(float(domain[0]), float(domain[1]), self.N_x)
+        self.initial_masses = node_masses(initial_law, self.x_grid)
 
     def _default_domain(self, extra):
         # Initial support widened by the diffusion cone and a drift-range
@@ -71,7 +79,8 @@ class GMFGProblem:
 @dataclass
 class GMFGSolution:
     """Converged solution of the fixed point: the (M, K+1, N_x) feedback
-    table, one row per vertex, and the ensemble it induces."""
+    table, one row per vertex, and the ensemble of ``LAW_ATOMS`` quantile
+    atoms of the law it induces."""
 
     policy: np.ndarray
     ensemble: MeasureEnsemble
@@ -190,7 +199,7 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
     mass and the per-pass distances.
     """
     if tol_inner is None:
-        tol_inner = max(1e-4, 0.2 * problem.noise_floor)
+        tol_inner = _default_inner_tol(problem)
     if start is None:
         start = _start_paths(problem)
     ens, trace = e_start, []
@@ -215,34 +224,81 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
         trace=trace)
 
 
+def _default_inner_tol(problem):
+    return max(1e-4, 0.2 * problem.noise_floor)
+
+
+def _law(problem, drift=None):
+    """The (M, K+1, N_x) node law of every vertex under the nodal ``drift``
+    (None: pure diffusion) and its ensemble of quantile atoms."""
+    masses = solve_fpk(problem.functions, problem.x_grid, problem.times,
+                       np.broadcast_to(problem.initial_masses, (problem.M, problem.N_x)),
+                       drift)
+    atoms = node_quantiles(masses, problem.x_grid, LAW_ATOMS)
+    return masses, MeasureEnsemble.adopt(atoms, problem.times)
+
+
+def _law_consistency(problem, policy, masses, fields, tol_inner, max_inner=60,
+                     seconds=None):
+    """The node law of the feedback table ``policy`` made consistent with
+    the drift it induces, from the law ``masses`` whose fields are
+    ``fields``.
+
+    Each pass solves the law under the current drift fields and freezes
+    the next pass's fields against its quantile ensemble, until the exact
+    node-law W1 change drops below ``tol_inner`` (an infinite one stops
+    after one pass). With a ``seconds`` dict, the wall time of freezing
+    the fields, solving the law and measuring the change is added to its
+    ``fields``, ``propagate`` and ``w1`` entries. Pass 0 reads
+    ``fields``, which must be given. Returns (masses, ensemble, trace),
+    the trace holding the per-pass distances.
+    """
+    dx = float(problem.x_grid[1] - problem.x_grid[0])
+    trace = []
+    for _ in range(max_inner):
+        if fields is None:
+            with _timed(seconds, "fields"):
+                fields = _drift_fields(problem, ens)
+        with _timed(seconds, "propagate"):
+            new, ens = _law(problem, fields.drift_coef * policy)
+        with _timed(seconds, "w1"):
+            d = node_w1_sup(new, masses, dx)
+        trace.append(d)
+        masses, fields = new, None
+        if d < tol_inner:
+            return masses, ens, trace
+    raise ConvergenceError(
+        f"measure consistency stalled above {tol_inner:.3g} after {max_inner} passes",
+        trace=trace)
+
+
 def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
                  min_outer=None, inner_tol=None, timing=False):
     """Fixed-point iteration of the full game map.
 
-    Starting from the zero-drift propagation marginals
-    (:func:`zero_drift_ensemble`, which adopts its buffer), each pass
-    solves the vertex value equations against the current ensemble and
-    runs :func:`inner_mv_consistency` with the pass's frozen
-    fields in the atoms of the ensemble the last pass retired: one pass of
-    it in ``single_loop`` mode, down to ``inner_tol`` in ``double_loop``
-    mode. A single-loop solve holds three path-sized arrays (the start
-    buffer and two ensembles), a double-loop one about four. The pass's
-    distance is the sup-over-(vertex, time) W1 change. Each trace entry
-    also records the CFL margin (the smallest 1 - sup|drift| dt / dx over
-    the vertices), the escaped mass (the share of particle-steps outside
-    the space grid), the propagations (``inner_passes``) and
+    The law of every vertex is a set of node masses on ``x_grid``: the
+    initial atoms split linearly between nodes, then one forward
+    Fokker-Planck step per time step (:func:`~gmfg.control.solve_fpk`).
+    Starting from the pure-diffusion law, each pass solves the vertex value
+    equations against the current ensemble (``LAW_ATOMS`` quantile atoms
+    of the law per vertex and time node) and solves the law of the new
+    policy under the pass's frozen fields: once in ``single_loop`` mode,
+    made consistent with its own drift down to ``inner_tol`` in
+    ``double_loop`` mode. The pass's distance is the sup over (vertex,
+    time) of the exact W1 change of the node laws. Each trace entry also
+    records the CFL margin (the smallest 1 - sup|drift| dt / dx over the
+    vertices), the escaped mass (the mass on the two end nodes, averaged
+    over vertices and time steps), the law solves (``inner_passes``) and
     ``policy_lipschitz``, the largest x-difference quotient of any vertex
     policy (:func:`~gmfg.control.policy_lipschitz`). With ``timing``, each
     entry also holds ``phase_seconds``, the pass's wall time in freezing the
-    fields, the value sweep, the propagations and the W1 distances
-    (``fields``, ``hjb``, ``propagate``, ``w1``). The initial states
-    and the noise are drawn once per solve and shared by every propagation
-    of it (common random numbers across passes). Particle noise cannot
-    resolve ensembles below the sampling floor, so the tolerance is clamped
-    to 5 / sqrt(R). Convergence may be declared from pass ``min_outer`` on
-    (default 2); an explicit ``min_outer`` above ``max_outer`` could never
-    be met and is a ConfigError. Non-convergence raises with the trace
-    attached, so callers can inspect an empirical ratio at or above one.
+    fields, the value sweep, the law solves and the W1 distances
+    (``fields``, ``hjb``, ``propagate``, ``w1``). The tolerance is clamped
+    to 5 / sqrt(R), the floor of the particle paths that read a solution.
+    Convergence may be declared from pass ``min_outer`` on (default 2); an
+    explicit ``min_outer`` above ``max_outer`` could never be met and is a
+    ConfigError. Non-convergence raises with the trace attached, so callers
+    can inspect an empirical ratio at or above one.
     """
     if mode not in ("single_loop", "double_loop"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -252,10 +308,12 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         raise ConfigError(f"min_outer {min_outer} exceeds max_outer {max_outer}")
     p, alphas = problem.functions, problem.vertex_grid.midpoints
     tol_eff = max(tol if tol is not None else 0.0, 5.0 / math.sqrt(problem.R))
-    tol_inner = math.inf if mode == "single_loop" else inner_tol
-    start = _start_paths(problem)
-    ens = zero_drift_ensemble(problem, start)
-    spare = prev_policy = None
+    if mode == "single_loop":
+        tol_inner = math.inf
+    else:
+        tol_inner = inner_tol if inner_tol is not None else _default_inner_tol(problem)
+    masses, ens = _law(problem)
+    prev_policy = None
     trace = []
     for i in range(max_outer):
         seconds = {} if timing else None
@@ -264,11 +322,11 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         with _timed(seconds, "hjb"):
             _, policy = solve_hjb(p, problem.graphon, alphas, ens, problem.x_grid,
                                   fields=fls)
-        escaped, new, inner = inner_mv_consistency(
-            problem, policy, ens, tol_inner, start=start, fields=fls, _out=spare,
-            seconds=seconds)
+        new, new_ens, inner = _law_consistency(problem, policy, masses, fls,
+                                               tol_inner, seconds=seconds)
         with _timed(seconds, "w1"):
-            d = inner[0] if len(inner) == 1 else ensemble_w1_sup(new, ens)
+            d = inner[0] if len(inner) == 1 else node_w1_sup(
+                new, masses, problem.x_grid[1] - problem.x_grid[0])
         pol_delta = float(np.abs(policy - prev_policy).max()) if prev_policy is not None else math.nan
         entry = {
             "iteration": i,
@@ -276,7 +334,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "ratio": d / trace[-1]["distance"] if trace and trace[-1]["distance"] > 0 else math.nan,
             "policy_delta": pol_delta,
             "cfl_margin": float(fls.cfl_margin().min()),
-            "escaped_mass": escaped,
+            "escaped_mass": float(new[:, :-1, [0, -1]].sum(axis=-1).mean()),
             "inner_passes": len(inner),
             "policy_lipschitz": policy_lipschitz(policy, problem.x_grid),
         }
@@ -285,8 +343,7 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
                                       ("fields", "hjb", "propagate", "w1")}
         trace.append(entry)
         prev_policy = policy
-        # nothing reads ens once this pass ends: the fields are tables
-        spare, ens = ens.atoms, new
+        masses, ens = new, new_ens
         if d < tol_eff and i + 1 >= min_outer:
             return GMFGSolution(policy, ens, trace, tol_eff, problem)
     raise ConvergenceError(
@@ -321,8 +378,9 @@ def sensitivity_probe(problem, solution, delta=0.05):
       under common noise.
 
     The coupled bundles are one propagation of each policy against its
-    converged laws. A zero denominator leaves the corresponding estimate
-    undefined (NaN).
+    converged particle laws, each found from the zero-drift ensemble of the
+    probe's one start buffer, as System C's laws are. A zero denominator
+    leaves the corresponding estimate undefined (NaN).
     """
     shifted = solution.ensemble.shift(delta)
     _, shifted_policy = solve_hjb(problem.functions, problem.graphon,
@@ -335,10 +393,10 @@ def sensitivity_probe(problem, solution, delta=0.05):
     if dphi <= 0.0:
         return SensitivityReport(c1, math.nan, dphi, shift_dist)
     start = _start_paths(problem)
+    e_start = zero_drift_ensemble(problem, start)
     bundles, traces = [], []
     for policy in (solution.policy, shifted_policy):
-        _, laws, trace = inner_mv_consistency(problem, policy, solution.ensemble,
-                                              start=start)
+        _, laws, trace = inner_mv_consistency(problem, policy, e_start, start=start)
         bundles.append(propagate_closed_loop(problem, policy, laws, start=start))
         traces.append(trace)
     c2 = ensemble_distance(*bundles) / dphi

@@ -358,6 +358,10 @@ class TestSolveGMFGCommand:
 
         doc = nonlinear_scenario()
         doc["graphon"] = {"kind": "uniform_attachment"}
+        # a graphon drift term makes the vertex policies differ: with
+        # f = l3 = l4 = 0 the vertices play one game, and an exact law
+        # gives them one policy
+        doc["problem"]["f"] = {"kind": "constant", "c": 0.2}
         cfg = write_config(tmp_path / "s.json", doc)
         out = tmp_path / "out"
         assert main(["solve-gmfg", "--config", cfg, "--out", str(out)]) == 0
@@ -597,16 +601,15 @@ class TestSimulateEnashCommand:
                              "mode": "double_loop", "inner_tol": 0.01}
         doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120}
         cfg = write_config(tmp_path / "s.json", doc)
-        real = solver.inner_mv_consistency
+        real = solver._law_consistency
         seen = []
 
-        def spy(problem, policies, e_start, tol_inner=None, max_inner=60, **kw):
+        def spy(problem, policy, masses, fields, tol_inner, *args, **kw):
             seen.append(tol_inner)
-            return real(problem, policies, e_start, tol_inner, max_inner, **kw)
+            return real(problem, policy, masses, fields, tol_inner, *args, **kw)
 
-        # picard_solve's double loop reaches this module-level name; the
-        # cluster-law solve of System C holds its own import
-        monkeypatch.setattr(solver, "inner_mv_consistency", spy)
+        # the inner passes of picard_solve's double loop
+        monkeypatch.setattr(solver, "_law_consistency", spy)
         assert main(["simulate-enash", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == 0
         assert seen and all(tol == 0.01 for tol in seen)

@@ -42,6 +42,16 @@ def small_solution():
     return problem, picard_solve(problem, tol=0.05, min_outer=5, max_outer=25)
 
 
+@pytest.fixture(scope="module")
+def reverting_solution():
+    """A solve whose map keeps contracting: the own-vertex mean reversion in
+    f0 reads more of the law than its mean. The symmetric tracking problem
+    of ``small_solution`` lands on its fixed point in one pass, since an
+    exact symmetric law keeps every vertex mean at 0."""
+    problem = small_problem(f0c=Poly2(x=-1.0, y=1.0, clip=(-2.0, 2.0)), l2c=0.5)
+    return problem, picard_solve(problem, tol=0.05, min_outer=5, max_outer=25)
+
+
 def constant_policy(problem, value):
     """The (M, K+1, N_x) feedback table that plays ``value`` everywhere."""
     return np.full((problem.M, problem.K + 1, problem.N_x), float(value))
@@ -168,8 +178,8 @@ class TestPicardSolve:
                 d = w1(sol.ensemble.get(0, k), sol.ensemble.get(v, k))
                 assert d < 2 * floor
 
-    def test_contraction_trace(self, small_solution):
-        _, sol = small_solution
+    def test_contraction_trace(self, reverting_solution):
+        _, sol = reverting_solution
         dists = [e["distance"] for e in sol.trace]
         ratios = [b / a for a, b in zip(dists, dists[1:])]
         assert len(ratios) >= 3
@@ -227,7 +237,9 @@ class TestPicardSolve:
         dt = problem.times[1] - problem.times[0]
         dx = problem.x_grid[1] - problem.x_grid[0]
         for entry in sol.trace:
-            assert entry["escaped_mass"] == 0.0
+            # the implicit diffusion gives every node some mass, so the end
+            # nodes of a wide domain hold mass at the rounding level only
+            assert 0.0 <= entry["escaped_mass"] < 1e-12
             # drift u against the section mass c_g(alpha) <= 1, |u| <= 1
             assert 1.0 - dt / dx <= entry["cfl_margin"] < 1.0
 
@@ -242,28 +254,51 @@ class TestPicardSolve:
             policy_lipschitz(pol, sol.problem.x_grid) for pol in sol.policy)
 
     def test_narrow_domain_reports_escaped_mass(self):
+        from gmfg import MeasureEnsemble, frozen_fields, node_quantiles, solve_fpk
+        from gmfg.solver import LAW_ATOMS
+
+        # a reflected law keeps more mass inside than free particles do: on
+        # (-0.3, 0.3) its end nodes hold 0.036 on average, where 5.6% of
+        # the particle-steps lay outside
         problem = GMFGProblem(tracking_problem(), Graphon.uniform_attachment(),
                               dirac(0.0), M=2, K=16, N_x=11, R=500, seed=11,
-                              domain=(-0.3, 0.3))
+                              domain=(-0.2, 0.2))
         sol = picard_solve(problem, tol=10.0, min_outer=1, max_outer=1)
-        # the pass's propagation: its policy against the zero-drift start
-        bundle = propagate_closed_loop(problem, sol.policy,
-                                       zero_drift_ensemble(problem))
-        steps = bundle.paths[:, :, :-1]
-        outside = np.mean((steps < -0.3) | (steps > 0.3))
-        assert sol.trace[0]["escaped_mass"] == pytest.approx(outside, abs=1e-15)
+        # the pass's law: its policy under the fields of the diffusion start
+        x, times = problem.x_grid, problem.times
+        mass0 = np.tile(problem.initial_masses, (problem.M, 1))
+        start = solve_fpk(problem.functions, x, times, mass0)
+        fields = frozen_fields(problem.functions, problem.graphon,
+                               problem.vertex_grid.midpoints,
+                               MeasureEnsemble(node_quantiles(start, x, LAW_ATOMS), times),
+                               x)
+        masses = solve_fpk(problem.functions, x, times, mass0,
+                           fields.drift_coef * sol.policy)
+        ends = masses[:, :-1, 0] + masses[:, :-1, -1]
+        assert sol.trace[0]["escaped_mass"] == pytest.approx(ends.mean(), abs=1e-15)
         assert sol.trace[0]["escaped_mass"] > 0.05
 
+    def test_initial_atom_outside_the_grid_rejected(self):
+        """An initial law reaching past the space grid is an input error,
+        not a law clamped to the end nodes."""
+        from gmfg import DomainError
+
+        with pytest.raises(DomainError, match="outside the space grid"):
+            GMFGProblem(tracking_problem(), Graphon.uniform_attachment(),
+                        dirac(0.5), M=2, K=16, N_x=11, R=500, seed=11,
+                        domain=(-0.3, 0.3))
+
     def test_trace_counts_inner_passes(self, monkeypatch):
-        """Each trace entry holds the propagations of its pass: the inner
+        """Each trace entry holds the law solves of its pass: the inner
         sub-iteration's length in double-loop mode, 1 in single-loop mode."""
         import gmfg.solver as solver_mod
 
-        # the drift reads the own measure, so the inner loop has work to do
-        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
+        # the drift reads the own measure, steeply enough that the exact
+        # inner loop needs more than two law solves to reach 1e-6
+        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=2.0, clip=(-1.0, 1.0))),
                               Graphon.constant(1.0), dirac(0.5), M=2, K=16,
                               N_x=61, R=400, seed=10)
-        real = solver_mod.inner_mv_consistency
+        real = solver_mod._law_consistency
         lengths = []
 
         def recording(*args, **kwargs):
@@ -271,7 +306,7 @@ class TestPicardSolve:
             lengths.append(len(out[2]))
             return out
 
-        monkeypatch.setattr(solver_mod, "inner_mv_consistency", recording)
+        monkeypatch.setattr(solver_mod, "_law_consistency", recording)
         sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10,
                            mode="double_loop", inner_tol=1e-6)
         assert len(lengths) == len(sol.trace) >= 3
@@ -280,17 +315,24 @@ class TestPicardSolve:
         single = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
         assert [e["inner_passes"] for e in single.trace] == [1] * len(single.trace)
 
+    @staticmethod
+    def own_mean_problem(M=2, K=16, R=400, seed=10, graphon=None,
+                         initial=None, N_x=61):
+        # the drift reads the own measure, so a consistency loop has work
+        return GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
+                           graphon or Graphon.constant(1.0), initial or dirac(0.5),
+                           M=M, K=K, N_x=N_x, R=R, seed=seed)
+
     def test_double_loop_sorts_each_propagation_once(self, monkeypatch):
-        """A double-loop pass takes its new ensemble from the inner
-        sub-iteration: the zero-drift start and every propagation are each
-        sorted once, in place, as they are adopted, and nothing sorts a
-        copy."""
+        """The particle measure-consistency loop iterated to a tolerance
+        (the double loop of System C's law solve) sorts the zero-drift start
+        and every propagation once each, in place, as it adopts them, and
+        nothing sorts a copy. A grid solve adopts one quantile ensemble per
+        law solve and nothing else."""
         import gmfg.measures as measures_mod
         from gmfg.measures import MeasureEnsemble
 
-        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
-                              Graphon.constant(1.0), dirac(0.5), M=2, K=16,
-                              N_x=61, R=400, seed=10)
+        problem = self.own_mean_problem()
         real_marginals, real_adopt = measures_mod.marginals, MeasureEnsemble.adopt
         calls = []
 
@@ -306,18 +348,22 @@ class TestPicardSolve:
         monkeypatch.setattr(MeasureEnsemble, "adopt", staticmethod(adopting))
         sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10,
                            mode="double_loop", inner_tol=1e-6)
-        assert calls.count("marginals") == 0
-        assert calls.count("adopt") == 1 + sum(e["inner_passes"] for e in sol.trace)
+        assert calls == ["adopt"] * (1 + sum(e["inner_passes"] for e in sol.trace))
+        calls.clear()
+        _, _, trace = inner_mv_consistency(problem, sol.policy,
+                                           zero_drift_ensemble(problem), tol_inner=1e-6)
+        assert len(trace) > 2
+        assert calls == ["adopt"] * (1 + len(trace))
 
     @pytest.mark.parametrize("mode", ["single_loop", "double_loop"])
     def test_one_draw_per_solve(self, monkeypatch, mode):
-        """A solve draws each vertex's noise and initial states once and
-        starts every propagation, inner ones included, from those draws."""
+        """A grid solve draws no noise in either mode. A particle law solve
+        (one pass of the measure-consistency loop, or passes down to a
+        tolerance) draws each vertex's noise and initial states once and
+        starts every propagation from those draws."""
         from gmfg import rng
 
-        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
-                              Graphon.constant(1.0), dirac(0.5), M=2, K=16,
-                              N_x=61, R=400, seed=10)
+        problem = self.own_mean_problem()
         real = rng.stream
         draws = []
 
@@ -328,61 +374,98 @@ class TestPicardSolve:
         monkeypatch.setattr(rng, "stream", counting)
         sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10, mode=mode,
                            inner_tol=1e-6)
-        assert sum(e["inner_passes"] for e in sol.trace) >= 3
+        assert draws == []
+        e_start = zero_drift_ensemble(problem)
+        draws.clear()
+        tol_inner = math.inf if mode == "single_loop" else 1e-6
+        _, _, trace = inner_mv_consistency(problem, sol.policy, e_start, tol_inner)
+        assert len(trace) >= (1 if mode == "single_loop" else 3)
         assert draws.count(rng.PROPAGATE) == problem.M
         assert draws.count(rng.INITIAL) == problem.M
 
-    @staticmethod
-    def peak_path_arrays(**kw):
-        """A 3-pass solve and its ``tracemalloc`` peak in (M, K+1, R)
-        float arrays."""
+    def peak_path_arrays(self, tol_inner):
+        """A particle law solve as System C runs one (start buffer,
+        zero-drift start, measure-consistency loop) under a solved policy,
+        and its ``tracemalloc`` peak in (M, K+1, R) float arrays."""
         import tracemalloc
+        from gmfg.solver import _start_paths
 
-        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
-                              Graphon.uniform_attachment(),
-                              normal_quantile_measure(0.0, 0.3, 129), M=4, K=32,
-                              N_x=61, R=4000, seed=12)
+        problem = self.own_mean_problem(
+            M=4, K=32, R=4000, seed=12, graphon=Graphon.uniform_attachment(),
+            initial=normal_quantile_measure(0.0, 0.3, 129))
+        sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
         path_bytes = problem.M * (problem.K + 1) * problem.R * 8
         tracemalloc.start()
         try:
-            sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3, **kw)
+            start = _start_paths(problem)
+            _, _, trace = inner_mv_consistency(
+                problem, sol.policy, zero_drift_ensemble(problem, start), tol_inner,
+                start=start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(sol.trace) == 3
-        return sol, peak / path_bytes
+        return trace, peak / path_bytes
 
     def test_single_loop_holds_three_path_arrays(self):
-        """A single-loop pass sorts its propagation buffer in place and
-        propagates in the atoms of the ensemble it retires, so the solve's
-        peak is the start buffer and two ensembles, plus one vertex's W1
-        temporary, not five path-sized arrays."""
-        _, arrays = self.peak_path_arrays()
+        """One pass of the measure-consistency loop sorts its propagation
+        buffer in place, so the law solve's peak is the start buffer and two
+        ensembles, plus one vertex's W1 temporary, not five path-sized
+        arrays."""
+        trace, arrays = self.peak_path_arrays(math.inf)
+        assert len(trace) == 1
         assert arrays < 4.0
 
     def test_double_loop_holds_four_path_arrays(self):
-        """Every inner pass propagates in the atoms of the ensemble the
-        loop retired and never in the outer ensemble it started from, so a
-        double-loop solve's peak is the start buffer, the outer ensemble and
-        the inner loop's two, not six path-sized arrays."""
-        sol, arrays = self.peak_path_arrays(mode="double_loop", inner_tol=1e-6)
-        assert max(e["inner_passes"] for e in sol.trace) >= 2
+        """Every pass of the loop iterated to a tolerance propagates in the
+        atoms of the ensemble it retired and never in the start ensemble, so
+        the peak is the start buffer, the start ensemble and the loop's two,
+        not six path-sized arrays."""
+        trace, arrays = self.peak_path_arrays(1e-6)
+        assert len(trace) >= 2
         assert arrays < 5.0
 
+    def test_grid_solve_holds_no_path_array(self):
+        """The grid solve keeps node laws and quantile atoms: in either mode
+        its ``tracemalloc`` peak is below one (M, K+1, R) particle array."""
+        import tracemalloc
+
+        problem = self.own_mean_problem(
+            M=4, K=32, R=4000, seed=12, graphon=Graphon.uniform_attachment(),
+            initial=normal_quantile_measure(0.0, 0.3, 129))
+        path_bytes = problem.M * (problem.K + 1) * problem.R * 8
+        for mode in ("single_loop", "double_loop"):
+            tracemalloc.start()
+            try:
+                picard_solve(problem, tol=10.0, min_outer=3, max_outer=3, mode=mode,
+                             inner_tol=1e-6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < path_bytes
+
     def test_recycled_buffer_leaves_ensembles_intact(self):
-        """Pass 4 of a solve, which propagates in the atoms of a retired
-        ensemble, equals the marginals of a fresh propagation of its policy
-        against the 3-pass solution's ensemble, bit for bit, and its
-        distance is the W1 gap between the two solutions' ensembles."""
-        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
-                              Graphon.uniform_attachment(),
-                              normal_quantile_measure(0.0, 0.3, 129), M=3, K=16,
-                              N_x=61, R=500, seed=13)
-        s3 = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
-        s4 = picard_solve(problem, tol=10.0, min_outer=4, max_outer=4)
-        again = marginals(propagate_closed_loop(problem, s4.policy, s3.ensemble))
-        assert np.array_equal(s4.ensemble.atoms, again.atoms)
-        assert s4.trace[-1]["distance"] == ensemble_w1_sup(s4.ensemble, s3.ensemble) > 0.0
+        """The measure-consistency loop propagates each pass in the atoms of
+        the ensemble it last retired: its result equals fresh propagations
+        iterated by hand, bit for bit, each trace distance is the W1 gap
+        between consecutive iterates, and the caller's start ensemble is
+        left as it was."""
+        problem = self.own_mean_problem(
+            M=3, K=16, R=500, seed=13, graphon=Graphon.uniform_attachment(),
+            initial=normal_quantile_measure(0.0, 0.3, 129))
+        sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
+        e_start = zero_drift_ensemble(problem)
+        before = e_start.atoms.copy()
+        _, got, trace = inner_mv_consistency(problem, sol.policy, e_start,
+                                             tol_inner=1e-6)
+        assert len(trace) >= 3
+        ens, dists = e_start, []
+        for _ in trace:
+            new = marginals(propagate_closed_loop(problem, sol.policy, ens))
+            dists.append(ensemble_w1_sup(new, ens))
+            ens = new
+        assert np.array_equal(got.atoms, ens.atoms)
+        assert dists == trace
+        assert np.array_equal(e_start.atoms, before)
 
     def test_min_particle_count_enforced(self):
         with pytest.raises(InvariantError):
@@ -450,10 +533,10 @@ class TestSensitivityProbe:
         assert math.isfinite(rep.c1) and math.isfinite(rep.c2)
         assert rep.product < 1.0
 
-    def test_product_tracks_picard_ratio(self, small_solution):
+    def test_product_tracks_picard_ratio(self, reverting_solution):
         # loose sanity tie: the probe product and the reported empirical
         # contraction ratio (last distance over previous) agree within 3x
-        problem, sol = small_solution
+        problem, sol = reverting_solution
         rep = sensitivity_probe(problem, sol, delta=0.05)
         last_ratio = sol.trace[-1]["ratio"]
         assert last_ratio == pytest.approx(rep.product, rel=2.0)
