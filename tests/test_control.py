@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gmfg import (ConfigError, Constant, Graphon, InvariantError,
                   MeasureEnsemble, Policy, Poly2, ProblemFunctions, frozen_fields,
-                  minimize_hamiltonian, policy_lipschitz, rollout_cost,
-                  solve_hjb, theta_clamp)
+                  minimize_hamiltonian, normal_quantile_measure, policy_lipschitz,
+                  rollout_cost, solve_hjb, theta_clamp)
 from gmfg.coefficients import SortedClusters
 from gmfg.control import GridLookup, brackets
 from gmfg.graphon import VertexGrid
@@ -571,6 +571,71 @@ class TestEulerMaruyama:
                     + sigma * np.sqrt(dt) * np.concatenate(
                         [np.zeros((6, 1)), np.cumsum(noise, axis=1)], axis=1))
         np.testing.assert_allclose(paths, expected, rtol=0, atol=1e-12)
+
+
+class TestSolveFPK:
+    """The forward Fokker-Planck step of the solver's law on the x-grid."""
+
+    sigma, T, K = 0.4, 0.5, 40
+
+    def setup(self, n=3, N_x=81, seed=3):
+        gen = np.random.default_rng(seed)
+        fns = structured_lq_like(sigma=self.sigma, T=self.T)
+        x = np.linspace(-2.0, 2.0, N_x)
+        times = np.linspace(0.0, self.T, self.K + 1)
+        mass0 = gen.uniform(0.0, 1.0, (n, N_x))
+        mass0 /= mass0.sum(axis=1, keepdims=True)
+        return gen, fns, x, times, mass0
+
+    def test_mass_kept_and_nonnegative(self):
+        from gmfg import solve_fpk
+
+        gen, fns, x, times, mass0 = self.setup()
+        dx, dt = x[1] - x[0], times[1] - times[0]
+        # drifts of both signs up to the stability bound, pushing at the ends
+        drift = gen.uniform(-1.0, 1.0, (3, self.K + 1, x.size)) * dx / dt
+        drift[:, :, :3], drift[:, :, -3:] = -dx / dt, dx / dt
+        masses = solve_fpk(fns, x, times, mass0, drift)
+        assert masses.shape == (3, self.K + 1, x.size)
+        assert np.array_equal(masses[:, 0], mass0)
+        assert masses.min() >= 0.0
+        np.testing.assert_allclose(masses.sum(axis=2), 1.0, rtol=0, atol=1e-13)
+
+    def test_diffusion_is_the_dense_adjoint_solve(self):
+        """One pure-diffusion step is (I + nu L^T)^-1, L the value sweep's
+        reflected second difference, to 1e-14."""
+        from gmfg import solve_fpk
+
+        _, fns, x, times, mass0 = self.setup(N_x=41)
+        dt, dx = times[1] - times[0], x[1] - x[0]
+        nu = self.sigma**2 * dt / (2.0 * dx * dx)
+        L = 2.0 * np.eye(x.size) - np.eye(x.size, k=1) - np.eye(x.size, k=-1)
+        L[0, 1] = L[-1, -2] = -2.0
+        dense = np.linalg.inv(np.eye(x.size) + nu * L.T)
+        masses = solve_fpk(fns, x, times, mass0)
+        np.testing.assert_allclose(masses[:, 1], mass0 @ dense.T, rtol=0, atol=1e-14)
+
+    def test_constant_drift_moves_the_mean(self):
+        """Upwind transport moves the mean by b dt per step, and the
+        diffusion keeps it while no mass reaches the end nodes."""
+        from gmfg import node_masses, solve_fpk
+
+        _, fns, _, times, _ = self.setup()
+        x = np.linspace(-4.0, 4.0, 401)   # the ends far out in the tails
+        mass0 = node_masses(normal_quantile_measure(-0.5, 0.1, 129), x)[None]
+        b = 0.8
+        masses = solve_fpk(fns, x, times, mass0, np.full((1, self.K + 1, x.size), b))
+        np.testing.assert_allclose(masses[0] @ x, -0.5 + b * times, rtol=0, atol=1e-12)
+
+    def test_stability_breach_raises(self):
+        from gmfg import solve_fpk
+
+        _, fns, x, times, mass0 = self.setup()
+        dx, dt = x[1] - x[0], times[1] - times[0]
+        drift = np.zeros((3, self.K + 1, x.size))
+        drift[1, 7, 40] = -1.01 * dx / dt
+        with pytest.raises(ConfigError, match="stability requires"):
+            solve_fpk(fns, x, times, mass0, drift)
 
 
 @pytest.fixture(scope="module")

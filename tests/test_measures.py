@@ -8,6 +8,7 @@ from scipy.special import ndtri
 from gmfg import (DomainError, GridError, InvariantError, Measure1D,
                   MeasureEnsemble, PathBundle, dirac, empirical,
                   ensemble_distance, ensemble_w1_sup, holder_modulus, marginals,
+                  node_masses, node_quantiles, node_w1_sup,
                   normal_quantile_measure, path_distance_DT, w1,
                   w1_joint_continuity_scan)
 
@@ -209,6 +210,64 @@ class TestHolderModulus:
         bundle = PathBundle(np.zeros((1, 3, 2)), [0.0, 1.0])
         with pytest.raises(GridError):
             holder_modulus(bundle)
+
+
+class TestNodeLaws:
+    """Node masses on a space grid: the solver's law between Fokker-Planck
+    steps, its quantile atoms and its exact W1."""
+
+    x = np.linspace(-1.0, 1.0, 21)
+
+    def test_atoms_split_linearly_between_nodes(self):
+        law = Measure1D([-1.0, -0.33, self.x[14], 1.0], [0.1, 0.2, 0.3, 0.4])
+        m = node_masses(law, self.x)
+        assert m.min() >= 0.0
+        assert m.sum() == pytest.approx(1.0, abs=1e-15)
+        assert m @ self.x == pytest.approx(law.mean(), abs=1e-15)
+        # an atom on a node lands on it whole, the grid's ends included
+        assert m[0] == pytest.approx(0.1) and m[-1] == pytest.approx(0.4)
+        assert m[14] == pytest.approx(0.3)
+        assert np.count_nonzero(m) == 5
+
+    @pytest.mark.parametrize("atom", [-1.01, 1.0 + 1e-9])
+    def test_atom_outside_the_grid_rejected(self, atom):
+        with pytest.raises(DomainError, match="outside the space grid"):
+            node_masses(Measure1D([0.0, atom]), self.x)
+
+    def test_quantiles_spread_each_node_over_its_cell(self):
+        """A node's mass is uniform over its cell, a half cell at an end."""
+        n, dx = 8, 0.1
+        m = np.zeros((2, self.x.size))
+        m[0, 5] = 1.0
+        m[1, 0] = 1.0
+        got = node_quantiles(m, self.x, n)
+        levels = (np.arange(n) + 0.5) / n
+        np.testing.assert_allclose(got[0], self.x[5] - dx / 2 + levels * dx,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got[1], -1.0 + levels * dx / 2, rtol=0, atol=1e-15)
+
+    def test_quantiles_sorted_with_the_node_mean(self):
+        gen = np.random.default_rng(4)
+        m = gen.uniform(0.0, 1.0, (3, 2, self.x.size))
+        m[..., [0, -1]] = 0.0   # no half cell, so each cell's mean is its node
+        m[0, 0, 3:9] = 0.0      # empty nodes read no level
+        m /= m.sum(axis=-1, keepdims=True)
+        got = node_quantiles(m, self.x, 4096)
+        assert got.shape == (3, 2, 4096)
+        assert np.all(np.diff(got, axis=-1) >= 0.0)
+        # to the quantization error of 4096 levels across density jumps
+        np.testing.assert_allclose(got.mean(axis=-1), m @ self.x, rtol=0, atol=1e-4)
+
+    def test_w1_sup_is_the_exact_distance(self):
+        gen = np.random.default_rng(6)
+        m1 = gen.uniform(0.0, 1.0, (2, 3, self.x.size))
+        m2 = gen.uniform(0.0, 1.0, (2, 3, self.x.size))
+        m1 /= m1.sum(axis=-1, keepdims=True)
+        m2 /= m2.sum(axis=-1, keepdims=True)
+        want = max(w1(Measure1D(self.x, a), Measure1D(self.x, b))
+                   for a, b in zip(m1.reshape(-1, self.x.size), m2.reshape(-1, self.x.size)))
+        assert node_w1_sup(m1, m2, 0.1) == pytest.approx(want, rel=1e-12)
+        assert node_w1_sup(m1, m1, 0.1) == 0.0
 
 
 class TestJointContinuityScan:

@@ -591,6 +591,15 @@ class TestLQCrossCheck:
         # (0.008 at both resolutions when this was written)
         assert max(coarse_mean, fine_mean) < 1.0 / math.sqrt(4000)
 
+    def test_mean_error_falls_under_refinement(self):
+        """The solver's law is exact up to the grid: its vertex-mean error
+        falls at least 1.5x from (K, N_x) = (64, 201) to (128, 401)
+        (0.0041 to 0.0022 when this was written). A particle law's error is
+        sampling noise and does not fall (0.0076 to 0.0075 at R = 4000)."""
+        _, coarse = self.errors(64, 201)
+        _, fine = self.errors(128, 401)
+        assert fine * 1.5 <= coarse
+
 
 class TestJointContinuityRefinement:
     @pytest.mark.slow
