@@ -1,10 +1,13 @@
-"""The full fixed point: ensemble -> best responses -> propagation -> ensemble.
+"""The full fixed point: ensemble -> best responses -> law -> ensemble.
 
 Every agent tracks the running state distribution of its own vertex while
-its control authority scales with graphon connectivity. Common random
-numbers make each Picard pass deterministic, so the iteration trace shows
-the contraction rate directly, and a finite-difference probe estimates the
-two sensitivity constants whose product bounds that rate.
+its control authority scales with graphon connectivity. The law of each
+vertex is solved on the space grid, so each Picard pass is deterministic
+and the iteration trace shows the contraction rate directly; here the law
+stays symmetric, so the map lands on its fixed point in one pass. A
+finite-difference probe on coupled particles estimates the two sensitivity
+constants whose product bounds that rate, and the Holder fit reads the
+time regularity of paths under the converged policy.
 """
 
 import numpy as np

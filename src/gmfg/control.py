@@ -6,12 +6,15 @@ fields (every coefficient integrated exactly against the vertex measures
 through :mod:`gmfg.coefficients`), minimizes the Hamiltonian (a
 closed-form clamp, since the dynamics are control-affine with quadratic
 control cost), and runs the backward semi-implicit value sweep that
-produces one (vertex, time, space) table each of values and feedback.
-Fields and sweep work on a whole batch of vertices at once. It also holds
+produces one (vertex, time, space) table each of values and feedback, and
+its adjoint, the forward Fokker-Planck solve of the vertex laws on the
+same grid (:func:`solve_fpk`); both share one implicit diffusion step.
+Fields and sweeps work on a whole batch of vertices at once. It also holds
 the uniform-grid table lookup, the Euler-Maruyama increments and stepper
 that every particle and agent simulation shares, and the one closed-loop
-kernel on them (:func:`closed_loop_steps`) that runs the solver's particles
-and the agents of Systems C and D under frozen drift fields.
+kernel on them (:func:`closed_loop_steps`) that runs the particles of the
+measure-consistency loop and the agents of Systems C and D under frozen
+drift fields.
 """
 
 import math
@@ -321,9 +324,9 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     terms enter explicitly, and the diffusion is implicit with zero-slope
     boundaries (:func:`implicit_diffusion`). The sweep is row-independent:
     from the same field rows a vertex gets the same bits alone as in a
-    batch, and so do the rows of :func:`frozen_fields`. Returns the value and the feedback
-    tables, each (n, K+1, N_x) for n vertices (n = 1 for a scalar
-    ``alpha``); the terminal value row is zero.
+    batch, and so do the rows of :func:`frozen_fields`. Returns the value
+    and the feedback tables, each (n, K+1, N_x) for n vertices (n = 1 for
+    a scalar ``alpha``); the terminal value row is zero.
     """
     if fields is None:
         fields = frozen_fields(problem, g, alpha, ensemble, x_grid)
@@ -444,7 +447,8 @@ def euler_maruyama_steps(paths, dt, drift):
 def closed_loop_steps(paths, dt, fields, policy):
     """The closed-loop Euler-Maruyama run, in place on an (n, ..., K+1) buffer.
 
-    The feedback drift of every solver particle and every System C/D agent:
+    The feedback drift of every particle of the measure-consistency loop
+    and every System C/D agent:
     row v of ``paths`` (filled as for :func:`euler_maruyama_steps`) reads
     row v of ``fields.drift_coef`` and of the (n, K+1, N_x) feedback table
     ``policy``, both through one :class:`GridLookup` per step on

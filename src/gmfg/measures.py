@@ -1,14 +1,16 @@
-"""One-dimensional probability measures, ensembles, and path distances.
+"""One-dimensional probability measures, ensembles, node laws, and path distances.
 
-Measures are particle-based (atoms plus weights); the Fokker-Planck side of
-the mean field game is realized through particle propagation, so exact 1-D
-Wasserstein distances between atomic measures are all the metric machinery
-the solver needs. A :class:`Measure1D` takes any weights, as the ``atoms``
-initial law of a scenario does. Ensembles index equal-weight particle
-measures by (vertex cell, time node), every entry with the same number of
-atoms, and hand the vertex measures of one time node to the exact
-coefficient means as equal clusters; path bundles hold the per-vertex
-particle trajectories behind them.
+Measures are atomic (atoms plus weights), so exact 1-D Wasserstein
+distances between them are all the metric machinery the package needs. A
+:class:`Measure1D` takes any weights, as the ``atoms`` initial law of a
+scenario does. The solver keeps each vertex law as node masses on the
+x-grid, where the Fokker-Planck side of the game is solved
+(:func:`node_masses` to start, :func:`node_quantiles` for its atoms,
+:func:`node_w1_sup` for its exact distances). Ensembles index
+equal-weight measures by (vertex cell, time node), every entry with the
+same number of atoms, and hand the vertex measures of one time node to the
+exact coefficient means as equal clusters; path bundles hold per-vertex
+particle trajectories, whose marginals are ensembles too.
 """
 
 from statistics import NormalDist

@@ -31,7 +31,12 @@ LAW_ATOMS = 128
 
 
 class GMFGProblem:
-    """A full game instance: data, graphon, initial law, grids, seeds."""
+    """A full game instance: data, graphon, initial law, grids, seeds.
+
+    ``initial_masses`` is the initial law split onto the nodes of
+    ``x_grid`` (:func:`~gmfg.measures.node_masses`); an initial atom
+    outside the grid raises DomainError.
+    """
 
     def __init__(self, functions, graphon, initial_law, M, K, N_x=201,
                  R=5000, seed=0, domain=None, domain_padding=0.0):
@@ -90,16 +95,17 @@ class GMFGSolution:
 
 
 def _start_paths(problem):
-    """The read-only (M, R, K+1) start buffer of a solve.
+    """The read-only (M, R, K+1) start buffer of a particle law solve.
 
     Slot 0 holds each vertex's initial draws of the initial law and slot
     k+1 its scaled Brownian increment sigma sqrt(dt) Z_k, filled one vertex
     at a time (:func:`~gmfg.control.scaled_increments`). Both streams are
-    keyed by (seed, vertex), so a solve draws them once and every
-    propagation of it starts from a copy (:func:`_fresh_paths`), fresh or
-    written into a buffer the solve recycles. The memory is time-major,
-    (M, K+1, R), behind the (M, R, K+1) view: an Euler step then writes one
-    contiguous block, and the buffer is in an ensemble's memory order.
+    keyed by (seed, vertex), so a law solve (System C's, the sensitivity
+    probe's) draws them once and every propagation of it starts from a copy
+    (:func:`_fresh_paths`), fresh or written into a buffer it recycles. The
+    memory is time-major, (M, K+1, R), behind the (M, R, K+1) view: an
+    Euler step then writes one contiguous block, and the buffer is in an
+    ensemble's memory order.
     """
     p, dt = problem.functions, problem.functions.T / problem.K
     paths = np.empty((problem.M, problem.K + 1, problem.R)).swapaxes(1, 2)
@@ -124,7 +130,8 @@ def _fresh_paths(problem, start, out=None):
 
 
 def zero_drift_ensemble(problem, start=None):
-    """Pure-diffusion marginals of the initial law (the starting iterate).
+    """Pure-diffusion particle marginals of the initial law (the starting
+    iterate of a particle law solve).
 
     Sums the increments of a fresh copy of the start buffer ``start``
     (:func:`_start_paths`; without one, the draws are made here) and adopts
@@ -180,9 +187,8 @@ def _timed(seconds, phase):
 
 
 def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
-                         max_inner=60, start=None, fields=None, _out=None,
-                         seconds=None):
-    """Self-consistent propagation under a fixed feedback table.
+                         max_inner=60, start=None):
+    """Self-consistent particle propagation under a fixed feedback table.
 
     Iterates nu <- marginals(propagate(policy, nu)) until the sup W1 change
     drops below ``tol_inner`` (an infinite one stops after one pass); with
@@ -191,32 +197,22 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
     of the ensemble the loop last retired and adopts that buffer, sorted in
     place, as the new ensemble (:meth:`MeasureEnsemble.adopt`): two
     path-sized arrays besides ``start`` and ``e_start``, which is never
-    recycled. Pass 0 may take the drift ``fields`` of ``e_start`` and a
-    spare (M, K+1, R) buffer ``_out``. With a ``seconds`` dict, the wall
-    time of freezing the drift fields, propagating and measuring the W1
-    change is added to its ``fields``, ``propagate`` and ``w1`` entries.
-    Returns (escaped_mass, ensemble, trace): the last propagation's escaped
-    mass and the per-pass distances.
+    recycled. Returns (escaped_mass, ensemble, trace): the last
+    propagation's escaped mass and the per-pass distances.
     """
     if tol_inner is None:
         tol_inner = _default_inner_tol(problem)
     if start is None:
         start = _start_paths(problem)
-    ens, trace = e_start, []
+    ens, out, trace = e_start, None, []
     for _ in range(max_inner):
-        if fields is None:
-            with _timed(seconds, "fields"):
-                fields = _drift_fields(problem, ens)
-        with _timed(seconds, "propagate"):
-            bundle = propagate_closed_loop(problem, policy, ens, fields=fields,
-                                           start=start, _out=_out)
-            new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
-        with _timed(seconds, "w1"):
-            d = ensemble_w1_sup(new, ens)
+        bundle = propagate_closed_loop(problem, policy, ens, start=start, _out=out)
+        new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
+        d = ensemble_w1_sup(new, ens)
         trace.append(d)
         # nothing reads the retired ens now; the caller's is never recycled
-        _out = ens.atoms if ens is not e_start else None
-        ens, fields = new, None
+        out = ens.atoms if ens is not e_start else None
+        ens = new
         if d < tol_inner:
             return bundle.escaped_mass, ens, trace
     raise ConvergenceError(
