@@ -552,7 +552,7 @@ class TestLQCrossCheck:
     the optimal feedback is -Pi(t) x - s(alpha, t) and the vertex means are
     xbar(alpha, t). The control set is wide enough that the clamp never
     binds near the mass. One check of the brackets, the value sweep, the
-    clamp and the propagation against an independent solver.
+    clamp and the law solve against an independent solver.
     """
 
     gamma0, gamma, eta, sigma, T, M = 0.5, 0.4, 1.0, 0.3, 0.5, 4
@@ -586,19 +586,13 @@ class TestLQCrossCheck:
         # the sweep is first order: 0.021 and 0.012 when this was written
         assert coarse < 0.03
         assert fine < 0.75 * coarse
-        # 1 / sqrt(R), a third of the noise floor: about three standard
-        # errors of a mean of 4000 particles that spread less than 0.4
-        # (0.008 at both resolutions when this was written)
+        # 1 / sqrt(R), a third of the noise floor, which the means of 4000
+        # particles met (0.008 at both resolutions)
         assert max(coarse_mean, fine_mean) < 1.0 / math.sqrt(4000)
-
-    def test_mean_error_falls_under_refinement(self):
-        """The solver's law is exact up to the grid: its vertex-mean error
-        falls at least 1.5x from (K, N_x) = (64, 201) to (128, 401)
-        (0.0041 to 0.0022 when this was written). A particle law's error is
-        sampling noise and does not fall (0.0076 to 0.0075 at R = 4000)."""
-        _, coarse = self.errors(64, 201)
-        _, fine = self.errors(128, 401)
-        assert fine * 1.5 <= coarse
+        # the law is exact up to the grid, so its mean error falls with it
+        # (0.0041 to 0.0022 when this was written); a particle law's error
+        # is sampling noise and did not fall (0.0076 to 0.0075 at R = 4000)
+        assert fine_mean * 1.5 <= coarse_mean
 
 
 class TestJointContinuityRefinement:
