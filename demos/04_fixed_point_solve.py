@@ -32,7 +32,7 @@ for entry in solution.trace:
     ratio = "" if np.isnan(entry["ratio"]) else f"{entry['ratio']:.4f}"
     print(f"{entry['iteration']:>9d}  {entry['distance']:.3e}  "
           f"{entry['cfl_margin']:>10.3f}  {entry['escaped_mass']:>7.1e}  {ratio}")
-print("tolerance:", solution.tol, " sampling floor:", round(problem.noise_floor, 4))
+print("tolerance:", solution.tol)
 
 report = sensitivity_probe(problem, solution, delta=0.05)
 print(f"\nsensitivity probe: c1 = {report.c1:.3f}, c2 = {report.c2:.3f}, "

@@ -97,8 +97,7 @@ def cmd_solve_gmfg(scenario, out_dir, args):
         write_csv(os.path.join(out_dir, f"policy_{v:03d}.csv"),
                   ["t_index", "x_index", "value"], index_columns(table),
                   _meta(scenario))
-    payload = {"converged": True, "trace": sol.trace, "tolerance": sol.tol,
-               "noise_floor": problem.noise_floor}
+    payload = {"converged": True, "trace": sol.trace, "tolerance": sol.tol}
     payload.update(_maybe_time(started))
     write_json(os.path.join(out_dir, "trace.json"), scenario, payload)
     return 0

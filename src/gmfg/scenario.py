@@ -37,8 +37,7 @@ _GRAPHON_KINDS = {"constant": ("c", Graphon.constant),
                   "table": ("grid", Graphon.from_table),
                   "step": ("matrix", Graphon.step)}
 _GRID_KEYS = ("M", "K", "N_x", "R", "output_atoms", "domain_padding")
-_TOLERANCE_KEYS = ("picard_tol", "max_outer", "min_outer", "inner_tol", "mode",
-                   "lq_tol")
+_TOLERANCE_KEYS = ("picard_tol", "max_outer", "min_outer", "lq_tol")
 _LADDER_KEYS = ("rungs", "replications", "deviator", "R_law")
 _DIAGNOSTICS_KEYS = ("m_values", "refinement")
 
@@ -229,13 +228,6 @@ class Scenario:
             if self.min_outer > self.max_outer:
                 check.fail("tolerances.min_outer",
                            f"must not exceed tolerances.max_outer ({self.max_outer})")
-        self.inner_tol = tols.get("inner_tol")
-        if self.inner_tol is not None:
-            self.inner_tol = check.number(self.inner_tol, "tolerances.inner_tol",
-                                          positive=True)
-        self.mode = tols.get("mode", "single_loop")
-        if self.mode not in ("single_loop", "double_loop"):
-            check.fail("tolerances.mode", "must be 'single_loop' or 'double_loop'")
         self.lq_tol = check.number(tols.get("lq_tol"), "tolerances.lq_tol",
                                    positive=True, default=1e-9)
 
@@ -284,8 +276,8 @@ class Scenario:
     @property
     def solver_settings(self):
         """The :func:`~gmfg.solver.picard_solve` keywords of the tolerances."""
-        return dict(tol=self.picard_tol, max_outer=self.max_outer, mode=self.mode,
-                    min_outer=self.min_outer, inner_tol=self.inner_tol)
+        return dict(tol=self.picard_tol, max_outer=self.max_outer,
+                    min_outer=self.min_outer)
 
     # -- nonlinear ----------------------------------------------------------
 

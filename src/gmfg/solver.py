@@ -191,8 +191,10 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
     """Self-consistent particle propagation under a fixed feedback table.
 
     Iterates nu <- marginals(propagate(policy, nu)) until the sup W1 change
-    drops below ``tol_inner`` (an infinite one stops after one pass); with
-    the policy fixed the map contracts, so the change decays geometrically.
+    drops below ``tol_inner`` (an infinite one stops after one pass; None
+    takes max(1e-4, 0.2 noise_floor), a fraction of the particle noise);
+    with the policy fixed the map contracts, so the change decays
+    geometrically.
     Each pass propagates from ``start`` (drawn here if None) into the atoms
     of the ensemble the loop last retired and adopts that buffer, sorted in
     place, as the new ensemble (:meth:`MeasureEnsemble.adopt`): two
@@ -201,7 +203,7 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
     propagation's escaped mass and the per-pass distances.
     """
     if tol_inner is None:
-        tol_inner = _default_inner_tol(problem)
+        tol_inner = max(1e-4, 0.2 * problem.noise_floor)
     if start is None:
         start = _start_paths(problem)
     ens, out, trace = e_start, None, []
@@ -220,10 +222,6 @@ def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
         trace=trace)
 
 
-def _default_inner_tol(problem):
-    return max(1e-4, 0.2 * problem.noise_floor)
-
-
 def _law(problem, drift=None):
     """The (M, K+1, N_x) node law of every vertex under the nodal ``drift``
     (None: pure diffusion) and its ensemble of quantile atoms."""
@@ -234,80 +232,36 @@ def _law(problem, drift=None):
     return masses, MeasureEnsemble.adopt(atoms, problem.times)
 
 
-def _law_consistency(problem, policy, masses, fields, tol_inner, max_inner=60,
-                     seconds=None):
-    """The node law of the feedback table ``policy`` made consistent with
-    the drift it induces, from the law ``masses`` whose fields are
-    ``fields``.
-
-    Each pass solves the law under the current drift fields and freezes
-    the next pass's fields against its quantile ensemble, until the exact
-    node-law W1 change drops below ``tol_inner`` (an infinite one stops
-    after one pass). With a ``seconds`` dict, the wall time of freezing
-    the fields, solving the law and measuring the change is added to its
-    ``fields``, ``propagate`` and ``w1`` entries. Pass 0 reads
-    ``fields``, which must be given. Returns (masses, ensemble, trace),
-    the trace holding the per-pass distances.
-    """
-    dx = float(problem.x_grid[1] - problem.x_grid[0])
-    trace = []
-    for _ in range(max_inner):
-        if fields is None:
-            with _timed(seconds, "fields"):
-                fields = _drift_fields(problem, ens)
-        with _timed(seconds, "propagate"):
-            new, ens = _law(problem, fields.drift_coef * policy)
-        with _timed(seconds, "w1"):
-            d = node_w1_sup(new, masses, dx)
-        trace.append(d)
-        masses, fields = new, None
-        if d < tol_inner:
-            return masses, ens, trace
-    raise ConvergenceError(
-        f"measure consistency stalled above {tol_inner:.3g} after {max_inner} passes",
-        trace=trace)
-
-
-def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
-                 min_outer=None, inner_tol=None, timing=False):
+def picard_solve(problem, tol, max_outer=30, min_outer=None, timing=False):
     """Fixed-point iteration of the full game map.
 
     The law of every vertex is a set of node masses on ``x_grid``: the
     initial atoms split linearly between nodes, then one forward
     Fokker-Planck step per time step (:func:`~gmfg.control.solve_fpk`).
-    Starting from the pure-diffusion law, each pass solves the vertex value
-    equations against the current ensemble (``LAW_ATOMS`` quantile atoms
-    of the law per vertex and time node) and solves the law of the new
-    policy under the pass's frozen fields: once in ``single_loop`` mode,
-    made consistent with its own drift down to ``inner_tol`` in
-    ``double_loop`` mode. The pass's distance is the sup over (vertex,
-    time) of the exact W1 change of the node laws. Each trace entry also
-    records the CFL margin (the smallest 1 - sup|drift| dt / dx over the
-    vertices), the escaped mass (the mass on the two end nodes, averaged
-    over vertices and time steps), the law solves (``inner_passes``) and
+    Starting from the pure-diffusion law, each pass freezes the fields of
+    the current ensemble (``LAW_ATOMS`` quantile atoms of the law per
+    vertex and time node), solves the vertex value equations against them,
+    and solves the law of the new policy under the same fields. The pass's
+    distance is the sup over (vertex, time) of the exact W1 change of the
+    node laws. Each trace entry also records the CFL margin (the smallest
+    1 - sup|drift| dt / dx over the vertices), the escaped mass (the mass
+    on the two end nodes, averaged over vertices and time steps) and
     ``policy_lipschitz``, the largest x-difference quotient of any vertex
     policy (:func:`~gmfg.control.policy_lipschitz`). With ``timing``, each
     entry also holds ``phase_seconds``, the pass's wall time in freezing the
-    fields, the value sweep, the law solves and the W1 distances
-    (``fields``, ``hjb``, ``propagate``, ``w1``). The tolerance is clamped
-    to 5 / sqrt(R), the floor of the particle paths that read a solution.
-    Convergence may be declared from pass ``min_outer`` on (default 2); an
+    fields, the value sweep, the law solve and the W1 distance (``fields``,
+    ``hjb``, ``propagate``, ``w1``). Convergence may be declared from pass
+    ``min_outer`` on (default 2) once the distance is below ``tol``; an
     explicit ``min_outer`` above ``max_outer`` could never be met and is a
     ConfigError. Non-convergence raises with the trace attached, so callers
     can inspect an empirical ratio at or above one.
     """
-    if mode not in ("single_loop", "double_loop"):
-        raise ConfigError(f"unknown mode {mode!r}")
     if min_outer is None:
         min_outer = 2
     elif min_outer > max_outer:
         raise ConfigError(f"min_outer {min_outer} exceeds max_outer {max_outer}")
     p, alphas = problem.functions, problem.vertex_grid.midpoints
-    tol_eff = max(tol if tol is not None else 0.0, 5.0 / math.sqrt(problem.R))
-    if mode == "single_loop":
-        tol_inner = math.inf
-    else:
-        tol_inner = inner_tol if inner_tol is not None else _default_inner_tol(problem)
+    dx = float(problem.x_grid[1] - problem.x_grid[0])
     masses, ens = _law(problem)
     prev_policy = None
     trace = []
@@ -318,11 +272,10 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
         with _timed(seconds, "hjb"):
             _, policy = solve_hjb(p, problem.graphon, alphas, ens, problem.x_grid,
                                   fields=fls)
-        new, new_ens, inner = _law_consistency(problem, policy, masses, fls,
-                                               tol_inner, seconds=seconds)
+        with _timed(seconds, "propagate"):
+            new, new_ens = _law(problem, fls.drift_coef * policy)
         with _timed(seconds, "w1"):
-            d = inner[0] if len(inner) == 1 else node_w1_sup(
-                new, masses, problem.x_grid[1] - problem.x_grid[0])
+            d = node_w1_sup(new, masses, dx)
         pol_delta = float(np.abs(policy - prev_policy).max()) if prev_policy is not None else math.nan
         entry = {
             "iteration": i,
@@ -331,19 +284,17 @@ def picard_solve(problem, tol=None, max_outer=30, mode="single_loop",
             "policy_delta": pol_delta,
             "cfl_margin": float(fls.cfl_margin().min()),
             "escaped_mass": float(new[:, :-1, [0, -1]].sum(axis=-1).mean()),
-            "inner_passes": len(inner),
             "policy_lipschitz": policy_lipschitz(policy, problem.x_grid),
         }
         if timing:
-            entry["phase_seconds"] = {phase: seconds.get(phase, 0.0) for phase in
-                                      ("fields", "hjb", "propagate", "w1")}
+            entry["phase_seconds"] = seconds
         trace.append(entry)
         prev_policy = policy
         masses, ens = new, new_ens
-        if d < tol_eff and i + 1 >= min_outer:
-            return GMFGSolution(policy, ens, trace, tol_eff, problem)
+        if d < tol and i + 1 >= min_outer:
+            return GMFGSolution(policy, ens, trace, tol, problem)
     raise ConvergenceError(
-        f"no contraction below {tol_eff:.3g} within {max_outer} passes", trace=trace)
+        f"no contraction below {tol:.3g} within {max_outer} passes", trace=trace)
 
 
 @dataclass

@@ -368,8 +368,7 @@ class TestSolveGMFGCommand:
         sc = parse_scenario(cfg)
         problem = sc.build_problem()
         sol = picard_solve(problem, tol=sc.picard_tol, max_outer=sc.max_outer,
-                           mode=sc.mode, min_outer=sc.min_outer,
-                           inner_tol=sc.inner_tol)
+                           min_outer=sc.min_outer)
         assert sol.policy.shape == (problem.M, problem.K + 1, problem.N_x)
         assert not np.array_equal(sol.policy[0], sol.policy[1])
         for v in range(problem.M):
@@ -592,30 +591,29 @@ class TestSimulateEnashCommand:
             "gmfg: step graphon has 2 nodes, not the M_k of rung(s) 4:5"]
         assert solves == []
 
-    def test_mode_and_inner_tol_reach_the_ladder_solves(self, tmp_path,
-                                                         monkeypatch):
+    def test_tolerances_reach_the_ladder_solves(self, tmp_path, monkeypatch):
         from gmfg import solver
 
         doc = nonlinear_scenario()
-        doc["tolerances"] = {"picard_tol": 0.3, "max_outer": 12,
-                             "mode": "double_loop", "inner_tol": 0.01}
-        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120}
+        doc["tolerances"] = {"picard_tol": 0.2, "max_outer": 12, "min_outer": 3}
+        doc["ladder"] = {"rungs": [[1, 3], [2, 3]], "replications": 1, "R_law": 120}
         cfg = write_config(tmp_path / "s.json", doc)
-        real = solver._law_consistency
+        real = solver.picard_solve
         seen = []
 
-        def spy(problem, policy, masses, fields, tol_inner, *args, **kw):
-            seen.append(tol_inner)
-            return real(problem, policy, masses, fields, tol_inner, *args, **kw)
+        def spy(problem, **kw):
+            seen.append(kw)
+            return real(problem, **kw)
 
-        # the inner passes of picard_solve's double loop
-        monkeypatch.setattr(solver, "_law_consistency", spy)
+        monkeypatch.setattr(solver, "picard_solve", spy)
         assert main(["simulate-enash", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == 0
-        assert seen and all(tol == 0.01 for tol in seen)
+        assert seen == [dict(tol=0.2, max_outer=12, min_outer=3)] * 2
 
     @pytest.mark.parametrize("block, key", [("ladder", "replicaions"),
-                                            ("tolerances", "picard_toll")])
+                                            ("tolerances", "picard_toll"),
+                                            ("tolerances", "mode"),
+                                            ("tolerances", "inner_tol")])
     def test_unknown_ladder_or_tolerance_key_is_input_error(self, tmp_path, capsys,
                                                            block, key):
         doc = nonlinear_scenario()

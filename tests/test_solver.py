@@ -218,13 +218,24 @@ class TestPicardSolve:
             d = w1(sol.ensemble.get(0, prob.K), sol.ensemble.get(v, prob.K))
             assert d < 2 * floor
 
-    def test_double_loop_shares_fixed_point(self):
-        s1 = picard_solve(small_problem(M=2, K=16, R=800), tol=0.15,
-                          mode="single_loop")
-        s2 = picard_solve(small_problem(M=2, K=16, R=800), tol=0.15,
-                          mode="double_loop")
-        gap = ensemble_w1_sup(s1.ensemble, s2.ensemble)
-        assert gap < 2 * s1.tol
+    def test_tolerance_below_the_particle_floor_is_kept(self):
+        """The grid solve holds no particles, so a tolerance far below
+        5 / sqrt(R) (0.079 at R = 4000) is met as asked: the ladder problem
+        at M = 2 contracts by about 0.04 per pass and reaches 1e-9 in six
+        passes."""
+        import os
+
+        from gmfg.scenario import parse_scenario
+
+        path = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios",
+                            "enash_ladder.json")
+        problem = parse_scenario(path).build_problem(M=2)
+        assert problem.R == 4000
+        sol = picard_solve(problem, tol=1e-9)
+        assert sol.tol == 1e-9
+        assert len(sol.trace) > 2
+        assert sol.trace[-1]["distance"] < 1e-9
+        assert all(e["ratio"] < 0.1 for e in sol.trace[1:])
 
     def test_min_outer_above_max_outer_rejected(self):
         from gmfg import ConfigError
@@ -301,33 +312,6 @@ class TestPicardSolve:
                         dirac(0.5), M=2, K=16, N_x=11, R=500, seed=11,
                         domain=(-0.3, 0.3))
 
-    def test_trace_counts_inner_passes(self, monkeypatch):
-        """Each trace entry holds the law solves of its pass: the inner
-        sub-iteration's length in double-loop mode, 1 in single-loop mode."""
-        import gmfg.solver as solver_mod
-
-        # the drift reads the own measure, steeply enough that the exact
-        # inner loop needs more than two law solves to reach 1e-6
-        problem = GMFGProblem(tracking_problem(f0c=Poly2(y=2.0, clip=(-1.0, 1.0))),
-                              Graphon.constant(1.0), dirac(0.5), M=2, K=16,
-                              N_x=61, R=400, seed=10)
-        real = solver_mod._law_consistency
-        lengths = []
-
-        def recording(*args, **kwargs):
-            out = real(*args, **kwargs)
-            lengths.append(len(out[2]))
-            return out
-
-        monkeypatch.setattr(solver_mod, "_law_consistency", recording)
-        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10,
-                           mode="double_loop", inner_tol=1e-6)
-        assert len(lengths) == len(sol.trace) >= 3
-        assert [e["inner_passes"] for e in sol.trace] == lengths
-        assert max(lengths) > 2
-        single = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
-        assert [e["inner_passes"] for e in single.trace] == [1] * len(single.trace)
-
     @staticmethod
     def own_mean_problem(M=2, K=16, R=400, seed=10, graphon=None,
                          initial=None, N_x=61):
@@ -338,10 +322,10 @@ class TestPicardSolve:
 
     def test_double_loop_sorts_each_propagation_once(self, monkeypatch):
         """The particle measure-consistency loop iterated to a tolerance
-        (the double loop of System C's law solve) sorts the zero-drift start
-        and every propagation once each, in place, as it adopts them, and
-        nothing sorts a copy. A grid solve adopts one quantile ensemble per
-        law solve and nothing else."""
+        (System C's law solve) sorts the zero-drift start and every
+        propagation once each, in place, as it adopts them, and nothing
+        sorts a copy. A grid solve adopts one quantile ensemble per law
+        solve, one law solve per pass, and nothing else."""
         import gmfg.measures as measures_mod
         from gmfg.measures import MeasureEnsemble
 
@@ -359,21 +343,20 @@ class TestPicardSolve:
 
         monkeypatch.setattr(measures_mod, "marginals", counting)
         monkeypatch.setattr(MeasureEnsemble, "adopt", staticmethod(adopting))
-        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10,
-                           mode="double_loop", inner_tol=1e-6)
-        assert calls == ["adopt"] * (1 + sum(e["inner_passes"] for e in sol.trace))
+        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
+        assert calls == ["adopt"] * (1 + len(sol.trace))
         calls.clear()
         _, _, trace = inner_mv_consistency(problem, sol.policy,
                                            zero_drift_ensemble(problem), tol_inner=1e-6)
         assert len(trace) > 2
         assert calls == ["adopt"] * (1 + len(trace))
 
-    @pytest.mark.parametrize("mode", ["single_loop", "double_loop"])
-    def test_one_draw_per_solve(self, monkeypatch, mode):
-        """A grid solve draws no noise in either mode. A particle law solve
-        (one pass of the measure-consistency loop, or passes down to a
-        tolerance) draws each vertex's noise and initial states once and
-        starts every propagation from those draws."""
+    @pytest.mark.parametrize("tol_inner", [math.inf, 1e-6], ids=["one_pass", "to_tol"])
+    def test_one_draw_per_solve(self, monkeypatch, tol_inner):
+        """A grid solve draws no noise. A particle law solve (one pass of
+        the measure-consistency loop, or passes down to a tolerance) draws
+        each vertex's noise and initial states once and starts every
+        propagation from those draws."""
         from gmfg import rng
 
         problem = self.own_mean_problem()
@@ -385,14 +368,12 @@ class TestPicardSolve:
             return real(seed, *tags)
 
         monkeypatch.setattr(rng, "stream", counting)
-        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10, mode=mode,
-                           inner_tol=1e-6)
+        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
         assert draws == []
         e_start = zero_drift_ensemble(problem)
         draws.clear()
-        tol_inner = math.inf if mode == "single_loop" else 1e-6
         _, _, trace = inner_mv_consistency(problem, sol.policy, e_start, tol_inner)
-        assert len(trace) >= (1 if mode == "single_loop" else 3)
+        assert len(trace) >= (1 if tol_inner == math.inf else 3)
         assert draws.count(rng.PROPAGATE) == problem.M
         assert draws.count(rng.INITIAL) == problem.M
 
@@ -428,7 +409,7 @@ class TestPicardSolve:
         assert len(trace) == 1
         assert arrays < 4.0
 
-    def test_double_loop_holds_four_path_arrays(self):
+    def test_consistency_loop_to_tolerance_holds_four_path_arrays(self):
         """Every pass of the loop iterated to a tolerance propagates in the
         atoms of the ensemble it retired and never in the start ensemble, so
         the peak is the start buffer, the start ensemble and the loop's two,
@@ -438,23 +419,21 @@ class TestPicardSolve:
         assert arrays < 5.0
 
     def test_grid_solve_holds_no_path_array(self):
-        """The grid solve keeps node laws and quantile atoms: in either mode
-        its ``tracemalloc`` peak is below one (M, K+1, R) particle array."""
+        """The grid solve keeps node laws and quantile atoms: its
+        ``tracemalloc`` peak is below one (M, K+1, R) particle array."""
         import tracemalloc
 
         problem = self.own_mean_problem(
             M=4, K=32, R=4000, seed=12, graphon=Graphon.uniform_attachment(),
             initial=normal_quantile_measure(0.0, 0.3, 129))
         path_bytes = problem.M * (problem.K + 1) * problem.R * 8
-        for mode in ("single_loop", "double_loop"):
-            tracemalloc.start()
-            try:
-                picard_solve(problem, tol=10.0, min_outer=3, max_outer=3, mode=mode,
-                             inner_tol=1e-6)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < path_bytes
+        tracemalloc.start()
+        try:
+            picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path_bytes
 
     def test_recycled_buffer_leaves_ensembles_intact(self):
         """The measure-consistency loop propagates each pass in the atoms of
@@ -483,11 +462,6 @@ class TestPicardSolve:
     def test_min_particle_count_enforced(self):
         with pytest.raises(InvariantError):
             small_problem(R=50)
-
-    def test_rejects_unknown_mode(self):
-        from gmfg import ConfigError
-        with pytest.raises(ConfigError):
-            picard_solve(small_problem(M=2, K=16, R=500), tol=0.3, mode="zigzag")
 
     def test_path_diagnostics(self, small_solution):
         problem, sol = small_solution
