@@ -5,7 +5,7 @@ Every coefficient a scenario can express is a constant or a quadratic in
 broadcastable arrays evaluates the surface pointwise, and its plan
 integrates it exactly against the samples of each cluster, be the clusters
 the equal agent groups of a finite population or the equal-weight vertex
-measures of an ensemble at one time node, for every bracket of
+measures of an ensemble at some time nodes, for every bracket of
 :func:`~gmfg.control.brackets`. Every cluster holds the same number n of
 samples, each of weight 1/n.
 
@@ -30,10 +30,13 @@ of 1 and y and, for a clip, its sorted cuts and each segment's regime. It
 is built once per (coefficient, points). The apply step
 (:meth:`Poly2Plan.apply`) runs once per :class:`SortedClusters`: the E
 searches per (point, cluster) and the sum over the E+1 segments. So a
-caller with fixed points and many sets of clusters, such as the time nodes
-of :func:`~gmfg.control.frozen_fields` on one x-grid, pays the set-up once;
-callers whose points move, such as the population stacks, plan at every
-step.
+caller with fixed points and many sets of clusters, such as the chunks of
+time nodes of :func:`~gmfg.control.frozen_fields` on one x-grid, pays the
+set-up once; callers whose points move, such as the population stacks,
+plan at every step. Points that read their own clusters (a view with one
+row of columns per point) are searched in one pass: one gather of every
+(point, cluster) pair's cuts into cluster order, one search per cluster on
+its contiguous slice, and one scatter of the positions back.
 """
 
 import copy
@@ -145,9 +148,11 @@ class SortedClusters:
         differences of the search positions; the other powers read their
         prefix sums there. When every point reads the same columns (one row
         of ``columns``), each column's cluster is searched with one call for
-        all the cuts. Otherwise the (point, column) pairs are grouped by
-        cluster once, so each cluster's samples are searched with one call
-        for all the points that read it.
+        all the cuts. Otherwise the (point, column) pairs are sorted by
+        cluster once: one gather puts every pair's cuts in cluster order,
+        each cluster's samples are searched with one call on its contiguous
+        slice of them, and one scatter puts the positions back in pair
+        order.
         """
         y = self.sorted_rows()
         n, E = cuts.shape
@@ -158,16 +163,17 @@ class SortedClusters:
             # cut by cut: along a grid each cut's keys ascend, and the search
             # starts each key where the last one ended
             for j, l in enumerate(self.columns[0]):
-                pos[:, j, 1:-1] = np.searchsorted(y[l], cuts.T, side="left").T
+                pos[:, j, 1:-1] = y[l].searchsorted(cuts.T, side="left").T
         else:
             flat = np.broadcast_to(self.columns, (n, width)).ravel()
             order = np.argsort(flat, kind="stable")
             bounds = np.searchsorted(flat[order], np.arange(y.shape[0] + 1))
-            pairs_pos = pos.reshape(n * width, E + 2)
+            keys = cuts[order // width]   # (pairs, E), in cluster order
+            found = np.empty(keys.shape, dtype=np.intp)
             for l in np.flatnonzero(np.diff(bounds)):
-                pairs = order[bounds[l]:bounds[l + 1]]
-                pairs_pos[pairs, 1:-1] = np.searchsorted(y[l], cuts[pairs // width],
-                                                         side="left")
+                lo, hi = bounds[l], bounds[l + 1]
+                found[lo:hi] = y[l].searchsorted(keys[lo:hi], side="left")
+            pos.reshape(n * width, E + 2)[order, 1:-1] = found
         rows = self.columns[:, :, None]
         return [np.diff(pos, axis=2) if p == 0
                 else np.diff(self._prefix(p)[rows, pos], axis=2) for p in powers]

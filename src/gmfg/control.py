@@ -193,16 +193,26 @@ def brackets(plans, names, own, coupled, weights):
     ``coupled`` are views of one
     :class:`~gmfg.coefficients.SortedClusters`. An intra coefficient (f0,
     l1, l2) is averaged over the clusters that ``own`` gives each point; a
-    graphon one (f, l3, l4) over the ``width`` clusters of ``coupled``,
-    then weighted by ``weights``, broadcastable to (n points, k, width),
-    in one sequential sum per output: a point rounds the same alone as in a
-    batch, and a column the same whatever k is. Returns one array per name:
-    (n points, width of ``own``) for an intra coefficient, (n points, k)
-    for a graphon one.
+    graphon one (f, l3, l4) over the clusters of ``coupled``, whose width
+    is a multiple of the last axis m of ``weights``: each point's means,
+    split into rows of m columns, are weighted by ``weights``,
+    broadcastable to (rows, k, m), in one sequential sum per output: a
+    point rounds the same alone as in a batch, and a column the same
+    whatever k is. Returns one array per name: (n points, width of
+    ``own``) for an intra coefficient, (n points x width / m, k) for a
+    graphon one.
     """
+    m = weights.shape[-1]
     return [plans[name].apply(own) if name in ("f0", "l1", "l2")
-            else np.einsum("pw,pkw->pk", plans[name].apply(coupled), weights)
+            else np.einsum("pw,pkw->pk", plans[name].apply(coupled).reshape(-1, m),
+                           weights)
             for name in names]
+
+
+# (time node, vertex, atom) samples that frozen_fields brackets in one
+# call: bounds the per-chunk temporaries; more nodes run in consecutive
+# chunks
+_CHUNK_SAMPLES = 2**16
 
 
 def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
@@ -217,12 +227,16 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
     with midpoint-rule quadrature, so a zero section gives exactly 0. Each
     coefficient's per-point set-up on ``x_grid`` (for a clip, the roots,
     cuts and regimes; :meth:`~gmfg.coefficients.Poly2.plan`) is built once
-    per call, so a time node costs only the cluster searches and sums.
-    ``drift_only`` skips the cost tables for propagation-only callers.
+    per call. The time nodes are bracketed in chunks of at most
+    ``_CHUNK_SAMPLES`` samples (one node at least): one set of clusters per
+    chunk, time-major, so each plan applies once per chunk, and every node
+    gets the bits it gets alone. ``drift_only`` skips the cost tables for
+    propagation-only callers.
     """
     fields = FrozenFields(problem, alpha, x_grid, ensemble.times)
     x_grid = fields.x_grid
-    grid = VertexGrid(ensemble.n_vertices)
+    M, K1, n_atoms = ensemble.atoms.shape
+    grid = VertexGrid(M)
     alphas = fields.alpha
     v_own = grid.nearest(alphas)
     gw = grid.section_weights(g, alphas)
@@ -233,30 +247,44 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
         tables += [("cost_const", "l1", "l3"), ("cost_quad", "l2", "l4")]
     plans = {}
     for name, intra, coupled in tables:
-        setattr(fields, name, np.empty((alphas.size, ensemble.n_times, x_grid.size)))
+        setattr(fields, name, np.empty((alphas.size, K1, x_grid.size)))
         plans.update({part: p[part].plan(x_grid) for part in (intra, coupled)})
-    for k in range(ensemble.n_times):
-        clusters = ensemble.clusters(k)
-        own_view = clusters.view(v_own[None, :])
+    chunk = max(1, _CHUNK_SAMPLES // (M * n_atoms))
+    for lo in range(0, K1, chunk):
+        nodes = min(chunk, K1 - lo)
+        clusters = ensemble.clusters(lo, lo + nodes)   # column t M + v
+        own_view = clusters.view((np.arange(nodes)[:, None] * M + v_own).reshape(1, -1))
+        shape = (x_grid.size, nodes, alphas.size)
         for name, intra, coupled in tables:
             own, mixed = brackets(plans, (intra, coupled), own_view, clusters, gw[None])
-            getattr(fields, name)[:, k] = (own + mixed).T
+            getattr(fields, name)[:, lo:lo + nodes] = (
+                own.reshape(shape) + mixed.reshape(shape)).transpose(2, 1, 0)
     return fields
 
 
-def minimize_hamiltonian(fields, k, q):
+def _unit_controls(fields):
+    # the unclamped minimizers per unit adjoint, -c / (2 d), of every
+    # (vertex, node, grid point) of the fields
+    if np.any(fields.cost_quad <= 0.0):
+        raise InvariantError("quadratic control-cost bracket is not positive")
+    return -fields.drift_coef / (2.0 * fields.cost_quad)
+
+
+def minimize_hamiltonian(fields, k, q, units=None):
     """Minimizer of q * drift + cost over the control set at the grid nodes.
 
     ``q`` holds adjoints on the space grid, (..., n_vertices, N_x): one
     row per vertex of the batch, leading axes for several slopes. With
     drift coefficient c and quadratic cost coefficient d of time node k,
-    the minimizer is the clamp of -q c / (2 d) to the control set.
+    the minimizer is the clamp of -q c / (2 d) to the control set. The
+    ratios -c / (2 d) are tabulated for every node at once, after a check
+    that d > 0 at every node (InvariantError otherwise). ``units`` is that
+    (n_vertices, K+1, N_x) table when the caller has it: the value sweep
+    builds it once per sweep, not once per step. None builds it here.
     """
-    quad = fields.cost_quad[:, k]
-    if np.any(quad <= 0.0):
-        raise InvariantError("quadratic control-cost bracket is not positive")
-    h = -fields.drift_coef[:, k] / (2.0 * quad)   # unclamped, per unit adjoint
-    return theta_clamp(q * h, fields.problem.u_min, fields.problem.u_max)
+    if units is None:
+        units = _unit_controls(fields)
+    return theta_clamp(q * units[:, k], fields.problem.u_min, fields.problem.u_max)
 
 
 class Policy:
@@ -337,19 +365,22 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
     dx = float(x[1] - x[0])
     _check_cfl(float(fields.drift_bound().max()), dt, dx)
     diffuse = implicit_diffusion(problem.sigma, dt, x)
+    units = _unit_controls(fields)
 
     # the field tables live on x_grid, so they are read without interpolation
     V = np.zeros((n, K1, nx))
     policy = np.zeros((n, K1, nx))
+    # both one-sided slopes; the forward one is 0 at the last node and the
+    # backward one at the first, never written
+    D = np.zeros((2, n, nx))
+    Dp, Dm = D
     for k in range(K1 - 2, -1, -1):
         coef = fields.drift_coef[:, k]
         const = fields.cost_const[:, k]
         quad = fields.cost_quad[:, k]
         Vn = V[:, k + 1]
-        D = np.zeros((2, n, nx))
-        Dp, Dm = D
         Dp[:, :-1] = Dm[:, 1:] = np.diff(Vn, axis=1) / dx
-        u_p, u_m = minimize_hamiltonian(fields, k, D)   # both one-sided slopes
+        u_p, u_m = minimize_hamiltonian(fields, k, D, units)
         f_p = coef * u_p
         f_m = coef * u_m
         H_p = f_p * Dp + (const + quad * u_p ** 2)
@@ -360,7 +391,7 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
         # Neither candidate self-consistent: fall back to the central slope.
         neither = ~ok_p & ~ok_m
         if np.any(neither):
-            u_c = minimize_hamiltonian(fields, k, 0.5 * (Dp + Dm))
+            u_c = minimize_hamiltonian(fields, k, 0.5 * (Dp + Dm), units)
             f_c = coef * u_c
             H_c = f_c * np.where(f_c > 0, Dp, Dm) + (const + quad * u_c ** 2)
             u_m = np.where(neither, u_c, u_m)
@@ -372,7 +403,7 @@ def solve_hjb(problem, g, alpha, ensemble, x_grid, fields=None):
         if not np.all(np.isfinite(V[:, k])):
             raise NumericalError(f"value sweep produced non-finite values at step {k}")
         policy[:, k] = u_k
-    policy[:, -1] = minimize_hamiltonian(fields, K1 - 1, np.zeros((n, nx)))
+    policy[:, -1] = minimize_hamiltonian(fields, K1 - 1, np.zeros((n, nx)), units)
     return V, policy
 
 

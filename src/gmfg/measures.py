@@ -166,11 +166,13 @@ class MeasureEnsemble:
     def get(self, v, k):
         return Measure1D(self.atoms[v, k])
 
-    def clusters(self, k):
-        """The vertex measures at time node k as clusters, one per vertex,
-        for exact coefficient means. The atoms are sorted already, so the
+    def clusters(self, k, stop=None):
+        """The vertex measures at time node k, or at the nodes k .. stop-1,
+        as clusters for exact coefficient means, time-major: column t M + v
+        is vertex v at node k + t. The atoms are sorted already, so the
         clusters are not sorted again."""
-        return SortedClusters.from_sorted(self.atoms[:, k])
+        nodes = np.swapaxes(self.atoms[:, k:k + 1 if stop is None else stop], 0, 1)
+        return SortedClusters.from_sorted(nodes.reshape(-1, self.atoms.shape[2]))
 
     def shift(self, delta):
         return MeasureEnsemble(self.atoms + float(delta), self.times)

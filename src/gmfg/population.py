@@ -116,7 +116,8 @@ def build_population(g, M_k, size, initial_law, seed):
 
 @dataclass
 class TrajectorySet:
-    """Per-agent paths of one system run plus optional cost/law attachments."""
+    """Per-agent paths of one system run plus optional deviator and cost
+    attachments."""
 
     paths: np.ndarray                 # (N, K+1)
     times: np.ndarray
@@ -124,7 +125,6 @@ class TrajectorySet:
     deviator: int = None
     deviator_controls: np.ndarray = None   # (K,)
     costs: dict = field(default_factory=dict)
-    cluster_laws: MeasureEnsemble = None
 
 
 def _cluster_policy(pop, solution):
@@ -276,41 +276,48 @@ def _law_problem(pop, solution, R_law):
                        domain=(problem.x_grid[0], problem.x_grid[-1]))
 
 
-def _field_propagation(pop, problem, table, fields, label, laws=None):
-    """Propagate all agents against per-cluster frozen drift fields.
+def _field_propagation(pop, solution, fields, label):
+    """Propagate all agents under the cluster policy against per-cluster
+    frozen drift fields.
 
-    ``fields`` is the batch of frozen fields at the cluster nodes and
-    ``table`` the (M_k, K+1, N_x) cluster policy. The agents' (N, K+1)
-    start buffer, in cluster order, is the (M_k, size, K+1) buffer of the
-    closed-loop kernel :func:`~gmfg.control.closed_loop_steps`, so each
-    agent reads its cluster's rows.
+    ``fields`` is the batch of frozen fields at the cluster nodes. The
+    agents' (N, K+1) start buffer, in cluster order, is the (M_k, size,
+    K+1) buffer of the closed-loop kernel
+    :func:`~gmfg.control.closed_loop_steps`, so each agent reads its
+    cluster's rows of the fields and of the (M_k, K+1, N_x) cluster policy.
     """
+    problem = solution.problem
     p = problem.functions
     dt = p.T / problem.K
     paths = pop.start_paths(p.sigma, dt, problem.K)
-    closed_loop_steps(paths.reshape(pop.M_k, pop.size, -1), dt, fields, table)
-    return TrajectorySet(paths, problem.times, label, cluster_laws=laws)
+    closed_loop_steps(paths.reshape(pop.M_k, pop.size, -1), dt, fields,
+                      _cluster_policy(pop, solution))
+    return TrajectorySet(paths, problem.times, label)
+
+
+def _cluster_laws(pop, solution, R_law):
+    """System C's problem on the finite graph and its M_k self-consistent
+    cluster laws under the cluster policy table: the measure-consistency
+    sub-iteration with ``R_law`` replicas per cluster, from one start
+    buffer drawn for the zero-drift start and every pass."""
+    clone = _law_problem(pop, solution, R_law)
+    start = _start_paths(clone)
+    _, laws, _ = inner_mv_consistency(clone, _cluster_policy(pop, solution),
+                                      zero_drift_ensemble(clone, start), start=start)
+    return clone, laws
 
 
 def run_system_c(pop, solution, R_law=2000):
     """Law-decoupled auxiliary population on the finite graph.
 
     Within a cluster the auxiliary processes are i.i.d., so the drift only
-    needs the M_k cluster laws. These are found by the measure-consistency
-    sub-iteration with ``R_law`` replicas per cluster, then every agent is
+    needs the M_k cluster laws (:func:`_cluster_laws`). Every agent is then
     propagated against its cluster's law with the same Brownian increments
-    as System A (:func:`_field_propagation`). The law solve draws its start
-    buffer once, for the zero-drift start and every pass of the
-    sub-iteration; one cluster policy table serves the law solve and the
-    agents.
+    as System A (:func:`_field_propagation`). The laws are freed once their
+    drift fields are frozen, so a run keeps only its paths.
     """
-    table = _cluster_policy(pop, solution)
-    clone = _law_problem(pop, solution, R_law)
-    start = _start_paths(clone)
-    _, laws, _ = inner_mv_consistency(clone, table, zero_drift_ensemble(clone, start),
-                                      start=start)
-    return _field_propagation(pop, solution.problem, table, _drift_fields(clone, laws),
-                              "C", laws=laws)
+    fields = _drift_fields(*_cluster_laws(pop, solution, R_law))
+    return _field_propagation(pop, solution, fields, "C")
 
 
 def system_d_fields(pop, solution):
@@ -325,8 +332,7 @@ def run_system_d(pop, solution, fields=None):
     """Reference agents propagated in the infinite-population ensemble."""
     if fields is None:
         fields = system_d_fields(pop, solution)
-    return _field_propagation(pop, solution.problem, _cluster_policy(pop, solution),
-                              fields, "D")
+    return _field_propagation(pop, solution, fields, "D")
 
 
 def _sup_mean_gap(rep_rows):

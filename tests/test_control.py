@@ -125,34 +125,45 @@ class TestFrozenFields:
             Constant(1.0), Poly2(const=0.1, xy=-0.5, yy=0.5, clip=(0.0, 0.8)),
             Constant(0.5), (-1, 1), 0.3, 0.5)
 
-    def test_planned_tables_equal_per_node_brackets(self):
+    def test_planned_tables_equal_per_node_brackets(self, monkeypatch):
         """Bit for bit, the tables equal a loop that integrates every
         coefficient at every time node from scratch, for a batch of
-        vertices and one vertex alone."""
+        vertices and one vertex alone, whether the nodes are bracketed in
+        one chunk or in several uneven ones: the 7 nodes of the small
+        ensemble in one chunk and in chunks of 3, 3 and 1, and those of a
+        particle-sized one in chunks of 3, 3 and 1 at the shipped bound."""
+        from gmfg import control
+
         p = self._clipped_problem()
         rng = np.random.default_rng(5)
         atoms = np.sort(rng.normal(0.0, 0.8, (4, 7, 60)), axis=2)
         atoms[:, :, ::7] = 0.5   # ties, and atoms exactly on a cut at x = 0
         atoms.sort(axis=2)
-        ens = MeasureEnsemble(atoms, np.linspace(0.0, 0.5, 7))
+        times = np.linspace(0.0, 0.5, 7)
+        small = MeasureEnsemble(atoms, times)
+        particles = MeasureEnsemble(rng.normal(0.0, 0.8, (4, 7, 5000)), times)
+        assert control._CHUNK_SAMPLES // (4 * 5000) == 3
         x_grid = np.linspace(-2, 2, 41)
         g = Graphon.uniform_attachment()
         grid = VertexGrid(4)
-        for alphas in ((np.arange(4) + 0.5) / 4, np.array([0.3])):
-            fields = frozen_fields(p, g, alphas, ens, x_grid)
-            v_own, gw = grid.nearest(alphas), grid.section_weights(g, alphas)
-            s = p.structured_parts
-            for name, intra, coupled in (("drift_coef", "f0", "f"),
-                                         ("cost_const", "l1", "l3"),
-                                         ("cost_quad", "l2", "l4")):
-                table = np.empty((alphas.size, 7, 41))
-                for k in range(7):
-                    clusters = ens.clusters(k)
-                    own = s[intra].plan(x_grid).apply(clusters.view(v_own[None, :]))
-                    m = s[coupled].plan(x_grid).apply(clusters)
-                    mixed = np.matmul(m, gw[:, :, None])[:, :, 0].T
-                    table[:, k] = (own + mixed).T
-                assert np.array_equal(getattr(fields, name), table), name
+        s = p.structured_parts
+        for ens, bound in ((small, control._CHUNK_SAMPLES), (small, 3 * 4 * 60),
+                           (particles, control._CHUNK_SAMPLES)):
+            monkeypatch.setattr(control, "_CHUNK_SAMPLES", bound)
+            for alphas in ((np.arange(4) + 0.5) / 4, np.array([0.3])):
+                fields = frozen_fields(p, g, alphas, ens, x_grid)
+                v_own, gw = grid.nearest(alphas), grid.section_weights(g, alphas)
+                for name, intra, coupled in (("drift_coef", "f0", "f"),
+                                             ("cost_const", "l1", "l3"),
+                                             ("cost_quad", "l2", "l4")):
+                    table = np.empty((alphas.size, 7, 41))
+                    for k in range(7):
+                        clusters = ens.clusters(k)
+                        own = s[intra].plan(x_grid).apply(clusters.view(v_own[None, :]))
+                        m = s[coupled].plan(x_grid).apply(clusters)
+                        mixed = np.matmul(m, gw[:, :, None])[:, :, 0].T
+                        table[:, k] = (own + mixed).T
+                    assert np.array_equal(getattr(fields, name), table), (name, bound)
 
     def test_clip_set_up_runs_once_per_call(self, monkeypatch):
         """The roots of a clipped coefficient are found on the grid once per
@@ -376,6 +387,22 @@ class TestSolveHJB:
                                    np.linspace(-2, 2, 81))
         assert np.abs(values).max() < 1e-12
         assert np.abs(policy).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [0, 8, 16])
+    def test_sweep_rejects_a_vanishing_quadratic_bracket(self, k):
+        """One (vertex, node) cell of the quadratic cost table at 0, late or
+        early in the sweep, fails the value sweep with InvariantError before
+        any step divides by it."""
+        p = ProblemFunctions.structured(Constant(1.0), Constant(0.0), Constant(0.0),
+                                        Constant(1.0), Constant(0.0), Constant(0.0),
+                                        (-1, 1), 0.2, 0.5)
+        ens = dirac_ensemble(0.0, 2, 16, 0.5)
+        x_grid = np.linspace(-2, 2, 81)
+        fields = frozen_fields(p, Graphon.constant(0.0), [0.25, 0.75], ens, x_grid)
+        fields.cost_quad[1, k, 40] = 0.0
+        with pytest.raises(InvariantError, match="quadratic control-cost"):
+            solve_hjb(p, Graphon.constant(0.0), [0.25, 0.75], ens, x_grid,
+                      fields=fields)
 
     def test_stability_precondition(self):
         p = structured_lq_like(u_box=(-10, 10))

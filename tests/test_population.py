@@ -11,9 +11,8 @@ from gmfg import (ConfigError, Constant, GMFGProblem, GMFGSolution, Graphon, Gri
                   run_system_d, w1)
 from gmfg import rng
 from gmfg.control import frozen_fields
-from gmfg.population import (_assemble_gap_report, _cluster_policy,
-                             _equilibrium_and_deviations, _law_problem,
-                             system_d_fields)
+from gmfg.population import (_assemble_gap_report, _cluster_laws, _cluster_policy,
+                             _equilibrium_and_deviations, system_d_fields)
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -387,9 +386,9 @@ class TestSystemCD:
                                        system_d_fields(pop, coupled_solution))
         assert np.array_equal(ts_d.paths, want_d)
         ts_c = run_system_c(pop, coupled_solution, R_law=200)
-        clone = _law_problem(pop, coupled_solution, 200)
+        clone, laws = _cluster_laws(pop, coupled_solution, 200)
         fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
-                               ts_c.cluster_laws, clone.x_grid, drift_only=True)
+                               laws, clone.x_grid, drift_only=True)
         assert np.array_equal(ts_c.paths,
                               reference_field_paths(pop, coupled_solution, fields))
         assert not np.array_equal(ts_c.paths, ts_d.paths)
@@ -418,10 +417,11 @@ class TestSystemCD:
         pop = build_population(Graphon.uniform_attachment(), 4, 30,
                                normal_quantile_measure(0.0, 0.3, 65), seed=23)
         ts_c = run_system_c(pop, coupled_solution, R_law=1000)
-        assert ts_c.cluster_laws is not None
+        _, laws = _cluster_laws(pop, coupled_solution, 1000)
+        assert laws is not None
         idx = np.flatnonzero(pop.cluster_of == 2)
         terminal = ts_c.paths[idx, -1]
-        law = ts_c.cluster_laws.get(2, coupled_solution.problem.K)
+        law = laws.get(2, coupled_solution.problem.K)
         band = 3 * terminal.std() / math.sqrt(len(idx)) + 0.1
         assert w1(empirical(terminal), law) < band
 
