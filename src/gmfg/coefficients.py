@@ -29,14 +29,17 @@ set-up that depends only on the query points: each point's coefficients
 of 1 and y and, for a clip, its sorted cuts and each segment's regime. It
 is built once per (coefficient, points). The apply step
 (:meth:`Poly2Plan.apply`) runs once per :class:`SortedClusters`: the E
-searches per (point, cluster) and the sum over the E+1 segments. So a
-caller with fixed points and many sets of clusters, such as the chunks of
-time nodes of :func:`~gmfg.control.frozen_fields` on one x-grid, pays the
-set-up once; callers whose points move, such as the population stacks,
-plan at every step. Points that read their own clusters (a view with one
-row of columns per point) are searched in one pass: one gather of every
-(point, cluster) pair's cuts into cluster order, one search per cluster on
-its contiguous slice, and one scatter of the positions back.
+searches per (point, cluster) (:meth:`SortedClusters.positions`), then a
+walk over the E+1 segments, one (points, columns) plane at a time, that
+adds each segment's sum into one running total; no (points, columns,
+E+1) table is built. A caller with fixed points and many sets of
+clusters, such as the chunks of time nodes of
+:func:`~gmfg.control.frozen_fields` on one x-grid, pays the set-up once;
+callers whose points move, such as the population stacks, plan at every
+step. Points that read their own clusters (a view with one row of columns
+per point) are searched in one pass: one gather of every (point, cluster)
+pair's cuts into cluster order, one search per cluster on its contiguous
+slice, and one scatter of the positions back.
 """
 
 import copy
@@ -57,10 +60,10 @@ class SortedClusters:
     weight 1/n. Nothing is computed when the clusters are built: the sums
     of y and y^2 per cluster (:attr:`s1`, :attr:`s2`) are taken when
     :meth:`means` first reads them, and the sorted rows and each power's
-    prefix sums behind :meth:`segment_sums` when a clipped coefficient
-    first asks for that power. So a coefficient without a clip never
-    sorts, a clipped one never reads the moments, and the y^2 prefix sums
-    are built only for a clipped coefficient quadratic in y. Rows that are
+    :meth:`prefix` sums when a clipped coefficient first asks for that
+    power. So a coefficient without a clip never sorts, a clipped one
+    never reads the moments, and the y^2 prefix sums are built only for a
+    clipped coefficient quadratic in y. Rows that are
     sorted already (:meth:`from_sorted`) are not sorted again.
 
     ``columns`` names the clusters each query point is integrated against,
@@ -126,9 +129,9 @@ class SortedClusters:
         return self._once("sorted", lambda: self.values if self._is_sorted
                           else np.sort(self.values, axis=1))
 
-    def _prefix(self, power):
-        # (M, n+1) prefix sums of y**power (1 or 2) along the sorted rows,
-        # each row starting at 0
+    def prefix(self, power):
+        """(M, n+1) prefix sums of y**power (1 or 2) along the sorted rows,
+        each row starting at 0."""
         def build():
             y = self.sorted_rows()
             sums = np.empty((y.shape[0], y.shape[1] + 1))
@@ -137,46 +140,42 @@ class SortedClusters:
             return sums
         return self._once(("prefix", power), build)
 
-    def segment_sums(self, cuts, powers):
-        """Sums of y^p, for each p of ``powers`` (0, 1 or 2), over each
-        column's samples between cuts.
+    def positions(self, cuts):
+        """(E, n, width) search positions of the sorted ``cuts`` (n, E) in
+        each column's sorted samples: plane e holds, for each (point,
+        column) pair, the number of that column's samples below cut e. The
+        ends of the y-line, positions 0 and the row length, are implicit.
 
-        ``cuts`` is (n, E), sorted along each row; the ends of the y-line
-        are implicit. The result is one (n, width, E+1) array per power,
-        segment j holding the samples y with cuts[:, j-1] <= y < cuts[:, j],
-        where cut -1 is -inf and cut E is +inf. The counts (p = 0) are the
-        differences of the search positions; the other powers read their
-        prefix sums there. When every point reads the same columns (one row
-        of ``columns``), each column's cluster is searched with one call for
-        all the cuts. Otherwise the (point, column) pairs are sorted by
-        cluster once: one gather puts every pair's cuts in cluster order,
-        each cluster's samples are searched with one call on its contiguous
-        slice of them, and one scatter puts the positions back in pair
-        order.
+        When every point reads the same columns (one row of ``columns``),
+        each column's cluster is searched with one call for all the cuts,
+        and plane e is stored as one contiguous (width, n) block. Otherwise
+        the (point, column) pairs are sorted by cluster once: one gather
+        puts every pair's cuts in cluster order, each cluster's samples are
+        searched with one call on its contiguous slice of them, and one
+        scatter puts the positions back in pair order.
         """
         y = self.sorted_rows()
         n, E = cuts.shape
         width = self.width
-        pos = np.empty((n, width, E + 2), dtype=np.intp)
-        pos[:, :, 0], pos[:, :, -1] = 0, self.size
         if self.columns.shape[0] == 1:
-            # cut by cut: along a grid each cut's keys ascend, and the search
-            # starts each key where the last one ended
-            for j, l in enumerate(self.columns[0]):
-                pos[:, j, 1:-1] = y[l].searchsorted(cuts.T, side="left").T
-        else:
-            flat = np.broadcast_to(self.columns, (n, width)).ravel()
-            order = np.argsort(flat, kind="stable")
-            bounds = np.searchsorted(flat[order], np.arange(y.shape[0] + 1))
-            keys = cuts[order // width]   # (pairs, E), in cluster order
-            found = np.empty(keys.shape, dtype=np.intp)
-            for l in np.flatnonzero(np.diff(bounds)):
-                lo, hi = bounds[l], bounds[l + 1]
+            pos = np.empty((E, width, n), dtype=np.intp)
+            keys = cuts.T
+            # along a grid each cut's keys ascend, and the search starts
+            # each key where the last one ended
+            for j, l in enumerate(self.columns[0].tolist()):
+                pos[:, j] = y[l].searchsorted(keys, side="left")
+            return pos.transpose(0, 2, 1)
+        flat = np.broadcast_to(self.columns, (n, width)).ravel()
+        order = np.argsort(flat, kind="stable")
+        bounds = np.searchsorted(flat[order], np.arange(y.shape[0] + 1)).tolist()
+        keys = cuts[order // width]   # (pairs, E), in cluster order
+        found = np.empty(keys.shape, dtype=np.intp)
+        for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
                 found[lo:hi] = y[l].searchsorted(keys[lo:hi], side="left")
-            pos.reshape(n * width, E + 2)[order, 1:-1] = found
-        rows = self.columns[:, :, None]
-        return [np.diff(pos, axis=2) if p == 0
-                else np.diff(self._prefix(p)[rows, pos], axis=2) for p in powers]
+        pos = np.empty((E, n * width), dtype=np.intp)
+        pos[:, order] = found.T
+        return pos.reshape(E, n, width)
 
 
 @dataclass
@@ -276,8 +275,9 @@ class Poly2:
             cuts = np.concatenate(roots, axis=1)
             cuts.sort(axis=1)
             below, mid = self._regimes(a, b, cuts)
-        return Poly2Plan(a, b, c, cuts, np.where(below, lo, hi)[:, None, :],
-                         mid[:, None, :])
+        # segment-major, one (n, 1) column of each per segment
+        return Poly2Plan(a, b, c, cuts, np.where(below.T, lo, hi)[:, :, None],
+                         np.ascontiguousarray(mid.T)[:, :, None])
 
     def _regimes(self, a, b, cuts):
         """(below, inside) flags of the segments between the sorted ``cuts``
@@ -318,11 +318,10 @@ class Poly2Plan:
     Built by :meth:`Poly2.plan` from the points' coefficients ``a`` and
     ``b`` (n, 1) of 1 and y, and ``c`` of y^2; a clip adds the sorted
     ``cuts`` (n, E), each segment's clip ``level`` and ``mid`` flag (inside
-    the clip), both (n, 1, E+1). :meth:`apply` does the rest per
+    the clip), both (E+1, n, 1). :meth:`apply` does the rest per
     :class:`SortedClusters`: without a clip, the cluster moments; with one,
-    :meth:`SortedClusters.segment_sums` at the cuts, then each segment's
-    sum (the quadratic's inside the clip, the level's count outside it)
-    added left to right.
+    :meth:`SortedClusters.positions` at the cuts, then the E+1 segments one
+    at a time.
     """
 
     def __init__(self, a, b, c, cuts=None, level=None, mid=None):
@@ -330,26 +329,68 @@ class Poly2Plan:
         # cut-major in memory, the order in which the cuts are searched
         self.cuts = None if cuts is None else np.asfortranarray(cuts)
         self.level, self.mid = level, mid
+        if mid is not None:
+            # per segment: is every point inside the clip, is any
+            self.regimes = [(bool(m.all()), bool(m.any())) for m in mid]
         # a clip linear in y never reads the y^2 sums
-        self.powers = (0, 1) if c == 0.0 else (0, 1, 2)
+        self.powers = (1,) if c == 0.0 else (1, 2)
 
     def apply(self, clusters):
         """(n, width) exact means over each column's cluster of ``clusters``:
         ``width`` is M, one column per cluster, or the width of a
-        :meth:`SortedClusters.view`. A fresh C-order array."""
+        :meth:`SortedClusters.view`. A fresh C-order array.
+
+        With a clip, the segments are walked left to right on (n, width)
+        planes. Segment j runs from cut j-1 to cut j (cut -1 at position 0
+        of each column, cut E at position n): its count and its sums of y and y^2
+        are differences of the positions and of the prefix sums read
+        there; its sum is a count + b s1 (+ c s2) inside the clip and
+        level count outside it, picked by ``mid``; and it is added to one
+        running total. Every element gets the operations, and the order of
+        additions, of a sum over a (n, width, E+1) table of the segments.
+        """
         if self.cuts is None:
             m1, m2 = clusters.means()
             return self.a + self.b * m1 + self.c * m2
-        n0, s1, *s2 = clusters.segment_sums(self.cuts, self.powers)
-        inside = self.a[:, :, None] * n0
-        inside += self.b[:, :, None] * s1
-        if s2:
-            inside += self.c * s2[0]
-        seg = self.level * n0
-        np.copyto(seg, inside, where=self.mid)
-        # left to right over the E+1 segments, the order in which a
-        # last-axis sum of so few terms adds them, without its set-up cost
-        total = seg[..., 0] + seg[..., 1]
-        for j in range(2, seg.shape[2]):
-            total += seg[..., j]
-        return total / clusters.size
+        total = self._segment_total(clusters)
+        return np.divide(total, clusters.size, out=np.empty(total.shape))
+
+    def _segment_total(self, clusters):
+        # the (n, width) sum over the segments, before the division by the
+        # cluster size; one set of plane buffers serves every segment
+        pos = clusters.positions(self.cuts)
+        E, size = pos.shape[0], clusters.size
+        # each power's prefix sums at every cut, then at each column's end;
+        # a column's prefix row starts at this offset of the flat sums
+        starts = clusters.columns * (size + 1)
+        sums = []
+        for p in self.powers:
+            flat = clusters.prefix(p).ravel()
+            sums.append([flat[pos[e] + starts] for e in range(E)]
+                        + [flat[starts + size]])
+        # the positions as floats, exact: every count is then a float
+        # difference, and no product below casts
+        edges = [pos[e].astype(float) for e in range(E)] + [size]
+        del pos   # freed before the walk's buffers are taken: a lower peak
+        total, seg, counts, term = (np.empty_like(edges[0]) for _ in range(4))
+        for j, (all_mid, any_mid) in enumerate(self.regimes):
+            count = edges[0] if j == 0 else np.subtract(edges[j], edges[j - 1], out=counts)
+            out = total if j == 0 else seg
+            if any_mid:
+                np.multiply(self.a, count, out=out)
+                for coef, s in zip((self.b, self.c), sums):
+                    # the first segment starts at prefix sum 0
+                    diff = s[0] if j == 0 else np.subtract(s[j], s[j - 1], out=term)
+                    out += np.multiply(coef, diff, out=term)
+            if not all_mid:
+                level = np.multiply(self.level[j], count, out=term if any_mid else out)
+                if any_mid:
+                    # np.where, not a masked copy: a per-point mask on the
+                    # column-major planes of shared columns changes along
+                    # their contiguous axis, which slows copyto severalfold
+                    out = np.where(self.mid[j], out, level)
+            if j == 0:
+                total = out
+            else:
+                total += out
+        return total

@@ -209,10 +209,11 @@ def brackets(plans, names, own, coupled, weights):
             for name in names]
 
 
-# (time node, vertex, atom) samples that frozen_fields brackets in one
-# call: bounds the per-chunk temporaries; more nodes run in consecutive
-# chunks
-_CHUNK_SAMPLES = 2**16
+# cells of one frozen_fields chunk: its (time node, vertex) columns times
+# the larger of the atoms per column and the grid points. This bounds both
+# the chunk's samples and the (grid point, column) planes that each
+# bracket fills; more nodes run in consecutive chunks
+_CHUNK_CELLS = 2**16
 
 
 def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
@@ -228,10 +229,11 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
     coefficient's per-point set-up on ``x_grid`` (for a clip, the roots,
     cuts and regimes; :meth:`~gmfg.coefficients.Poly2.plan`) is built once
     per call. The time nodes are bracketed in chunks of at most
-    ``_CHUNK_SAMPLES`` samples (one node at least): one set of clusters per
-    chunk, time-major, so each plan applies once per chunk, and every node
-    gets the bits it gets alone. ``drift_only`` skips the cost tables for
-    propagation-only callers.
+    ``_CHUNK_CELLS`` cells (one node at least), a cell being a (node,
+    vertex) column times the larger of its atoms and the grid points: one
+    set of clusters per chunk, time-major, so each plan applies once per
+    chunk, and every node gets the bits it gets alone. ``drift_only``
+    skips the cost tables for propagation-only callers.
     """
     fields = FrozenFields(problem, alpha, x_grid, ensemble.times)
     x_grid = fields.x_grid
@@ -249,7 +251,7 @@ def frozen_fields(problem, g, alpha, ensemble, x_grid, drift_only=False):
     for name, intra, coupled in tables:
         setattr(fields, name, np.empty((alphas.size, K1, x_grid.size)))
         plans.update({part: p[part].plan(x_grid) for part in (intra, coupled)})
-    chunk = max(1, _CHUNK_SAMPLES // (M * n_atoms))
+    chunk = max(1, _CHUNK_CELLS // (M * max(n_atoms, x_grid.size)))
     for lo in range(0, K1, chunk):
         nodes = min(chunk, K1 - lo)
         clusters = ensemble.clusters(lo, lo + nodes)   # column t M + v

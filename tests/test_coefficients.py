@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -173,14 +174,63 @@ class TestClusterMeans:
         np.testing.assert_allclose(got, [[0.0, 1.0]], rtol=0, atol=1e-15)
 
 
-class TestSegmentSums:
+def segment_table_means(plan, clusters):
+    """The clipped means by a table of the segments: every (point, column)
+    pair's search positions, the ends 0 and n included, as one
+    (n, width, E+2) table, each segment's count and power sums as the
+    differences along it, and the segments' sums added left to right. An
+    oracle for :meth:`Poly2Plan.apply`, which walks the segments one at a
+    time and must give these bits."""
+    ordered = clusters.sorted_rows()
+    n, E = plan.cuts.shape
+    columns = np.broadcast_to(clusters.columns, (n, clusters.width))
+    pos = np.empty((n, clusters.width, E + 2), dtype=np.intp)
+    pos[:, :, 0], pos[:, :, -1] = 0, clusters.size
+    for i in range(n):
+        for c in range(clusters.width):
+            pos[i, c, 1:-1] = np.searchsorted(ordered[columns[i, c]], plan.cuts[i],
+                                              side="left")
+    sums = []
+    for p in (1, 2):
+        prefix = np.zeros((ordered.shape[0], clusters.size + 1))
+        np.cumsum(ordered**p, axis=1, out=prefix[:, 1:])
+        sums.append(np.diff(prefix[columns[:, :, None], pos], axis=2))
+    n0 = np.diff(pos, axis=2)
+    inside = plan.a[:, :, None] * n0
+    inside += plan.b[:, :, None] * sums[0]
+    if plan.c != 0.0:
+        inside += plan.c * sums[1]
+    seg = plan.level.transpose(1, 2, 0) * n0
+    np.copyto(seg, inside, where=plan.mid.transpose(1, 2, 0))
+    total = seg[..., 0] + seg[..., 1]
+    for j in range(2, E + 1):
+        total += seg[..., j]
+    return total / clusters.size
+
+
+@st.composite
+def clipped_coefficients(draw):
+    """Clips linear and quadratic in y: dyadic terms, so that the slope
+    b = y + xy x of a linear clip can vanish at a query point (an absent
+    root), and some whose roots overflow to infinity (a huge constant
+    against a tiny slope)."""
+    terms = {k: draw(numbers) for k in ("const", "x", "y", "xx", "xy")}
+    terms["yy"] = draw(st.one_of(st.just(0.0), numbers))
+    if draw(st.booleans()):
+        terms.update(const=draw(st.sampled_from([1e300, -1e300])), x=0.0, xx=0.0,
+                     y=draw(st.sampled_from([1e-10, -1e-10])), xy=0.0)
+    lo = draw(numbers)
+    return Poly2(clip=(lo, lo + draw(st.one_of(st.integers(1, 4).map(lambda v: v / 2.0),
+                                               st.floats(1e-3, 4.0)))), **terms)
+
+
+class TestPositions:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_grouped_search_equals_per_cluster_searchsorted(self, data):
         """Columns shared by every point (1, width) or chosen per point
-        (n, width): each (point, column) pair reads its cluster's sums at
-        that cluster's own search positions, the implicit ends of the
-        y-line at positions 0 and the row length, for any set of powers."""
+        (n, width): plane e of the positions holds each (point, column)
+        pair's search position of cut e in that column's sorted cluster."""
         sizes = [data.draw(st.integers(1, 6))] * data.draw(st.integers(1, 5))
         values = np.array(data.draw(st.lists(numbers, min_size=sum(sizes),
                                              max_size=sum(sizes))))
@@ -194,23 +244,72 @@ class TestSegmentSums:
         cuts = np.sort(np.array(data.draw(st.lists(
             st.one_of(numbers, st.just(-np.inf), st.just(np.inf)),
             min_size=n * E, max_size=n * E))).reshape(n, E), axis=1)
-        powers = data.draw(st.sampled_from([(0, 1), (0, 1, 2), (2,), (1, 0)]))
         clusters = equal_clusters(values, sizes).view(columns)
-        got = clusters.segment_sums(cuts, powers)
-        assert len(got) == len(powers)
-        assert all(g.shape == (n, width, E + 1) for g in got)
+        got = clusters.positions(np.asfortranarray(cuts))
+        assert got.shape == (E, n, width)
         ordered = clusters.sorted_rows()
         assert np.array_equal(ordered, np.sort(np.reshape(values, (len(sizes), -1)),
                                                axis=1))
-        ends = sizes[0]
         for i in range(n):
             for c in range(width):
                 l = columns[i % rows, c]
-                pos = np.concatenate([[0], np.searchsorted(ordered[l], cuts[i],
-                                                           side="left"), [ends]])
-                for p, g in zip(powers, got):
-                    prefix = np.concatenate([[0.0], np.cumsum(ordered[l] ** p)])
-                    np.testing.assert_array_equal(g[i, c], np.diff(prefix[pos]))
+                np.testing.assert_array_equal(
+                    got[:, i, c], np.searchsorted(ordered[l], cuts[i], side="left"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(clipped_coefficients(), st.data())
+    @example(Poly2(const=1e300, y=1e-10, clip=(-1.0, 1.0)), None)
+    @example(Poly2(y=1.0, xy=-1.0, clip=(-0.5, 0.5)), None)
+    @example(Poly2(xx=1.0, xy=-2.0, yy=1.0, clip=(0.0, 1.0)), None)
+    def test_walk_equals_the_segment_table(self, coef, data):
+        """Bit for bit, the segment walk of a clipped apply equals the
+        table of segments, for shared and per-point views of clusters of
+        several sizes with samples tied with the cuts, and it returns a
+        C-order array."""
+        if data is None:   # an @example: ties on the cuts at x = 0 and 1
+            sizes, values = [4, 4], np.array([-1.0, 0.5, 0.5, 1.0, 0.0, 1.0, -0.5, 2.0])
+            x, columns = np.array([0.0, 1.0, 0.5]), np.array([[1, 0], [0, 0], [1, 1]])
+        else:
+            sizes = [data.draw(st.integers(1, 7))] * data.draw(st.integers(1, 5))
+            values = np.array(data.draw(st.lists(numbers, min_size=sum(sizes),
+                                                 max_size=sum(sizes))))
+            x = np.array(data.draw(st.lists(numbers, min_size=1, max_size=6)))
+            width = data.draw(st.integers(1, 3))
+            columns = np.array(data.draw(st.lists(
+                st.integers(0, len(sizes) - 1), min_size=x.size * width,
+                max_size=x.size * width))).reshape(x.size, width)
+        clusters = equal_clusters(values, sizes)
+        plan = coef.plan(x)
+        for view in (clusters, clusters.view(columns[:1]), clusters.view(columns)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = plan.apply(view)
+            want = segment_table_means(plan, view)
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestApplyMemory:
+    @pytest.mark.parametrize("yy, ceiling", [(0.0, 12), (0.5, 22)])
+    def test_one_clipped_apply_stays_under_its_ceiling(self, yy, ceiling):
+        """One clipped apply at 201 points against 512 clusters of 128
+        samples allocates at most ``ceiling`` times its result's bytes: a
+        clip linear in y (E = 2 cuts) and one quadratic in y (E = 4). A
+        table of every segment's positions and sums would need 14 and 27
+        times."""
+        rng = np.random.default_rng(4)
+        clusters = SortedClusters.from_sorted(np.sort(rng.normal(0.0, 0.6, (512, 128)),
+                                                      axis=1))
+        plan = Poly2(x=-1.0, y=1.0, yy=yy, clip=(-2.0, 2.0)).plan(np.linspace(-3.0, 3.0, 201))
+        assert plan.cuts.shape[1] == (2 if yy == 0.0 else 4)
+        plan.apply(clusters)   # the sorted prefix sums are the clusters' own
+        tracemalloc.start()
+        try:
+            result = plan.apply(clusters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling * result.nbytes, peak / result.nbytes
 
 
 class TestEnsembleClusters:

@@ -130,8 +130,10 @@ class TestFrozenFields:
         coefficient at every time node from scratch, for a batch of
         vertices and one vertex alone, whether the nodes are bracketed in
         one chunk or in several uneven ones: the 7 nodes of the small
-        ensemble in one chunk and in chunks of 3, 3 and 1, and those of a
-        particle-sized one in chunks of 3, 3 and 1 at the shipped bound."""
+        ensemble in one chunk and in chunks of 3, 3 and 1, bounded by its
+        60 atoms on a 41-point grid and by the 101 points of a finer grid,
+        and those of a particle-sized one in chunks of 3, 3 and 1 at the
+        shipped bound."""
         from gmfg import control
 
         p = self._clipped_problem()
@@ -142,21 +144,35 @@ class TestFrozenFields:
         times = np.linspace(0.0, 0.5, 7)
         small = MeasureEnsemble(atoms, times)
         particles = MeasureEnsemble(rng.normal(0.0, 0.8, (4, 7, 5000)), times)
-        assert control._CHUNK_SAMPLES // (4 * 5000) == 3
-        x_grid = np.linspace(-2, 2, 41)
+        assert control._CHUNK_CELLS // (4 * 5000) == 3
+        coarse, fine = np.linspace(-2, 2, 41), np.linspace(-2, 2, 101)
         g = Graphon.uniform_attachment()
         grid = VertexGrid(4)
         s = p.structured_parts
-        for ens, bound in ((small, control._CHUNK_SAMPLES), (small, 3 * 4 * 60),
-                           (particles, control._CHUNK_SAMPLES)):
-            monkeypatch.setattr(control, "_CHUNK_SAMPLES", bound)
+        for ens, bound, x_grid, chunks in (
+                (small, control._CHUNK_CELLS, coarse, [(0, 7)]),
+                (small, 3 * 4 * 60, coarse, [(0, 3), (3, 6), (6, 7)]),
+                (small, 3 * 4 * 101, fine, [(0, 3), (3, 6), (6, 7)]),
+                (particles, control._CHUNK_CELLS, coarse, [(0, 3), (3, 6), (6, 7)])):
+            monkeypatch.setattr(control, "_CHUNK_CELLS", bound)
             for alphas in ((np.arange(4) + 0.5) / 4, np.array([0.3])):
-                fields = frozen_fields(p, g, alphas, ens, x_grid)
+                seen = []
+
+                def spy(k, stop=None, ens=ens, seen=seen):
+                    seen.append((k, stop))
+                    return MeasureEnsemble.clusters(ens, k, stop)
+
+                ens.clusters = spy   # the chunks frozen_fields brackets
+                try:
+                    fields = frozen_fields(p, g, alphas, ens, x_grid)
+                finally:
+                    del ens.clusters
+                assert seen == chunks, (bound, x_grid.size)
                 v_own, gw = grid.nearest(alphas), grid.section_weights(g, alphas)
                 for name, intra, coupled in (("drift_coef", "f0", "f"),
                                              ("cost_const", "l1", "l3"),
                                              ("cost_quad", "l2", "l4")):
-                    table = np.empty((alphas.size, 7, 41))
+                    table = np.empty((alphas.size, 7, x_grid.size))
                     for k in range(7):
                         clusters = ens.clusters(k)
                         own = s[intra].plan(x_grid).apply(clusters.view(v_own[None, :]))
