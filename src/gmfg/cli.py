@@ -67,9 +67,9 @@ def cmd_solve_lq(scenario, out_dir, args):
               ["vertex_index", "time_index", "component", "xbar", "s"],
               index_columns(sol.xbar, sol.s), _meta(scenario))
     write_json(os.path.join(out_dir, "gains.json"), scenario, {
-        "feedback_gain": sol.feedback_gain,
-        "feedback_offset": sol.feedback_offset,
-        "note": "control = -gain[t] x - offset[vertex, t]",
+        "Rinv_Bt": p.Rinv @ p.B.T,
+        "note": "control = -Rinv_Bt (pi[t] x + s[vertex, t]), with pi from "
+                "riccati.csv and s from meanfield.csv",
     })
     diag = {"c_lambda": sol.c_lambda, "iterations": sol.iterations,
             "residual": sol.residual, "changes": sol.changes}

@@ -11,8 +11,9 @@ its adjoint, the forward Fokker-Planck solve of the vertex laws on the
 same grid (:func:`solve_fpk`); both share one implicit diffusion step.
 Fields and sweeps work on a whole batch of vertices at once. It also holds
 the uniform-grid table lookup, the Euler-Maruyama increments and stepper
-that every particle and agent simulation shares, and the one closed-loop
-kernel on them (:func:`closed_loop_steps`) that runs the particles of the
+that every particle and agent simulation shares (the Monte-Carlo check of
+the LQ closed form too), and the one closed-loop kernel on them
+(:func:`closed_loop_steps`) that runs the particles of the
 measure-consistency loop and the agents of Systems C and D under frozen
 drift fields.
 """

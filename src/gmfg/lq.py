@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .control import euler_maruyama_steps
 from .errors import ConvergenceError, InvariantError, NumericalError
 from .graphon import VertexGrid
 
@@ -358,7 +359,12 @@ class LambdaOperator:
 
 @dataclass
 class LQSolution:
-    """Mean-field surface, offsets, and affine feedback of the LQ game."""
+    """Mean-field surface and offsets of the LQ game.
+
+    The best response at vertex v is the affine feedback
+    u = -R^-1 B' (Pi[t] x + s[v, t]), with Pi = ``riccati.Pi`` and
+    R^-1 B' = ``params.Rinv @ params.B.T``; no per-node copy of it is kept.
+    """
 
     params: LQParams
     riccati: RiccatiPath
@@ -366,8 +372,6 @@ class LQSolution:
     xbar: np.ndarray            # (M, K+1, n)
     zbar: np.ndarray            # (M, K+1, n) graphon-weighted average
     s: np.ndarray               # (M, K+1, n) offsets
-    feedback_gain: np.ndarray   # (K+1, n_u, n), u = -gain x - offset
-    feedback_offset: np.ndarray  # (M, K+1, n_u)
     c_lambda: float
     iterations: int
     residual: float
@@ -379,9 +383,10 @@ def solve_lq_fixed_point(p, tol=1e-9, x_init=None):
 
     Starts from the forcing surface (or a caller-supplied initialization),
     iterates surface <- Lambda(surface) + forcing until the sup change drops
-    below ``tol``, then recovers the offset paths by a backward RK4 pass and
-    assembles the affine best-response feedback. A norm bound at or above
-    one only warns; the iteration then runs with a divergence guard.
+    below ``tol``, then recovers the offset paths by a backward RK4 pass;
+    with the Riccati path they fix the affine best response
+    (:class:`LQSolution`). A norm bound at or above one only warns; the
+    iteration then runs with a divergence guard.
     """
     op = LambdaOperator(p)
     c_lam = op.norm_bound()
@@ -408,10 +413,8 @@ def solve_lq_fixed_point(p, tol=1e-9, x_init=None):
 
     z = op.vertex_average(x)
     s = _recover_offsets(p, op.ric, x, z)
-    gain = np.einsum("ij,kjl->kil", p.Rinv @ p.B.T, op.ric.Pi)
-    offset = np.einsum("ij,mkj->mki", p.Rinv @ p.B.T, s)
-    return LQSolution(p, op.ric, op.fm, x, z, s, gain, offset, c_lam,
-                      len(changes), residual, changes)
+    return LQSolution(p, op.ric, op.fm, x, z, s, c_lam, len(changes), residual,
+                      changes)
 
 
 def _recover_offsets(p, ric, xbar, zbar):
@@ -443,36 +446,36 @@ def _recover_offsets(p, ric, xbar, zbar):
 def lq_consistency_vs_simulation(p, sol, R_mc=10_000, seed=0):
     """Monte-Carlo check that the controlled population reproduces the means.
 
-    Simulates the per-vertex linear SDE under the computed affine feedback
-    (Heun drift, exact Gaussian increments) and compares empirical vertex
-    means against the solved surface within the CLT band
-    4 sqrt(trace(Sigma Sigma') t) / sqrt(R_mc) plus an ODE slack.
+    Runs R_mc copies of each vertex's linear SDE under the computed affine
+    feedback, one vertex at a time, through
+    :func:`~gmfg.control.euler_maruyama_steps`: a Heun drift on closed-loop
+    matrices and drives built once, exact Gaussian increments from one draw
+    of the vertex's stream. Compares the empirical vertex means against the
+    solved surface within the CLT band 4 sqrt(trace(Sigma Sigma') t) /
+    sqrt(R_mc) plus an ODE slack.
     """
     K, n = p.K, p.n
     dt = p.T / K
-    root_dt = math.sqrt(dt)
     trace_noise = float(np.sum(p.Sigma**2))
     band = 4.0 * np.sqrt(trace_noise * p.times) / math.sqrt(R_mc) + _LQ_ODE_TOL
+    closed = np.swapaxes(p.A - p.BRB @ sol.riccati.Pi + p.D0, 1, 2)   # (K+1, n, n)
+    drive = sol.zbar @ p.D.T - sol.s @ p.BRB.T                       # (M, K+1, n)
     dev = np.zeros((p.M, K + 1))
-
-    def coeff(k, v):
-        M_cl = p.A - p.BRB @ sol.riccati.Pi[k] + p.D0
-        b = p.D @ sol.zbar[v, k] - p.BRB @ sol.s[v, k]
-        return M_cl, b
-
+    # time-major memory behind the (R_mc, n, K+1) view of the stepper
+    buf = np.empty((K + 1, R_mc, n))
     for v in range(p.M):
-        gen = rng.stream(seed, rng.PROPAGATE, v)
-        X = np.broadcast_to(p.x0, (R_mc, n)).copy()
-        for k in range(K):
-            M0, b0 = coeff(k, v)
-            M1, b1 = coeff(k + 1, v)
-            f1 = X @ M0.T + b0
-            Xp = X + dt * f1
-            f2 = Xp @ M1.T + b1
-            noise = gen.standard_normal((R_mc, p.n_w)) @ p.Sigma.T
-            X = X + 0.5 * dt * (f1 + f2) + root_dt * noise
-            dev[v, k + 1] = np.abs(X.mean(axis=0) - sol.xbar[v, k + 1]).max()
-        dev[v, 0] = 0.0
+        z = rng.stream(seed, rng.PROPAGATE, v).standard_normal((K, R_mc, p.n_w))
+        buf[0] = p.x0
+        np.multiply(math.sqrt(dt), z @ p.Sigma.T, out=buf[1:])
+        del z   # freed before the next vertex draws
+
+        def heun(k, x):
+            f1 = x @ closed[k] + drive[v, k]
+            f2 = (x + dt * f1) @ closed[k + 1] + drive[v, k + 1]
+            return 0.5 * (f1 + f2)
+
+        euler_maruyama_steps(np.moveaxis(buf, 0, -1), dt, heun)
+        dev[v, 1:] = np.abs(buf[1:].mean(axis=1) - sol.xbar[v, 1:]).max(axis=1)
     margin = dev - band[None, :]
     return {
         "max_deviation": float(dev.max()),

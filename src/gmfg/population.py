@@ -50,8 +50,7 @@ from .control import (GridLookup, Policy, brackets, closed_loop_steps,
 from .errors import ConfigError, GridError, InvariantError
 from .graphon import VertexGrid, sample_step_graphon
 from .measures import MeasureEnsemble
-from .solver import (GMFGProblem, _drift_fields, _start_paths, _timed,
-                     inner_mv_consistency, zero_drift_ensemble)
+from .solver import GMFGProblem, _drift_fields, _timed, inner_mv_consistency
 
 
 class FinitePopulation:
@@ -298,12 +297,10 @@ def _field_propagation(pop, solution, fields, label):
 def _cluster_laws(pop, solution, R_law):
     """System C's problem on the finite graph and its M_k self-consistent
     cluster laws under the cluster policy table: the measure-consistency
-    sub-iteration with ``R_law`` replicas per cluster, from one start
-    buffer drawn for the zero-drift start and every pass."""
+    sub-iteration with ``R_law`` replicas per cluster
+    (:func:`~gmfg.solver.inner_mv_consistency`)."""
     clone = _law_problem(pop, solution, R_law)
-    start = _start_paths(clone)
-    _, laws, _ = inner_mv_consistency(clone, _cluster_policy(pop, solution),
-                                      zero_drift_ensemble(clone, start), start=start)
+    _, laws, _ = inner_mv_consistency(clone, _cluster_policy(pop, solution))
     return clone, laws
 
 

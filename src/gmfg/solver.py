@@ -186,35 +186,32 @@ def _timed(seconds, phase):
             seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
 
 
-def inner_mv_consistency(problem, policy, e_start, tol_inner=None,
-                         max_inner=60, start=None):
+def inner_mv_consistency(problem, policy, tol_inner=None, max_inner=60, start=None):
     """Self-consistent particle propagation under a fixed feedback table.
 
-    Iterates nu <- marginals(propagate(policy, nu)) until the sup W1 change
-    drops below ``tol_inner`` (an infinite one stops after one pass; None
-    takes max(1e-4, 0.2 noise_floor), a fraction of the particle noise);
-    with the policy fixed the map contracts, so the change decays
-    geometrically.
-    Each pass propagates from ``start`` (drawn here if None) into the atoms
-    of the ensemble the loop last retired and adopts that buffer, sorted in
-    place, as the new ensemble (:meth:`MeasureEnsemble.adopt`): two
-    path-sized arrays besides ``start`` and ``e_start``, which is never
-    recycled. Returns (escaped_mass, ensemble, trace): the last
-    propagation's escaped mass and the per-pass distances.
+    Iterates nu <- marginals(propagate(policy, nu)), from the zero-drift
+    ensemble of the start buffer ``start`` (drawn here if None), until the
+    sup W1 change drops below ``tol_inner`` (an infinite one stops after one
+    pass; None takes max(1e-4, 0.2 noise_floor), a fraction of the particle
+    noise); with the policy fixed the map contracts, so the change decays
+    geometrically. Each pass propagates from ``start`` into the atoms of the
+    ensemble the loop last retired, the zero-drift one included, and adopts
+    that buffer, sorted in place (:meth:`MeasureEnsemble.adopt`): two
+    path-sized arrays besides ``start``. Returns (escaped_mass, ensemble,
+    trace): the last propagation's escaped mass and the per-pass distances.
     """
     if tol_inner is None:
         tol_inner = max(1e-4, 0.2 * problem.noise_floor)
     if start is None:
         start = _start_paths(problem)
-    ens, out, trace = e_start, None, []
+    ens, out, trace = zero_drift_ensemble(problem, start), None, []
     for _ in range(max_inner):
         bundle = propagate_closed_loop(problem, policy, ens, start=start, _out=out)
         new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
         d = ensemble_w1_sup(new, ens)
         trace.append(d)
-        # nothing reads the retired ens now; the caller's is never recycled
-        out = ens.atoms if ens is not e_start else None
-        ens = new
+        # nothing reads the retired ens now
+        out, ens = ens.atoms, new
         if d < tol_inner:
             return bundle.escaped_mass, ens, trace
     raise ConvergenceError(
@@ -325,8 +322,8 @@ def sensitivity_probe(problem, solution, delta=0.05):
       under common noise.
 
     The coupled bundles are one propagation of each policy against its
-    converged particle laws, each found from the zero-drift ensemble of the
-    probe's one start buffer, as System C's laws are. A zero denominator
+    converged particle laws (:func:`inner_mv_consistency`, as System C's
+    laws are), all from the probe's one start buffer. A zero denominator
     leaves the corresponding estimate undefined (NaN).
     """
     shifted = solution.ensemble.shift(delta)
@@ -340,10 +337,9 @@ def sensitivity_probe(problem, solution, delta=0.05):
     if dphi <= 0.0:
         return SensitivityReport(c1, math.nan, dphi, shift_dist)
     start = _start_paths(problem)
-    e_start = zero_drift_ensemble(problem, start)
     bundles, traces = [], []
     for policy in (solution.policy, shifted_policy):
-        _, laws, trace = inner_mv_consistency(problem, policy, e_start, start=start)
+        _, laws, trace = inner_mv_consistency(problem, policy, start=start)
         bundles.append(propagate_closed_loop(problem, policy, laws, start=start))
         traces.append(trace)
     c2 = ensemble_distance(*bundles) / dphi

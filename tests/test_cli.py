@@ -234,6 +234,47 @@ class TestSolveLQCommand:
                      "diagnostics.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_gains_rebuild_the_feedback_from_the_csvs(self, tmp_path):
+        """gains.json holds R^-1 B' once: with Pi from riccati.csv and s from
+        meanfield.csv it rebuilds the affine feedback -R^-1 B' (Pi x + s) of
+        a direct solve on the two-state, two-input copy of the shipped
+        scenario, and it holds no table over time nodes or vertices."""
+        from gmfg.lq import solve_lq_fixed_point
+
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                               "scenarios", "lq_uniform_attachment.json")) as fh:
+            doc = json.load(fh)
+        doc["problem"].update(
+            A=[[0.1, 0.3], [-0.2, 0]], B=[[1, 0.4], [-0.3, 0.7]],
+            D0=[[0.05, 0], [0, 0.02]], D=[[0.2, 0.1], [0, 0.2]],
+            Sigma=[[0.5, 0], [0.1, 0.3]], Q=[[1, 0.2], [0.2, 0.8]],
+            R=[[1, 0.3], [0.3, 0.6]], Q_T=[[0.3, 0], [0, 0.1]], eta=[0.5, -0.2],
+            x0=[1, 0.3])
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["solve-lq", "--config", cfg, "--out", str(out)]) == 0
+        sc = parse_scenario(cfg)
+        p = sc.build_lq()
+        sol = solve_lq_fixed_point(p, tol=sc.lq_tol)
+
+        gains = json.loads((out / "gains.json").read_text())
+        assert sorted(gains) == ["Rinv_Bt", "meta", "note"]
+        assert "-Rinv_Bt (pi[t] x + s[vertex, t])" in gains["note"]
+        assert "riccati.csv" in gains["note"] and "meanfield.csv" in gains["note"]
+        rinv_bt = np.array(gains["Rinv_Bt"])
+        assert rinv_bt.shape == (p.n_u, p.n)
+        pi = np.loadtxt(out / "riccati.csv", delimiter=",", skiprows=3,
+                        usecols=4).reshape(p.K + 1, p.n, p.n)
+        s = np.loadtxt(out / "meanfield.csv", delimiter=",", skiprows=3,
+                       usecols=4).reshape(p.M, p.K + 1, p.n)
+        direct = p.Rinv @ p.B.T
+        np.testing.assert_allclose(rinv_bt @ pi, direct @ sol.riccati.Pi,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s @ rinv_bt.T, sol.s @ direct.T,
+                                   rtol=0, atol=1e-12)
+        # Rinv_Bt is the only array: no axis over time nodes or vertices
+        assert not {p.K + 1, p.M} & set(rinv_bt.shape)
+
     def test_singular_fundamental_matrix_is_numerical_error(self, tmp_path):
         """A stable stiff mode (eigenvalue -20 over T = 2) drives the
         closed-loop fundamental matrix singular to working precision: the

@@ -129,30 +129,26 @@ class TestInnerConsistency:
                                         Poly2(xx=1.0), Constant(1.0),
                                         Constant(0.0), Constant(0.0), (-1, 1), 0.3, 0.5),
             Graphon.constant(0.0), dirac(0.0), M=2, K=16, N_x=81, R=500, seed=7)
-        ens = zero_drift_ensemble(prob)
         pols = constant_policy(prob, 0.3)
-        _, got, trace = inner_mv_consistency(prob, pols, ens, tol_inner=1e-9)
+        _, got, trace = inner_mv_consistency(prob, pols, tol_inner=1e-9)
         assert len(trace) == 2 and trace[1] == 0.0
-        direct = propagate_closed_loop(prob, pols, ens)
+        direct = propagate_closed_loop(prob, pols, zero_drift_ensemble(prob))
         assert np.array_equal(got.atoms, marginals(direct).atoms)
 
     def test_weak_coupling_geometric_decay(self):
         prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=3, K=32, N_x=81, R=1000, seed=9)
-        start = zero_drift_ensemble(prob)
         pols = constant_policy(prob, 1.0)
-        _, _, trace = inner_mv_consistency(prob, pols, start, tol_inner=1e-6,
-                                           max_inner=40)
+        _, _, trace = inner_mv_consistency(prob, pols, tol_inner=1e-6, max_inner=40)
         ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e-9]
         assert ratios and max(ratios) < 0.5
 
     def test_exhausted_iterations_raise_with_trace(self):
         prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=2, K=16, N_x=61, R=400, seed=10)
-        start = zero_drift_ensemble(prob)
         pols = constant_policy(prob, 1.0)
         with pytest.raises(ConvergenceError) as err:
-            inner_mv_consistency(prob, pols, start, tol_inner=1e-12, max_inner=2)
+            inner_mv_consistency(prob, pols, tol_inner=1e-12, max_inner=2)
         assert len(err.value.trace) == 2
 
 
@@ -296,8 +292,7 @@ class TestPicardSolve:
         the noise floor 3 / sqrt(R) (0.011 to 0.022 over four seeds when
         this was written, against 0.067)."""
         problem, sol = reverting_solution
-        _, laws, _ = inner_mv_consistency(problem, sol.policy,
-                                          zero_drift_ensemble(problem))
+        _, laws, _ = inner_mv_consistency(problem, sol.policy)
         gap = max(w1(laws.get(v, k), sol.ensemble.get(v, k))
                   for v in range(problem.M) for k in range(problem.K + 1))
         assert gap < problem.noise_floor
@@ -346,8 +341,7 @@ class TestPicardSolve:
         sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
         assert calls == ["adopt"] * (1 + len(sol.trace))
         calls.clear()
-        _, _, trace = inner_mv_consistency(problem, sol.policy,
-                                           zero_drift_ensemble(problem), tol_inner=1e-6)
+        _, _, trace = inner_mv_consistency(problem, sol.policy, tol_inner=1e-6)
         assert len(trace) > 2
         assert calls == ["adopt"] * (1 + len(trace))
 
@@ -370,19 +364,17 @@ class TestPicardSolve:
         monkeypatch.setattr(rng, "stream", counting)
         sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
         assert draws == []
-        e_start = zero_drift_ensemble(problem)
-        draws.clear()
-        _, _, trace = inner_mv_consistency(problem, sol.policy, e_start, tol_inner)
+        _, _, trace = inner_mv_consistency(problem, sol.policy, tol_inner)
         assert len(trace) >= (1 if tol_inner == math.inf else 3)
         assert draws.count(rng.PROPAGATE) == problem.M
         assert draws.count(rng.INITIAL) == problem.M
 
     def peak_path_arrays(self, tol_inner):
-        """A particle law solve as System C runs one (start buffer,
-        zero-drift start, measure-consistency loop) under a solved policy,
-        and its ``tracemalloc`` peak in (M, K+1, R) float arrays."""
+        """A particle law solve as System C runs one (the
+        measure-consistency loop, which draws its start buffer and makes its
+        zero-drift start) under a solved policy, and its ``tracemalloc`` peak
+        in (M, K+1, R) float arrays."""
         import tracemalloc
-        from gmfg.solver import _start_paths
 
         problem = self.own_mean_problem(
             M=4, K=32, R=4000, seed=12, graphon=Graphon.uniform_attachment(),
@@ -391,10 +383,7 @@ class TestPicardSolve:
         path_bytes = problem.M * (problem.K + 1) * problem.R * 8
         tracemalloc.start()
         try:
-            start = _start_paths(problem)
-            _, _, trace = inner_mv_consistency(
-                problem, sol.policy, zero_drift_ensemble(problem, start), tol_inner,
-                start=start)
+            _, _, trace = inner_mv_consistency(problem, sol.policy, tol_inner)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -409,14 +398,15 @@ class TestPicardSolve:
         assert len(trace) == 1
         assert arrays < 4.0
 
-    def test_consistency_loop_to_tolerance_holds_four_path_arrays(self):
+    def test_consistency_loop_to_tolerance_holds_three_path_arrays(self):
         """Every pass of the loop iterated to a tolerance propagates in the
-        atoms of the ensemble it retired and never in the start ensemble, so
-        the peak is the start buffer, the start ensemble and the loop's two,
-        not six path-sized arrays."""
+        atoms of the ensemble it retired, the zero-drift start included, so
+        the peak is the start buffer and the loop's two ensembles, plus one
+        vertex's W1 temporary (3.54 arrays when this was written), not six
+        path-sized arrays."""
         trace, arrays = self.peak_path_arrays(1e-6)
         assert len(trace) >= 2
-        assert arrays < 5.0
+        assert arrays < 4.0
 
     def test_grid_solve_holds_no_path_array(self):
         """The grid solve keeps node laws and quantile atoms: its
@@ -439,25 +429,20 @@ class TestPicardSolve:
         """The measure-consistency loop propagates each pass in the atoms of
         the ensemble it last retired: its result equals fresh propagations
         iterated by hand, bit for bit, each trace distance is the W1 gap
-        between consecutive iterates, and the caller's start ensemble is
-        left as it was."""
+        between consecutive iterates."""
         problem = self.own_mean_problem(
             M=3, K=16, R=500, seed=13, graphon=Graphon.uniform_attachment(),
             initial=normal_quantile_measure(0.0, 0.3, 129))
         sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
-        e_start = zero_drift_ensemble(problem)
-        before = e_start.atoms.copy()
-        _, got, trace = inner_mv_consistency(problem, sol.policy, e_start,
-                                             tol_inner=1e-6)
+        _, got, trace = inner_mv_consistency(problem, sol.policy, tol_inner=1e-6)
         assert len(trace) >= 3
-        ens, dists = e_start, []
+        ens, dists = zero_drift_ensemble(problem), []
         for _ in trace:
             new = marginals(propagate_closed_loop(problem, sol.policy, ens))
             dists.append(ensemble_w1_sup(new, ens))
             ens = new
         assert np.array_equal(got.atoms, ens.atoms)
         assert dists == trace
-        assert np.array_equal(e_start.atoms, before)
 
     def test_min_particle_count_enforced(self):
         with pytest.raises(InvariantError):
@@ -559,8 +544,8 @@ class TestLQCrossCheck:
             0.0, 1.0, 0.0, 0.0, self.sigma, 1.0, 1.0, 0.0, self.gamma0, self.gamma,
             self.eta, 0.5, self.T, Graphon.uniform_attachment(), self.M, K))
         x = problem.x_grid
-        exact = (-lq.feedback_gain[None, :, 0, :] * x
-                 - lq.feedback_offset[:, :, :1])
+        gain = lq.params.Rinv @ lq.params.B.T                 # (1, 1)
+        exact = -gain[0, 0] * (lq.riccati.Pi[None, :, 0, :] * x + lq.s[:, :, :1])
         near = np.abs(x - 0.5) < 1.0
         policy_err = float(np.abs(sol.policy - exact)[:, :-1, near].max())
         mean_err = float(np.abs(sol.ensemble.atoms.mean(axis=2)
