@@ -26,7 +26,7 @@ problem = GMFGProblem(functions, Graphon.uniform_attachment(),
                       normal_quantile_measure(0.0, 0.3, 129),
                       M=8, K=64, N_x=201, R=4000, seed=7)
 
-solution = picard_solve(problem, tol=0.05, min_outer=5)
+solution = picard_solve(problem, tol=0.05)
 print("iteration  distance   cfl margin  escaped  ratio")
 for entry in solution.trace:
     ratio = "" if np.isnan(entry["ratio"]) else f"{entry['ratio']:.4f}"

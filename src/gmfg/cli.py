@@ -84,7 +84,8 @@ def cmd_solve_gmfg(scenario, out_dir, args):
     try:
         sol = picard_solve(problem, **scenario.solver_settings, timing=_timing())
     except ConvergenceError as exc:
-        payload = {"converged": False, "trace": exc.trace, "error": str(exc)}
+        payload = {"converged": False, "trace": exc.trace, "error": str(exc),
+                   "distance_floor": problem.distance_floor}
         payload.update(_maybe_time(started))
         write_json(os.path.join(out_dir, "trace.json"), scenario, payload)
         raise
@@ -97,7 +98,8 @@ def cmd_solve_gmfg(scenario, out_dir, args):
         write_csv(os.path.join(out_dir, f"policy_{v:03d}.csv"),
                   ["t_index", "x_index", "value"], index_columns(table),
                   _meta(scenario))
-    payload = {"converged": True, "trace": sol.trace, "tolerance": sol.tol}
+    payload = {"converged": True, "trace": sol.trace, "tolerance": sol.tol,
+               "distance_floor": problem.distance_floor}
     payload.update(_maybe_time(started))
     write_json(os.path.join(out_dir, "trace.json"), scenario, payload)
     return 0

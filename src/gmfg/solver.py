@@ -80,6 +80,16 @@ class GMFGProblem:
     def noise_floor(self):
         return 3.0 / math.sqrt(self.R)
 
+    @property
+    def distance_floor(self):
+        """The rounding floor N_x eps (x_max - x_min) of a node-law W1
+        distance on ``x_grid``: :func:`~gmfg.measures.node_w1_sup` is dx
+        times a sum of N_x cumulative-mass differences, each off by at most
+        about N_x eps, so two passes of a deterministic map that differ by
+        no more than this have reached its fixed point."""
+        span = float(self.x_grid[-1] - self.x_grid[0])
+        return self.N_x * np.finfo(float).eps * span
+
 
 @dataclass
 class GMFGSolution:
@@ -247,11 +257,14 @@ def picard_solve(problem, tol, max_outer=30, min_outer=None, timing=False):
     policy (:func:`~gmfg.control.policy_lipschitz`). With ``timing``, each
     entry also holds ``phase_seconds``, the pass's wall time in freezing the
     fields, the value sweep, the law solve and the W1 distance (``fields``,
-    ``hjb``, ``propagate``, ``w1``). Convergence may be declared from pass
-    ``min_outer`` on (default 2) once the distance is below ``tol``; an
-    explicit ``min_outer`` above ``max_outer`` could never be met and is a
-    ConfigError. Non-convergence raises with the trace attached, so callers
-    can inspect an empirical ratio at or above one.
+    ``hjb``, ``propagate``, ``w1``). A pass whose distance is at or below
+    the problem's ``distance_floor``, the rounding level of the node-law
+    W1, has reached the fixed point and stops the solve at once, whatever
+    ``min_outer`` says, the first pass included. Otherwise convergence may
+    be declared from pass ``min_outer`` on (default 2) once the distance is
+    below ``tol``; an explicit ``min_outer`` above ``max_outer`` could never
+    be met and is a ConfigError. Non-convergence raises with the trace
+    attached, so callers can inspect an empirical ratio at or above one.
     """
     if min_outer is None:
         min_outer = 2
@@ -259,6 +272,7 @@ def picard_solve(problem, tol, max_outer=30, min_outer=None, timing=False):
         raise ConfigError(f"min_outer {min_outer} exceeds max_outer {max_outer}")
     p, alphas = problem.functions, problem.vertex_grid.midpoints
     dx = float(problem.x_grid[1] - problem.x_grid[0])
+    floor = problem.distance_floor
     masses, ens = _law(problem)
     prev_policy = None
     trace = []
@@ -288,7 +302,7 @@ def picard_solve(problem, tol, max_outer=30, min_outer=None, timing=False):
         trace.append(entry)
         prev_policy = policy
         masses, ens = new, new_ens
-        if d < tol and i + 1 >= min_outer:
+        if d <= floor or (d < tol and i + 1 >= min_outer):
             return GMFGSolution(policy, ens, trace, tol, problem)
     raise ConvergenceError(
         f"no contraction below {tol:.3g} within {max_outer} passes", trace=trace)

@@ -342,6 +342,23 @@ class TestSolveGMFGCommand:
         assert trace["converged"] is False
         assert len(trace["trace"]) == 1
 
+    def test_trace_reports_distance_floor(self, tmp_path):
+        """trace.json names the rounding floor of the pass distances, the
+        level that ends a solve at its fixed point, on the converged and on
+        the failed path."""
+        doc = nonlinear_scenario()
+        cfg = write_config(tmp_path / "s.json", doc)
+        floor = parse_scenario(cfg).build_problem().distance_floor
+        assert 0.0 < floor < 1e-12
+        assert main(["solve-gmfg", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+        doc["tolerances"] = {"picard_tol": 0.3, "max_outer": 1}
+        cfg = write_config(tmp_path / "f.json", doc)
+        assert main(["solve-gmfg", "--config", cfg, "--out", str(tmp_path / "no")]) == 2
+        for name, converged in (("ok", True), ("no", False)):
+            trace = json.loads((tmp_path / name / "trace.json").read_text())
+            assert trace["converged"] is converged
+            assert trace["distance_floor"] == floor
+
     def test_numerical_error_exits_2_without_traceback(self, tmp_path, capsys,
                                                         monkeypatch):
         """Every package error leaves main as gmfg: lines on stderr, here a
