@@ -5,9 +5,11 @@ its control authority scales with graphon connectivity. The law of each
 vertex is solved on the space grid, so each Picard pass is deterministic
 and the iteration trace shows the contraction rate directly; here the law
 stays symmetric, so the map lands on its fixed point in one pass. A
-finite-difference probe on coupled particles estimates the two sensitivity
-constants whose product bounds that rate, and the Holder fit reads the
-time regularity of paths under the converged policy.
+finite-difference probe estimates the two sensitivity constants whose
+product bounds that rate: the policy change per ensemble shift, and the
+W1 distance between the self-consistent grid laws of the two policies per
+policy change. The Holder fit reads the time regularity of coupled
+particle paths under the converged policy.
 """
 
 import numpy as np

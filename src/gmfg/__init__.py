@@ -16,7 +16,7 @@ from .control import (FrozenFields, Policy, ProblemFunctions, frozen_fields,
                       solve_fpk, solve_hjb, theta_clamp)
 from .solver import (GMFGProblem, GMFGSolution, SensitivityReport,
                      inner_mv_consistency, picard_solve, propagate_closed_loop,
-                     sensitivity_probe, zero_drift_ensemble)
+                     sensitivity_probe)
 from .population import (FinitePopulation, TrajectorySet, build_population,
                          default_deviation_family, deviation_metrics,
                          empirical_field_best_response,

@@ -126,8 +126,7 @@ def cmd_simulate_enash(scenario, out_dir, args):
     for rung in run_ladder(
             scenario.build_problem, ladder, n_reps=scenario.replications,
             iota=scenario.deviator, solver_kwargs=scenario.solver_settings,
-            R_law=scenario.R_law, with_perturbations=args.perturbations,
-            timing=_timing()):
+            with_perturbations=args.perturbations, timing=_timing()):
         # a view of the rung's whole System A stack, gone before the next solve
         paths = rung.pop("system_a_paths")
         if args.dump_paths:

@@ -13,9 +13,9 @@ Fields and sweeps work on a whole batch of vertices at once. It also holds
 the uniform-grid table lookup, the Euler-Maruyama increments and stepper
 that every particle and agent simulation shares (the Monte-Carlo check of
 the LQ closed form too), and the one closed-loop kernel on them
-(:func:`closed_loop_steps`) that runs the particles of the
-measure-consistency loop and the agents of Systems C and D under frozen
-drift fields.
+(:func:`closed_loop_steps`) that runs the particles of
+:func:`~gmfg.solver.propagate_closed_loop` and the agents of Systems C and
+D under frozen drift fields.
 """
 
 import math
@@ -481,8 +481,8 @@ def euler_maruyama_steps(paths, dt, drift):
 def closed_loop_steps(paths, dt, fields, policy):
     """The closed-loop Euler-Maruyama run, in place on an (n, ..., K+1) buffer.
 
-    The feedback drift of every particle of the measure-consistency loop
-    and every System C/D agent:
+    The feedback drift of every particle of a closed-loop propagation and
+    every System C/D agent:
     row v of ``paths`` (filled as for :func:`euler_maruyama_steps`) reads
     row v of ``fields.drift_coef`` and of the (n, K+1, N_x) feedback table
     ``policy``, both through one :class:`GridLookup` per step on

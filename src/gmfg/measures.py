@@ -257,10 +257,10 @@ class PathBundle:
 
     ``paths`` has shape (M, R, K+1); the replica count R is identical across
     vertices by construction. A solver bundle keeps its memory time-major,
-    (M, K+1, R), behind that view (see ``solver._start_paths``), so one time
-    node of a vertex's particles is one contiguous row. ``escaped_mass`` is
-    the share of particle-steps a grid propagation found outside its space
-    grid (None when no grid was used).
+    (M, K+1, R), behind that view (see ``solver.propagate_closed_loop``),
+    so one time node of a vertex's particles is one contiguous row.
+    ``escaped_mass`` is the share of particle-steps a grid propagation found
+    outside its space grid (None when no grid was used).
     """
 
     def __init__(self, paths, times, escaped_mass=None):
@@ -304,10 +304,7 @@ def marginals(bundle):
     """Empirical measure of the particles at every (vertex, time).
 
     The ensemble sorts a copy of the particles, so ``bundle.paths`` keeps
-    the particle order that coupled path distances read. The zero-drift
-    start and the measure-consistency loop, whose paths nothing reads
-    afterwards, sort their buffers in place instead
-    (:meth:`MeasureEnsemble.adopt`).
+    the particle order that coupled path distances read.
     """
     return MeasureEnsemble(np.swapaxes(bundle.paths, 1, 2), bundle.times)
 

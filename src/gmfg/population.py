@@ -8,7 +8,8 @@ per seed:
 * System A: every agent plays the solved mean-field feedback, coupled
   through empirical intra- and inter-cluster state averages.
 * System B: same, except one deviator plays an arbitrary strategy.
-* System C: agents decoupled through self-consistent cluster laws.
+* System C: agents decoupled through self-consistent cluster laws, solved
+  once per graph on the solver's x-grid (:func:`system_c_fields`).
 * System D: agents propagated against the frozen infinite-population
   ensemble.
 
@@ -266,15 +267,6 @@ def run_system_b(pop, solution, iota, psi, cost_agents=()):
     return simulate_coupled([pop], solution, [psi], iota, agents)[0]
 
 
-def _law_problem(pop, solution, R_law):
-    problem = solution.problem
-    seed = int(rng.stream(pop.seed, rng.CLUSTER_LAW).integers(2**31))
-    return GMFGProblem(problem.functions, pop.graph, pop.initial_law,
-                       M=pop.M_k, K=problem.K, N_x=problem.N_x,
-                       R=R_law, seed=seed,
-                       domain=(problem.x_grid[0], problem.x_grid[-1]))
-
-
 def _field_propagation(pop, solution, fields, label):
     """Propagate all agents under the cluster policy against per-cluster
     frozen drift fields.
@@ -294,26 +286,36 @@ def _field_propagation(pop, solution, fields, label):
     return TrajectorySet(paths, problem.times, label)
 
 
-def _cluster_laws(pop, solution, R_law):
-    """System C's problem on the finite graph and its M_k self-consistent
-    cluster laws under the cluster policy table: the measure-consistency
-    sub-iteration with ``R_law`` replicas per cluster
-    (:func:`~gmfg.solver.inner_mv_consistency`)."""
-    clone = _law_problem(pop, solution, R_law)
-    _, laws, _ = inner_mv_consistency(clone, _cluster_policy(pop, solution))
-    return clone, laws
+def system_c_fields(pop, solution):
+    """System C's drift fields at the cluster nodes, and the per-pass
+    distances of the law loop that gave them.
+
+    The M_k cluster laws are the self-consistent laws of the finite graph
+    under the cluster policy table, solved on the solver's x-grid
+    (:func:`~gmfg.solver.inner_mv_consistency` on a problem whose graphon
+    is the population's graph). They depend on the graph, the initial law
+    and the policy only, so one solve serves every replication of a rung.
+    """
+    problem = solution.problem
+    clone = GMFGProblem(problem.functions, pop.graph, pop.initial_law,
+                        M=pop.M_k, K=problem.K, N_x=problem.N_x, R=problem.R,
+                        seed=problem.seed,
+                        domain=(problem.x_grid[0], problem.x_grid[-1]))
+    _, laws, trace = inner_mv_consistency(clone, _cluster_policy(pop, solution))
+    return _drift_fields(clone, laws), trace
 
 
-def run_system_c(pop, solution, R_law=2000):
+def run_system_c(pop, solution, fields=None):
     """Law-decoupled auxiliary population on the finite graph.
 
     Within a cluster the auxiliary processes are i.i.d., so the drift only
-    needs the M_k cluster laws (:func:`_cluster_laws`). Every agent is then
-    propagated against its cluster's law with the same Brownian increments
-    as System A (:func:`_field_propagation`). The laws are freed once their
-    drift fields are frozen, so a run keeps only its paths.
+    needs the M_k cluster laws, through their frozen drift ``fields``
+    (:func:`system_c_fields` if None). Every agent is then propagated
+    against its cluster's law with the same Brownian increments as System
+    A (:func:`_field_propagation`).
     """
-    fields = _drift_fields(*_cluster_laws(pop, solution, R_law))
+    if fields is None:
+        fields, _ = system_c_fields(pop, solution)
     return _field_propagation(pop, solution, fields, "C")
 
 
@@ -554,8 +556,7 @@ def perturbation_terms(ts_b_reps, pop, solution, iota=None):
     return out
 
 
-def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
-                 timing):
+def _ladder_rung(problem, size, n_reps, iota, solve, with_perturbations, timing):
     """One rung of :func:`run_ladder`: the report dict of ``problem.M``
     clusters of ``size`` agents. Its solution and runs are freed on return
     but for the System A stack that ``system_a_paths`` views: drop it
@@ -567,9 +568,10 @@ def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
     pops = [build_population(problem.graphon, M_k, size, problem.initial_law,
                              seed=problem.seed + 7919 * (r + 1))
             for r in range(n_reps)]
-    # C first: its law solves then run before the stacked paths exist
+    # the populations of a rung share their graph, so one law solve
     with _timed(seconds, "system_c"):
-        ts_c = [run_system_c(pop, solution, R_law=R_law) for pop in pops]
+        c_fields, c_trace = system_c_fields(pops[0], solution)
+        ts_c = [run_system_c(pop, solution, fields=c_fields) for pop in pops]
     with _timed(seconds, "system_d"):
         d_fields = system_d_fields(pops[0], solution)
         ts_d = [run_system_d(pop, solution, fields=d_fields) for pop in pops]
@@ -583,6 +585,7 @@ def _ladder_rung(problem, size, n_reps, iota, solve, R_law, with_perturbations,
         **_assemble_gap_report(ts_a, b_fam, iota),
         "n_reps": n_reps,
         "solution_iterations": len(solution.trace),
+        "system_c_law_passes": len(c_trace),
         "system_a_paths": ts_a[0].paths,
     }
     if with_perturbations and b_fam:
@@ -609,7 +612,7 @@ def check_ladder(ladder, iota, graphon):
 
 
 def run_ladder(make_problem, ladder, n_reps=20, iota=0, solver_kwargs=None,
-               R_law=2000, with_perturbations=False, timing=False):
+               with_perturbations=False, timing=False):
     """Full approximate-Nash experiment over a population ladder.
 
     The whole ladder of rungs (M_k, cluster_size) is checked on the call
@@ -620,7 +623,9 @@ def run_ladder(make_problem, ladder, n_reps=20, iota=0, solver_kwargs=None,
     per-replication noise; the B runs double as both the eps3 family sup
     and the unilateral cost comparisons. System A of every replication
     runs as one stack, and so does every replication x family member of
-    System B. It yields one report dict per rung; ``system_a_paths`` holds
+    System B; System C's cluster laws are solved once per rung. It yields
+    one report dict per rung; ``system_c_law_passes`` is the number of
+    passes of that law loop, ``system_a_paths`` holds
     the (N, K+1) System A paths of the first replication, a view that keeps
     the rung's whole stack alive (the CLI drops it before the next rung's
     solve), and, with ``timing``, ``seconds`` the wall time of each phase
@@ -634,6 +639,6 @@ def run_ladder(make_problem, ladder, n_reps=20, iota=0, solver_kwargs=None,
     if problems:
         check_ladder(ladder, iota, problems[0].graphon)
     solve = functools.partial(picard_solve, **(solver_kwargs or {}))
-    return (_ladder_rung(problem, size, n_reps, iota, solve, R_law,
-                         with_perturbations, timing)
+    return (_ladder_rung(problem, size, n_reps, iota, solve, with_perturbations,
+                         timing)
             for problem, (_, size) in zip(problems, ladder))

@@ -14,7 +14,6 @@ PROPAGATE = 11
 INITIAL = 12
 POP_BROWNIAN = 21
 POP_INITIAL = 22
-CLUSTER_LAW = 23
 CUT_NORM = 31
 DEVIATION = 41
 

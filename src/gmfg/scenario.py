@@ -38,7 +38,7 @@ _GRAPHON_KINDS = {"constant": ("c", Graphon.constant),
                   "step": ("matrix", Graphon.step)}
 _GRID_KEYS = ("M", "K", "N_x", "R", "output_atoms", "domain_padding")
 _TOLERANCE_KEYS = ("picard_tol", "max_outer", "min_outer", "lq_tol")
-_LADDER_KEYS = ("rungs", "replications", "deviator", "R_law")
+_LADDER_KEYS = ("rungs", "replications", "deviator")
 _DIAGNOSTICS_KEYS = ("m_values", "refinement")
 
 
@@ -248,8 +248,6 @@ class Scenario:
                                           "ladder.replications", default=20)
         self.deviator = check.integer(ladder.get("deviator"), "ladder.deviator",
                                       minimum=0, default=0)
-        self.R_law = check.integer(ladder.get("R_law"), "ladder.R_law",
-                                   minimum=100, default=2000)
 
         diag = check.block(raw, "diagnostics", _DIAGNOSTICS_KEYS)
         m_values = diag.get("m_values", [4, 8, 16, 32])

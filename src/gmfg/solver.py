@@ -4,16 +4,18 @@ One Picard pass maps a measure ensemble to per-vertex best responses, then
 to the law those responses induce, solved on the x-grid by the forward
 Fokker-Planck step that is the adjoint of the value sweep, then back to the
 ensemble of its quantile atoms. The map is deterministic, so the iteration
-trace exposes the contraction rate directly. Particles remain where paths
-are the object: closed-loop propagation under common random numbers, the
-measure-consistency loop of System C's cluster laws, and a sensitivity
-probe that estimates the two constants whose product governs the rate.
+trace exposes the contraction rate directly. The same grid law, iterated
+with the policy held fixed, gives the self-consistent laws of a fixed
+feedback table: System C's cluster laws and the sensitivity probe, which
+estimates the two constants whose product governs the rate. Particles
+remain where paths are the object: closed-loop propagation under common
+random numbers.
 """
 
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +24,7 @@ from .control import (closed_loop_steps, frozen_fields, policy_lipschitz,
                       scaled_increments, solve_fpk, solve_hjb)
 from .errors import ConfigError, ConvergenceError, InvariantError
 from .graphon import VertexGrid
-from .measures import (MeasureEnsemble, PathBundle, ensemble_distance, ensemble_w1_sup,
-                       node_masses, node_quantiles, node_w1_sup)
+from .measures import MeasureEnsemble, PathBundle, node_masses, node_quantiles, node_w1_sup
 
 # quantile atoms per (vertex, time) of a solved law: the ensemble that
 # frozen_fields, ensemble.csv and System D read
@@ -35,7 +36,9 @@ class GMFGProblem:
 
     ``initial_masses`` is the initial law split onto the nodes of
     ``x_grid`` (:func:`~gmfg.measures.node_masses`); an initial atom
-    outside the grid raises DomainError.
+    outside the grid raises DomainError. ``R`` and ``seed`` are the
+    particles per vertex and the noise of :func:`propagate_closed_loop`;
+    the laws themselves draw nothing.
     """
 
     def __init__(self, functions, graphon, initial_law, M, K, N_x=201,
@@ -77,10 +80,6 @@ class GMFGProblem:
         return float(coef.max() * umax)
 
     @property
-    def noise_floor(self):
-        return 3.0 / math.sqrt(self.R)
-
-    @property
     def distance_floor(self):
         """The rounding floor N_x eps (x_max - x_min) of a node-law W1
         distance on ``x_grid``: :func:`~gmfg.measures.node_w1_sup` is dx
@@ -104,58 +103,7 @@ class GMFGSolution:
     problem: GMFGProblem = None
 
 
-def _start_paths(problem):
-    """The read-only (M, R, K+1) start buffer of a particle law solve.
-
-    Slot 0 holds each vertex's initial draws of the initial law and slot
-    k+1 its scaled Brownian increment sigma sqrt(dt) Z_k, filled one vertex
-    at a time (:func:`~gmfg.control.scaled_increments`). Both streams are
-    keyed by (seed, vertex), so a law solve (System C's, the sensitivity
-    probe's) draws them once and every propagation of it starts from a copy
-    (:func:`_fresh_paths`), fresh or written into a buffer it recycles. The
-    memory is time-major, (M, K+1, R), behind the (M, R, K+1) view: an
-    Euler step then writes one contiguous block, and the buffer is in an
-    ensemble's memory order.
-    """
-    p, dt = problem.functions, problem.functions.T / problem.K
-    paths = np.empty((problem.M, problem.K + 1, problem.R)).swapaxes(1, 2)
-    for v in range(problem.M):
-        paths[v, :, 0] = problem.initial_law.quantile(
-            rng.stream(problem.seed, rng.INITIAL, v).random(problem.R))
-        scaled_increments(paths[v], p.sigma, dt, rng.stream(problem.seed, rng.PROPAGATE, v))
-    paths.flags.writeable = False
-    return paths
-
-
-def _fresh_paths(problem, start, out=None):
-    # a writable copy of the start buffer (drawn here if None), in its
-    # time-major layout: fresh, or written into the (M, K+1, R) ``out``
-    if start is None:
-        start = _start_paths(problem)
-    if out is None:
-        return start.copy(order="K")
-    paths = np.swapaxes(out, 1, 2)
-    np.copyto(paths, start)
-    return paths
-
-
-def zero_drift_ensemble(problem, start=None):
-    """Pure-diffusion particle marginals of the initial law (the starting
-    iterate of a particle law solve).
-
-    Sums the increments of a fresh copy of the start buffer ``start``
-    (:func:`_start_paths`; without one, the draws are made here) and adopts
-    that copy, sorted in place, as the ensemble
-    (:meth:`MeasureEnsemble.adopt`).
-    """
-    paths = _fresh_paths(problem, start)
-    np.cumsum(paths[..., 1:], axis=2, out=paths[..., 1:])
-    paths[..., 1:] += paths[..., :1]
-    return MeasureEnsemble.adopt(np.swapaxes(paths, 1, 2), problem.times)
-
-
-def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None,
-                          _out=None):
+def propagate_closed_loop(problem, policy, e_drift, fields=None):
     """Closed-loop Euler-Maruyama propagation of every vertex population.
 
     Per vertex, R particles start from i.i.d. draws of the initial law and
@@ -164,16 +112,19 @@ def propagate_closed_loop(problem, policy, e_drift, fields=None, start=None,
     control slot. All (M, R) particles step together in the closed-loop
     kernel :func:`~gmfg.control.closed_loop_steps`, which also gives the
     ``escaped_mass`` and raises NumericalError on a diverged vertex. Noise
-    and initial draws are keyed by (seed, vertex, replica), so repeated
-    calls couple exactly; a solve passes the ``start`` buffer it drew once
-    (:func:`_start_paths`), and a call without one draws it. ``_out``, the
-    atoms of a retired ensemble, is written instead of a fresh copy.
+    and initial draws are keyed by (seed, vertex), so repeated calls couple
+    exactly. The paths are time-major, (M, K+1, R), behind the (M, R, K+1)
+    view: an Euler step then writes one contiguous block.
     """
-    p = problem.functions
+    p, dt = problem.functions, problem.functions.T / problem.K
     if fields is None:
         fields = _drift_fields(problem, e_drift)
-    paths = _fresh_paths(problem, start, _out)
-    escaped = closed_loop_steps(paths, p.T / problem.K, fields, policy)
+    paths = np.empty((problem.M, problem.K + 1, problem.R)).swapaxes(1, 2)
+    for v in range(problem.M):
+        paths[v, :, 0] = problem.initial_law.quantile(
+            rng.stream(problem.seed, rng.INITIAL, v).random(problem.R))
+        scaled_increments(paths[v], p.sigma, dt, rng.stream(problem.seed, rng.PROPAGATE, v))
+    escaped = closed_loop_steps(paths, dt, fields, policy)
     return PathBundle(paths, problem.times, escaped_mass=escaped)
 
 
@@ -196,37 +147,31 @@ def _timed(seconds, phase):
             seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
 
 
-def inner_mv_consistency(problem, policy, tol_inner=None, max_inner=60, start=None):
-    """Self-consistent particle propagation under a fixed feedback table.
+def inner_mv_consistency(problem, policy, max_inner=60):
+    """Self-consistent vertex laws on the x-grid under a fixed feedback table.
 
-    Iterates nu <- marginals(propagate(policy, nu)), from the zero-drift
-    ensemble of the start buffer ``start`` (drawn here if None), until the
-    sup W1 change drops below ``tol_inner`` (an infinite one stops after one
-    pass; None takes max(1e-4, 0.2 noise_floor), a fraction of the particle
-    noise); with the policy fixed the map contracts, so the change decays
-    geometrically. Each pass propagates from ``start`` into the atoms of the
-    ensemble the loop last retired, the zero-drift one included, and adopts
-    that buffer, sorted in place (:meth:`MeasureEnsemble.adopt`): two
-    path-sized arrays besides ``start``. Returns (escaped_mass, ensemble,
-    trace): the last propagation's escaped mass and the per-pass distances.
+    Starts from the pure-diffusion law; each pass freezes the drift fields
+    of the current ensemble and solves the law of ``policy`` under them
+    (:func:`_law`), and its distance is the exact node-law W1 change, sup
+    over (vertex, time). With the policy fixed the map contracts, so the
+    distances decay geometrically; the loop stops at the first one at or
+    below the problem's ``distance_floor`` and raises ConvergenceError with
+    the trace after ``max_inner`` passes without it. Returns (masses,
+    ensemble, trace): the (M, K+1, N_x) node laws, their quantile ensemble
+    and the per-pass distances.
     """
-    if tol_inner is None:
-        tol_inner = max(1e-4, 0.2 * problem.noise_floor)
-    if start is None:
-        start = _start_paths(problem)
-    ens, out, trace = zero_drift_ensemble(problem, start), None, []
+    dx = float(problem.x_grid[1] - problem.x_grid[0])
+    masses, ens = _law(problem)
+    trace = []
     for _ in range(max_inner):
-        bundle = propagate_closed_loop(problem, policy, ens, start=start, _out=out)
-        new = MeasureEnsemble.adopt(np.swapaxes(bundle.paths, 1, 2), problem.times)
-        d = ensemble_w1_sup(new, ens)
-        trace.append(d)
-        # nothing reads the retired ens now
-        out, ens = ens.atoms, new
-        if d < tol_inner:
-            return bundle.escaped_mass, ens, trace
+        new, ens = _law(problem, _drift_fields(problem, ens).drift_coef * policy)
+        trace.append(node_w1_sup(new, masses, dx))
+        masses = new
+        if trace[-1] <= problem.distance_floor:
+            return masses, ens, trace
     raise ConvergenceError(
-        f"measure consistency stalled above {tol_inner:.3g} after {max_inner} passes",
-        trace=trace)
+        f"measure consistency stalled above {problem.distance_floor:.3g} "
+        f"after {max_inner} passes", trace=trace)
 
 
 def _law(problem, drift=None):
@@ -316,7 +261,6 @@ class SensitivityReport:
     c2: float
     policy_change: float
     ensemble_shift: float
-    inner_traces: tuple = field(default=())
 
     @property
     def product(self):
@@ -331,14 +275,13 @@ def sensitivity_probe(problem, solution, delta=0.05):
     re-solves the best responses, and reports
 
     * c1: sup-norm policy change divided by the ensemble shift, and
-    * c2: coupled-propagation ensemble distance divided by the policy
-      change, with both policy sets propagated to measure consistency
-      under common noise.
+    * c2: the node-law W1 distance between the self-consistent laws of
+      the two policies (:func:`inner_mv_consistency`), sup over (vertex,
+      time), divided by the policy change. That law distance is the one
+      the Picard contraction bounds, and it is at most the
+      synchronous-coupling path distance of the two policies.
 
-    The coupled bundles are one propagation of each policy against its
-    converged particle laws (:func:`inner_mv_consistency`, as System C's
-    laws are), all from the probe's one start buffer. A zero denominator
-    leaves the corresponding estimate undefined (NaN).
+    A zero denominator leaves the corresponding estimate undefined (NaN).
     """
     shifted = solution.ensemble.shift(delta)
     _, shifted_policy = solve_hjb(problem.functions, problem.graphon,
@@ -350,11 +293,7 @@ def sensitivity_probe(problem, solution, delta=0.05):
 
     if dphi <= 0.0:
         return SensitivityReport(c1, math.nan, dphi, shift_dist)
-    start = _start_paths(problem)
-    bundles, traces = [], []
-    for policy in (solution.policy, shifted_policy):
-        _, laws, trace = inner_mv_consistency(problem, policy, start=start)
-        bundles.append(propagate_closed_loop(problem, policy, laws, start=start))
-        traces.append(trace)
-    c2 = ensemble_distance(*bundles) / dphi
-    return SensitivityReport(c1, c2, dphi, shift_dist, tuple(traces))
+    laws = [inner_mv_consistency(problem, policy)[0]
+            for policy in (solution.policy, shifted_policy)]
+    c2 = node_w1_sup(*laws, float(problem.x_grid[1] - problem.x_grid[0])) / dphi
+    return SensitivityReport(c1, c2, dphi, shift_dist)

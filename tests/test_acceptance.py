@@ -221,12 +221,13 @@ def test_criterion_05_picard_contraction(contraction_solution):
     ratios = [b / a for a, b in zip(dists, dists[1:])]
     consecutive = sum(1 for r in ratios[:3] if r < 1.0)
     final_residual = dists[-1]
+    floor = 3.0 / math.sqrt(problem.R)
     ok = (len(ratios) >= 3 and consecutive == 3
-          and final_residual < solution.tol + problem.noise_floor
+          and final_residual < solution.tol + floor
           and elapsed < 300.0)
     _criterion(5, ok, f"ratios {[f'{r:.3f}' for r in ratios[:3]]} all <1, final "
                       f"residual {final_residual:.2e} (< tol {solution.tol:.3f} + "
-                      f"floor {problem.noise_floor:.3f}), {elapsed:.0f}s (<300s)")
+                      f"floor {floor:.3f}), {elapsed:.0f}s (<300s)")
 
 
 def test_criterion_06_hjb_rollout_consistency():
@@ -339,7 +340,7 @@ def test_criterion_10_determinism(tmp_path):
                   "output_atoms": 8},
         "seeds": {"master": 5},
         "tolerances": {"picard_tol": 0.3, "max_outer": 10},
-        "ladder": {"rungs": [[2, 3]], "replications": 2, "R_law": 120},
+        "ladder": {"rungs": [[2, 3]], "replications": 2},
         "diagnostics": {"m_values": [4, 8], "refinement": 4},
     }
     lq = {

@@ -461,7 +461,7 @@ class TestSimulateEnashCommand:
         doc = nonlinear_scenario()
         doc["graphon"] = {"kind": "uniform_attachment"}
         doc["ladder"] = {"rungs": [[1, 3], [2, 4]], "replications": 2,
-                        "deviator": 0, "R_law": 120}
+                        "deviator": 0}
         cfg = write_config(tmp_path / "s.json", doc)
         out = tmp_path / "out"
         assert main(["simulate-enash", "--config", cfg, "--out", str(out)]) == 0
@@ -472,12 +472,13 @@ class TestSimulateEnashCommand:
             "M_k", "cluster_size", "N", "eps1", "eps1_se", "eps2", "eps2_se",
             "eps3", "eps3_se", "gap", "gap_se", "equilibrium_cost",
             "equilibrium_cost_se", "deviation_costs", "family", "n_reps",
-            "solution_iterations"}
+            "solution_iterations", "system_c_law_passes"}
         assert rung["N"] == 3
+        assert all(r["system_c_law_passes"] >= 1 for r in report["rungs"])
 
     def test_dump_paths_and_ladder_override(self, tmp_path):
         doc = nonlinear_scenario()
-        doc["ladder"] = {"rungs": [[1, 3]], "replications": 2, "R_law": 120}
+        doc["ladder"] = {"rungs": [[1, 3]], "replications": 2}
         cfg = write_config(tmp_path / "s.json", doc)
         out = tmp_path / "out"
         code = main(["simulate-enash", "--config", cfg, "--out", str(out),
@@ -494,8 +495,7 @@ class TestSimulateEnashCommand:
 
         doc = nonlinear_scenario()
         doc["graphon"] = {"kind": "uniform_attachment"}
-        doc["ladder"] = {"rungs": [[1, 3], [2, 4]], "replications": 1,
-                         "R_law": 120}
+        doc["ladder"] = {"rungs": [[1, 3], [2, 4]], "replications": 1}
         cfg = write_config(tmp_path / "s.json", doc)
         real = solver.picard_solve
         calls = []
@@ -526,7 +526,7 @@ class TestSimulateEnashCommand:
 
     def test_dump_per_rung_when_node_counts_repeat(self, tmp_path):
         doc = nonlinear_scenario()
-        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120}
+        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1}
         cfg = write_config(tmp_path / "s.json", doc)
         out = tmp_path / "out"
         assert main(["simulate-enash", "--config", cfg, "--out", str(out),
@@ -543,8 +543,7 @@ class TestSimulateEnashCommand:
         from gmfg import solver
 
         doc = nonlinear_scenario()
-        doc["ladder"] = {"rungs": [[2, 3], [2, 3]], "replications": 1,
-                         "R_law": 120}
+        doc["ladder"] = {"rungs": [[2, 3], [2, 3]], "replications": 1}
         cfg = write_config(tmp_path / "s.json", doc)
         solves = []
         monkeypatch.setattr(solver, "picard_solve",
@@ -566,8 +565,7 @@ class TestSimulateEnashCommand:
 
         doc = nonlinear_scenario()
         doc["graphon"] = {"kind": "uniform_attachment"}
-        doc["ladder"] = {"rungs": [[1, 3], [2, 4], [2, 5]], "replications": 2,
-                         "R_law": 120}
+        doc["ladder"] = {"rungs": [[1, 3], [2, 4], [2, 5]], "replications": 2}
         cfg = write_config(tmp_path / "s.json", doc)
         real_run, real_solve = population.simulate_coupled, solver.picard_solve
         stacks, alive = [], []
@@ -594,8 +592,7 @@ class TestSimulateEnashCommand:
         from gmfg import ConvergenceError, solver
 
         doc = nonlinear_scenario()
-        doc["ladder"] = {"rungs": [[1, 3], [2, 4]], "replications": 1,
-                         "R_law": 120}
+        doc["ladder"] = {"rungs": [[1, 3], [2, 4]], "replications": 1}
         cfg = write_config(tmp_path / "s.json", doc)
         real = solver.picard_solve
 
@@ -617,7 +614,7 @@ class TestSimulateEnashCommand:
         from gmfg import solver
 
         doc = nonlinear_scenario()
-        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120,
+        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1,
                          "deviator": 6}
         cfg = write_config(tmp_path / "s.json", doc)
         solves = []
@@ -638,7 +635,7 @@ class TestSimulateEnashCommand:
 
         doc = nonlinear_scenario()
         doc["graphon"] = {"kind": "step", "matrix": [[0.5, 0.2], [0.2, 0.5]]}
-        doc["ladder"] = {"rungs": [[2, 5]], "replications": 1, "R_law": 120}
+        doc["ladder"] = {"rungs": [[2, 5]], "replications": 1}
         cfg = write_config(tmp_path / "s.json", doc)
         solves = []
         monkeypatch.setattr(solver, "picard_solve",
@@ -654,7 +651,7 @@ class TestSimulateEnashCommand:
 
         doc = nonlinear_scenario()
         doc["tolerances"] = {"picard_tol": 0.2, "max_outer": 12, "min_outer": 3}
-        doc["ladder"] = {"rungs": [[1, 3], [2, 3]], "replications": 1, "R_law": 120}
+        doc["ladder"] = {"rungs": [[1, 3], [2, 3]], "replications": 1}
         cfg = write_config(tmp_path / "s.json", doc)
         real = solver.picard_solve
         seen = []
@@ -670,12 +667,13 @@ class TestSimulateEnashCommand:
 
     @pytest.mark.parametrize("block, key", [("ladder", "replicaions"),
                                             ("tolerances", "picard_toll"),
+                                            ("ladder", "R_law"),
                                             ("tolerances", "mode"),
                                             ("tolerances", "inner_tol")])
     def test_unknown_ladder_or_tolerance_key_is_input_error(self, tmp_path, capsys,
                                                            block, key):
         doc = nonlinear_scenario()
-        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1, "R_law": 120}
+        doc["ladder"] = {"rungs": [[1, 3]], "replications": 1}
         doc[block][key] = 2
         cfg = write_config(tmp_path / "s.json", doc)
         out = tmp_path / "out"
@@ -694,8 +692,7 @@ class TestSimulateEnashCommand:
         doc["problem"]["initial"] = {"kind": "normal", "mean": 0.0, "std": 0.3,
                                      "atoms": 33}
         doc["graphon"] = {"kind": "uniform_attachment"}
-        doc["ladder"] = {"rungs": [[2, 3], [1, 4]], "replications": 2,
-                         "R_law": 120}
+        doc["ladder"] = {"rungs": [[2, 3], [1, 4]], "replications": 2}
         cfg = write_config(tmp_path / "s.json", doc)
         outs = [tmp_path / "o1", tmp_path / "o2"]
         for out in outs:
@@ -760,8 +757,7 @@ _SMALL_RUNS = {
     "graphon-diag": nonlinear_scenario(diagnostics={"m_values": [2, 4],
                                                     "refinement": 2}),
     "simulate-enash": nonlinear_scenario(ladder={"rungs": [[1, 3]],
-                                                 "replications": 1,
-                                                 "R_law": 120}),
+                                                 "replications": 1}),
 }
 
 

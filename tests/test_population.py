@@ -6,13 +6,12 @@ import pytest
 from gmfg import (ConfigError, Constant, GMFGProblem, GMFGSolution, Graphon, GridError,
                   InvariantError, NumericalError, Policy, Poly2, ProblemFunctions,
                   build_population, default_deviation_family, deviation_metrics, dirac,
-                  empirical, normal_quantile_measure, perturbation_terms, picard_solve,
-                  policy_lipschitz, run_ladder, run_system_a, run_system_b, run_system_c,
-                  run_system_d, w1)
+                  empirical, inner_mv_consistency, normal_quantile_measure,
+                  perturbation_terms, picard_solve, policy_lipschitz, run_ladder,
+                  run_system_a, run_system_b, run_system_c, run_system_d, w1)
 from gmfg import rng
-from gmfg.control import frozen_fields
-from gmfg.population import (_assemble_gap_report, _cluster_laws, _cluster_policy,
-                             _equilibrium_and_deviations, system_d_fields)
+from gmfg.population import (_assemble_gap_report, _cluster_policy,
+                             _equilibrium_and_deviations, system_c_fields, system_d_fields)
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -385,10 +384,8 @@ class TestSystemCD:
         want_d = reference_field_paths(pop, coupled_solution,
                                        system_d_fields(pop, coupled_solution))
         assert np.array_equal(ts_d.paths, want_d)
-        ts_c = run_system_c(pop, coupled_solution, R_law=200)
-        clone, laws = _cluster_laws(pop, coupled_solution, 200)
-        fields = frozen_fields(clone.functions, pop.graph, pop.vertex_grid.midpoints,
-                               laws, clone.x_grid, drift_only=True)
+        ts_c = run_system_c(pop, coupled_solution)
+        fields, _ = system_c_fields(pop, coupled_solution)
         assert np.array_equal(ts_c.paths,
                               reference_field_paths(pop, coupled_solution, fields))
         assert not np.array_equal(ts_c.paths, ts_d.paths)
@@ -407,7 +404,7 @@ class TestSystemCD:
         pop = build_population(Graphon.constant(0.0), 2, 30, dirac(0.0),
                                seed=21)
         ts_a = run_system_a(pop, uncoupled_solution)
-        ts_c = run_system_c(pop, uncoupled_solution, R_law=200)
+        ts_c = run_system_c(pop, uncoupled_solution)
         ts_d = run_system_d(pop, uncoupled_solution)
         # measure-independent drift with a constant coefficient: identical
         np.testing.assert_allclose(ts_c.paths, ts_a.paths, atol=1e-12)
@@ -416,14 +413,42 @@ class TestSystemCD:
     def test_cluster_law_exchangeable(self, coupled_solution):
         pop = build_population(Graphon.uniform_attachment(), 4, 30,
                                normal_quantile_measure(0.0, 0.3, 65), seed=23)
-        ts_c = run_system_c(pop, coupled_solution, R_law=1000)
-        _, laws = _cluster_laws(pop, coupled_solution, 1000)
-        assert laws is not None
+        ts_c = run_system_c(pop, coupled_solution)
+        problem = coupled_solution.problem
+        clone = GMFGProblem(problem.functions, pop.graph, pop.initial_law, M=pop.M_k,
+                            K=problem.K, N_x=problem.N_x,
+                            domain=(problem.x_grid[0], problem.x_grid[-1]))
+        _, laws, _ = inner_mv_consistency(clone, _cluster_policy(pop, coupled_solution))
         idx = np.flatnonzero(pop.cluster_of == 2)
         terminal = ts_c.paths[idx, -1]
-        law = laws.get(2, coupled_solution.problem.K)
+        law = laws.get(2, problem.K)
         band = 3 * terminal.std() / math.sqrt(len(idx)) + 0.1
         assert w1(empirical(terminal), law) < band
+
+    def test_ladder_solves_cluster_laws_once_per_rung(self, monkeypatch):
+        """Over a two-replication ladder the law loop runs once per rung,
+        not once per replication, and each rung reports its passes."""
+        from gmfg import population
+
+        real = population.inner_mv_consistency
+        passes = []
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            passes.append(len(result[2]))
+            return result
+
+        monkeypatch.setattr(population, "inner_mv_consistency", spy)
+
+        def make_problem(M):
+            return GMFGProblem(coupled_problem(), Graphon.uniform_attachment(),
+                               normal_quantile_measure(0.0, 0.3, 65), M=M, K=12,
+                               N_x=61, R=200, seed=3)
+
+        rungs = list(run_ladder(make_problem, [(1, 3), (2, 3)], n_reps=2,
+                                solver_kwargs={"tol": 0.1}))
+        assert len(passes) == 2
+        assert [r["system_c_law_passes"] for r in rungs] == passes
 
     def test_d_marginals_match_solution_ensemble(self, coupled_solution):
         pop = build_population(Graphon.uniform_attachment(), 4, 100,
@@ -444,7 +469,7 @@ class TestDeviationMetrics:
             pop = build_population(Graphon.constant(0.0), 2, 20,
                                    dirac(0.0), seed=40 + r)
             reps_a.append(run_system_a(pop, uncoupled_solution))
-            reps_c.append(run_system_c(pop, uncoupled_solution, R_law=200))
+            reps_c.append(run_system_c(pop, uncoupled_solution))
             reps_d.append(run_system_d(pop, uncoupled_solution))
         rep = deviation_metrics(reps_a, reps_c, reps_d, cluster_of=pop.cluster_of)
         assert rep["eps1"] < 1e-12 and rep["eps2"] < 1e-12
@@ -458,7 +483,7 @@ class TestDeviationMetrics:
                                    seed=60 + r)
             pops.append(pop)
             reps_a.append(run_system_a(pop, coupled_solution))
-            reps_c.append(run_system_c(pop, coupled_solution, R_law=500))
+            reps_c.append(run_system_c(pop, coupled_solution))
             reps_d.append(run_system_d(pop, coupled_solution))
             fam.setdefault("const_mid", []).append(
                 run_system_b(pop, coupled_solution, 0, lambda t, xi, xs: 0.0))
@@ -624,12 +649,12 @@ class TestPerturbationTerms:
         monkeypatch.setattr(MeasureEnsemble, "compress", spy)
         system_d_fields(pop, coupled_solution)
         assert seen == []
-        run_system_c(pop, coupled_solution, R_law=200)
+        run_system_c(pop, coupled_solution)
         assert seen == []
 
-    def test_system_c_draws_its_law_noise_once(self, coupled_solution, monkeypatch):
-        """The zero-drift start and the law sub-iteration share one start
-        buffer: one propagation stream per cluster per run."""
+    def test_system_c_draws_no_law_noise(self, coupled_solution, monkeypatch):
+        """System C's cluster laws are grid laws: a run draws no propagation
+        stream, only its agents' Brownian increments."""
         from gmfg import rng
 
         pop = build_population(Graphon.uniform_attachment(), 4, 5,
@@ -642,8 +667,9 @@ class TestPerturbationTerms:
             return real(seed, *tags)
 
         monkeypatch.setattr(rng, "stream", spy)
-        run_system_c(pop, coupled_solution, R_law=200)
-        assert kinds.count(rng.PROPAGATE) == pop.M_k
+        run_system_c(pop, coupled_solution)
+        assert rng.PROPAGATE not in kinds
+        assert kinds == [rng.POP_BROWNIAN]
 
     @pytest.mark.slow
     def test_intra_term_clt_slope(self):

@@ -5,9 +5,10 @@ import pytest
 
 from gmfg import (Constant, ConvergenceError, GMFGProblem, Graphon,
                   InvariantError, Measure1D, Poly2, ProblemFunctions, dirac,
-                  ensemble_distance, ensemble_w1_sup, inner_mv_consistency, marginals, normal_quantile_measure,
+                  ensemble_distance, inner_mv_consistency, marginals, normal_quantile_measure,
                   picard_solve, propagate_closed_loop, sensitivity_probe, w1,
-                  w1_joint_continuity_scan, zero_drift_ensemble)
+                  w1_joint_continuity_scan)
+from gmfg.solver import _law
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -52,6 +53,11 @@ def reverting_solution():
     return problem, picard_solve(problem, tol=0.05, min_outer=5, max_outer=25)
 
 
+def diffusion_ensemble(problem):
+    """The quantile ensemble of the pure-diffusion grid law."""
+    return _law(problem)[1]
+
+
 def constant_policy(problem, value):
     """The (M, K+1, N_x) feedback table that plays ``value`` everywhere."""
     return np.full((problem.M, problem.K + 1, problem.N_x), float(value))
@@ -64,7 +70,7 @@ class TestPropagation:
                                         (-1, 1), 1.0, 1.0)
         problem = GMFGProblem(p, Graphon.constant(0.0), dirac(0.0),
                               M=2, K=64, N_x=101, R=10_000, seed=3)
-        ens = zero_drift_ensemble(problem)
+        ens = diffusion_ensemble(problem)
         bundle = propagate_closed_loop(problem, constant_policy(problem, 0.0), ens)
         levels = (np.arange(4001) + 0.5) / 4001
         from scipy.special import ndtri
@@ -80,7 +86,7 @@ class TestPropagation:
         # f0 = 0, f = 1, g = 1: drift is exactly u; paths are x0 + u t + noise
         problem = GMFGProblem(tracking_problem(), Graphon.constant(1.0),
                               dirac(0.2), M=2, K=40, N_x=101, R=4000, seed=5)
-        ens = zero_drift_ensemble(problem)
+        ens = diffusion_ensemble(problem)
         u_star = 0.5
         bundle = propagate_closed_loop(problem, constant_policy(problem, u_star), ens)
         mean_T = bundle.paths[:, :, -1].mean(axis=1)
@@ -90,7 +96,7 @@ class TestPropagation:
 
     def test_common_random_numbers_coupling(self):
         problem = small_problem()
-        ens = zero_drift_ensemble(problem)
+        ens = diffusion_ensemble(problem)
         pols = constant_policy(problem, 0.1)
         b1 = propagate_closed_loop(problem, pols, ens)
         b2 = propagate_closed_loop(problem, pols, ens)
@@ -100,7 +106,7 @@ class TestPropagation:
         """Behind the (M, R, K+1) view, one time node of a vertex is one
         contiguous row."""
         problem = small_problem(M=2, K=8, R=300)
-        ens = zero_drift_ensemble(problem)
+        ens = diffusion_ensemble(problem)
         for u in (0.0, 0.1):
             bundle = propagate_closed_loop(problem, constant_policy(problem, u), ens)
             assert bundle.paths.shape == (problem.M, problem.R, problem.K + 1)
@@ -112,7 +118,7 @@ class TestPropagation:
         from gmfg import NumericalError, frozen_fields
 
         problem = small_problem(M=3, K=8, R=300)
-        ens = zero_drift_ensemble(problem)
+        ens = diffusion_ensemble(problem)
         fields = frozen_fields(problem.functions, problem.graphon,
                                problem.vertex_grid.midpoints, ens, problem.x_grid,
                                drift_only=True)
@@ -123,33 +129,85 @@ class TestPropagation:
 
 
 class TestInnerConsistency:
+    @staticmethod
+    def weak_problem():
+        # the drift reads the vertex mean, which the played u = 1 moves
+        return GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
+                           M=3, K=32, N_x=81, R=1000, seed=9)
+
     def test_measure_independent_drift_converges_immediately(self):
+        """The first pass leaves the pure-diffusion law; the second solves
+        the same law again, so its distance is 0 and the loop stops."""
         prob = GMFGProblem(
             ProblemFunctions.structured(Constant(1.0), Constant(0.0),
                                         Poly2(xx=1.0), Constant(1.0),
                                         Constant(0.0), Constant(0.0), (-1, 1), 0.3, 0.5),
             Graphon.constant(0.0), dirac(0.0), M=2, K=16, N_x=81, R=500, seed=7)
         pols = constant_policy(prob, 0.3)
-        _, got, trace = inner_mv_consistency(prob, pols, tol_inner=1e-9)
-        assert len(trace) == 2 and trace[1] == 0.0
-        direct = propagate_closed_loop(prob, pols, zero_drift_ensemble(prob))
-        assert np.array_equal(got.atoms, marginals(direct).atoms)
+        masses, got, trace = inner_mv_consistency(prob, pols)
+        assert len(trace) == 2 and trace[0] > prob.distance_floor and trace[1] == 0.0
+        direct, direct_ens = _law(prob, pols)
+        assert np.array_equal(masses, direct)
+        assert np.array_equal(got.atoms, direct_ens.atoms)
 
     def test_weak_coupling_geometric_decay(self):
-        prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
-                           M=3, K=32, N_x=81, R=1000, seed=9)
+        prob = self.weak_problem()
         pols = constant_policy(prob, 1.0)
-        _, _, trace = inner_mv_consistency(prob, pols, tol_inner=1e-6, max_inner=40)
+        _, _, trace = inner_mv_consistency(prob, pols, max_inner=40)
+        assert trace[-1] <= prob.distance_floor
         ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 1e-9]
-        assert ratios and max(ratios) < 0.5
+        assert len(ratios) >= 2 and max(ratios) < 0.5
 
     def test_exhausted_iterations_raise_with_trace(self):
         prob = GMFGProblem(weak_mean_coupling(), Graphon.constant(1.0), dirac(0.5),
                            M=2, K=16, N_x=61, R=400, seed=10)
         pols = constant_policy(prob, 1.0)
         with pytest.raises(ConvergenceError) as err:
-            inner_mv_consistency(prob, pols, tol_inner=1e-12, max_inner=2)
+            inner_mv_consistency(prob, pols, max_inner=2)
         assert len(err.value.trace) == 2
+
+    def test_grid_loops_draw_no_noise(self, monkeypatch):
+        """Neither the Picard solve nor the fixed-policy law loop draws a
+        random stream."""
+        from gmfg import rng
+
+        problem = TestPicardSolve.own_mean_problem()
+        real = rng.stream
+        draws = []
+
+        def counting(seed, *tags):
+            draws.append(tags[0])
+            return real(seed, *tags)
+
+        monkeypatch.setattr(rng, "stream", counting)
+        picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
+        weak = self.weak_problem()
+        _, _, trace = inner_mv_consistency(weak, constant_policy(weak, 1.0))
+        assert len(trace) > 2
+        assert draws == []
+
+    def test_grid_loops_adopt_one_ensemble_per_law_solve(self, monkeypatch):
+        """The Picard solve and the law loop adopt one quantile ensemble per
+        law solve (the pure-diffusion start, then one per pass) and nothing
+        else."""
+        from gmfg.measures import MeasureEnsemble
+
+        problem = TestPicardSolve.own_mean_problem()
+        real_adopt = MeasureEnsemble.adopt
+        calls = []
+
+        def adopting(atoms, times):
+            calls.append("adopt")
+            return real_adopt(atoms, times)
+
+        monkeypatch.setattr(MeasureEnsemble, "adopt", staticmethod(adopting))
+        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
+        assert calls == ["adopt"] * (1 + len(sol.trace))
+        calls.clear()
+        weak = self.weak_problem()
+        _, _, trace = inner_mv_consistency(weak, constant_policy(weak, 1.0))
+        assert len(trace) > 2
+        assert calls == ["adopt"] * (1 + len(trace))
 
 
 class TestPicardSolve:
@@ -166,7 +224,7 @@ class TestPicardSolve:
         prob = self.uncoupled_problem(1.0)
         sol = picard_solve(prob, tol=0.25)
         assert len(sol.trace) == 2
-        assert sol.trace[1]["distance"] <= prob.noise_floor
+        assert sol.trace[1]["distance"] <= 3.0 / math.sqrt(prob.R)
 
     def test_zero_graphon_recovers_vertex_symmetric_mfg(self):
         prob = small_problem(M=3, R=2000, graphon=Graphon.constant(0.0),
@@ -195,7 +253,7 @@ class TestPicardSolve:
         longer = picard_solve(problem, tol=0.05, min_outer=n + 1, max_outer=25)
         assert longer.trace[:n] == sol.trace
         extra = longer.trace[n]["distance"]
-        assert extra < 2 * sol.tol + problem.noise_floor
+        assert extra < 2 * sol.tol + 3.0 / math.sqrt(problem.R)
 
     def test_fixed_point_stops_at_the_rounding_floor(self, small_solution):
         """The symmetric map lands on its fixed point in one pass, so the
@@ -318,16 +376,15 @@ class TestPicardSolve:
         assert sol.trace[0]["escaped_mass"] > 0.05
 
     def test_particle_law_agrees_with_grid_law(self, reverting_solution):
-        """Particles propagated to consistency under the solved policy (the
-        loop of System C's cluster laws) reproduce the solved grid law: at
-        every (vertex, time) their W1 gap to its quantile atoms stays inside
-        the noise floor 3 / sqrt(R) (0.011 to 0.022 over four seeds when
-        this was written, against 0.067)."""
+        """Particles propagated once under the solved policy against the
+        solved law reproduce that law: at every (vertex, time) the W1 gap of
+        their marginals to its quantile atoms stays inside the noise floor
+        3 / sqrt(R)."""
         problem, sol = reverting_solution
-        _, laws, _ = inner_mv_consistency(problem, sol.policy)
+        laws = marginals(propagate_closed_loop(problem, sol.policy, sol.ensemble))
         gap = max(w1(laws.get(v, k), sol.ensemble.get(v, k))
                   for v in range(problem.M) for k in range(problem.K + 1))
-        assert gap < problem.noise_floor
+        assert gap < 3.0 / math.sqrt(problem.R)
 
     def test_initial_atom_outside_the_grid_rejected(self):
         """An initial law reaching past the space grid is an input error,
@@ -342,103 +399,10 @@ class TestPicardSolve:
     @staticmethod
     def own_mean_problem(M=2, K=16, R=400, seed=10, graphon=None,
                          initial=None, N_x=61):
-        # the drift reads the own measure, so a consistency loop has work
+        # the drift reads the own measure, so the Picard map has work
         return GMFGProblem(tracking_problem(f0c=Poly2(y=0.5, clip=(-1.0, 1.0))),
                            graphon or Graphon.constant(1.0), initial or dirac(0.5),
                            M=M, K=K, N_x=N_x, R=R, seed=seed)
-
-    def test_double_loop_sorts_each_propagation_once(self, monkeypatch):
-        """The particle measure-consistency loop iterated to a tolerance
-        (System C's law solve) sorts the zero-drift start and every
-        propagation once each, in place, as it adopts them, and nothing
-        sorts a copy. A grid solve adopts one quantile ensemble per law
-        solve, one law solve per pass, and nothing else."""
-        import gmfg.measures as measures_mod
-        from gmfg.measures import MeasureEnsemble
-
-        problem = self.own_mean_problem()
-        real_marginals, real_adopt = measures_mod.marginals, MeasureEnsemble.adopt
-        calls = []
-
-        def counting(bundle):
-            calls.append("marginals")
-            return real_marginals(bundle)
-
-        def adopting(atoms, times):
-            calls.append("adopt")
-            return real_adopt(atoms, times)
-
-        monkeypatch.setattr(measures_mod, "marginals", counting)
-        monkeypatch.setattr(MeasureEnsemble, "adopt", staticmethod(adopting))
-        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
-        assert calls == ["adopt"] * (1 + len(sol.trace))
-        calls.clear()
-        _, _, trace = inner_mv_consistency(problem, sol.policy, tol_inner=1e-6)
-        assert len(trace) > 2
-        assert calls == ["adopt"] * (1 + len(trace))
-
-    @pytest.mark.parametrize("tol_inner", [math.inf, 1e-6], ids=["one_pass", "to_tol"])
-    def test_one_draw_per_solve(self, monkeypatch, tol_inner):
-        """A grid solve draws no noise. A particle law solve (one pass of
-        the measure-consistency loop, or passes down to a tolerance) draws
-        each vertex's noise and initial states once and starts every
-        propagation from those draws."""
-        from gmfg import rng
-
-        problem = self.own_mean_problem()
-        real = rng.stream
-        draws = []
-
-        def counting(seed, *tags):
-            draws.append(tags[0])
-            return real(seed, *tags)
-
-        monkeypatch.setattr(rng, "stream", counting)
-        sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
-        assert draws == []
-        _, _, trace = inner_mv_consistency(problem, sol.policy, tol_inner)
-        assert len(trace) >= (1 if tol_inner == math.inf else 3)
-        assert draws.count(rng.PROPAGATE) == problem.M
-        assert draws.count(rng.INITIAL) == problem.M
-
-    def peak_path_arrays(self, tol_inner):
-        """A particle law solve as System C runs one (the
-        measure-consistency loop, which draws its start buffer and makes its
-        zero-drift start) under a solved policy, and its ``tracemalloc`` peak
-        in (M, K+1, R) float arrays."""
-        import tracemalloc
-
-        problem = self.own_mean_problem(
-            M=4, K=32, R=4000, seed=12, graphon=Graphon.uniform_attachment(),
-            initial=normal_quantile_measure(0.0, 0.3, 129))
-        sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
-        path_bytes = problem.M * (problem.K + 1) * problem.R * 8
-        tracemalloc.start()
-        try:
-            _, _, trace = inner_mv_consistency(problem, sol.policy, tol_inner)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return trace, peak / path_bytes
-
-    def test_single_loop_holds_three_path_arrays(self):
-        """One pass of the measure-consistency loop sorts its propagation
-        buffer in place, so the law solve's peak is the start buffer and two
-        ensembles, plus one vertex's W1 temporary, not five path-sized
-        arrays."""
-        trace, arrays = self.peak_path_arrays(math.inf)
-        assert len(trace) == 1
-        assert arrays < 4.0
-
-    def test_consistency_loop_to_tolerance_holds_three_path_arrays(self):
-        """Every pass of the loop iterated to a tolerance propagates in the
-        atoms of the ensemble it retired, the zero-drift start included, so
-        the peak is the start buffer and the loop's two ensembles, plus one
-        vertex's W1 temporary (3.54 arrays when this was written), not six
-        path-sized arrays."""
-        trace, arrays = self.peak_path_arrays(1e-6)
-        assert len(trace) >= 2
-        assert arrays < 4.0
 
     def test_grid_solve_holds_no_path_array(self):
         """The grid solve keeps node laws and quantile atoms: its
@@ -456,25 +420,6 @@ class TestPicardSolve:
         finally:
             tracemalloc.stop()
         assert peak < path_bytes
-
-    def test_recycled_buffer_leaves_ensembles_intact(self):
-        """The measure-consistency loop propagates each pass in the atoms of
-        the ensemble it last retired: its result equals fresh propagations
-        iterated by hand, bit for bit, each trace distance is the W1 gap
-        between consecutive iterates."""
-        problem = self.own_mean_problem(
-            M=3, K=16, R=500, seed=13, graphon=Graphon.uniform_attachment(),
-            initial=normal_quantile_measure(0.0, 0.3, 129))
-        sol = picard_solve(problem, tol=10.0, min_outer=3, max_outer=3)
-        _, got, trace = inner_mv_consistency(problem, sol.policy, tol_inner=1e-6)
-        assert len(trace) >= 3
-        ens, dists = zero_drift_ensemble(problem), []
-        for _ in trace:
-            new = marginals(propagate_closed_loop(problem, sol.policy, ens))
-            dists.append(ensemble_w1_sup(new, ens))
-            ens = new
-        assert np.array_equal(got.atoms, ens.atoms)
-        assert dists == trace
 
     def test_min_particle_count_enforced(self):
         with pytest.raises(InvariantError):
@@ -636,7 +581,7 @@ class TestBatchedPass:
         problem = GMFGProblem(p, Graphon.uniform_attachment(),
                               normal_quantile_measure(0.2, 0.3, 65), M=3, K=12,
                               N_x=41, R=300, seed=23)
-        ens = zero_drift_ensemble(problem)
+        ens = diffusion_ensemble(problem)
         x, times = problem.x_grid, problem.times
         alphas = problem.vertex_grid.midpoints
         fields = frozen_fields(p, problem.graphon, alphas, ens, x)
