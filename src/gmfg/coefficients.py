@@ -37,9 +37,11 @@ clusters, such as the chunks of time nodes of
 :func:`~gmfg.control.frozen_fields` on one x-grid, pays the set-up once;
 callers whose points move, such as the population stacks, plan at every
 step. Points that read their own clusters (a view with one row of columns
-per point) are searched in one pass: one gather of every (point, cluster)
-pair's cuts into cluster order, one search per cluster on its contiguous
-slice, and one scatter of the positions back.
+per point) are searched in one pass, and only where a search can tell
+something: a cut at or below a cluster's least sample sits at position 0
+and one above its greatest at n, so only the (point, cluster) pairs with a
+cut strictly inside the cluster's range are gathered into cluster order,
+searched once per cluster on their contiguous slice and scattered back.
 """
 
 import copy
@@ -149,10 +151,13 @@ class SortedClusters:
         When every point reads the same columns (one row of ``columns``),
         each column's cluster is searched with one call for all the cuts,
         and plane e is stored as one contiguous (width, n) block. Otherwise
-        the (point, column) pairs are sorted by cluster once: one gather
-        puts every pair's cuts in cluster order, each cluster's samples are
-        searched with one call on its contiguous slice of them, and one
-        scatter puts the positions back in pair order.
+        each cut is first compared with its column's least and greatest
+        sample: at or below the least it sits at 0, above the greatest at
+        the row length. The (point, column) pairs with a cut strictly
+        inside that range are then sorted by cluster: one gather puts their
+        cuts in cluster order, each cluster's samples are searched with one
+        call on its contiguous slice of them, and one scatter puts the
+        positions back in pair order.
         """
         y = self.sorted_rows()
         n, E = cuts.shape
@@ -165,17 +170,23 @@ class SortedClusters:
             for j, l in enumerate(self.columns[0].tolist()):
                 pos[:, j] = y[l].searchsorted(keys, side="left")
             return pos.transpose(0, 2, 1)
-        flat = np.broadcast_to(self.columns, (n, width)).ravel()
-        order = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[order], np.arange(y.shape[0] + 1)).tolist()
-        keys = cuts[order // width]   # (pairs, E), in cluster order
-        found = np.empty(keys.shape, dtype=np.intp)
-        for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if hi > lo:
-                found[lo:hi] = y[l].searchsorted(keys[lo:hi], side="left")
-        pos = np.empty((E, n * width), dtype=np.intp)
-        pos[:, order] = found.T
-        return pos.reshape(E, n, width)
+        columns = np.broadcast_to(self.columns, (n, width))
+        keys = cuts.T[:, :, None]   # (E, n, 1)
+        below = keys <= y[:, 0][columns]
+        pos = np.where(below, 0, self.size)
+        pairs = np.flatnonzero((~below & (keys <= y[:, -1][columns])).any(axis=0))
+        if pairs.size:
+            flat = columns.ravel()[pairs]
+            order = np.argsort(flat, kind="stable")
+            pairs = pairs[order]
+            bounds = np.searchsorted(flat[order], np.arange(y.shape[0] + 1)).tolist()
+            keys = cuts[pairs // width]   # (pairs, E), in cluster order
+            found = np.empty(keys.shape, dtype=np.intp)
+            for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if hi > lo:
+                    found[lo:hi] = y[l].searchsorted(keys[lo:hi], side="left")
+            pos.reshape(E, -1)[:, pairs] = found.T
+        return pos
 
 
 @dataclass

@@ -147,27 +147,34 @@ def _timed(seconds, phase):
             seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
 
 
-def inner_mv_consistency(problem, policy, max_inner=60):
+def inner_mv_consistency(problem, policy, max_inner=60, start=None):
     """Self-consistent vertex laws on the x-grid under a fixed feedback table.
 
-    Starts from the pure-diffusion law; each pass freezes the drift fields
-    of the current ensemble and solves the law of ``policy`` under them
-    (:func:`_law`), and its distance is the exact node-law W1 change, sup
-    over (vertex, time). With the policy fixed the map contracts, so the
-    distances decay geometrically; the loop stops at the first one at or
-    below the problem's ``distance_floor`` and raises ConvergenceError with
-    the trace after ``max_inner`` passes without it. Returns (masses,
-    ensemble, trace): the (M, K+1, N_x) node laws, their quantile ensemble
-    and the per-pass distances.
+    Starts from the ensemble ``start``, or from the pure-diffusion law if
+    None; each pass freezes the drift fields of the current ensemble and
+    solves the law of ``policy`` under them (:func:`_law`), and its
+    distance is the exact node-law W1 change, sup over (vertex, time). A
+    ``start`` brings no node masses, so its first law solve records no
+    distance: the trace then holds one entry fewer than the loop's law
+    solves under the policy, which a ladder rung reports as
+    ``system_c_law_passes``. A start near the fixed point, such as a
+    solved ensemble of the same problem, saves the passes that the
+    pure-diffusion start spends reaching it. With the policy fixed the map
+    contracts, so the distances decay geometrically; the loop stops at the
+    first one at or below the problem's ``distance_floor`` and raises
+    ConvergenceError with the trace after ``max_inner`` passes without it.
+    Returns (masses, ensemble, trace): the (M, K+1, N_x) node laws, their
+    quantile ensemble and the per-pass distances.
     """
     dx = float(problem.x_grid[1] - problem.x_grid[0])
-    masses, ens = _law(problem)
+    masses, ens = _law(problem) if start is None else (None, start)
     trace = []
     for _ in range(max_inner):
         new, ens = _law(problem, _drift_fields(problem, ens).drift_coef * policy)
-        trace.append(node_w1_sup(new, masses, dx))
+        if masses is not None:
+            trace.append(node_w1_sup(new, masses, dx))
         masses = new
-        if trace[-1] <= problem.distance_floor:
+        if trace and trace[-1] <= problem.distance_floor:
             return masses, ens, trace
     raise ConvergenceError(
         f"measure consistency stalled above {problem.distance_floor:.3g} "
@@ -276,10 +283,11 @@ def sensitivity_probe(problem, solution, delta=0.05):
 
     * c1: sup-norm policy change divided by the ensemble shift, and
     * c2: the node-law W1 distance between the self-consistent laws of
-      the two policies (:func:`inner_mv_consistency`), sup over (vertex,
-      time), divided by the policy change. That law distance is the one
-      the Picard contraction bounds, and it is at most the
-      synchronous-coupling path distance of the two policies.
+      the two policies (:func:`inner_mv_consistency`, each loop started
+      from the solved ensemble), sup over (vertex, time), divided by the
+      policy change. That law distance is the one the Picard contraction
+      bounds, and it is at most the synchronous-coupling path distance of
+      the two policies.
 
     A zero denominator leaves the corresponding estimate undefined (NaN).
     """
@@ -293,7 +301,7 @@ def sensitivity_probe(problem, solution, delta=0.05):
 
     if dphi <= 0.0:
         return SensitivityReport(c1, math.nan, dphi, shift_dist)
-    laws = [inner_mv_consistency(problem, policy)[0]
+    laws = [inner_mv_consistency(problem, policy, start=solution.ensemble)[0]
             for policy in (solution.policy, shifted_policy)]
     c2 = node_w1_sup(*laws, float(problem.x_grid[1] - problem.x_grid[0])) / dphi
     return SensitivityReport(c1, c2, dphi, shift_dist)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gmfg import (Constant, InvariantError, MeasureEnsemble, Poly2,
                   ProblemFunctions, SortedClusters)
+from gmfg.population import _stack_views
 
 # Small dyadic numbers keep the arithmetic exact often enough that samples
 # tie and land exactly on a clip threshold; plain floats cover the rest.
@@ -255,6 +256,51 @@ class TestPositions:
                 l = columns[i % rows, c]
                 np.testing.assert_array_equal(
                     got[:, i, c], np.searchsorted(ordered[l], cuts[i], side="left"))
+
+    @staticmethod
+    def assert_searchsorted(view, cuts):
+        """Every (point, column) pair of ``view`` holds the left search
+        positions of its point's cuts in its column's sorted samples."""
+        got = view.positions(np.asfortranarray(cuts))
+        ordered = view.sorted_rows()
+        columns = np.broadcast_to(view.columns, (cuts.shape[0], view.width))
+        want = np.array([[np.searchsorted(ordered[l], point_cuts, side="left")
+                          for l in row] for row, point_cuts in zip(columns, cuts)])
+        assert got.shape == (cuts.shape[1],) + columns.shape
+        assert np.array_equal(got, want.transpose(2, 0, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stack_views_search_only_inside_cuts_yet_equal_searchsorted(self, data):
+        """The own-cluster (width 1) and row (width M_k) views of a stack
+        search only the pairs with a cut strictly inside their cluster's
+        range, yet every pair reads searchsorted's position: cuts on a
+        cluster's least or greatest sample, tied samples, absent roots
+        (+inf) and cuts beyond every cluster, for E = 2 and E = 4."""
+        S, M_k, size = (data.draw(st.integers(1, 3)) for _ in range(3))
+        # few distinct samples, so that they tie
+        values = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=S * M_k * size,
+                                             max_size=S * M_k * size))) / 2.0
+        clusters = SortedClusters(values.reshape(S * M_k, size))
+        own = np.array(data.draw(st.lists(st.integers(0, M_k - 1), min_size=1, max_size=4)))
+        E = data.draw(st.sampled_from([2, 4]))
+        n = S * own.size
+        cut = st.one_of(st.sampled_from(sorted(set(values.tolist()))),
+                        st.sampled_from([-5.0, 5.0, np.inf]), numbers)
+        cuts = np.sort(np.array(data.draw(st.lists(cut, min_size=n * E, max_size=n * E)))
+                       .reshape(n, E), axis=1)
+        for view in _stack_views(clusters, S, M_k, own):
+            self.assert_searchsorted(view, cuts)
+
+    def test_cuts_on_the_range_ends(self):
+        """A cut at a cluster's least sample sits at 0 without a search; one
+        at its greatest sample is searched, and lands before its ties."""
+        clusters = SortedClusters([[0.0, 1.0, 1.0], [2.0, 2.0, 3.0]])
+        own, row = _stack_views(clusters, 1, 2, np.array([0, 1]))
+        for cuts in ([[0.0, 1.0], [2.0, 3.0]], [[1.0, np.inf], [-1.0, 2.0]],
+                     [[0.0, 0.0, 1.0, np.inf], [2.0, 2.5, 3.0, 3.5]]):
+            for view in (own, row):
+                self.assert_searchsorted(view, np.array(cuts))
 
     @settings(max_examples=300, deadline=None)
     @given(clipped_coefficients(), st.data())

@@ -12,6 +12,7 @@ from gmfg import (ConfigError, Constant, GMFGProblem, GMFGSolution, Graphon, Gri
 from gmfg import rng
 from gmfg.population import (_assemble_gap_report, _cluster_policy,
                              _equilibrium_and_deviations, system_c_fields, system_d_fields)
+from gmfg.solver import _drift_fields
 
 
 tracking = Poly2(xx=1.0, xy=-2.0, yy=1.0)
@@ -425,17 +426,19 @@ class TestSystemCD:
         band = 3 * terminal.std() / math.sqrt(len(idx)) + 0.1
         assert w1(empirical(terminal), law) < band
 
-    def test_ladder_solves_cluster_laws_once_per_rung(self, monkeypatch):
+    def test_ladder_solves_cluster_laws_once_per_rung(self, monkeypatch, law_solves):
         """Over a two-replication ladder the law loop runs once per rung,
-        not once per replication, and each rung reports its passes."""
+        not once per replication, and each rung reports the law solves
+        under the policy that its loop made."""
         from gmfg import population
 
         real = population.inner_mv_consistency
         passes = []
 
         def spy(*args, **kwargs):
+            before = sum(law_solves)
             result = real(*args, **kwargs)
-            passes.append(len(result[2]))
+            passes.append(sum(law_solves) - before)
             return result
 
         monkeypatch.setattr(population, "inner_mv_consistency", spy)
@@ -449,6 +452,43 @@ class TestSystemCD:
                                 solver_kwargs={"tol": 0.1}))
         assert len(passes) == 2
         assert [r["system_c_law_passes"] for r in rungs] == passes
+
+    def test_shipped_rungs_take_at_most_four_law_solves(self, law_solves):
+        """On every rung of the shipped ladder, System C's law loop starts
+        from the rung's solved law, which is close to the cluster laws: it
+        makes at most four law solves under the policy (six from the
+        pure-diffusion law), and reports each of them."""
+        import os
+
+        from gmfg.scenario import parse_scenario
+
+        scenario = parse_scenario(os.path.join(os.path.dirname(__file__), "..", "demos",
+                                               "scenarios", "enash_ladder.json"))
+        for M_k, size in scenario.rungs:
+            problem = scenario.build_problem(M_k)
+            solution = picard_solve(problem, tol=scenario.picard_tol,
+                                    max_outer=scenario.max_outer)
+            pop = build_population(problem.graphon, M_k, size, problem.initial_law,
+                                   seed=problem.seed + 7919)
+            law_solves.clear()
+            _, passes = system_c_fields(pop, solution)
+            assert passes == sum(law_solves) == len(law_solves) <= 4
+
+    def test_cluster_start_reads_the_nearest_vertex(self, coupled_solution):
+        """A population whose clusters are not the solver's vertices starts
+        its law loop from the solved law of each cluster's policy vertex,
+        and its fields are those of the pure-diffusion start to rounding."""
+        pop = build_population(Graphon.uniform_attachment(), 2, 5,
+                               normal_quantile_measure(0.0, 0.3, 65), seed=27)
+        problem = coupled_solution.problem
+        fields, passes = system_c_fields(pop, coupled_solution)
+        clone = GMFGProblem(problem.functions, pop.graph, pop.initial_law, M=pop.M_k,
+                            K=problem.K, N_x=problem.N_x,
+                            domain=(problem.x_grid[0], problem.x_grid[-1]))
+        _, laws, _ = inner_mv_consistency(clone, _cluster_policy(pop, coupled_solution))
+        assert passes >= 1
+        np.testing.assert_allclose(fields.drift_coef,
+                                   _drift_fields(clone, laws).drift_coef, rtol=0, atol=1e-12)
 
     def test_d_marginals_match_solution_ensemble(self, coupled_solution):
         pop = build_population(Graphon.uniform_attachment(), 4, 100,

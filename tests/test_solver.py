@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ def small_problem(M=4, K=32, R=2000, seed=11, graphon=None, **kw):
     return GMFGProblem(tracking_problem(**kw), g,
                        normal_quantile_measure(0.0, 0.3, 129),
                        M=M, K=K, N_x=121, R=R, seed=seed)
+
+
+def ladder_problem(M):
+    """The shipped ladder scenario's solver problem at M vertices."""
+    from gmfg.scenario import parse_scenario
+
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios",
+                        "enash_ladder.json")
+    return parse_scenario(path).build_problem(M=M)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +175,26 @@ class TestInnerConsistency:
         with pytest.raises(ConvergenceError) as err:
             inner_mv_consistency(prob, pols, max_inner=2)
         assert len(err.value.trace) == 2
+
+    def test_start_near_the_fixed_point_saves_law_solves(self, law_solves):
+        """Started from the solved ensemble, the loop reaches the laws of the
+        pure-diffusion start, within a few rounding floors of the node-law
+        W1, with fewer law solves under the policy; its first solve records
+        no distance."""
+        from gmfg.measures import node_w1_sup
+
+        problem = ladder_problem(M=2)
+        sol = picard_solve(problem, tol=0.08)
+        law_solves.clear()
+        cold, _, cold_trace = inner_mv_consistency(problem, sol.policy)
+        cold_solves = sum(law_solves)
+        law_solves.clear()
+        warm, _, warm_trace = inner_mv_consistency(problem, sol.policy, start=sol.ensemble)
+        assert len(cold_trace) == cold_solves
+        assert len(warm_trace) == sum(law_solves) - 1 == len(law_solves) - 1
+        assert sum(law_solves) < cold_solves
+        dx = float(problem.x_grid[1] - problem.x_grid[0])
+        assert node_w1_sup(warm, cold, dx) <= 4 * problem.distance_floor
 
     def test_grid_loops_draw_no_noise(self, monkeypatch):
         """Neither the Picard solve nor the fixed-policy law loop draws a
@@ -309,13 +339,7 @@ class TestPicardSolve:
         5 / sqrt(R) (0.079 at R = 4000) is met as asked: the ladder problem
         at M = 2 contracts by about 0.04 per pass and reaches 1e-9 in six
         passes."""
-        import os
-
-        from gmfg.scenario import parse_scenario
-
-        path = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios",
-                            "enash_ladder.json")
-        problem = parse_scenario(path).build_problem(M=2)
+        problem = ladder_problem(M=2)
         assert problem.R == 4000
         sol = picard_solve(problem, tol=1e-9)
         assert sol.tol == 1e-9
