@@ -49,23 +49,41 @@ def write_csv(path, header, columns, meta=None):
     """Write equal-length column arrays under ``header`` as one CSV file.
 
     ``meta`` (a mapping) becomes leading ``# key=value`` lines. Rows are
-    formatted and written in blocks, so the whole text is never held.
+    formatted and written in blocks, so the whole text is never held. A
+    float column whose values all share one bit pattern is formatted once,
+    into the row template.
     """
     cols = [np.asarray(c) for c in columns]
     n_rows = len(cols[0])
     if any(len(c) != n_rows for c in cols):
         raise ValueError("CSV columns differ in length")
-    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
-                   for c in cols) + "\r\n"
+    fields, varying = [], []
+    for c in cols:
+        if c.dtype == np.float64 and n_rows and _one_bit_pattern(c):
+            fields.append("%.17g" % c[0])
+        else:
+            fields.append("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g")
+            varying.append(c)
+    row = ",".join(fields) + "\r\n"
 
     def blocks():
         yield "".join(f"# {key}={value}\r\n" for key, value in (meta or {}).items())
         yield ",".join(header) + "\r\n"
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = (c[start:start + _CSV_BLOCK_ROWS].tolist() for c in cols)
+            if not varying:
+                yield row * min(_CSV_BLOCK_ROWS, n_rows - start)
+                continue
+            block = (c[start:start + _CSV_BLOCK_ROWS].tolist() for c in varying)
             yield "".join(map(row.__mod__, zip(*block)))
 
     atomic_write(path, blocks())
+
+
+def _one_bit_pattern(c):
+    """Whether the float64 column ``c`` holds one bit pattern throughout
+    (so -0.0 and 0.0, or two NaN payloads, count as different values)."""
+    bits = c.view(np.uint64)
+    return bool((bits == bits[0]).all())
 
 
 def json_text(obj, level=0):

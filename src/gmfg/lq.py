@@ -8,7 +8,10 @@ integral operator acting on the vertex-mean surface; when that operator's
 norm bound is below one the mean-field surface is the limit of a Picard
 iteration and the per-vertex feedback is affine. The Riccati,
 fundamental-matrix and offset ODEs all take the one classical RK4 step
-:func:`_rk4` on the half-step grid. The fundamental matrices are kept as
+:func:`_rk4` on the half-step grid. The nonlinear Riccati path steps node
+by node; the fundamental-matrix and offset ODEs are linear, so one
+:func:`_rk4` call over all K steps tabulates their one-step maps, and the
+solution is one small product per node. The fundamental matrices are kept as
 factors, Phi(t, s) = U(t) U(s)^-1, so the operator's trapezoid integrals
 are cumulative sums and its memory is linear in the number of time nodes.
 """
@@ -127,7 +130,9 @@ def _rk4(rhs, y, h, j):
 
     The fine grid holds the nodes and their midpoints, so the step of
     length h reads the middle stages at node j + 1 and the last at j + 2;
-    a negative h steps backward, from j through j - 1 to j - 2.
+    a negative h steps backward, from j through j - 1 to j - 2. An array
+    j of start nodes, with y stacked along its first axis, takes all
+    those steps in one call.
     """
     d = 1 if h > 0 else -1
     k1 = rhs(j, y)
@@ -141,21 +146,28 @@ def solve_riccati(p):
     """Classical RK4 backward solve of the matrix Riccati equation.
 
     Integrates on a half-step grid (the right-hand side is autonomous, so
-    the stages need no interpolation) and symmetrizes at every node.
-    Finite-escape blow-up raises instead of returning garbage.
+    the stages need no interpolation) and symmetrizes at every node. The
+    equation is nonlinear, so it steps node by node. Finite-escape blow-up
+    raises instead of returning garbage: the finished path is checked
+    once, and the error names the first node (in backward time) past
+    ``_BLOWUP``.
     """
     n, K = p.n, p.K
     h = p.T / (2 * K)
+    At, A, BRB, Q = p.A.T, p.A, p.BRB, p.Q
 
     def rhs(_, Pi):
-        return -(p.A.T @ Pi + Pi @ p.A - Pi @ p.BRB @ Pi + p.Q)
+        return -(At @ Pi + Pi @ A - Pi @ BRB @ Pi + Q)
 
     fine = np.empty((2 * K + 1, n, n))
     fine[-1] = _sym(p.Q_T)
-    for j in range(2 * K - 1, -1, -1):
-        fine[j] = _sym(_rk4(rhs, fine[j + 1], -h, j + 1))
-        if np.abs(fine[j]).max() > _BLOWUP:
-            raise NumericalError(f"Riccati finite escape near t={j * h:.4g}")
+    # steps past the float range are caught by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(2 * K - 1, -1, -1):
+            fine[j] = _sym(_rk4(rhs, fine[j + 1], -h, j + 1))
+    escaped = np.flatnonzero(~np.all(np.abs(fine) <= _BLOWUP, axis=(1, 2)))
+    if escaped.size:
+        raise NumericalError(f"Riccati finite escape near t={escaped[-1] * h:.4g}")
     return RiccatiPath(p.times, fine)
 
 
@@ -178,22 +190,30 @@ def fundamental_matrices(p, ric):
 
     Phi solves xdot = (A - B R^-1 B' Pi_t + D0) x and Psi solves
     ydot = -(A - B R^-1 B' Pi_t)' y; both satisfy Phi(s, s) = I. When
-    D0 = 0, Psi(t, s) equals Phi(s, t) transposed. Each factor is one
-    forward RK4 solve of U' = C(t) U, U(0) = I, over its (2K+1, n, n)
-    coefficient table C on the fine grid, built once, and its inverse is
-    one batched ``np.linalg.inv``. A factor that grows past ``_BLOWUP`` or
-    that is singular to working precision raises NumericalError.
+    D0 = 0, Psi(t, s) equals Phi(s, t) transposed. Each factor solves
+    U' = C(t) U, U(0) = I, forward by RK4 over its (2K+1, n, n)
+    coefficient table C on the fine grid. The ODE is linear, so the step
+    from node k is U[k+1] = G[k] U[k] with G[k] the step of the identity:
+    one :func:`_rk4` call builds all K maps G, then one small product per
+    node chains them, and the inverse is one batched ``np.linalg.inv``. A
+    factor that grows past ``_BLOWUP`` or that is singular to working
+    precision raises NumericalError.
     """
     dt = p.T / p.K
+    starts = 2 * np.arange(p.K)
+    eye = np.broadcast_to(np.eye(p.n), (p.K, p.n, p.n))
     closed = p.A - p.BRB @ ric.half_steps
     factors = []
     for coef in (closed + p.D0, -np.swapaxes(closed, 1, 2)):
+        G = _rk4(lambda j, u: coef[j] @ u, eye, dt, starts)
         U = np.empty((p.K + 1, p.n, p.n))
         U[0] = np.eye(p.n)
-        for k in range(p.K):
-            U[k + 1] = _rk4(lambda j, u: coef[j] @ u, U[k], dt, 2 * k)
-            if np.abs(U[k + 1]).max() > _BLOWUP:
-                raise NumericalError("fundamental matrix overflow")
+        # a product past the float range is caught by the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(p.K):
+                np.matmul(G[k], U[k], out=U[k + 1])
+        if not np.all(np.abs(U) <= _BLOWUP):
+            raise NumericalError("fundamental matrix overflow")
         try:
             factors += [U, np.linalg.inv(U)]
         except np.linalg.LinAlgError:
@@ -419,28 +439,38 @@ def solve_lq_fixed_point(p, tol=1e-9, x_init=None):
 
 def _recover_offsets(p, ric, xbar, zbar):
     """Backward RK4 for the offset ODE driven by the mean-field surface,
-    read at the half nodes as the mean of the two node values."""
+    read at the half nodes as the mean of the two node values.
+
+    The ODE s' = -s C(t) + f(t) is linear in the row vector s, so the step
+    from node k + 1 is s_k = s_{k+1} P_k + q_k: P_k steps the identity
+    under -u C(t) and q_k steps zero under the whole right side, whose
+    drive f is tabulated once on the fine grid. One :func:`_rk4` call
+    builds each of P and q for all K steps.
+    """
     K, n, M = p.K, p.n, xbar.shape[0]
-    # both surfaces on the fine grid: the nodes, and their means between
-    fine = np.empty((2, M, 2 * K + 1, n))
-    fine[:, :, ::2] = xbar, zbar
-    fine[:, :, 1::2] = 0.5 * (fine[:, :, 2::2] + fine[:, :, :-2:2])
-
-    # the per-node coefficient matrices on the fine grid, built once
-    drive_x = np.swapaxes(p.gamma0 * p.Q - ric.half_steps @ p.D0, 1, 2)
-    drive_z = np.swapaxes(p.gamma * p.Q - ric.half_steps @ p.D, 1, 2)
+    dt = p.T / K
+    starts = 2 * np.arange(1, K + 1)
+    # both surfaces on the fine grid, time first: the nodes, and their
+    # means between
+    fine = np.empty((2, 2 * K + 1, M, n))
+    fine[:, ::2] = np.swapaxes(xbar, 0, 1), np.swapaxes(zbar, 0, 1)
+    fine[:, 1::2] = 0.5 * (fine[:, 2::2] + fine[:, :-2:2])
     closed = p.A - p.BRB @ ric.half_steps
-    forcing = p.Q @ p.eta
+    drive = (fine[0] @ np.swapaxes(p.gamma0 * p.Q - ric.half_steps @ p.D0, 1, 2)
+             + fine[1] @ np.swapaxes(p.gamma * p.Q - ric.half_steps @ p.D, 1, 2)
+             + p.Q @ p.eta)
+    del fine
+    P = _rk4(lambda j, u: -(u @ closed[j]), np.broadcast_to(np.eye(n), (K, n, n)),
+             -dt, starts)
+    q = _rk4(lambda j, u: drive[j] - u @ closed[j], np.zeros((K, M, n)), -dt, starts)
+    del drive
 
-    def rhs(j, s):
-        return -(s @ closed[j]) + (fine[0, :, j] @ drive_x[j]
-                                   + fine[1, :, j] @ drive_z[j] + forcing)
-
-    s = np.empty((M, K + 1, n))
-    s[:, K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T
+    s = np.empty((K + 1, M, n))
+    s[K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T
     for k in range(K - 1, -1, -1):
-        s[:, k] = _rk4(rhs, s[:, k + 1], -p.T / K, 2 * k + 2)
-    return s
+        np.matmul(s[k + 1], P[k], out=s[k])
+        s[k] += q[k]
+    return np.ascontiguousarray(np.swapaxes(s, 0, 1))
 
 
 def lq_consistency_vs_simulation(p, sol, R_mc=10_000, seed=0):

@@ -379,7 +379,8 @@ def _pooled_gap_rows(pairs, cluster_of, exclude=None):
     bias a sup over thousands of noisy per-agent cells would pick up.
     """
     rows = []
-    labels = np.unique(cluster_of)
+    # not np.unique, whose masked-array check imports numpy.ma mid-run
+    labels = sorted(set(cluster_of.tolist()))
     for a, b in pairs:
         gap = np.abs(a - b)
         pooled = []

@@ -103,6 +103,23 @@ class TestWriteCsv:
             assert fh.read() == reference_csv(header, columns, meta).encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 4097])
+    def test_constant_columns_write_the_reference_bytes(self, tmp_path, n_rows):
+        """A float column of one bit pattern is formatted once; 0.0 and -0.0,
+        or two NaN payloads, are different patterns and stay per row."""
+        quiet = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                         dtype=np.uint64).view(np.float64)
+        alternate = np.arange(n_rows) % 2
+        columns = [np.full(n_rows, 1 / 128), np.full(n_rows, -0.0),
+                   np.where(alternate, 0.0, -0.0), np.full(n_rows, np.nan),
+                   quiet[alternate], np.full(n_rows, -np.inf),
+                   np.arange(n_rows), np.full(n_rows, 0.1, dtype=np.float32)]
+        header = [f"c{i}" for i in range(len(columns))]
+        for cols in (columns, columns[:1], columns[3:4]):
+            write_csv(tmp_path / "a.csv", header[:len(cols)], cols, {"k": "v"})
+            want = reference_csv(header[:len(cols)], cols, {"k": "v"})
+            assert (tmp_path / "a.csv").read_bytes() == want.encode()
+
     def test_columns_of_unequal_length_write_nothing(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "a.csv", ["a", "b"], [np.zeros(5000), np.zeros(4999)])

@@ -476,6 +476,23 @@ class TestSimulateEnashCommand:
         assert rung["N"] == 3
         assert all(r["system_c_law_passes"] >= 1 for r in report["rungs"])
 
+    def test_ladder_run_does_not_import_numpy_ma(self, tmp_path, monkeypatch):
+        """A ladder run uses no masked arrays, so it must not pay for the
+        numpy.ma import (which np.unique triggers through its masked-array
+        check); its report is the bytes an in-process run writes."""
+        monkeypatch.delenv("GMFG_TIMING", raising=False)
+        shipped = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                               "scenarios", "enash_ladder.json")
+        argv = ["simulate-enash", "--config", shipped, "--ladder", "2:25", "--out"]
+        proc = run_python(["-c", "import sys; from gmfg.cli import main; "
+                           "code = main(sys.argv[1:]); sys.exit(code or "
+                           "('numpy.ma' in sys.modules and 'numpy.ma was imported'))",
+                           *argv, str(tmp_path / "sub")])
+        assert proc.returncode == 0, proc.stderr
+        assert main([*argv, str(tmp_path / "in")]) == 0
+        assert ((tmp_path / "sub" / "report.json").read_bytes()
+                == (tmp_path / "in" / "report.json").read_bytes())
+
     def test_dump_paths_and_ladder_override(self, tmp_path):
         doc = nonlinear_scenario()
         doc["ladder"] = {"rungs": [[1, 3]], "replications": 2}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gmfg import Graphon, InvariantError, VertexGrid, section_integral
+from gmfg import Graphon, InvariantError, NumericalError, VertexGrid, section_integral
 from gmfg.lq import (LambdaOperator, LQParams, _recover_offsets, _rk4,
                      fundamental_matrices, lq_consistency_vs_simulation,
                      solve_lq_fixed_point, solve_riccati)
@@ -104,6 +104,18 @@ class TestSolveRiccati:
     def test_psd_and_symmetry_along_path(self):
         ric = solve_riccati(benchmark_params(M=4, K=100))
         ric.validate(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("A", [10.0, 300.0])
+    def test_escape_names_the_first_node_past_the_blowup_level(self, A):
+        """With no control, Pi(t) = (exp(2 A (T - t)) - 1) / (2 A) passes
+        1e8 backward from T; at A = 300 the path then leaves the float
+        range, which must raise without a RuntimeWarning."""
+        p = scalar_params(A=A, B=0.0, Q=1.0, T=2.0, K=200)
+        cross = p.T - np.log1p(2 * A * 1e8) / (2 * A)
+        with pytest.raises(NumericalError, match="Riccati finite escape near t=") as err:
+            solve_riccati(p)
+        t = float(str(err.value).rsplit("=", 1)[1])
+        assert abs(t - cross) <= p.T / p.K
 
 
 class TestFundamentalMatrices:
@@ -318,23 +330,29 @@ def transition_tables(p, ric):
     return tables
 
 
-def reference_fundamental(coeff_at, n, K, dt):
-    # the four RK4 stages written out, one coefficient call per stage node
+def reference_fundamental(coeff_at, n, K, dt, chain=False):
+    # the four RK4 stages written out, one coefficient call per stage node,
+    # on U[k] itself, or (chain) on the identity, which gives the one-step
+    # map G_k of U[k + 1] = G_k U[k]
     U = np.empty((K + 1, n, n))
     U[0] = np.eye(n)
     for k in range(K):
         M0, Mh, M1 = coeff_at(2 * k), coeff_at(2 * k + 1), coeff_at(2 * k + 2)
-        u = U[k]
+        u = np.eye(n) if chain else U[k]
         k1 = M0 @ u
         k2 = Mh @ (u + 0.5 * dt * k1)
         k3 = Mh @ (u + 0.5 * dt * k2)
         k4 = M1 @ (u + dt * k3)
-        U[k + 1] = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        step = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        U[k + 1] = step @ U[k] if chain else step
     return U
 
 
-def reference_offsets(p, ric, xbar, zbar):
-    # backward stages from node k + 1, half-node surfaces as node means
+def reference_offsets(p, ric, xbar, zbar, linear=False):
+    # backward stages from node k + 1, half-node surfaces as node means;
+    # written out on s_{k+1} itself, or (linear) on the identity under the
+    # homogeneous part and on zero under the whole right side, which give
+    # the step map P_k and shift q_k of s_k = s_{k+1} P_k + q_k
     K, n, M = p.K, p.n, xbar.shape[0]
     dt = p.T / K
     xb_h = 0.5 * (xbar[:, 1:] + xbar[:, :-1])
@@ -347,15 +365,24 @@ def reference_offsets(p, ric, xbar, zbar):
     def rhs(j, s, xb, zb):
         return -(s @ closed[j]) + (xb @ drive_x[j] + zb @ drive_z[j] + forcing)
 
-    s = np.empty((M, K + 1, n))
-    s[:, K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T
-    for k in range(K - 1, -1, -1):
-        cur = s[:, k + 1]
+    def homogeneous(j, s, xb, zb):
+        return -(s @ closed[j])
+
+    def step(k, cur, rhs):
         k1 = rhs(2 * k + 2, cur, xbar[:, k + 1], zbar[:, k + 1])
         k2 = rhs(2 * k + 1, cur - 0.5 * dt * k1, xb_h[:, k], zb_h[:, k])
         k3 = rhs(2 * k + 1, cur - 0.5 * dt * k2, xb_h[:, k], zb_h[:, k])
         k4 = rhs(2 * k, cur - dt * k3, xbar[:, k], zbar[:, k])
-        s[:, k] = cur - (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return cur - (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    s = np.empty((M, K + 1, n))
+    s[:, K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T
+    for k in range(K - 1, -1, -1):
+        if linear:
+            s[:, k] = (s[:, k + 1] @ step(k, np.eye(n), homogeneous)
+                       + step(k, np.zeros((M, n)), rhs))
+        else:
+            s[:, k] = step(k, s[:, k + 1], rhs)
     return s
 
 
@@ -423,32 +450,39 @@ class TestMatrixKernels:
         assert np.abs(op.apply(x) - want).max() <= 2 * np.finfo(float).eps * cond * scale
 
     def test_fundamental_matrices_match_stage_loops(self):
-        """The shared RK4 step over batched coefficient tables gives the
-        bits of the written-out stages with per-node coefficients."""
+        """The factors are the bits of the written-out one-step maps
+        chained node by node, and within K eps max|U| of the stages
+        written out on U[k] itself."""
         p = matrix_params()
         ric = solve_riccati(p)
         dt = p.T / p.K
-        U = reference_fundamental(
-            lambda j: p.A - p.BRB @ ric.half_steps[j] + p.D0, p.n, p.K, dt)
-        W = reference_fundamental(
-            lambda j: -(p.A - p.BRB @ ric.half_steps[j]).T, p.n, p.K, dt)
         fm = fundamental_matrices(p, ric)
-        assert np.array_equal(fm.U, U)
-        assert np.array_equal(fm.W, W)
-        assert np.array_equal(fm.U_inv, np.linalg.inv(U))
-        assert np.array_equal(fm.W_inv, np.linalg.inv(W))
+        for got, coeff_at in (
+                (fm.U, lambda j: p.A - p.BRB @ ric.half_steps[j] + p.D0),
+                (fm.W, lambda j: -(p.A - p.BRB @ ric.half_steps[j]).T)):
+            assert np.array_equal(got, reference_fundamental(coeff_at, p.n, p.K, dt,
+                                                             chain=True))
+            want = reference_fundamental(coeff_at, p.n, p.K, dt)
+            bound = p.K * np.finfo(float).eps * np.abs(want).max()
+            assert np.abs(got - want).max() <= bound
+        assert np.array_equal(fm.U_inv, np.linalg.inv(fm.U))
+        assert np.array_equal(fm.W_inv, np.linalg.inv(fm.W))
 
     def test_offsets_match_stage_loops(self):
-        """Backward steps of the shared RK4 step (a negative length) on the
-        fine-grid surfaces give the bits of the written-out stages."""
+        """Backward steps s_k = s_{k+1} P_k + q_k give the bits of P_k and
+        q_k written out stage by stage, and stay within K eps max|s| of the
+        stages written out on s_{k+1} itself."""
         p = matrix_params()
         ric = solve_riccati(p)
         gen = np.random.default_rng(11)
         xbar = gen.normal(size=(p.M, p.K + 1, p.n))
         zbar = gen.normal(size=(p.M, p.K + 1, p.n))
+        got = _recover_offsets(p, ric, xbar, zbar)
+        assert np.array_equal(got, reference_offsets(p, ric, xbar, zbar, linear=True))
         want = reference_offsets(p, ric, xbar, zbar)
         assert np.abs(want).max() > 1e-2
-        assert np.array_equal(_recover_offsets(p, ric, xbar, zbar), want)
+        bound = p.K * np.finfo(float).eps * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
 
 
 class TestSolveLQFixedPoint:
