@@ -8,12 +8,15 @@ integral operator acting on the vertex-mean surface; when that operator's
 norm bound is below one the mean-field surface is the limit of a Picard
 iteration and the per-vertex feedback is affine. The Riccati,
 fundamental-matrix and offset ODEs all take the one classical RK4 step
-:func:`_rk4` on the half-step grid. The nonlinear Riccati path steps node
-by node; the fundamental-matrix and offset ODEs are linear, so one
-:func:`_rk4` call over all K steps tabulates their one-step maps, and the
-solution is one small product per node. The fundamental matrices are kept as
-factors, Phi(t, s) = U(t) U(s)^-1, so the operator's trapezoid integrals
-are cumulative sums and its memory is linear in the number of time nodes.
+:func:`_rk4` on the half-step grid. The Riccati path is the Moebius image
+of a linear Hamiltonian system with a constant matrix, so one :func:`_rk4`
+step of the identity is its step map at every node, and the path is read in
+anchored blocks from that map's powers. The fundamental-matrix and offset
+ODEs are linear, so one :func:`_rk4` call over all K steps tabulates their
+one-step maps, and the solution is one small product per node. The
+fundamental matrices are kept as factors, Phi(t, s) = U(t) U(s)^-1, so the
+operator's trapezoid integrals are cumulative sums and its memory is linear
+in the number of time nodes.
 """
 
 import math
@@ -33,6 +36,10 @@ _LQ_MAX_ITER = 200
 _LQ_ODE_TOL = 1e-3
 # rows of Phi or Psi per block of the one-input norm bound
 _BOUND_ROWS = 64
+# half-steps per anchored block of the Riccati path, and the growth of the
+# block's step-map power that ends it early
+_BLOCK_STEPS = 64
+_BLOCK_GROWTH = 1e4
 
 
 def _sym(m):
@@ -115,15 +122,6 @@ class RiccatiPath:
     def Pi(self):        # (K+1, n, n), the time nodes
         return self.half_steps[::2]
 
-    def validate(self, Q_T):
-        if not np.allclose(self.Pi[-1], Q_T):
-            raise InvariantError("terminal Riccati value must equal Q_T")
-        for k in range(self.Pi.shape[0]):
-            if not np.allclose(self.Pi[k], self.Pi[k].T, atol=1e-10):
-                raise InvariantError("Riccati path lost symmetry")
-            if np.linalg.eigvalsh(self.Pi[k]).min() < -1e-10:
-                raise InvariantError("Riccati path lost positive semidefiniteness")
-
 
 def _rk4(rhs, y, h, j):
     """One classical RK4 step of y' = rhs(i, y) from fine node j.
@@ -143,28 +141,50 @@ def _rk4(rhs, y, h, j):
 
 
 def solve_riccati(p):
-    """Classical RK4 backward solve of the matrix Riccati equation.
+    """Backward solve of the matrix Riccati equation through its Hamiltonian
+    system.
 
-    Integrates on a half-step grid (the right-hand side is autonomous, so
-    the stages need no interpolation) and symmetrizes at every node. The
-    equation is nonlinear, so it steps node by node. Finite-escape blow-up
-    raises instead of returning garbage: the finished path is checked
-    once, and the error names the first node (in backward time) past
-    ``_BLOWUP``.
+    Pi = Y X^-1 where [X; Y]' = H [X; Y] with the constant
+    H = [[A, -BRB], [-Q, -A']] (Radon's lemma), so one backward
+    :func:`_rk4` half-step of the identity under H is a step map G shared
+    by every node, and the path is fourth order on the half-step grid.
+    The powers G^1..G^m are chained once; a block anchored at half-node a
+    with X = I reads Pi at its m nodes from one batched product
+    G^i [I; Pi_a] and one batched solve, symmetrized, and the next block
+    anchors at its last node. A block holds at most ``_BLOCK_STEPS``
+    half-steps and ends once max|G^m| passes ``_BLOCK_GROWTH``, which keeps
+    X well conditioned when H is stiff. Finite-escape blow-up raises
+    instead of returning garbage: the finished path is checked once, and
+    the error names the first node (in backward time) past ``_BLOWUP``; an
+    exactly singular X is a pole of Pi and is named the same way.
     """
     n, K = p.n, p.K
     h = p.T / (2 * K)
-    At, A, BRB, Q = p.A.T, p.A, p.BRB, p.Q
-
-    def rhs(_, Pi):
-        return -(At @ Pi + Pi @ A - Pi @ BRB @ Pi + Q)
-
+    H = np.block([[p.A, -p.BRB], [-p.Q, -p.A.T]])
     fine = np.empty((2 * K + 1, n, n))
     fine[-1] = _sym(p.Q_T)
     # steps past the float range are caught by the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(2 * K - 1, -1, -1):
-            fine[j] = _sym(_rk4(rhs, fine[j + 1], -h, j + 1))
+        powers = [_rk4(lambda _, z: H @ z, np.eye(2 * n), -h, 0)]
+        while (len(powers) < min(_BLOCK_STEPS, 2 * K)
+               and np.abs(powers[-1]).max() <= _BLOCK_GROWTH):
+            powers.append(powers[0] @ powers[-1])
+        powers = np.array(powers)
+        a = 2 * K
+        while a > 0:
+            m = min(len(powers), a)
+            Z = powers[:m] @ np.vstack([np.eye(n), fine[a]])
+            Xt, Yt = np.swapaxes(Z[:, :n], 1, 2), np.swapaxes(Z[:, n:], 1, 2)
+            try:
+                S = np.linalg.solve(Xt, Yt)
+            except np.linalg.LinAlgError:
+                # an exactly singular X is a pole of Pi: the check below names it
+                pole = ~(np.abs(np.linalg.det(Xt)) > 0)
+                Xt[pole] = np.eye(n)
+                S = np.linalg.solve(Xt, Yt)
+                S[pole] = np.inf
+            fine[a - m:a] = 0.5 * (S + np.swapaxes(S, 1, 2))[::-1]
+            a -= m
     escaped = np.flatnonzero(~np.all(np.abs(fine) <= _BLOWUP, axis=(1, 2)))
     if escaped.size:
         raise NumericalError(f"Riccati finite escape near t={escaped[-1] * h:.4g}")
@@ -267,7 +287,7 @@ class LambdaOperator:
         self.A2 = p.gamma * p.Q[None] - np.einsum("kij,jl->kil", self.ric.Pi, p.D)
 
     def vertex_average(self, surface):
-        return np.einsum("ij,jkn->ikn", self.Gw, surface)
+        return (self.Gw @ surface.reshape(len(surface), -1)).reshape(surface.shape)
 
     def _backward(self, y, term):
         """Integral of Psi(r, tau) y over tau >= r plus Psi(r, T) term, for a

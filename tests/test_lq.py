@@ -39,6 +39,25 @@ def trap_weight_rows(K1, dt):
     return lower, upper
 
 
+def assert_valid_riccati(ric, Q_T):
+    # terminal value Q_T, and a symmetric, positive semidefinite path
+    Pi = ric.Pi
+    assert np.allclose(Pi[-1], Q_T)
+    assert np.allclose(Pi, np.swapaxes(Pi, 1, 2), atol=1e-10)
+    assert np.linalg.eigvalsh(Pi).min() >= -1e-10
+
+
+def stiff_two_state_params(lam, K=800):
+    # A = R diag(lam, 0.5) R' with R a rotation by 0.4: one stiff stable mode
+    c, s = np.cos(0.4), np.sin(0.4)
+    rot = np.array([[c, -s], [s, c]])
+    return LQParams(rot @ np.diag([lam, 0.5]) @ rot.T, [[1.0], [0.5]],
+                    np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1)),
+                    [[1.0, 0.2], [0.2, 0.8]], [[1.0]], [[0.3, 0.0], [0.0, 0.1]],
+                    0.0, 0.0, np.zeros(2), np.zeros(2), 2.0,
+                    Graphon.constant(0.0), 2, K)
+
+
 def benchmark_params(M=16, K=200):
     # uniform-attachment scalar tracking benchmark
     return scalar_params(A=0.0, B=1.0, D0=0.0, D=0.2, Sigma=0.5, Q=1.0, R=1.0,
@@ -78,7 +97,7 @@ class TestSolveRiccati:
         ric = solve_riccati(p)
         exact = np.tanh(1.0 - p.times)
         assert np.abs(ric.Pi[:, 0, 0] - exact).max() < 1e-8
-        ric.validate(p.Q_T)
+        assert_valid_riccati(ric, p.Q_T)
 
     def test_no_control_matches_expm_quadrature_oracle(self):
         A = np.array([[-1.0, 0.3], [-0.2, -0.8]])
@@ -103,7 +122,22 @@ class TestSolveRiccati:
 
     def test_psd_and_symmetry_along_path(self):
         ric = solve_riccati(benchmark_params(M=4, K=100))
-        ric.validate(np.zeros((1, 1)))
+        assert_valid_riccati(ric, np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("lam, bound", [(-20.0, 1e-9), (-100.0, 1e-6)])
+    def test_stiff_path_matches_exact_step_oracle(self, lam, bound):
+        """Against the exact half-step: the Moebius step of expm(-H h) on
+        [I; Pi], with H the Hamiltonian matrix. A stiff mode must not cost
+        the path its fourth-order accuracy."""
+        p = stiff_two_state_params(lam)
+        n, h = p.n, p.T / (2 * p.K)
+        step = expm(-h * np.block([[p.A, -p.BRB], [-p.Q, -p.A.T]]))
+        exact = np.empty((2 * p.K + 1, n, n))
+        exact[-1] = p.Q_T
+        for j in range(2 * p.K - 1, -1, -1):
+            Z = step @ np.vstack([np.eye(n), exact[j + 1]])
+            exact[j] = np.linalg.solve(Z[:n].T, Z[n:].T).T
+        assert np.abs(solve_riccati(p).half_steps - exact).max() <= bound
 
     @pytest.mark.parametrize("A", [10.0, 300.0])
     def test_escape_names_the_first_node_past_the_blowup_level(self, A):
@@ -116,6 +150,16 @@ class TestSolveRiccati:
             solve_riccati(p)
         t = float(str(err.value).rsplit("=", 1)[1])
         assert abs(t - cross) <= p.T / p.K
+
+    def test_singular_x_raises_the_escape_error_at_the_pole(self):
+        """With A = Q = 0 and B = R = 1 the step map is exact and
+        Pi = Pi_T / (1 + Pi_T (T - t)); a terminal value of -32, outside
+        the valid data, puts an exactly singular X four half-steps before
+        T, which must be named like any other escape."""
+        p = scalar_params(A=0.0, Q=0.0, T=1.0, K=64)
+        p.Q_T = np.array([[-32.0]])
+        with pytest.raises(NumericalError, match="Riccati finite escape near t=0.9688"):
+            solve_riccati(p)
 
 
 class TestFundamentalMatrices:
