@@ -7,8 +7,11 @@ through :mod:`gmfg.coefficients`), minimizes the Hamiltonian (a
 closed-form clamp, since the dynamics are control-affine with quadratic
 control cost), and runs the backward semi-implicit value sweep that
 produces one (vertex, time, space) table each of values and feedback, and
-its adjoint, the forward Fokker-Planck solve of the vertex laws on the
-same grid (:func:`solve_fpk`); both share one implicit diffusion step.
+the forward Fokker-Planck solve of the vertex laws on the same grid
+(:func:`solve_fpk`); both share one implicit diffusion step D. The sweep
+takes V_k = D(V_{k+1} + dt H_k) and the law m_{k+1} = D' T' m_k, with T
+the upwind transport: both apply their two factors in the same order, so
+neither step is the adjoint of the other (ROADMAP item 7).
 Fields and sweeps work on a whole batch of vertices at once. It also holds
 the uniform-grid table lookup, the Euler-Maruyama increments and stepper
 that every particle and agent simulation shares (the Monte-Carlo check of
@@ -415,17 +418,19 @@ def solve_fpk(problem, x_grid, times, mass0, drift=None):
 
     ``mass0`` holds the (n, N_x) initial node masses of n rows and
     ``drift`` their (n, K+1, N_x) nodal drift, fields.drift_coef times the
-    feedback table (None: pure diffusion). Each step is the adjoint of the
-    value sweep's step (Y. Achdou and I. Capuzzo-Dolcetta, SIAM J. Numer.
-    Anal. 48(3), 2010): upwind transport moves |b| dt / dx <= 1 of each
-    node's mass to its downwind neighbour and none past an end node, then
-    the implicit diffusion (I + nu L^T)^-1 = W (I + nu L)^-1 W^-1 of
+    feedback table (None: pure diffusion). Each step is m_{k+1} = D' T' m_k
+    (after Y. Achdou and I. Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48(3),
+    2010): the upwind transport T' moves |b| dt / dx <= 1 of each node's
+    mass to its downwind neighbour and none past an end node, then the
+    implicit diffusion D' = (I + nu L^T)^-1 = W (I + nu L)^-1 W^-1 of
     :func:`implicit_diffusion`, with W = diag(1/2, 1, ..., 1, 1/2), since
     L = W^-1 S for a symmetric S. Both keep the total mass, and since
     I + nu L^T is an M-matrix the masses stay nonnegative; the FFT's
     rounding below zero is cut to 0. A drift that breaks |b| dt <= dx
-    raises ConfigError, as the sweep does. Returns the (n, K+1, N_x) node
-    masses.
+    raises ConfigError, as the sweep does. The value sweep takes
+    V_k = D(V_{k+1} + dt H_k), its two factors in the same order, so this
+    step is not the adjoint of the sweep's (ROADMAP item 7). Returns the
+    (n, K+1, N_x) node masses.
     """
     x = np.asarray(x_grid, dtype=float)
     dt, dx = float(times[1] - times[0]), float(x[1] - x[0])

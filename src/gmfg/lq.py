@@ -6,17 +6,19 @@ offset. The solve reduces to one Riccati path shared by all vertices, the
 fundamental matrices of the closed-loop drift and its adjoint, and a linear
 integral operator acting on the vertex-mean surface; when that operator's
 norm bound is below one the mean-field surface is the limit of a Picard
-iteration and the per-vertex feedback is affine. The Riccati,
-fundamental-matrix and offset ODEs all take the one classical RK4 step
-:func:`_rk4` on the half-step grid. The Riccati path is the Moebius image
-of a linear Hamiltonian system with a constant matrix, so one :func:`_rk4`
-step of the identity is its step map at every node, and the path is read in
-anchored blocks from that map's powers. The fundamental-matrix and offset
-ODEs are linear, so one :func:`_rk4` call over all K steps tabulates their
-one-step maps, and the solution is one small product per node. The
-fundamental matrices are kept as factors, Phi(t, s) = U(t) U(s)^-1, so the
-operator's trapezoid integrals are cumulative sums and its memory is linear
-in the number of time nodes.
+iteration and the per-vertex feedback is affine. The Riccati and
+fundamental-matrix ODEs both take the one classical RK4 step :func:`_rk4`
+on the half-step grid. The Riccati path is the Moebius image of a linear
+Hamiltonian system with a constant matrix, so one :func:`_rk4` step of the
+identity is its step map at every node, and the path is read in anchored
+blocks from that map's powers. The fundamental-matrix ODEs are linear, so
+one :func:`_rk4` call over all K steps tabulates their one-step maps, and
+the solution is one small product per node. The fundamental matrices are
+kept as factors, Phi(t, s) = U(t) U(s)^-1, so the operator's trapezoid
+integrals are cumulative sums and its memory is linear in the number of
+time nodes. The feedback offsets are the operator's own backward integral
+of the solved surface (:meth:`LambdaOperator.offsets`), so the reported
+feedback reproduces the surface in the operator's quadrature.
 """
 
 import math
@@ -115,7 +117,6 @@ class LQParams:
 class RiccatiPath:
     """Backward Riccati solution on the shared time grid."""
 
-    times: np.ndarray
     half_steps: np.ndarray   # (2K+1, n, n), symmetric, the RK4 half-step path
 
     @property
@@ -130,7 +131,7 @@ def _rk4(rhs, y, h, j):
     length h reads the middle stages at node j + 1 and the last at j + 2;
     a negative h steps backward, from j through j - 1 to j - 2. An array
     j of start nodes, with y stacked along its first axis, takes all
-    those steps in one call.
+    those forward steps in one call.
     """
     d = 1 if h > 0 else -1
     k1 = rhs(j, y)
@@ -188,7 +189,7 @@ def solve_riccati(p):
     escaped = np.flatnonzero(~np.all(np.abs(fine) <= _BLOWUP, axis=(1, 2)))
     if escaped.size:
         raise NumericalError(f"Riccati finite escape near t={escaped[-1] * h:.4g}")
-    return RiccatiPath(p.times, fine)
+    return RiccatiPath(fine)
 
 
 @dataclass
@@ -264,8 +265,8 @@ class LambdaOperator:
     and Psi(r, tau) = W[r] W_inv[tau]: the forward integral over r <= t is
     U[t] times a cumulative trapezoid sum of U_inv J, and the backward one
     over tau >= r is W[r] times a reverse cumulative sum of W_inv y. So
-    ``apply`` and ``forcing`` cost O(M K n^2) and the operator holds only
-    (K+1, n, n) factor tables.
+    ``offsets``, ``apply`` and ``forcing`` cost O(M K n^2) and the operator
+    holds only (K+1, n, n) factor tables.
     The norm bound needs the Frobenius norms of Phi(t,r) BRB Psi(r,tau).
     With one control input BRB = l l', so each norm is |Phi(t,r) l| times
     |Psi(r,tau)' l|: the bound costs O(K^2) small products, read in fixed
@@ -308,22 +309,37 @@ class LambdaOperator:
         np.cumsum((0.5 * self.dt) * (h[:, :-1] + h[:, 1:]), axis=1, out=head[:, 1:])
         return np.einsum("kij,mkj->mki", fm.U, head)
 
-    def apply(self, surface):
-        """Evaluate the operator on a surface of shape (M, K+1, n)."""
+    def offsets(self, surface, eta):
+        """Feedback offsets s and vertex average z of a surface of shape
+        (M, K+1, n) under the tracking offset ``eta``.
+
+        s(t) = -(integral of Psi(t, tau) y over tau >= t + Psi(t, T) term),
+        with y = A1 xbar + A2 z + Q eta and the terminal term
+        Q_T (gamma0 xbar_T + gamma z_T + eta): the backward trapezoid
+        integral of the operator itself.
+        """
         p = self.p
         x = np.asarray(surface, dtype=float)
         z = self.vertex_average(x)
         y = (np.einsum("kij,mkj->mki", self.A1, x)
-             + np.einsum("kij,mkj->mki", self.A2, z))
-        term = (p.gamma0 * x[:, -1] + p.gamma * z[:, -1]) @ p.Q_T.T
-        return self._forward(self._backward(y, term) @ p.BRB.T + z @ p.D.T)
+             + np.einsum("kij,mkj->mki", self.A2, z) + p.Q @ eta)
+        term = (p.gamma0 * x[:, -1] + p.gamma * z[:, -1] + eta) @ p.Q_T.T
+        return -self._backward(y, term), z
+
+    def apply(self, surface):
+        """Evaluate the operator on a surface of shape (M, K+1, n): the
+        forward integral of the feedback drive z D' - s BRB' of the
+        surface's offsets at eta = 0."""
+        p = self.p
+        s, z = self.offsets(surface, np.zeros(p.n))
+        return self._forward(z @ p.D.T - s @ p.BRB.T)
 
     def forcing(self):
-        """Affine part of the fixed-point equation, identical at all vertices."""
+        """Affine part of the fixed-point equation, identical at all vertices:
+        U x0 plus the forward integral of the zero surface's drive."""
         p = self.p
-        y = np.broadcast_to(p.Q @ p.eta, (1, p.K + 1, p.n))
-        J = self._backward(y, (p.Q_T @ p.eta)[None]) @ p.BRB.T
-        return self.fm.U @ p.x0 + self._forward(J)[0]
+        s, _ = self.offsets(np.zeros((p.M, p.K + 1, p.n)), p.eta)
+        return self.fm.U @ p.x0 + self._forward(-s[:1] @ p.BRB.T)[0]
 
     def norm_bound(self):
         """Quadrature evaluation of the operator-norm bound c_Lambda."""
@@ -419,14 +435,14 @@ class LQSolution:
 
 
 def solve_lq_fixed_point(p, tol=1e-9, x_init=None):
-    """Picard iteration for the vertex-mean surface plus offset recovery.
+    """Picard iteration for the vertex-mean surface and its offsets.
 
     Starts from the forcing surface (or a caller-supplied initialization),
     iterates surface <- Lambda(surface) + forcing until the sup change drops
-    below ``tol``, then recovers the offset paths by a backward RK4 pass;
-    with the Riccati path they fix the affine best response
-    (:class:`LQSolution`). A norm bound at or above one only warns; the
-    iteration then runs with a divergence guard.
+    below ``tol``, then reads the offset paths of the solved surface from
+    :meth:`LambdaOperator.offsets`; with the Riccati path they fix the
+    affine best response (:class:`LQSolution`). A norm bound at or above
+    one only warns; the iteration then runs with a divergence guard.
     """
     op = LambdaOperator(p)
     c_lam = op.norm_bound()
@@ -451,46 +467,9 @@ def solve_lq_fixed_point(p, tol=1e-9, x_init=None):
                                trace=changes)
     residual = float(np.abs(x - op.apply(x) - base).max())
 
-    z = op.vertex_average(x)
-    s = _recover_offsets(p, op.ric, x, z)
+    s, z = op.offsets(x, p.eta)
     return LQSolution(p, op.ric, op.fm, x, z, s, c_lam, len(changes), residual,
                       changes)
-
-
-def _recover_offsets(p, ric, xbar, zbar):
-    """Backward RK4 for the offset ODE driven by the mean-field surface,
-    read at the half nodes as the mean of the two node values.
-
-    The ODE s' = -s C(t) + f(t) is linear in the row vector s, so the step
-    from node k + 1 is s_k = s_{k+1} P_k + q_k: P_k steps the identity
-    under -u C(t) and q_k steps zero under the whole right side, whose
-    drive f is tabulated once on the fine grid. One :func:`_rk4` call
-    builds each of P and q for all K steps.
-    """
-    K, n, M = p.K, p.n, xbar.shape[0]
-    dt = p.T / K
-    starts = 2 * np.arange(1, K + 1)
-    # both surfaces on the fine grid, time first: the nodes, and their
-    # means between
-    fine = np.empty((2, 2 * K + 1, M, n))
-    fine[:, ::2] = np.swapaxes(xbar, 0, 1), np.swapaxes(zbar, 0, 1)
-    fine[:, 1::2] = 0.5 * (fine[:, 2::2] + fine[:, :-2:2])
-    closed = p.A - p.BRB @ ric.half_steps
-    drive = (fine[0] @ np.swapaxes(p.gamma0 * p.Q - ric.half_steps @ p.D0, 1, 2)
-             + fine[1] @ np.swapaxes(p.gamma * p.Q - ric.half_steps @ p.D, 1, 2)
-             + p.Q @ p.eta)
-    del fine
-    P = _rk4(lambda j, u: -(u @ closed[j]), np.broadcast_to(np.eye(n), (K, n, n)),
-             -dt, starts)
-    q = _rk4(lambda j, u: drive[j] - u @ closed[j], np.zeros((K, M, n)), -dt, starts)
-    del drive
-
-    s = np.empty((K + 1, M, n))
-    s[K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T
-    for k in range(K - 1, -1, -1):
-        np.matmul(s[k + 1], P[k], out=s[k])
-        s[k] += q[k]
-    return np.ascontiguousarray(np.swapaxes(s, 0, 1))
 
 
 def lq_consistency_vs_simulation(p, sol, R_mc=10_000, seed=0):

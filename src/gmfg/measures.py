@@ -38,6 +38,8 @@ class Measure1D:
             w = np.asarray(weights, dtype=float).reshape(-1)
             if w.shape != a.shape:
                 raise InvariantError("weights must match atoms")
+            if not np.all(np.isfinite(w)):
+                raise InvariantError("weights must be finite")
             if np.any(w < 0.0):
                 raise InvariantError("weights must be nonnegative")
             if abs(w.sum() - 1.0) > _WEIGHT_TOL:

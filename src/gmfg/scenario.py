@@ -336,6 +336,14 @@ class Scenario:
         x0 = spec.get("x0", [0.0])
         self._eta = [eta] if isinstance(eta, (int, float)) else eta
         self._x0 = [x0] if isinstance(x0, (int, float)) else x0
+        # json reads NaN and Infinity; shapes are LQParams' to check
+        for name, value in (*self._lq_raw.items(), ("eta", self._eta), ("x0", self._x0)):
+            try:
+                finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+            except (TypeError, ValueError):
+                continue
+            if not finite:
+                check.fail(f"problem.{name}", "entries must be finite numbers")
         self.T = check.number(spec.get("T"), "problem.T", positive=True, default=1.0)
 
     def build_lq(self):

@@ -2,14 +2,15 @@
 
 One Picard pass maps a measure ensemble to per-vertex best responses, then
 to the law those responses induce, solved on the x-grid by the forward
-Fokker-Planck step that is the adjoint of the value sweep, then back to the
-ensemble of its quantile atoms. The map is deterministic, so the iteration
-trace exposes the contraction rate directly. The same grid law, iterated
-with the policy held fixed, gives the self-consistent laws of a fixed
-feedback table: System C's cluster laws and the sensitivity probe, which
-estimates the two constants whose product governs the rate. Particles
-remain where paths are the object: closed-loop propagation under common
-random numbers.
+Fokker-Planck step, then back to the ensemble of its quantile atoms. That
+step is not the adjoint of the value sweep's: both apply diffusion and
+transport in the same order (ROADMAP item 7). The map is deterministic, so
+the iteration trace exposes the contraction rate directly. The same grid
+law, iterated with the policy held fixed, gives the self-consistent laws
+of a fixed feedback table: System C's cluster laws and the sensitivity
+probe, which estimates the two constants whose product governs the rate.
+Particles remain where paths are the object: closed-loop propagation
+under common random numbers.
 """
 
 import math

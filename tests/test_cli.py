@@ -94,6 +94,14 @@ _ABSENT_FIELDS = [
 ]
 
 
+# json reads NaN and Infinity; each must stop the LQ parse, named by its field
+_NON_FINITE_LQ = [("A", float("inf")), ("B", [[float("nan")]]), ("D0", float("nan")),
+                  ("D", [[float("-inf")]]), ("Sigma", float("nan")),
+                  ("Q", [[float("nan")]]), ("R", float("inf")),
+                  ("Q_T", float("nan")), ("eta", [float("nan")]),
+                  ("x0", float("inf"))]
+
+
 class TestParseScenario:
     def test_minimal_lq_parses(self, tmp_path):
         sc = parse_scenario(write_config(tmp_path / "s.json", lq_scenario()))
@@ -188,6 +196,33 @@ class TestParseScenario:
         out = tmp_path / "out"
         assert main(["solve-gmfg", "--config", cfg, "--out", str(out)]) == 1
         assert f"gmfg: {field}: missing" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", _NON_FINITE_LQ,
+                             ids=[case[0] for case in _NON_FINITE_LQ])
+    def test_non_finite_lq_entry_is_input_error(self, tmp_path, capsys, field,
+                                                value):
+        doc = lq_scenario()
+        doc["problem"][field] = value
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["solve-lq", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"gmfg: problem.{field}: entries must be finite numbers" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights", [[float("nan")] * 2, [1.0, float("nan")]])
+    def test_non_finite_initial_weights_are_input_error(self, tmp_path, capsys,
+                                                        weights):
+        doc = nonlinear_scenario()
+        doc["problem"]["initial"] = {"kind": "atoms", "atoms": [-0.1, 0.1],
+                                     "weights": weights}
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["solve-gmfg", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "gmfg: problem.initial: weights must be finite" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("diagnostics, field", [

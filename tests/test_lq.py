@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from gmfg import Graphon, InvariantError, NumericalError, VertexGrid, section_integral
-from gmfg.lq import (LambdaOperator, LQParams, _recover_offsets, _rk4,
+from gmfg.lq import (LambdaOperator, LQParams, _rk4,
                      fundamental_matrices, lq_consistency_vs_simulation,
                      solve_lq_fixed_point, solve_riccati)
 
@@ -392,44 +392,6 @@ def reference_fundamental(coeff_at, n, K, dt, chain=False):
     return U
 
 
-def reference_offsets(p, ric, xbar, zbar, linear=False):
-    # backward stages from node k + 1, half-node surfaces as node means;
-    # written out on s_{k+1} itself, or (linear) on the identity under the
-    # homogeneous part and on zero under the whole right side, which give
-    # the step map P_k and shift q_k of s_k = s_{k+1} P_k + q_k
-    K, n, M = p.K, p.n, xbar.shape[0]
-    dt = p.T / K
-    xb_h = 0.5 * (xbar[:, 1:] + xbar[:, :-1])
-    zb_h = 0.5 * (zbar[:, 1:] + zbar[:, :-1])
-    drive_x = np.swapaxes(p.gamma0 * p.Q - ric.half_steps @ p.D0, 1, 2)
-    drive_z = np.swapaxes(p.gamma * p.Q - ric.half_steps @ p.D, 1, 2)
-    closed = p.A - p.BRB @ ric.half_steps
-    forcing = p.Q @ p.eta
-
-    def rhs(j, s, xb, zb):
-        return -(s @ closed[j]) + (xb @ drive_x[j] + zb @ drive_z[j] + forcing)
-
-    def homogeneous(j, s, xb, zb):
-        return -(s @ closed[j])
-
-    def step(k, cur, rhs):
-        k1 = rhs(2 * k + 2, cur, xbar[:, k + 1], zbar[:, k + 1])
-        k2 = rhs(2 * k + 1, cur - 0.5 * dt * k1, xb_h[:, k], zb_h[:, k])
-        k3 = rhs(2 * k + 1, cur - 0.5 * dt * k2, xb_h[:, k], zb_h[:, k])
-        k4 = rhs(2 * k, cur - dt * k3, xbar[:, k], zbar[:, k])
-        return cur - (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    s = np.empty((M, K + 1, n))
-    s[:, K] = -(p.gamma0 * xbar[:, K] + p.gamma * zbar[:, K] + p.eta) @ p.Q_T.T
-    for k in range(K - 1, -1, -1):
-        if linear:
-            s[:, k] = (s[:, k + 1] @ step(k, np.eye(n), homogeneous)
-                       + step(k, np.zeros((M, n)), rhs))
-        else:
-            s[:, k] = step(k, s[:, k + 1], rhs)
-    return s
-
-
 class TestMatrixKernels:
     """The whole-array kernels against the per-node loops, for n = 2."""
 
@@ -512,22 +474,6 @@ class TestMatrixKernels:
         assert np.array_equal(fm.U_inv, np.linalg.inv(fm.U))
         assert np.array_equal(fm.W_inv, np.linalg.inv(fm.W))
 
-    def test_offsets_match_stage_loops(self):
-        """Backward steps s_k = s_{k+1} P_k + q_k give the bits of P_k and
-        q_k written out stage by stage, and stay within K eps max|s| of the
-        stages written out on s_{k+1} itself."""
-        p = matrix_params()
-        ric = solve_riccati(p)
-        gen = np.random.default_rng(11)
-        xbar = gen.normal(size=(p.M, p.K + 1, p.n))
-        zbar = gen.normal(size=(p.M, p.K + 1, p.n))
-        got = _recover_offsets(p, ric, xbar, zbar)
-        assert np.array_equal(got, reference_offsets(p, ric, xbar, zbar, linear=True))
-        want = reference_offsets(p, ric, xbar, zbar)
-        assert np.abs(want).max() > 1e-2
-        bound = p.K * np.finfo(float).eps * np.abs(want).max()
-        assert np.abs(got - want).max() <= bound
-
 
 class TestSolveLQFixedPoint:
     def test_decoupled_forcing_only(self):
@@ -559,6 +505,27 @@ class TestSolveLQFixedPoint:
                  + p.eta) @ p.Q_T.T
         np.testing.assert_allclose(sol.s[:, -1], term, atol=1e-10)
         assert np.allclose(sol.xbar[:, 0, :], p.x0, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [benchmark_params, one_input_params])
+    def test_feedback_reproduces_the_surface(self, make):
+        """The reported offsets, fed back through the operator's own forward
+        quadrature, give back the solved surface: xbar = U x0 plus the
+        integral of Phi(t, r) (z D' - s BRB') over r <= t. On the shipped
+        grid, and on two states with D0, Q_T and gamma0 all nonzero."""
+        p = make() if make is benchmark_params else make(M=4, K=100)
+        sol = solve_lq_fixed_point(p, tol=1e-13)
+        op = LambdaOperator(p)
+        again = op.fm.U @ p.x0 + op._forward(sol.zbar @ p.D.T - sol.s @ p.BRB.T)
+        assert np.abs(again - sol.xbar).max() <= 1e-12 * np.abs(sol.xbar).max()
+
+    @pytest.mark.parametrize("make", [benchmark_params, one_input_params])
+    def test_offsets_converge_at_second_order(self, make):
+        """s at K and 2K differ at the common nodes four times as much as
+        s at 2K and 4K do: the trapezoid rule's second order."""
+        s = [solve_lq_fixed_point(make(M=4, K=K), tol=1e-13).s for K in (50, 100, 200)]
+        gaps = [np.abs(coarse - fine[:, ::2]).max() for coarse, fine in zip(s, s[1:])]
+        assert gaps[1] > 0.0
+        assert 3.8 <= gaps[0] / gaps[1] <= 4.2
 
     def test_two_initializations_agree(self):
         p = benchmark_params(M=8, K=100)

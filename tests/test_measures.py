@@ -54,6 +54,10 @@ class TestMeasure1D:
             Measure1D([np.inf], [1.0])
         with pytest.raises(InvariantError):
             Measure1D([0.0, 1.0], [1.2, -0.2])
+        # a NaN weight sum is not more than the tolerance away from 1
+        for weights in ([np.nan, np.nan], [1.0, np.nan], [np.inf, -np.inf]):
+            with pytest.raises(InvariantError, match="weights must be finite"):
+                Measure1D([0.0, 1.0], weights)
 
     def test_mean_and_quantiles(self):
         m = Measure1D([2.0, 0.0], [0.25, 0.75])
