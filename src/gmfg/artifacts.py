@@ -5,8 +5,10 @@ then one row per table entry: integer columns as ``%d``, all other columns
 as ``%.17g`` (round-trip exact), every line ending in ``\\r\\n``.
 
 A JSON artifact is ``json.dumps(doc, sort_keys=True, indent=1)`` of the
-document with dict keys as strings, tuples and arrays as lists, numpy
-scalars as Python numbers and non-finite floats as ``null``.
+document as plain values: dict keys as strings, tuples and arrays as lists,
+numpy scalars as Python numbers and non-finite floats as ``null``. Its
+documents are a few kilobytes, so the standard library's encoder writes
+them whole.
 """
 
 import contextlib
@@ -86,51 +88,22 @@ def _one_bit_pattern(c):
     return bool((bits == bits[0]).all())
 
 
-def json_text(obj, level=0):
-    """The JSON artifact text of ``obj`` (see the module docstring), as if
-    nested ``level`` deep.
+def json_text(obj):
+    """The JSON artifact text of ``obj`` (see the module docstring)."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=1)
 
-    Float arrays skip the per-element encoder: one ``float.__repr__`` pass
-    over the flat values (what ``json`` writes for a float), then the
-    nesting joined from the innermost axis outwards.
-    """
+
+def _jsonable(obj):
+    """``obj`` as plain JSON values: dict keys as strings, tuples and arrays
+    as lists, numpy scalars as Python numbers, non-finite floats as None."""
     if isinstance(obj, dict):
-        items = {str(k): v for k, v in obj.items()}
-        return _nested([f"{json.dumps(k)}: {json_text(items[k], level + 1)}"
-                        for k in sorted(items)], level, "{}")
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 0:
-            raise TypeError("a 0-d array is not a JSON array")
-        if obj.dtype.kind == "f":
-            return _float_array_text(obj, level)
-        obj = obj.tolist()
+        obj = list(obj.tolist())   # a 0-d array's scalar raises TypeError
     if isinstance(obj, (list, tuple)):
-        return _nested([json_text(v, level + 1) for v in obj], level)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return repr(v) if math.isfinite(v) else "null"
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.integer):
-        return repr(int(obj))
-    return json.dumps(obj)
-
-
-def _nested(items, level, brackets="[]"):
-    """Encoded ``items`` as one container opened at indent ``level``."""
-    if not items:
-        return brackets
-    sep = "\n" + " " * (level + 1)
-    return (brackets[0] + sep + ("," + sep).join(items) + "\n" + " " * level
-            + brackets[1])
-
-
-def _float_array_text(a, level):
-    flat = np.ravel(a).astype(float)
-    items = list(map(float.__repr__, flat.tolist()))
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        items[i] = "null"
-    for axis in range(a.ndim - 1, -1, -1):
-        size = a.shape[axis]
-        count = math.prod(a.shape[:axis])
-        items = [_nested(items[g * size:(g + 1) * size], level + axis)
-                 for g in range(count)]
-    return items[0]
+        return int(obj)
+    return obj

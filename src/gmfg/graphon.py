@@ -54,6 +54,13 @@ def _check_unit(x, name):
     return arr
 
 
+def _check_weights(values, what):
+    """Raise InvariantError unless every entry of ``values`` lies in [0,1];
+    a NaN fails both comparisons, so it is rejected too."""
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise InvariantError(f"{what} must be finite numbers in [0,1]")
+
+
 class Graphon:
     """Symmetric kernel g on [0,1]^2 with values in [0,1].
 
@@ -80,16 +87,14 @@ class Graphon:
             p = np.asarray(profile, dtype=float)
             if p.ndim != 1 or p.size < 2:
                 raise InvariantError("product kernel needs >= 2 profile values")
-            if np.any(p < 0.0) or np.any(p > 1.0):
-                raise InvariantError("product profile values must lie in [0,1]")
+            _check_weights(p, "product profile values")
             self.profile = p.copy()
             self.profile.setflags(write=False)
         elif kind == "table":
             t = np.asarray(table, dtype=float)
             if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
                 raise InvariantError("table kernel needs a square node matrix")
-            if np.any(t < 0.0) or np.any(t > 1.0):
-                raise InvariantError("table values must lie in [0,1]")
+            _check_weights(t, "table values")
             if not np.allclose(t, t.T, atol=1e-12):
                 raise InvariantError("table kernel must be symmetric")
             self.table = 0.5 * (t + t.T)
@@ -98,8 +103,7 @@ class Graphon:
             m = np.asarray(matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise InvariantError("step graphon needs a square matrix")
-            if np.any(m < 0.0) or np.any(m > 1.0):
-                raise InvariantError("step weights must lie in [0,1]")
+            _check_weights(m, "step weights")
             if not np.allclose(m, m.T, atol=1e-12):
                 raise InvariantError("step graphon must be symmetric")
             self.matrix = m.copy()

@@ -48,8 +48,15 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
+def _finite(value, name):
+    a = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise InvariantError(f"{name} entries must be finite")
+    return a
+
+
 def _as_matrix(value, shape, name):
-    m = np.atleast_2d(np.asarray(value, dtype=float))
+    m = np.atleast_2d(_finite(value, name))
     if m.shape != shape:
         raise InvariantError(f"{name} must have shape {shape}, got {m.shape}")
     return m
@@ -66,17 +73,17 @@ class LQParams:
 
     def __init__(self, A, B, D0, D, Sigma, Q, R, Q_T, gamma0, gamma, eta, x0,
                  T, graphon, M, K):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
+        A = np.atleast_2d(_finite(A, "A"))
         n = A.shape[0]
         self.A = _as_matrix(A, (n, n), "A")
-        B = np.atleast_2d(np.asarray(B, dtype=float))
+        B = np.atleast_2d(_finite(B, "B"))
         if B.shape[0] != n:
             raise InvariantError("B must have n rows")
         self.B = B
         self.n, self.n_u = B.shape
         self.D0 = _as_matrix(D0, (n, n), "D0")
         self.D = _as_matrix(D, (n, n), "D")
-        Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
+        Sigma = np.atleast_2d(_finite(Sigma, "Sigma"))
         if Sigma.shape[0] != n:
             raise InvariantError("Sigma must have n rows")
         self.Sigma = Sigma
@@ -97,8 +104,8 @@ class LQParams:
             raise InvariantError("R must be positive definite") from None
         self.gamma0 = float(gamma0)
         self.gamma = float(gamma)
-        self.eta = np.asarray(eta, dtype=float).reshape(n)
-        self.x0 = np.asarray(x0, dtype=float).reshape(n)
+        self.eta = _finite(eta, "eta").reshape(n)
+        self.x0 = _finite(x0, "x0").reshape(n)
         if not T > 0:
             raise InvariantError("horizon T must be positive")
         self.T = float(T)
@@ -384,25 +391,19 @@ class LambdaOperator:
         """The bound for two or more control inputs, with each Frobenius norm
         of Phi(t,r) BRB Psi(r,tau) taken in Gram form."""
         p, fm, dt = self.p, self.fm, self.dt
-        K1, n = p.K + 1, p.n
+        K1 = p.K + 1
         nodes = np.arange(K1)
-        # Gram matrices A'A of Phi(t,r) BRB and B B' of Psi(r,tau), each row
-        # padded with a zero: the zeros add nothing to the inner products but
-        # keep the matmul off its ~3x slower path for an inner dimension of
-        # one. One output buffer serves every r.
-        gram_a = np.zeros((K1, n, n + 1))
-        gram_b = np.zeros((K1, n, n + 1))
-        buf = np.empty(K1 * K1)
+        buf = np.empty(K1 * K1)   # one output buffer serves every r
         totals = np.zeros(K1)
         for r in range(K1):
             m = K1 - r
             phi = np.einsum("tij,jk->tik", fm.U[r:], fm.U_inv[r])   # Phi[r:, r]
             psi = np.einsum("ij,ujk->uik", fm.W[r], fm.W_inv[r:])   # Psi[r, r:]
             PB = phi @ p.BRB
-            np.einsum("tji,tjk->tik", PB, PB, out=gram_a[:m, :, :n])
-            np.einsum("uij,ukj->uik", psi, psi, out=gram_b[:m, :, :n])
-            nb = np.matmul(gram_a[:m].reshape(m, -1), gram_b[:m].reshape(m, -1).T,
-                           out=buf[:m * m].reshape(m, m))  # (t, tau)
+            # Gram matrices A'A of Phi(t,r) BRB and B B' of Psi(r,tau)
+            gram_a = np.einsum("tji,tjk->tik", PB, PB).reshape(m, -1)
+            gram_b = np.einsum("uij,ukj->uik", psi, psi).reshape(m, -1)
+            nb = np.matmul(gram_a, gram_b.T, out=buf[:m * m].reshape(m, m))  # (t, tau)
             np.maximum(nb, 0.0, out=nb)
             np.sqrt(nb, out=nb)
             end = np.linalg.norm(PB @ (psi[-1] @ p.Q_T), axis=(1, 2))

@@ -314,8 +314,8 @@ def system_c_fields(pop, solution):
                         M=pop.M_k, K=problem.K, N_x=problem.N_x, R=problem.R,
                         seed=problem.seed,
                         domain=(problem.x_grid[0], problem.x_grid[-1]))
-    start = MeasureEnsemble.adopt(solution.ensemble.atoms[_policy_vertices(pop, solution)],
-                                  problem.times)
+    start = MeasureEnsemble(solution.ensemble.atoms[_policy_vertices(pop, solution)],
+                            problem.times)
     _, laws, trace = inner_mv_consistency(clone, _cluster_policy(pop, solution),
                                           start=start)
     # the first solve from a start records no distance

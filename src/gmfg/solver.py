@@ -189,7 +189,7 @@ def _law(problem, drift=None):
                        np.broadcast_to(problem.initial_masses, (problem.M, problem.N_x)),
                        drift)
     atoms = node_quantiles(masses, problem.x_grid, LAW_ATOMS)
-    return masses, MeasureEnsemble.adopt(atoms, problem.times)
+    return masses, MeasureEnsemble(atoms, problem.times)
 
 
 def picard_solve(problem, tol, max_outer=30, min_outer=None, timing=False):

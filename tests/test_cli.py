@@ -211,6 +211,32 @@ class TestParseScenario:
         assert f"gmfg: problem.{field}: entries must be finite numbers" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("A", [["x"]]), ("eta", ["x"])])
+    def test_non_numeric_lq_entry_is_input_error(self, tmp_path, capsys, field,
+                                                 value):
+        doc = lq_scenario()
+        doc["problem"][field] = value
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["solve-lq", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"gmfg: problem.{field}: entries must be finite numbers" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve-lq", "solve-gmfg"])
+    def test_non_finite_graphon_value_is_input_error(self, tmp_path, capsys,
+                                                     command):
+        doc = lq_scenario() if command == "solve-lq" else nonlinear_scenario()
+        doc["graphon"] = {"kind": "product", "values": [float("nan"), 0.5]}
+        doc["grids"]["M"] = 2
+        cfg = write_config(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "gmfg: graphon: product profile values must be finite numbers" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("weights", [[float("nan")] * 2, [1.0, float("nan")]])
     def test_non_finite_initial_weights_are_input_error(self, tmp_path, capsys,
                                                         weights):

@@ -93,6 +93,16 @@ class TestEvaluate:
         with pytest.raises(InvariantError):
             Graphon.step([[0.2, 0.9], [0.4, 0.2]])  # asymmetric
 
+    @pytest.mark.parametrize("build", [
+        lambda: Graphon.product([np.nan, 0.5]),
+        lambda: Graphon.from_table([[0.5, np.nan], [np.nan, 0.5]]),
+        lambda: Graphon.step([[np.nan, 0.2], [0.2, 0.5]])],
+        ids=["product", "table", "step"])
+    def test_non_finite_values_rejected(self, build):
+        # a NaN passes both bounds of a [0,1] range check
+        with pytest.raises(InvariantError, match="must be finite numbers"):
+            build()
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 1), st.floats(0, 1), st.sampled_from(["ua", "const", "prod", "step"]))
     def test_symmetry_property(self, a, b, kind):

@@ -74,6 +74,13 @@ class TestLQParams:
         with pytest.raises(InvariantError):
             scalar_params(T=0.0)
 
+    @pytest.mark.parametrize("field", ["A", "B", "D0", "D", "Sigma", "Q", "R",
+                                       "Q_T", "eta", "x0"])
+    def test_non_finite_entry_names_the_field(self, field):
+        for value in (np.nan, np.inf):
+            with pytest.raises(InvariantError, match=f"^{field} entries must be finite"):
+                scalar_params(**{field: value})
+
     def test_graphon_weights_row_sums(self):
         p = benchmark_params(M=8, K=4)
         weights = p.vertex_grid.section_weights(p.graphon, p.vertex_grid.midpoints)

@@ -217,27 +217,27 @@ class TestInnerConsistency:
         assert draws == []
 
     def test_grid_loops_adopt_one_ensemble_per_law_solve(self, monkeypatch):
-        """The Picard solve and the law loop adopt one quantile ensemble per
+        """The Picard solve and the law loop build one quantile ensemble per
         law solve (the pure-diffusion start, then one per pass) and nothing
         else."""
-        from gmfg.measures import MeasureEnsemble
+        import gmfg.solver as solver
 
         problem = TestPicardSolve.own_mean_problem()
-        real_adopt = MeasureEnsemble.adopt
+        real_quantiles = solver.node_quantiles
         calls = []
 
-        def adopting(atoms, times):
-            calls.append("adopt")
-            return real_adopt(atoms, times)
+        def counting(masses, x_grid, n):
+            calls.append("quantiles")
+            return real_quantiles(masses, x_grid, n)
 
-        monkeypatch.setattr(MeasureEnsemble, "adopt", staticmethod(adopting))
+        monkeypatch.setattr(solver, "node_quantiles", counting)
         sol = picard_solve(problem, tol=0.3, min_outer=3, max_outer=10)
-        assert calls == ["adopt"] * (1 + len(sol.trace))
+        assert calls == ["quantiles"] * (1 + len(sol.trace))
         calls.clear()
         weak = self.weak_problem()
         _, _, trace = inner_mv_consistency(weak, constant_policy(weak, 1.0))
         assert len(trace) > 2
-        assert calls == ["adopt"] * (1 + len(trace))
+        assert calls == ["quantiles"] * (1 + len(trace))
 
 
 class TestPicardSolve:
